@@ -12,9 +12,10 @@
 #include "geom/vec2.h"
 
 /// \file bench_util.h
-/// Shared helpers for the experiment drivers (E1..E13). Each driver prints
-/// a self-contained table; EXPERIMENTS.md records the paper's expectation
-/// next to these measurements. Every driver also understands three flags:
+/// Shared helpers for the experiment drivers (E1..E15). Each driver prints
+/// a self-contained table; its file comment names the theorem or claim it
+/// measures and the expected outcome. Every driver also understands three
+/// flags:
 ///   --tiny          shrink the input sweep (the CI bench-smoke job);
 ///   --json <path>   additionally write the measurements as JSON — the
 ///                   BENCH_pr.json artifact that seeds the perf trajectory.

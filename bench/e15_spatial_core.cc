@@ -1,791 +1,47 @@
-// Experiment E15 — the unified spatial core (src/spatial/) against the
-// pre-refactor hand-rolled trees it replaced. Each of the five migrated
-// structures (range::KdTree, range::DiskTree, core::ExpectedNn,
-// core::LinfNonzeroIndex, core::QuantTree) is compared against a
-// faithful in-bench replica of its pre-refactor implementation on the
-// same data and query set: build time, query time, and — the point —
-// exact result parity (ids, distances, and argmin ties bit-identical;
-// log-survival within float associativity, the contract it always
-// carried). A mismatch fails the run so CI's bench smoke catches any
-// drift between the shared core and the structures it now serves.
+// Experiment E15 — the pack kernels behind Engine::QueryMany: a pack of
+// one against a full pack. Every query type has one execution path,
+// QueryMany over the shared-traversal kernels of spatial/batch.h, so the
+// fair question is what a full pack buys over the same queries answered
+// one per call (`QueryMany({&q, 1})`, what a single Submit pays) on the
+// same Engine. Both sides are pruned; neither is an unpruned scan.
 //
-// A sixth part measures the vectorized batch traversal (spatial/batch.h)
-// through Engine::QueryMany: scalar (batch_traversal = false) vs batched
-// on the same expected-distance workload, with the same exactness
-// requirement plus the packs' SIMD lane utilization. CI's bench smoke
-// gates on the reported batched_speedup.
+// Rows, one Engine per input model:
+//   batched_qm         ExpectedDistanceNn on discrete points (ExpectedNn);
+//   batched_mpnn       MostProbableNn on disks (Monte-Carlo backend,
+//   batched_threshold  Threshold        NearestBatch across every
+//   batched_topk       TopK             instantiation);
+//   batched_nonzero    NonzeroNn on discrete points (Theorem 3.2 index).
 //
-// A seventh part extends the scalar-vs-batched comparison to the other
-// four query types: MostProbableNn / Threshold / TopK on a disk workload
-// (the Monte-Carlo backend, whose batched path runs NearestBatch across
-// every instantiation) and NonzeroNn on a discrete workload (the
-// Theorem 3.2 index's DeltaPairBatch walk). Each row reports
-// batched_speedup / lane_utilization / scalar_replays plus the lane ISA
-// and NUMA node count as provenance; CI's bench smoke gates these rows
-// at >= 1.2x with zero mismatches.
+// Each row reports µs per query for both sides, their ratio as
+// batched_speedup, and the dominant kernel's lane utilization and scalar
+// replays with the lane ISA as provenance. Exactness is the gate: a query
+// must get the same answer in a full pack as alone, and any mismatch
+// fails the run. The ratio is reported without a floor — at some sizes a
+// full pack is slower than a pack of one.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <functional>
 #include <limits>
-#include <numeric>
-#include <queue>
-#include <random>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
 #include "core/expected_nn.h"
-#include "core/linf_nonzero_index.h"
-#include "core/monte_carlo_pnn.h"
 #include "core/nn_nonzero_discrete_index.h"
-#include "core/quant_tree.h"
 #include "core/uncertain_point.h"
 #include "engine/engine.h"
 #include "geom/lanes.h"
-#include "prob/distance_cdf.h"
-#include "range/disk_tree.h"
-#include "range/kdtree.h"
 #include "spatial/batch.h"
-#include "util/numa.h"
 #include "workload/generators.h"
 
 using namespace unn;
-using geom::Box;
 using geom::Vec2;
-
-namespace legacy {
-
-// ---------------------------------------------------------------------------
-// Pre-refactor replicas, copied from the hand-rolled implementations the
-// spatial core replaced (PR 1-4 vintage). Kept verbatim so E15 measures
-// and verifies against the real baselines, not a reconstruction.
-// ---------------------------------------------------------------------------
-
-constexpr int kLeafSize = 8;
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-class KdTree {
- public:
-  explicit KdTree(std::vector<Vec2> pts) : pts_(std::move(pts)) {
-    order_.resize(pts_.size());
-    std::iota(order_.begin(), order_.end(), 0);
-    if (!pts_.empty()) root_ = Build(0, static_cast<int>(pts_.size()), 0);
-  }
-
-  int Nearest(Vec2 q, double* dist = nullptr) const {
-    if (root_ < 0) return -1;
-    int best = -1;
-    double best_d = kInf;
-    NearestRec(root_, q, &best, &best_d);
-    if (dist != nullptr) *dist = best_d;
-    return best;
-  }
-
-  std::vector<int> KNearest(Vec2 q, int k) const {
-    std::vector<int> out;
-    Enumerator en(*this, q);
-    for (int i = 0; i < k; ++i) {
-      int id = en.Next();
-      if (id < 0) break;
-      out.push_back(id);
-    }
-    return out;
-  }
-
-  void RangeCircle(Vec2 q, double r, std::vector<int>* out,
-                   bool inclusive = true) const {
-    if (root_ >= 0) RangeRec(root_, q, r, inclusive, out);
-  }
-
-  class Enumerator {
-   public:
-    Enumerator(const KdTree& tree, Vec2 q) : tree_(tree), q_(q) {
-      if (tree.root_ >= 0) {
-        heap_.push({std::sqrt(tree.nodes_[tree.root_].box.DistSqTo(q)),
-                    tree.root_, -1});
-      }
-    }
-    int Next(double* dist = nullptr) {
-      while (!heap_.empty()) {
-        Entry e = heap_.top();
-        heap_.pop();
-        if (e.node < 0) {
-          if (dist != nullptr) *dist = e.key;
-          return e.point;
-        }
-        const Node& n = tree_.nodes_[e.node];
-        if (n.left < 0) {
-          for (int i = n.begin; i < n.end; ++i) {
-            int id = tree_.order_[i];
-            heap_.push({Dist(q_, tree_.pts_[id]), -1, id});
-          }
-        } else {
-          heap_.push(
-              {std::sqrt(tree_.nodes_[n.left].box.DistSqTo(q_)), n.left, -1});
-          heap_.push(
-              {std::sqrt(tree_.nodes_[n.right].box.DistSqTo(q_)), n.right, -1});
-        }
-      }
-      return -1;
-    }
-
-   private:
-    struct Entry {
-      double key;
-      int node;
-      int point;
-      bool operator<(const Entry& o) const { return key > o.key; }
-    };
-    const KdTree& tree_;
-    Vec2 q_;
-    std::priority_queue<Entry> heap_;
-  };
-
- private:
-  struct Node {
-    Box box;
-    int left = -1, right = -1;
-    int begin = 0, end = 0;
-  };
-
-  int Build(int begin, int end, int depth) {
-    Node node;
-    for (int i = begin; i < end; ++i) node.box.Expand(pts_[order_[i]]);
-    int id = static_cast<int>(nodes_.size());
-    nodes_.push_back(node);
-    if (end - begin <= kLeafSize) {
-      nodes_[id].begin = begin;
-      nodes_[id].end = end;
-      return id;
-    }
-    int mid = (begin + end) / 2;
-    bool by_x = (depth % 2 == 0);
-    if (nodes_[id].box.Width() < 1e-12 * nodes_[id].box.Height()) by_x = false;
-    if (nodes_[id].box.Height() < 1e-12 * nodes_[id].box.Width()) by_x = true;
-    std::nth_element(order_.begin() + begin, order_.begin() + mid,
-                     order_.begin() + end, [&](int a, int b) {
-                       return by_x ? pts_[a].x < pts_[b].x
-                                   : pts_[a].y < pts_[b].y;
-                     });
-    int l = Build(begin, mid, depth + 1);
-    int r = Build(mid, end, depth + 1);
-    nodes_[id].left = l;
-    nodes_[id].right = r;
-    return id;
-  }
-
-  void NearestRec(int node, Vec2 q, int* best, double* best_d) const {
-    const Node& n = nodes_[node];
-    if (n.box.DistSqTo(q) >= *best_d * *best_d) return;
-    if (n.left < 0) {
-      for (int i = n.begin; i < n.end; ++i) {
-        double d = Dist(q, pts_[order_[i]]);
-        if (d < *best_d) {
-          *best_d = d;
-          *best = order_[i];
-        }
-      }
-      return;
-    }
-    double dl = nodes_[n.left].box.DistSqTo(q);
-    double dr = nodes_[n.right].box.DistSqTo(q);
-    if (dl <= dr) {
-      NearestRec(n.left, q, best, best_d);
-      NearestRec(n.right, q, best, best_d);
-    } else {
-      NearestRec(n.right, q, best, best_d);
-      NearestRec(n.left, q, best, best_d);
-    }
-  }
-
-  void RangeRec(int node, Vec2 q, double r, bool inclusive,
-                std::vector<int>* out) const {
-    const Node& n = nodes_[node];
-    if (n.box.DistSqTo(q) > r * r) return;
-    if (n.left < 0) {
-      for (int i = n.begin; i < n.end; ++i) {
-        double d = Dist(q, pts_[order_[i]]);
-        if (d < r || (inclusive && d == r)) out->push_back(order_[i]);
-      }
-      return;
-    }
-    RangeRec(n.left, q, r, inclusive, out);
-    RangeRec(n.right, q, r, inclusive, out);
-  }
-
-  std::vector<Vec2> pts_;
-  std::vector<int> order_;
-  std::vector<Node> nodes_;
-  int root_ = -1;
-
-  friend class Enumerator;
-};
-
-class DiskTree {
- public:
-  DiskTree(std::vector<Vec2> centers, std::vector<double> radii)
-      : centers_(std::move(centers)), radii_(std::move(radii)) {
-    order_.resize(centers_.size());
-    std::iota(order_.begin(), order_.end(), 0);
-    if (!centers_.empty()) {
-      root_ = Build(0, static_cast<int>(centers_.size()), 0);
-    }
-  }
-
-  double MinMaxDist(Vec2 q, int* argmin = nullptr) const {
-    double best = kInf;
-    if (root_ >= 0) MinMaxRec(root_, q, &best, argmin);
-    return best;
-  }
-
-  void ReportMinDistLess(Vec2 q, double bound, std::vector<int>* out) const {
-    if (root_ >= 0) ReportRec(root_, q, bound, out);
-  }
-
- private:
-  struct Node {
-    Box box;
-    double r_min = 0.0, r_max = 0.0;
-    int left = -1, right = -1;
-    int begin = 0, end = 0;
-  };
-
-  int Build(int begin, int end, int depth) {
-    Node node;
-    node.r_min = kInf;
-    node.r_max = 0;
-    for (int i = begin; i < end; ++i) {
-      node.box.Expand(centers_[order_[i]]);
-      node.r_min = std::min(node.r_min, radii_[order_[i]]);
-      node.r_max = std::max(node.r_max, radii_[order_[i]]);
-    }
-    int id = static_cast<int>(nodes_.size());
-    nodes_.push_back(node);
-    if (end - begin <= kLeafSize) {
-      nodes_[id].begin = begin;
-      nodes_[id].end = end;
-      return id;
-    }
-    int mid = (begin + end) / 2;
-    bool by_x = (depth % 2 == 0);
-    std::nth_element(order_.begin() + begin, order_.begin() + mid,
-                     order_.begin() + end, [&](int a, int b) {
-                       return by_x ? centers_[a].x < centers_[b].x
-                                   : centers_[a].y < centers_[b].y;
-                     });
-    int l = Build(begin, mid, depth + 1);
-    int r = Build(mid, end, depth + 1);
-    nodes_[id].left = l;
-    nodes_[id].right = r;
-    return id;
-  }
-
-  void MinMaxRec(int node, Vec2 q, double* best, int* argmin) const {
-    const Node& n = nodes_[node];
-    double lb = std::sqrt(n.box.DistSqTo(q)) + n.r_min;
-    if (lb >= *best) return;
-    if (n.left < 0) {
-      for (int i = n.begin; i < n.end; ++i) {
-        int id = order_[i];
-        double v = Dist(q, centers_[id]) + radii_[id];
-        if (v < *best) {
-          *best = v;
-          if (argmin != nullptr) *argmin = id;
-        }
-      }
-      return;
-    }
-    double ll =
-        std::sqrt(nodes_[n.left].box.DistSqTo(q)) + nodes_[n.left].r_min;
-    double lr =
-        std::sqrt(nodes_[n.right].box.DistSqTo(q)) + nodes_[n.right].r_min;
-    if (ll <= lr) {
-      MinMaxRec(n.left, q, best, argmin);
-      MinMaxRec(n.right, q, best, argmin);
-    } else {
-      MinMaxRec(n.right, q, best, argmin);
-      MinMaxRec(n.left, q, best, argmin);
-    }
-  }
-
-  void ReportRec(int node, Vec2 q, double bound, std::vector<int>* out) const {
-    const Node& n = nodes_[node];
-    if (std::sqrt(n.box.DistSqTo(q)) - n.r_max >= bound) return;
-    if (n.left < 0) {
-      for (int i = n.begin; i < n.end; ++i) {
-        int id = order_[i];
-        if (std::max(Dist(q, centers_[id]) - radii_[id], 0.0) < bound) {
-          out->push_back(id);
-        }
-      }
-      return;
-    }
-    ReportRec(n.left, q, bound, out);
-    ReportRec(n.right, q, bound, out);
-  }
-
-  std::vector<Vec2> centers_;
-  std::vector<double> radii_;
-  std::vector<int> order_;
-  std::vector<Node> nodes_;
-  int root_ = -1;
-};
-
-/// The pre-refactor ExpectedNn moment computation (mean + variance per
-/// uncertain point), so the legacy build timing covers the same work as
-/// core::ExpectedNn's constructor.
-void ComputeMoments(const std::vector<core::UncertainPoint>& pts,
-                    std::vector<Vec2>* mean, std::vector<double>* var) {
-  for (const auto& p : pts) {
-    if (p.is_disk()) {
-      mean->push_back(p.center());
-      double radius = p.radius();
-      if (p.pdf() == core::DiskPdf::kUniform) {
-        var->push_back(radius * radius / 2.0);
-      } else {
-        double s2 = radius * radius / 2.0;
-        double a = radius * radius / s2;
-        var->push_back(s2 * (1.0 - std::exp(-a) * (1.0 + a)) /
-                       (1.0 - std::exp(-a)));
-      }
-    } else {
-      Vec2 mu{0, 0};
-      for (size_t s = 0; s < p.sites().size(); ++s) {
-        mu = mu + p.sites()[s] * p.weights()[s];
-      }
-      double v = 0;
-      for (size_t s = 0; s < p.sites().size(); ++s) {
-        v += p.weights()[s] * DistSq(p.sites()[s], mu);
-      }
-      mean->push_back(mu);
-      var->push_back(v);
-    }
-  }
-}
-
-/// The pre-refactor ExpectedNn kd core: box of means + min variance,
-/// argmin of d(q, mu)^2 + var by ordered pruned descent.
-class PowerTree {
- public:
-  PowerTree(std::vector<Vec2> mean, std::vector<double> var)
-      : mean_(std::move(mean)), var_(std::move(var)) {
-    order_.resize(mean_.size());
-    std::iota(order_.begin(), order_.end(), 0);
-    root_ = Build(0, static_cast<int>(mean_.size()), 0);
-  }
-
-  int QuerySquared(Vec2 q) const {
-    double best = kInf;
-    int arg = -1;
-    QueryRec(root_, q, &best, &arg);
-    return arg;
-  }
-
-  Vec2 mean(int i) const { return mean_[i]; }
-  double variance(int i) const { return var_[i]; }
-
- private:
-  struct Node {
-    Box box;
-    double var_min = 0.0;
-    int left = -1, right = -1;
-    int begin = 0, end = 0;
-  };
-
-  int Build(int begin, int end, int depth) {
-    Node node;
-    node.var_min = kInf;
-    for (int i = begin; i < end; ++i) {
-      node.box.Expand(mean_[order_[i]]);
-      node.var_min = std::min(node.var_min, var_[order_[i]]);
-    }
-    int id = static_cast<int>(nodes_.size());
-    nodes_.push_back(node);
-    if (end - begin <= kLeafSize) {
-      nodes_[id].begin = begin;
-      nodes_[id].end = end;
-      return id;
-    }
-    int mid = (begin + end) / 2;
-    bool by_x = (depth % 2 == 0);
-    std::nth_element(order_.begin() + begin, order_.begin() + mid,
-                     order_.begin() + end, [&](int a, int b) {
-                       return by_x ? mean_[a].x < mean_[b].x
-                                   : mean_[a].y < mean_[b].y;
-                     });
-    int l = Build(begin, mid, depth + 1);
-    int r = Build(mid, end, depth + 1);
-    nodes_[id].left = l;
-    nodes_[id].right = r;
-    return id;
-  }
-
-  void QueryRec(int node, Vec2 q, double* best, int* arg) const {
-    const Node& n = nodes_[node];
-    if (n.box.DistSqTo(q) + n.var_min >= *best) return;
-    if (n.left < 0) {
-      for (int i = n.begin; i < n.end; ++i) {
-        int id = order_[i];
-        double v = DistSq(q, mean_[id]) + var_[id];
-        if (v < *best) {
-          *best = v;
-          *arg = id;
-        }
-      }
-      return;
-    }
-    double dl = nodes_[n.left].box.DistSqTo(q) + nodes_[n.left].var_min;
-    double dr = nodes_[n.right].box.DistSqTo(q) + nodes_[n.right].var_min;
-    if (dl <= dr) {
-      QueryRec(n.left, q, best, arg);
-      QueryRec(n.right, q, best, arg);
-    } else {
-      QueryRec(n.right, q, best, arg);
-      QueryRec(n.left, q, best, arg);
-    }
-  }
-
-  std::vector<Vec2> mean_;
-  std::vector<double> var_;
-  std::vector<int> order_;
-  std::vector<Node> nodes_;
-  int root_ = -1;
-};
-
-class LinfIndex {
- public:
-  explicit LinfIndex(std::vector<core::SquareRegion> squares)
-      : squares_(std::move(squares)) {
-    order_.resize(squares_.size());
-    std::iota(order_.begin(), order_.end(), 0);
-    root_ = Build(0, static_cast<int>(squares_.size()), 0);
-  }
-
-  double Delta(Vec2 q) const {
-    Envelope env{kInf, kInf, -1};
-    DeltaRec(root_, q, &env);
-    return env.best;
-  }
-
-  std::vector<int> Query(Vec2 q) const {
-    if (squares_.size() == 1) return {0};
-    Envelope env{kInf, kInf, -1};
-    DeltaRec(root_, q, &env);
-    std::vector<int> out;
-    ReportRec(root_, q, env.best, &out);
-    std::sort(out.begin(), out.end());
-    out.erase(std::unique(out.begin(), out.end()), out.end());
-    bool arg_in = std::binary_search(out.begin(), out.end(), env.argbest);
-    bool arg_should = MinDist(env.argbest, q) < env.second;
-    if (arg_in && !arg_should) {
-      out.erase(std::find(out.begin(), out.end(), env.argbest));
-    } else if (!arg_in && arg_should) {
-      out.insert(std::upper_bound(out.begin(), out.end(), env.argbest),
-                 env.argbest);
-    }
-    return out;
-  }
-
- private:
-  struct Node {
-    Box box;
-    double r_min = 0.0, r_max = 0.0;
-    int left = -1, right = -1;
-    int begin = 0, end = 0;
-  };
-  struct Envelope {
-    double best, second;
-    int argbest;
-  };
-
-  static double ChebToBox(Vec2 q, const Box& b) {
-    double dx = std::max({b.lo.x - q.x, 0.0, q.x - b.hi.x});
-    double dy = std::max({b.lo.y - q.y, 0.0, q.y - b.hi.y});
-    return std::max(dx, dy);
-  }
-
-  double MinDist(int i, Vec2 q) const {
-    return std::max(
-        geom::ChebyshevDist(q, squares_[i].center) - squares_[i].half_side,
-        0.0);
-  }
-
-  int Build(int begin, int end, int depth) {
-    Node node;
-    node.r_min = kInf;
-    for (int i = begin; i < end; ++i) {
-      node.box.Expand(squares_[order_[i]].center);
-      node.r_min = std::min(node.r_min, squares_[order_[i]].half_side);
-      node.r_max = std::max(node.r_max, squares_[order_[i]].half_side);
-    }
-    int id = static_cast<int>(nodes_.size());
-    nodes_.push_back(node);
-    if (end - begin <= kLeafSize) {
-      nodes_[id].begin = begin;
-      nodes_[id].end = end;
-      return id;
-    }
-    int mid = (begin + end) / 2;
-    bool by_x = (depth % 2 == 0);
-    std::nth_element(
-        order_.begin() + begin, order_.begin() + mid, order_.begin() + end,
-        [&](int a, int b) {
-          return by_x ? squares_[a].center.x < squares_[b].center.x
-                      : squares_[a].center.y < squares_[b].center.y;
-        });
-    nodes_[id].left = Build(begin, mid, depth + 1);
-    nodes_[id].right = Build(mid, end, depth + 1);
-    return id;
-  }
-
-  void DeltaRec(int node, Vec2 q, Envelope* env) const {
-    const Node& n = nodes_[node];
-    if (ChebToBox(q, n.box) + n.r_min >= env->second) return;
-    if (n.left < 0) {
-      for (int i = n.begin; i < n.end; ++i) {
-        int id = order_[i];
-        double v = geom::ChebyshevDist(q, squares_[id].center) +
-                   squares_[id].half_side;
-        if (v < env->best) {
-          env->second = env->best;
-          env->best = v;
-          env->argbest = id;
-        } else {
-          env->second = std::min(env->second, v);
-        }
-      }
-      return;
-    }
-    DeltaRec(n.left, q, env);
-    DeltaRec(n.right, q, env);
-  }
-
-  void ReportRec(int node, Vec2 q, double bound, std::vector<int>* out) const {
-    const Node& n = nodes_[node];
-    if (ChebToBox(q, n.box) - n.r_max >= bound) return;
-    if (n.left < 0) {
-      for (int i = n.begin; i < n.end; ++i) {
-        int id = order_[i];
-        double d = std::max(geom::ChebyshevDist(q, squares_[id].center) -
-                                squares_[id].half_side,
-                            0.0);
-        if (d < bound) out->push_back(id);
-      }
-      return;
-    }
-    ReportRec(n.left, q, bound, out);
-    ReportRec(n.right, q, bound, out);
-  }
-
-  std::vector<core::SquareRegion> squares_;
-  std::vector<int> order_;
-  std::vector<Node> nodes_;
-  int root_ = -1;
-};
-
-class QuantTree {
- public:
-  explicit QuantTree(const std::vector<core::UncertainPoint>* points)
-      : points_(points) {
-    int n = static_cast<int>(points_->size());
-    anchors_.reserve(n);
-    radii_.reserve(n);
-    for (const core::UncertainPoint& p : *points_) {
-      if (p.is_disk()) {
-        anchors_.push_back(p.center());
-        radii_.push_back(p.radius());
-      } else {
-        Vec2 c{0, 0};
-        for (Vec2 s : p.sites()) c = c + s;
-        c = c / static_cast<double>(p.sites().size());
-        double r = 0.0;
-        for (Vec2 s : p.sites()) r = std::max(r, Dist(c, s));
-        anchors_.push_back(c);
-        radii_.push_back(r);
-      }
-    }
-    order_.resize(n);
-    std::iota(order_.begin(), order_.end(), 0);
-    if (n > 0) {
-      nodes_.reserve(2 * (n / kLeafSize + 1));
-      root_ = Build(0, n);
-    }
-  }
-
-  core::DeltaEnvelope MaxDistEnvelope(Vec2 q) const {
-    core::DeltaEnvelope env;
-    env.best = kInf;
-    env.second = kInf;
-    if (root_ < 0) return env;
-    std::priority_queue<HeapEntry> heap;
-    heap.push({MaxDistLowerBound(nodes_[root_], q), root_});
-    while (!heap.empty()) {
-      HeapEntry e = heap.top();
-      heap.pop();
-      if (EnvelopePrunable(e.lb, env)) break;
-      const Node& node = nodes_[e.node];
-      if (node.left < 0) {
-        for (int j = node.begin; j < node.end; ++j) {
-          int id = order_[j];
-          env.Insert((*points_)[id].MaxDist(q), id);
-        }
-      } else {
-        for (int child : {node.left, node.right}) {
-          double lb = MaxDistLowerBound(nodes_[child], q);
-          if (!EnvelopePrunable(lb, env)) heap.push({lb, child});
-        }
-      }
-    }
-    return env;
-  }
-
-  double LogSurvival(Vec2 q, double r) const {
-    if (root_ < 0) return 0.0;
-    return LogSurvivalRec(root_, q, r);
-  }
-
-  int ArgminPointwise(Vec2 q, const std::function<double(int)>& value) const {
-    int best_id = -1;
-    double best_v = kInf;
-    if (root_ < 0) return best_id;
-    std::priority_queue<HeapEntry> heap;
-    heap.push({MinDistLowerBound(nodes_[root_], q), root_});
-    while (!heap.empty()) {
-      HeapEntry e = heap.top();
-      heap.pop();
-      if (e.lb > best_v) break;
-      const Node& node = nodes_[e.node];
-      if (node.left < 0) {
-        for (int j = node.begin; j < node.end; ++j) {
-          int id = order_[j];
-          double v = value(id);
-          if (v < best_v || (v == best_v && id < best_id)) {
-            best_v = v;
-            best_id = id;
-          }
-        }
-      } else {
-        for (int child : {node.left, node.right}) {
-          double lb = MinDistLowerBound(nodes_[child], q);
-          if (lb <= best_v) heap.push({lb, child});
-        }
-      }
-    }
-    return best_id;
-  }
-
- private:
-  struct Node {
-    Box box;
-    double r_min = 0.0, r_max = 0.0;
-    bool all_disk = true;
-    int left = -1, right = -1;
-    int begin = 0, end = 0;
-  };
-  struct HeapEntry {
-    double lb = 0.0;
-    int node = -1;
-    bool operator<(const HeapEntry& o) const { return lb > o.lb; }
-  };
-
-  static bool EnvelopePrunable(double lb, const core::DeltaEnvelope& env) {
-    if (lb > env.second) return true;
-    return lb >= env.second && env.second > env.best;
-  }
-
-  int Build(int begin, int end) {
-    Node node;
-    node.begin = begin;
-    node.end = end;
-    node.r_min = kInf;
-    for (int j = begin; j < end; ++j) {
-      int id = order_[j];
-      node.box.Expand(anchors_[id]);
-      node.r_min = std::min(node.r_min, radii_[id]);
-      node.r_max = std::max(node.r_max, radii_[id]);
-      node.all_disk = node.all_disk && (*points_)[id].is_disk();
-    }
-    if (end - begin > kLeafSize) {
-      bool split_x = node.box.Width() >= node.box.Height();
-      int mid = begin + (end - begin) / 2;
-      std::nth_element(order_.begin() + begin, order_.begin() + mid,
-                       order_.begin() + end, [&](int a, int b) {
-                         return split_x ? anchors_[a].x < anchors_[b].x
-                                        : anchors_[a].y < anchors_[b].y;
-                       });
-      node.left = Build(begin, mid);
-      node.right = Build(mid, end);
-    }
-    nodes_.push_back(node);
-    return static_cast<int>(nodes_.size()) - 1;
-  }
-
-  double MaxDistLowerBound(const Node& node, Vec2 q) const {
-    double lb = std::sqrt(node.box.DistSqTo(q));
-    if (node.all_disk) lb += node.r_min;
-    return std::max(lb, node.r_min - node.box.MaxDistTo(q));
-  }
-
-  double MinDistLowerBound(const Node& node, Vec2 q) const {
-    return std::max(std::sqrt(node.box.DistSqTo(q)) - node.r_max, 0.0);
-  }
-
-  double LogSurvivalRec(int node_id, Vec2 q, double r) const {
-    const Node& node = nodes_[node_id];
-    if (MinDistLowerBound(node, q) > r) return 0.0;
-    if (node.left < 0) {
-      double acc = 0.0;
-      for (int j = node.begin; j < node.end; ++j) {
-        int id = order_[j];
-        const core::UncertainPoint& p = (*points_)[id];
-        if (p.MinDist(q) > r) continue;
-        double cdf = prob::DistanceCdf(p, q, r);
-        if (cdf >= 1.0) return -kInf;
-        acc += std::log1p(-cdf);
-      }
-      return acc;
-    }
-    double left = LogSurvivalRec(node.left, q, r);
-    if (std::isinf(left)) return left;
-    return left + LogSurvivalRec(node.right, q, r);
-  }
-
-  const std::vector<core::UncertainPoint>* points_;
-  std::vector<Vec2> anchors_;
-  std::vector<double> radii_;
-  std::vector<int> order_;
-  std::vector<Node> nodes_;
-  int root_ = -1;
-};
-
-}  // namespace legacy
 
 namespace {
 
-struct Row {
-  const char* structure;
-  double legacy_build_ms = 0, new_build_ms = 0;
-  double legacy_query_us = 0, new_query_us = 0;
-  size_t mismatches = 0;
-};
-
-void Print(const Row& r, int n, bench::JsonEmitter* json) {
-  printf("%-12s %9d %12.2f %12.2f %8.2f %12.3f %12.3f %8.2f%s\n", r.structure,
-         n, r.legacy_build_ms, r.new_build_ms,
-         r.legacy_build_ms / std::max(r.new_build_ms, 1e-9), r.legacy_query_us,
-         r.new_query_us, r.legacy_query_us / std::max(r.new_query_us, 1e-9),
-         r.mismatches ? "  MISMATCH" : "");
-  json->StartRow();
-  json->Metric("n", n);
-  json->Str("structure", r.structure);
-  json->Metric("legacy_build_ms", r.legacy_build_ms);
-  json->Metric("new_build_ms", r.new_build_ms);
-  json->Metric("legacy_query_us", r.legacy_query_us);
-  json->Metric("new_query_us", r.new_query_us);
-  json->Metric("query_speedup_vs_legacy",
-               r.legacy_query_us / std::max(r.new_query_us, 1e-9));
-  json->Metric("mismatches", static_cast<double>(r.mismatches));
+bool SameResult(const Engine::QueryResult& a, const Engine::QueryResult& b) {
+  return a.nn == b.nn && a.ranked == b.ranked && a.ids == b.ids;
 }
 
 }  // namespace
@@ -793,402 +49,124 @@ void Print(const Row& r, int n, bench::JsonEmitter* json) {
 int main(int argc, char** argv) {
   auto args = bench::ParseArgs(argc, argv);
   bench::JsonEmitter json("e15");
-  printf("E15: unified spatial core vs pre-refactor hand-rolled trees\n");
-  printf("%-12s %9s %12s %12s %8s %12s %12s %8s\n", "structure", "n",
-         "old_bld_ms", "new_bld_ms", "bld_spd", "old_qry_us", "new_qry_us",
-         "qry_spd");
+  printf("E15: Engine::QueryMany, pack of one vs full pack\n");
+  printf("%-18s %9s %7s %11s %11s %8s %6s\n", "structure", "n", "burst",
+         "pack1_us", "pack_us", "ratio", "util");
 
   size_t total_mismatches = 0;
   auto sizes = bench::Sweep<int>(args.tiny, {2000}, {20000, 200000});
   for (int n : sizes) {
-    const int num_queries = n >= 100000 ? 64 : 400;
     double extent = 2.5 * std::sqrt(static_cast<double>(n));
-    auto pts = bench::RandomQueries(n, extent, 151);
-    auto queries = bench::RandomQueries(num_queries, extent, 152);
+    // Disks resolve the probability backend to Monte Carlo; the sample
+    // override keeps the sweep's wall clock proportional to the traversal
+    // being measured, not the theorem's constants.
+    auto disk_pts = workload::RandomDisks(n, 160);
+    auto disc_pts = workload::RandomDiscrete(n, 4, 161);
+    Engine::Config cfg;
+    cfg.mc_samples_override = 96;
+    Engine disk(disk_pts, cfg);
+    Engine disc(disc_pts, cfg);
 
-    // --- range::KdTree: Nearest + KNearest + RangeCircle ------------------
-    {
-      Row row{"kdtree"};
-      bench::Timer tl;
-      legacy::KdTree old_tree(pts);
-      row.legacy_build_ms = tl.Ms();
-      bench::Timer tn;
-      range::KdTree new_tree(pts);
-      row.new_build_ms = tn.Ms();
+    struct Part {
+      const char* structure;
+      Engine::QuerySpec spec;
+      bool disks;
+      int burst;
+    };
+    // Serving-representative bursts: pack coherence scales with query
+    // density, and a sparse burst undersells every kernel. The NN!=0 and
+    // E[d] engines answer a query far cheaper than the Monte-Carlo ones,
+    // so a burst collected over the same serving window holds
+    // proportionally more of them.
+    const Part parts[] = {
+        {"batched_qm", {Engine::QueryType::kExpectedDistanceNn}, false, 8192},
+        {"batched_mpnn", {Engine::QueryType::kMostProbableNn}, true, 1024},
+        {"batched_threshold",
+         {Engine::QueryType::kThreshold, 0.25, 1},
+         true, 1024},
+        {"batched_topk", {Engine::QueryType::kTopK, 0.5, 8}, true, 1024},
+        {"batched_nonzero", {Engine::QueryType::kNonzeroNn}, false, 8192},
+    };
+    for (const Part& part : parts) {
+      const Engine& engine = part.disks ? disk : disc;
+      auto qs = bench::RandomQueries(part.burst, extent, 159);
+      engine.Warmup(part.spec);
 
-      double range_r = extent / 20.0;
-      std::vector<int> old_near(queries.size());
-      std::vector<double> old_dist(queries.size());
-      size_t sink = 0;  // Keeps the timed result vectors observable.
-      bench::Timer ql;
-      for (size_t i = 0; i < queries.size(); ++i) {
-        old_near[i] = old_tree.Nearest(queries[i], &old_dist[i]);
-        sink += old_tree.KNearest(queries[i], 16).size();
-        std::vector<int> in_range;
-        old_tree.RangeCircle(queries[i], range_r, &in_range);
-        sink += in_range.size();
-      }
-      row.legacy_query_us = ql.Ms() * 1000.0 / num_queries;
-
-      bench::Timer qn;
-      for (size_t i = 0; i < queries.size(); ++i) {
-        double d;
-        int got = new_tree.Nearest(queries[i], &d);
-        if (got != old_near[i] || d != old_dist[i]) ++row.mismatches;
-        std::vector<int> knn_new = new_tree.KNearest(queries[i], 16);
-        std::vector<int> knn_old = old_tree.KNearest(queries[i], 16);
-        if (knn_new != knn_old) ++row.mismatches;
-        std::vector<int> range_new, range_old;
-        new_tree.RangeCircle(queries[i], range_r, &range_new);
-        old_tree.RangeCircle(queries[i], range_r, &range_old);
-        if (range_new != range_old) ++row.mismatches;
-      }
-      // Timed pass over the new tree alone (parity pass above re-runs the
-      // legacy tree, so it cannot be the timed one).
-      bench::Timer qn2;
-      for (size_t i = 0; i < queries.size(); ++i) {
-        double d;
-        new_tree.Nearest(queries[i], &d);
-        sink += new_tree.KNearest(queries[i], 16).size();
-        std::vector<int> in_range;
-        new_tree.RangeCircle(queries[i], range_r, &in_range);
-        sink += in_range.size();
-      }
-      row.new_query_us = qn2.Ms() * 1000.0 / num_queries;
-      if (sink == 0) printf("(empty result sets)\n");
-      total_mismatches += row.mismatches;
-      Print(row, n, &json);
-    }
-
-    // --- range::DiskTree: MinMaxDist + ReportMinDistLess ------------------
-    {
-      Row row{"disk_tree"};
-      std::mt19937_64 rng(153);
-      std::uniform_real_distribution<double> ru(0.05, 3.0);
-      std::vector<double> radii(n);
-      for (auto& r : radii) r = ru(rng);
-
-      bench::Timer tl;
-      legacy::DiskTree old_tree(pts, radii);
-      row.legacy_build_ms = tl.Ms();
-      bench::Timer tn;
-      range::DiskTree new_tree(pts, radii);
-      row.new_build_ms = tn.Ms();
-
-      bench::Timer ql;
-      std::vector<double> old_val(queries.size());
-      std::vector<int> old_arg(queries.size(), -1);
-      for (size_t i = 0; i < queries.size(); ++i) {
-        old_val[i] = old_tree.MinMaxDist(queries[i], &old_arg[i]);
-      }
-      row.legacy_query_us = ql.Ms() * 1000.0 / num_queries;
-
-      for (size_t i = 0; i < queries.size(); ++i) {
-        int arg = -1;
-        double got = new_tree.MinMaxDist(queries[i], &arg);
-        if (got != old_val[i] || arg != old_arg[i]) ++row.mismatches;
-        std::vector<int> rep_new, rep_old;
-        new_tree.ReportMinDistLess(queries[i], old_val[i] * 1.1, &rep_new);
-        old_tree.ReportMinDistLess(queries[i], old_val[i] * 1.1, &rep_old);
-        if (rep_new != rep_old) ++row.mismatches;
-      }
-      bench::Timer qn;
-      for (size_t i = 0; i < queries.size(); ++i) {
-        int arg = -1;
-        new_tree.MinMaxDist(queries[i], &arg);
-      }
-      row.new_query_us = qn.Ms() * 1000.0 / num_queries;
-      total_mismatches += row.mismatches;
-      Print(row, n, &json);
-    }
-
-    // --- core::ExpectedNn: QuerySquared over the same mean/var ------------
-    {
-      Row row{"expected_nn"};
-      auto upts = workload::RandomDisks(n, 154);
-      bench::Timer tn;
-      core::ExpectedNn new_nn(upts);
-      row.new_build_ms = tn.Ms();
-      bench::Timer tl;
-      std::vector<Vec2> mean;
-      std::vector<double> var;
-      legacy::ComputeMoments(upts, &mean, &var);
-      legacy::PowerTree old_tree(std::move(mean), std::move(var));
-      row.legacy_build_ms = tl.Ms();
-      for (int i = 0; i < n; ++i) {
-        if (new_nn.mean(i) != old_tree.mean(i) ||
-            new_nn.variance(i) != old_tree.variance(i)) {
-          ++row.mismatches;
+      auto pack_of_one = [&] {
+        std::vector<Engine::QueryResult> out(qs.size());
+        for (size_t i = 0; i < qs.size(); ++i) {
+          out[i] = std::move(engine.QueryMany({&qs[i], 1}, part.spec)[0]);
         }
-      }
-
-      bench::Timer ql;
-      std::vector<int> old_arg(queries.size());
-      for (size_t i = 0; i < queries.size(); ++i) {
-        old_arg[i] = old_tree.QuerySquared(queries[i]);
-      }
-      row.legacy_query_us = ql.Ms() * 1000.0 / num_queries;
-      for (size_t i = 0; i < queries.size(); ++i) {
-        if (new_nn.QuerySquared(queries[i]) != old_arg[i]) ++row.mismatches;
-      }
-      bench::Timer qn;
-      for (size_t i = 0; i < queries.size(); ++i) {
-        new_nn.QuerySquared(queries[i]);
-      }
-      row.new_query_us = qn.Ms() * 1000.0 / num_queries;
-      total_mismatches += row.mismatches;
-      Print(row, n, &json);
-    }
-
-    // --- core::LinfNonzeroIndex: Query + Delta ----------------------------
-    {
-      Row row{"linf_index"};
-      std::mt19937_64 rng(155);
-      std::uniform_real_distribution<double> hu(0.05, 2.0);
-      std::vector<core::SquareRegion> squares(n);
-      for (int i = 0; i < n; ++i) squares[i] = {pts[i], hu(rng)};
-
-      bench::Timer tl;
-      legacy::LinfIndex old_ix(squares);
-      row.legacy_build_ms = tl.Ms();
-      bench::Timer tn;
-      core::LinfNonzeroIndex new_ix(squares);
-      row.new_build_ms = tn.Ms();
-
-      bench::Timer ql;
-      std::vector<std::vector<int>> old_out(queries.size());
-      for (size_t i = 0; i < queries.size(); ++i) {
-        old_out[i] = old_ix.Query(queries[i]);
-      }
-      row.legacy_query_us = ql.Ms() * 1000.0 / num_queries;
-      for (size_t i = 0; i < queries.size(); ++i) {
-        if (new_ix.Query(queries[i]) != old_out[i]) ++row.mismatches;
-        if (new_ix.Delta(queries[i]) != old_ix.Delta(queries[i])) {
-          ++row.mismatches;
-        }
-      }
-      bench::Timer qn;
-      for (size_t i = 0; i < queries.size(); ++i) {
-        new_ix.Query(queries[i]);
-      }
-      row.new_query_us = qn.Ms() * 1000.0 / num_queries;
-      total_mismatches += row.mismatches;
-      Print(row, n, &json);
-    }
-
-    // --- core::QuantTree: envelope + argmin exact, survival ~1e-12 --------
-    {
-      Row row{"quant_tree"};
-      auto upts = workload::RandomDisks(n, 156);
-      bench::Timer tl;
-      legacy::QuantTree old_tree(&upts);
-      row.legacy_build_ms = tl.Ms();
-      bench::Timer tn;
-      core::QuantTree new_tree(&upts);
-      row.new_build_ms = tn.Ms();
-
-      bench::Timer ql;
-      std::vector<core::DeltaEnvelope> old_env(queries.size());
-      for (size_t i = 0; i < queries.size(); ++i) {
-        old_env[i] = old_tree.MaxDistEnvelope(queries[i]);
-      }
-      row.legacy_query_us = ql.Ms() * 1000.0 / num_queries;
-      for (size_t i = 0; i < queries.size(); ++i) {
-        core::DeltaEnvelope env = new_tree.MaxDistEnvelope(queries[i]);
-        if (env.best != old_env[i].best || env.second != old_env[i].second ||
-            env.argbest != old_env[i].argbest) {
-          ++row.mismatches;
-        }
-        auto value = [&](int id) { return upts[id].MaxDist(queries[i]); };
-        if (new_tree.ArgminPointwise(queries[i], value) !=
-            old_tree.ArgminPointwise(queries[i], value)) {
-          ++row.mismatches;
-        }
-        double r = old_env[i].best * 0.95;
-        double old_log = old_tree.LogSurvival(queries[i], r);
-        double new_log = new_tree.LogSurvival(queries[i], r);
-        bool agree = std::isfinite(old_log) && std::isfinite(new_log)
-                         ? std::abs(old_log - new_log) <=
-                               1e-12 * (1.0 + std::abs(old_log))
-                         : old_log == new_log;
-        if (!agree) ++row.mismatches;
-      }
-      bench::Timer qn;
-      for (size_t i = 0; i < queries.size(); ++i) {
-        new_tree.MaxDistEnvelope(queries[i]);
-      }
-      row.new_query_us = qn.Ms() * 1000.0 / num_queries;
-      total_mismatches += row.mismatches;
-      Print(row, n, &json);
-    }
-
-    // --- Engine::QueryMany: scalar vs vectorized batch traversal ----------
-    {
-      Row row{"batched_qm"};
-      auto upts = workload::RandomDiscrete(n, 6, 157);
-      // The scalar side is a full per-query scan, so cap the batch at
-      // large n to keep the full sweep's wall clock sane.
-      const int batch_queries = (args.tiny || n >= 100000) ? 512 : 2048;
-      auto bqs = bench::RandomQueries(batch_queries, extent, 158);
-      const Engine::QuerySpec spec{Engine::QueryType::kExpectedDistanceNn,
-                                   0.5, 1};
-
-      Engine::Config scalar_cfg;
-      scalar_cfg.batch_traversal = false;
-      bench::Timer tl;
-      Engine scalar(upts, scalar_cfg);
-      scalar.Warmup(spec);
-      row.legacy_build_ms = tl.Ms();
-      bench::Timer tn;
-      Engine batched(upts);
-      batched.Warmup(spec);
-      row.new_build_ms = tn.Ms();
+        return out;
+      };
 
       // Exactness first: batching must never change an answer.
-      auto scalar_res = scalar.QueryMany(bqs, spec);
-      auto batched_res = batched.QueryMany(bqs, spec);
-      for (size_t i = 0; i < bqs.size(); ++i) {
-        if (batched_res[i].nn != scalar_res[i].nn) ++row.mismatches;
+      size_t mismatches = 0;
+      auto alone = pack_of_one();
+      auto packed = engine.QueryMany(qs, part.spec);
+      for (size_t i = 0; i < qs.size(); ++i) {
+        if (!SameResult(alone[i], packed[i])) ++mismatches;
       }
 
-      bench::Timer ql;
-      scalar.QueryMany(bqs, spec);
-      row.legacy_query_us = ql.Ms() * 1000.0 / batch_queries;
-      bench::Timer qn;
-      batched.QueryMany(bqs, spec);
-      row.new_query_us = qn.Ms() * 1000.0 / batch_queries;
+      // Best-of-3 interleaved passes: each section is only a few
+      // milliseconds at the small sizes, where a single shot is at the
+      // mercy of frequency and scheduler jitter.
+      double pack1_ms = std::numeric_limits<double>::infinity();
+      double pack_ms = std::numeric_limits<double>::infinity();
+      for (int rep = 0; rep < 3; ++rep) {
+        bench::Timer t1;
+        pack_of_one();
+        pack1_ms = std::min(pack1_ms, t1.Ms());
+        bench::Timer tp;
+        engine.QueryMany(qs, part.spec);
+        pack_ms = std::min(pack_ms, tp.Ms());
+      }
+      double pack1_us = pack1_ms * 1000.0 / part.burst;
+      double pack_us = pack_ms * 1000.0 / part.burst;
+      double ratio = pack1_us / std::max(pack_us, 1e-9);
 
-      // Lane utilization of the underlying kernel on the same workload.
-      core::ExpectedNn nn(upts);
-      std::vector<int> ids(bqs.size());
+      // Lane utilization / replay counts of the dominant kernel on the
+      // same queries (QueryMany itself does not expose pack stats).
       spatial::BatchStats stats;
-      nn.QueryExpectedBatch(bqs, scalar_cfg.tol, ids, &stats);
+      switch (part.spec.type) {
+        case Engine::QueryType::kExpectedDistanceNn: {
+          std::vector<int> ids(qs.size());
+          core::ExpectedNn(disc_pts).QueryExpectedBatch(qs, cfg.tol, ids,
+                                                        &stats);
+          break;
+        }
+        case Engine::QueryType::kNonzeroNn:
+          core::NnNonzeroDiscreteIndex(disc_pts).QueryBatch(qs, &stats);
+          break;
+        default: {
+          double eps_needed = part.spec.type == Engine::QueryType::kThreshold
+                                  ? part.spec.tau / 2
+                                  : 0.0;
+          engine.ProbabilitiesMany(qs, eps_needed, &stats);
+        }
+      }
 
-      total_mismatches += row.mismatches;
-      Print(row, n, &json);
-      json.Metric("batched_speedup",
-                  row.legacy_query_us / std::max(row.new_query_us, 1e-9));
+      total_mismatches += mismatches;
+      printf("%-18s %9d %7d %11.3f %11.3f %7.2fx %6.2f%s\n", part.structure, n,
+             part.burst, pack1_us, pack_us, ratio, stats.LaneUtilization(),
+             mismatches ? "  MISMATCH" : "");
+      json.StartRow();
+      json.Metric("n", n);
+      json.Str("structure", part.structure);
+      json.Metric("burst", part.burst);
+      json.Metric("pack1_us", pack1_us);
+      json.Metric("pack_us", pack_us);
+      json.Metric("batched_speedup", ratio);
+      json.Metric("mismatches", static_cast<double>(mismatches));
       json.Metric("lane_utilization", stats.LaneUtilization());
       json.Metric("scalar_replays", static_cast<double>(stats.scalar_replays));
-      printf("%-12s %9d  batched_speedup %.2fx  lane_utilization %.2f\n",
-             "  (batch)", n,
-             row.legacy_query_us / std::max(row.new_query_us, 1e-9),
-             stats.LaneUtilization());
-    }
-
-    // --- Remaining four query types: scalar vs batched QueryMany ----------
-    {
-      // Serving-representative bursts: pack coherence — and so the
-      // whole point of batching — scales with query density, and 256
-      // queries over the workload extent leave packs spatially sparse
-      // enough to undersell every kernel. 1024 is the smallest burst
-      // where the Monte-Carlo-backed kernels' utilization stabilizes.
-      // The NN!=0 engine answers a query ~50x cheaper than those, so a
-      // burst collected over the same serving window holds
-      // proportionally more of them — its part uses the same scale-up
-      // (and its shared group-tree walk only reaches its serving
-      // utilization at that density).
-      // Disks resolve the probability backend to Monte Carlo; the sample
-      // override keeps the sweep's wall clock proportional to the
-      // traversal being measured, not the theorem's constants.
-      auto disk_pts = workload::RandomDisks(n, 160);
-      auto disc_pts = workload::RandomDiscrete(n, 4, 161);
-      Engine::Config batched_cfg;
-      batched_cfg.mc_samples_override = 96;
-      Engine::Config scalar_cfg = batched_cfg;
-      scalar_cfg.batch_traversal = false;
-      Engine scalar_disk(disk_pts, scalar_cfg);
-      Engine batched_disk(disk_pts, batched_cfg);
-      Engine scalar_disc(disc_pts, scalar_cfg);
-      Engine batched_disc(disc_pts, batched_cfg);
-
-      struct Part {
-        const char* structure;
-        Engine::QuerySpec spec;
-        bool disks;
-        int burst;
-      };
-      const Part parts[] = {
-          {"batched_mpnn",
-           {Engine::QueryType::kMostProbableNn, 0.5, 1},
-           true, 1024},
-          {"batched_threshold",
-           {Engine::QueryType::kThreshold, 0.25, 1},
-           true, 1024},
-          {"batched_topk", {Engine::QueryType::kTopK, 0.5, 8}, true, 1024},
-          {"batched_nonzero",
-           {Engine::QueryType::kNonzeroNn, 0.5, 1},
-           false, 8192},
-      };
-      for (const Part& part : parts) {
-        Row row{part.structure};
-        auto bqs = bench::RandomQueries(part.burst, extent, 159);
-        const Engine& scalar = part.disks ? scalar_disk : scalar_disc;
-        const Engine& batched = part.disks ? batched_disk : batched_disc;
-        scalar.Warmup(part.spec);
-        batched.Warmup(part.spec);
-
-        // Exactness first: batching must never change an answer.
-        auto want = scalar.QueryMany(bqs, part.spec);
-        auto got = batched.QueryMany(bqs, part.spec);
-        for (size_t i = 0; i < bqs.size(); ++i) {
-          if (got[i].nn != want[i].nn || got[i].ranked != want[i].ranked ||
-              got[i].ids != want[i].ids) {
-            ++row.mismatches;
-          }
-        }
-
-        // Best-of-3 interleaved passes: each section is only a few
-        // milliseconds at the small sizes, where a single shot is at the
-        // mercy of frequency and scheduler jitter; the per-side minimum
-        // is the stable estimator the smoke gate compares.
-        double scalar_ms = std::numeric_limits<double>::infinity();
-        double batched_ms = std::numeric_limits<double>::infinity();
-        for (int rep = 0; rep < 3; ++rep) {
-          bench::Timer ql;
-          scalar.QueryMany(bqs, part.spec);
-          scalar_ms = std::min(scalar_ms, ql.Ms());
-          bench::Timer qn;
-          batched.QueryMany(bqs, part.spec);
-          batched_ms = std::min(batched_ms, qn.Ms());
-        }
-        row.legacy_query_us = scalar_ms * 1000.0 / part.burst;
-        row.new_query_us = batched_ms * 1000.0 / part.burst;
-
-        // Lane utilization / replay counts of the dominant kernel on the
-        // same workload (QueryMany itself does not expose pack stats).
-        spatial::BatchStats stats;
-        if (part.disks) {
-          core::MonteCarloPnnOptions mc_opts;
-          mc_opts.s_override = batched_cfg.mc_samples_override;
-          core::MonteCarloPnn mc(disk_pts, mc_opts);
-          mc.QueryBatch(bqs, &stats);
-        } else {
-          core::NnNonzeroDiscreteIndex ix(disc_pts);
-          ix.QueryBatch(bqs, &stats);
-        }
-
-        total_mismatches += row.mismatches;
-        Print(row, n, &json);
-        json.Metric("batched_speedup",
-                    row.legacy_query_us / std::max(row.new_query_us, 1e-9));
-        json.Metric("lane_utilization", stats.LaneUtilization());
-        json.Metric("scalar_replays",
-                    static_cast<double>(stats.scalar_replays));
-        json.Str("lane_isa", geom::LaneIsaName());
-        json.Metric("numa_nodes",
-                    static_cast<double>(util::DetectNumaTopology().num_nodes()));
-        printf("%-12s %9d  batched_speedup %.2fx  lane_utilization %.2f\n",
-               "  (batch)", n,
-               row.legacy_query_us / std::max(row.new_query_us, 1e-9),
-               stats.LaneUtilization());
-      }
+      json.Str("lane_isa", geom::LaneIsaName());
     }
   }
 
-  printf("total mismatches vs pre-refactor baselines: %zu %s\n",
+  printf("total mismatches, full pack vs pack of one: %zu %s\n",
          total_mismatches, total_mismatches == 0 ? "(bit-identical)" : "");
-  // Any disagreement with the pre-refactor baselines is a correctness
-  // regression in the spatial core: fail the run so CI catches it.
+  // An answer that depends on its pack breaks the batching contract: fail
+  // the run so CI catches it.
   return (json.Write(args.json_path) && total_mismatches == 0) ? 0 : 1;
 }

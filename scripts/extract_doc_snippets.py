@@ -44,7 +44,6 @@ PREAMBLE = """\
 #include "serve/shard_merge.h"
 #include "serve/sharding.h"
 #include "serve/thread_pool.h"
-#include "util/numa.h"
 #include "workload/generators.h"
 
 using namespace unn;  // NOLINT: snippet readability.

@@ -236,6 +236,10 @@ std::vector<int> NnNonzeroDiscreteIndex::Query(Vec2 q) const {
 
 std::vector<std::vector<int>> NnNonzeroDiscreteIndex::QueryBatch(
     std::span<const Vec2> queries, spatial::BatchStats* stats) const {
+  // A pack of one has no lanes to share a walk with: the scalar query —
+  // the replay target every lane is bit-identical to — answers it without
+  // the Morton sort and the padding of an 8-lane pack.
+  if (queries.size() == 1) return {Query(queries[0])};
   // Pack-coherent (Morton) order keeps each pack's lanes pruning
   // together; per-lane results are pack-independent, so reordering the
   // batch and scattering back is bit-identical (spatial/batch.h).

@@ -38,7 +38,8 @@ class NnNonzeroDiscreteIndex {
   /// range::KdTree::RangeCircleBatch (per-lane hit lists are the scalar
   /// RangeCircle's verbatim) before the scalar owner dedup and argbest
   /// membership fix, so an identical envelope forces an identical
-  /// answer. The batch runs in pack-coherent (Morton) order internally.
+  /// answer. The batch runs in pack-coherent (Morton) order internally;
+  /// a one-query batch is answered by Query itself (no stats recorded).
   std::vector<std::vector<int>> QueryBatch(
       std::span<const geom::Vec2> queries,
       spatial::BatchStats* stats = nullptr) const;

@@ -13,8 +13,6 @@ namespace unn {
 
 namespace {
 
-using query_contract::SortByEstimate;
-
 /// The shared shape of every fixed-structure getter: build exactly once
 /// under the flag, count the build (StructuresBuilt observability), return
 /// the structure.
@@ -199,19 +197,7 @@ std::vector<std::pair<int, double>> Engine::ExactProbabilities(
 
 std::vector<std::pair<int, double>> Engine::Probabilities(
     geom::Vec2 q, double eps_needed) const {
-  double eps = eps_needed > 0 ? std::min(eps_needed, config_.eps)
-                              : config_.eps;
-  switch (EffectiveProbBackend()) {
-    case Backend::kSpiralSearch:
-      if (all_discrete_) return GetSpiralSearch().Query(q, eps);
-      // Theorem 4.5 discretization + discrete spiral search; the error
-      // budget is split evenly between the two stages.
-      return GetContinuousSpiral(eps / 2)->Query(q, eps / 2);
-    case Backend::kMonteCarlo:
-      return GetMonteCarlo(eps)->Query(q);
-    default:
-      return ExactProbabilities(q);
-  }
+  return std::move(ProbabilitiesMany({&q, 1}, eps_needed)[0]);
 }
 
 std::vector<std::vector<std::pair<int, double>>> Engine::ProbabilitiesMany(
@@ -222,6 +208,8 @@ std::vector<std::vector<std::pair<int, double>>> Engine::ProbabilitiesMany(
   switch (EffectiveProbBackend()) {
     case Backend::kSpiralSearch:
       if (all_discrete_) return GetSpiralSearch().QueryBatch(queries, eps, stats);
+      // Theorem 4.5 discretization + discrete spiral search; the error
+      // budget is split evenly between the two stages.
       return GetContinuousSpiral(eps / 2)->QueryBatch(queries, eps / 2, stats);
     case Backend::kMonteCarlo:
       return GetMonteCarlo(eps)->QueryBatch(queries, stats);
@@ -237,76 +225,29 @@ std::vector<std::vector<std::pair<int, double>>> Engine::ProbabilitiesMany(
   }
 }
 
-namespace {
-
-/// The argmax rule of MostProbableNn over one estimate list: largest
-/// estimate, first-in-id-order (the list is id-sorted, so `>` keeps the
-/// smaller id on ties) — shared by the scalar and batched arms.
-int PickMostProbable(const std::vector<std::pair<int, double>>& est) {
-  int best = -1;
-  double best_pi = -1.0;
-  for (auto [id, pi] : est) {
-    if (pi > best_pi) {
-      best = id;
-      best_pi = pi;
-    }
-  }
-  return best;
-}
-
-}  // namespace
+// ---------------------------------------------------------------------------
+// Single-query entry points: one-element QueryMany packs
+// ---------------------------------------------------------------------------
 
 int Engine::MostProbableNn(geom::Vec2 q) const {
-  return PickMostProbable(Probabilities(q));
+  return QueryMany({&q, 1}, {QueryType::kMostProbableNn})[0].nn;
+}
+
+int Engine::ExpectedDistanceNn(geom::Vec2 q) const {
+  return QueryMany({&q, 1}, {QueryType::kExpectedDistanceNn})[0].nn;
 }
 
 std::vector<std::pair<int, double>> Engine::Threshold(geom::Vec2 q,
                                                       double tau) const {
-  UNN_CHECK(tau > 0 && tau <= 1);
-  bool exact = EffectiveProbBackend() == Backend::kBruteForce;
-  // [DYM+05] semantics with no false negatives: estimate at accuracy
-  // tau/2 and report everyone whose estimate may still reach tau.
-  double eps = exact ? 0.0 : std::min(config_.eps, tau / 2);
-  auto est = Probabilities(q, tau / 2);
-  std::vector<std::pair<int, double>> out;
-  for (auto [id, pi] : est) {
-    if (pi + eps >= tau) out.push_back({id, pi});
-  }
-  SortByEstimate(&out);
-  return out;
+  return std::move(QueryMany({&q, 1}, {QueryType::kThreshold, tau})[0].ranked);
 }
 
 std::vector<std::pair<int, double>> Engine::TopK(geom::Vec2 q, int k) const {
-  UNN_CHECK(k >= 1);
-  auto est = Probabilities(q);
-  SortByEstimate(&est);
-  if (static_cast<int>(est.size()) > k) est.resize(k);
-  return est;
+  return std::move(QueryMany({&q, 1}, {QueryType::kTopK, 0.5, k})[0].ranked);
 }
 
-// ---------------------------------------------------------------------------
-// Expected-distance NN
-// ---------------------------------------------------------------------------
-
-int Engine::ExpectedDistanceNn(geom::Vec2 q) const {
-  const core::ExpectedNn& index = GetExpectedNn();
-  if (config_.backend != Backend::kBruteForce) {
-    return index.QueryExpected(q, config_.tol);
-  }
-  // Definition-level argmin of E[d(q, P_i)], pruned by the quantification
-  // index's min-distance bounds (E[d] >= delta_i). The pruning never
-  // skips a potential minimizer, so the answer matches the unpruned scan
-  // up to the documented near-tie caveat: quadrature-approximated values
-  // within Config::tol of each other may tie-break either way
-  // (docs/QUERY_SEMANTICS.md says the same of the unpruned path).
-  auto value = [&](int i) { return index.ExpectedDistance(i, q, config_.tol); };
-  if (obs::TraversalProfilingEnabled()) {
-    core::QuantTree::QueryStats st;
-    int nn = GetQuantTree().ArgminPointwise(q, value, &st);
-    obs::RecordTraversal(obs::TraversalOp::kQuantArgmin, st);
-    return nn;
-  }
-  return GetQuantTree().ArgminPointwise(q, value);
+std::vector<int> Engine::NonzeroNn(geom::Vec2 q) const {
+  return std::move(QueryMany({&q, 1}, {QueryType::kNonzeroNn})[0].ids);
 }
 
 // ---------------------------------------------------------------------------
@@ -371,20 +312,6 @@ Backend Engine::EffectiveNonzeroBackend() const {
   }
 }
 
-std::vector<int> Engine::NonzeroNn(geom::Vec2 q) const {
-  switch (EffectiveNonzeroBackend()) {
-    case Backend::kNonzeroVoronoi:
-      return all_disk_ ? GetVoronoi().Query(q) : GetVoronoiDiscrete().Query(q);
-    case Backend::kNonzeroIndex:
-      return all_disk_ ? GetNonzeroIndex().Query(q)
-                       : GetNonzeroDiscrete().Query(q);
-    case Backend::kLinfIndex:
-      return GetLinfIndex().Query(q);
-    default:
-      return baselines::NonzeroNn(points_, q);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Warmup: build everything a query type needs before serving traffic
 // ---------------------------------------------------------------------------
@@ -412,46 +339,24 @@ std::vector<Engine::QueryResult> Engine::QueryMany(
   std::vector<QueryResult> results;
   if (query_contract::AnswerDegenerate(
           queries, spec, size(),
-          [this](geom::Vec2 q) { return Probabilities(q); }, &results)) {
+          [this](std::span<const geom::Vec2> qs) {
+            return ProbabilitiesMany(qs);
+          },
+          &results)) {
     return results;
   }
-  // Config::batch_traversal gates one uniform dispatch: false is the
-  // escape hatch to the scalar per-query loop; true routes every type
-  // through its shared-traversal kernel (spatial/batch.h), bit-identical
-  // to the scalar loop (docs/ARCHITECTURE.md "Batch traversal" has the
-  // coverage matrix and per-kernel exactness argument). Backends a type
-  // has no kernel for — the definition-level NN!=0 oracles, the Voronoi
-  // and L_inf families, the all-disk nonzero index — keep the scalar
-  // loop inside their case arm.
-  if (!config_.batch_traversal) {
-    for (size_t i = 0; i < queries.size(); ++i) {
-      geom::Vec2 q = queries[i];
-      QueryResult& r = results[i];
-      switch (spec.type) {
-        case QueryType::kMostProbableNn:
-          r.nn = MostProbableNn(q);
-          break;
-        case QueryType::kExpectedDistanceNn:
-          r.nn = ExpectedDistanceNn(q);
-          break;
-        case QueryType::kThreshold:
-          r.ranked = Threshold(q, spec.tau);
-          break;
-        case QueryType::kTopK:
-          r.ranked = TopK(q, spec.k);
-          break;
-        case QueryType::kNonzeroNn:
-          r.ids = NonzeroNn(q);
-          break;
-      }
-    }
-    return results;
-  }
+  // One uniform dispatch: every type runs through its shared-traversal
+  // kernel (spatial/batch.h), each lane's answer independent of the rest
+  // of the pack (docs/ARCHITECTURE.md "Batch traversal" has the coverage
+  // matrix and per-kernel exactness argument). Backends a type has no
+  // kernel for — the definition-level NN!=0 oracle, the Voronoi and
+  // L_inf families, the all-disk nonzero index — loop their per-query
+  // structure inside the case arm.
   switch (spec.type) {
     case QueryType::kMostProbableNn: {
       auto est = ProbabilitiesMany(queries);
       for (size_t i = 0; i < queries.size(); ++i) {
-        results[i].nn = PickMostProbable(est[i]);
+        results[i].nn = query_contract::MostProbable(est[i]);
       }
       break;
     }
@@ -460,9 +365,12 @@ std::vector<Engine::QueryResult> Engine::QueryMany(
       if (config_.backend != Backend::kBruteForce) {
         GetExpectedNn().QueryExpectedBatch(queries, config_.tol, ids);
       } else {
-        // The pruned definition-level scan, batched: same value function
-        // and same QuantTree bounds as the scalar path; the quadrature
-        // tolerance is the value slack the kernel's guard band covers.
+        // Definition-level argmin of E[d(q, P_i)], pruned by the
+        // quantification index's min-distance bounds (E[d] >= delta_i),
+        // which never skip a potential minimizer. The quadrature
+        // tolerance is the value slack the kernel's guard band covers:
+        // values within Config::tol of each other may tie-break either
+        // way (docs/QUERY_SEMANTICS.md).
         const core::ExpectedNn& index = GetExpectedNn();
         GetQuantTree().ArgminPointwiseBatch(
             queries,
@@ -475,35 +383,50 @@ std::vector<Engine::QueryResult> Engine::QueryMany(
       break;
     }
     case QueryType::kThreshold: {
+      // [DYM+05] semantics with no false negatives: estimate at accuracy
+      // tau/2 and report everyone whose estimate may still reach tau.
       bool exact = EffectiveProbBackend() == Backend::kBruteForce;
       double eps = exact ? 0.0 : std::min(config_.eps, spec.tau / 2);
       auto est = ProbabilitiesMany(queries, spec.tau / 2);
       for (size_t i = 0; i < queries.size(); ++i) {
-        for (auto [id, pi] : est[i]) {
-          if (pi + eps >= spec.tau) results[i].ranked.push_back({id, pi});
-        }
-        SortByEstimate(&results[i].ranked);
+        results[i].ranked =
+            query_contract::ThresholdReport(est[i], spec.tau, eps);
       }
       break;
     }
     case QueryType::kTopK: {
       auto est = ProbabilitiesMany(queries);
       for (size_t i = 0; i < queries.size(); ++i) {
-        SortByEstimate(&est[i]);
-        if (static_cast<int>(est[i].size()) > spec.k) est[i].resize(spec.k);
+        query_contract::KeepTopK(&est[i], spec.k);
         results[i].ranked = std::move(est[i]);
       }
       break;
     }
     case QueryType::kNonzeroNn: {
-      if (EffectiveNonzeroBackend() == Backend::kNonzeroIndex && !all_disk_) {
+      Backend backend = EffectiveNonzeroBackend();
+      if (backend == Backend::kNonzeroIndex && !all_disk_) {
         auto ids = GetNonzeroDiscrete().QueryBatch(queries);
         for (size_t i = 0; i < queries.size(); ++i) {
           results[i].ids = std::move(ids[i]);
         }
-      } else {
-        for (size_t i = 0; i < queries.size(); ++i) {
-          results[i].ids = NonzeroNn(queries[i]);
+        break;
+      }
+      for (size_t i = 0; i < queries.size(); ++i) {
+        geom::Vec2 q = queries[i];
+        std::vector<int>& ids = results[i].ids;
+        switch (backend) {
+          case Backend::kNonzeroVoronoi:
+            ids = all_disk_ ? GetVoronoi().Query(q)
+                            : GetVoronoiDiscrete().Query(q);
+            break;
+          case Backend::kNonzeroIndex:  // All-disk: no batched kernel.
+            ids = GetNonzeroIndex().Query(q);
+            break;
+          case Backend::kLinfIndex:
+            ids = GetLinfIndex().Query(q);
+            break;
+          default:
+            ids = baselines::NonzeroNn(points_, q);
         }
       }
       break;

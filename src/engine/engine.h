@@ -86,11 +86,10 @@ class Engine {
     uint64_t seed = 0xC0FFEE;
     /// Overrides the Theorem 4.3 Monte-Carlo sample count when > 0.
     int mc_samples_override = 0;
-    /// QueryMany serves batchable query types through the shared-traversal
-    /// kernels of spatial/batch.h (bit-identical to the scalar path —
-    /// docs/ARCHITECTURE.md "Batch traversal"). The flag is the escape
-    /// hatch: false forces the scalar per-query loop.
-    bool batch_traversal = true;
+    /// Always true: every query runs through QueryMany's shared-traversal
+    /// kernels (docs/ARCHITECTURE.md "Batch traversal"). Not a knob; kept
+    /// readable so run records can state it.
+    static constexpr bool batch_traversal = true;
   };
 
   /// The query types QueryMany can batch.
@@ -122,6 +121,9 @@ class Engine {
   explicit Engine(std::vector<core::UncertainPoint> points);
   Engine(std::vector<core::UncertainPoint> points, const Config& config);
 
+  // The five single-query methods below are one-element QueryMany calls:
+  // each answer is bit-identical to the same query inside any pack.
+
   /// argmax_i pi_i(q), ties broken toward the smaller id. Exact for
   /// kBruteForce on homogeneous inputs; within Config::eps for the
   /// estimator backends. Backends without probability machinery
@@ -139,15 +141,18 @@ class Engine {
   /// All i whose true pi_i(q) may reach tau, (id, estimate) sorted by
   /// decreasing estimate: no false negatives (estimator accuracy is
   /// raised to tau/2 when Config::eps is looser). Fallback as in
-  /// MostProbableNn. Thread-safe; one quantification query plus an
-  /// O(k log k) sort of the k reported pairs.
+  /// MostProbableNn. Any tau is accepted, with QueryMany's
+  /// definition-level answers: `tau > 1` or NaN reports nothing,
+  /// `tau <= 0` reports every id. Thread-safe; one quantification query
+  /// plus an O(k log k) sort of the k reported pairs.
   std::vector<std::pair<int, double>> Threshold(geom::Vec2 q,
                                                 double tau) const;
 
   /// The k ids with the largest pi_i(q), (id, estimate) sorted by
   /// decreasing estimate; near-ties within 2 eps may permute. Fallback as
-  /// in MostProbableNn. Thread-safe; one quantification query plus a
-  /// sort of the positive-probability candidates.
+  /// in MostProbableNn. `k <= 0` reports nothing (build-free).
+  /// Thread-safe; one quantification query plus a sort of the
+  /// positive-probability candidates.
   std::vector<std::pair<int, double>> TopK(geom::Vec2 q, int k) const;
 
   /// NN!=0(q), sorted ids; exact. kLinfIndex answers under the Chebyshev
@@ -157,17 +162,18 @@ class Engine {
   /// families, O(n) for the oracle.
   std::vector<int> NonzeroNn(geom::Vec2 q) const;
 
-  /// Batched entry point: answers `spec` for every query point;
-  /// `results[i]` always answers `queries[i]`. Degenerate parameters get
-  /// definition-level answers instead of tripping backend preconditions:
-  /// an empty span returns an empty vector without building any structure,
-  /// `kTopK` with `k <= 0` returns empty rankings (likewise build-free),
-  /// `kThreshold` with `tau > 1` or NaN returns empty rankings (no pi
-  /// exceeds 1),
-  /// and `kThreshold` with `tau <= 0` returns every id with its estimate
-  /// (every pi reaches a non-positive threshold). `serve::QueryMany`
-  /// splits this loop across a thread pool. Thread-safe; cost is one
-  /// single-query dispatch per element.
+  /// Batched entry point and the one execution path of every query type:
+  /// answers `spec` for every query point; `results[i]` always answers
+  /// `queries[i]` and does not depend on the rest of the pack. Degenerate
+  /// parameters get definition-level answers instead of tripping backend
+  /// preconditions: an empty span returns an empty vector without
+  /// building any structure, `kTopK` with `k <= 0` returns empty rankings
+  /// (likewise build-free), `kThreshold` with `tau > 1` or NaN returns
+  /// empty rankings (no pi exceeds 1), and `kThreshold` with `tau <= 0`
+  /// returns every id with its estimate (every pi reaches a non-positive
+  /// threshold). Each type runs through its shared-traversal kernel
+  /// (spatial/batch.h); `serve::QueryMany` splits the pack across a
+  /// thread pool. Thread-safe.
   std::vector<QueryResult> QueryMany(std::span<const geom::Vec2> queries,
                                      const QuerySpec& spec) const;
 
@@ -194,18 +200,18 @@ class Engine {
   /// by id, at accuracy `eps_needed` (<= 0 means Config::eps). Exposed so
   /// callers can post-process distributions themselves — the sharded
   /// serving layer treats this as the per-shard candidate generator.
-  /// Thread-safe; cost is one backend quantification query.
+  /// A one-element ProbabilitiesMany. Thread-safe; cost is one backend
+  /// quantification query.
   std::vector<std::pair<int, double>> Probabilities(
       geom::Vec2 q, double eps_needed = 0.0) const;
 
-  /// Batched Probabilities: `out[i]` is bit-identical to
-  /// `Probabilities(queries[i], eps_needed)`. The effective estimator
-  /// answers the whole batch through its shared-traversal kernel
-  /// (spiral prefix retrieval via KNearestBatch, Monte-Carlo
-  /// instantiation NNs via NearestBatch, or the discretized spiral);
-  /// the exact-oracle fallback loops the scalar query. This is the
-  /// substrate QueryMany's batched MostProbableNn/Threshold/TopK arms
-  /// and the sharded pack fan-out share. Thread-safe.
+  /// Batched Probabilities: `out[i]` depends on `queries[i]` alone. The
+  /// effective estimator answers the whole batch through its
+  /// shared-traversal kernel (spiral prefix retrieval via KNearestBatch,
+  /// Monte-Carlo instantiation NNs via NearestBatch, or the discretized
+  /// spiral); the exact-oracle fallback evaluates the definition per
+  /// query. This is the substrate QueryMany's MostProbableNn/Threshold/
+  /// TopK arms and the sharded pack fan-out share. Thread-safe.
   std::vector<std::vector<std::pair<int, double>>> ProbabilitiesMany(
       std::span<const geom::Vec2> queries, double eps_needed = 0.0,
       spatial::BatchStats* stats = nullptr) const;

@@ -34,7 +34,7 @@ enum class SpecClass {
   /// or a QueryType value outside the defined set.
   kTrivialEmpty,
   /// `kThreshold` with `tau <= 0`: every id qualifies (every pi_i >= 0),
-  /// answered from one Probabilities pass per query.
+  /// answered from one batched probabilities pass.
   kTrivialAll,
 };
 
@@ -48,7 +48,7 @@ inline SpecClass Classify(const Engine::QuerySpec& spec) {
       return spec.k <= 0 ? SpecClass::kTrivialEmpty : SpecClass::kRegular;
     case Engine::QueryType::kThreshold:
       // `!(tau <= 1)` rather than `tau > 1` so a NaN tau lands in the
-      // empty class instead of falling through to Threshold's CHECK.
+      // empty class instead of falling through to the backend.
       if (!(spec.tau <= 1)) return SpecClass::kTrivialEmpty;
       if (spec.tau <= 0) return SpecClass::kTrivialAll;
       return SpecClass::kRegular;
@@ -67,18 +67,52 @@ inline void SortByEstimate(std::vector<std::pair<int, double>>* v) {
   });
 }
 
+/// MostProbableNn over one id-sorted estimate list: the largest estimate,
+/// ties toward the smaller id (`>` keeps the first); -1 when empty.
+inline int MostProbable(const std::vector<std::pair<int, double>>& est) {
+  int best = -1;
+  double best_pi = -1.0;
+  for (auto [id, pi] : est) {
+    if (pi > best_pi) {
+      best = id;
+      best_pi = pi;
+    }
+  }
+  return best;
+}
+
+/// Threshold over one estimate list ([DYM+05], no false negatives): every
+/// pair whose estimate plus the estimator's `slack` reaches `tau`, in
+/// presentation order.
+inline std::vector<std::pair<int, double>> ThresholdReport(
+    const std::vector<std::pair<int, double>>& est, double tau, double slack) {
+  std::vector<std::pair<int, double>> out;
+  for (auto [id, pi] : est) {
+    if (pi + slack >= tau) out.push_back({id, pi});
+  }
+  SortByEstimate(&out);
+  return out;
+}
+
+/// TopK over one estimate list, in place: the k best pairs in
+/// presentation order.
+inline void KeepTopK(std::vector<std::pair<int, double>>* est, int k) {
+  SortByEstimate(est);
+  if (static_cast<int>(est->size()) > k) est->resize(k);
+}
+
 /// Answers the degenerate-parameter cases of QueryMany definition-level,
 /// per Classify above: empty span and `kTrivialEmpty` specs are answered
 /// with default results touching no backend; `kTrivialAll` reports every
-/// id of the `n`-point dataset with its estimate (`probabilities(q)`
-/// supplies the positive (id, estimate) pairs). Returns true when the
-/// whole batch was answered into `results`; false when the spec is
-/// kRegular and `results` holds default-initialized slots for the caller
-/// to fill.
-template <class ProbFn>
+/// id of the `n`-point dataset with its estimate, where
+/// `probabilities_many(queries)` supplies each query's positive
+/// (id, estimate) pairs in one batched pass. Returns true when the whole
+/// batch was answered into `results`; false when the spec is kRegular and
+/// `results` holds default-initialized slots for the caller to fill.
+template <class ProbManyFn>
 bool AnswerDegenerate(std::span<const geom::Vec2> queries,
                       const Engine::QuerySpec& spec, int n,
-                      const ProbFn& probabilities,
+                      const ProbManyFn& probabilities_many,
                       std::vector<Engine::QueryResult>* results) {
   results->assign(queries.size(), Engine::QueryResult{});
   if (queries.empty()) return true;
@@ -93,9 +127,11 @@ bool AnswerDegenerate(std::span<const geom::Vec2> queries,
     // building the list from scratch.
     std::vector<std::pair<int, double>> skeleton(n);
     for (int id = 0; id < n; ++id) skeleton[id] = {id, 0.0};
+    std::vector<std::vector<std::pair<int, double>>> est =
+        probabilities_many(queries);
     for (size_t i = 0; i < queries.size(); ++i) {
       std::vector<std::pair<int, double>> full = skeleton;
-      for (auto [id, pi] : probabilities(queries[i])) full[id].second = pi;
+      for (auto [id, pi] : est[i]) full[id].second = pi;
       SortByEstimate(&full);
       (*results)[i].ranked = std::move(full);
     }

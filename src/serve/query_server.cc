@@ -109,7 +109,7 @@ QueryServer::QueryServer(std::shared_ptr<const ShardedEngine> engine,
     : options_(options),
       cache_(options.cache, &registry_),
       sharding_(options.sharding),
-      pool_(ThreadPool::Options{options.num_threads, options.pin_cpus}) {
+      pool_(options.num_threads) {
   InitMetrics();
   UNN_CHECK(engine != nullptr);
   // An explicitly sharded Options wins; otherwise future ReplaceDataset
@@ -136,7 +136,7 @@ QueryServer::QueryServer(std::vector<core::UncertainPoint> points,
     : options_(options),
       cache_(options.cache, &registry_),
       sharding_(options.sharding),
-      pool_(ThreadPool::Options{options.num_threads, options.pin_cpus}) {
+      pool_(options.num_threads) {
   InitMetrics();
   std::vector<core::UncertainPoint> degrade_points;
   if (DegradeEnabled()) degrade_points = points;  // Copy before the move.

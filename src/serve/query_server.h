@@ -83,13 +83,6 @@ class QueryServer {
   struct Options {
     /// Worker threads; <= 0 picks std::thread::hardware_concurrency().
     int num_threads = 0;
-    /// CPUs every pool worker pins itself to before serving
-    /// (ThreadPool::Options::pin_cpus) — the placement knob for
-    /// deployments that dedicate a server to one NUMA node
-    /// (util::DetectNumaTopology supplies the node CPU lists). Empty —
-    /// the default — pins nothing; pin failures degrade to unpinned
-    /// workers, never errors.
-    std::vector<int> pin_cpus;
     /// Query types warmed on every snapshot before it starts serving
     /// (construction and ReplaceDataset). Batches warm their own type
     /// anyway; listing the types Submit traffic uses keeps single-query
@@ -247,11 +240,6 @@ class QueryServer {
   /// The worker pool (shared with callers that want to fan out their own
   /// work). Thread-safe.
   ThreadPool& pool() { return pool_; }
-
-  /// The historical name for the stats snapshot; see ServerStats
-  /// (server_stats.h) for the fields and the relaxed-counter ordering
-  /// contract.
-  using Stats = ServerStats;
 
   /// One stats snapshot: traffic counters, per-type counts, QoS
   /// outcomes, cache counters and latency percentiles. Every underlying

@@ -6,7 +6,6 @@
 
 #include "engine/query_contract.h"
 #include "util/check.h"
-#include "util/numa.h"
 
 namespace unn {
 namespace serve {
@@ -84,36 +83,11 @@ ShardedEngine::ShardedEngine(std::vector<core::UncertainPoint> points,
   UNN_CHECK(!points.empty());
   global_ids_ = PartitionPoints(points, options);
   engines_.resize(global_ids_.size());
-  if (options_.numa_aware) {
-    // Placement activates only when there is more than one node to place
-    // across; a single-node machine (the common CI container) stays on
-    // the exact NUMA-oblivious code path.
-    util::NumaTopology topo = util::DetectNumaTopology();
-    if (topo.num_nodes() > 1) {
-      shard_nodes_.resize(global_ids_.size());
-      shard_cpus_.resize(global_ids_.size());
-      for (size_t s = 0; s < global_ids_.size(); ++s) {
-        shard_nodes_[s] = static_cast<int>(s) % topo.num_nodes();
-        shard_cpus_[s] = topo.node_cpus[shard_nodes_[s]];
-      }
-    }
-  }
   ForEachShard(build_pool, [&](int s) {
-    // With active placement, pin the building thread to the shard's node
-    // for the build so first-touch allocation lands there; restore the
-    // thread's affinity afterwards (build pools are shared). A failed pin
-    // just builds unplaced — placement never affects the result.
-    std::vector<int> saved;
-    bool pinned = false;
-    if (!shard_cpus_.empty()) {
-      saved = util::CurrentThreadCpus();
-      pinned = util::PinCurrentThreadToCpus(shard_cpus_[s]);
-    }
     std::vector<core::UncertainPoint> subset;
     subset.reserve(global_ids_[s].size());
     for (int gid : global_ids_[s]) subset.push_back(points[gid]);
     engines_[s] = std::make_shared<const Engine>(std::move(subset), config_);
-    if (pinned && !saved.empty()) util::PinCurrentThreadToCpus(saved);
   });
   views_.reserve(engines_.size());
   for (size_t s = 0; s < engines_.size(); ++s) {
@@ -195,218 +169,123 @@ int ShardedEngine::StructuresBuilt() const {
 }
 
 // ---------------------------------------------------------------------------
-// Queries
+// Single-query entry points: one-element QueryMany packs
 // ---------------------------------------------------------------------------
-
-MergedProbabilities ShardedEngine::MergedProbs(geom::Vec2 q, double eps_needed,
-                                               ThreadPool* pool,
-                                               obs::TraceNode trace) const {
-  size_t shards = engines_.size();
-  std::vector<std::vector<std::pair<int, double>>> local(shards);
-  std::vector<core::DeltaEnvelope> env(shards);
-  {
-    obs::ScopedSpan fan(trace, "shard_fanout",
-                        static_cast<std::int64_t>(shards));
-    ForEachShard(
-        pool,
-        [&](int s) {
-          local[s] = engines_[s]->Probabilities(q, eps_needed);
-          env[s] = engines_[s]->MaxDistEnvelope(q);
-        },
-        fan.node());
-  }
-  obs::ScopedSpan merge(trace, "merge");
-  double eps = eps_needed > 0 ? std::min(eps_needed, config_.eps) : config_.eps;
-  return MergeProbabilities(views_, local, env, q, config_, eps);
-}
-
-std::vector<std::pair<int, double>> ShardedEngine::Probabilities(
-    geom::Vec2 q, double eps_needed, ThreadPool* pool,
-    obs::TraceNode trace) const {
-  if (num_shards() == 1) {
-    obs::ScopedSpan span(trace, "shard_query", 0);
-    std::vector<std::pair<int, double>> out =
-        engines_[0]->Probabilities(q, eps_needed);
-    for (auto& [id, pi] : out) id = global_ids_[0][id];
-    return out;
-  }
-  return MergedProbs(q, eps_needed, pool, trace).probs;
-}
 
 int ShardedEngine::MostProbableNn(geom::Vec2 q, ThreadPool* pool,
                                   obs::TraceNode trace) const {
-  if (num_shards() == 1) {
-    obs::ScopedSpan span(trace, "shard_query", 0);
-    int lid = engines_[0]->MostProbableNn(q);
-    return lid < 0 ? lid : global_ids_[0][lid];
-  }
-  int best = -1;
-  double best_pi = -1.0;
-  for (auto [gid, pi] : MergedProbs(q, 0.0, pool, trace).probs) {
-    if (pi > best_pi) {
-      best = gid;
-      best_pi = pi;
-    }
-  }
-  return best;
+  Engine::QuerySpec spec{Engine::QueryType::kMostProbableNn};
+  return QueryMany({&q, 1}, spec, pool, trace)[0].nn;
 }
 
 int ShardedEngine::ExpectedDistanceNn(geom::Vec2 q, ThreadPool* pool,
                                       obs::TraceNode trace) const {
-  if (num_shards() == 1) {
-    obs::ScopedSpan span(trace, "shard_query", 0);
-    int lid = engines_[0]->ExpectedDistanceNn(q);
-    return lid < 0 ? lid : global_ids_[0][lid];
-  }
-  std::vector<ExpectedCandidate> winners(engines_.size());
-  {
-    obs::ScopedSpan fan(trace, "shard_fanout",
-                        static_cast<std::int64_t>(engines_.size()));
-    ForEachShard(
-        pool,
-        [&](int s) {
-          int lid = engines_[s]->ExpectedDistanceNn(q);
-          winners[s] = {global_ids_[s][lid],
-                        engines_[s]->ExpectedDistance(lid, q)};
-        },
-        fan.node());
-  }
-  obs::ScopedSpan merge(trace, "merge");
-  return MergeExpected(winners);
+  Engine::QuerySpec spec{Engine::QueryType::kExpectedDistanceNn};
+  return QueryMany({&q, 1}, spec, pool, trace)[0].nn;
 }
 
 std::vector<std::pair<int, double>> ShardedEngine::Threshold(
     geom::Vec2 q, double tau, ThreadPool* pool, obs::TraceNode trace) const {
-  UNN_CHECK(tau > 0 && tau <= 1);
-  if (num_shards() == 1) {
-    obs::ScopedSpan span(trace, "shard_query", 0);
-    auto out = engines_[0]->Threshold(q, tau);
-    for (auto& [id, pi] : out) id = global_ids_[0][id];
-    SortByEstimate(&out);
-    return out;
-  }
-  MergedProbabilities merged = MergedProbs(q, tau / 2, pool, trace);
-  // Exact re-quantification reports the exact set {pi >= tau}; the
-  // Monte-Carlo fallback keeps the no-false-negative slack, like Engine.
-  double eps =
-      merged.requantified_exactly ? 0.0 : std::min(config_.eps, tau / 2);
-  std::vector<std::pair<int, double>> out;
-  for (auto [gid, pi] : merged.probs) {
-    if (pi + eps >= tau) out.push_back({gid, pi});
-  }
-  SortByEstimate(&out);
-  return out;
+  Engine::QuerySpec spec{Engine::QueryType::kThreshold, tau};
+  return std::move(QueryMany({&q, 1}, spec, pool, trace)[0].ranked);
 }
 
 std::vector<std::pair<int, double>> ShardedEngine::TopK(
     geom::Vec2 q, int k, ThreadPool* pool, obs::TraceNode trace) const {
-  UNN_CHECK(k >= 1);
-  if (num_shards() == 1) {
-    obs::ScopedSpan span(trace, "shard_query", 0);
-    auto out = engines_[0]->TopK(q, k);
-    for (auto& [id, pi] : out) id = global_ids_[0][id];
-    return out;
-  }
-  auto est = MergedProbs(q, 0.0, pool, trace).probs;
-  SortByEstimate(&est);
-  if (static_cast<int>(est.size()) > k) est.resize(k);
-  return est;
+  Engine::QuerySpec spec{Engine::QueryType::kTopK, 0.5, k};
+  return std::move(QueryMany({&q, 1}, spec, pool, trace)[0].ranked);
 }
 
 std::vector<int> ShardedEngine::NonzeroNn(geom::Vec2 q, ThreadPool* pool,
                                           obs::TraceNode trace) const {
-  if (num_shards() == 1) {
-    obs::ScopedSpan span(trace, "shard_query", 0);
-    std::vector<int> out = engines_[0]->NonzeroNn(q);
-    for (int& id : out) id = global_ids_[0][id];
-    std::sort(out.begin(), out.end());
-    return out;
-  }
-  size_t shards = engines_.size();
-  std::vector<std::vector<int>> local(shards);
-  std::vector<core::DeltaEnvelope> env(shards);
-  {
-    obs::ScopedSpan fan(trace, "shard_fanout",
-                        static_cast<std::int64_t>(shards));
-    ForEachShard(
-        pool,
-        [&](int s) {
-          local[s] = engines_[s]->NonzeroNn(q);
-          env[s] = engines_[s]->MaxDistEnvelope(q);
-        },
-        fan.node());
-  }
-  obs::ScopedSpan merge(trace, "merge");
-  return MergeNonzero(views_, local, env, q);
+  Engine::QuerySpec spec{Engine::QueryType::kNonzeroNn};
+  return std::move(QueryMany({&q, 1}, spec, pool, trace)[0].ids);
 }
 
 // ---------------------------------------------------------------------------
 // Batched entry point + warmup (Engine::QueryMany's degenerate contract)
 // ---------------------------------------------------------------------------
 
-Engine::QueryResult ShardedEngine::QueryOne(geom::Vec2 q,
-                                            const Engine::QuerySpec& spec,
-                                            ThreadPool* pool,
-                                            obs::TraceNode trace) const {
-  Engine::QueryResult r;
-  switch (spec.type) {
-    case Engine::QueryType::kMostProbableNn:
-      r.nn = MostProbableNn(q, pool, trace);
-      break;
-    case Engine::QueryType::kExpectedDistanceNn:
-      r.nn = ExpectedDistanceNn(q, pool, trace);
-      break;
-    case Engine::QueryType::kThreshold:
-      r.ranked = Threshold(q, spec.tau, pool, trace);
-      break;
-    case Engine::QueryType::kTopK:
-      r.ranked = TopK(q, spec.k, pool, trace);
-      break;
-    case Engine::QueryType::kNonzeroNn:
-      r.ids = NonzeroNn(q, pool, trace);
-      break;
+std::vector<MergedProbabilities> ShardedEngine::ProbabilitiesMany(
+    std::span<const geom::Vec2> queries, double eps_needed, ThreadPool* pool,
+    obs::TraceNode trace) const {
+  // Per-shard batched candidate generation + envelopes, then the
+  // candidate-union re-quantification per query.
+  size_t shards = engines_.size();
+  std::vector<std::vector<std::vector<std::pair<int, double>>>> local(shards);
+  std::vector<std::vector<core::DeltaEnvelope>> env(shards);
+  {
+    obs::ScopedSpan fan(trace, "shard_fanout",
+                        static_cast<std::int64_t>(shards));
+    ForEachShard(
+        pool,
+        [&](int s) {
+          local[s] = engines_[s]->ProbabilitiesMany(queries, eps_needed);
+          env[s].resize(queries.size());
+          engines_[s]->MaxDistEnvelopeMany(queries, env[s]);
+        },
+        fan.node());
   }
-  return r;
+  obs::ScopedSpan merge(trace, "merge");
+  double eps = eps_needed > 0 ? std::min(eps_needed, config_.eps) : config_.eps;
+  std::vector<MergedProbabilities> merged(queries.size());
+  std::vector<std::vector<std::pair<int, double>>> q_local(shards);
+  std::vector<core::DeltaEnvelope> q_env(shards);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    for (size_t s = 0; s < shards; ++s) {
+      q_local[s] = std::move(local[s][i]);
+      q_env[s] = env[s][i];
+    }
+    merged[i] =
+        MergeProbabilities(views_, q_local, q_env, queries[i], config_, eps);
+  }
+  return merged;
 }
 
 std::vector<Engine::QueryResult> ShardedEngine::QueryMany(
     std::span<const geom::Vec2> queries, const Engine::QuerySpec& spec,
     ThreadPool* pool, obs::TraceNode trace) const {
   if (num_shards() == 1) {
-    // Single shard: delegate wholesale (ids still need the global map).
-    // The shard's own QueryMany runs the batched kernels, and with only
-    // one shard to visit a pool buys nothing here — serve::QueryMany is
-    // the layer that spreads the pack itself across workers.
+    // Single shard: delegate wholesale, then map ids to global ones and
+    // restore the presentation order (an assembled shard's id map need
+    // not be ascending). The shard's own QueryMany runs the batched
+    // kernels, and with only one shard to visit a pool buys nothing here
+    // — serve::QueryMany is the layer that spreads the pack itself
+    // across workers.
     obs::ScopedSpan span(trace, "shard_query", 0);
     auto results = engines_[0]->QueryMany(queries, spec);
     const std::vector<int>& gids = global_ids_[0];
     for (auto& r : results) {
       if (r.nn >= 0) r.nn = gids[r.nn];
       for (auto& [id, pi] : r.ranked) id = gids[id];
+      SortByEstimate(&r.ranked);
       for (int& id : r.ids) id = gids[id];
+      std::sort(r.ids.begin(), r.ids.end());
     }
     return results;
   }
   // Same degenerate-parameter contract as Engine::QueryMany, from the
-  // shared definition (only the tau <= 0 case consults the shards).
+  // shared definition (only the tau <= 0 case consults the shards, through
+  // the same merged-probabilities pass as the regular arms).
   std::vector<Engine::QueryResult> results;
   if (query_contract::AnswerDegenerate(
           queries, spec, size_,
-          [&](geom::Vec2 q) { return Probabilities(q, 0.0, pool, trace); },
+          [&](std::span<const geom::Vec2> qs) {
+            std::vector<std::vector<std::pair<int, double>>> probs;
+            probs.reserve(qs.size());
+            for (MergedProbabilities& m :
+                 ProbabilitiesMany(qs, 0.0, pool, trace)) {
+              probs.push_back(std::move(m.probs));
+            }
+            return probs;
+          },
           &results)) {
-    return results;
-  }
-  if (!config_.batch_traversal) {
-    for (size_t i = 0; i < queries.size(); ++i) {
-      results[i] = QueryOne(queries[i], spec, pool, trace);
-    }
     return results;
   }
   // Fan the whole pack to each shard once — one shard visit per shard
   // per batch instead of per query — and merge per query. Each shard
-  // answers through its Engine's batched kernels (or the scalar loop for
-  // backends without one), bit-identical to QueryOne's per-query
-  // fan-out, so the merged answers match the scalar path exactly.
+  // answers through its Engine's batched kernels, whose per-query answers
+  // do not depend on the pack, so neither do the merged ones.
   size_t shards = engines_.size();
   switch (spec.type) {
     case Engine::QueryType::kExpectedDistanceNn: {
@@ -436,70 +315,26 @@ std::vector<Engine::QueryResult> ShardedEngine::QueryMany(
     case Engine::QueryType::kMostProbableNn:
     case Engine::QueryType::kThreshold:
     case Engine::QueryType::kTopK: {
-      // Per-shard batched candidate generation + envelopes, then the same
-      // candidate-union re-quantification per query as MergedProbs.
       double eps_needed =
           spec.type == Engine::QueryType::kThreshold ? spec.tau / 2 : 0.0;
-      std::vector<std::vector<std::vector<std::pair<int, double>>>> local(
-          shards);
-      std::vector<std::vector<core::DeltaEnvelope>> env(shards);
-      {
-        obs::ScopedSpan fan(trace, "shard_fanout",
-                            static_cast<std::int64_t>(shards));
-        ForEachShard(
-            pool,
-            [&](int s) {
-              local[s] = engines_[s]->ProbabilitiesMany(queries, eps_needed);
-              env[s].resize(queries.size());
-              engines_[s]->MaxDistEnvelopeMany(queries, env[s]);
-            },
-            fan.node());
-      }
-      obs::ScopedSpan merge(trace, "merge");
-      double eps =
-          eps_needed > 0 ? std::min(eps_needed, config_.eps) : config_.eps;
-      std::vector<std::vector<std::pair<int, double>>> q_local(shards);
-      std::vector<core::DeltaEnvelope> q_env(shards);
+      std::vector<MergedProbabilities> merged =
+          ProbabilitiesMany(queries, eps_needed, pool, trace);
       for (size_t i = 0; i < queries.size(); ++i) {
-        for (size_t s = 0; s < shards; ++s) {
-          q_local[s] = std::move(local[s][i]);
-          q_env[s] = env[s][i];
-        }
-        MergedProbabilities merged = MergeProbabilities(
-            views_, q_local, q_env, queries[i], config_, eps);
-        switch (spec.type) {
-          case Engine::QueryType::kMostProbableNn: {
-            int best = -1;
-            double best_pi = -1.0;
-            for (auto [gid, pi] : merged.probs) {
-              if (pi > best_pi) {
-                best = gid;
-                best_pi = pi;
-              }
-            }
-            results[i].nn = best;
-            break;
-          }
-          case Engine::QueryType::kThreshold: {
-            double slack = merged.requantified_exactly
-                               ? 0.0
-                               : std::min(config_.eps, spec.tau / 2);
-            for (auto [gid, pi] : merged.probs) {
-              if (pi + slack >= spec.tau) {
-                results[i].ranked.push_back({gid, pi});
-              }
-            }
-            SortByEstimate(&results[i].ranked);
-            break;
-          }
-          default: {  // kTopK
-            SortByEstimate(&merged.probs);
-            if (static_cast<int>(merged.probs.size()) > spec.k) {
-              merged.probs.resize(spec.k);
-            }
-            results[i].ranked = std::move(merged.probs);
-            break;
-          }
+        std::vector<std::pair<int, double>>& probs = merged[i].probs;
+        if (spec.type == Engine::QueryType::kMostProbableNn) {
+          results[i].nn = query_contract::MostProbable(probs);
+        } else if (spec.type == Engine::QueryType::kThreshold) {
+          // Exact re-quantification reports the exact set {pi >= tau};
+          // the Monte-Carlo fallback keeps the no-false-negative slack,
+          // like Engine.
+          double slack = merged[i].requantified_exactly
+                             ? 0.0
+                             : std::min(config_.eps, spec.tau / 2);
+          results[i].ranked =
+              query_contract::ThresholdReport(probs, spec.tau, slack);
+        } else {
+          query_contract::KeepTopK(&probs, spec.k);
+          results[i].ranked = std::move(probs);
         }
       }
       break;

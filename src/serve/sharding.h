@@ -67,17 +67,6 @@ struct ShardingOptions {
   /// requesting more shards than points yields n singleton shards.
   int num_shards = 1;
   Partitioning partitioning = Partitioning::kRoundRobin;
-  /// Off by default. When true, shard s is assigned to NUMA node
-  /// s % num_nodes (util::DetectNumaTopology), the building thread pins
-  /// itself to that node's CPUs for the duration of shard s's Engine
-  /// build so first-touch allocation lands on the node, and shard_node /
-  /// shard_cpus report the assignment so callers can co-locate each
-  /// shard's workers (ThreadPool::Options::pin_cpus) next to its data.
-  /// On a single-node machine (or without topology information) this is
-  /// a complete no-op: nothing is pinned, shard_cpus is empty, and every
-  /// answer is bit-identical either way — placement only moves memory,
-  /// never arithmetic.
-  bool numa_aware = false;
 };
 
 /// Assigns every point index in [0, points.size()) to exactly one shard;
@@ -117,7 +106,9 @@ class ShardedEngine {
   // --- Query surface (mirrors Engine, global ids) ----------------------
   // Every method fans out to all shards — in parallel across the given
   // pool's workers plus the calling thread when `pool` is non-null,
-  // serially otherwise — then merges. All are const and thread-safe.
+  // serially otherwise — then merges. All are const and thread-safe. The
+  // five single-query methods are one-element QueryMany calls, so they
+  // accept every parameter QueryMany does and never abort on one.
   //
   // The trailing `trace` node opts one call into request tracing: when
   // its context is non-null the fan-out records "shard_fanout" /
@@ -139,12 +130,14 @@ class ShardedEngine {
   /// probability >= tau has local probability >= tau on its shard (fewer
   /// competitors can only increase pi), so it survives candidate
   /// generation at accuracy tau/2 and the re-quantified estimate keeps it.
+  /// `tau > 1` or NaN reports nothing; `tau <= 0` reports every id.
   std::vector<std::pair<int, double>> Threshold(
       geom::Vec2 q, double tau, ThreadPool* pool = nullptr,
       obs::TraceNode trace = {}) const;
 
   /// The k ids with the largest merged pi_i(q), sorted by decreasing
   /// estimate; near-ties within the backend accuracy may permute.
+  /// `k <= 0` reports nothing without touching a shard.
   std::vector<std::pair<int, double>> TopK(geom::Vec2 q, int k,
                                            ThreadPool* pool = nullptr,
                                            obs::TraceNode trace = {}) const;
@@ -154,23 +147,15 @@ class ShardedEngine {
   std::vector<int> NonzeroNn(geom::Vec2 q, ThreadPool* pool = nullptr,
                              obs::TraceNode trace = {}) const;
 
-  /// Merged quantification estimates (global id, pi) with positive
-  /// estimate, sorted by id, at accuracy `eps_needed` (<= 0 means
-  /// Config::eps).
-  std::vector<std::pair<int, double>> Probabilities(
-      geom::Vec2 q, double eps_needed = 0.0, ThreadPool* pool = nullptr,
-      obs::TraceNode trace = {}) const;
-
-  /// Batched entry point with Engine::QueryMany's degenerate-parameter
-  /// contract (empty span / k <= 0 / tau outside (0, 1] answered
-  /// definition-level without touching any shard backend). With
-  /// Config::batch_traversal on, every query type fans the whole pack
-  /// to each shard once — one shard visit per shard per batch, each
-  /// running the shard Engine's batched kernels — and merges per query,
-  /// bit-identical to the per-query fan-out; with it off, the queries
-  /// run serially and each query's shard fan-out uses `pool` when
-  /// given. `serve::QueryMany` additionally spreads the pack itself
-  /// across a pool, which is the better fit for large batches.
+  /// Batched entry point and the one execution path of every query type,
+  /// with Engine::QueryMany's degenerate-parameter contract (empty span /
+  /// k <= 0 / tau outside (0, 1] answered definition-level; only
+  /// tau <= 0 touches the shards). Every query type fans the whole pack to
+  /// each shard once — one shard visit per shard per batch, each running
+  /// the shard Engine's batched kernels — and merges per query; a query's
+  /// answer does not depend on the rest of the pack. `serve::QueryMany`
+  /// additionally spreads the pack itself across a pool, which is the
+  /// better fit for large batches.
   std::vector<Engine::QueryResult> QueryMany(
       std::span<const geom::Vec2> queries, const Engine::QuerySpec& spec,
       ThreadPool* pool = nullptr, obs::TraceNode trace = {}) const;
@@ -200,45 +185,30 @@ class ShardedEngine {
   const Engine::Config& config() const { return config_; }
   /// The partitioning this shard set was built with.
   const ShardingOptions& options() const { return options_; }
-  /// NUMA node shard s was placed on; 0 when placement is inactive
-  /// (numa_aware off, assembled shard sets, or a single-node machine).
-  /// O(1).
-  int shard_node(int s) const {
-    return shard_nodes_.empty() ? 0 : shard_nodes_[s];
-  }
-  /// CPUs of shard s's node, for co-locating its workers
-  /// (ThreadPool::Options::pin_cpus); empty when placement is inactive.
-  /// O(1).
-  const std::vector<int>& shard_cpus(int s) const {
-    static const std::vector<int> kNone;
-    return shard_cpus_.empty() ? kNone : shard_cpus_[s];
-  }
   /// Sum of Engine::StructuresBuilt over the shards — observability for
   /// tests and serving metrics. O(K).
   int StructuresBuilt() const;
 
  private:
-  Engine::QueryResult QueryOne(geom::Vec2 q, const Engine::QuerySpec& spec,
-                               ThreadPool* pool, obs::TraceNode trace) const;
   /// Runs fn(s) for every shard index s, on `pool` (plus the calling
   /// thread) when given, serially otherwise. When `trace` is live each
   /// call is wrapped in a "shard_query" span tagged with s.
   void ForEachShard(ThreadPool* pool, const std::function<void(int)>& fn,
                     obs::TraceNode trace = {}) const;
-  /// Candidate generation + merged re-quantification at `eps_needed`.
-  MergedProbabilities MergedProbs(geom::Vec2 q, double eps_needed,
-                                  ThreadPool* pool,
-                                  obs::TraceNode trace = {}) const;
+  /// Candidate generation + merged re-quantification at `eps_needed` for
+  /// a whole pack: one batched ProbabilitiesMany + MaxDistEnvelopeMany
+  /// visit per shard, then MergeProbabilities per query. The only merge
+  /// call site: MostProbableNn / Threshold / TopK and the tau <= 0
+  /// degenerate answer all go through it.
+  std::vector<MergedProbabilities> ProbabilitiesMany(
+      std::span<const geom::Vec2> queries, double eps_needed,
+      ThreadPool* pool, obs::TraceNode trace) const;
 
   std::vector<std::shared_ptr<const Engine>> engines_;
   std::vector<std::vector<int>> global_ids_;
   std::vector<ShardView> views_;  // Parallel to engines_/global_ids_.
   Engine::Config config_;
   ShardingOptions options_;
-  /// Active NUMA placement (numa_aware on a multi-node machine): per-shard
-  /// node index and that node's CPU list. Both empty when inactive.
-  std::vector<int> shard_nodes_;
-  std::vector<std::vector<int>> shard_cpus_;
   int size_ = 0;
 };
 

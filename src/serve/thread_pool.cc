@@ -4,25 +4,18 @@
 #include <atomic>
 
 #include "util/check.h"
-#include "util/numa.h"
 
 namespace unn {
 namespace serve {
 
-ThreadPool::ThreadPool(const Options& options) {
-  int num_threads = options.num_threads;
+ThreadPool::ThreadPool(int num_threads) {
   if (num_threads <= 0) {
     num_threads = static_cast<int>(std::thread::hardware_concurrency());
     if (num_threads <= 0) num_threads = 1;
   }
   workers_.reserve(num_threads);
   for (int i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this, cpus = options.pin_cpus] {
-      // Best-effort placement before the first task; a failed pin (empty
-      // set, offline CPU, unsupported platform) just runs unpinned.
-      if (!cpus.empty()) util::PinCurrentThreadToCpus(cpus);
-      WorkerLoop();
-    });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 

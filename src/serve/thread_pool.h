@@ -46,23 +46,8 @@ enum class TaskPriority {
 
 class ThreadPool {
  public:
-  struct Options {
-    /// <= 0 picks std::thread::hardware_concurrency().
-    int num_threads = 0;
-    /// When non-empty, every worker pins itself to this CPU set before
-    /// serving tasks (util::PinCurrentThreadToCpus) — how a caller
-    /// co-locates a pool's workers on one NUMA node next to the data
-    /// they serve (ShardedEngine::shard_cpus). Placement is a hint: a
-    /// failed pin leaves that worker on the inherited affinity and is
-    /// not an error. Empty (the default) pins nothing, so the default
-    /// pool is bit-for-bit the pre-Options pool.
-    std::vector<int> pin_cpus;
-  };
-
-  explicit ThreadPool(const Options& options);
   /// `num_threads` <= 0 picks std::thread::hardware_concurrency().
-  explicit ThreadPool(int num_threads = 0)
-      : ThreadPool(Options{num_threads, {}}) {}
+  explicit ThreadPool(int num_threads = 0);
   ~ThreadPool();
 
   /// Flips the pool to stopping without joining: subsequent Post

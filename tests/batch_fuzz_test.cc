@@ -3,8 +3,9 @@
 // bit-identical to its scalar counterpart — including argmin tie
 // semantics — on adversarial inputs: clustered sites, coincident
 // anchors, duplicated points, equal radii, duplicate coordinates, and
-// queries snapped onto site coordinates so distances tie exactly.
-// Batch sizes sweep 1..2*kLaneWidth+1, covering every pack size 1..8
+// queries snapped onto site coordinates so distances tie exactly. At the
+// Engine level, where QueryMany is the only path, a query's answer must
+// not depend on its pack. Batch sizes sweep 1..2*kLaneWidth+1, covering every pack size 1..8
 // and ragged final packs. CTest runs a fixed seeded corpus; the nightly
 // CI job raises the iteration count through UNN_FUZZ_ITERS.
 
@@ -15,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "baselines/brute_force.h"
 #include "core/expected_nn.h"
 #include "core/monte_carlo_pnn.h"
 #include "core/nn_nonzero_discrete_index.h"
@@ -460,11 +462,13 @@ TEST(BatchFuzz, MonteCarloQueryBatchBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine-level differential: QueryMany with batching on vs off must give
-// identical results for all five query types on randomized batches.
+// Engine-level pack independence: QueryMany is the one execution path of
+// every query type, so a query's answer inside a full pack must equal its
+// pack-of-one answer, for all five types and every pack size — and match
+// the definition-level oracles where they are exact.
 // ---------------------------------------------------------------------------
 
-TEST(BatchFuzz, EngineQueryManyBatchedMatchesScalar) {
+TEST(BatchFuzz, EngineQueryManyPackIndependent) {
   int iters = FuzzIters(3);
   const Engine::QuerySpec specs[] = {
       {Engine::QueryType::kMostProbableNn, 0.5, 1},
@@ -476,22 +480,40 @@ TEST(BatchFuzz, EngineQueryManyBatchedMatchesScalar) {
   for (int it = 0; it < iters; ++it) {
     uint64_t seed = 4000 + 7 * static_cast<uint64_t>(it);
     auto pts = AdversarialSet(it, 24 + it * 9, seed);
-    Engine::Config batched_cfg;
-    Engine::Config scalar_cfg;
-    scalar_cfg.batch_traversal = false;
-    Engine batched(pts, batched_cfg);
-    Engine scalar(pts, scalar_cfg);
-    std::mt19937_64 rng(seed);
-    std::uniform_int_distribution<int> msize(1, 2 * geom::kLaneWidth + 1);
-    for (const Engine::QuerySpec& spec : specs) {
-      auto qs = AdversarialQueries(msize(rng), seed + 99);
-      auto got = batched.QueryMany(qs, spec);
-      auto want = scalar.QueryMany(qs, spec);
-      ASSERT_EQ(got.size(), want.size());
+    Engine engine(pts);
+    core::ExpectedNn expected(pts);
+    for (int m = 1; m <= 2 * geom::kLaneWidth + 1; ++m) {
+      auto qs = AdversarialQueries(m, seed + 99 + m);
+      for (const Engine::QuerySpec& spec : specs) {
+        auto pack = engine.QueryMany(qs, spec);
+        ASSERT_EQ(pack.size(), qs.size());
+        for (size_t i = 0; i < qs.size(); ++i) {
+          auto alone = engine.QueryMany({&qs[i], 1}, spec);
+          ASSERT_EQ(alone.size(), 1u);
+          EXPECT_EQ(pack[i].nn, alone[0].nn)
+              << "it=" << it << " m=" << m << " i=" << i;
+          EXPECT_EQ(pack[i].ranked, alone[0].ranked)
+              << "it=" << it << " m=" << m << " i=" << i;
+          EXPECT_EQ(pack[i].ids, alone[0].ids)
+              << "it=" << it << " m=" << m << " i=" << i;
+        }
+      }
+      // Definition-level oracles. NN!=0 is undefined exactly on diagram
+      // edges (zero margin), so those queries are skipped; the discrete
+      // expected-distance argmin is ExpectedNn's scalar scan, the replay
+      // target of the batched kernel.
+      auto nonzero = engine.QueryMany(qs, specs[4]);
+      auto nearest = engine.QueryMany(qs, specs[1]);
       for (size_t i = 0; i < qs.size(); ++i) {
-        EXPECT_EQ(got[i].nn, want[i].nn);
-        EXPECT_EQ(got[i].ranked, want[i].ranked);
-        EXPECT_EQ(got[i].ids, want[i].ids);
+        if (core::NonzeroNnMargin(pts, qs[i]) >= 1e-6) {
+          EXPECT_EQ(nonzero[i].ids, baselines::NonzeroNn(pts, qs[i]))
+              << "it=" << it << " m=" << m << " i=" << i;
+        }
+        if (engine.all_discrete()) {
+          EXPECT_EQ(nearest[i].nn,
+                    expected.QueryExpected(qs[i], engine.config().tol))
+              << "it=" << it << " m=" << m << " i=" << i;
+        }
       }
     }
   }

@@ -461,6 +461,34 @@ TEST(EngineWarmup, SpecOverloadWarmsTighterThresholdEstimator) {
   EXPECT_EQ(engine.StructuresBuilt(), built);
 }
 
+// The single-query methods are packs of one, so degenerate parameters get
+// QueryMany's definition-level answers instead of aborting the process.
+TEST(EngineSingleQuery, DegenerateParametersAnswerDefinitionLevel) {
+  auto pts = workload::RandomDiscrete(9, 2, 69);
+  Engine engine(pts, {});
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (Vec2 q : TestQueries()) {
+    for (int k : {0, -3}) EXPECT_TRUE(engine.TopK(q, k).empty());
+    for (double tau : {1.5, inf, nan}) {
+      EXPECT_TRUE(engine.Threshold(q, tau).empty()) << "tau=" << tau;
+    }
+  }
+  // Empty answers by definition touch no backend.
+  EXPECT_EQ(engine.StructuresBuilt(), 0);
+  for (Vec2 q : TestQueries()) {
+    for (double tau : {0.0, -0.7, -inf}) {
+      // Every pi reaches a non-positive threshold: every id, once.
+      auto ranked = engine.Threshold(q, tau);
+      ASSERT_EQ(static_cast<int>(ranked.size()), engine.size());
+      EXPECT_EQ(ranked,
+                engine.QueryMany({&q, 1}, {Engine::QueryType::kThreshold, tau})
+                    .front()
+                    .ranked);
+    }
+  }
+}
+
 TEST(EngineQueryMany, MatchesSingleQueries) {
   auto pts = workload::RandomDiscrete(15, 3, 61);
   Engine engine(pts, {});

@@ -183,7 +183,7 @@ TEST(QueryServerStress, BatchedPacksRacingSnapshotSwap) {
   auto pts_b = workload::RandomDiscrete(28, 2, 106);
   auto qs = StressQueries(33);  // Ragged final pack in every batch.
 
-  Engine::Config cfg;  // batch_traversal defaults to true.
+  Engine::Config cfg;
   Engine oracle_a(pts_a, cfg);
   Engine oracle_b(pts_b, cfg);
   std::vector<int> ans_a, ans_b;
@@ -216,7 +216,8 @@ TEST(QueryServerStress, BatchedPacksRacingSnapshotSwap) {
 
   EXPECT_EQ(mismatches.load(), 0);
 
-  // Settled: dataset B only, still bit-identical to its scalar oracle.
+  // Settled: dataset B only, still bit-identical to its pack-of-one
+  // oracle.
   auto final_results =
       server.QueryBatch(qs, {Engine::QueryType::kExpectedDistanceNn});
   for (size_t i = 0; i < qs.size(); ++i) {
@@ -224,16 +225,13 @@ TEST(QueryServerStress, BatchedPacksRacingSnapshotSwap) {
   }
 }
 
-// All five query types' batched kernels racing ReplaceDataset with
-// worker pinning on: clients fire ragged, varying-length packs of every
-// type while the snapshot swaps underneath. Each answer must be
-// bit-identical to one of the two snapshots' scalar-oracle runs — a
-// batch runs entirely on the snapshot it pinned on entry, batching
-// never changes results, and per-query answers are independent of pack
-// composition (the prefix of a longer batch equals the full batch).
-// pin_cpus exercises the ThreadPool affinity path under TSan; pinning
-// is a placement hint and must be invisible in results.
-TEST(QueryServerStress, MixedTypeRaggedPacksRacingSwapWithPinnedWorkers) {
+// All five query types' batched kernels racing ReplaceDataset: clients
+// fire ragged, varying-length packs of every type while the snapshot
+// swaps underneath. Each answer must be bit-identical to one of the two
+// snapshots' oracles, which answer every query as its own pack of one —
+// a batch runs entirely on the snapshot it pinned on entry, and
+// per-query answers are independent of pack composition.
+TEST(QueryServerStress, MixedTypeRaggedPacksRacingSwap) {
   auto pts_a = workload::RandomDiscrete(32, 3, 107);
   auto pts_b = workload::RandomDiscrete(28, 2, 108);
   auto qs = StressQueries(33);  // 33 = 4 packs + a ragged singleton.
@@ -246,14 +244,17 @@ TEST(QueryServerStress, MixedTypeRaggedPacksRacingSwapWithPinnedWorkers) {
       {Engine::QueryType::kNonzeroNn, 0.5, 1},
   };
 
-  Engine::Config cfg;
-  cfg.batch_traversal = false;  // The oracles are the scalar engines.
-  Engine oracle_a(pts_a, cfg);
-  Engine oracle_b(pts_b, cfg);
+  Engine oracle_a(pts_a, {});
+  Engine oracle_b(pts_b, {});
+  auto packs_of_one = [&](const Engine& oracle, const Engine::QuerySpec& spec) {
+    std::vector<Engine::QueryResult> out;
+    for (const Vec2& q : qs) out.push_back(oracle.QueryMany({&q, 1}, spec)[0]);
+    return out;
+  };
   std::vector<std::vector<Engine::QueryResult>> ans_a, ans_b;
   for (const auto& spec : specs) {
-    ans_a.push_back(oracle_a.QueryMany(qs, spec));
-    ans_b.push_back(oracle_b.QueryMany(qs, spec));
+    ans_a.push_back(packs_of_one(oracle_a, spec));
+    ans_b.push_back(packs_of_one(oracle_b, spec));
   }
   auto same = [](const Engine::QueryResult& x, const Engine::QueryResult& y) {
     return x.nn == y.nn && x.ranked == y.ranked && x.ids == y.ids;
@@ -261,7 +262,6 @@ TEST(QueryServerStress, MixedTypeRaggedPacksRacingSwapWithPinnedWorkers) {
 
   serve::QueryServer::Options options;
   options.num_threads = 4;
-  options.pin_cpus = {0};  // CPU 0 always exists; failure degrades.
   for (const auto& spec : specs) options.warm.push_back(spec.type);
   serve::QueryServer server(pts_a, Engine::Config{}, options);
 
@@ -289,7 +289,7 @@ TEST(QueryServerStress, MixedTypeRaggedPacksRacingSwapWithPinnedWorkers) {
   for (auto& th : clients) th.join();
   EXPECT_EQ(mismatches.load(), 0);
 
-  // Settled: dataset B only, every type still scalar-oracle-identical.
+  // Settled: dataset B only, every type still oracle-identical.
   for (size_t s = 0; s < specs.size(); ++s) {
     auto results = server.QueryBatch(qs, specs[s]);
     for (size_t i = 0; i < qs.size(); ++i) {

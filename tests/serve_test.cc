@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "engine/engine.h"
+#include "engine/query_contract.h"
 #include "obs/profile.h"
 #include "serve/parallel.h"
 #include "serve/query_server.h"
@@ -448,21 +449,21 @@ TEST(QueryServer, DegenerateSpecsBypassCacheAndAdmission) {
   EXPECT_EQ(s.cache.insertions, 1u);  // The regular request; not tau=1.5.
 }
 
-// Pack-grouping property: a batched server (default) and a scalar server
-// (Config::batch_traversal = false) over the same points must produce
-// the same Responses for the same request stream — order, values,
-// ResultSource labels, and stats counters — on mixed-SpecClass batches
-// with degenerate specs, duplicate requests, and cache-hit
-// interleavings on the second pass.
-TEST(QueryServer, PackGroupingMatchesScalarServerOnMixedBatches) {
+// Pack-grouping property: a server fed mixed-spec batches and a second
+// server fed the same request stream one request per QueryBatch call must
+// produce the same Responses — order, values, ResultSource labels — and
+// the same counters except `batches`, on mixed-SpecClass batches with
+// degenerate specs, duplicate requests, and cache-hit interleavings on the
+// second pass. The one designed difference: a duplicate inside a batch
+// misses the cache probe (probing precedes computing), while fed alone it
+// hits the entry its first occurrence inserted.
+TEST(QueryServer, PackGroupingMatchesOneRequestBatches) {
   auto pts = workload::RandomDiscrete(20, 3, 101);
   serve::QueryServer::Options options;
   options.num_threads = 3;
   options.cache.max_bytes = 1u << 20;
-  Engine::Config scalar_cfg;
-  scalar_cfg.batch_traversal = false;
-  serve::QueryServer batched(pts, {}, options);
-  serve::QueryServer scalar(pts, scalar_cfg, options);
+  serve::QueryServer packed(pts, {}, options);
+  serve::QueryServer alone(pts, {}, options);
 
   auto qs = GridQueries(9);
   std::vector<serve::Request> reqs;
@@ -483,29 +484,59 @@ TEST(QueryServer, PackGroupingMatchesScalarServerOnMixedBatches) {
           {qs[0], {Engine::QueryType::kExpectedDistanceNn, 0.5, 1}});
     }
   }
+  auto is_duplicate = [&](size_t i) {
+    for (size_t j = 0; j < i; ++j) {
+      if (reqs[j].q == reqs[i].q &&
+          reqs[j].spec.type == reqs[i].spec.type &&
+          reqs[j].spec.tau == reqs[i].spec.tau &&
+          reqs[j].spec.k == reqs[i].spec.k) {
+        return query_contract::Classify(reqs[i].spec) ==
+               query_contract::SpecClass::kRegular;
+      }
+    }
+    return false;
+  };
+  uint64_t duplicates = 0;
   // Pass 0 computes everything; pass 1 interleaves cache hits with the
   // degenerate computes.
   for (int pass = 0; pass < 2; ++pass) {
-    auto got = batched.QueryBatch(reqs);
-    auto want = scalar.QueryBatch(reqs);
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].source, want[i].source)
-          << "pass=" << pass << " i=" << i;
-      EXPECT_EQ(got[i].result.nn, want[i].result.nn);
-      EXPECT_EQ(got[i].result.ranked, want[i].result.ranked);
-      EXPECT_EQ(got[i].result.ids, want[i].result.ids);
+    auto got = packed.QueryBatch(reqs);
+    ASSERT_EQ(got.size(), reqs.size());
+    for (size_t i = 0; i < reqs.size(); ++i) {
+      auto want = alone.QueryBatch(std::span<const serve::Request>(&reqs[i], 1));
+      ASSERT_EQ(want.size(), 1u);
+      serve::ResultSource source = got[i].source;
+      if (pass == 0 && is_duplicate(i)) {
+        EXPECT_EQ(source, serve::ResultSource::kComputed) << "i=" << i;
+        source = serve::ResultSource::kCache;
+        ++duplicates;
+      }
+      EXPECT_EQ(source, want[0].source) << "pass=" << pass << " i=" << i;
+      EXPECT_EQ(got[i].result.nn, want[0].result.nn);
+      EXPECT_EQ(got[i].result.ranked, want[0].result.ranked);
+      EXPECT_EQ(got[i].result.ids, want[0].result.ids);
     }
   }
-  auto bs = batched.stats();
-  auto ss = scalar.stats();
-  EXPECT_EQ(bs.batches, ss.batches);
-  EXPECT_EQ(bs.queries, ss.queries);
-  EXPECT_EQ(bs.shed, ss.shed);
-  EXPECT_EQ(bs.cache.hits, ss.cache.hits);
-  EXPECT_EQ(bs.cache.insertions, ss.cache.insertions);
+  EXPECT_GT(duplicates, 0u);
+  auto ps = packed.stats();
+  auto as = alone.stats();
+  EXPECT_EQ(ps.batches, 2u);
+  EXPECT_EQ(as.batches, 2 * reqs.size());
+  EXPECT_EQ(ps.queries, as.queries);
+  EXPECT_EQ(ps.swaps, as.swaps);
+  EXPECT_EQ(ps.shed, as.shed);
+  EXPECT_EQ(ps.degraded, as.degraded);
+  EXPECT_EQ(ps.deadline_exceeded, as.deadline_exceeded);
+  EXPECT_EQ(ps.cache.hits + duplicates, as.cache.hits);
+  EXPECT_EQ(ps.cache.misses, as.cache.misses + duplicates);
+  EXPECT_EQ(ps.cache.insertions, as.cache.insertions);
+  EXPECT_EQ(ps.cache.evictions, as.cache.evictions);
+  EXPECT_EQ(ps.cache.entries, as.cache.entries);
+  EXPECT_EQ(ps.cache.bytes, as.cache.bytes);
   for (int t = 0; t < serve::kNumQueryTypes; ++t) {
-    EXPECT_EQ(bs.queries_by_type[t], ss.queries_by_type[t]) << "type " << t;
+    EXPECT_EQ(ps.queries_by_type[t], as.queries_by_type[t]) << "type " << t;
+    EXPECT_EQ(ps.latency_by_type[t].count, as.latency_by_type[t].count)
+        << "type " << t;
   }
 }
 

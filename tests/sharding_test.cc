@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <numeric>
 #include <set>
 #include <vector>
 
@@ -303,6 +305,38 @@ TEST(ShardedEngine, DegenerateSpecsBuildNothing) {
   EXPECT_EQ(sharded.StructuresBuilt(), 0);
 }
 
+// The single-query methods are packs of one, so degenerate parameters get
+// QueryMany's definition-level answers instead of aborting the process.
+TEST(ShardedEngine, SingleQueryDegenerateParametersDoNotAbort) {
+  auto pts = workload::RandomDiscrete(10, 2, 322);
+  Engine::Config cfg;
+  cfg.backend = Backend::kBruteForce;
+  Engine single(pts, cfg);
+  for (int k : {1, 3}) {
+    serve::ShardedEngine sharded(pts, cfg, {k, serve::Partitioning::kSpatial});
+    const double nan = std::nan("");
+    for (Vec2 q : GridQueries(4)) {
+      for (int topk : {0, -2}) EXPECT_TRUE(sharded.TopK(q, topk).empty());
+      for (double tau : {1.5, nan}) {
+        EXPECT_TRUE(sharded.Threshold(q, tau).empty()) << "tau=" << tau;
+      }
+    }
+    EXPECT_EQ(sharded.StructuresBuilt(), 0);
+    for (Vec2 q : GridQueries(4)) {
+      for (double tau : {0.0, -0.5}) {
+        auto got = sharded.Threshold(q, tau);
+        auto want = single.Threshold(q, tau);
+        ASSERT_EQ(got.size(), want.size()) << "k=" << k << " tau=" << tau;
+        ASSERT_EQ(static_cast<int>(got.size()), sharded.size());
+        for (size_t j = 0; j < got.size(); ++j) {
+          EXPECT_EQ(got[j].first, want[j].first);
+          EXPECT_NEAR(got[j].second, want[j].second, 1e-12);
+        }
+      }
+    }
+  }
+}
+
 TEST(ShardedEngine, NonPositiveTauListsEveryId) {
   auto pts = workload::RandomDiscrete(9, 2, 311);
   Engine::Config cfg;
@@ -349,7 +383,7 @@ TEST(ShardedEngine, ParallelFanOutMatchesSerial) {
         Engine::QueryType::kTopK, Engine::QueryType::kExpectedDistanceNn}) {
     Engine::QuerySpec spec{type, 0.5, 3};
     auto serial = sharded.QueryMany(qs, spec, nullptr);
-    // Per-query shard fan-out on the pool.
+    // Whole-pack shard fan-out on the pool.
     auto fanned = sharded.QueryMany(qs, spec, &pool);
     // Query-parallel batch path.
     auto batched = serve::QueryMany(sharded, qs, spec, &pool);
@@ -564,6 +598,32 @@ TEST(ShardedEngine, AssembledShardSetReportsExternalPartitioning) {
   Engine single(pts, {});
   Vec2 q{0.5, -0.5};
   EXPECT_EQ(sharded.NonzeroNn(q), single.NonzeroNn(q));
+}
+
+TEST(ShardedEngine, SingleAssembledShardWithPermutedIdsKeepsOrder) {
+  // One assembled shard whose id map is not ascending: after mapping to
+  // global ids, NN!=0 must come back sorted and rankings in presentation
+  // order, exactly as from an Engine over the points in global order.
+  auto pts = workload::RandomDiscrete(12, 2, 323);
+  Engine::Config cfg;
+  cfg.backend = Backend::kBruteForce;
+  std::vector<int> gids(pts.size());
+  std::iota(gids.rbegin(), gids.rend(), 0);  // Local j is global n-1-j.
+  std::vector<UncertainPoint> local;
+  for (int gid : gids) local.push_back(pts[gid]);
+  serve::ShardedEngine sharded(
+      {std::make_shared<const Engine>(std::move(local), cfg)}, {gids});
+  Engine single(pts, cfg);
+  for (Vec2 q : GridQueries(9)) {
+    EXPECT_EQ(sharded.NonzeroNn(q), single.NonzeroNn(q));
+    auto got = sharded.TopK(q, 4);
+    auto want = single.TopK(q, 4);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t j = 0; j < got.size(); ++j) {
+      EXPECT_EQ(got[j].first, want[j].first);
+      EXPECT_NEAR(got[j].second, want[j].second, 1e-12);
+    }
+  }
 }
 
 }  // namespace
