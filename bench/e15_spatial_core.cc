@@ -7,9 +7,9 @@
 //
 // Rows, one Engine per input model:
 //   batched_qm         ExpectedDistanceNn on discrete points (ExpectedNn);
-//   batched_mpnn       MostProbableNn on disks (Monte-Carlo backend,
-//   batched_threshold  Threshold        NearestBatch across every
-//   batched_topk       TopK             instantiation);
+//   batched_mpnn       MostProbableNn on disks (Monte-Carlo backend:
+//   batched_threshold  Threshold        batched envelope, then the
+//   batched_topk       TopK             per-query candidate sweep);
 //   batched_nonzero    NonzeroNn on discrete points (Theorem 3.2 index).
 //
 // Each row reports µs per query for both sides, their ratio as

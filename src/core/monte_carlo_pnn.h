@@ -6,20 +6,62 @@
 #include <utility>
 #include <vector>
 
+#include "core/quant_tree.h"
 #include "core/uncertain_point.h"
-#include "range/kdtree.h"
 #include "spatial/batch.h"
 
 /// \file monte_carlo_pnn.h
 /// The Monte-Carlo quantification-probability structure of Theorems 4.3
 /// (discrete) and 4.5 (continuous). Preprocessing draws s independent
-/// instantiations R_1..R_s of the point set and indexes each for
-/// nearest-neighbor queries (kd-trees in place of Voronoi+point-location:
-/// identical answers). A query finds the NN of q in every instantiation and
-/// returns hat-pi_i = (times P_i won) / s, which satisfies
-/// |hat-pi_i - pi_i| <= eps for all i simultaneously with probability
-/// >= 1 - delta when s = (1/2eps^2) ln(2 n |Q| / delta), |Q| = O(N^4)
-/// (Lemma 4.1).
+/// instantiations R_1..R_s of the point set. A query finds the nearest
+/// neighbor of q in every instantiation and returns hat-pi_i = (times P_i
+/// won) / s, which satisfies |hat-pi_i - pi_i| <= eps for all i
+/// simultaneously with probability >= 1 - delta when
+/// s = (1/2eps^2) ln(2 n |Q| / delta), |Q| = O(N^4) (Lemma 4.1).
+///
+/// Draws. One std::mt19937_64 seeded with `seed` draws instantiation by
+/// instantiation: for j = 0..s-1, for i = 0..n-1, x_ij =
+/// prob::SamplePoint(P_i, rng). They are stored point-major, so one
+/// point's s samples are contiguous.
+///
+/// Winners. The winner of instantiation j is argmin_i Dist(q, x_ij), ties
+/// toward the smaller id. The paper answers it with one Voronoi diagram
+/// per instantiation; this structure needs no per-instantiation index.
+///
+/// Candidate sweep. By Lemma 2.1 only points with delta_i(q) <= Delta(q)
+/// can win any instantiation: that is NN!=0(q), a handful of points on
+/// bounded-density inputs. A query takes the envelope from a QuantTree
+/// (best = Delta_a(q) for a = argbest), collects
+///   C(q) = {a} u {i : MinDist_i(q) <= best + guard}
+/// with QuantTree::SupportsWithin, and scans only C(q) in every
+/// instantiation: O(log n + |C| s) per query instead of s tree descents.
+///
+/// Soundness (the answer is the full n-point argmin, ties included).
+/// Let w be the winner of instantiation j. Then Dist(q, x_wj) <=
+/// Dist(q, x_aj), because a takes part in the argmin. The sample x_aj lies
+/// in the support of P_a, so Dist(q, x_aj) <= Delta_a(q); and x_wj lies in
+/// the support of P_w, so Dist(q, x_wj) >= delta_w(q). Together
+/// delta_w(q) <= Delta_a(q) = best, so w is in C(q), and so is every other
+/// id tied with w. The argmin over C(q) therefore equals the argmin over
+/// all n points, with the same smaller-id tie rule. In floating point each
+/// of these steps is off by rounding, and `guard` covers the total:
+///   * a disk sample is placed as center + offset, so it may sit a few
+///     ulps of the coordinates' magnitude outside its disk (discrete
+///     samples are the sites themselves and sit exactly);
+///   * Dist, MinDist, the envelope's MaxDist and the pruning box distance
+///     are each within a few ulps, relative to the value or to the
+///     magnitude of the coordinates they subtract.
+/// guard = 1e-9 * best + 16 * DBL_EPSILON * (|q|_inf + scale), where scale
+/// bounds |x|_inf over every support (|center|_inf + radius for a disk),
+/// is orders of magnitude above that sum. C(q) holds a even if rounding
+/// were to push it out, so a finite query has a winner in every
+/// instantiation: at |q| = 1e154 every point lands in C(q) and the scan
+/// still answers, where a squared-distance tree descent overflows.
+/// A query with a NaN or infinite coordinate gets empty estimates.
+///
+/// Thread safety: immutable after construction; queries are const and may
+/// run concurrently. Not copyable or movable: the owned QuantTree points
+/// at the owned point vector.
 
 namespace unn {
 namespace core {
@@ -36,20 +78,22 @@ class MonteCarloPnn {
  public:
   MonteCarloPnn(std::vector<UncertainPoint> points,
                 const MonteCarloPnnOptions& opts = {});
+  MonteCarloPnn(const MonteCarloPnn&) = delete;
+  MonteCarloPnn& operator=(const MonteCarloPnn&) = delete;
 
   /// Theorem 4.3 sample count for the given parameters and input size.
   static int RequiredSamples(int n, int k, double eps, double delta);
 
-  int num_instantiations() const { return static_cast<int>(trees_.size()); }
+  int num_instantiations() const { return s_; }
 
-  /// Estimates (id, hat-pi) for all ids with a nonzero count, sorted by id.
+  /// Estimates (id, hat-pi) for all ids with a nonzero count, sorted by
+  /// id. A one-query QueryBatch.
   std::vector<std::pair<int, double>> Query(geom::Vec2 q) const;
 
-  /// Batched Query: `out[i]` is bit-identical to `Query(queries[i])`.
-  /// Every instantiation answers the whole batch through
-  /// range::KdTree::NearestBatch (itself bit-identical per lane,
-  /// including argmin ties), and the per-query count aggregation is the
-  /// scalar arithmetic verbatim.
+  /// Query for every query of the batch, through one candidate sweep per
+  /// query after one batched envelope pass (QuantTree::MaxDistEnvelopeBatch,
+  /// whose traversal counters land in `stats`). `out[i]` does not depend
+  /// on the batch around `queries[i]`.
   std::vector<std::vector<std::pair<int, double>>> QueryBatch(
       std::span<const geom::Vec2> queries,
       spatial::BatchStats* stats = nullptr) const;
@@ -59,9 +103,14 @@ class MonteCarloPnn {
 
  private:
   std::vector<UncertainPoint> points_;
-  MonteCarloPnnOptions opts_;
-  /// One kd-tree per instantiation; point ids coincide with point indices.
-  std::vector<range::KdTree> trees_;
+  int s_ = 0;
+  /// x_ij at samples_[i * s_ + j].
+  std::vector<geom::Vec2> samples_;
+  /// Bound on |x|_inf over every support: the coordinate magnitude the
+  /// guard band's absolute term scales with.
+  double scale_ = 0.0;
+  /// Envelope and candidate enumeration over points_.
+  QuantTree quant_;
 };
 
 }  // namespace core

@@ -252,6 +252,25 @@ void QuantTree::LogSurvivalBatch(std::span<const geom::Vec2> queries,
   }
 }
 
+void QuantTree::SupportsWithin(geom::Vec2 q, double r,
+                               std::vector<int>* out) const {
+  spatial::PrunedVisit(
+      tree_,
+      [&](int n) {
+        const geom::Box& b = tree_.box(n);
+        double dx = std::max({b.lo.x - q.x, 0.0, q.x - b.hi.x});
+        double dy = std::max({b.lo.y - q.y, 0.0, q.y - b.hi.y});
+        return std::hypot(dx, dy) - tree_.aug().first.max(n) > r;
+      },
+      [&](int n) {
+        for (int j = tree_.begin(n); j < tree_.end(n); ++j) {
+          int id = tree_.item(j);
+          if ((*points_)[id].MinDist(q) <= r) out->push_back(id);
+        }
+        return true;
+      });
+}
+
 double QuantTree::LogSurvivalScan(const std::vector<UncertainPoint>& points,
                                   geom::Vec2 q, double r) {
   double acc = 0.0;

@@ -13,9 +13,10 @@
 
 /// \file quant_tree.h
 /// The quantification index: a kd-style hierarchy over the support regions
-/// of an uncertain point set, answering the three per-point quantification
-/// primitives the serving layer's cross-shard merges consume — previously
-/// O(n) linear scans per query — by branch-and-bound:
+/// of an uncertain point set, answering the per-point quantification
+/// primitives the serving layer's cross-shard merges and the Monte-Carlo
+/// estimator consume — previously O(n) linear scans per query — by
+/// branch-and-bound:
 ///
 ///   * MaxDistEnvelope(q)    — the two smallest Delta_i(q) = max-distance
 ///                             values plus the argmin (Lemma 2.1's pruning
@@ -31,7 +32,9 @@
 ///                             f(i) >= delta_i(q) (e.g. the expected
 ///                             distance E[d(q, P_i)]), pruning subtrees
 ///                             whose min-distance lower bound exceeds the
-///                             running best.
+///                             running best;
+///   * SupportsWithin(q, r)  — the ids whose support meets ball(q, r),
+///                             the candidate set of core::MonteCarloPnn.
 ///
 /// This is the practical stand-in for the Delta-based NN!=0 machinery of
 /// Section 3 and the BBD/quadtree hierarchies reused by the follow-up
@@ -136,6 +139,14 @@ class QuantTree {
   void LogSurvivalBatch(std::span<const geom::Vec2> queries,
                         std::span<const double> radii, std::span<double> out,
                         spatial::BatchStats* stats = nullptr) const;
+
+  /// Appends every id whose support reaches within `r` of q,
+  /// MinDist(q) <= r, in left-first leaf order (not sorted). Prunes with
+  /// the MinDistLowerBound bound, but takes the box distance by hypot
+  /// rather than by the squared distance the pack kernels share: squares
+  /// overflow to +infinity once |q| nears 1e154 and would prune every
+  /// subtree. O(log n + k) for k reported supports.
+  void SupportsWithin(geom::Vec2 q, double r, std::vector<int>* out) const;
 
   /// The O(n) linear-scan oracle for LogSurvival: the same per-point
   /// terms accumulated in id order. The one definition tests and

@@ -206,9 +206,9 @@ class Engine {
       geom::Vec2 q, double eps_needed = 0.0) const;
 
   /// Batched Probabilities: `out[i]` depends on `queries[i]` alone. The
-  /// effective estimator answers the whole batch through its
-  /// shared-traversal kernel (spiral prefix retrieval via KNearestBatch,
-  /// Monte-Carlo instantiation NNs via NearestBatch, or the discretized
+  /// effective estimator answers the whole batch through its batch
+  /// kernel (spiral prefix retrieval via KNearestBatch, the Monte-Carlo
+  /// candidate sweep after a batched envelope pass, or the discretized
   /// spiral); the exact-oracle fallback evaluates the definition per
   /// query. This is the substrate QueryMany's MostProbableNn/Threshold/
   /// TopK arms and the sharded pack fan-out share. Thread-safe.

@@ -31,8 +31,6 @@ const char* TraversalOpName(TraversalOp op) {
       return "quant_envelope";
     case TraversalOp::kQuantSurvival:
       return "quant_survival";
-    case TraversalOp::kQuantArgmin:
-      return "quant_argmin";
     case TraversalOp::kKdNearest:
       return "kd_nearest";
   }
@@ -43,7 +41,6 @@ const char* TraversalOpStructure(TraversalOp op) {
   switch (op) {
     case TraversalOp::kQuantEnvelope:
     case TraversalOp::kQuantSurvival:
-    case TraversalOp::kQuantArgmin:
       return "quant_tree";
     case TraversalOp::kKdNearest:
       return "flat_kd_tree";

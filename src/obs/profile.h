@@ -31,10 +31,9 @@ namespace obs {
 enum class TraversalOp {
   kQuantEnvelope = 0,  ///< QuantTree::MaxDistEnvelope (best-first).
   kQuantSurvival,      ///< QuantTree::LogSurvival (pruned DFS).
-  kQuantArgmin,        ///< QuantTree::ArgminPointwise (best-first).
   kKdNearest,          ///< range::KdTree nearest/k-nearest descents.
 };
-inline constexpr int kNumTraversalOps = 4;
+inline constexpr int kNumTraversalOps = 3;
 
 /// Metric label value for an op ("quant_envelope", ...).
 const char* TraversalOpName(TraversalOp op);

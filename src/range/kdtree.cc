@@ -45,92 +45,20 @@ int KdTree::Nearest(Vec2 q, double* dist) const {
   return best;
 }
 
-void KdTree::NearestBatch(std::span<const Vec2> queries,
-                          std::span<int> out_ids, std::span<double> out_dists,
-                          spatial::BatchStats* stats) const {
-  constexpr int kW = geom::kLaneWidth;
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  // The scalar descent compares hypot-based distances while any shared
-  // bound compares squared distances, and the two can disagree by a few
-  // ulps right at a pruning boundary. The batch pass therefore prunes
-  // against a widened threshold best^2 * kPruneHi (never discarding a
-  // boundary item) and flags for scalar replay any lane that evaluates a
-  // distance within kFlagBand (relative) of its evolving best — above or
-  // below — so a lane that stays unflagged provably saw no boundary
-  // case and its strict-min argmin equals the scalar result. kPruneHi's
-  // margin (4e-9 on the square ~ 2e-9 on the distance) is strictly wider
-  // than kFlagBand, so every item inside the flag band is evaluated.
-  constexpr double kPruneHi = 1.0 + 4e-9;
-  constexpr double kFlagBand = 1e-9;
-  for (size_t base = 0; base < queries.size(); base += kW) {
-    int count = static_cast<int>(std::min<size_t>(kW, queries.size() - base));
-    Vec2 qv[kW];
-    double qx[kW], qy[kW];
-    for (int l = 0; l < kW; ++l) {
-      qv[l] = queries[base + std::min(l, count - 1)];  // Pad ragged packs.
-      qx[l] = qv[l].x;
-      qy[l] = qv[l].y;
-    }
-    double best[kW];
-    int arg[kW];
-    bool replay[kW];
-    for (int l = 0; l < kW; ++l) {
-      best[l] = kInf;
-      arg[l] = -1;
-      replay[l] = false;
-    }
-    spatial::BatchPrunedVisitNearFirst(
-        tree_, spatial::FullMask(count),
-        [&](int n, double* lb) { geom::BoxDistSqLanes(qx, qy, tree_.box(n), lb); },
-        [&](int l, double lb) { return lb > best[l] * best[l] * kPruneHi; },
-        [&](int n, spatial::LaneMask m) {
-          for (int s = tree_.begin(n); s < tree_.end(n); ++s) {
-            int id = tree_.item(s);
-            double dsq[kW];
-            geom::DistSqLanes(qx, qy, pts_[id], dsq);
-            for (int l = 0; l < kW; ++l) {
-              if ((m >> l & 1u) == 0) continue;
-              if (dsq[l] > best[l] * best[l] * kPruneHi) continue;
-              if (stats != nullptr) ++stats->lane_points_evaluated;
-              double d = Dist(qv[l], pts_[id]);
-              if (d == best[l] ||
-                  (d < best[l] && d >= best[l] * (1.0 - kFlagBand)) ||
-                  (d > best[l] && d <= best[l] * (1.0 + kFlagBand))) {
-                replay[l] = true;
-              }
-              if (d < best[l]) {
-                best[l] = d;
-                arg[l] = id;
-              }
-            }
-          }
-        },
-        stats);
-    if (stats != nullptr) ++stats->packs;
-    for (int l = 0; l < count; ++l) {
-      double d = best[l];
-      int id = arg[l];
-      if (replay[l]) {
-        if (stats != nullptr) ++stats->scalar_replays;
-        id = Nearest(queries[base + l], &d);
-      }
-      out_ids[base + l] = id;
-      if (!out_dists.empty()) out_dists[base + l] = d;
-    }
-  }
-}
-
 void KdTree::KNearestBatch(std::span<const Vec2> queries, int k,
                            std::vector<std::vector<int>>* out_ids,
                            std::vector<std::vector<double>>* out_dists,
                            spatial::BatchStats* stats) const {
   constexpr int kW = geom::kLaneWidth;
-  // Same widened-prune / flag-band pairing as NearestBatch, with the
-  // evolving k-th distance playing the role of the best: the shared pass
-  // never discards a candidate at the selection boundary, and any lane
-  // that saw a candidate within the band of that boundary — or an exact
-  // tie inside its selected prefix, where the enumerator's yield order
-  // is heap order — replays the scalar enumeration verbatim.
+  // The enumerator compares hypot-based distances while the shared pass
+  // prunes on squared distances, and the two can disagree by a few ulps
+  // right at the evolving k-th distance. The pass therefore prunes
+  // against a widened threshold kth^2 * kPruneHi, so it never discards a
+  // candidate at the selection boundary (the margin, 4e-9 on the square
+  // ~ 2e-9 on the distance, is strictly wider than kFlagBand), and any
+  // lane that saw a candidate within kFlagBand of that boundary — or an
+  // exact tie inside its selected prefix, where the enumerator's yield
+  // order is heap order — replays the scalar enumeration verbatim.
   constexpr double kPruneHi = 1.0 + 4e-9;
   constexpr double kFlagBand = 1e-9;
   out_ids->assign(queries.size(), {});

@@ -34,17 +34,6 @@ class KdTree {
   /// Nearest point id (-1 if empty); optionally its distance.
   int Nearest(geom::Vec2 q, double* dist = nullptr) const;
 
-  /// Nearest for a batch: `out_ids[i]` (and `out_dists[i]` when that span
-  /// is non-empty) is bit-identical to `Nearest(queries[i], &d)`,
-  /// including the first-in-DFS-order argmin tie. Queries are packed
-  /// geom::kLaneWidth at a time through one shared traversal with SIMD
-  /// box/point prefilters; lanes whose minimum is tied or sits inside a
-  /// 1e-9-relative guard band of a pruning boundary replay the scalar
-  /// descent (see the idiom note in spatial/batch.h).
-  void NearestBatch(std::span<const geom::Vec2> queries,
-                    std::span<int> out_ids, std::span<double> out_dists = {},
-                    spatial::BatchStats* stats = nullptr) const;
-
   /// Ids of the k nearest points, ordered by increasing distance.
   std::vector<int> KNearest(geom::Vec2 q, int k) const;
 

@@ -3,15 +3,19 @@
 // bit-identical to its scalar counterpart — including argmin tie
 // semantics — on adversarial inputs: clustered sites, coincident
 // anchors, duplicated points, equal radii, duplicate coordinates, and
-// queries snapped onto site coordinates so distances tie exactly. At the
+// queries snapped onto site coordinates so distances tie exactly. The
+// Monte-Carlo estimator is checked against its definition instead: the
+// instantiations redrawn and every one scanned over all n points. At the
 // Engine level, where QueryMany is the only path, a query's answer must
 // not depend on its pack. Batch sizes sweep 1..2*kLaneWidth+1, covering every pack size 1..8
 // and ragged final packs. CTest runs a fixed seeded corpus; the nightly
 // CI job raises the iteration count through UNN_FUZZ_ITERS.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <random>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -25,6 +29,7 @@
 #include "core/uncertain_point.h"
 #include "engine/engine.h"
 #include "geom/lanes.h"
+#include "prob/distributions.h"
 #include "range/kdtree.h"
 #include "workload/generators.h"
 
@@ -177,43 +182,6 @@ TEST(BatchFuzz, QueryExpectedBatchBitIdentical) {
       index.QueryExpectedBatch(qs, 1e-8, got, &stats);
       for (size_t i = 0; i < qs.size(); ++i) {
         EXPECT_EQ(got[i], index.QueryExpected(qs[i], 1e-8))
-            << "it=" << it << " m=" << m << " i=" << i;
-      }
-    }
-  }
-}
-
-TEST(BatchFuzz, KdNearestBatchBitIdentical) {
-  int iters = FuzzIters(8);
-  for (int it = 0; it < iters; ++it) {
-    uint64_t seed = 3000 + 13 * static_cast<uint64_t>(it);
-    std::mt19937_64 rng(seed);
-    std::uniform_int_distribution<int> grid(-12, 12);
-    std::uniform_real_distribution<double> u(-10, 10);
-    int n = 50 + (it % 6) * 31;
-    std::vector<Vec2> pts(n);
-    for (int i = 0; i < n; ++i) {
-      // Duplicate coordinates on purpose: grid snapping plus literal
-      // repeats of earlier points.
-      if (i % 7 == 3 && i > 0) {
-        pts[i] = pts[rng() % i];
-      } else if (i % 2 == 0) {
-        pts[i] = {grid(rng) * 0.5, grid(rng) * 0.5};
-      } else {
-        pts[i] = {u(rng), u(rng)};
-      }
-    }
-    range::KdTree tree(pts);
-    for (int m = 1; m <= 2 * geom::kLaneWidth + 1; ++m) {
-      auto qs = AdversarialQueries(m, seed + m);
-      std::vector<int> ids(qs.size());
-      std::vector<double> dists(qs.size());
-      tree.NearestBatch(qs, ids, dists);
-      for (size_t i = 0; i < qs.size(); ++i) {
-        double want_d = 0;
-        int want = tree.Nearest(qs[i], &want_d);
-        EXPECT_EQ(ids[i], want) << "it=" << it << " m=" << m << " i=" << i;
-        EXPECT_EQ(dists[i], want_d)
             << "it=" << it << " m=" << m << " i=" << i;
       }
     }
@@ -380,7 +348,8 @@ TEST(BatchFuzz, KdKNearestBatchBitIdentical) {
     int n = 40 + (it % 5) * 23;
     std::vector<Vec2> pts(n);
     for (int i = 0; i < n; ++i) {
-      // Duplicate coordinates on purpose, as in NearestBatch's fuzz.
+      // Duplicate coordinates on purpose: grid snapping plus literal
+      // repeats of earlier points.
       if (i % 7 == 3 && i > 0) {
         pts[i] = pts[rng() % i];
       } else if (i % 2 == 0) {
@@ -436,29 +405,153 @@ TEST(BatchFuzz, SpiralQueryBatchBitIdentical) {
   }
 }
 
-TEST(BatchFuzz, MonteCarloQueryBatchBitIdentical) {
-  int iters = FuzzIters(4);
-  for (int it = 0; it < iters; ++it) {
-    uint64_t seed = 12000 + 47 * static_cast<uint64_t>(it);
-    // Includes the disk sets: instantiation draws are per-structure, so
-    // both paths see the same trees regardless of model.
-    auto pts = AdversarialSet(it, 24 + it * 7, seed);
-    core::MonteCarloPnnOptions opts;
-    opts.s_override = 16;
-    opts.seed = seed;
-    core::MonteCarloPnn mc(pts, opts);
-    for (int m = 1; m <= 2 * geom::kLaneWidth + 1; m += 2) {
-      auto qs = AdversarialQueries(m, seed + m);
-      spatial::BatchStats stats;
-      auto got = mc.QueryBatch(qs, &stats);
-      ASSERT_EQ(got.size(), qs.size());
-      EXPECT_GT(stats.packs, 0);
-      for (size_t i = 0; i < qs.size(); ++i) {
-        EXPECT_EQ(got[i], mc.Query(qs[i]))
-            << "it=" << it << " m=" << m << " i=" << i;
+// ---------------------------------------------------------------------------
+// Monte-Carlo differential oracle: the candidate sweep against the
+// estimator's definition, every instantiation scanned over all n points.
+// ---------------------------------------------------------------------------
+
+/// The s instantiations in the documented draw order: one mt19937_64,
+/// instantiation-major, one prob::SamplePoint per point.
+std::vector<std::vector<Vec2>> DrawInstantiations(
+    const std::vector<UncertainPoint>& pts, uint64_t seed, int s) {
+  std::mt19937_64 rng(seed);
+  std::vector<std::vector<Vec2>> inst(s, std::vector<Vec2>(pts.size()));
+  for (auto& r : inst) {
+    for (size_t i = 0; i < pts.size(); ++i) {
+      r[i] = prob::SamplePoint(pts[i], rng);
+    }
+  }
+  return inst;
+}
+
+/// hat-pi by definition: the winner of each instantiation is the first
+/// strict minimum of Dist over all n points in id order (ties toward the
+/// smaller id); a non-finite query has no estimates.
+std::vector<std::pair<int, double>> MonteCarloOracle(
+    const std::vector<std::vector<Vec2>>& inst, Vec2 q) {
+  if (!std::isfinite(q.x) || !std::isfinite(q.y)) return {};
+  std::vector<int> wins(inst[0].size(), 0);
+  for (const std::vector<Vec2>& r : inst) {
+    int best = 0;
+    double best_d = Dist(q, r[0]);
+    for (size_t i = 1; i < r.size(); ++i) {
+      double d = Dist(q, r[i]);
+      if (d < best_d) {
+        best_d = d;
+        best = static_cast<int>(i);
+      }
+    }
+    ++wins[best];
+  }
+  std::vector<std::pair<int, double>> out;
+  for (size_t i = 0; i < wins.size(); ++i) {
+    if (wins[i] > 0) {
+      out.push_back({static_cast<int>(i),
+                     wins[i] / static_cast<double>(inst.size())});
+    }
+  }
+  return out;
+}
+
+/// Corpora for the oracle, each with queries aimed at its exact ties:
+/// grid-snapped queries moved by `shift`, plus support boundaries and
+/// sites.
+struct McCorpus {
+  const char* name;
+  std::vector<UncertainPoint> pts;
+  Vec2 shift;
+  std::vector<Vec2> queries;
+};
+
+std::vector<McCorpus> MonteCarloCorpora(uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<int> grid(-6, 6);
+  std::vector<McCorpus> out;
+  out.push_back({"uniform_disks", workload::RandomDisks(48, seed), {}, {}});
+  auto gauss = workload::RandomDisks(48, seed + 1);
+  for (auto& d : gauss) {
+    d = UncertainPoint::Disk(d.center(), d.radius(),
+                             core::DiskPdf::kTruncatedGaussian);
+  }
+  out.push_back({"gaussian_disks", std::move(gauss), {}, {}});
+  // Certain points on a coarse grid: exact duplicate sites across ids,
+  // so instantiation ties are exact and only the id rule decides them.
+  std::vector<UncertainPoint> certain;
+  for (int i = 0; i < 40; ++i) {
+    certain.push_back(UncertainPoint::Discrete(
+        {{grid(rng) * 0.5, grid(rng) * 0.5}}, {1.0}));
+  }
+  out.push_back({"certain_points", std::move(certain), {}, {}});
+  out.push_back({"duplicate_sites", ClusteredDiscrete(40, seed), {}, {}});
+  out.push_back({"coincident_anchors", CoincidentAnchors(40, seed), {}, {}});
+  out.push_back({"equal_radii", EqualRadiusDisks(40, seed), {}, {}});
+  auto mixed = EqualRadiusDisks(20, seed + 2);
+  for (auto& p : ClusteredDiscrete(20, seed + 3)) mixed.push_back(p);
+  out.push_back({"mixed", std::move(mixed), {}, {}});
+  // A cluster 1e8 away from the origin: the absolute term of the guard
+  // band scales with the coordinates, not with the radii.
+  std::vector<UncertainPoint> far;
+  const Vec2 offset{1e8, -1e8};
+  for (int i = 0; i < 40; ++i) {
+    far.push_back(UncertainPoint::Disk(
+        offset + Vec2{grid(rng) * 0.5, grid(rng) * 0.5}, 1.0));
+  }
+  out.push_back({"far_offset", std::move(far), offset, {}});
+  for (McCorpus& c : out) {
+    for (Vec2 q : AdversarialQueries(12, seed + 5)) {
+      c.queries.push_back(q + c.shift);
+    }
+    for (size_t i = 0; i < c.pts.size(); i += 5) {
+      const UncertainPoint& p = c.pts[i];
+      if (p.is_disk()) {
+        c.queries.push_back(p.center() + Vec2{p.radius(), 0});
+        c.queries.push_back(p.center() - Vec2{0, p.radius()});
+        c.queries.push_back(p.center());
+      } else {
+        c.queries.push_back(p.sites().front());
       }
     }
   }
+  return out;
+}
+
+TEST(BatchFuzz, MonteCarloMatchesDefinitionOracle) {
+  int iters = FuzzIters(2);
+  int checked = 0;
+  for (int it = 0; it < iters; ++it) {
+    uint64_t seed = 12000 + 47 * static_cast<uint64_t>(it);
+    for (const McCorpus& c : MonteCarloCorpora(seed)) {
+      core::MonteCarloPnnOptions opts;
+      opts.s_override = 24;
+      opts.seed = seed;
+      core::MonteCarloPnn mc(c.pts, opts);
+      auto inst = DrawInstantiations(c.pts, seed, opts.s_override);
+      std::vector<std::vector<std::pair<int, double>>> want;
+      for (Vec2 q : c.queries) want.push_back(MonteCarloOracle(inst, q));
+      for (size_t i = 0; i < c.queries.size(); ++i) {
+        EXPECT_EQ(mc.Query(c.queries[i]), want[i])
+            << c.name << " it=" << it << " i=" << i;
+      }
+      // Batched == scalar == oracle for every batch size 1..17: the
+      // corpus' queries cut into consecutive batches of m.
+      const size_t nq = c.queries.size();
+      for (int m = 1; m <= 2 * geom::kLaneWidth + 1; ++m) {
+        for (size_t base = 0; base + m <= nq; base += m) {
+          std::span<const Vec2> qs(c.queries.data() + base, m);
+          spatial::BatchStats stats;
+          auto got = mc.QueryBatch(qs, &stats);
+          ASSERT_EQ(got.size(), qs.size());
+          EXPECT_GT(stats.packs, 0);
+          for (int i = 0; i < m; ++i) {
+            EXPECT_EQ(got[i], want[base + i])
+                << c.name << " it=" << it << " m=" << m << " i=" << base + i;
+            ++checked;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 1000);
 }
 
 // ---------------------------------------------------------------------------

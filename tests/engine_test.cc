@@ -343,6 +343,19 @@ TEST(EngineExpectedDistanceNn, CoincidentPointsDegenerate) {
   EXPECT_EQ(engine.ExpectedDistanceNn({7, 0}), 3);
 }
 
+TEST(EngineMostProbableNn, DiskQueryAtHugeMagnitudeReturnsValidId) {
+  // 1e154 squared overflows to +inf. The Monte-Carlo estimator must still
+  // find a winner in every instantiation (a squared-distance kd descent
+  // pruned everything here and answered -1).
+  auto pts = workload::RandomDisks(60, /*seed=*/5);
+  Engine engine(pts, {});
+  for (Vec2 q : {Vec2{1e154, 0}, Vec2{-1e154, 1e154}, Vec2{3, 1e154}}) {
+    int nn = engine.MostProbableNn(q);
+    EXPECT_GE(nn, 0) << q.x << "," << q.y;
+    EXPECT_LT(nn, static_cast<int>(pts.size())) << q.x << "," << q.y;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // QueryMany: batched answers identical to one-at-a-time answers.
 // ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <limits>
 #include <random>
 
 #include <gtest/gtest.h>
@@ -165,6 +166,58 @@ TEST(MonteCarloPnn, EstimatesSumToAtMostOne) {
   double sum = 0;
   for (auto [id, p] : est) sum += p;
   EXPECT_NEAR(sum, 1.0, 1e-12);  // Counts partition the instantiations.
+}
+
+TEST(MonteCarloPnn, CoincidentPointsSmallestIdWinsEveryInstantiation) {
+  // Every instantiation ties exactly across all five certain points; the
+  // winner rule is the smaller id, so id 0 takes all s draws.
+  std::vector<UncertainPoint> pts(5, UncertainPoint::Discrete({{1, 1}}, {1.0}));
+  MonteCarloPnnOptions opts;
+  opts.s_override = 64;
+  MonteCarloPnn mc(pts, opts);
+  for (Vec2 q : {Vec2{0, 0}, Vec2{1, 1}, Vec2{-3, 8}}) {
+    auto est = mc.Query(q);
+    ASSERT_EQ(est.size(), 1u);
+    EXPECT_EQ(est[0].first, 0);
+    EXPECT_EQ(est[0].second, 1.0);
+  }
+}
+
+TEST(MonteCarloPnn, SameSeedSameEstimates) {
+  std::mt19937_64 rng(79);
+  auto pts = RandomDiscrete(12, 3, rng, 4.0, 2.0);
+  pts.push_back(UncertainPoint::Disk({0.5, 0.5}, 1.5));
+  MonteCarloPnnOptions opts;
+  opts.s_override = 300;
+  opts.seed = 1234;
+  MonteCarloPnn a(pts, opts);
+  MonteCarloPnn b(pts, opts);
+  std::uniform_real_distribution<double> qu(-6, 6);
+  for (int t = 0; t < 20; ++t) {
+    Vec2 q{qu(rng), qu(rng)};
+    EXPECT_EQ(a.Query(q), b.Query(q)) << "t=" << t;
+  }
+}
+
+TEST(MonteCarloPnn, NonFiniteQueryHasNoEstimates) {
+  std::mt19937_64 rng(80);
+  auto pts = RandomDiscrete(6, 2, rng);
+  pts.push_back(UncertainPoint::Disk({0, 0}, 1.0));
+  MonteCarloPnnOptions opts;
+  opts.s_override = 32;
+  MonteCarloPnn mc(pts, opts);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_TRUE(mc.Query({nan, 0}).empty());
+  EXPECT_TRUE(mc.Query({0, nan}).empty());
+  EXPECT_TRUE(mc.Query({inf, 0}).empty());
+  // Inside a batch the non-finite lane is empty and its neighbours are
+  // answered as if alone.
+  std::vector<Vec2> qs = {{0.5, 0.5}, {nan, nan}, {1, -1}};
+  auto batch = mc.QueryBatch(qs);
+  EXPECT_EQ(batch[0], mc.Query(qs[0]));
+  EXPECT_TRUE(batch[1].empty());
+  EXPECT_EQ(batch[2], mc.Query(qs[2]));
 }
 
 class SpiralSearchEps : public ::testing::TestWithParam<double> {};
