@@ -1,7 +1,7 @@
 // Experiment E14 — the quantification index (core::QuantTree) against the
 // O(n) linear scans it replaces behind Engine::MaxDistEnvelope and
-// Engine::SurvivalProbability. For each n the driver measures, on the same
-// query set, (a) the two-smallest max-distance envelope via the
+// Engine::LogSurvivalProbability. For each n the driver measures, on the
+// same query set, (a) the two-smallest max-distance envelope via the
 // definition-level scan and via the index, and (b) the log-space survival
 // probability via a linear log accumulation and via the index, verifying
 // the answers agree (envelope bit-identical, survival within float

@@ -11,7 +11,6 @@
 #include "baselines/brute_force.h"
 #include "core/monte_carlo_pnn.h"
 #include "core/nn_nonzero_discrete_index.h"
-#include "core/pnn_queries.h"
 #include "core/spiral_search.h"
 #include "engine/engine.h"
 #include "workload/generators.h"
@@ -52,23 +51,19 @@ int main(int argc, char** argv) {
   printf("(spiral retrieved %d of %d sites; rho = %.2f)\n",
          spiral.SitesRetrieved(0.01), n * k, spiral.rho());
 
-  // Service decisions on top of the estimates.
-  auto vip = core::ThresholdQuery(spiral, venue, 0.2);
-  printf("users with pi >= 0.2:");
-  for (auto [id, p] : vip) printf("  %d (%.3f)", id, p);
-  printf("\n");
-  auto top = core::TopKQuery(spiral, venue, 3);
-  printf("push notification order:");
-  for (auto [id, p] : top) printf("  %d", id);
-  printf("\n");
-
-  // The same decisions through the Engine facade (backend auto-selects the
-  // spiral search for all-discrete inputs).
+  // Service decisions through the Engine facade (backend auto-selects the
+  // spiral search for all-discrete inputs, here at the table's eps).
   Engine::Config cfg;
   cfg.eps = 0.01;
   Engine engine(users, cfg);
-  printf("engine: most-probable NN = %d, top-3 =", engine.MostProbableNn(venue));
+  printf("users with pi >= 0.2:");
+  for (auto [id, p] : engine.Threshold(venue, 0.2)) {
+    printf("  %d (%.3f)", id, p);
+  }
+  printf("\n");
+  printf("push notification order:");
   for (auto [id, p] : engine.TopK(venue, 3)) printf("  %d", id);
   printf("\n");
+  printf("engine: most-probable NN = %d\n", engine.MostProbableNn(venue));
   return 0;
 }

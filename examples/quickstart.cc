@@ -9,7 +9,6 @@
 #include "core/monte_carlo_pnn.h"
 #include "core/nn_nonzero_index.h"
 #include "core/nonzero_voronoi.h"
-#include "core/pnn_queries.h"
 #include "core/spiral_search.h"
 #include "core/vpr_diagram.h"
 #include "engine/engine.h"
@@ -74,15 +73,6 @@ int main() {
   for (auto [id, p] : spiral.Query(q, 0.01)) printf("  U%d: %.4f", id, p);
   printf("   (retrieved %d of %d sites)\n", spiral.SitesRetrieved(0.01), 7);
 
-  // Threshold and top-k queries on top of the estimator.
-  auto over = core::ThresholdQuery(spiral, q, 0.25);
-  printf("users with pi >= 0.25 (no false negatives):");
-  for (auto [id, p] : over) printf("  U%d(%.3f)", id, p);
-  printf("\n");
-  auto top = core::TopKQuery(spiral, q, 2);
-  printf("top-2 probable NN: U%d then U%d\n", top[0].first,
-         top.size() > 1 ? top[1].first : -1);
-
   // --- The Engine facade: every query type behind one API. ---
   Engine::Config cfg;
   cfg.eps = 0.01;
@@ -90,6 +80,14 @@ int main() {
   printf("\nEngine facade (backend=auto): most-probable NN = U%d, "
          "expected-distance NN = U%d\n",
          engine.MostProbableNn(q), engine.ExpectedDistanceNn(q));
+
+  // Threshold and top-k queries on top of the same estimator.
+  printf("users with pi >= 0.25 (no false negatives):");
+  for (auto [id, p] : engine.Threshold(q, 0.25)) printf("  U%d(%.3f)", id, p);
+  printf("\n");
+  auto top = engine.TopK(q, 2);
+  printf("top-2 probable NN: U%d then U%d\n", top[0].first,
+         top.size() > 1 ? top[1].first : -1);
   std::vector<Vec2> batch = {{3, 2}, {0, 0}, {5, 5}};
   auto answers =
       engine.QueryMany(batch, {Engine::QueryType::kMostProbableNn});

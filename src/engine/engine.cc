@@ -1,7 +1,6 @@
 #include "engine/engine.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "baselines/brute_force.h"
 #include "core/exact_pnn.h"
@@ -66,18 +65,6 @@ const core::SpiralSearch& Engine::GetSpiralSearch() const {
   });
 }
 
-const core::NonzeroVoronoi& Engine::GetVoronoi() const {
-  return BuildOnce(voronoi_once_, voronoi_, builds_, [this] {
-    return std::make_unique<core::NonzeroVoronoi>(points_);
-  });
-}
-
-const core::NonzeroVoronoiDiscrete& Engine::GetVoronoiDiscrete() const {
-  return BuildOnce(voronoi_discrete_once_, voronoi_discrete_, builds_, [this] {
-    return std::make_unique<core::NonzeroVoronoiDiscrete>(points_);
-  });
-}
-
 const core::NnNonzeroIndex& Engine::GetNonzeroIndex() const {
   return BuildOnce(nonzero_index_once_, nonzero_index_, builds_, [this] {
     return std::make_unique<core::NnNonzeroIndex>(points_);
@@ -90,27 +77,10 @@ const core::NnNonzeroDiscreteIndex& Engine::GetNonzeroDiscrete() const {
   });
 }
 
-std::shared_ptr<const core::ContinuousSpiralSearch> Engine::GetContinuousSpiral(
-    double eps) const {
-  // The cached structure is keyed by its discretization accuracy; a request
-  // for a tighter accuracy rebuilds it.
-  {
-    ReaderMutexLock lock(&estimator_mu_);
-    if (cont_spiral_ && cont_spiral_eps_ <= eps) return cont_spiral_;
-  }
-  WriterMutexLock lock(&estimator_mu_);
-  if (!cont_spiral_ || cont_spiral_eps_ > eps) {
-    cont_spiral_ = std::make_shared<const core::ContinuousSpiralSearch>(
-        points_, eps, config_.seed);
-    cont_spiral_eps_ = eps;
-    // relaxed: observability counter (see BuildOnce).
-    builds_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return cont_spiral_;
-}
-
 std::shared_ptr<const core::MonteCarloPnn> Engine::GetMonteCarlo(
     double eps) const {
+  // The cached structure is keyed by its accuracy; a request for a tighter
+  // accuracy rebuilds it.
   {
     ReaderMutexLock lock(&estimator_mu_);
     if (monte_carlo_ && monte_carlo_eps_ <= eps) return monte_carlo_;
@@ -130,31 +100,6 @@ std::shared_ptr<const core::MonteCarloPnn> Engine::GetMonteCarlo(
   return monte_carlo_;
 }
 
-const std::vector<core::SquareRegion>& Engine::DerivedSquares() const {
-  std::call_once(squares_once_, [this] {
-    squares_.reserve(points_.size());
-    for (const auto& p : points_) {
-      core::SquareRegion s;
-      if (p.is_disk()) {
-        s.center = p.center();
-        s.half_side = p.radius();
-      } else {
-        geom::Box b = p.Bounds();
-        s.center = b.Center();
-        s.half_side = std::max(b.Width(), b.Height()) / 2;
-      }
-      squares_.push_back(s);
-    }
-  });
-  return squares_;
-}
-
-const core::LinfNonzeroIndex& Engine::GetLinfIndex() const {
-  return BuildOnce(linf_index_once_, linf_index_, builds_, [this] {
-    return std::make_unique<core::LinfNonzeroIndex>(DerivedSquares());
-  });
-}
-
 const core::QuantTree& Engine::GetQuantTree() const {
   // points_ is immutable for the Engine's lifetime, so handing the tree a
   // pointer is safe.
@@ -167,24 +112,6 @@ const core::QuantTree& Engine::GetQuantTree() const {
 // Quantification probabilities (the shared substrate of MostProbableNn,
 // Threshold and TopK)
 // ---------------------------------------------------------------------------
-
-Backend Engine::EffectiveProbBackend() const {
-  switch (config_.backend) {
-    case Backend::kBruteForce:
-    case Backend::kSpiralSearch:
-    case Backend::kMonteCarlo:
-      return config_.backend;
-    case Backend::kAuto:
-      // The strongest estimator the model admits: Theorem 4.7 prefix
-      // evaluation for purely discrete inputs, Monte Carlo otherwise
-      // (it alone handles mixed models natively).
-      return all_discrete_ ? Backend::kSpiralSearch : Backend::kMonteCarlo;
-    default:
-      // Index families without probability machinery answer through the
-      // exact definition-level oracle.
-      return Backend::kBruteForce;
-  }
-}
 
 std::vector<std::pair<int, double>> Engine::ExactProbabilities(
     geom::Vec2 q) const {
@@ -203,26 +130,24 @@ std::vector<std::pair<int, double>> Engine::Probabilities(
 std::vector<std::vector<std::pair<int, double>>> Engine::ProbabilitiesMany(
     std::span<const geom::Vec2> queries, double eps_needed,
     spatial::BatchStats* stats) const {
+  if (config_.backend == Backend::kBruteForce) {
+    // The exact oracle has no traversal to share; the batch is the scalar
+    // definition per query.
+    std::vector<std::vector<std::pair<int, double>>> out(queries.size());
+    for (size_t i = 0; i < queries.size(); ++i) {
+      out[i] = ExactProbabilities(queries[i]);
+    }
+    return out;
+  }
   double eps = eps_needed > 0 ? std::min(eps_needed, config_.eps)
                               : config_.eps;
-  switch (EffectiveProbBackend()) {
-    case Backend::kSpiralSearch:
-      if (all_discrete_) return GetSpiralSearch().QueryBatch(queries, eps, stats);
-      // Theorem 4.5 discretization + discrete spiral search; the error
-      // budget is split evenly between the two stages.
-      return GetContinuousSpiral(eps / 2)->QueryBatch(queries, eps / 2, stats);
-    case Backend::kMonteCarlo:
-      return GetMonteCarlo(eps)->QueryBatch(queries, stats);
-    default: {
-      // The exact oracle has no traversal to share; the batch is the
-      // scalar definition per query.
-      std::vector<std::vector<std::pair<int, double>>> out(queries.size());
-      for (size_t i = 0; i < queries.size(); ++i) {
-        out[i] = ExactProbabilities(queries[i]);
-      }
-      return out;
-    }
+  // kAuto takes the strongest estimator the model admits: Theorem 4.7
+  // prefix evaluation for purely discrete inputs, Monte Carlo otherwise
+  // (it alone handles mixed models natively).
+  if (config_.backend == Backend::kAuto && all_discrete_) {
+    return GetSpiralSearch().QueryBatch(queries, eps, stats);
   }
+  return GetMonteCarlo(eps)->QueryBatch(queries, stats);
 }
 
 // ---------------------------------------------------------------------------
@@ -275,10 +200,6 @@ void Engine::MaxDistEnvelopeMany(std::span<const geom::Vec2> queries,
   GetQuantTree().MaxDistEnvelopeBatch(queries, out, stats);
 }
 
-double Engine::SurvivalProbability(geom::Vec2 q, double r) const {
-  return std::exp(LogSurvivalProbability(q, r));
-}
-
 double Engine::LogSurvivalProbability(geom::Vec2 q, double r) const {
   if (obs::TraversalProfilingEnabled()) {
     core::QuantTree::QueryStats st;
@@ -287,29 +208,6 @@ double Engine::LogSurvivalProbability(geom::Vec2 q, double r) const {
     return v;
   }
   return GetQuantTree().LogSurvival(q, r);
-}
-
-// ---------------------------------------------------------------------------
-// NN!=0
-// ---------------------------------------------------------------------------
-
-Backend Engine::EffectiveNonzeroBackend() const {
-  Backend b = config_.backend;
-  if (b == Backend::kAuto) {
-    b = (all_disk_ || all_discrete_) ? Backend::kNonzeroIndex
-                                     : Backend::kBruteForce;
-  }
-  switch (b) {
-    case Backend::kNonzeroVoronoi:
-    case Backend::kNonzeroIndex:
-      // Mixed model: no diagram/index — exact oracle.
-      if (!all_disk_ && !all_discrete_) return Backend::kBruteForce;
-      return b;
-    case Backend::kLinfIndex:
-      return b;
-    default:
-      return Backend::kBruteForce;
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -348,10 +246,9 @@ std::vector<Engine::QueryResult> Engine::QueryMany(
   // One uniform dispatch: every type runs through its shared-traversal
   // kernel (spatial/batch.h), each lane's answer independent of the rest
   // of the pack (docs/ARCHITECTURE.md "Batch traversal" has the coverage
-  // matrix and per-kernel exactness argument). Backends a type has no
-  // kernel for — the definition-level NN!=0 oracle, the Voronoi and
-  // L_inf families, the all-disk nonzero index — loop their per-query
-  // structure inside the case arm.
+  // matrix and per-kernel exactness argument). Structures a type has no
+  // kernel for — the definition-level NN!=0 oracle and the all-disk
+  // nonzero index — loop their per-query answer inside the case arm.
   switch (spec.type) {
     case QueryType::kMostProbableNn: {
       auto est = ProbabilitiesMany(queries);
@@ -385,7 +282,7 @@ std::vector<Engine::QueryResult> Engine::QueryMany(
     case QueryType::kThreshold: {
       // [DYM+05] semantics with no false negatives: estimate at accuracy
       // tau/2 and report everyone whose estimate may still reach tau.
-      bool exact = EffectiveProbBackend() == Backend::kBruteForce;
+      bool exact = config_.backend == Backend::kBruteForce;
       double eps = exact ? 0.0 : std::min(config_.eps, spec.tau / 2);
       auto est = ProbabilitiesMany(queries, spec.tau / 2);
       for (size_t i = 0; i < queries.size(); ++i) {
@@ -403,8 +300,11 @@ std::vector<Engine::QueryResult> Engine::QueryMany(
       break;
     }
     case QueryType::kNonzeroNn: {
-      Backend backend = EffectiveNonzeroBackend();
-      if (backend == Backend::kNonzeroIndex && !all_disk_) {
+      // kAuto on a homogeneous set uses the Theorem 3.1/3.2 index; every
+      // other configuration answers from the definition-level oracle.
+      bool indexed = config_.backend == Backend::kAuto &&
+                     (all_disk_ || all_discrete_);
+      if (indexed && all_discrete_) {
         auto ids = GetNonzeroDiscrete().QueryBatch(queries);
         for (size_t i = 0; i < queries.size(); ++i) {
           results[i].ids = std::move(ids[i]);
@@ -412,22 +312,9 @@ std::vector<Engine::QueryResult> Engine::QueryMany(
         break;
       }
       for (size_t i = 0; i < queries.size(); ++i) {
-        geom::Vec2 q = queries[i];
-        std::vector<int>& ids = results[i].ids;
-        switch (backend) {
-          case Backend::kNonzeroVoronoi:
-            ids = all_disk_ ? GetVoronoi().Query(q)
-                            : GetVoronoiDiscrete().Query(q);
-            break;
-          case Backend::kNonzeroIndex:  // All-disk: no batched kernel.
-            ids = GetNonzeroIndex().Query(q);
-            break;
-          case Backend::kLinfIndex:
-            ids = GetLinfIndex().Query(q);
-            break;
-          default:
-            ids = baselines::NonzeroNn(points_, q);
-        }
+        results[i].ids = indexed  // All-disk: no batched kernel.
+                             ? GetNonzeroIndex().Query(queries[i])
+                             : baselines::NonzeroNn(points_, queries[i]);
       }
       break;
     }

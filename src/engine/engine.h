@@ -10,12 +10,9 @@
 #include <vector>
 
 #include "core/expected_nn.h"
-#include "core/linf_nonzero_index.h"
 #include "core/monte_carlo_pnn.h"
 #include "core/nn_nonzero_discrete_index.h"
 #include "core/nn_nonzero_index.h"
-#include "core/nonzero_voronoi.h"
-#include "core/nonzero_voronoi_discrete.h"
 #include "core/quant_tree.h"
 #include "core/spiral_search.h"
 #include "core/uncertain_point.h"
@@ -24,9 +21,9 @@
 #include "util/thread_annotations.h"
 
 /// \file engine.h
-/// The unified query facade over every index family in the library. An
-/// Engine owns one uncertain point set and answers all the query types of
-/// the paper (and its companions) behind a single API:
+/// The unified query facade of the library. An Engine owns one uncertain
+/// point set and answers all the query types of the paper (and its
+/// companions) behind a single API:
 ///
 ///   * MostProbableNn   — argmax_i pi_i(q) (quantification probabilities,
 ///                        Section 4);
@@ -36,17 +33,20 @@
 ///   * NonzeroNn        — NN!=0(q), the support of the quantification
 ///                        distribution (Sections 2/3).
 ///
-/// `Engine::Config` selects a backend (index family) and an accuracy; the
-/// default `Backend::kAuto` picks the strongest structure the input model
-/// admits per query. Structures are built lazily on first use and cached,
-/// so an Engine that only ever answers NonzeroNn never pays for
-/// Monte-Carlo preprocessing.
+/// `Engine::Config` selects a backend and an accuracy. The default
+/// `Backend::kAuto` picks one structure per query type and input model
+/// (docs/ARCHITECTURE.md "Batch traversal"); `kBruteForce` answers from
+/// the definitions and `kMonteCarlo` from instantiation sampling. The
+/// paper's other structures (the V!=0 diagrams, the L_inf index, the
+/// Theorem 4.5 discretized spiral) are `core::` classes used directly.
+/// Structures are built lazily on first use and cached, so an Engine that
+/// only ever answers NonzeroNn never pays for Monte-Carlo preprocessing.
 ///
 /// Thread safety: every `const` query method may be called from any number
 /// of threads concurrently. The lazy structure cache is synchronized
 /// (`std::call_once` for the fixed structures, a shared-mutex-guarded
-/// snapshot for the accuracy-keyed estimators), so concurrent first
-/// queries build each structure exactly once. `Warmup` builds the
+/// snapshot for the accuracy-keyed Monte-Carlo estimator), so concurrent
+/// first queries build each structure exactly once. `Warmup` builds the
 /// structures a query type needs eagerly, which serving layers call before
 /// fanning a batch across workers so no query pays the build; see
 /// `src/serve/` for the thread pool, batch-parallel QueryMany, data
@@ -55,20 +55,19 @@
 
 namespace unn {
 
-/// Which index family serves the queries. Families that do not natively
-/// implement a requested query type fall back as documented on each query
-/// method; the fallback is always exact (the definition-level oracle).
+/// Which structures serve the queries. kAuto must stay 0: run records
+/// store the backend as an int.
 enum class Backend {
-  kAuto,           ///< Strongest structure for the input model (default).
-  kBruteForce,     ///< Definition-level O(n)-per-query oracle; exact.
-  kExpectedNn,     ///< core::ExpectedNn branch-and-bound tree.
-  kSpiralSearch,   ///< Theorem 4.7 prefix evaluation (+ Theorem 4.5
-                   ///< discretization for continuous/mixed inputs).
-  kMonteCarlo,     ///< Theorem 4.3/4.5 instantiation sampling.
-  kNonzeroVoronoi, ///< V!=0 diagram + point location (Theorems 2.5/2.14).
-  kNonzeroIndex,   ///< Two-stage near-linear index (Theorems 3.1/3.2).
-  kLinfIndex,      ///< L_inf variant of Theorem 3.1 (Remark ii); queries
-                   ///< use the Chebyshev metric over derived squares.
+  /// Default. Discrete inputs: Theorem 4.7 spiral search for the
+  /// probabilities, the two-stage discrete NN!=0 index (Theorem 3.2).
+  /// Disk and mixed inputs: Monte-Carlo probabilities, the Theorem 3.1
+  /// NN!=0 index on disks and the definition oracle on mixed sets.
+  /// ExpectedDistanceNn always uses core::ExpectedNn.
+  kAuto,
+  kBruteForce,  ///< Definition-level O(n)-per-query oracle; exact.
+  /// Theorem 4.3/4.5 instantiation sampling for the probabilities; NN!=0
+  /// from the oracle, ExpectedDistanceNn from core::ExpectedNn.
+  kMonteCarlo,
 };
 
 class Engine {
@@ -125,41 +124,35 @@ class Engine {
   // each answer is bit-identical to the same query inside any pack.
 
   /// argmax_i pi_i(q), ties broken toward the smaller id. Exact for
-  /// kBruteForce on homogeneous inputs; within Config::eps for the
-  /// estimator backends. Backends without probability machinery
-  /// (kNonzeroVoronoi, kNonzeroIndex, kLinfIndex, kExpectedNn) fall back
-  /// to the exact oracle. Thread-safe; cost is one quantification query
-  /// of the effective backend (near-linear worst case for the
-  /// estimators, O(N log N) for the oracle).
+  /// kBruteForce on homogeneous inputs; within Config::eps for kAuto and
+  /// kMonteCarlo. Thread-safe; cost is one quantification query
+  /// (near-linear worst case for the estimators, O(N log N) for the
+  /// oracle).
   int MostProbableNn(geom::Vec2 q) const;
 
-  /// argmin_i E[d(q, P_i)]. Served by core::ExpectedNn for every backend
-  /// except kBruteForce, which scans the definition. Thread-safe;
+  /// argmin_i E[d(q, P_i)]. Served by core::ExpectedNn except under
+  /// kBruteForce, which scans the definition. Thread-safe;
   /// O(log n) expected via branch-and-bound, O(n) for the scan.
   int ExpectedDistanceNn(geom::Vec2 q) const;
 
   /// All i whose true pi_i(q) may reach tau, (id, estimate) sorted by
   /// decreasing estimate: no false negatives (estimator accuracy is
-  /// raised to tau/2 when Config::eps is looser). Fallback as in
-  /// MostProbableNn. Any tau is accepted, with QueryMany's
-  /// definition-level answers: `tau > 1` or NaN reports nothing,
-  /// `tau <= 0` reports every id. Thread-safe; one quantification query
-  /// plus an O(k log k) sort of the k reported pairs.
+  /// raised to tau/2 when Config::eps is looser). Any tau is accepted,
+  /// with QueryMany's definition-level answers: `tau > 1` or NaN reports
+  /// nothing, `tau <= 0` reports every id. Thread-safe; one
+  /// quantification query plus an O(k log k) sort of the k reported
+  /// pairs.
   std::vector<std::pair<int, double>> Threshold(geom::Vec2 q,
                                                 double tau) const;
 
   /// The k ids with the largest pi_i(q), (id, estimate) sorted by
-  /// decreasing estimate; near-ties within 2 eps may permute. Fallback as
-  /// in MostProbableNn. `k <= 0` reports nothing (build-free).
-  /// Thread-safe; one quantification query plus a sort of the
-  /// positive-probability candidates.
+  /// decreasing estimate; near-ties within 2 eps may permute. `k <= 0`
+  /// reports nothing (build-free). Thread-safe; one quantification query
+  /// plus a sort of the positive-probability candidates.
   std::vector<std::pair<int, double>> TopK(geom::Vec2 q, int k) const;
 
-  /// NN!=0(q), sorted ids; exact. kLinfIndex answers under the Chebyshev
-  /// metric over DerivedSquares(); estimator backends (kSpiralSearch,
-  /// kMonteCarlo, kExpectedNn) fall back to the exact oracle.
-  /// Thread-safe; polylogarithmic + output-sensitive for the index
-  /// families, O(n) for the oracle.
+  /// NN!=0(q), sorted ids; exact. Thread-safe; polylogarithmic +
+  /// output-sensitive for kAuto's indexes, O(n) for the oracle.
   std::vector<int> NonzeroNn(geom::Vec2 q) const;
 
   /// Batched entry point and the one execution path of every query type:
@@ -206,12 +199,12 @@ class Engine {
       geom::Vec2 q, double eps_needed = 0.0) const;
 
   /// Batched Probabilities: `out[i]` depends on `queries[i]` alone. The
-  /// effective estimator answers the whole batch through its batch
-  /// kernel (spiral prefix retrieval via KNearestBatch, the Monte-Carlo
-  /// candidate sweep after a batched envelope pass, or the discretized
-  /// spiral); the exact-oracle fallback evaluates the definition per
-  /// query. This is the substrate QueryMany's MostProbableNn/Threshold/
-  /// TopK arms and the sharded pack fan-out share. Thread-safe.
+  /// estimator answers the whole batch through its batch kernel (spiral
+  /// prefix retrieval via KNearestBatch, or the Monte-Carlo candidate
+  /// sweep after a batched envelope pass); kBruteForce evaluates the
+  /// definition per query. This is the substrate QueryMany's
+  /// MostProbableNn/Threshold/TopK arms and the sharded pack fan-out
+  /// share. Thread-safe.
   std::vector<std::vector<std::pair<int, double>>> ProbabilitiesMany(
       std::span<const geom::Vec2> queries, double eps_needed = 0.0,
       spatial::BatchStats* stats = nullptr) const;
@@ -251,36 +244,23 @@ class Engine {
                            std::span<core::DeltaEnvelope> out,
                            spatial::BatchStats* stats = nullptr) const;
 
-  /// Pr[every point of this engine is farther than r from q]
-  ///   = prod_i (1 - G_{q,i}(r)),
-  /// the shard survival probability of the paper-II factorization: for
-  /// independent points the survival of a union of shards is the product
-  /// of the per-shard survivals, which is why candidate-union
-  /// re-quantification recombines probabilistic answers without error.
-  /// The in-process merge computes these products implicitly (it
-  /// re-accumulates/re-integrates over the candidate union); this hook
-  /// is the explicit form — used by the factorization tests and the
-  /// surface an out-of-process merger would consume. Equal to
-  /// exp(LogSurvivalProbability(q, r)); prefer the log form when
-  /// multiplying across shards — the product of n factors below 1
-  /// underflows to 0 near n ~ 10^5 while the log sum stays exact.
-  /// Answered by the quantification index: only points whose support
-  /// intersects ball(q, r) are evaluated (a disjoint support contributes
-  /// factor 1), O(log n + k) for k intersecting supports.
-  double SurvivalProbability(geom::Vec2 q, double r) const;
-
-  /// log Pr[every point farther than r] = sum_i log1p(-G_{q,i}(r)),
-  /// accumulated in log space (never underflows; -infinity when some
-  /// point is certainly within r). Per-shard survival products become
-  /// sums of this quantity, which is how sharded probability merges stay
-  /// exact at any n. Same index-backed cost as SurvivalProbability.
+  /// log Pr[every point of this engine is farther than r from q]
+  ///   = sum_i log1p(-G_{q,i}(r)),
+  /// the log of the shard survival probability prod_i (1 - G_{q,i}(r)) of
+  /// the paper-II factorization: for independent points the survival of a
+  /// union of shards is the product of the per-shard survivals, which is
+  /// why candidate-union re-quantification recombines probabilistic
+  /// answers without error. The in-process merge computes these products
+  /// implicitly (it re-accumulates/re-integrates over the candidate
+  /// union); this hook is the explicit form — used by the factorization
+  /// tests and the surface an out-of-process merger would consume.
+  /// Accumulated in log space: the product of n factors below 1
+  /// underflows to 0 near n ~ 10^5 while the log sum stays exact
+  /// (-infinity when some point is certainly within r). Answered by the
+  /// quantification index: only points whose support intersects
+  /// ball(q, r) are evaluated (a disjoint support contributes 0),
+  /// O(log n + k) for k intersecting supports.
   double LogSurvivalProbability(geom::Vec2 q, double r) const;
-
-  /// The axis-aligned squares the kLinfIndex backend indexes: an L_inf
-  /// ball per point (disk -> same center/radius; discrete -> bounding-box
-  /// center with half the larger side). Thread-safe; built once (O(N))
-  /// under a once_flag, O(1) afterwards.
-  const std::vector<core::SquareRegion>& DerivedSquares() const;
 
   /// The owned point set, in id order. Immutable after construction, so
   /// reading it is thread-safe and O(1).
@@ -295,24 +275,17 @@ class Engine {
   bool all_disk() const { return all_disk_; }
 
  private:
-  Backend EffectiveProbBackend() const;
-  Backend EffectiveNonzeroBackend() const;
   std::vector<std::pair<int, double>> ExactProbabilities(geom::Vec2 q) const;
 
   const core::ExpectedNn& GetExpectedNn() const;
   const core::SpiralSearch& GetSpiralSearch() const;
-  const core::NonzeroVoronoi& GetVoronoi() const;
-  const core::NonzeroVoronoiDiscrete& GetVoronoiDiscrete() const;
   const core::NnNonzeroIndex& GetNonzeroIndex() const;
   const core::NnNonzeroDiscreteIndex& GetNonzeroDiscrete() const;
-  const core::LinfNonzeroIndex& GetLinfIndex() const;
   const core::QuantTree& GetQuantTree() const;
-  /// The accuracy-keyed estimators return an owning snapshot: a request
+  /// The accuracy-keyed estimator returns an owning snapshot: a request
   /// for a tighter accuracy replaces the cached structure, and the
   /// returned shared_ptr keeps the one a concurrent query is using alive
   /// until that query finishes.
-  std::shared_ptr<const core::ContinuousSpiralSearch> GetContinuousSpiral(
-      double eps) const;
   std::shared_ptr<const core::MonteCarloPnn> GetMonteCarlo(double eps) const;
 
   std::vector<core::UncertainPoint> points_;
@@ -321,7 +294,7 @@ class Engine {
   bool all_disk_ = true;
 
   // Lazily built structures. Fixed structures are built exactly once
-  // under their once_flag; the accuracy-keyed estimators live behind
+  // under their once_flag; the accuracy-keyed estimator lives behind
   // estimator_mu_ (shared-locked reads, unique-locked rebuilds). The
   // once_flag slots are deliberately NOT capability-annotated:
   // std::call_once is outside clang's capability model, and its
@@ -332,25 +305,14 @@ class Engine {
   mutable std::unique_ptr<core::ExpectedNn> expected_nn_;
   mutable std::once_flag spiral_once_;
   mutable std::unique_ptr<core::SpiralSearch> spiral_;
-  mutable std::once_flag voronoi_once_;
-  mutable std::unique_ptr<core::NonzeroVoronoi> voronoi_;
-  mutable std::once_flag voronoi_discrete_once_;
-  mutable std::unique_ptr<core::NonzeroVoronoiDiscrete> voronoi_discrete_;
   mutable std::once_flag nonzero_index_once_;
   mutable std::unique_ptr<core::NnNonzeroIndex> nonzero_index_;
   mutable std::once_flag nonzero_discrete_once_;
   mutable std::unique_ptr<core::NnNonzeroDiscreteIndex> nonzero_discrete_;
-  mutable std::once_flag linf_index_once_;
-  mutable std::unique_ptr<core::LinfNonzeroIndex> linf_index_;
   mutable std::once_flag quant_tree_once_;
   mutable std::unique_ptr<core::QuantTree> quant_tree_;
-  mutable std::once_flag squares_once_;
-  mutable std::vector<core::SquareRegion> squares_;
 
   mutable SharedMutex estimator_mu_;
-  mutable std::shared_ptr<const core::ContinuousSpiralSearch> cont_spiral_
-      UNN_GUARDED_BY(estimator_mu_);
-  mutable double cont_spiral_eps_ UNN_GUARDED_BY(estimator_mu_) = 0.0;
   mutable std::shared_ptr<const core::MonteCarloPnn> monte_carlo_
       UNN_GUARDED_BY(estimator_mu_);
   mutable double monte_carlo_eps_ UNN_GUARDED_BY(estimator_mu_) = 0.0;

@@ -299,7 +299,10 @@ std::vector<Engine::QueryResult> ShardedEngine::QueryMany(
             [&](int s) {
               auto local = engines_[s]->QueryMany(queries, spec);
               for (size_t i = 0; i < queries.size(); ++i) {
+                // No local winner (a non-finite query): the default
+                // candidate (id -1) stays, and MergeExpected skips it.
                 int lid = local[i].nn;
+                if (lid < 0) continue;
                 cand[i][s] = {global_ids_[s][lid],
                               engines_[s]->ExpectedDistance(lid, queries[i])};
               }
@@ -400,7 +403,7 @@ void ShardedEngine::Warmup(const Engine::QuerySpec& spec,
                            ThreadPool* pool) const {
   // Engine::Warmup builds what the per-shard queries need; a multi-shard
   // merge additionally calls the per-shard quantification hooks
-  // (MaxDistEnvelope / SurvivalProbability), so their index must be warm
+  // (MaxDistEnvelope / LogSurvivalProbability), so their index must be warm
   // as well or serving traffic would build it. The probe point is
   // irrelevant: which structures get built never depends on q.
   bool warm_hooks = num_shards() > 1 && MergeConsultsEnvelope(spec);

@@ -28,12 +28,11 @@
 /// Exactness (details in docs/QUERY_SEMANTICS.md): NonzeroNn and
 /// ExpectedDistanceNn merges are always exact. The probability queries
 /// (MostProbableNn / Threshold / TopK) are exact whenever the shard
-/// backend reports complete candidate sets (kBruteForce and the index
-/// families that fall back to it) and the candidate union is
-/// model-homogeneous; with estimator shard backends the union may omit
-/// points of probability below Config::eps (candidate-merge
-/// approximation), and mixed-model unions are re-quantified by Monte
-/// Carlo within eps.
+/// backend reports complete candidate sets (kBruteForce) and the
+/// candidate union is model-homogeneous; with estimator shard backends
+/// (kAuto, kMonteCarlo) the union may omit points of probability below
+/// Config::eps (candidate-merge approximation), and mixed-model unions
+/// are re-quantified by Monte Carlo within eps.
 ///
 /// Thread safety: a ShardedEngine is immutable after construction and
 /// every const query method may be called from any number of threads
@@ -163,7 +162,7 @@ class ShardedEngine {
   /// Warms every shard for the given query type / spec (in parallel on
   /// `pool` when given) so no serving query pays a structure build —
   /// including the per-shard quantification index behind the merge hooks
-  /// (MaxDistEnvelope / SurvivalProbability) when the merge for `spec`
+  /// (MaxDistEnvelope / LogSurvivalProbability) when the merge for `spec`
   /// consults them. Idempotent and thread-safe, like Engine::Warmup.
   void Warmup(Engine::QueryType type, ThreadPool* pool = nullptr) const;
   void Warmup(const Engine::QuerySpec& spec, ThreadPool* pool = nullptr) const;

@@ -13,7 +13,6 @@
 
 #include "baselines/brute_force.h"
 #include "core/exact_pnn.h"
-#include "core/linf_nonzero_index.h"
 #include "workload/generators.h"
 
 namespace unn {
@@ -48,33 +47,6 @@ std::vector<double> OracleProbabilities(const std::vector<UncertainPoint>& pts,
   return pi;
 }
 
-/// L_inf NN!=0 oracle over squares: Lemma 2.1 with Chebyshev distances and
-/// the exact j != i threshold semantics.
-std::vector<int> OracleLinfNonzero(const std::vector<core::SquareRegion>& sq,
-                                   Vec2 q) {
-  double best = std::numeric_limits<double>::infinity();
-  double second = std::numeric_limits<double>::infinity();
-  int argbest = -1;
-  for (size_t j = 0; j < sq.size(); ++j) {
-    double up = core::ChebyshevDist(q, sq[j].center) + sq[j].half_side;
-    if (up < best) {
-      second = best;
-      best = up;
-      argbest = static_cast<int>(j);
-    } else if (up < second) {
-      second = up;
-    }
-  }
-  std::vector<int> out;
-  for (size_t i = 0; i < sq.size(); ++i) {
-    double lo =
-        std::max(core::ChebyshevDist(q, sq[i].center) - sq[i].half_side, 0.0);
-    double threshold = static_cast<int>(i) == argbest ? second : best;
-    if (lo < threshold) out.push_back(static_cast<int>(i));
-  }
-  return out;
-}
-
 /// Margin between the best and second-best oracle probability — estimator
 /// backends are only required to agree on the argmax when it is separated
 /// by more than twice their accuracy.
@@ -97,8 +69,8 @@ int OracleArgmax(const std::vector<double>& pi) {
 }
 
 // ---------------------------------------------------------------------------
-// NN!=0 agreement: every exact backend must match the definition oracle
-// bit-for-bit on random and degenerate inputs.
+// NN!=0 agreement: every backend answers NN!=0 exactly and must match the
+// definition oracle bit-for-bit on random and degenerate inputs.
 // ---------------------------------------------------------------------------
 
 class EngineNonzeroAgreement
@@ -149,13 +121,6 @@ TEST_P(EngineNonzeroAgreement, MatchesOracle) {
     cfg.backend = backend;
     Engine engine(pts, cfg);
     for (Vec2 q : TestQueries()) {
-      // The V!=0 diagram is discontinuous across its edges; on exact-tie
-      // boundaries (margin 0) the strict-inequality definition is not
-      // achievable in floating point. Same idiom as stress_degenerate_test.
-      if (backend == Backend::kNonzeroVoronoi &&
-          core::NonzeroNnMargin(pts, q) < 1e-6) {
-        continue;
-      }
       EXPECT_EQ(engine.NonzeroNn(q), baselines::NonzeroNn(pts, q))
           << "model=" << model << " backend=" << static_cast<int>(backend)
           << " q=(" << q.x << "," << q.y << ")";
@@ -168,45 +133,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         std::make_tuple("disk", Backend::kAuto),
         std::make_tuple("disk", Backend::kBruteForce),
-        std::make_tuple("disk", Backend::kNonzeroIndex),
-        std::make_tuple("disk", Backend::kNonzeroVoronoi),
-        std::make_tuple("disk", Backend::kMonteCarlo),  // falls back to oracle
+        std::make_tuple("disk", Backend::kMonteCarlo),  // answers by oracle
         std::make_tuple("discrete", Backend::kAuto),
-        std::make_tuple("discrete", Backend::kBruteForce),
-        std::make_tuple("discrete", Backend::kNonzeroIndex),
-        std::make_tuple("discrete", Backend::kNonzeroVoronoi)));
-
-// ---------------------------------------------------------------------------
-// L_inf backend agreement against the Chebyshev oracle over the same
-// derived squares.
-// ---------------------------------------------------------------------------
-
-TEST(EngineLinfBackend, MatchesChebyshevOracle) {
-  for (uint64_t seed : {31, 32}) {
-    auto pts = workload::RandomDisks(20, seed);
-    Engine::Config cfg;
-    cfg.backend = Backend::kLinfIndex;
-    Engine engine(pts, cfg);
-    for (Vec2 q : TestQueries()) {
-      EXPECT_EQ(engine.NonzeroNn(q),
-                OracleLinfNonzero(engine.DerivedSquares(), q));
-    }
-  }
-}
-
-TEST(EngineLinfBackend, EqualHalfSideDegenerate) {
-  std::vector<UncertainPoint> pts = {UncertainPoint::Disk({0, 0}, 1.0),
-                                     UncertainPoint::Disk({0, 0}, 1.0),
-                                     UncertainPoint::Disk({3, 3}, 1.0),
-                                     UncertainPoint::Disk({-3, 3}, 1.0)};
-  Engine::Config cfg;
-  cfg.backend = Backend::kLinfIndex;
-  Engine engine(pts, cfg);
-  for (Vec2 q : TestQueries()) {
-    EXPECT_EQ(engine.NonzeroNn(q),
-              OracleLinfNonzero(engine.DerivedSquares(), q));
-  }
-}
+        std::make_tuple("discrete", Backend::kBruteForce)));
 
 // ---------------------------------------------------------------------------
 // Probabilistic queries: estimator backends agree with the exact oracle up
@@ -299,7 +228,6 @@ INSTANTIATE_TEST_SUITE_P(
     Backends, EngineProbabilisticAgreement,
     ::testing::Values(
         std::make_tuple("discrete", Backend::kBruteForce),
-        std::make_tuple("discrete", Backend::kSpiralSearch),
         std::make_tuple("discrete", Backend::kMonteCarlo),
         std::make_tuple("discrete", Backend::kAuto),
         std::make_tuple("disk", Backend::kBruteForce),

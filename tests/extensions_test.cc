@@ -4,7 +4,7 @@
 
 #include "baselines/brute_force.h"
 #include "core/expected_nn.h"
-#include "core/pnn_queries.h"
+#include "engine/engine.h"
 #include "prob/distributions.h"
 #include "workload/generators.h"
 
@@ -91,15 +91,19 @@ TEST(ExpectedNn, QueryExpectedMatchesLinearScan) {
   }
 }
 
-TEST(PnnQueries, ThresholdHasNoFalseNegatives) {
+TEST(EngineThreshold, HasNoFalseNegatives) {
   auto pts = workload::RandomDiscrete(15, 3, /*seed=*/21, 8.0, 2.5);
-  SpiralSearch ss(pts);
+  // Config::eps above every tau/2: the spiral search runs at accuracy
+  // exactly tau/2, the loosest Threshold ever uses.
+  Engine::Config cfg;
+  cfg.eps = 0.5;
+  Engine engine(pts, cfg);
   std::mt19937_64 rng(23);
   std::uniform_real_distribution<double> qu(-10, 10);
   for (double tau : {0.1, 0.25, 0.5}) {
     for (int t = 0; t < 40; ++t) {
       Vec2 q{qu(rng), qu(rng)};
-      auto got = ThresholdQuery(ss, q, tau);
+      auto got = engine.Threshold(q, tau);
       auto exact = baselines::QuantificationProbabilities(pts, q);
       std::vector<bool> reported(pts.size(), false);
       double prev = 2.0;
@@ -118,11 +122,13 @@ TEST(PnnQueries, ThresholdHasNoFalseNegatives) {
   }
 }
 
-TEST(PnnQueries, TopKReturnsHighestEstimates) {
+TEST(EngineTopK, ReturnsHighestEstimates) {
   auto pts = workload::RandomDiscrete(20, 3, /*seed=*/29, 8.0, 2.5);
-  SpiralSearch ss(pts);
+  Engine::Config cfg;
+  cfg.eps = 0.01;
+  Engine engine(pts, cfg);
   Vec2 q{0.5, 0.5};
-  auto top3 = TopKQuery(ss, q, 3, 0.01);
+  auto top3 = engine.TopK(q, 3);
   ASSERT_LE(top3.size(), 3u);
   ASSERT_GE(top3.size(), 1u);
   auto exact = baselines::QuantificationProbabilities(pts, q);

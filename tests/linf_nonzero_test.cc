@@ -77,6 +77,23 @@ TEST(LinfNonzeroIndex, DegenerateZeroSizeSquares) {
   EXPECT_EQ(ix.Query({0.5, 9}), (std::vector<int>{2}));
 }
 
+TEST(LinfNonzeroIndex, CoincidentEqualSquares) {
+  // Two identical squares plus two more of the same half-side: the
+  // duplicates tie on every Chebyshev distance, so the j != i threshold
+  // semantics decide the answer everywhere.
+  std::vector<SquareRegion> sq = {
+      {{0, 0}, 1.0}, {{0, 0}, 1.0}, {{3, 3}, 1.0}, {{-3, 3}, 1.0}};
+  LinfNonzeroIndex ix(sq);
+  std::mt19937_64 rng(7);
+  std::uniform_real_distribution<double> qu(-12, 12);
+  std::vector<Vec2> qs = {{0, 0}, {100, 100}, {1, 1}, {0, 3}, {3, 3}};
+  for (int t = 0; t < 24; ++t) qs.push_back({qu(rng), qu(rng)});
+  for (Vec2 q : qs) {
+    EXPECT_EQ(ix.Query(q), BruteLinf(sq, q))
+        << "q=(" << q.x << "," << q.y << ")";
+  }
+}
+
 TEST(LinfNonzeroIndex, LinfBallGeometryDiffersFromL2) {
   // A point L2-closer to square 0 but Chebyshev-closer to square 1: the
   // metrics must give different answers.

@@ -101,6 +101,40 @@ TEST(NonzeroVoronoiDiscrete, SingletonSitesBehaveLikeCertainPoints) {
   EXPECT_EQ(vd.Query({1, 9}), (std::vector<int>{2}));
 }
 
+TEST(NonzeroVoronoiDiscrete, SharedSitesAndDuplicatesMatchBruteForce) {
+  std::vector<std::vector<UncertainPoint>> inputs;
+  // Coincident sites shared between points: every point has the site
+  // (1, 2), and the second sites repeat with period 3.
+  std::vector<UncertainPoint> shared;
+  for (int i = 0; i < 6; ++i) {
+    shared.push_back(
+        UncertainPoint::DiscreteUniform({{1.0, 2.0}, {double(i % 3), 0.0}}));
+  }
+  inputs.push_back(shared);
+  // k = 1 certain points, one duplicated.
+  inputs.push_back({UncertainPoint::DiscreteUniform({{0, 0}}),
+                    UncertainPoint::DiscreteUniform({{0, 0}}),
+                    UncertainPoint::DiscreteUniform({{4, 1}}),
+                    UncertainPoint::DiscreteUniform({{-3, 2}})});
+  std::mt19937_64 rng(7);
+  std::uniform_real_distribution<double> qu(-12, 12);
+  std::vector<Vec2> qs = {{0, 0}, {100, 100}, {1, 1}};
+  for (int t = 0; t < 60; ++t) qs.push_back({qu(rng), qu(rng)});
+  for (const auto& pts : inputs) {
+    NonzeroVoronoiDiscrete vd(pts);
+    int checked = 0;
+    for (Vec2 q : qs) {
+      // On exact-tie boundaries (margin 0) the strict-inequality
+      // definition is not achievable in floating point.
+      if (NonzeroNnMargin(pts, q) < 1e-6) continue;
+      EXPECT_EQ(vd.Query(q), baselines::NonzeroNn(pts, q))
+          << "n=" << pts.size() << " q=(" << q.x << "," << q.y << ")";
+      ++checked;
+    }
+    EXPECT_GT(checked, 40);
+  }
+}
+
 TEST(NnNonzeroDiscreteIndex, MatchesBruteForceRandom) {
   std::mt19937_64 rng(502);
   for (int n : {1, 3, 10, 40, 120}) {

@@ -152,6 +152,40 @@ TEST(NonzeroVoronoi, OverlappingDisksRandomAgreement) {
   EXPECT_GT(checked, 200);
 }
 
+TEST(NonzeroVoronoi, EqualRadiusDegenerateInputsMatchBruteForce) {
+  std::vector<std::vector<UncertainPoint>> inputs;
+  // Coincident centers with equal radii, plus two more disks.
+  inputs.push_back({UncertainPoint::Disk({0, 0}, 1.0),
+                    UncertainPoint::Disk({0, 0}, 1.0),
+                    UncertainPoint::Disk({5, 0}, 1.0),
+                    UncertainPoint::Disk({0, 5}, 2.0)});
+  // Equal-radius 3x3 grid (the Theorem 2.8 regime).
+  std::vector<UncertainPoint> grid;
+  for (int i = 0; i < 3; ++i) {
+    for (int j = 0; j < 3; ++j) {
+      grid.push_back(UncertainPoint::Disk({i * 2.0, j * 2.0}, 1.0));
+    }
+  }
+  inputs.push_back(grid);
+  std::mt19937_64 rng(7);
+  std::uniform_real_distribution<double> qu(-12, 12);
+  std::vector<Vec2> qs = {{0, 0}, {100, 100}, {1, 1}};
+  for (int t = 0; t < 60; ++t) qs.push_back({qu(rng), qu(rng)});
+  for (const auto& pts : inputs) {
+    NonzeroVoronoi vd(pts);
+    int checked = 0;
+    for (Vec2 q : qs) {
+      // On exact-tie boundaries (margin 0) the strict-inequality
+      // definition is not achievable in floating point.
+      if (NonzeroNnMargin(pts, q) < 1e-6) continue;
+      EXPECT_EQ(vd.Query(q), baselines::NonzeroNn(pts, q))
+          << "n=" << pts.size() << " q=(" << q.x << "," << q.y << ")";
+      ++checked;
+    }
+    EXPECT_GT(checked, 40);
+  }
+}
+
 TEST(NonzeroVoronoi, ExplicitWindowRespectedAndOutsideFallsBack) {
   std::mt19937_64 rng(21);
   auto pts = RandomDisks(6, rng);

@@ -296,7 +296,6 @@ TEST(EngineQuantHooks, MatchScansAndBuildOnce) {
       } else {
         EXPECT_NEAR(got_log, want_log, 1e-12 * (1.0 + std::abs(want_log)));
       }
-      EXPECT_DOUBLE_EQ(engine.SurvivalProbability(q, r), std::exp(got_log));
     }
   }
   // All of the above is served by the one quantification index.
@@ -338,7 +337,7 @@ TEST(EngineQuantHooks, SurvivalUnderflowStaysExactInLogSpace) {
   double got_log = whole.LogSurvivalProbability(q, r);
   EXPECT_TRUE(std::isfinite(got_log));
   EXPECT_NEAR(got_log, want_log, 1e-9 * std::abs(want_log));
-  EXPECT_EQ(whole.SurvivalProbability(q, r), 0.0);  // exp still underflows.
+  EXPECT_EQ(std::exp(got_log), 0.0);  // exp still underflows.
 
   // Per-shard factorization in log space: the shard sums reproduce the
   // whole-set log survival even though the shard survivals' product
@@ -349,9 +348,9 @@ TEST(EngineQuantHooks, SurvivalUnderflowStaysExactInLogSpace) {
   for (int s = 0; s < sharded.num_shards(); ++s) {
     double shard_log = sharded.shard(s).LogSurvivalProbability(q, r);
     EXPECT_TRUE(std::isfinite(shard_log));
-    EXPECT_GT(sharded.shard(s).SurvivalProbability(q, r), 0.0);
+    EXPECT_GT(std::exp(shard_log), 0.0);
     log_sum += shard_log;
-    prod *= sharded.shard(s).SurvivalProbability(q, r);
+    prod *= std::exp(shard_log);
   }
   EXPECT_EQ(prod, 0.0);
   EXPECT_NEAR(log_sum, got_log, 1e-9 * std::abs(got_log));

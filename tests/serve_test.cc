@@ -161,8 +161,7 @@ TEST(QueryServer, SubmitMatchesDirectQuery) {
 
 TEST(QueryServer, QueryBatchMatchesSerialEngine) {
   auto pts = workload::RandomDisks(12, 94);
-  Engine::Config cfg;
-  cfg.backend = Backend::kNonzeroIndex;
+  Engine::Config cfg;  // kAuto -> the Theorem 3.1 NN!=0 index on disks.
   serve::QueryServer server(pts, cfg, {.num_threads = 3, .warm = {}});
   Engine oracle(pts, cfg);
 

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <set>
@@ -138,8 +139,7 @@ TEST(ShardedEngine, ExactNonzeroAndExpectedOnMixedModel) {
   auto pts = workload::RandomDisks(9, 305);
   auto extra = workload::RandomDiscrete(9, 2, 306);
   pts.insert(pts.end(), extra.begin(), extra.end());
-  Engine::Config cfg;
-  cfg.backend = Backend::kNonzeroVoronoi;  // Falls back to oracle on mixed.
+  Engine::Config cfg;  // kAuto -> the NN!=0 oracle on mixed sets.
   Engine single(pts, cfg);
   auto qs = GridQueries(15);
   for (int k : {2, 4, 7}) {
@@ -155,8 +155,7 @@ TEST(ShardedEngine, IndexBackedShardsMatchOracleNonzero) {
   // Shards answering NN!=0 from their own index structures still merge to
   // the exact global answer.
   auto pts = workload::RandomDisks(20, 307);
-  Engine::Config cfg;
-  cfg.backend = Backend::kNonzeroIndex;
+  Engine::Config cfg;  // kAuto -> the Theorem 3.1 NN!=0 index on disks.
   Engine single(pts, cfg);
   auto qs = GridQueries(20);
   for (int k : {2, 4}) {
@@ -337,6 +336,43 @@ TEST(ShardedEngine, SingleQueryDegenerateParametersDoNotAbort) {
   }
 }
 
+// A non-finite query has no expected-distance NN in any shard; a shard
+// without a local winner must drop out of the min-merge instead of having
+// its -1 looked up as a point id.
+TEST(ShardedEngine, ExpectedDistanceNnOnNonFiniteQueryMatchesSingleEngine) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const Vec2 queries[] = {{std::nan(""), 0}, {0, std::nan("")}, {inf, 0},
+                          {-inf, 0}, {0, inf}};
+  for (bool discrete : {true, false}) {
+    auto pts = discrete ? workload::RandomDiscrete(200, 3, 7)
+                        : workload::RandomDisks(60, 7);
+    Engine single(pts, {});
+    for (int k : {2, 4}) {
+      serve::ShardedEngine sharded(pts, {},
+                                   {k, serve::Partitioning::kSpatial});
+      for (Vec2 q : queries) {
+        EXPECT_EQ(sharded.ExpectedDistanceNn(q), single.ExpectedDistanceNn(q))
+            << "discrete=" << discrete << " k=" << k << " q=(" << q.x << ","
+            << q.y << ")";
+      }
+    }
+  }
+}
+
+TEST(QueryServerSharded, ExpectedDistanceNnOnNonFiniteQueryIsComputed) {
+  auto pts = workload::RandomDiscrete(200, 3, 7);
+  serve::QueryServer server(
+      pts, {},
+      {.num_threads = 2,
+       .warm = {},
+       .sharding = {2, serve::Partitioning::kSpatial}});
+  serve::Request request{{std::nan(""), 0},
+                         {Engine::QueryType::kExpectedDistanceNn}};
+  serve::Response response = server.Submit(request).get();
+  EXPECT_EQ(response.source, serve::ResultSource::kComputed);
+  EXPECT_EQ(response.result.nn, Engine(pts, {}).ExpectedDistanceNn(request.q));
+}
+
 TEST(ShardedEngine, NonPositiveTauListsEveryId) {
   auto pts = workload::RandomDiscrete(9, 2, 311);
   Engine::Config cfg;
@@ -413,9 +449,9 @@ TEST(ShardMerge, SurvivalFactorsAcrossShards) {
     for (double r : {0.5, 2.0, 5.0}) {
       double prod = 1.0;
       for (int s = 0; s < sharded.num_shards(); ++s) {
-        prod *= sharded.shard(s).SurvivalProbability(q, r);
+        prod *= std::exp(sharded.shard(s).LogSurvivalProbability(q, r));
       }
-      EXPECT_NEAR(prod, whole.SurvivalProbability(q, r), 1e-12);
+      EXPECT_NEAR(prod, std::exp(whole.LogSurvivalProbability(q, r)), 1e-12);
     }
   }
 }
