@@ -59,6 +59,10 @@ int main(int argc, char** argv) {
   auto queries = bench::RandomQueries(num_queries, 30, 113);
   Engine engine(pts, {});
   const Engine::QuerySpec spec{Engine::QueryType::kMostProbableNn, 0.5, 1};
+  // The same queries as serving requests, built once outside every timed
+  // region.
+  std::vector<serve::Request> requests;
+  for (Vec2 q : queries) requests.push_back({q, spec});
 
   bench::Timer tw;
   engine.Warmup(spec);
@@ -110,9 +114,9 @@ int main(int argc, char** argv) {
     serve::QueryServer server(
         std::make_shared<const Engine>(pts, Engine::Config{}),
         {.num_threads = 7, .warm = {Engine::QueryType::kMostProbableNn}});
-    server.QueryBatch(queries, spec);  // Placement pass.
+    server.QueryBatch(requests);  // Placement pass.
     bench::Timer tb;
-    server.QueryBatch(queries, spec);
+    server.QueryBatch(requests);
     double ms = tb.Ms();
     double qps = num_queries / (ms / 1000.0);
     printf("\nQueryServer::QueryBatch (8 participants): %.1f ms, %.0f "
@@ -351,13 +355,13 @@ int main(int argc, char** argv) {
     off_opts.num_threads = 7;
     off_opts.warm = {spec.type};
     serve::QueryServer obs_off(engine_ptr, off_opts);
-    double off_ms = best_of([&] { obs_off.QueryBatch(queries, spec); });
+    double off_ms = best_of([&] { obs_off.QueryBatch(requests); });
 
     serve::QueryServer::Options on_opts = off_opts;
     on_opts.slow_query_threshold = std::chrono::microseconds(1);
     serve::QueryServer obs_on(engine_ptr, on_opts);
     obs::EnableTraversalProfiling(true);
-    double on_ms = best_of([&] { obs_on.QueryBatch(queries, spec); });
+    double on_ms = best_of([&] { obs_on.QueryBatch(requests); });
     // Exercise the instrumented merge hooks so the dump below carries
     // traversal counters alongside the serving metrics.
     for (int i = 0; i < 32; ++i) {

@@ -38,14 +38,15 @@ int main() {
 
   // A batch, then repeats of its prefix (cache hits), then single submits
   // of a second query type so the per-type counters diverge.
-  std::vector<Vec2> queries;
+  std::vector<serve::Request> batch;
   for (int i = 0; i < 64; ++i) {
-    queries.push_back({-8.0 + 16.0 * i / 64, 6.0 - 12.0 * i / 64});
+    batch.push_back({{-8.0 + 16.0 * i / 64, 6.0 - 12.0 * i / 64},
+                     {Engine::QueryType::kMostProbableNn}});
   }
-  server.QueryBatch(queries, {Engine::QueryType::kMostProbableNn});
-  server.QueryBatch(queries, {Engine::QueryType::kMostProbableNn});
+  server.QueryBatch(batch);
+  server.QueryBatch(batch);
   for (int i = 0; i < 16; ++i) {
-    server.Submit(queries[i], {Engine::QueryType::kNonzeroNn}).get();
+    server.Submit({batch[i].q, {Engine::QueryType::kNonzeroNn}}).get();
   }
   obs::EnableTraversalProfiling(false);
 

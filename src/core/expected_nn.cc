@@ -175,80 +175,6 @@ double BoxMagnitude(const geom::Box& b) {
 
 }  // namespace
 
-void ExpectedNn::QuerySquaredBatch(std::span<const Vec2> queries,
-                                   std::span<int> out,
-                                   spatial::BatchStats* stats) const {
-  UNN_CHECK(out.size() >= queries.size());
-  for (size_t base = 0; base < queries.size(); base += kW) {
-    int count = static_cast<int>(std::min<size_t>(kW, queries.size() - base));
-    double qx[kW], qy[kW];
-    for (int l = 0; l < kW; ++l) {
-      Vec2 q = queries[base + std::min(l, count - 1)];  // Pad ragged packs.
-      qx[l] = q.x;
-      qy[l] = q.y;
-    }
-    double best[kW];
-    int arg[kW];
-    bool tied[kW];
-    for (int l = 0; l < kW; ++l) {
-      best[l] = kInf;
-      arg[l] = -1;
-      tied[l] = false;
-    }
-    // Pass 1: shared near-first traversal with a strict prune
-    // (`lb > best` keeps every node that can still contain a value tying
-    // the minimum). Both the subtree bound and the item value are sums
-    // of a squared box/point distance and a variance, rounded
-    // identically to the scalar path, and computed lb <= computed v
-    // holds exactly (each term is <=, and rounded addition is monotone)
-    // — so each lane ends with its exact minimum value, every attaining
-    // item evaluated, and `tied` set whenever more than one item attains
-    // it, regardless of the traversal order.
-    spatial::BatchPrunedVisitNearFirst(
-        tree_, spatial::FullMask(count),
-        [&](int n, double* lb) {
-          geom::BoxDistSqLanes(qx, qy, tree_.box(n), lb);
-          geom::AddScalarLanes(lb, tree_.aug().min(n), lb);
-        },
-        [&](int l, double lb) { return lb > best[l]; },
-        [&](int n, spatial::LaneMask m) {
-          if (stats != nullptr) {
-            stats->lane_points_evaluated +=
-                static_cast<std::int64_t>(spatial::internal::PopCount(m)) *
-                (tree_.end(n) - tree_.begin(n));
-          }
-          for (int s = tree_.begin(n); s < tree_.end(n); ++s) {
-            int id = tree_.item(s);
-            double v[kW];
-            geom::DistSqLanes(qx, qy, mean_[id], v);
-            geom::AddScalarLanes(v, var_[id], v);
-            for (int l = 0; l < kW; ++l) {
-              if ((m >> l & 1u) == 0) continue;
-              if (v[l] < best[l]) {
-                best[l] = v[l];
-                arg[l] = id;
-              } else if (v[l] == best[l]) {
-                tied[l] = true;
-              }
-            }
-          }
-        },
-        stats);
-    if (stats != nullptr) ++stats->packs;
-    // Pass 2: lanes with a unique minimizer are done (every sound
-    // traversal returns it); tied lanes replay the scalar descent,
-    // whose ordered-DFS tie break is the contract.
-    for (int l = 0; l < count; ++l) {
-      if (tied[l]) {
-        if (stats != nullptr) ++stats->scalar_replays;
-        out[base + l] = QuerySquared(queries[base + l]);
-      } else {
-        out[base + l] = arg[l];
-      }
-    }
-  }
-}
-
 void ExpectedNn::QueryExpectedBatch(std::span<const Vec2> queries, double tol,
                                     std::span<int> out,
                                     spatial::BatchStats* stats) const {

@@ -41,15 +41,6 @@ class ExpectedNn {
   /// argmin_i E[d(q, P_i)]; quadrature tolerance `tol` for disk models.
   int QueryExpected(geom::Vec2 q, double tol = 1e-9) const;
 
-  /// QuerySquared for a batch: `out[i]` is bit-identical to
-  /// `QuerySquared(queries[i])`, including argmin tie semantics. Queries
-  /// are packed geom::kLaneWidth at a time through one shared traversal
-  /// (spatial/batch.h); lanes whose minimum is tied replay the scalar
-  /// descent. `stats`, when non-null, accumulates pack counters.
-  void QuerySquaredBatch(std::span<const geom::Vec2> queries,
-                         std::span<int> out,
-                         spatial::BatchStats* stats = nullptr) const;
-
   /// QueryExpected for a batch: `out[i]` is bit-identical to
   /// `QueryExpected(queries[i], tol)`. For all-discrete point sets the
   /// packs run a pruned shared traversal that evaluates the same

@@ -82,7 +82,7 @@ std::vector<std::vector<std::pair<int, double>>> MonteCarloPnn::QueryBatch(
   for (size_t i = 0; i < sorted.size(); ++i) {
     const Vec2 q = sorted[i];
     const DeltaEnvelope& env = envs[i];
-    if (!std::isfinite(q.x) || !std::isfinite(q.y)) continue;
+    if (!geom::IsFinite(q)) continue;
     // The guard band of the header's soundness argument.
     const double r = env.best + 1e-9 * env.best +
                      16 * DBL_EPSILON * (NormInf(q) + scale_);
@@ -111,13 +111,6 @@ std::vector<std::vector<std::pair<int, double>>> MonteCarloPnn::QueryBatch(
     }
   }
   return out;
-}
-
-double MonteCarloPnn::QueryOne(Vec2 q, int i) const {
-  for (const auto& [id, p] : Query(q)) {
-    if (id == i) return p;
-  }
-  return 0.0;
 }
 
 }  // namespace core

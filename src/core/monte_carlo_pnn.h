@@ -98,9 +98,6 @@ class MonteCarloPnn {
       std::span<const geom::Vec2> queries,
       spatial::BatchStats* stats = nullptr) const;
 
-  /// Estimate for one id (0 if it never won).
-  double QueryOne(geom::Vec2 q, int i) const;
-
  private:
   std::vector<UncertainPoint> points_;
   int s_ = 0;

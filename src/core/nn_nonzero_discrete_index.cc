@@ -219,6 +219,9 @@ std::vector<int> NnNonzeroDiscreteIndex::AssembleFromHits(
   for (int h : hits) out.push_back(site_owner_[h]);
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
+  // A query with a NaN or infinite coordinate fails every envelope
+  // comparison, so the envelope has no argmin to adjust.
+  if (env.argbest < 0) return out;
   bool arg_in = std::binary_search(out.begin(), out.end(), env.argbest);
   bool arg_should = points_[env.argbest].MinDist(q) < env.second;
   if (arg_in && !arg_should) {

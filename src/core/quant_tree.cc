@@ -187,71 +187,6 @@ double QuantTree::LogSurvival(geom::Vec2 q, double r,
   return acc;
 }
 
-void QuantTree::LogSurvivalBatch(std::span<const geom::Vec2> queries,
-                                 std::span<const double> radii,
-                                 std::span<double> out,
-                                 spatial::BatchStats* stats) const {
-  constexpr int kW = geom::kLaneWidth;
-  for (size_t base = 0; base < queries.size(); base += kW) {
-    int count = static_cast<int>(std::min<size_t>(kW, queries.size() - base));
-    geom::Vec2 qv[kW];
-    double qx[kW], qy[kW], r[kW];
-    for (int l = 0; l < kW; ++l) {
-      size_t i = base + std::min(l, count - 1);  // Pad ragged packs.
-      qv[l] = queries[i];
-      qx[l] = qv[l].x;
-      qy[l] = qv[l].y;
-      r[l] = radii[i];
-    }
-    double acc[kW];
-    bool dead[kW];  // Lane hit a certain point: answer is -inf, stop.
-    for (int l = 0; l < kW; ++l) {
-      acc[l] = 0.0;
-      dead[l] = false;
-    }
-    spatial::BatchPrunedVisit(
-        tree_, spatial::FullMask(count),
-        [&](int n, spatial::LaneMask m) {
-          double dsq[kW], s[kW];
-          geom::BoxDistSqLanes(qx, qy, tree_.box(n), dsq);
-          geom::SqrtLanes(dsq, s);
-          const double rmax = tree_.aug().first.max(n);
-          spatial::LaneMask keep = 0;
-          for (int l = 0; l < kW; ++l) {
-            if ((m >> l & 1u) == 0 || dead[l]) continue;
-            // The scalar MinDistLowerBound(n, q) > r prune, per lane and
-            // state-independent, so each lane's node sequence (and with
-            // it the log-space accumulation order) is exactly the
-            // scalar left-first walk.
-            if (std::max(s[l] - rmax, 0.0) > r[l]) continue;
-            keep |= static_cast<spatial::LaneMask>(1u << l);
-          }
-          return keep;
-        },
-        [&](int n, spatial::LaneMask m) {
-          for (int j = tree_.begin(n); j < tree_.end(n); ++j) {
-            int id = tree_.item(j);
-            const UncertainPoint& p = (*points_)[id];
-            for (int l = 0; l < kW; ++l) {
-              if ((m >> l & 1u) == 0 || dead[l]) continue;
-              if (p.MinDist(qv[l]) > r[l]) continue;
-              if (stats != nullptr) ++stats->lane_points_evaluated;
-              double cdf = prob::DistanceCdf(p, qv[l], r[l]);
-              if (cdf >= 1.0) {  // Certainly within r: survival 0.
-                acc[l] = -kInf;
-                dead[l] = true;
-                continue;
-              }
-              acc[l] += std::log1p(-cdf);
-            }
-          }
-        },
-        stats);
-    if (stats != nullptr) ++stats->packs;
-    for (int l = 0; l < count; ++l) out[base + l] = acc[l];
-  }
-}
-
 void QuantTree::SupportsWithin(geom::Vec2 q, double r,
                                std::vector<int>* out) const {
   spatial::PrunedVisit(

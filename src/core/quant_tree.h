@@ -129,17 +129,6 @@ class QuantTree {
   /// intersecting supports.
   double LogSurvival(geom::Vec2 q, double r, QueryStats* stats = nullptr) const;
 
-  /// Batched LogSurvival: `out[i]` is bit-identical to
-  /// `LogSurvival(queries[i], radii[i])`. The ball prune is
-  /// state-independent, so every lane's node sequence — and therefore
-  /// its floating-point accumulation order — is exactly the scalar
-  /// left-first walk; a lane that hits a certain point (-infinity) goes
-  /// dead and skips the rest of its walk, which cannot change its
-  /// answer. No scalar replay.
-  void LogSurvivalBatch(std::span<const geom::Vec2> queries,
-                        std::span<const double> radii, std::span<double> out,
-                        spatial::BatchStats* stats = nullptr) const;
-
   /// Appends every id whose support reaches within `r` of q,
   /// MinDist(q) <= r, in left-first leaf order (not sorted). Prunes with
   /// the MinDistLowerBound bound, but takes the box distance by hypot

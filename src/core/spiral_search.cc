@@ -43,6 +43,7 @@ int SpiralSearch::SitesRetrieved(double eps) const {
 
 std::vector<std::pair<int, double>> SpiralSearch::Query(Vec2 q,
                                                         double eps) const {
+  if (!geom::IsFinite(q)) return {};
   int m = SitesRetrieved(eps);
   std::vector<WeightedSite> prefix;
   prefix.reserve(m);
@@ -80,6 +81,7 @@ std::vector<std::vector<std::pair<int, double>>> SpiralSearch::QueryBatch(
   std::vector<WeightedSite> prefix;
   std::vector<double> pi;
   for (size_t i = 0; i < queries.size(); ++i) {
+    if (!geom::IsFinite(sorted[i])) continue;  // No estimates, as in Query.
     // The same prefix, in the same order, as the scalar enumeration
     // (KNearestBatch's contract), so the order-sensitive accumulation
     // below reproduces Query bit for bit.

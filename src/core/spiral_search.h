@@ -36,7 +36,8 @@ class SpiralSearch {
   int SitesRetrieved(double eps) const;
 
   /// (id, hat-pi) for all ids with positive estimate, sorted by id; each
-  /// true pi_i satisfies hat-pi_i <= pi_i <= hat-pi_i + eps.
+  /// true pi_i satisfies hat-pi_i <= pi_i <= hat-pi_i + eps. A query
+  /// with a NaN or infinite coordinate gets no estimates.
   std::vector<std::pair<int, double>> Query(geom::Vec2 q, double eps) const;
 
   /// Batched Query: `out[i]` is bit-identical to `Query(queries[i], eps)`.

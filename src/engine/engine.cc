@@ -113,15 +113,6 @@ const core::QuantTree& Engine::GetQuantTree() const {
 // Threshold and TopK)
 // ---------------------------------------------------------------------------
 
-std::vector<std::pair<int, double>> Engine::ExactProbabilities(
-    geom::Vec2 q) const {
-  UNN_CHECK_MSG(all_discrete_ || all_disk_,
-                "exact quantification requires a homogeneous model; use an "
-                "estimator backend for mixed inputs");
-  if (all_discrete_) return core::DiscreteQuantification(points_, q);
-  return core::IntegrateAllQuantifications(points_, q, config_.tol);
-}
-
 std::vector<std::pair<int, double>> Engine::Probabilities(
     geom::Vec2 q, double eps_needed) const {
   return std::move(ProbabilitiesMany({&q, 1}, eps_needed)[0]);
@@ -130,12 +121,17 @@ std::vector<std::pair<int, double>> Engine::Probabilities(
 std::vector<std::vector<std::pair<int, double>>> Engine::ProbabilitiesMany(
     std::span<const geom::Vec2> queries, double eps_needed,
     spatial::BatchStats* stats) const {
-  if (config_.backend == Backend::kBruteForce) {
-    // The exact oracle has no traversal to share; the batch is the scalar
-    // definition per query.
+  if (ExactQuantification()) {
+    // The exact definitions have no traversal to share; the batch is the
+    // scalar definition per query. A query with a NaN or infinite
+    // coordinate gets no estimates, as from the estimators.
     std::vector<std::vector<std::pair<int, double>>> out(queries.size());
     for (size_t i = 0; i < queries.size(); ++i) {
-      out[i] = ExactProbabilities(queries[i]);
+      const geom::Vec2 q = queries[i];
+      if (!geom::IsFinite(q)) continue;
+      out[i] = all_discrete_ ? core::DiscreteQuantification(points_, q)
+                             : core::IntegrateAllQuantifications(points_, q,
+                                                                 config_.tol);
     }
     return out;
   }
@@ -143,7 +139,8 @@ std::vector<std::vector<std::pair<int, double>>> Engine::ProbabilitiesMany(
                               : config_.eps;
   // kAuto takes the strongest estimator the model admits: Theorem 4.7
   // prefix evaluation for purely discrete inputs, Monte Carlo otherwise
-  // (it alone handles mixed models natively).
+  // (it alone handles mixed models natively, so kBruteForce on a mixed
+  // set lands here too).
   if (config_.backend == Backend::kAuto && all_discrete_) {
     return GetSpiralSearch().QueryBatch(queries, eps, stats);
   }
@@ -282,7 +279,7 @@ std::vector<Engine::QueryResult> Engine::QueryMany(
     case QueryType::kThreshold: {
       // [DYM+05] semantics with no false negatives: estimate at accuracy
       // tau/2 and report everyone whose estimate may still reach tau.
-      bool exact = config_.backend == Backend::kBruteForce;
+      bool exact = ExactQuantification();
       double eps = exact ? 0.0 : std::min(config_.eps, spec.tau / 2);
       auto est = ProbabilitiesMany(queries, spec.tau / 2);
       for (size_t i = 0; i < queries.size(); ++i) {

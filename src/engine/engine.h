@@ -37,8 +37,9 @@
 /// `Backend::kAuto` picks one structure per query type and input model
 /// (docs/ARCHITECTURE.md "Batch traversal"); `kBruteForce` answers from
 /// the definitions and `kMonteCarlo` from instantiation sampling. The
-/// paper's other structures (the V!=0 diagrams, the L_inf index, the
-/// Theorem 4.5 discretized spiral) are `core::` classes used directly.
+/// paper's other structures (the V!=0 diagrams and the L_inf index, which
+/// build into the `unn_paper` library, and the Theorem 4.5 discretized
+/// spiral) are `core::` classes used directly.
 /// Structures are built lazily on first use and cached, so an Engine that
 /// only ever answers NonzeroNn never pays for Monte-Carlo preprocessing.
 ///
@@ -64,7 +65,9 @@ enum class Backend {
   /// NN!=0 index on disks and the definition oracle on mixed sets.
   /// ExpectedDistanceNn always uses core::ExpectedNn.
   kAuto,
-  kBruteForce,  ///< Definition-level O(n)-per-query oracle; exact.
+  /// Definition-level O(n)-per-query oracle; exact. A mixed set has no
+  /// exact quantifier, so its probabilities come from Monte Carlo.
+  kBruteForce,
   /// Theorem 4.3/4.5 instantiation sampling for the probabilities; NN!=0
   /// from the oracle, ExpectedDistanceNn from core::ExpectedNn.
   kMonteCarlo,
@@ -202,9 +205,11 @@ class Engine {
   /// estimator answers the whole batch through its batch kernel (spiral
   /// prefix retrieval via KNearestBatch, or the Monte-Carlo candidate
   /// sweep after a batched envelope pass); kBruteForce evaluates the
-  /// definition per query. This is the substrate QueryMany's
-  /// MostProbableNn/Threshold/TopK arms and the sharded pack fan-out
-  /// share. Thread-safe.
+  /// definition per query. A query with a NaN or infinite coordinate
+  /// gets no estimates on every backend, so MostProbableNn answers -1 and
+  /// Threshold/TopK report nothing for it. This is the substrate
+  /// QueryMany's MostProbableNn/Threshold/TopK arms and the sharded pack
+  /// fan-out share. Thread-safe.
   std::vector<std::vector<std::pair<int, double>>> ProbabilitiesMany(
       std::span<const geom::Vec2> queries, double eps_needed = 0.0,
       spatial::BatchStats* stats = nullptr) const;
@@ -275,7 +280,13 @@ class Engine {
   bool all_disk() const { return all_disk_; }
 
  private:
-  std::vector<std::pair<int, double>> ExactProbabilities(geom::Vec2 q) const;
+  /// kBruteForce on a homogeneous set: probabilities come from the exact
+  /// definitions (Eq. (2) accumulation or Eq. (1) integration). A mixed
+  /// set has no exact quantifier and takes the Monte-Carlo estimator.
+  bool ExactQuantification() const {
+    return config_.backend == Backend::kBruteForce &&
+           (all_discrete_ || all_disk_);
+  }
 
   const core::ExpectedNn& GetExpectedNn() const;
   const core::SpiralSearch& GetSpiralSearch() const;

@@ -65,6 +65,11 @@ inline Vec2 Normalized(Vec2 v) {
   return n > 0 ? v / n : Vec2{0, 0};
 }
 
+/// True when neither coordinate is NaN or infinite.
+inline bool IsFinite(Vec2 v) {
+  return std::isfinite(v.x) && std::isfinite(v.y);
+}
+
 /// Linear interpolation `a + t (b - a)`.
 constexpr Vec2 Lerp(Vec2 a, Vec2 b, double t) { return a + (b - a) * t; }
 

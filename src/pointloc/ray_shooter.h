@@ -12,10 +12,9 @@
 /// query shoots a ray straight up from q, finds the first edge hit, and
 /// returns the half-edge whose left face contains q; the caller then reads
 /// that loop's stored label. Expected O(1) candidate edges per query on
-/// bounded-density subdivisions; worst case linear (the persistent-slab
-/// structure in slab_locator.h provides the O(log n) guarantee). Queries
-/// carry no shared mutable state, so a built RayShooter may be queried
-/// from any number of threads concurrently.
+/// bounded-density subdivisions; worst case linear. Queries carry no
+/// shared mutable state, so a built RayShooter may be queried from any
+/// number of threads concurrently.
 
 namespace unn {
 namespace pointloc {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <string>
 #include <utility>
 
@@ -267,8 +268,10 @@ std::vector<QueryServer::SlowQuery> QueryServer::SlowQueries() const {
   return {slow_log_.begin(), slow_log_.end()};
 }
 
-void QueryServer::SubmitImpl(const Request& request,
-                             std::function<void(Response&&)> deliver) {
+std::future<Response> QueryServer::Submit(const Request& request) {
+  InflightGuard inflight(inflight_, draining_);
+  auto promise = std::make_shared<std::promise<Response>>();
+  std::future<Response> result = promise->get_future();
   const auto t0 = std::chrono::steady_clock::now();
   // Pin the snapshot at submission: the request is answered against the
   // dataset (and cache generation) that was current when the server
@@ -291,14 +294,14 @@ void QueryServer::SubmitImpl(const Request& request,
   const obs::TraceNode root_node{ctx, root};
 
   // Every path delivers through here: close the root span, feed the
-  // slow-query log, hand the response to the caller. `owned` keeps a
+  // slow-query log, satisfy the caller's future. `owned` keeps a
   // server-allocated context alive until then.
   auto finish = [this, ctx, owned = std::move(owned), root, request,
-                 deliver = std::move(deliver)](Response&& resp) {
+                 promise = std::move(promise)](Response&& resp) {
     if (ctx != nullptr) ctx->EndSpan(root);
     MaybeLogSlowQuery(request.q, request.spec, resp.source, resp.latency,
                       ctx, 0);
-    deliver(std::move(resp));
+    promise->set_value(std::move(resp));
   };
 
   // The admission span covers everything up to the dispatch decision.
@@ -309,7 +312,7 @@ void QueryServer::SubmitImpl(const Request& request,
     deadline_exceeded_->Inc();
     admission.End();
     finish(Response{{}, ResultSource::kDeadlineExceeded, ElapsedUs(t0)});
-    return;
+    return result;
   }
 
   const bool regular = IsRegular(request.spec);
@@ -328,7 +331,7 @@ void QueryServer::SubmitImpl(const Request& request,
       resp.latency = ElapsedUs(t0);
       RecordLatency(request.spec.type, resp.latency);
       finish(std::move(resp));
-      return;
+      return result;
     }
   }
 
@@ -358,7 +361,7 @@ void QueryServer::SubmitImpl(const Request& request,
       shed_->Inc();
       finish(Response{{}, ResultSource::kShed, ElapsedUs(t0)});
     }
-    return;
+    return result;
   }
 
   admission.End();
@@ -416,27 +419,6 @@ void QueryServer::SubmitImpl(const Request& request,
     // always satisfied and nothing aborts.
     task();
   }
-}
-
-std::future<Response> QueryServer::Submit(const Request& request) {
-  InflightGuard inflight(inflight_, draining_);
-  auto promise = std::make_shared<std::promise<Response>>();
-  std::future<Response> result = promise->get_future();
-  SubmitImpl(request, [promise = std::move(promise)](Response&& resp) {
-    promise->set_value(std::move(resp));
-  });
-  return result;
-}
-
-std::future<Engine::QueryResult> QueryServer::Submit(
-    geom::Vec2 q, const Engine::QuerySpec& spec) {
-  InflightGuard inflight(inflight_, draining_);
-  auto promise = std::make_shared<std::promise<Engine::QueryResult>>();
-  std::future<Engine::QueryResult> result = promise->get_future();
-  SubmitImpl(Request{q, spec},
-             [promise = std::move(promise)](Response&& resp) {
-               promise->set_value(std::move(resp.result));
-             });
   return result;
 }
 
@@ -470,7 +452,7 @@ std::vector<Response> QueryServer::QueryBatch(
   // the way in (a batch the server accepts is not split).
   const bool at_limit =
       options_.max_inflight > 0 &&
-      // relaxed: same load-shedding heuristic as SubmitImpl's admission.
+      // relaxed: same load-shedding heuristic as Submit's admission.
       active_.load(std::memory_order_relaxed) >= options_.max_inflight;
   {
     obs::ScopedSpan admission(root_node, "batch_admission");
@@ -516,12 +498,11 @@ std::vector<Response> QueryServer::QueryBatch(
   // scan is quadratic in the handful of distinct specs, cheaper than
   // hashing) and each group runs through serve::QueryMany, so cache
   // misses of the same spec form packs for the batched traversal kernels
-  // whether the batch arrived uniform (the common case, and always the
-  // legacy wrapper — one group) or mixed, instead of fanning scalar
-  // singletons. Per-spec amortizations (warm once, block splitting) are
-  // kept either way, and the grouping cannot change any answer: each
-  // Response is produced by the same backend QueryMany contract in
-  // request order.
+  // whether the batch arrived uniform (the common case: one group) or
+  // mixed, instead of fanning scalar singletons. Per-spec amortizations
+  // (warm once, block splitting) are kept either way, and the grouping
+  // cannot change any answer: each Response is produced by the same
+  // backend QueryMany contract in request order.
   auto run = [&](const std::vector<size_t>& idx, const auto& backend) {
     std::vector<Engine::QuerySpec> distinct;
     std::vector<std::vector<size_t>> groups;
@@ -606,21 +587,6 @@ std::vector<Response> QueryServer::QueryBatch(
                       ctx.get(), static_cast<int>(requests.size()));
   }
   return responses;
-}
-
-std::vector<Engine::QueryResult> QueryServer::QueryBatch(
-    std::span<const geom::Vec2> queries, const Engine::QuerySpec& spec) {
-  std::vector<Request> requests(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    requests[i].q = queries[i];
-    requests[i].spec = spec;
-  }
-  std::vector<Response> batch = QueryBatch(requests);
-  std::vector<Engine::QueryResult> results(batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    results[i] = std::move(batch[i].result);
-  }
-  return results;
 }
 
 void QueryServer::ReplaceDataset(std::vector<core::UncertainPoint> points) {

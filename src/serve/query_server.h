@@ -6,7 +6,6 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <future>
 #include <memory>
 #include <span>
@@ -43,9 +42,8 @@
 /// count and partitioner mid-flight; concurrent replacements serialize
 /// on a separate mutex that readers never touch.
 ///
-/// The primary serving API is `Submit(Request)` / `QueryBatch(span<
-/// Request>)` over the types in request.h; the historical `(Vec2,
-/// QuerySpec)` signatures forward to them. On top of the snapshot the
+/// The serving API is `Submit(Request)` / `QueryBatch(span<const
+/// Request>)` over the types in request.h. On top of the snapshot the
 /// server layers three QoS mechanisms (docs/ARCHITECTURE.md, "Serving
 /// QoS"):
 ///
@@ -189,13 +187,6 @@ class QueryServer {
   /// they cover.
   std::future<Response> Submit(const Request& request);
 
-  /// Forwarding wrapper: `Submit({q, spec})` with no deadline at normal
-  /// priority, delivering just the result (cache and admission control
-  /// still apply; a shed request delivers an empty QueryResult).
-  /// Thread-safe.
-  std::future<Engine::QueryResult> Submit(geom::Vec2 q,
-                                          const Engine::QuerySpec& spec);
-
   /// Blocking batched API: probes the cache per request, then computes
   /// the misses across the pool (plus the calling thread); responses[i]
   /// answers requests[i]. The whole batch runs on one snapshot.
@@ -206,11 +197,6 @@ class QueryServer {
   /// responses carry their probe-time latency; computed ones the batch
   /// completion latency. Thread-safe.
   std::vector<Response> QueryBatch(std::span<const Request> requests);
-
-  /// Forwarding wrapper: one spec for every point, results only.
-  /// Thread-safe.
-  std::vector<Engine::QueryResult> QueryBatch(
-      std::span<const geom::Vec2> queries, const Engine::QuerySpec& spec);
 
   /// Atomically replaces the dataset: partitions per the server's current
   /// replacement sharding — the most recent of Options::sharding, the
@@ -320,10 +306,6 @@ class QueryServer {
   /// must be held" comment made checkable.
   void InstallLocked(std::shared_ptr<const ShardedEngine> engine)
       UNN_REQUIRES(replace_mu_);
-  /// The full Submit flow with a pluggable delivery (the two public
-  /// Submit overloads differ only in what they promise).
-  void SubmitImpl(const Request& request,
-                  std::function<void(Response&&)> deliver);
   /// One locked shared_ptr copy: the snapshot serving at this instant.
   std::shared_ptr<const Snapshot> LoadState() const UNN_EXCLUDES(state_mu_);
   /// Publishes `next` as the serving snapshot. The displaced snapshot is

@@ -8,10 +8,9 @@
 #include "obs/trace.h"
 
 /// \file request.h
-/// The unified serving request/response vocabulary. Every serving
-/// entrypoint (QueryServer::Submit, QueryServer::QueryBatch) is defined
-/// over these types; the historical (Vec2, QuerySpec) signatures are thin
-/// forwarding wrappers. A Request carries the QoS contract — an optional
+/// The serving request/response vocabulary. Both serving entrypoints
+/// (QueryServer::Submit, QueryServer::QueryBatch) are defined over these
+/// types. A Request carries the QoS contract — an optional
 /// deadline and a scheduling priority — alongside the query itself; a
 /// Response says not just what the answer is but how it was produced
 /// (computed, served from the result cache, degraded to the cheap

@@ -72,6 +72,9 @@ MergedProbabilities MergeProbabilities(
     const Engine::Config& config, double eps) {
   UNN_CHECK(local_probs.size() == shards.size());
   UNN_CHECK(local_env.size() == shards.size());
+  // A non-finite query has no estimates on any shard backend; the merge
+  // keeps that rule instead of re-quantifying the envelope argmins.
+  if (!geom::IsFinite(q)) return {};
 
   // Candidate union: every shard's positive-probability candidates plus
   // its envelope argmin (the latter pins the union's Delta envelope to the

@@ -109,8 +109,9 @@ struct MergedProbabilities {
 /// integration range). `eps` is the accuracy for the mixed-model
 /// Monte-Carlo fallback. Cost: O(U log U) accumulation for discrete
 /// unions of total site count U, adaptive quadrature per candidate for
-/// disk unions, one Monte-Carlo build + query for mixed unions.
-/// Thread-safe.
+/// disk unions, one Monte-Carlo build + query for mixed unions. A query
+/// with a NaN or infinite coordinate merges to no estimates, as every
+/// Engine backend answers it. Thread-safe.
 MergedProbabilities MergeProbabilities(
     std::span<const ShardView> shards,
     std::span<const std::vector<std::pair<int, double>>> local_probs,

@@ -14,6 +14,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <iterator>
+#include <limits>
 #include <random>
 #include <span>
 #include <vector>
@@ -145,28 +147,6 @@ std::vector<UncertainPoint> AdversarialSet(int which, int n, uint64_t seed) {
 // Kernel-level differentials
 // ---------------------------------------------------------------------------
 
-TEST(BatchFuzz, QuerySquaredBatchBitIdentical) {
-  int iters = FuzzIters(8);
-  for (int it = 0; it < iters; ++it) {
-    uint64_t seed = 1000 + 17 * static_cast<uint64_t>(it);
-    auto pts = AdversarialSet(it, 40 + (it % 5) * 23, seed);
-    core::ExpectedNn index(pts);
-    // Every batch size from a lone ragged pack up to full packs plus a
-    // ragged tail.
-    for (int m = 1; m <= 2 * geom::kLaneWidth + 1; ++m) {
-      auto qs = AdversarialQueries(m, seed + m);
-      std::vector<int> got(qs.size());
-      spatial::BatchStats stats;
-      index.QuerySquaredBatch(qs, got, &stats);
-      EXPECT_GT(stats.packs, 0);
-      for (size_t i = 0; i < qs.size(); ++i) {
-        EXPECT_EQ(got[i], index.QuerySquared(qs[i]))
-            << "it=" << it << " m=" << m << " i=" << i;
-      }
-    }
-  }
-}
-
 TEST(BatchFuzz, QueryExpectedBatchBitIdentical) {
   int iters = FuzzIters(6);
   for (int it = 0; it < iters; ++it) {
@@ -211,48 +191,6 @@ TEST(BatchFuzz, QuantTreeEnvelopeBatchBitIdentical) {
             << "it=" << it << " m=" << m << " i=" << i;
         EXPECT_EQ(got[i].argbest, want.argbest)
             << "it=" << it << " m=" << m << " i=" << i;
-      }
-    }
-  }
-}
-
-TEST(BatchFuzz, QuantTreeLogSurvivalBatchBitIdentical) {
-  int iters = FuzzIters(6);
-  for (int it = 0; it < iters; ++it) {
-    uint64_t seed = 6000 + 23 * static_cast<uint64_t>(it);
-    auto pts = AdversarialSet(it, 36 + (it % 4) * 19, seed);
-    core::QuantTree qt(&pts);
-    for (int m = 1; m <= 2 * geom::kLaneWidth + 1; ++m) {
-      auto qs = AdversarialQueries(m, seed + m);
-      // Radii stress every branch: zero (empty ball), exact MaxDist
-      // boundaries (the support-intersection test ties exactly), radii
-      // inside a support (certain point, -infinity), and large radii
-      // covering everything.
-      std::vector<double> radii(qs.size());
-      for (size_t i = 0; i < qs.size(); ++i) {
-        switch (i % 4) {
-          case 0:
-            radii[i] = 0.0;
-            break;
-          case 1:
-            radii[i] = pts[i % pts.size()].MaxDist(qs[i]);
-            break;
-          case 2:
-            radii[i] = 0.5;
-            break;
-          default:
-            radii[i] = 25.0;
-        }
-      }
-      std::vector<double> got(qs.size());
-      spatial::BatchStats stats;
-      qt.LogSurvivalBatch(qs, radii, got, &stats);
-      EXPECT_EQ(stats.scalar_replays, 0);
-      for (size_t i = 0; i < qs.size(); ++i) {
-        // Bit-identical contract: the pack walk is the scalar walk, so
-        // exact equality holds — including -infinity.
-        EXPECT_EQ(got[i], qt.LogSurvival(qs[i], radii[i]))
-            << "it=" << it << " m=" << m << " i=" << i << " r=" << radii[i];
       }
     }
   }
@@ -558,10 +496,15 @@ TEST(BatchFuzz, MonteCarloMatchesDefinitionOracle) {
 // Engine-level pack independence: QueryMany is the one execution path of
 // every query type, so a query's answer inside a full pack must equal its
 // pack-of-one answer, for all five types and every pack size — and match
-// the definition-level oracles where they are exact.
+// the definition-level oracles where they are exact. Every fifth query
+// has a NaN or infinite coordinate; those get no probability estimates on
+// any backend.
 // ---------------------------------------------------------------------------
 
 TEST(BatchFuzz, EngineQueryManyPackIndependent) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const Vec2 kNonFinite[] = {{std::nan(""), 0.2}, {0.3, std::nan("")},
+                             {inf, 0.5}, {-inf, -0.5}, {0.1, inf}};
   int iters = FuzzIters(3);
   const Engine::QuerySpec specs[] = {
       {Engine::QueryType::kMostProbableNn, 0.5, 1},
@@ -577,6 +520,9 @@ TEST(BatchFuzz, EngineQueryManyPackIndependent) {
     core::ExpectedNn expected(pts);
     for (int m = 1; m <= 2 * geom::kLaneWidth + 1; ++m) {
       auto qs = AdversarialQueries(m, seed + 99 + m);
+      for (int i = 2; i < m; i += 5) {
+        qs[i] = kNonFinite[(i / 5 + it) % std::size(kNonFinite)];
+      }
       for (const Engine::QuerySpec& spec : specs) {
         auto pack = engine.QueryMany(qs, spec);
         ASSERT_EQ(pack.size(), qs.size());
@@ -597,7 +543,16 @@ TEST(BatchFuzz, EngineQueryManyPackIndependent) {
       // target of the batched kernel.
       auto nonzero = engine.QueryMany(qs, specs[4]);
       auto nearest = engine.QueryMany(qs, specs[1]);
+      auto most_probable = engine.QueryMany(qs, specs[0]);
+      auto threshold = engine.QueryMany(qs, specs[2]);
+      auto top_k = engine.QueryMany(qs, specs[3]);
       for (size_t i = 0; i < qs.size(); ++i) {
+        if (!geom::IsFinite(qs[i])) {
+          EXPECT_EQ(most_probable[i].nn, -1) << "it=" << it << " i=" << i;
+          EXPECT_TRUE(threshold[i].ranked.empty()) << "it=" << it;
+          EXPECT_TRUE(top_k[i].ranked.empty()) << "it=" << it;
+          continue;
+        }
         if (core::NonzeroNnMargin(pts, qs[i]) >= 1e-6) {
           EXPECT_EQ(nonzero[i].ids, baselines::NonzeroNn(pts, qs[i]))
               << "it=" << it << " m=" << m << " i=" << i;

@@ -2,9 +2,11 @@
 
 #include <cmath>
 #include <random>
+#include <utility>
 
 #include <gtest/gtest.h>
 
+#include "arrangement/segment_arrangement.h"
 #include "envelope/polar_envelope.h"
 #include "geom/trig.h"
 #include "pointloc/ray_shooter.h"
@@ -13,6 +15,7 @@ namespace unn {
 namespace dcel {
 namespace {
 
+using geom::Box;
 using geom::FocalConic;
 using geom::Vec2;
 
@@ -195,6 +198,68 @@ TEST(RayShooter, EmptyAboveReturnsMinusOne) {
   int h2 = shooter.LocateHalfEdgeAbove({5, -5});
   ASSERT_GE(h2, 0);
   EXPECT_FALSE(sub.loop(sub.half_edge(h2).loop).ccw);
+}
+
+PlanarSubdivision RandomSegmentArrangement(int nsegs, uint64_t seed,
+                                           const Box& window) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> u(window.lo.x - 2, window.hi.x + 2);
+  arrangement::SegmentArrangementBuilder builder(window);
+  for (int i = 0; i < nsegs; ++i) {
+    builder.AddSegment({u(rng), u(rng)}, {u(rng), u(rng)}, i);
+  }
+  return builder.Build();
+}
+
+/// The half-edge whose left face contains q, by definition: scan every
+/// non-vertical segment whose x-span holds q.x for the lowest one strictly
+/// above q, then take its side facing q. -1 when nothing is above.
+int FirstHalfEdgeAboveByScan(const PlanarSubdivision& sub, Vec2 q) {
+  int best = -1;
+  double best_y = 0.0;
+  for (int e = 0; e < sub.NumEdges(); ++e) {
+    Vec2 a = sub.edge(e).shape.a();
+    Vec2 b = sub.edge(e).shape.b();
+    if (a.x == b.x) continue;
+    if (a.x > b.x) std::swap(a, b);
+    if (q.x < a.x || q.x >= b.x) continue;
+    double y = a.y + (b.y - a.y) * ((q.x - a.x) / (b.x - a.x));
+    if (y > q.y && (best < 0 || y < best_y)) {
+      best = e;
+      best_y = y;
+    }
+  }
+  if (best < 0) return -1;
+  const Edge& ed = sub.edge(best);
+  double side = Cross(ed.shape.b() - ed.shape.a(), q - ed.shape.a());
+  return sub.HalfEdgeOf(best, side > 0);
+}
+
+TEST(RayShooter, MatchesScanOnRandomArrangements) {
+  Box window{{-10, -10}, {10, 10}};
+  std::mt19937_64 rng(77);
+  std::uniform_real_distribution<double> qu(-9.5, 9.5);
+  for (int iter = 0; iter < 10; ++iter) {
+    auto sub = RandomSegmentArrangement(12 + iter, 100 + iter, window);
+    pointloc::RayShooter shooter(sub);
+    int checked = 0;
+    for (int t = 0; t < 400; ++t) {
+      Vec2 q{qu(rng), qu(rng)};
+      int want = FirstHalfEdgeAboveByScan(sub, q);
+      int got = shooter.LocateHalfEdgeAbove(q);
+      if (want < 0 || got < 0) {
+        // Both must agree that nothing is above (the shooter may bail on
+        // ambiguity; skip those).
+        if (want < 0 && got < 0) ++checked;
+        continue;
+      }
+      // Same first edge above, or at least the same face (loop).
+      EXPECT_EQ(sub.half_edge(got).loop, sub.half_edge(want).loop)
+          << "iter=" << iter << " q=(" << q.x << "," << q.y << ")";
+      ++checked;
+    }
+    EXPECT_GT(checked, 350);
+  }
 }
 
 }  // namespace

@@ -284,6 +284,32 @@ TEST(EngineMostProbableNn, DiskQueryAtHugeMagnitudeReturnsValidId) {
   }
 }
 
+TEST(EngineBruteForce, MixedSetAnswersLikeMonteCarlo) {
+  // A mixed set has no exact quantifier, so kBruteForce takes the
+  // Monte-Carlo estimator, as kAuto does, with Threshold's eps slack:
+  // every probability answer equals a kMonteCarlo Engine's with the same
+  // config.
+  auto disks = workload::RandomDisks(300, 7);
+  auto discrete = workload::RandomDiscrete(300, 3, 7);
+  std::vector<UncertainPoint> pts(disks.begin(), disks.begin() + 100);
+  pts.insert(pts.end(), discrete.begin(), discrete.begin() + 100);
+  Engine::Config cfg;
+  cfg.backend = Backend::kBruteForce;
+  Engine brute(pts, cfg);
+  cfg.backend = Backend::kMonteCarlo;
+  Engine monte_carlo(pts, cfg);
+  std::vector<Vec2> qs = TestQueries();
+  qs.push_back({0.5, 0.5});
+  for (Vec2 q : qs) {
+    EXPECT_EQ(brute.MostProbableNn(q), monte_carlo.MostProbableNn(q))
+        << q.x << "," << q.y;
+    EXPECT_EQ(brute.Threshold(q, 0.25), monte_carlo.Threshold(q, 0.25))
+        << q.x << "," << q.y;
+    EXPECT_EQ(brute.TopK(q, 3), monte_carlo.TopK(q, 3)) << q.x << "," << q.y;
+  }
+  EXPECT_GE(brute.MostProbableNn({0.5, 0.5}), 0);
+}
+
 // ---------------------------------------------------------------------------
 // QueryMany: batched answers identical to one-at-a-time answers.
 // ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@
 
 #include "engine/engine.h"
 #include "serve/query_server.h"
+#include "serve_requests.h"
 #include "workload/generators.h"
 
 namespace unn {
@@ -145,15 +146,16 @@ TEST(QueryServerStress, EightClientsWithConcurrentSnapshotSwap) {
       Engine::QuerySpec spec{Engine::QueryType::kMostProbableNn, 0.5, 1};
       for (int round = 0; round < 6; ++round) {
         if ((t + round) % 2 == 0) {
-          auto results = server.QueryBatch(qs, spec);
+          auto results = server.QueryBatch(Requests(qs, spec));
           for (size_t i = 0; i < qs.size(); ++i) {
-            if (results[i].nn != ans_a[i] && results[i].nn != ans_b[i]) {
+            if (results[i].result.nn != ans_a[i] &&
+                results[i].result.nn != ans_b[i]) {
               ++mismatches;
             }
           }
         } else {
           size_t i = static_cast<size_t>(t * 7 + round) % qs.size();
-          int nn = server.Submit(qs[i], spec).get().nn;
+          int nn = server.Submit({qs[i], spec}).get().result.nn;
           if (nn != ans_a[i] && nn != ans_b[i]) ++mismatches;
         }
       }
@@ -168,9 +170,9 @@ TEST(QueryServerStress, EightClientsWithConcurrentSnapshotSwap) {
 
   // After the dust settles, the server answers for dataset B only.
   auto final_results =
-      server.QueryBatch(qs, {Engine::QueryType::kMostProbableNn});
+      server.QueryBatch(Requests(qs, {Engine::QueryType::kMostProbableNn}));
   for (size_t i = 0; i < qs.size(); ++i) {
-    EXPECT_EQ(final_results[i].nn, ans_b[i]);
+    EXPECT_EQ(final_results[i].result.nn, ans_b[i]);
   }
 }
 
@@ -202,9 +204,10 @@ TEST(QueryServerStress, BatchedPacksRacingSnapshotSwap) {
     clients.emplace_back([&] {
       Engine::QuerySpec spec{Engine::QueryType::kExpectedDistanceNn, 0.5, 1};
       for (int round = 0; round < 6; ++round) {
-        auto results = server.QueryBatch(qs, spec);
+        auto results = server.QueryBatch(Requests(qs, spec));
         for (size_t i = 0; i < qs.size(); ++i) {
-          if (results[i].nn != ans_a[i] && results[i].nn != ans_b[i]) {
+          if (results[i].result.nn != ans_a[i] &&
+              results[i].result.nn != ans_b[i]) {
             ++mismatches;
           }
         }
@@ -219,9 +222,9 @@ TEST(QueryServerStress, BatchedPacksRacingSnapshotSwap) {
   // Settled: dataset B only, still bit-identical to its pack-of-one
   // oracle.
   auto final_results =
-      server.QueryBatch(qs, {Engine::QueryType::kExpectedDistanceNn});
+      server.QueryBatch(Requests(qs, {Engine::QueryType::kExpectedDistanceNn}));
   for (size_t i = 0; i < qs.size(); ++i) {
-    EXPECT_EQ(final_results[i].nn, ans_b[i]);
+    EXPECT_EQ(final_results[i].result.nn, ans_b[i]);
   }
 }
 
@@ -275,10 +278,10 @@ TEST(QueryServerStress, MixedTypeRaggedPacksRacingSwap) {
         // [1, 33] shows up across threads and rounds.
         size_t len = qs.size() - static_cast<size_t>(t * 4 + round) % 9;
         std::vector<Vec2> sub(qs.begin(), qs.begin() + len);
-        auto results = server.QueryBatch(sub, specs[s]);
+        auto results = server.QueryBatch(Requests(sub, specs[s]));
         for (size_t i = 0; i < sub.size(); ++i) {
-          if (!same(results[i], ans_a[s][i]) &&
-              !same(results[i], ans_b[s][i])) {
+          if (!same(results[i].result, ans_a[s][i]) &&
+              !same(results[i].result, ans_b[s][i])) {
             ++mismatches;
           }
         }
@@ -291,9 +294,9 @@ TEST(QueryServerStress, MixedTypeRaggedPacksRacingSwap) {
 
   // Settled: dataset B only, every type still oracle-identical.
   for (size_t s = 0; s < specs.size(); ++s) {
-    auto results = server.QueryBatch(qs, specs[s]);
+    auto results = server.QueryBatch(Requests(qs, specs[s]));
     for (size_t i = 0; i < qs.size(); ++i) {
-      EXPECT_TRUE(same(results[i], ans_b[s][i]))
+      EXPECT_TRUE(same(results[i].result, ans_b[s][i]))
           << "type " << static_cast<int>(specs[s].type) << " query " << i;
     }
   }
@@ -332,8 +335,8 @@ TEST(QueryServerStress, SubmitRacingShutdownAnswersInline) {
 
   // Queued before shutdown: these sit behind the gate and drain while the
   // destructor joins the workers.
-  std::vector<std::future<Engine::QueryResult>> queued;
-  for (int i = 0; i < 4; ++i) queued.push_back(server->Submit(q, spec));
+  std::vector<std::future<serve::Response>> queued;
+  for (int i = 0; i < 4; ++i) queued.push_back(server->Submit({q, spec}));
 
   // unique_ptr::reset nulls its pointer before the (blocking) destructor
   // runs, so the racing submitter must address the object directly.
@@ -344,16 +347,16 @@ TEST(QueryServerStress, SubmitRacingShutdownAnswersInline) {
     // Give the destructor time to reach the pool teardown; submits that
     // still win the race simply enqueue and drain like the ones above.
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    std::vector<std::future<Engine::QueryResult>> racing;
-    for (int i = 0; i < 32; ++i) racing.push_back(raw->Submit(q, spec));
+    std::vector<std::future<serve::Response>> racing;
+    for (int i = 0; i < 32; ++i) racing.push_back(raw->Submit({q, spec}));
     release.store(true);  // Unpark the workers; the destructor finishes.
-    for (auto& fut : racing) EXPECT_EQ(fut.get().nn, want);
+    for (auto& fut : racing) EXPECT_EQ(fut.get().result.nn, want);
   });
 
   destroying.store(true);
   server.reset();  // Blocks joining the gated workers until `release`.
   submitter.join();
-  for (auto& fut : queued) EXPECT_EQ(fut.get().nn, want);
+  for (auto& fut : queued) EXPECT_EQ(fut.get().result.nn, want);
 }
 
 TEST(QueryServerStress, CacheHitsRacingSnapshotSwaps) {

@@ -14,6 +14,7 @@
 #include "serve/parallel.h"
 #include "serve/query_server.h"
 #include "serve/thread_pool.h"
+#include "serve_requests.h"
 #include "workload/generators.h"
 
 namespace unn {
@@ -149,12 +150,12 @@ TEST(QueryServer, SubmitMatchesDirectQuery) {
   Engine oracle(pts, cfg);
 
   auto qs = GridQueries(20);
-  std::vector<std::future<Engine::QueryResult>> futures;
+  std::vector<std::future<serve::Response>> futures;
   for (Vec2 q : qs) {
-    futures.push_back(server.Submit(q, {Engine::QueryType::kMostProbableNn}));
+    futures.push_back(server.Submit({q, {Engine::QueryType::kMostProbableNn}}));
   }
   for (size_t i = 0; i < qs.size(); ++i) {
-    EXPECT_EQ(futures[i].get().nn, oracle.MostProbableNn(qs[i]));
+    EXPECT_EQ(futures[i].get().result.nn, oracle.MostProbableNn(qs[i]));
   }
   EXPECT_EQ(server.stats().queries, qs.size());
 }
@@ -166,10 +167,11 @@ TEST(QueryServer, QueryBatchMatchesSerialEngine) {
   Engine oracle(pts, cfg);
 
   auto qs = GridQueries(33);
-  auto results = server.QueryBatch(qs, {Engine::QueryType::kNonzeroNn});
+  auto results =
+      server.QueryBatch(Requests(qs, {Engine::QueryType::kNonzeroNn}));
   ASSERT_EQ(results.size(), qs.size());
   for (size_t i = 0; i < qs.size(); ++i) {
-    EXPECT_EQ(results[i].ids, oracle.NonzeroNn(qs[i]));
+    EXPECT_EQ(results[i].result.ids, oracle.NonzeroNn(qs[i]));
   }
   EXPECT_EQ(server.stats().batches, 1u);
 }
@@ -185,8 +187,8 @@ TEST(QueryServer, WarmOptionPrebuildsSnapshot) {
   EXPECT_GE(built, 1);
   // Serving warmed types builds nothing further.
   auto qs = GridQueries(8);
-  server.QueryBatch(qs, {Engine::QueryType::kMostProbableNn});
-  server.QueryBatch(qs, {Engine::QueryType::kNonzeroNn});
+  server.QueryBatch(Requests(qs, {Engine::QueryType::kMostProbableNn}));
+  server.QueryBatch(Requests(qs, {Engine::QueryType::kNonzeroNn}));
   EXPECT_EQ(server.snapshot()->StructuresBuilt(), built);
 }
 
@@ -210,8 +212,8 @@ TEST(QueryServer, ReplaceDatasetSwapsSnapshotAndKeepsOldAlive) {
 
   // New queries see the new dataset.
   Engine oracle_b(pts_b, {});
-  auto r = server.Submit(q, {Engine::QueryType::kMostProbableNn}).get();
-  EXPECT_EQ(r.nn, oracle_b.MostProbableNn(q));
+  auto r = server.Submit({q, {Engine::QueryType::kMostProbableNn}}).get();
+  EXPECT_EQ(r.result.nn, oracle_b.MostProbableNn(q));
 }
 
 // ---------------------------------------------------------------------------
@@ -611,7 +613,7 @@ TEST(QueryServer, DumpMetricsEmitsPrometheusCatalog) {
   for (Vec2 q : qs) reqs.push_back({q, {}});
   server.QueryBatch(reqs);
   server.QueryBatch(reqs);  // All repeats: cache hits.
-  server.Submit(qs[0], {Engine::QueryType::kNonzeroNn}).get();
+  server.Submit({qs[0], {Engine::QueryType::kNonzeroNn}}).get();
 
   // Traversal counters are process-global and appended at dump time.
   obs::ResetTraversalProfile();
@@ -711,7 +713,7 @@ TEST(QueryServer, SlowQueryLogIsBoundedAndCarriesSpans) {
   EXPECT_TRUE(server.SlowQueries().empty());
   auto qs = GridQueries(12);
   for (Vec2 q : qs) {
-    server.Submit(q, {Engine::QueryType::kMostProbableNn}).get();
+    server.Submit({q, {Engine::QueryType::kMostProbableNn}}).get();
   }
 
   std::vector<serve::QueryServer::SlowQuery> slow = server.SlowQueries();

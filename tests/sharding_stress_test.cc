@@ -14,6 +14,7 @@
 #include "engine/engine.h"
 #include "serve/query_server.h"
 #include "serve/sharding.h"
+#include "serve_requests.h"
 #include "workload/generators.h"
 
 namespace unn {
@@ -117,15 +118,16 @@ TEST(QueryServerShardedStress, EightClientsWithConcurrentReshardingSwap) {
       Engine::QuerySpec spec{Engine::QueryType::kMostProbableNn, 0.5, 1};
       for (int round = 0; round < 5; ++round) {
         if ((t + round) % 2 == 0) {
-          auto results = server.QueryBatch(qs, spec);
+          auto results = server.QueryBatch(Requests(qs, spec));
           for (size_t i = 0; i < qs.size(); ++i) {
-            if (results[i].nn != ans_a[i] && results[i].nn != ans_b[i]) {
+            if (results[i].result.nn != ans_a[i] &&
+                results[i].result.nn != ans_b[i]) {
               ++mismatches;
             }
           }
         } else {
           size_t i = static_cast<size_t>(t * 7 + round) % qs.size();
-          int nn = server.Submit(qs[i], spec).get().nn;
+          int nn = server.Submit({qs[i], spec}).get().result.nn;
           if (nn != ans_a[i] && nn != ans_b[i]) ++mismatches;
         }
       }
@@ -141,9 +143,9 @@ TEST(QueryServerShardedStress, EightClientsWithConcurrentReshardingSwap) {
 
   // After the dust settles, the server answers for dataset B only.
   auto final_results =
-      server.QueryBatch(qs, {Engine::QueryType::kMostProbableNn});
+      server.QueryBatch(Requests(qs, {Engine::QueryType::kMostProbableNn}));
   for (size_t i = 0; i < qs.size(); ++i) {
-    EXPECT_EQ(final_results[i].nn, ans_b[i]);
+    EXPECT_EQ(final_results[i].result.nn, ans_b[i]);
   }
 }
 
@@ -156,7 +158,7 @@ TEST(QueryServerShardedStress, DestructionWithInFlightShardedSubmits) {
   Engine::Config cfg;
   cfg.backend = Backend::kBruteForce;
   auto qs = StressQueries(24);
-  std::vector<std::future<Engine::QueryResult>> futures;
+  std::vector<std::future<serve::Response>> futures;
   {
     serve::QueryServer server(
         pts, cfg,
@@ -164,12 +166,12 @@ TEST(QueryServerShardedStress, DestructionWithInFlightShardedSubmits) {
          .warm = {Engine::QueryType::kNonzeroNn},
          .sharding = {3, serve::Partitioning::kRoundRobin}});
     for (Vec2 q : qs) {
-      futures.push_back(server.Submit(q, {Engine::QueryType::kNonzeroNn}));
+      futures.push_back(server.Submit({q, {Engine::QueryType::kNonzeroNn}}));
     }
   }  // Destructor joins the pool; queued tasks drain first.
   Engine oracle(pts, cfg);
   for (size_t i = 0; i < qs.size(); ++i) {
-    EXPECT_EQ(futures[i].get().ids, oracle.NonzeroNn(qs[i]));
+    EXPECT_EQ(futures[i].get().result.ids, oracle.NonzeroNn(qs[i]));
   }
 }
 

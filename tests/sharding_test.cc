@@ -13,6 +13,7 @@
 #include <memory>
 #include <numeric>
 #include <set>
+#include <sstream>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -23,6 +24,7 @@
 #include "serve/query_server.h"
 #include "serve/shard_merge.h"
 #include "serve/sharding.h"
+#include "serve_requests.h"
 #include "workload/generators.h"
 
 namespace unn {
@@ -340,20 +342,48 @@ TEST(ShardedEngine, SingleQueryDegenerateParametersDoNotAbort) {
 // without a local winner must drop out of the min-merge instead of having
 // its -1 looked up as a point id.
 TEST(ShardedEngine, ExpectedDistanceNnOnNonFiniteQueryMatchesSingleEngine) {
+  // A query with a NaN or infinite coordinate: under kAuto the
+  // expected-distance NN merges like any other, and on both backends the
+  // probability types get no estimates on either side, so MPNN is -1 and
+  // Threshold/TopK report nothing (tau <= 0: every id at 0).
   const double inf = std::numeric_limits<double>::infinity();
   const Vec2 queries[] = {{std::nan(""), 0}, {0, std::nan("")}, {inf, 0},
-                          {-inf, 0}, {0, inf}};
+                          {-inf, 0}, {0, inf}, {std::nan(""), 0.2},
+                          {inf, 0.5}};
   for (bool discrete : {true, false}) {
     auto pts = discrete ? workload::RandomDiscrete(200, 3, 7)
                         : workload::RandomDisks(60, 7);
-    Engine single(pts, {});
-    for (int k : {2, 4}) {
-      serve::ShardedEngine sharded(pts, {},
-                                   {k, serve::Partitioning::kSpatial});
-      for (Vec2 q : queries) {
-        EXPECT_EQ(sharded.ExpectedDistanceNn(q), single.ExpectedDistanceNn(q))
-            << "discrete=" << discrete << " k=" << k << " q=(" << q.x << ","
-            << q.y << ")";
+    for (Backend backend : {Backend::kAuto, Backend::kBruteForce}) {
+      Engine::Config cfg;
+      cfg.backend = backend;
+      Engine single(pts, cfg);
+      for (int k : {2, 4}) {
+        serve::ShardedEngine sharded(pts, cfg,
+                                     {k, serve::Partitioning::kSpatial});
+        for (Vec2 q : queries) {
+          std::ostringstream where;
+          where << "discrete=" << discrete
+                << " backend=" << static_cast<int>(backend) << " k=" << k
+                << " q=(" << q.x << "," << q.y << ")";
+          if (backend == Backend::kAuto) {
+            EXPECT_EQ(sharded.ExpectedDistanceNn(q),
+                      single.ExpectedDistanceNn(q))
+                << where.str();
+          }
+          EXPECT_EQ(sharded.MostProbableNn(q), -1) << where.str();
+          EXPECT_EQ(single.MostProbableNn(q), -1) << where.str();
+          EXPECT_TRUE(sharded.Threshold(q, 0.25).empty()) << where.str();
+          EXPECT_TRUE(single.Threshold(q, 0.25).empty()) << where.str();
+          EXPECT_TRUE(sharded.TopK(q, 3).empty()) << where.str();
+          EXPECT_TRUE(single.TopK(q, 3).empty()) << where.str();
+          // tau <= 0 lists every id, each at estimate 0.
+          std::vector<std::pair<int, double>> all_zero(pts.size());
+          for (size_t i = 0; i < pts.size(); ++i) {
+            all_zero[i] = {static_cast<int>(i), 0.0};
+          }
+          EXPECT_EQ(sharded.Threshold(q, 0.0), all_zero) << where.str();
+          EXPECT_EQ(single.Threshold(q, 0.0), all_zero) << where.str();
+        }
       }
     }
   }
@@ -547,14 +577,15 @@ TEST(QueryServerSharded, BatchAndSubmitMatchOracle) {
   EXPECT_EQ(server.sharded_snapshot()->num_shards(), 4);
 
   auto qs = GridQueries(21);
-  auto results = server.QueryBatch(qs, {Engine::QueryType::kMostProbableNn});
+  auto results =
+      server.QueryBatch(Requests(qs, {Engine::QueryType::kMostProbableNn}));
   ASSERT_EQ(results.size(), qs.size());
   for (size_t i = 0; i < qs.size(); ++i) {
-    EXPECT_EQ(results[i].nn, oracle.MostProbableNn(qs[i]));
+    EXPECT_EQ(results[i].result.nn, oracle.MostProbableNn(qs[i]));
   }
   for (size_t i = 0; i < 5; ++i) {
-    auto fut = server.Submit(qs[i], {Engine::QueryType::kNonzeroNn});
-    EXPECT_EQ(fut.get().ids, oracle.NonzeroNn(qs[i]));
+    auto fut = server.Submit({qs[i], {Engine::QueryType::kNonzeroNn}});
+    EXPECT_EQ(fut.get().result.ids, oracle.NonzeroNn(qs[i]));
   }
 }
 
@@ -585,9 +616,10 @@ TEST(QueryServerSharded, ReplaceDatasetCanChangeShardCount) {
 
   Engine oracle(pts_a, cfg);
   auto qs = GridQueries(9);
-  auto results = server.QueryBatch(qs, {Engine::QueryType::kNonzeroNn});
+  auto results =
+      server.QueryBatch(Requests(qs, {Engine::QueryType::kNonzeroNn}));
   for (size_t i = 0; i < qs.size(); ++i) {
-    EXPECT_EQ(results[i].ids, oracle.NonzeroNn(qs[i]));
+    EXPECT_EQ(results[i].result.ids, oracle.NonzeroNn(qs[i]));
   }
 }
 
