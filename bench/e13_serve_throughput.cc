@@ -1,7 +1,7 @@
 // Experiment E13 — serving-layer throughput. Part 1: queries/sec of the
 // batch-parallel QueryMany at 1, 2, 4, 8 threads against the serial seam,
 // on a warmed Engine (MostProbableNn over a 10k-point / 10k-query
-// discrete batch; spiral-search backend). Queries are read-only and
+// discrete batch; exact candidate-sweep backend). Queries are read-only and
 // independent, so the speedup should track the participant count up to
 // the physical core count. Also reports the QueryServer batched path
 // (snapshot load + pool split) to show the serving front end adds no
@@ -9,9 +9,9 @@
 // warm time and merged-query throughput at 1, 2, 4, 8 shards
 // (ShardedEngine, round-robin); construction cost is reported per shard
 // in the --json output so BENCH_*.json tracks build scaling, not just
-// qps. Merged answers are exact re-quantifications, so they may
-// legitimately differ from the single spiral-search estimator within
-// eps; a sampled check against the exact oracle validates them.
+// qps. Merged answers are exact re-quantifications, bit-identical to
+// the single Engine's exact answers on this discrete set; a sampled
+// check against the exact oracle validates them.
 // Part 3: the snapshot-keyed result cache under a Zipf-skewed request
 // stream (the repeated-query traffic caches exist for): batch throughput
 // with the cache off vs on, the steady-state hit rate, per-request
@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
   bench::Timer tw;
   engine.Warmup(spec);
   double warmup_ms = tw.Ms();
-  printf("warmup (spiral search build): %.1f ms\n\n", warmup_ms);
+  printf("warmup (NN!=0 index build): %.1f ms\n\n", warmup_ms);
 
   // Serial baseline: the Engine's own loop, no pool involved.
   bench::Timer ts;

@@ -51,11 +51,10 @@ int main(int argc, char** argv) {
   printf("(spiral retrieved %d of %d sites; rho = %.2f)\n",
          spiral.SitesRetrieved(0.01), n * k, spiral.rho());
 
-  // Service decisions through the Engine facade (backend auto-selects the
-  // spiral search for all-discrete inputs, here at the table's eps).
-  Engine::Config cfg;
-  cfg.eps = 0.01;
-  Engine engine(users, cfg);
+  // Service decisions through the Engine facade (kAuto answers
+  // all-discrete inputs exactly: Eq. (2) over each query's NN!=0
+  // candidates, so these match the "exact" column).
+  Engine engine(users);
   printf("users with pi >= 0.2:");
   for (auto [id, p] : engine.Threshold(venue, 0.2)) {
     printf("  %d (%.3f)", id, p);

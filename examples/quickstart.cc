@@ -74,15 +74,15 @@ int main() {
   printf("   (retrieved %d of %d sites)\n", spiral.SitesRetrieved(0.01), 7);
 
   // --- The Engine facade: every query type behind one API. ---
-  Engine::Config cfg;
-  cfg.eps = 0.01;
-  Engine engine(users, cfg);
+  // kAuto quantifies discrete input exactly (Eq. (2) over the NN!=0
+  // candidates), so its probabilities match the VPr line above.
+  Engine engine(users);
   printf("\nEngine facade (backend=auto): most-probable NN = U%d, "
          "expected-distance NN = U%d\n",
          engine.MostProbableNn(q), engine.ExpectedDistanceNn(q));
 
-  // Threshold and top-k queries on top of the same estimator.
-  printf("users with pi >= 0.25 (no false negatives):");
+  // Threshold and top-k queries on top of the same probabilities.
+  printf("users with pi >= 0.25 (exact):");
   for (auto [id, p] : engine.Threshold(q, 0.25)) printf("  U%d(%.3f)", id, p);
   printf("\n");
   auto top = engine.TopK(q, 2);

@@ -36,10 +36,13 @@ std::vector<double> QuantificationProbabilities(
           {Dist(q, p.sites()[s]), static_cast<int>(i), p.weights()[s]});
     }
   }
-  std::sort(sites.begin(), sites.end(),
-            [](const core::WeightedSite& a, const core::WeightedSite& b) {
-              return a.dist < b.dist;
-            });
+  // Sites are listed in site-id order (owner, then site), so a stable sort
+  // orders them by (distance, site id): the order every exact quantifier
+  // accumulates in.
+  std::stable_sort(sites.begin(), sites.end(),
+                   [](const core::WeightedSite& a, const core::WeightedSite& b) {
+                     return a.dist < b.dist;
+                   });
   std::vector<double> pi;
   core::AccumulateQuantification(sites, static_cast<int>(pts.size()), &pi);
   return pi;

@@ -20,8 +20,10 @@ std::vector<int> NonzeroNn(const std::vector<core::UncertainPoint>& pts,
                            geom::Vec2 q);
 
 /// Exact quantification probabilities pi_i(q) for discrete uncertain points
-/// via Eq. (2): sort all N sites by distance, single accumulating pass.
-/// Returns a dense vector of size n. O(N log N) per query.
+/// via Eq. (2): sort all N sites by (distance, site id), single
+/// accumulating pass (core::AccumulateQuantification, whose tie rule gives
+/// pi_i > 0 exactly on NN!=0(q)). Returns a dense vector of size n.
+/// O(N log N) per query.
 std::vector<double> QuantificationProbabilities(
     const std::vector<core::UncertainPoint>& pts, geom::Vec2 q);
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "core/pnn_common.h"
 #include "geom/lanes.h"
 #include "spatial/traverse.h"
 #include "util/check.h"
@@ -15,7 +16,7 @@ using geom::Vec2;
 
 namespace {
 constexpr int kLeafGroups = 4;
-}
+}  // namespace
 
 NnNonzeroDiscreteIndex::NnNonzeroDiscreteIndex(
     std::vector<UncertainPoint> points)
@@ -32,9 +33,10 @@ NnNonzeroDiscreteIndex::NnNonzeroDiscreteIndex(
     group_seb_.push_back(geom::SmallestEnclosingCircle(p.sites()));
     seb_centers.push_back(group_seb_.back().center);
     seb_radii.push_back(group_seb_.back().radius);
-    for (Vec2 s : p.sites()) {
-      sites.push_back(s);
+    for (size_t s = 0; s < p.sites().size(); ++s) {
+      sites.push_back(p.sites()[s]);
       site_owner_.push_back(static_cast<int>(i));
+      site_weight_.push_back(p.weights()[s]);
     }
   }
   site_tree_ = std::make_unique<range::KdTree>(std::move(sites));
@@ -237,35 +239,98 @@ std::vector<int> NnNonzeroDiscreteIndex::Query(Vec2 q) const {
   return AssembleFromEnvelope(q, DeltaPair(q));
 }
 
+NnNonzeroDiscreteIndex::BatchHits NnNonzeroDiscreteIndex::SitesWithinDelta(
+    std::span<const Vec2> queries, bool closed,
+    spatial::BatchStats* stats) const {
+  // Non-finite queries skip both walks; the rest run in pack-coherent
+  // (Morton) order, which keeps each pack's lanes pruning together.
+  // Per-lane results are pack-independent, so reordering the batch and
+  // scattering back is bit-identical (spatial/batch.h).
+  std::vector<int> finite_ids;
+  std::vector<Vec2> finite;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    if (!geom::IsFinite(queries[i])) continue;
+    finite_ids.push_back(static_cast<int>(i));
+    finite.push_back(queries[i]);
+  }
+  BatchHits b;
+  b.index = spatial::PackCoherentOrder(finite);
+  b.queries.resize(b.index.size());
+  for (size_t i = 0; i < b.index.size(); ++i) {
+    b.queries[i] = finite[b.index[i]];
+    b.index[i] = finite_ids[b.index[i]];
+  }
+  b.envs.resize(b.queries.size());
+  DeltaPairBatch(b.queries, b.envs, stats);
+  // Stage two batched: one shared range walk per pack with per-query
+  // radius Delta(q); the hit list per lane is RangeCircle's verbatim.
+  std::vector<double> radii(b.queries.size());
+  for (size_t i = 0; i < radii.size(); ++i) {
+    radii[i] = closed ? b.envs[i].best * kClosedDiskSlack : b.envs[i].best;
+  }
+  site_tree_->RangeCircleBatch(b.queries, radii, &b.hits, /*inclusive=*/closed,
+                               stats);
+  return b;
+}
+
 std::vector<std::vector<int>> NnNonzeroDiscreteIndex::QueryBatch(
     std::span<const Vec2> queries, spatial::BatchStats* stats) const {
   // A pack of one has no lanes to share a walk with: the scalar query —
   // the replay target every lane is bit-identical to — answers it without
   // the Morton sort and the padding of an 8-lane pack.
   if (queries.size() == 1) return {Query(queries[0])};
-  // Pack-coherent (Morton) order keeps each pack's lanes pruning
-  // together; per-lane results are pack-independent, so reordering the
-  // batch and scattering back is bit-identical (spatial/batch.h).
-  std::vector<int> order = spatial::PackCoherentOrder(queries);
-  std::vector<Vec2> sorted(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) sorted[i] = queries[order[i]];
-  std::vector<DeltaEnvelope> envs(queries.size());
-  DeltaPairBatch(sorted, envs, stats);
   std::vector<std::vector<int>> out(queries.size());
   if (points_.size() == 1) {
     for (auto& o : out) o = {0};
     return out;
   }
-  // Stage two batched: one shared range walk per pack with per-query
-  // radius Delta(q); the hit list per lane is RangeCircle's verbatim, so
-  // the assembly below sees exactly the scalar path's input.
-  std::vector<double> radii(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) radii[i] = envs[i].best;
-  std::vector<std::vector<int>> hits;
-  site_tree_->RangeCircleBatch(sorted, radii, &hits, /*inclusive=*/false,
-                               stats);
-  for (size_t i = 0; i < queries.size(); ++i) {
-    out[order[i]] = AssembleFromHits(sorted[i], envs[i], hits[i]);
+  // A non-finite query's scalar answer is empty (its envelope is infinite
+  // with no argmin and the open disk holds no site), as `out` already is.
+  BatchHits b = SitesWithinDelta(queries, /*closed=*/false, stats);
+  for (size_t i = 0; i < b.index.size(); ++i) {
+    out[b.index[i]] = AssembleFromHits(b.queries[i], b.envs[i], b.hits[i]);
+  }
+  return out;
+}
+
+std::vector<std::pair<int, double>> NnNonzeroDiscreteIndex::QuantifyHits(
+    Vec2 q, double delta, std::vector<int>* hits) const {
+  // Site ids ascend owner by owner, so sorting them numbers the owners
+  // 0..c-1 in increasing id order and lists each owner's sites in site
+  // order; the stable sort by distance then yields (distance, site id),
+  // the order of the full Eq. (2) pass.
+  std::sort(hits->begin(), hits->end());
+  std::vector<int> owners;
+  std::vector<WeightedSite> sites;
+  sites.reserve(hits->size());
+  for (int h : *hits) {
+    double d = Dist(q, site_tree_->point(h));
+    if (!(d <= delta)) continue;
+    int owner = site_owner_[h];
+    if (owners.empty() || owners.back() != owner) owners.push_back(owner);
+    sites.push_back(
+        {d, static_cast<int>(owners.size()) - 1, site_weight_[h]});
+  }
+  std::stable_sort(sites.begin(), sites.end(),
+                   [](const WeightedSite& a, const WeightedSite& b) {
+                     return a.dist < b.dist;
+                   });
+  std::vector<double> pi;
+  AccumulateQuantification(sites, static_cast<int>(owners.size()), &pi);
+  std::vector<std::pair<int, double>> out;
+  for (size_t c = 0; c < owners.size(); ++c) {
+    if (pi[c] > 0) out.push_back({owners[c], pi[c]});
+  }
+  return out;
+}
+
+std::vector<std::vector<std::pair<int, double>>>
+NnNonzeroDiscreteIndex::ProbabilitiesBatch(std::span<const Vec2> queries,
+                                           spatial::BatchStats* stats) const {
+  std::vector<std::vector<std::pair<int, double>>> out(queries.size());
+  BatchHits b = SitesWithinDelta(queries, /*closed=*/true, stats);
+  for (size_t i = 0; i < b.index.size(); ++i) {
+    out[b.index[i]] = QuantifyHits(b.queries[i], b.envs[i].best, &b.hits[i]);
   }
   return out;
 }

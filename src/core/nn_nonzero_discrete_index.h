@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/uncertain_point.h"
@@ -21,6 +22,11 @@
 /// disk D(q, Delta(q)) — the paper's lifted halfspace query is exactly a
 /// circular range query — served by a kd-tree over all N sites with owner
 /// dedup. Space O(N); see DESIGN.md section 3 for the substitution notes.
+///
+/// The same two stages answer exact quantification (ProbabilitiesBatch):
+/// by Lemma 2.1 every point outside NN!=0(q) has pi_i(q) = 0, and no site
+/// farther than Delta(q) scores, so Eq. (2) needs only the sites in the
+/// closed disk of radius Delta(q).
 
 namespace unn {
 namespace core {
@@ -40,7 +46,22 @@ class NnNonzeroDiscreteIndex {
   /// membership fix, so an identical envelope forces an identical
   /// answer. The batch runs in pack-coherent (Morton) order internally;
   /// a one-query batch is answered by Query itself (no stats recorded).
+  /// A query with a NaN or infinite coordinate gets Query's answer without
+  /// a walk: the empty set, or {0} when the set has one point.
   std::vector<std::vector<int>> QueryBatch(
+      std::span<const geom::Vec2> queries,
+      spatial::BatchStats* stats = nullptr) const;
+
+  /// Exact quantification probabilities: `out[i]` holds (id, pi) for
+  /// every pi_i(queries[i]) > 0, sorted by id, bit-identical to
+  /// core::DiscreteQuantification over the whole set. Stage one is
+  /// DeltaPairBatch; stage two collects the sites with d(q, p) <= Delta(q)
+  /// through RangeCircleBatch; a sweep sorts those sites by (distance,
+  /// site id) and runs core::AccumulateQuantification over their owners
+  /// only, the same accumulation over the same prefix in the same order
+  /// as the full Eq. (2) pass (every later site scores exactly 0). A query
+  /// with a NaN or infinite coordinate gets no estimates.
+  std::vector<std::vector<std::pair<int, double>>> ProbabilitiesBatch(
       std::span<const geom::Vec2> queries,
       spatial::BatchStats* stats = nullptr) const;
 
@@ -75,6 +96,24 @@ class NnNonzeroDiscreteIndex {
   /// lists).
   std::vector<int> AssembleFromHits(geom::Vec2 q, const DeltaEnvelope& env,
                                     const std::vector<int>& hits) const;
+  /// Stages one and two shared by QueryBatch and ProbabilitiesBatch, over
+  /// the batch's finite queries in pack-coherent (Morton) order: per
+  /// query, its position in the batch, the query, its envelope and the
+  /// ids of the sites in the open disk D(q, Delta(q)), or with `closed`
+  /// every site of the closed disk (plus any the kClosedDiskSlack radius
+  /// adds).
+  struct BatchHits {
+    std::vector<int> index;
+    std::vector<geom::Vec2> queries;
+    std::vector<DeltaEnvelope> envs;
+    std::vector<std::vector<int>> hits;
+  };
+  BatchHits SitesWithinDelta(std::span<const geom::Vec2> queries, bool closed,
+                             spatial::BatchStats* stats) const;
+  /// The candidate sweep for one query: `hits` are site ids covering
+  /// every site with d(q, p) <= delta (extra ones are dropped here).
+  std::vector<std::pair<int, double>> QuantifyHits(
+      geom::Vec2 q, double delta, std::vector<int>* hits) const;
   std::vector<UncertainPoint> points_;
   std::vector<geom::Circle> group_seb_;
   /// Kd-tree over group SEB centers (shared spatial core) with the
@@ -83,7 +122,9 @@ class NnNonzeroDiscreteIndex {
   spatial::FlatKdTree<spatial::MinAugment> group_tree_;
 
   std::unique_ptr<range::KdTree> site_tree_;
+  /// Per site, in site-id order (owner by owner, then site by site).
   std::vector<int> site_owner_;
+  std::vector<double> site_weight_;
 };
 
 }  // namespace core

@@ -63,42 +63,6 @@ std::vector<std::pair<int, double>> SpiralSearch::Query(Vec2 q,
   return out;
 }
 
-std::vector<std::vector<std::pair<int, double>>> SpiralSearch::QueryBatch(
-    std::span<const Vec2> queries, double eps,
-    spatial::BatchStats* stats) const {
-  int m = SitesRetrieved(eps);
-  // Pack-coherent (Morton) order keeps each pack's lanes pruning
-  // together; per-lane results are pack-independent, so reordering the
-  // batch and scattering back is bit-identical (spatial/batch.h).
-  std::vector<int> order = spatial::PackCoherentOrder(queries);
-  std::vector<Vec2> sorted(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) sorted[i] = queries[order[i]];
-  std::vector<std::vector<int>> ids;
-  std::vector<std::vector<double>> dists;
-  tree_->KNearestBatch(sorted, m, &ids, &dists, stats);
-  const int n = static_cast<int>(points_.size());
-  std::vector<std::vector<std::pair<int, double>>> out(queries.size());
-  std::vector<WeightedSite> prefix;
-  std::vector<double> pi;
-  for (size_t i = 0; i < queries.size(); ++i) {
-    if (!geom::IsFinite(sorted[i])) continue;  // No estimates, as in Query.
-    // The same prefix, in the same order, as the scalar enumeration
-    // (KNearestBatch's contract), so the order-sensitive accumulation
-    // below reproduces Query bit for bit.
-    prefix.clear();
-    prefix.reserve(ids[i].size());
-    for (size_t t = 0; t < ids[i].size(); ++t) {
-      int id = ids[i][t];
-      prefix.push_back({dists[i][t], site_owner_[id], site_weight_[id]});
-    }
-    AccumulateQuantification(prefix, n, &pi);
-    for (size_t j = 0; j < pi.size(); ++j) {
-      if (pi[j] > 0) out[order[i]].push_back({static_cast<int>(j), pi[j]});
-    }
-  }
-  return out;
-}
-
 ContinuousSpiralSearch::ContinuousSpiralSearch(
     const std::vector<UncertainPoint>& points, double eps_discretization,
     uint64_t seed, int samples_per_point) {

@@ -2,13 +2,11 @@
 #define UNN_CORE_SPIRAL_SEARCH_H_
 
 #include <memory>
-#include <span>
 #include <utility>
 #include <vector>
 
 #include "core/uncertain_point.h"
 #include "range/kdtree.h"
-#include "spatial/batch.h"
 
 /// \file spiral_search.h
 /// The deterministic approximation structure of Theorem 4.7 (Section 4.3):
@@ -40,16 +38,6 @@ class SpiralSearch {
   /// with a NaN or infinite coordinate gets no estimates.
   std::vector<std::pair<int, double>> Query(geom::Vec2 q, double eps) const;
 
-  /// Batched Query: `out[i]` is bit-identical to `Query(queries[i], eps)`.
-  /// The m(rho, eps) retrieved sites are query-independent in count, so
-  /// the prefixes come from one KNearestBatch pack walk — whose results
-  /// (ids and distances, in order) are bit-identical to the scalar
-  /// enumeration — and the order-sensitive quantification accumulates
-  /// each prefix exactly as the scalar path does.
-  std::vector<std::vector<std::pair<int, double>>> QueryBatch(
-      std::span<const geom::Vec2> queries, double eps,
-      spatial::BatchStats* stats = nullptr) const;
-
  private:
   std::vector<UncertainPoint> points_;
   std::unique_ptr<range::KdTree> tree_;
@@ -75,13 +63,6 @@ class ContinuousSpiralSearch {
                          int samples_per_point = 0);
 
   std::vector<std::pair<int, double>> Query(geom::Vec2 q, double eps) const;
-
-  /// Batched Query over the discretized set; bit-identical per query.
-  std::vector<std::vector<std::pair<int, double>>> QueryBatch(
-      std::span<const geom::Vec2> queries, double eps,
-      spatial::BatchStats* stats = nullptr) const {
-    return inner_->QueryBatch(queries, eps, stats);
-  }
 
   const SpiralSearch& discretized() const { return *inner_; }
 

@@ -42,7 +42,9 @@ class UncertainPoint {
   }
 
   /// Discrete uncertain point; weights must be positive and sum to 1
-  /// (checked up to 1e-9).
+  /// (checked up to 1e-9). They are stored divided by their sum, so the
+  /// point's survival factor in Eq. (2) reaches 0 at its last site within
+  /// rounding, far below the quantifier's 1e-13 exhaustion cut.
   static UncertainPoint Discrete(std::vector<geom::Vec2> sites,
                                  std::vector<double> weights) {
     UNN_CHECK(!sites.empty());
@@ -54,6 +56,7 @@ class UncertainPoint {
     }
     UNN_CHECK_MSG(total > 1 - 1e-9 && total < 1 + 1e-9,
                   "discrete weights must sum to 1");
+    for (double& w : weights) w /= total;
     UncertainPoint p;
     p.is_disk_ = false;
     p.sites_ = std::move(sites);

@@ -58,13 +58,6 @@ const core::ExpectedNn& Engine::GetExpectedNn() const {
   });
 }
 
-const core::SpiralSearch& Engine::GetSpiralSearch() const {
-  UNN_DCHECK(all_discrete_);
-  return BuildOnce(spiral_once_, spiral_, builds_, [this] {
-    return std::make_unique<core::SpiralSearch>(points_);
-  });
-}
-
 const core::NnNonzeroIndex& Engine::GetNonzeroIndex() const {
   return BuildOnce(nonzero_index_once_, nonzero_index_, builds_, [this] {
     return std::make_unique<core::NnNonzeroIndex>(points_);
@@ -121,10 +114,16 @@ std::vector<std::pair<int, double>> Engine::Probabilities(
 std::vector<std::vector<std::pair<int, double>>> Engine::ProbabilitiesMany(
     std::span<const geom::Vec2> queries, double eps_needed,
     spatial::BatchStats* stats) const {
+  // kAuto on discrete input: exact Eq. (2) over each query's NN!=0
+  // candidates (Lemma 2.1 zeroes every other point), batched through the
+  // two-stage index.
+  if (config_.backend == Backend::kAuto && all_discrete_) {
+    return GetNonzeroDiscrete().ProbabilitiesBatch(queries, stats);
+  }
   if (ExactQuantification()) {
-    // The exact definitions have no traversal to share; the batch is the
-    // scalar definition per query. A query with a NaN or infinite
-    // coordinate gets no estimates, as from the estimators.
+    // kBruteForce: the exact definitions have no traversal to share; the
+    // batch is the scalar definition per query. A query with a NaN or
+    // infinite coordinate gets no estimates, as from the estimators.
     std::vector<std::vector<std::pair<int, double>>> out(queries.size());
     for (size_t i = 0; i < queries.size(); ++i) {
       const geom::Vec2 q = queries[i];
@@ -135,15 +134,11 @@ std::vector<std::vector<std::pair<int, double>>> Engine::ProbabilitiesMany(
     }
     return out;
   }
+  // Monte Carlo: kMonteCarlo, and kAuto on disk or mixed input (it alone
+  // handles mixed models natively, so kBruteForce on a mixed set lands
+  // here too).
   double eps = eps_needed > 0 ? std::min(eps_needed, config_.eps)
                               : config_.eps;
-  // kAuto takes the strongest estimator the model admits: Theorem 4.7
-  // prefix evaluation for purely discrete inputs, Monte Carlo otherwise
-  // (it alone handles mixed models natively, so kBruteForce on a mixed
-  // set lands here too).
-  if (config_.backend == Backend::kAuto && all_discrete_) {
-    return GetSpiralSearch().QueryBatch(queries, eps, stats);
-  }
   return GetMonteCarlo(eps)->QueryBatch(queries, stats);
 }
 
@@ -205,6 +200,12 @@ double Engine::LogSurvivalProbability(geom::Vec2 q, double r) const {
     return v;
   }
   return GetQuantTree().LogSurvival(q, r);
+}
+
+std::vector<int> Engine::SupportsWithin(geom::Vec2 q, double r) const {
+  std::vector<int> ids;
+  GetQuantTree().SupportsWithin(q, r, &ids);
+  return ids;
 }
 
 // ---------------------------------------------------------------------------
@@ -277,10 +278,12 @@ std::vector<Engine::QueryResult> Engine::QueryMany(
       break;
     }
     case QueryType::kThreshold: {
-      // [DYM+05] semantics with no false negatives: estimate at accuracy
-      // tau/2 and report everyone whose estimate may still reach tau.
-      bool exact = ExactQuantification();
-      double eps = exact ? 0.0 : std::min(config_.eps, spec.tau / 2);
+      // [DYM+05] semantics with no false negatives: exact probabilities
+      // report {pi >= tau}; the Monte-Carlo estimator runs at accuracy
+      // tau/2 and reports everyone whose estimate may still reach tau.
+      double eps = ExactQuantification()
+                       ? 0.0
+                       : std::min(config_.eps, spec.tau / 2);
       auto est = ProbabilitiesMany(queries, spec.tau / 2);
       for (size_t i = 0; i < queries.size(); ++i) {
         results[i].ranked =

@@ -14,7 +14,6 @@
 #include "core/nn_nonzero_discrete_index.h"
 #include "core/nn_nonzero_index.h"
 #include "core/quant_tree.h"
-#include "core/spiral_search.h"
 #include "core/uncertain_point.h"
 #include "geom/vec2.h"
 #include "spatial/batch.h"
@@ -37,9 +36,9 @@
 /// `Backend::kAuto` picks one structure per query type and input model
 /// (docs/ARCHITECTURE.md "Batch traversal"); `kBruteForce` answers from
 /// the definitions and `kMonteCarlo` from instantiation sampling. The
-/// paper's other structures (the V!=0 diagrams and the L_inf index, which
-/// build into the `unn_paper` library, and the Theorem 4.5 discretized
-/// spiral) are `core::` classes used directly.
+/// paper's other structures (the V!=0 diagrams, the L_inf index and the
+/// Theorem 4.5/4.7 spiral searches, which build into the `unn_paper`
+/// library) are `core::` classes used directly.
 /// Structures are built lazily on first use and cached, so an Engine that
 /// only ever answers NonzeroNn never pays for Monte-Carlo preprocessing.
 ///
@@ -59,8 +58,10 @@ namespace unn {
 /// Which structures serve the queries. kAuto must stay 0: run records
 /// store the backend as an int.
 enum class Backend {
-  /// Default. Discrete inputs: Theorem 4.7 spiral search for the
-  /// probabilities, the two-stage discrete NN!=0 index (Theorem 3.2).
+  /// Default. Discrete inputs: the two-stage discrete NN!=0 index
+  /// (Theorem 3.2) for NN!=0, and exact probabilities from Eq. (2) over
+  /// each query's NN!=0 candidates (Lemma 2.1: every other point has
+  /// pi = 0), so MostProbableNn, Threshold and TopK are exact.
   /// Disk and mixed inputs: Monte-Carlo probabilities, the Theorem 3.1
   /// NN!=0 index on disks and the definition oracle on mixed sets.
   /// ExpectedDistanceNn always uses core::ExpectedNn.
@@ -77,8 +78,10 @@ class Engine {
  public:
   struct Config {
     Backend backend = Backend::kAuto;
-    /// Accuracy of probabilistic estimates (spiral search / Monte Carlo):
-    /// every reported hat-pi is within eps of the true pi.
+    /// Accuracy of the Monte-Carlo estimates (disk and mixed input, and
+    /// every input under kMonteCarlo): every reported hat-pi is within eps
+    /// of the true pi. Exact quantification — kAuto on discrete input,
+    /// kBruteForce on a homogeneous set — ignores it.
     double eps = 0.05;
     /// Monte-Carlo failure probability (Theorem 4.3).
     double delta = 0.05;
@@ -126,9 +129,10 @@ class Engine {
   // The five single-query methods below are one-element QueryMany calls:
   // each answer is bit-identical to the same query inside any pack.
 
-  /// argmax_i pi_i(q), ties broken toward the smaller id. Exact for
-  /// kBruteForce on homogeneous inputs; within Config::eps for kAuto and
-  /// kMonteCarlo. Thread-safe; cost is one quantification query
+  /// argmax_i pi_i(q), ties broken toward the smaller id; -1 when no
+  /// point has a positive estimate. Exact for kAuto on discrete input and
+  /// kBruteForce on homogeneous inputs; within Config::eps for the
+  /// Monte-Carlo estimator. Thread-safe; cost is one quantification query
   /// (near-linear worst case for the estimators, O(N log N) for the
   /// oracle).
   int MostProbableNn(geom::Vec2 q) const;
@@ -139,17 +143,19 @@ class Engine {
   int ExpectedDistanceNn(geom::Vec2 q) const;
 
   /// All i whose true pi_i(q) may reach tau, (id, estimate) sorted by
-  /// decreasing estimate: no false negatives (estimator accuracy is
-  /// raised to tau/2 when Config::eps is looser). Any tau is accepted,
-  /// with QueryMany's definition-level answers: `tau > 1` or NaN reports
-  /// nothing, `tau <= 0` reports every id. Thread-safe; one
+  /// decreasing estimate: exactly {pi_i >= tau} where quantification is
+  /// exact; no false negatives from the Monte-Carlo estimator (its
+  /// accuracy is raised to tau/2 when Config::eps is looser). Any tau is
+  /// accepted, with QueryMany's definition-level answers: `tau > 1` or NaN
+  /// reports nothing, `tau <= 0` reports every id. Thread-safe; one
   /// quantification query plus an O(k log k) sort of the k reported
   /// pairs.
   std::vector<std::pair<int, double>> Threshold(geom::Vec2 q,
                                                 double tau) const;
 
   /// The k ids with the largest pi_i(q), (id, estimate) sorted by
-  /// decreasing estimate; near-ties within 2 eps may permute. `k <= 0`
+  /// decreasing estimate; under the Monte-Carlo estimator near-ties
+  /// within 2 eps may permute. `k <= 0`
   /// reports nothing (build-free). Thread-safe; one quantification query
   /// plus a sort of the positive-probability candidates.
   std::vector<std::pair<int, double>> TopK(geom::Vec2 q, int k) const;
@@ -178,8 +184,9 @@ class Engine {
   /// serving layer can fan them across threads without any worker paying
   /// the preprocessing). Idempotent and itself thread-safe: concurrent
   /// warmups build each structure once. The QuerySpec overload accounts
-  /// for the threshold parameter (`tau < 2 * Config::eps` needs a tighter
-  /// estimator than the plain-QueryType default of tau = 0.5).
+  /// for the threshold parameter (on the Monte-Carlo estimator,
+  /// `tau < 2 * Config::eps` needs a tighter estimator than the
+  /// plain-QueryType default of tau = 0.5).
   void Warmup(QueryType type) const;
   void Warmup(const QuerySpec& spec) const;
 
@@ -193,7 +200,8 @@ class Engine {
   }
 
   /// Quantification estimates (id, hat-pi) with positive estimate, sorted
-  /// by id, at accuracy `eps_needed` (<= 0 means Config::eps). Exposed so
+  /// by id. `eps_needed` (<= 0 means Config::eps) is the Monte-Carlo
+  /// accuracy; exact quantification ignores it. Exposed so
   /// callers can post-process distributions themselves — the sharded
   /// serving layer treats this as the per-shard candidate generator.
   /// A one-element ProbabilitiesMany. Thread-safe; cost is one backend
@@ -201,15 +209,16 @@ class Engine {
   std::vector<std::pair<int, double>> Probabilities(
       geom::Vec2 q, double eps_needed = 0.0) const;
 
-  /// Batched Probabilities: `out[i]` depends on `queries[i]` alone. The
-  /// estimator answers the whole batch through its batch kernel (spiral
-  /// prefix retrieval via KNearestBatch, or the Monte-Carlo candidate
-  /// sweep after a batched envelope pass); kBruteForce evaluates the
-  /// definition per query. A query with a NaN or infinite coordinate
-  /// gets no estimates on every backend, so MostProbableNn answers -1 and
-  /// Threshold/TopK report nothing for it. This is the substrate
-  /// QueryMany's MostProbableNn/Threshold/TopK arms and the sharded pack
-  /// fan-out share. Thread-safe.
+  /// Batched Probabilities: `out[i]` depends on `queries[i]` alone. kAuto
+  /// on discrete input answers the whole batch through
+  /// core::NnNonzeroDiscreteIndex::ProbabilitiesBatch (exact, bit-identical
+  /// to core::DiscreteQuantification); the Monte-Carlo estimator through
+  /// its candidate sweep after a batched envelope pass; kBruteForce
+  /// evaluates the definition per query. A query with a NaN or infinite
+  /// coordinate gets no estimates on every backend, so MostProbableNn
+  /// answers -1 and Threshold/TopK report nothing for it. This is the
+  /// substrate QueryMany's MostProbableNn/Threshold/TopK arms and the
+  /// sharded pack fan-out of disk and mixed sets share. Thread-safe.
   std::vector<std::vector<std::pair<int, double>>> ProbabilitiesMany(
       std::span<const geom::Vec2> queries, double eps_needed = 0.0,
       spatial::BatchStats* stats = nullptr) const;
@@ -267,6 +276,14 @@ class Engine {
   /// O(log n + k) for k intersecting supports.
   double LogSurvivalProbability(geom::Vec2 q, double r) const;
 
+  /// The ids whose support meets the closed ball(q, r), MinDist <= r, in
+  /// no particular order. The discrete shard merge asks every shard for
+  /// the points within the merged Delta(q): exactly the points whose
+  /// sites the single-Engine quantifier sweeps. Answered by the
+  /// quantification index (core::QuantTree::SupportsWithin, built once on
+  /// first use), O(log n + k) for k reported supports. Thread-safe.
+  std::vector<int> SupportsWithin(geom::Vec2 q, double r) const;
+
   /// The owned point set, in id order. Immutable after construction, so
   /// reading it is thread-safe and O(1).
   const std::vector<core::UncertainPoint>& points() const { return points_; }
@@ -280,16 +297,17 @@ class Engine {
   bool all_disk() const { return all_disk_; }
 
  private:
-  /// kBruteForce on a homogeneous set: probabilities come from the exact
-  /// definitions (Eq. (2) accumulation or Eq. (1) integration). A mixed
-  /// set has no exact quantifier and takes the Monte-Carlo estimator.
+  /// Probabilities are exact: kAuto on discrete input (Eq. (2) over the
+  /// NN!=0 candidates) and kBruteForce on a homogeneous set (Eq. (2)
+  /// accumulation or Eq. (1) integration). Every other configuration
+  /// takes the Monte-Carlo estimator; a mixed set has no exact quantifier.
   bool ExactQuantification() const {
+    if (config_.backend == Backend::kAuto) return all_discrete_;
     return config_.backend == Backend::kBruteForce &&
            (all_discrete_ || all_disk_);
   }
 
   const core::ExpectedNn& GetExpectedNn() const;
-  const core::SpiralSearch& GetSpiralSearch() const;
   const core::NnNonzeroIndex& GetNonzeroIndex() const;
   const core::NnNonzeroDiscreteIndex& GetNonzeroDiscrete() const;
   const core::QuantTree& GetQuantTree() const;
@@ -314,8 +332,6 @@ class Engine {
   // read after the corresponding call_once returns).
   mutable std::once_flag expected_nn_once_;
   mutable std::unique_ptr<core::ExpectedNn> expected_nn_;
-  mutable std::once_flag spiral_once_;
-  mutable std::unique_ptr<core::SpiralSearch> spiral_;
   mutable std::once_flag nonzero_index_once_;
   mutable std::unique_ptr<core::NnNonzeroIndex> nonzero_index_;
   mutable std::once_flag nonzero_discrete_once_;

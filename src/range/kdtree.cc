@@ -45,111 +45,6 @@ int KdTree::Nearest(Vec2 q, double* dist) const {
   return best;
 }
 
-void KdTree::KNearestBatch(std::span<const Vec2> queries, int k,
-                           std::vector<std::vector<int>>* out_ids,
-                           std::vector<std::vector<double>>* out_dists,
-                           spatial::BatchStats* stats) const {
-  constexpr int kW = geom::kLaneWidth;
-  // The enumerator compares hypot-based distances while the shared pass
-  // prunes on squared distances, and the two can disagree by a few ulps
-  // right at the evolving k-th distance. The pass therefore prunes
-  // against a widened threshold kth^2 * kPruneHi, so it never discards a
-  // candidate at the selection boundary (the margin, 4e-9 on the square
-  // ~ 2e-9 on the distance, is strictly wider than kFlagBand), and any
-  // lane that saw a candidate within kFlagBand of that boundary — or an
-  // exact tie inside its selected prefix, where the enumerator's yield
-  // order is heap order — replays the scalar enumeration verbatim.
-  constexpr double kPruneHi = 1.0 + 4e-9;
-  constexpr double kFlagBand = 1e-9;
-  out_ids->assign(queries.size(), {});
-  if (out_dists != nullptr) out_dists->assign(queries.size(), {});
-  if (k <= 0) return;
-  for (size_t base = 0; base < queries.size(); base += kW) {
-    int count = static_cast<int>(std::min<size_t>(kW, queries.size() - base));
-    Vec2 qv[kW];
-    double qx[kW], qy[kW];
-    for (int l = 0; l < kW; ++l) {
-      qv[l] = queries[base + std::min(l, count - 1)];  // Pad ragged packs.
-      qx[l] = qv[l].x;
-      qy[l] = qv[l].y;
-    }
-    // Per-lane max-heap of the k smallest (distance, id) seen so far;
-    // cand[l].front() is the k-th distance once the lane is full.
-    std::vector<std::pair<double, int>> cand[kW];
-    bool replay[kW];
-    for (int l = 0; l < kW; ++l) {
-      cand[l].reserve(k);
-      replay[l] = false;
-    }
-    auto kth = [&](int l) { return cand[l].front().first; };
-    spatial::BatchPrunedVisitNearFirst(
-        tree_, spatial::FullMask(count),
-        [&](int n, double* lb) { geom::BoxDistSqLanes(qx, qy, tree_.box(n), lb); },
-        [&](int l, double lb) {
-          return static_cast<int>(cand[l].size()) == k &&
-                 lb > kth(l) * kth(l) * kPruneHi;
-        },
-        [&](int n, spatial::LaneMask m) {
-          for (int s = tree_.begin(n); s < tree_.end(n); ++s) {
-            int id = tree_.item(s);
-            double dsq[kW];
-            geom::DistSqLanes(qx, qy, pts_[id], dsq);
-            for (int l = 0; l < kW; ++l) {
-              if ((m >> l & 1u) == 0) continue;
-              bool full = static_cast<int>(cand[l].size()) == k;
-              if (full && dsq[l] > kth(l) * kth(l) * kPruneHi) continue;
-              if (stats != nullptr) ++stats->lane_points_evaluated;
-              double d = Dist(qv[l], pts_[id]);
-              if (!full) {
-                cand[l].push_back({d, id});
-                std::push_heap(cand[l].begin(), cand[l].end());
-                continue;
-              }
-              double bound = kth(l);
-              if (d >= bound * (1.0 - kFlagBand) &&
-                  d <= bound * (1.0 + kFlagBand)) {
-                replay[l] = true;
-              }
-              if (d < bound) {
-                std::pop_heap(cand[l].begin(), cand[l].end());
-                cand[l].back() = {d, id};
-                std::push_heap(cand[l].begin(), cand[l].end());
-                // The displaced candidate ties the new k-th distance:
-                // which of the two equal values keeps the slot is
-                // enumeration order the sort cannot reproduce.
-                if (kth(l) == bound) replay[l] = true;
-              }
-            }
-          }
-        },
-        stats);
-    if (stats != nullptr) ++stats->packs;
-    for (int l = 0; l < count; ++l) {
-      std::vector<std::pair<double, int>>& c = cand[l];
-      std::sort(c.begin(), c.end());
-      for (size_t j = 0; j + 1 < c.size(); ++j) {
-        // An exact tie inside the selection: the enumerator's relative
-        // order of the tied ids is heap order, which the sort cannot
-        // reproduce.
-        if (c[j].first == c[j + 1].first) replay[l] = true;
-      }
-      std::vector<int>& ids = (*out_ids)[base + l];
-      if (replay[l]) {
-        if (stats != nullptr) ++stats->scalar_replays;
-        ids = KNearest(queries[base + l], k);
-      } else {
-        ids.reserve(c.size());
-        for (const auto& [d, id] : c) ids.push_back(id);
-      }
-      if (out_dists != nullptr) {
-        std::vector<double>& ds = (*out_dists)[base + l];
-        ds.reserve(ids.size());
-        for (int id : ids) ds.push_back(Dist(queries[base + l], pts_[id]));
-      }
-    }
-  }
-}
-
 std::vector<int> KdTree::KNearest(Vec2 q, int k) const {
   std::vector<int> out;
   Enumerator en(*this, q);

@@ -37,20 +37,6 @@ class KdTree {
   /// Ids of the k nearest points, ordered by increasing distance.
   std::vector<int> KNearest(geom::Vec2 q, int k) const;
 
-  /// KNearest for a batch: `(*out_ids)[i]` is bit-identical to
-  /// `KNearest(queries[i], k)` and, when `out_dists` is non-null,
-  /// `(*out_dists)[i][j]` is the enumerator's distance for that id
-  /// (`Dist(queries[i], point(id))`). Each pack selects every lane's k
-  /// smallest distances through one shared traversal with SIMD
-  /// prefilters; a lane whose selection could depend on enumeration
-  /// order — an exact distance tie inside the result, or any candidate
-  /// within a 1e-9-relative guard band of the evolving k-th distance —
-  /// replays the scalar enumerator (spatial/batch.h idiom).
-  void KNearestBatch(std::span<const geom::Vec2> queries, int k,
-                     std::vector<std::vector<int>>* out_ids,
-                     std::vector<std::vector<double>>* out_dists = nullptr,
-                     spatial::BatchStats* stats = nullptr) const;
-
   /// Appends all ids with d(q, p) <= r (or < r when `inclusive` is false).
   void RangeCircle(geom::Vec2 q, double r, std::vector<int>* out,
                    bool inclusive = true) const;

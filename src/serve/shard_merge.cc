@@ -6,6 +6,7 @@
 
 #include "core/exact_pnn.h"
 #include "core/monte_carlo_pnn.h"
+#include "core/pnn_common.h"
 #include "util/check.h"
 
 namespace unn {
@@ -65,6 +66,71 @@ int MergeExpected(std::span<const ExpectedCandidate> winners) {
   return best;
 }
 
+namespace {
+
+struct Cand {
+  int gid;
+  const core::UncertainPoint* pt;
+};
+
+/// Sorts `cands` by global id and drops repeats.
+void SortUnique(std::vector<Cand>* cands) {
+  std::sort(cands->begin(), cands->end(),
+            [](const Cand& a, const Cand& b) { return a.gid < b.gid; });
+  cands->erase(std::unique(cands->begin(), cands->end(),
+                           [](const Cand& a, const Cand& b) {
+                             return a.gid == b.gid;
+                           }),
+               cands->end());
+}
+
+std::vector<core::UncertainPoint> UnionPoints(const std::vector<Cand>& cands) {
+  std::vector<core::UncertainPoint> pts;
+  pts.reserve(cands.size());
+  for (const Cand& c : cands) pts.push_back(*c.pt);
+  return pts;
+}
+
+/// (union index, pi) -> (global id, pi). `local` is sorted by union index
+/// and union indices are sorted by global id, so the result is too.
+std::vector<std::pair<int, double>> ToGlobal(
+    const std::vector<Cand>& cands,
+    const std::vector<std::pair<int, double>>& local) {
+  std::vector<std::pair<int, double>> out;
+  out.reserve(local.size());
+  for (const auto& [uid, pi] : local) out.push_back({cands[uid].gid, pi});
+  return out;
+}
+
+}  // namespace
+
+MergedProbabilities MergeDiscreteProbabilities(
+    std::span<const ShardView> shards,
+    std::span<const core::DeltaEnvelope> local_env, geom::Vec2 q) {
+  UNN_CHECK(local_env.size() == shards.size());
+  if (!geom::IsFinite(q)) return {};
+  // Every point with a site in the closed disk of radius Delta(q), the
+  // merged envelope: exactly the sites the single-Engine quantifier
+  // sweeps, whatever the shard backends. A point whose nearest site lies
+  // exactly at Delta(q) is outside NN!=0 yet lowers the argmin's survival
+  // factor at r = Delta(q), so positive-probability lists would not do.
+  const double radius =
+      MergeEnvelopes(local_env, shards).best * core::kClosedDiskSlack;
+  std::vector<Cand> cands;
+  for (const ShardView& view : shards) {
+    const auto& pts = view.engine->points();
+    for (int lid : view.engine->SupportsWithin(q, radius)) {
+      cands.push_back({(*view.global_ids)[lid], &pts[lid]});
+    }
+  }
+  SortUnique(&cands);
+  MergedProbabilities out;
+  if (cands.empty()) return out;
+  out.probs =
+      ToGlobal(cands, core::DiscreteQuantification(UnionPoints(cands), q));
+  return out;
+}
+
 MergedProbabilities MergeProbabilities(
     std::span<const ShardView> shards,
     std::span<const std::vector<std::pair<int, double>>> local_probs,
@@ -80,10 +146,6 @@ MergedProbabilities MergeProbabilities(
   // its envelope argmin (the latter pins the union's Delta envelope to the
   // global one, so points outside the union provably cannot contribute —
   // their survival factor is exactly 1 below the global envelope).
-  struct Cand {
-    int gid;
-    const core::UncertainPoint* pt;
-  };
   std::vector<Cand> cands;
   for (size_t s = 0; s < shards.size(); ++s) {
     const auto& pts = shards[s].engine->points();
@@ -95,26 +157,18 @@ MergedProbabilities MergeProbabilities(
       cands.push_back({gids[local_env[s].argbest], &pts[local_env[s].argbest]});
     }
   }
-  std::sort(cands.begin(), cands.end(),
-            [](const Cand& a, const Cand& b) { return a.gid < b.gid; });
-  cands.erase(std::unique(cands.begin(), cands.end(),
-                          [](const Cand& a, const Cand& b) {
-                            return a.gid == b.gid;
-                          }),
-              cands.end());
+  SortUnique(&cands);
 
   MergedProbabilities out;
   if (cands.empty()) return out;
 
   bool all_discrete = true;
   bool all_disk = true;
-  std::vector<core::UncertainPoint> union_pts;
-  union_pts.reserve(cands.size());
   for (const Cand& c : cands) {
     all_discrete = all_discrete && !c.pt->is_disk();
     all_disk = all_disk && c.pt->is_disk();
-    union_pts.push_back(*c.pt);
   }
+  std::vector<core::UncertainPoint> union_pts = UnionPoints(cands);
 
   // Re-quantification over the union. The homogeneous paths are the exact
   // per-shard survival-product recombination (the accumulation/integration
@@ -135,13 +189,7 @@ MergedProbabilities MergeProbabilities(
     core::MonteCarloPnn mc(union_pts, opts);
     local = mc.Query(q);
   }
-
-  out.probs.reserve(local.size());
-  for (const auto& [uid, pi] : local) {
-    out.probs.push_back({cands[uid].gid, pi});
-  }
-  // `local` is sorted by union index and union indices are sorted by
-  // global id, so out.probs is already sorted by global id.
+  out.probs = ToGlobal(cands, local);
   return out;
 }
 

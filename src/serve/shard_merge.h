@@ -23,13 +23,18 @@
 ///                               under independent points the survival
 ///                               function of the whole set factors into
 ///                               per-shard survival products, so
-///                               re-quantifying over the union of
-///                               per-shard candidates reproduces the
-///                               exact global probabilities whenever the
-///                               shard backends report complete
-///                               candidate sets (estimator backends may
-///                               omit points of probability < eps — the
-///                               documented candidate-merge
+///                               re-quantifying over a union that holds
+///                               every point able to affect the answer
+///                               reproduces the exact global
+///                               probabilities. A discrete set's union is
+///                               every point within the merged Delta(q)
+///                               (MergeDiscreteProbabilities: exact,
+///                               bit-identical to one Engine); other sets
+///                               union the per-shard candidates
+///                               (MergeProbabilities), which the
+///                               Monte-Carlo estimator may leave
+///                               incomplete (points of probability < eps
+///                               — the documented candidate-merge
 ///                               approximation).
 ///
 /// Every function here is stateless and reads only const Engine state, so
@@ -100,13 +105,28 @@ struct MergedProbabilities {
   bool requantified_exactly = true;
 };
 
+/// Re-quantification for a set whose shards are all discrete.
+/// `local_env[s]` is shard s's Delta envelope. The union is each shard's
+/// Engine::SupportsWithin over the closed disk of the merged Delta(q), so
+/// the accumulation sweeps exactly the sites the single-Engine quantifier
+/// sweeps, in the same order: the answer is bit-identical to one Engine's
+/// exact probabilities. Cost: O(U log U) for a union of total site count
+/// U. A query with a NaN or infinite coordinate merges to no estimates.
+/// Thread-safe.
+MergedProbabilities MergeDiscreteProbabilities(
+    std::span<const ShardView> shards,
+    std::span<const core::DeltaEnvelope> local_env, geom::Vec2 q);
+
 /// Candidate-union + re-quantification. `local_probs[s]` are shard s's
 /// (local id, estimate) candidates (Engine::Probabilities); `local_env[s]`
 /// its Delta envelope — each shard's envelope argmin joins the union so
 /// the union's own envelope equals the global one, which makes the
 /// re-quantification self-truncating (omitted points have min-distance at
 /// least the global envelope, i.e. survival exactly 1 over every
-/// integration range). `eps` is the accuracy for the mixed-model
+/// integration range). On a discrete set the union can still miss a point
+/// whose nearest site lies exactly at Delta(q), which lowers the argmin's
+/// survival at r = Delta(q); MergeDiscreteProbabilities is the exact merge
+/// there. `eps` is the accuracy for the mixed-model
 /// Monte-Carlo fallback. Cost: O(U log U) accumulation for discrete
 /// unions of total site count U, adaptive quadrature per candidate for
 /// disk unions, one Monte-Carlo build + query for mixed unions. A query

@@ -209,9 +209,13 @@ std::vector<int> ShardedEngine::NonzeroNn(geom::Vec2 q, ThreadPool* pool,
 std::vector<MergedProbabilities> ShardedEngine::ProbabilitiesMany(
     std::span<const geom::Vec2> queries, double eps_needed, ThreadPool* pool,
     obs::TraceNode trace) const {
-  // Per-shard batched candidate generation + envelopes, then the
-  // candidate-union re-quantification per query.
+  // Per-shard batched envelopes (plus candidates, unless the set is all
+  // discrete: its exact merge takes the points within the merged Delta(q)
+  // from the shards instead), then the re-quantification per query.
   size_t shards = engines_.size();
+  const bool discrete = std::all_of(
+      engines_.begin(), engines_.end(),
+      [](const std::shared_ptr<const Engine>& e) { return e->all_discrete(); });
   std::vector<std::vector<std::vector<std::pair<int, double>>>> local(shards);
   std::vector<std::vector<core::DeltaEnvelope>> env(shards);
   {
@@ -220,7 +224,9 @@ std::vector<MergedProbabilities> ShardedEngine::ProbabilitiesMany(
     ForEachShard(
         pool,
         [&](int s) {
-          local[s] = engines_[s]->ProbabilitiesMany(queries, eps_needed);
+          if (!discrete) {
+            local[s] = engines_[s]->ProbabilitiesMany(queries, eps_needed);
+          }
           env[s].resize(queries.size());
           engines_[s]->MaxDistEnvelopeMany(queries, env[s]);
         },
@@ -232,10 +238,12 @@ std::vector<MergedProbabilities> ShardedEngine::ProbabilitiesMany(
   std::vector<std::vector<std::pair<int, double>>> q_local(shards);
   std::vector<core::DeltaEnvelope> q_env(shards);
   for (size_t i = 0; i < queries.size(); ++i) {
-    for (size_t s = 0; s < shards; ++s) {
-      q_local[s] = std::move(local[s][i]);
-      q_env[s] = env[s][i];
+    for (size_t s = 0; s < shards; ++s) q_env[s] = env[s][i];
+    if (discrete) {
+      merged[i] = MergeDiscreteProbabilities(views_, q_env, queries[i]);
+      continue;
     }
+    for (size_t s = 0; s < shards; ++s) q_local[s] = std::move(local[s][i]);
     merged[i] =
         MergeProbabilities(views_, q_local, q_env, queries[i], config_, eps);
   }

@@ -195,10 +195,12 @@ class ShardedEngine {
   void ForEachShard(ThreadPool* pool, const std::function<void(int)>& fn,
                     obs::TraceNode trace = {}) const;
   /// Candidate generation + merged re-quantification at `eps_needed` for
-  /// a whole pack: one batched ProbabilitiesMany + MaxDistEnvelopeMany
-  /// visit per shard, then MergeProbabilities per query. The only merge
-  /// call site: MostProbableNn / Threshold / TopK and the tau <= 0
-  /// degenerate answer all go through it.
+  /// a whole pack: one batched MaxDistEnvelopeMany (plus ProbabilitiesMany
+  /// unless every shard is all-discrete) visit per shard, then per query
+  /// MergeDiscreteProbabilities on an all-discrete set and
+  /// MergeProbabilities otherwise. The only merge call site: MostProbableNn
+  /// / Threshold / TopK and the tau <= 0 degenerate answer all go through
+  /// it.
   std::vector<MergedProbabilities> ProbabilitiesMany(
       std::span<const geom::Vec2> queries, double eps_needed,
       ThreadPool* pool, obs::TraceNode trace) const;

@@ -5,7 +5,8 @@
 // anchors, duplicated points, equal radii, duplicate coordinates, and
 // queries snapped onto site coordinates so distances tie exactly. The
 // Monte-Carlo estimator is checked against its definition instead: the
-// instantiations redrawn and every one scanned over all n points. At the
+// instantiations redrawn and every one scanned over all n points, and
+// kAuto's exact discrete quantification against Eq. (2) itself. At the
 // Engine level, where QueryMany is the only path, a query's answer must
 // not depend on its pack. Batch sizes sweep 1..2*kLaneWidth+1, covering every pack size 1..8
 // and ragged final packs. CTest runs a fixed seeded corpus; the nightly
@@ -23,16 +24,15 @@
 #include <gtest/gtest.h>
 
 #include "baselines/brute_force.h"
+#include "core/exact_pnn.h"
 #include "core/expected_nn.h"
 #include "core/monte_carlo_pnn.h"
 #include "core/nn_nonzero_discrete_index.h"
 #include "core/quant_tree.h"
-#include "core/spiral_search.h"
 #include "core/uncertain_point.h"
 #include "engine/engine.h"
 #include "geom/lanes.h"
 #include "prob/distributions.h"
-#include "range/kdtree.h"
 #include "workload/generators.h"
 
 namespace unn {
@@ -276,68 +276,133 @@ TEST(BatchFuzz, NonzeroDiscreteBatchBitIdentical) {
   }
 }
 
-TEST(BatchFuzz, KdKNearestBatchBitIdentical) {
-  int iters = FuzzIters(6);
-  for (int it = 0; it < iters; ++it) {
-    uint64_t seed = 9000 + 41 * static_cast<uint64_t>(it);
-    std::mt19937_64 rng(seed);
-    std::uniform_int_distribution<int> grid(-12, 12);
-    std::uniform_real_distribution<double> u(-10, 10);
-    int n = 40 + (it % 5) * 23;
-    std::vector<Vec2> pts(n);
-    for (int i = 0; i < n; ++i) {
-      // Duplicate coordinates on purpose: grid snapping plus literal
-      // repeats of earlier points.
-      if (i % 7 == 3 && i > 0) {
-        pts[i] = pts[rng() % i];
-      } else if (i % 2 == 0) {
-        pts[i] = {grid(rng) * 0.5, grid(rng) * 0.5};
-      } else {
-        pts[i] = {u(rng), u(rng)};
-      }
-    }
-    range::KdTree tree(pts);
-    for (int k : {1, 3, n / 2, n}) {
-      for (int m = 1; m <= 2 * geom::kLaneWidth + 1; ++m) {
-        auto qs = AdversarialQueries(m, seed + 100 * k + m);
-        std::vector<std::vector<int>> ids;
-        std::vector<std::vector<double>> dists;
-        tree.KNearestBatch(qs, k, &ids, &dists);
-        ASSERT_EQ(ids.size(), qs.size());
-        for (size_t i = 0; i < qs.size(); ++i) {
-          EXPECT_EQ(ids[i], tree.KNearest(qs[i], k))
-              << "it=" << it << " k=" << k << " m=" << m << " i=" << i;
-          ASSERT_EQ(dists[i].size(), ids[i].size());
-          for (size_t j = 0; j < ids[i].size(); ++j) {
-            EXPECT_EQ(dists[i][j], geom::Dist(qs[i], pts[ids[i][j]]))
-                << "it=" << it << " k=" << k << " m=" << m << " i=" << i
-                << " j=" << j;
-          }
+// ---------------------------------------------------------------------------
+// Exact discrete quantification: kAuto's candidate sweep against Eq. (2)
+// over every site. The sweep runs the same accumulation over the same
+// (distance, site id) prefix, so the answers are equal, not just close.
+// ---------------------------------------------------------------------------
+
+/// Discrete corpora for the candidate sweep: uniform and skewed weights,
+/// duplicated points, sites shared across points (a coarse grid), certain
+/// (k = 1) points, and one tight cluster.
+std::vector<UncertainPoint> SweepCorpus(int which, int n, uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> u(-8, 8);
+  std::uniform_real_distribution<double> unit(0, 1);
+  std::uniform_int_distribution<int> grid(-6, 6);
+  std::uniform_int_distribution<int> nsites(1, 4);
+  switch (which % 6) {
+    case 0:
+      return workload::RandomDiscrete(n, 3, seed);
+    case 1: {  // Skewed weights: w ~ u^4 spans orders of magnitude.
+      std::vector<UncertainPoint> pts;
+      for (int i = 0; i < n; ++i) {
+        Vec2 c{u(rng), u(rng)};
+        std::vector<Vec2> sites(nsites(rng));
+        std::vector<double> w(sites.size());
+        double total = 0;
+        for (size_t s = 0; s < sites.size(); ++s) {
+          sites[s] = {c.x + unit(rng) - 0.5, c.y + unit(rng) - 0.5};
+          double x = 0.05 + unit(rng);
+          w[s] = x * x * x * x;
+          total += w[s];
         }
+        for (double& x : w) x /= total;
+        pts.push_back(UncertainPoint::Discrete(std::move(sites), w));
       }
+      return pts;
     }
+    case 2: {  // Every point appears twice.
+      auto base = workload::RandomDiscrete(n / 2 + 1, 2, seed, 0.0, 1.0,
+                                           /*uniform_weights=*/false);
+      std::vector<UncertainPoint> pts;
+      for (const auto& p : base) {
+        pts.push_back(p);
+        pts.push_back(p);
+      }
+      pts.erase(pts.begin() + n, pts.end());
+      return pts;
+    }
+    case 3: {  // Sites on a coarse grid, so points share locations.
+      std::vector<UncertainPoint> pts;
+      for (int i = 0; i < n; ++i) {
+        std::vector<Vec2> sites(nsites(rng));
+        for (auto& s : sites) s = {grid(rng) * 0.5, grid(rng) * 0.5};
+        pts.push_back(UncertainPoint::DiscreteUniform(std::move(sites)));
+      }
+      return pts;
+    }
+    case 4: {  // Every other point is certain.
+      auto pts = workload::RandomDiscrete(n, 3, seed);
+      for (int i = 0; i < n; i += 2) {
+        pts[i] = UncertainPoint::DiscreteUniform({{u(rng), u(rng)}});
+      }
+      return pts;
+    }
+    default:
+      return ClusteredDiscrete(n, seed);
   }
 }
 
-TEST(BatchFuzz, SpiralQueryBatchBitIdentical) {
-  int iters = FuzzIters(4);
+/// AdversarialQueries with every third query moved onto a site, where a
+/// distance is exactly zero.
+std::vector<Vec2> SweepQueries(const std::vector<UncertainPoint>& pts, int m,
+                               uint64_t seed) {
+  std::vector<Vec2> qs = AdversarialQueries(m, seed);
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<size_t> pick(0, pts.size() - 1);
+  for (int i = 1; i < m; i += 3) {
+    const auto& sites = pts[pick(rng)].sites();
+    qs[i] = sites[pick(rng) % sites.size()];
+  }
+  return qs;
+}
+
+TEST(BatchFuzz, DiscreteCandidateSweepMatchesDefinition) {
+  int iters = FuzzIters(12);
+  const Engine::QuerySpec mpnn{Engine::QueryType::kMostProbableNn, 0.5, 1};
+  const Engine::QuerySpec threshold{Engine::QueryType::kThreshold, 0.2, 1};
+  const Engine::QuerySpec top_k{Engine::QueryType::kTopK, 0.5, 3};
+  const Engine::QuerySpec nonzero{Engine::QueryType::kNonzeroNn, 0.5, 1};
   for (int it = 0; it < iters; ++it) {
-    uint64_t seed = 11000 + 43 * static_cast<uint64_t>(it);
-    int which = it % 3;  // Discrete-only: spiral search rejects disks.
-    auto pts = which == 0   ? ClusteredDiscrete(28 + it * 9, seed)
-               : which == 1 ? CoincidentAnchors(28 + it * 9, seed)
-                            : workload::RandomDiscrete(28 + it * 9, 3, seed);
-    core::SpiralSearch spiral(pts);
-    for (double eps : {0.5, 0.1, 0.02}) {
-      for (int m = 1; m <= 2 * geom::kLaneWidth + 1; m += 3) {
-        auto qs = AdversarialQueries(m, seed + m);
-        spatial::BatchStats stats;
-        auto got = spiral.QueryBatch(qs, eps, &stats);
-        ASSERT_EQ(got.size(), qs.size());
-        for (size_t i = 0; i < qs.size(); ++i) {
-          EXPECT_EQ(got[i], spiral.Query(qs[i], eps))
-              << "it=" << it << " eps=" << eps << " m=" << m << " i=" << i;
+    uint64_t seed = 15000 + 53 * static_cast<uint64_t>(it);
+    auto pts = SweepCorpus(it, 20 + it * 7, seed);
+    Engine engine(pts);  // kAuto: the candidate sweep on discrete input.
+    for (int m = 1; m <= 2 * geom::kLaneWidth + 1; ++m) {
+      auto qs = SweepQueries(pts, m, seed + m);
+      auto probs = engine.ProbabilitiesMany(qs);
+      auto best = engine.QueryMany(qs, mpnn);
+      auto above = engine.QueryMany(qs, threshold);
+      auto top = engine.QueryMany(qs, top_k);
+      auto support = engine.QueryMany(qs, nonzero);
+      ASSERT_EQ(probs.size(), qs.size());
+      for (size_t i = 0; i < qs.size(); ++i) {
+        const Vec2 q = qs[i];
+        EXPECT_EQ(probs[i], core::DiscreteQuantification(pts, q))
+            << "it=" << it << " m=" << m << " i=" << i;
+        EXPECT_EQ(probs[i], engine.Probabilities(q))
+            << "it=" << it << " m=" << m << " i=" << i;
+        // pi > 0 exactly on NN!=0.
+        const std::vector<int>& nz = support[i].ids;
+        std::vector<int> positive;
+        for (auto [id, pi] : probs[i]) positive.push_back(id);
+        EXPECT_EQ(positive, nz) << "it=" << it << " m=" << m << " i=" << i;
+        auto in_nz = [&](int id) {
+          return std::binary_search(nz.begin(), nz.end(), id);
+        };
+        EXPECT_EQ(best[i].nn < 0, nz.empty());
+        if (best[i].nn >= 0) EXPECT_TRUE(in_nz(best[i].nn));
+        EXPECT_EQ(best[i].nn, engine.MostProbableNn(q));
+        // Exact: Threshold reports exactly {pi >= tau}, inside NN!=0.
+        size_t reaching = 0;
+        for (auto [id, pi] : probs[i]) reaching += pi >= threshold.tau;
+        EXPECT_EQ(above[i].ranked.size(), reaching);
+        for (auto [id, pi] : above[i].ranked) {
+          EXPECT_TRUE(in_nz(id)) << "it=" << it << " m=" << m << " i=" << i;
+          EXPECT_GE(pi, threshold.tau);
         }
+        EXPECT_EQ(above[i].ranked, engine.Threshold(q, threshold.tau));
+        EXPECT_EQ(top[i].ranked, engine.TopK(q, top_k.k));
       }
     }
   }

@@ -93,8 +93,8 @@ TEST(ExpectedNn, QueryExpectedMatchesLinearScan) {
 
 TEST(EngineThreshold, HasNoFalseNegatives) {
   auto pts = workload::RandomDiscrete(15, 3, /*seed=*/21, 8.0, 2.5);
-  // Config::eps above every tau/2: the spiral search runs at accuracy
-  // exactly tau/2, the loosest Threshold ever uses.
+  // kAuto quantifies discrete input exactly, so even this loose
+  // Config::eps plays no part: Threshold reports exactly {pi >= tau}.
   Engine::Config cfg;
   cfg.eps = 0.5;
   Engine engine(pts, cfg);

@@ -1,6 +1,8 @@
 #include <cmath>
 #include <limits>
 #include <random>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -9,6 +11,7 @@
 #include "core/monte_carlo_pnn.h"
 #include "core/pnn_common.h"
 #include "core/spiral_search.h"
+#include "engine/engine.h"
 
 namespace unn {
 namespace core {
@@ -86,6 +89,54 @@ TEST(ExactPnn, LemmaFourOneHalfPowers) {
     EXPECT_NEAR(pi[i], std::pow(0.5, i + 1) + (i == 0 ? std::pow(0.5, n) : 0),
                 1e-12)
         << i;
+  }
+}
+
+TEST(ExactPnn, ExactTieGivesNoMassOutsideNonzeroNn) {
+  // P0 = {(1,0) w .5, (5,0) w .5} and P1 = {(1,0)} certain; q at the
+  // origin. At distance 1 both arrive together and P1 certainly does, so
+  // P0 is never strictly nearest: NN!=0 = {1} (delta_0 = 1 = Delta_1),
+  // pi_0 = 0, pi_1 = .5 (P0 at distance 5), and the tied mass .5 goes to
+  // nobody. Listing the points in either order must agree.
+  const Vec2 q{0, 0};
+  const UncertainPoint two_sites =
+      UncertainPoint::Discrete({{1, 0}, {5, 0}}, {0.5, 0.5});
+  const UncertainPoint certain = UncertainPoint::Discrete({{1, 0}}, {1.0});
+  for (bool swap : {false, true}) {
+    std::vector<UncertainPoint> pts = {two_sites, certain};
+    if (swap) std::swap(pts[0], pts[1]);
+    const int p1 = swap ? 0 : 1;
+    EXPECT_EQ(baselines::NonzeroNn(pts, q), std::vector<int>{p1});
+    const std::vector<std::pair<int, double>> want = {{p1, 0.5}};
+    EXPECT_EQ(DiscreteQuantification(pts, q), want) << "swap=" << swap;
+    for (Backend backend : {Backend::kAuto, Backend::kBruteForce}) {
+      Engine::Config cfg;
+      cfg.backend = backend;
+      Engine engine(pts, cfg);
+      EXPECT_EQ(engine.Probabilities(q), want) << "swap=" << swap;
+      EXPECT_EQ(engine.MostProbableNn(q), p1) << "swap=" << swap;
+      EXPECT_EQ(engine.NonzeroNn(q), std::vector<int>{p1});
+    }
+  }
+  // Weights may sum to 1 within 1e-9. P0's sum to 1 - 1e-10, yet P0 must
+  // still be exhausted at its last site (2,0): then P1's site there
+  // scores 0 and P1, outside NN!=0 (delta_1 = 2 = Delta_0), gets no mass.
+  // pi_0 = 1/2 + 1/2 * 1/2 (P1 beyond distance 2).
+  const std::vector<UncertainPoint> short_sum = {
+      UncertainPoint::Discrete({{1, 0}, {2, 0}}, {0.5, 0.4999999999}),
+      UncertainPoint::Discrete({{2, 0}, {9, 0}}, {0.5, 0.5})};
+  EXPECT_EQ(baselines::NonzeroNn(short_sum, q), std::vector<int>{0});
+  const std::vector<std::pair<int, double>> exact =
+      DiscreteQuantification(short_sum, q);
+  ASSERT_EQ(exact.size(), 1u);
+  EXPECT_EQ(exact[0].first, 0);
+  EXPECT_NEAR(exact[0].second, 0.75, 1e-9);
+  for (Backend backend : {Backend::kAuto, Backend::kBruteForce}) {
+    Engine::Config cfg;
+    cfg.backend = backend;
+    Engine engine(short_sum, cfg);
+    EXPECT_EQ(engine.Probabilities(q), exact);
+    EXPECT_EQ(engine.MostProbableNn(q), 0);
   }
 }
 

@@ -1,8 +1,8 @@
 // Sharded-vs-single-Engine oracle parity: a ShardedEngine over K shards
 // must answer every query type with the same global-id answers as one
 // Engine over the whole dataset — exactly where the merge is exact
-// (kBruteForce-backed shards, NN!=0, expected-distance NN), within the
-// backend accuracy where candidates come from estimators. Also covers the
+// (kBruteForce-backed shards, every discrete set, NN!=0, expected-distance
+// NN), within the backend accuracy where candidates come from estimators. Also covers the
 // partitioners, the degenerate-spec contract, empty shards (K > n), all
 // mass on one shard, coincident duplicates split across shards, and the
 // sharded QueryServer (including resharding via ReplaceDataset).
@@ -12,6 +12,7 @@
 #include <limits>
 #include <memory>
 #include <numeric>
+#include <random>
 #include <set>
 #include <sstream>
 #include <vector>
@@ -170,13 +171,65 @@ TEST(ShardedEngine, IndexBackedShardsMatchOracleNonzero) {
 }
 
 // ---------------------------------------------------------------------------
+// kAuto on discrete input: every shard quantifies exactly, and the discrete
+// merge re-quantifies every point within the merged Delta(q), the same
+// sites in the same order as one Engine, so the answers are bit-identical.
+// ---------------------------------------------------------------------------
+
+TEST(ShardedEngine, DiscreteAutoMatchesSingleEngineBitForBit) {
+  const Engine::QuerySpec specs[] = {
+      {Engine::QueryType::kMostProbableNn, 0.5, 1},
+      {Engine::QueryType::kThreshold, 0.2, 1},
+      {Engine::QueryType::kTopK, 0.5, 3},
+  };
+  auto qs = GridQueries(25);
+  qs.push_back({0, 0});
+  std::mt19937_64 rng(314);
+  std::uniform_real_distribution<double> u(-9, 9);
+  for (int i = 0; i < 25; ++i) qs.push_back({u(rng), u(rng)});
+  std::vector<std::vector<UncertainPoint>> corpora;
+  for (uint64_t seed : {311, 312, 313}) {
+    corpora.push_back(workload::RandomDiscrete(
+        40, 1 + seed % 3, seed, 0.0, 1.5, /*uniform_weights=*/seed != 312));
+  }
+  // Weights summing to 1 - 1e-10: at q = (0,0) point 1's site at
+  // Delta(q) = 2 must score 0 in both the Engine's sweep (which stops at
+  // Delta(q)) and the merge (which also sees its site at 9).
+  corpora.push_back(
+      {UncertainPoint::Discrete({{1, 0}, {2, 0}}, {0.5, 0.4999999999}),
+       UncertainPoint::Discrete({{2, 0}, {9, 0}}, {0.5, 0.5})});
+  for (size_t c = 0; c < corpora.size(); ++c) {
+    const std::vector<UncertainPoint>& pts = corpora[c];
+    Engine single(pts);
+    for (int k : {1, 2, 4}) {
+      for (auto part : kPartitioners) {
+        serve::ShardedEngine sharded(pts, {}, {k, part});
+        for (const Engine::QuerySpec& spec : specs) {
+          auto want = single.QueryMany(qs, spec);
+          auto got = sharded.QueryMany(qs, spec);
+          ASSERT_EQ(got.size(), want.size());
+          for (size_t i = 0; i < qs.size(); ++i) {
+            EXPECT_EQ(got[i].nn, want[i].nn)
+                << "corpus=" << c << " k=" << k << " i=" << i;
+            EXPECT_EQ(got[i].ranked, want[i].ranked)
+                << "corpus=" << c << " k=" << k << " i=" << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Estimator shards: candidate-merge approximation stays within eps of the
 // exact distribution and keeps the threshold no-false-negative contract.
 // ---------------------------------------------------------------------------
 
 TEST(ShardedEngine, EstimatorShardsWithinEpsOfExact) {
   auto pts = workload::RandomDiscrete(30, 3, 308);
-  Engine::Config cfg;  // kAuto -> spiral-search estimator per shard.
+  // kAuto quantifies discrete shards exactly and the discrete merge is
+  // exact, so the eps bounds below hold with room to spare.
+  Engine::Config cfg;
   const double eps = cfg.eps;
   auto qs = GridQueries(20);
   for (int k : {2, 4}) {
