@@ -18,9 +18,9 @@
 // p50/p99 latency split by Response::source, and a sampled check that
 // cache hits are bit-identical to recomputation on the same snapshot.
 // Part 4: observability overhead — the bare batch path vs the QueryServer
-// with obs idle (gated at <= 5% by CI bench-smoke) vs tracing + profiling
-// forced on; with --metrics <path> the obs-on server's Prometheus
-// exposition is written as a CI artifact.
+// with obs idle (gated at <= 5% by CI bench-smoke) vs tracing and the
+// slow-query log forced on; with --metrics <path> the obs-on server's
+// Prometheus exposition is written as a CI artifact.
 
 #include <algorithm>
 #include <cstdio>
@@ -35,7 +35,6 @@
 #include "baselines/brute_force.h"
 #include "bench_util.h"
 #include "engine/engine.h"
-#include "obs/profile.h"
 #include "serve/parallel.h"
 #include "serve/query_server.h"
 #include "serve/sharding.h"
@@ -322,14 +321,13 @@ int main(int argc, char** argv) {
 
   // Part 4: observability overhead. The obs layer's contract is that the
   // disabled mode costs nothing measurable: every span site is one null
-  // test and every traversal hook one relaxed load. Three configurations
-  // over the same warmed snapshot and query batch, best-of-R to shave
-  // scheduler noise: the bare batch path with no serving front end
-  // (baseline), the QueryServer with observability idle (obs off — the
-  // default production shape; CI gates its overhead at <= 5%), and the
-  // QueryServer with per-request tracing, the slow-query log and
-  // traversal profiling all forced on (obs on — the debugging shape,
-  // reported but ungated).
+  // test. Three configurations over the same warmed snapshot and query
+  // batch, best-of-R to shave scheduler noise: the bare batch path with
+  // no serving front end (baseline), the QueryServer with observability
+  // idle (obs off — the default production shape; CI gates its overhead
+  // at <= 5%), and the QueryServer with per-request tracing and the
+  // slow-query log forced on (obs on — the debugging shape, reported but
+  // ungated).
   {
     auto engine_ptr = std::make_shared<const Engine>(pts, Engine::Config{});
     engine_ptr->Warmup(spec);
@@ -360,14 +358,7 @@ int main(int argc, char** argv) {
     serve::QueryServer::Options on_opts = off_opts;
     on_opts.slow_query_threshold = std::chrono::microseconds(1);
     serve::QueryServer obs_on(engine_ptr, on_opts);
-    obs::EnableTraversalProfiling(true);
     double on_ms = best_of([&] { obs_on.QueryBatch(requests); });
-    // Exercise the instrumented merge hooks so the dump below carries
-    // traversal counters alongside the serving metrics.
-    for (int i = 0; i < 32; ++i) {
-      obs_on.sharded_snapshot()->shard(0).MaxDistEnvelope(queries[i]);
-    }
-    obs::EnableTraversalProfiling(false);
 
     double off_overhead = off_ms / baseline_ms;
     double on_overhead = on_ms / baseline_ms;

@@ -1,6 +1,6 @@
 // Observability tour: stands up a QueryServer over a random uncertain
 // dataset, drives a mixed query stream at it (batch + single submits,
-// repeats for cache hits, traversal profiling on), then prints
+// repeats for cache hits), then prints
 //   1. the full Prometheus text exposition from DumpMetrics() — the
 //      exact bytes a /metrics endpoint would serve;
 //   2. the same snapshot as JSON;
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "engine/engine.h"
-#include "obs/profile.h"
 #include "obs/trace.h"
 #include "serve/query_server.h"
 #include "workload/generators.h"
@@ -34,8 +33,6 @@ int main() {
   options.slow_query_log_size = 8;
   serve::QueryServer server(pts, {}, options);
 
-  obs::EnableTraversalProfiling(true);
-
   // A batch, then repeats of its prefix (cache hits), then single submits
   // of a second query type so the per-type counters diverge.
   std::vector<serve::Request> batch;
@@ -48,7 +45,6 @@ int main() {
   for (int i = 0; i < 16; ++i) {
     server.Submit({batch[i].q, {Engine::QueryType::kNonzeroNn}}).get();
   }
-  obs::EnableTraversalProfiling(false);
 
   std::printf("=== Prometheus exposition (DumpMetrics) ===\n\n%s\n",
               server.DumpMetrics().c_str());

@@ -37,7 +37,6 @@ PREAMBLE = """\
 #include "engine/engine.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "obs/profile.h"
 #include "obs/trace.h"
 #include "serve/parallel.h"
 #include "serve/query_server.h"

@@ -275,10 +275,6 @@ NnNonzeroDiscreteIndex::BatchHits NnNonzeroDiscreteIndex::SitesWithinDelta(
 
 std::vector<std::vector<int>> NnNonzeroDiscreteIndex::QueryBatch(
     std::span<const Vec2> queries, spatial::BatchStats* stats) const {
-  // A pack of one has no lanes to share a walk with: the scalar query —
-  // the replay target every lane is bit-identical to — answers it without
-  // the Morton sort and the padding of an 8-lane pack.
-  if (queries.size() == 1) return {Query(queries[0])};
   std::vector<std::vector<int>> out(queries.size());
   if (points_.size() == 1) {
     for (auto& o : out) o = {0};

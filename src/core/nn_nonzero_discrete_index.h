@@ -44,10 +44,10 @@ class NnNonzeroDiscreteIndex {
   /// range::KdTree::RangeCircleBatch (per-lane hit lists are the scalar
   /// RangeCircle's verbatim) before the scalar owner dedup and argbest
   /// membership fix, so an identical envelope forces an identical
-  /// answer. The batch runs in pack-coherent (Morton) order internally;
-  /// a one-query batch is answered by Query itself (no stats recorded).
-  /// A query with a NaN or infinite coordinate gets Query's answer without
-  /// a walk: the empty set, or {0} when the set has one point.
+  /// answer. The batch runs in pack-coherent (Morton) order internally,
+  /// a pack of one included. A query with a NaN or infinite coordinate
+  /// gets Query's answer without a walk: the empty set, or {0} when the
+  /// set has one point.
   std::vector<std::vector<int>> QueryBatch(
       std::span<const geom::Vec2> queries,
       spatial::BatchStats* stats = nullptr) const;

@@ -9,26 +9,20 @@ namespace core {
 
 using geom::Vec2;
 
-NnNonzeroIndex::NnNonzeroIndex(std::vector<UncertainPoint> points,
-                               Stage1 stage1)
-    : points_(std::move(points)), stage1_(stage1) {
+NnNonzeroIndex::NnNonzeroIndex(const std::vector<UncertainPoint>& points) {
   std::vector<Vec2> centers;
   std::vector<double> radii;
-  centers.reserve(points_.size());
-  radii.reserve(points_.size());
-  for (const auto& p : points_) {
+  centers.reserve(points.size());
+  radii.reserve(points.size());
+  for (const auto& p : points) {
     UNN_CHECK_MSG(p.is_disk(), "NnNonzeroIndex requires disk regions");
     centers.push_back(p.center());
     radii.push_back(p.radius());
   }
   tree_ = std::make_unique<range::DiskTree>(centers, radii);
-  if (stage1_ == Stage1::kVoronoi) {
-    vor_ = std::make_unique<voronoi::WeightedVoronoi>(centers, radii);
-  }
 }
 
 double NnNonzeroIndex::Delta(Vec2 q) const {
-  if (stage1_ == Stage1::kVoronoi) return vor_->WeightedDistance(q);
   return tree_->MinMaxDist(q);
 }
 

@@ -6,15 +6,14 @@
 
 #include "core/uncertain_point.h"
 #include "range/disk_tree.h"
-#include "voronoi/weighted_voronoi.h"
 
 /// \file nn_nonzero_index.h
 /// The near-linear-size NN!=0 query structure of Theorem 3.1 (continuous
-/// disks). A query runs in two stages, exactly as in the paper:
-///   1. compute Delta(q) = min_i (d(q,c_i) + r_i) — either by point location
-///      in the additively weighted Voronoi diagram M (the paper's stage) or
-///      by branch-and-bound over a weighted disk tree (default; same
-///      output, no windowing);
+/// disks). A query runs in two stages:
+///   1. compute Delta(q) = min_i (d(q,c_i) + r_i) by branch-and-bound over
+///      a weighted disk tree (the paper locates q in the additively
+///      weighted Voronoi diagram M instead; voronoi::WeightedVoronoi
+///      builds M, and weighted_voronoi_test checks that both agree);
 ///   2. report all i with delta_i(q) < Delta(q), i.e. all disks meeting the
 ///      open disk D(q, Delta(q)) — the [KMR+16] black box replaced by the
 ///      output-sensitive disk-tree reporter (DESIGN.md section 3).
@@ -25,28 +24,16 @@ namespace core {
 
 class NnNonzeroIndex {
  public:
-  enum class Stage1 {
-    kDiskTree,  ///< Branch-and-bound min (default; exact everywhere).
-    kVoronoi,   ///< Point location in M (paper-faithful; exact everywhere,
-                ///< linear-scan fallback outside M's window).
-  };
-
-  explicit NnNonzeroIndex(std::vector<UncertainPoint> points,
-                          Stage1 stage1 = Stage1::kDiskTree);
+  explicit NnNonzeroIndex(const std::vector<UncertainPoint>& points);
 
   /// NN!=0(q), sorted ids. Exact.
   std::vector<int> Query(geom::Vec2 q) const;
 
-  /// Delta(q) via the selected stage-1 structure.
+  /// Delta(q) = min_i MaxDist(q, P_i).
   double Delta(geom::Vec2 q) const;
 
-  Stage1 stage1() const { return stage1_; }
-
  private:
-  std::vector<UncertainPoint> points_;
-  Stage1 stage1_;
   std::unique_ptr<range::DiskTree> tree_;
-  std::unique_ptr<voronoi::WeightedVoronoi> vor_;
 };
 
 }  // namespace core

@@ -93,9 +93,9 @@ class QuantTree {
   /// Per-query search-effort counters (caller-owned, so queries stay
   /// const and thread-safe). A sublinear query visits o(n) of each. Now
   /// the shared spatial::TraversalStats, so the traversal engines fill
-  /// nodes_visited / leaves_scanned / prunes / heap_pushes and the obs
-  /// profiler (obs/profile.h) can aggregate them; points_evaluated is
-  /// still counted here, at actual per-point evaluations.
+  /// nodes_visited / leaves_scanned / prunes / heap_pushes;
+  /// points_evaluated is still counted here, at actual per-point
+  /// evaluations.
   using QueryStats = spatial::TraversalStats;
 
   /// Builds the hierarchy in O(n log n). `points` must outlive the tree.

@@ -5,7 +5,6 @@
 #include "baselines/brute_force.h"
 #include "core/exact_pnn.h"
 #include "engine/query_contract.h"
-#include "obs/profile.h"
 #include "util/check.h"
 
 namespace unn {
@@ -177,12 +176,6 @@ double Engine::ExpectedDistance(int i, geom::Vec2 q) const {
 }
 
 core::DeltaEnvelope Engine::MaxDistEnvelope(geom::Vec2 q) const {
-  if (obs::TraversalProfilingEnabled()) {
-    core::QuantTree::QueryStats st;
-    core::DeltaEnvelope env = GetQuantTree().MaxDistEnvelope(q, &st);
-    obs::RecordTraversal(obs::TraversalOp::kQuantEnvelope, st);
-    return env;
-  }
   return GetQuantTree().MaxDistEnvelope(q);
 }
 
@@ -193,12 +186,6 @@ void Engine::MaxDistEnvelopeMany(std::span<const geom::Vec2> queries,
 }
 
 double Engine::LogSurvivalProbability(geom::Vec2 q, double r) const {
-  if (obs::TraversalProfilingEnabled()) {
-    core::QuantTree::QueryStats st;
-    double v = GetQuantTree().LogSurvival(q, r, &st);
-    obs::RecordTraversal(obs::TraversalOp::kQuantSurvival, st);
-    return v;
-  }
   return GetQuantTree().LogSurvival(q, r);
 }
 
@@ -246,7 +233,10 @@ std::vector<Engine::QueryResult> Engine::QueryMany(
   // of the pack (docs/ARCHITECTURE.md "Batch traversal" has the coverage
   // matrix and per-kernel exactness argument). Structures a type has no
   // kernel for — the definition-level NN!=0 oracle and the all-disk
-  // nonzero index — loop their per-query answer inside the case arm.
+  // nonzero index — loop their per-query answer inside the case arm. A
+  // query with a NaN or infinite coordinate has no distances to rank: it
+  // gets no expected-distance NN and an empty NN!=0 on every backend, as
+  // it gets no probability estimates (so MPNN -1, Threshold/TopK empty).
   switch (spec.type) {
     case QueryType::kMostProbableNn: {
       auto est = ProbabilitiesMany(queries);
@@ -274,7 +264,9 @@ std::vector<Engine::QueryResult> Engine::QueryMany(
             },
             /*slack=*/config_.tol, ids);
       }
-      for (size_t i = 0; i < queries.size(); ++i) results[i].nn = ids[i];
+      for (size_t i = 0; i < queries.size(); ++i) {
+        if (geom::IsFinite(queries[i])) results[i].nn = ids[i];
+      }
       break;
     }
     case QueryType::kThreshold: {
@@ -307,11 +299,12 @@ std::vector<Engine::QueryResult> Engine::QueryMany(
       if (indexed && all_discrete_) {
         auto ids = GetNonzeroDiscrete().QueryBatch(queries);
         for (size_t i = 0; i < queries.size(); ++i) {
-          results[i].ids = std::move(ids[i]);
+          if (geom::IsFinite(queries[i])) results[i].ids = std::move(ids[i]);
         }
         break;
       }
       for (size_t i = 0; i < queries.size(); ++i) {
+        if (!geom::IsFinite(queries[i])) continue;
         results[i].ids = indexed  // All-disk: no batched kernel.
                              ? GetNonzeroIndex().Query(queries[i])
                              : baselines::NonzeroNn(points_, queries[i]);

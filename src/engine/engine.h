@@ -173,9 +173,12 @@ class Engine {
   /// (likewise build-free), `kThreshold` with `tau > 1` or NaN returns
   /// empty rankings (no pi exceeds 1), and `kThreshold` with `tau <= 0`
   /// returns every id with its estimate (every pi reaches a non-positive
-  /// threshold). Each type runs through its shared-traversal kernel
-  /// (spatial/batch.h); `serve::QueryMany` splits the pack across a
-  /// thread pool. Thread-safe.
+  /// threshold). A query with a NaN or infinite coordinate gets nn -1 and
+  /// empty ranked/ids on every backend, except that `tau <= 0` still
+  /// lists every id at 0 (docs/QUERY_SEMANTICS.md "Non-finite queries").
+  /// Each type runs through its shared-traversal kernel (spatial/batch.h);
+  /// `serve::QueryMany` splits the pack across a thread pool.
+  /// Thread-safe.
   std::vector<QueryResult> QueryMany(std::span<const geom::Vec2> queries,
                                      const QuerySpec& spec) const;
 

@@ -12,9 +12,9 @@
 /// with `_sum`/`_count`) and a JSON document (one object per metric,
 /// histograms carry count/sum/max plus p50/p95/p99 instead of raw
 /// buckets). Pure functions over MetricSnapshot, so anything that can
-/// produce snapshots (Registry::Snapshot, AppendTraversalMetrics) can be
-/// exported. Snapshots sharing a name (e.g. a counter per label set) are
-/// grouped under one HELP/TYPE header as Prometheus requires.
+/// produce snapshots (Registry::Snapshot) can be exported. Snapshots
+/// sharing a name (e.g. a counter per label set) are grouped under one
+/// HELP/TYPE header as Prometheus requires.
 
 namespace unn {
 namespace obs {

@@ -14,8 +14,8 @@
 
 /// \file metrics.h
 /// Lock-light metrics primitives and the registry that names them — the
-/// single metrics surface behind serve::ServerStats, the result cache and
-/// the traversal profiler (see docs/OBSERVABILITY.md for the catalog).
+/// single metrics surface behind serve::ServerStats and the result cache
+/// (see docs/OBSERVABILITY.md for the catalog).
 ///
 ///   * Counter   — monotone u64 over per-thread-sharded, cache-line-padded
 ///                 atomic cells: Inc() is one relaxed fetch_add on the

@@ -5,8 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/profile.h"
-
 namespace unn {
 namespace range {
 
@@ -21,26 +19,18 @@ int KdTree::Nearest(Vec2 q, double* dist) const {
   if (tree_.root() < 0) return -1;
   int best = -1;
   double best_d = std::numeric_limits<double>::infinity();
-  // Opt-in traversal profiling: one relaxed load when off, a stack-local
-  // stats block folded into the global sink when on.
-  spatial::TraversalStats local;
-  spatial::TraversalStats* st =
-      obs::TraversalProfilingEnabled() ? &local : nullptr;
   spatial::PrunedVisitOrdered(
       tree_, [&](int n) { return tree_.box(n).DistSqTo(q); },
       [&](int n) { return tree_.box(n).DistSqTo(q) >= best_d * best_d; },
       [&](int n) {
         for (int i = tree_.begin(n); i < tree_.end(n); ++i) {
           double d = Dist(q, pts_[tree_.item(i)]);
-          if (st != nullptr) ++st->points_evaluated;
           if (d < best_d) {
             best_d = d;
             best = tree_.item(i);
           }
         }
-      },
-      st);
-  if (st != nullptr) obs::RecordTraversal(obs::TraversalOp::kKdNearest, local);
+      });
   if (dist != nullptr) *dist = best_d;
   return best;
 }

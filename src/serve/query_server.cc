@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "engine/query_contract.h"
-#include "obs/profile.h"
 #include "util/check.h"
 
 namespace unn {
@@ -323,8 +322,9 @@ std::future<Response> QueryServer::Submit(const Request& request) {
   if (cacheable) {
     obs::ScopedSpan lookup(admission.node(), "cache_lookup");
     Response resp;
-    if (cache_.Lookup(cache_.Key(snap->generation, request.spec, request.q),
-                      &resp.result)) {
+    if (cache_.Lookup(
+            ResultCache::MakeKey(snap->generation, request.spec, request.q),
+            &resp.result)) {
       lookup.End();
       admission.End();
       resp.source = ResultSource::kCache;
@@ -396,9 +396,9 @@ std::future<Response> QueryServer::Submit(const Request& request) {
           engine_span.End();
           if (cacheable) {
             obs::ScopedSpan insert(root_at, "cache_insert");
-            cache_.Insert(
-                cache_.Key(snap->generation, request.spec, request.q),
-                resp.result);
+            cache_.Insert(ResultCache::MakeKey(snap->generation, request.spec,
+                                               request.q),
+                          resp.result);
           }
         }
         // relaxed: counter only; the response is delivered via the
@@ -466,7 +466,7 @@ std::vector<Response> QueryServer::QueryBatch(
       }
       const bool regular = IsRegular(r.spec);
       if (regular && !cache_.disabled() &&
-          cache_.Lookup(cache_.Key(snap->generation, r.spec, r.q),
+          cache_.Lookup(ResultCache::MakeKey(snap->generation, r.spec, r.q),
                         &responses[i].result)) {
         responses[i].source = ResultSource::kCache;
         responses[i].latency = ElapsedUs(t0);
@@ -544,7 +544,7 @@ std::vector<Response> QueryServer::QueryBatch(
       for (size_t i : compute) {
         const Request& r = requests[i];
         if (IsRegular(r.spec)) {
-          cache_.Insert(cache_.Key(snap->generation, r.spec, r.q),
+          cache_.Insert(ResultCache::MakeKey(snap->generation, r.spec, r.q),
                         responses[i].result);
         }
       }
@@ -720,11 +720,7 @@ std::string QueryServer::DumpMetrics(obs::MetricsFormat format) {
                   "p99 serving latency, microseconds", labels)
         ->Set(h.p99);
   }
-  std::vector<obs::MetricSnapshot> metrics = registry_.Snapshot();
-  // Traversal profiling totals are process-global (engines are shared
-  // across servers); append them so one dump covers the whole stack.
-  obs::AppendTraversalMetrics(&metrics);
-  return obs::Export(metrics, format);
+  return obs::Export(registry_.Snapshot(), format);
 }
 
 }  // namespace serve

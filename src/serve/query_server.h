@@ -246,12 +246,12 @@ class QueryServer {
   obs::Registry& metrics_registry() { return registry_; }
 
   /// Renders every registered metric — serving counters, per-type latency
-  /// histograms, cache counters, point-in-time gauges (pool queue depth,
-  /// in-flight queries, cache hit ratio, latency percentiles) and the
-  /// process-wide traversal-profiling totals — in Prometheus text
-  /// exposition format or as JSON. Refreshes the gauges, so not const.
-  /// O(registered metrics); thread-safe, callable under traffic (relaxed
-  /// counter snapshot, same ordering contract as stats()).
+  /// histograms, cache counters and point-in-time gauges (pool queue
+  /// depth, in-flight queries, cache hit ratio, latency percentiles) — in
+  /// Prometheus text exposition format or as JSON. Refreshes the gauges,
+  /// so not const. O(registered metrics); thread-safe, callable under
+  /// traffic (relaxed counter snapshot, same ordering contract as
+  /// stats()).
   std::string DumpMetrics(
       obs::MetricsFormat format = obs::MetricsFormat::kPrometheus);
 

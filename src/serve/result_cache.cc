@@ -1,8 +1,6 @@
 #include "serve/result_cache.h"
 
 #include <bit>
-#include <cmath>
-#include <cstring>
 #include <utility>
 
 #include "engine/query_contract.h"
@@ -21,15 +19,9 @@ uint64_t Mix(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// Coordinate canonicalization: with a quantum, the grid index of the
-/// nearest lattice point (so every query in a quantum-sized cell shares a
-/// key); without one, the exact bit pattern with -0.0 folded onto +0.0
-/// (distances cannot tell them apart, so neither may the key).
-uint64_t CanonicalCoord(double v, double quantum) {
-  if (quantum > 0) {
-    return static_cast<uint64_t>(
-        static_cast<int64_t>(std::llround(v / quantum)));
-  }
+/// Coordinate canonicalization: the exact bit pattern with -0.0 folded
+/// onto +0.0 (distances cannot tell them apart, so neither may the key).
+uint64_t CanonicalCoord(double v) {
   if (v == 0.0) v = 0.0;  // Collapses -0.0.
   return std::bit_cast<uint64_t>(v);
 }
@@ -87,8 +79,7 @@ ResultCache::ResultCache(const Options& options, obs::Registry* registry)
 }
 
 CacheKey ResultCache::MakeKey(uint64_t generation,
-                              const Engine::QuerySpec& spec, geom::Vec2 q,
-                              double coord_quantum) {
+                              const Engine::QuerySpec& spec, geom::Vec2 q) {
   UNN_DCHECK(query_contract::Classify(spec) ==
              query_contract::SpecClass::kRegular);
   CacheKey key;
@@ -107,8 +98,8 @@ CacheKey ResultCache::MakeKey(uint64_t generation,
       key.param = 0;
       break;
   }
-  key.qx = CanonicalCoord(q.x, coord_quantum);
-  key.qy = CanonicalCoord(q.y, coord_quantum);
+  key.qx = CanonicalCoord(q.x);
+  key.qy = CanonicalCoord(q.y);
   return key;
 }
 

@@ -26,17 +26,15 @@
 ///
 /// Keys canonicalize the QuerySpec (parameters a query type ignores are
 /// zeroed, so `TopK(k=3)` submitted with any tau hits the same entry) and
-/// the query point (-0.0 folds onto +0.0; an optional grid quantum maps
-/// nearby points onto one representative entry). Degenerate specs
-/// (query_contract::Classify != kRegular) are never cached — their
-/// answers are definition-level and their keying is not meaningful.
+/// the query point (its exact bits, with -0.0 folded onto +0.0).
+/// Degenerate specs (query_contract::Classify != kRegular) are never
+/// cached — their answers are definition-level and their keying is not
+/// meaningful.
 ///
-/// With the default `coord_quantum = 0`, a hit returns a stored copy of
-/// exactly what the same snapshot computed for exactly that key —
-/// bit-identical to recomputation (docs/QUERY_SEMANTICS.md spells out
-/// the one estimator-refinement caveat). With a positive quantum, a hit
-/// returns the exact answer of the snapped representative point
-/// (approximate serving, opt-in).
+/// A hit returns a stored copy of exactly what the same snapshot computed
+/// for exactly that key — bit-identical to recomputation
+/// (docs/QUERY_SEMANTICS.md spells out the one estimator-refinement
+/// caveat).
 ///
 /// Thread safety: the cache is sharded by key hash; each shard is an
 /// independent mutex + LRU list + map with 1/num_shards of the byte
@@ -53,7 +51,7 @@ struct CacheKey {
   uint64_t generation = 0;
   uint32_t type = 0;    ///< static_cast of Engine::QueryType.
   uint64_t param = 0;   ///< Canonicalized tau bits / k; 0 if ignored.
-  uint64_t qx = 0;      ///< Canonicalized coordinate (bits or grid index).
+  uint64_t qx = 0;      ///< Coordinate bits, -0.0 folded onto +0.0.
   uint64_t qy = 0;
 
   bool operator==(const CacheKey&) const = default;
@@ -67,11 +65,6 @@ class ResultCache {
     size_t max_bytes = 64u << 20;
     /// Shard count (rounded up to a power of two, clamped to [1, 256]).
     int num_shards = 16;
-    /// Query-point quantization step. 0 keys on the exact coordinate
-    /// bits (bit-identical hits); > 0 snaps coordinates to a grid of
-    /// this pitch, trading exactness for hit rate on near-repeated
-    /// queries.
-    double coord_quantum = 0.0;
   };
 
   /// `registry` is where the cache registers its metrics
@@ -82,17 +75,11 @@ class ResultCache {
   explicit ResultCache(const Options& options,
                        obs::Registry* registry = nullptr);
 
-  /// Builds the canonical key for (generation, spec, q) under `quantum`.
-  /// The caller must only key kRegular specs (query_contract::Classify);
-  /// parameters the type ignores are zeroed so equivalent specs share an
-  /// entry.
+  /// Builds the canonical key for (generation, spec, q). The caller must
+  /// only key kRegular specs (query_contract::Classify); parameters the
+  /// type ignores are zeroed so equivalent specs share an entry.
   static CacheKey MakeKey(uint64_t generation, const Engine::QuerySpec& spec,
-                          geom::Vec2 q, double coord_quantum);
-  /// MakeKey with this cache's configured quantum.
-  CacheKey Key(uint64_t generation, const Engine::QuerySpec& spec,
-               geom::Vec2 q) const {
-    return MakeKey(generation, spec, q, options_.coord_quantum);
-  }
+                          geom::Vec2 q);
 
   /// On hit copies the stored result into `*out`, refreshes the entry's
   /// LRU position and returns true. O(1) expected, one shard mutex.

@@ -38,8 +38,7 @@ namespace spatial {
 /// Per-traversal search-effort counters, filled by the engines when the
 /// caller passes a non-null pointer (the default null pointer keeps the
 /// engines counter-free — the checks compile down to a dead branch).
-/// Caller-owned so traversals stay const and thread-safe; obs/profile.h
-/// aggregates these into the process-wide metrics surface.
+/// Caller-owned so traversals stay const and thread-safe.
 ///
 /// Semantics (identical across engines so consumers can compare):
 ///   * nodes_visited   — nodes entered and not pruned (internal + leaf);

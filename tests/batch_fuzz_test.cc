@@ -562,8 +562,8 @@ TEST(BatchFuzz, MonteCarloMatchesDefinitionOracle) {
 // every query type, so a query's answer inside a full pack must equal its
 // pack-of-one answer, for all five types and every pack size — and match
 // the definition-level oracles where they are exact. Every fifth query
-// has a NaN or infinite coordinate; those get no probability estimates on
-// any backend.
+// has a NaN or infinite coordinate; those get no probability estimates,
+// no expected-distance NN and an empty NN!=0.
 // ---------------------------------------------------------------------------
 
 TEST(BatchFuzz, EngineQueryManyPackIndependent) {
@@ -614,6 +614,8 @@ TEST(BatchFuzz, EngineQueryManyPackIndependent) {
       for (size_t i = 0; i < qs.size(); ++i) {
         if (!geom::IsFinite(qs[i])) {
           EXPECT_EQ(most_probable[i].nn, -1) << "it=" << it << " i=" << i;
+          EXPECT_EQ(nearest[i].nn, -1) << "it=" << it << " i=" << i;
+          EXPECT_TRUE(nonzero[i].ids.empty()) << "it=" << it << " i=" << i;
           EXPECT_TRUE(threshold[i].ranked.empty()) << "it=" << it;
           EXPECT_TRUE(top_k[i].ranked.empty()) << "it=" << it;
           continue;

@@ -26,14 +26,11 @@ std::vector<UncertainPoint> RandomDisks(int n, std::mt19937_64& rng,
   return pts;
 }
 
-class NnNonzeroIndexModes
-    : public ::testing::TestWithParam<NnNonzeroIndex::Stage1> {};
-
-TEST_P(NnNonzeroIndexModes, MatchesBruteForceRandom) {
+TEST(NnNonzeroIndex, MatchesBruteForceRandom) {
   std::mt19937_64 rng(404);
   for (int n : {1, 2, 5, 17, 60, 150}) {
     auto pts = RandomDisks(n, rng);
-    NnNonzeroIndex ix(pts, GetParam());
+    NnNonzeroIndex ix(pts);
     std::uniform_real_distribution<double> qu(-20, 20);
     for (int t = 0; t < 150; ++t) {
       Vec2 q{qu(rng), qu(rng)};
@@ -44,25 +41,16 @@ TEST_P(NnNonzeroIndexModes, MatchesBruteForceRandom) {
   }
 }
 
-TEST_P(NnNonzeroIndexModes, DeltaMatchesDefinition) {
+TEST(NnNonzeroIndex, DeltaMatchesDefinition) {
   std::mt19937_64 rng(405);
   auto pts = RandomDisks(80, rng);
-  NnNonzeroIndex ix(pts, GetParam());
+  NnNonzeroIndex ix(pts);
   std::uniform_real_distribution<double> qu(-25, 25);
   for (int t = 0; t < 200; ++t) {
     Vec2 q{qu(rng), qu(rng)};
     EXPECT_NEAR(ix.Delta(q), GlobalMaxDistLowerEnvelope(pts, q), 1e-9);
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(BothStages, NnNonzeroIndexModes,
-                         ::testing::Values(NnNonzeroIndex::Stage1::kDiskTree,
-                                           NnNonzeroIndex::Stage1::kVoronoi),
-                         [](const auto& info) {
-                           return info.param == NnNonzeroIndex::Stage1::kDiskTree
-                                      ? "DiskTree"
-                                      : "Voronoi";
-                         });
 
 TEST(NnNonzeroIndex, AgreesWithNonzeroVoronoiDiagram) {
   // Theorem 2.11 structure and Theorem 3.1 structure must agree everywhere

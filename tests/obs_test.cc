@@ -3,34 +3,27 @@
 // single sample exact, overflow reports the observed max, p50 <= p95 <= p99
 // always), the Registry's idempotent-handle and snapshot-order contracts
 // under concurrent churn (the TSan job runs this suite), span-tree tracing
-// including the zero-cost disabled mode, both exporters' output formats,
-// and the opt-in traversal-profiling sink end to end through a real
-// KdTree query.
+// including the zero-cost disabled mode, and both exporters' output
+// formats.
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "geom/vec2.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "obs/profile.h"
 #include "obs/trace.h"
-#include "range/kdtree.h"
 
 namespace unn {
 namespace obs {
 namespace {
-
-using geom::Vec2;
 
 // ---------------------------------------------------------------------------
 // Counter / Gauge
@@ -417,76 +410,6 @@ TEST(ExportTest, ExportDispatchesOnFormat) {
   std::vector<MetricSnapshot> snap = SampleSnapshot();
   EXPECT_EQ(Export(snap, MetricsFormat::kPrometheus), ToPrometheusText(snap));
   EXPECT_EQ(Export(snap, MetricsFormat::kJson), ToJson(snap));
-}
-
-// ---------------------------------------------------------------------------
-// Traversal profiling
-
-TEST(ProfileTest, SinkAccumulatesAndResets) {
-  ResetTraversalProfile();
-  spatial::TraversalStats st;
-  st.nodes_visited = 10;
-  st.leaves_scanned = 4;
-  st.points_evaluated = 7;
-  st.prunes = 3;
-  st.heap_pushes = 5;
-  RecordTraversal(TraversalOp::kQuantEnvelope, st);
-  RecordTraversal(TraversalOp::kQuantEnvelope, st);
-
-  EXPECT_EQ(TraversalCount(TraversalOp::kQuantEnvelope), 2);
-  spatial::TraversalStats total = TraversalTotals(TraversalOp::kQuantEnvelope);
-  EXPECT_EQ(total.nodes_visited, 20);
-  EXPECT_EQ(total.prunes, 6);
-  EXPECT_EQ(TraversalCount(TraversalOp::kKdNearest), 0);
-
-  std::vector<MetricSnapshot> out;
-  AppendTraversalMetrics(&out);
-  bool saw_nodes = false;
-  for (const MetricSnapshot& m : out) {
-    // Only the one op with recorded traversals is emitted.
-    for (const auto& [k, v] : m.labels) {
-      if (k == "op") EXPECT_EQ(v, "quant_envelope");
-      if (k == "structure") EXPECT_EQ(v, "quant_tree");
-    }
-    if (m.name == "unn_traversal_nodes_visited_total") {
-      saw_nodes = true;
-      EXPECT_EQ(m.value, 20.0);
-    }
-  }
-  EXPECT_TRUE(saw_nodes);
-
-  ResetTraversalProfile();
-  EXPECT_EQ(TraversalCount(TraversalOp::kQuantEnvelope), 0);
-  out.clear();
-  AppendTraversalMetrics(&out);
-  EXPECT_TRUE(out.empty());
-}
-
-TEST(ProfileTest, KdTreeQueriesFeedTheSinkOnlyWhenEnabled) {
-  std::mt19937_64 rng(7);
-  std::uniform_real_distribution<double> u(-10, 10);
-  std::vector<Vec2> pts(512);
-  for (Vec2& p : pts) p = {u(rng), u(rng)};
-  range::KdTree tree(pts);
-
-  // Disabled (the default): queries must not touch the sink.
-  ResetTraversalProfile();
-  EnableTraversalProfiling(false);
-  tree.Nearest({0.0, 0.0});
-  EXPECT_EQ(TraversalCount(TraversalOp::kKdNearest), 0);
-
-  EnableTraversalProfiling(true);
-  for (int i = 0; i < 8; ++i) tree.Nearest({u(rng), u(rng)});
-  EnableTraversalProfiling(false);
-
-  EXPECT_EQ(TraversalCount(TraversalOp::kKdNearest), 8);
-  spatial::TraversalStats total = TraversalTotals(TraversalOp::kKdNearest);
-  EXPECT_GT(total.nodes_visited, 0);
-  EXPECT_GT(total.points_evaluated, 0);
-  // A balanced kd-tree prunes: far subtrees are skipped, so a nearest
-  // query must not evaluate every point.
-  EXPECT_LT(total.points_evaluated, 8 * tree.size());
-  ResetTraversalProfile();
 }
 
 }  // namespace

@@ -52,20 +52,18 @@ TEST(CacheKey, IgnoredSpecParametersAreZeroed) {
   a.tau = 0.2;
   b.tau = 0.9;
   Vec2 q{1.5, -2.5};
-  EXPECT_EQ(ResultCache::MakeKey(1, a, q, 0.0),
-            ResultCache::MakeKey(1, b, q, 0.0));
-  EXPECT_NE(ResultCache::MakeKey(1, TopK(3), q, 0.0),
-            ResultCache::MakeKey(1, TopK(4), q, 0.0));
+  EXPECT_EQ(ResultCache::MakeKey(1, a, q), ResultCache::MakeKey(1, b, q));
+  EXPECT_NE(ResultCache::MakeKey(1, TopK(3), q),
+            ResultCache::MakeKey(1, TopK(4), q));
 
   // Threshold reads only tau.
   Engine::QuerySpec c = Threshold(0.25);
   Engine::QuerySpec d = Threshold(0.25);
   c.k = 1;
   d.k = 99;
-  EXPECT_EQ(ResultCache::MakeKey(1, c, q, 0.0),
-            ResultCache::MakeKey(1, d, q, 0.0));
-  EXPECT_NE(ResultCache::MakeKey(1, Threshold(0.25), q, 0.0),
-            ResultCache::MakeKey(1, Threshold(0.75), q, 0.0));
+  EXPECT_EQ(ResultCache::MakeKey(1, c, q), ResultCache::MakeKey(1, d, q));
+  EXPECT_NE(ResultCache::MakeKey(1, Threshold(0.25), q),
+            ResultCache::MakeKey(1, Threshold(0.75), q));
 
   // MostProbableNn reads neither.
   Engine::QuerySpec e, f;
@@ -73,41 +71,30 @@ TEST(CacheKey, IgnoredSpecParametersAreZeroed) {
   e.k = 7;
   f.tau = 0.8;
   f.k = 2;
-  EXPECT_EQ(ResultCache::MakeKey(1, e, q, 0.0),
-            ResultCache::MakeKey(1, f, q, 0.0));
+  EXPECT_EQ(ResultCache::MakeKey(1, e, q), ResultCache::MakeKey(1, f, q));
 }
 
 TEST(CacheKey, GenerationAndTypeSeparateEntries) {
   Vec2 q{0.0, 0.0};
-  EXPECT_NE(ResultCache::MakeKey(1, TopK(3), q, 0.0),
-            ResultCache::MakeKey(2, TopK(3), q, 0.0));
+  EXPECT_NE(ResultCache::MakeKey(1, TopK(3), q),
+            ResultCache::MakeKey(2, TopK(3), q));
   Engine::QuerySpec mp;  // kMostProbableNn
   Engine::QuerySpec nz;
   nz.type = Engine::QueryType::kNonzeroNn;
-  EXPECT_NE(ResultCache::MakeKey(1, mp, q, 0.0),
-            ResultCache::MakeKey(1, nz, q, 0.0));
+  EXPECT_NE(ResultCache::MakeKey(1, mp, q), ResultCache::MakeKey(1, nz, q));
 }
 
 TEST(CacheKey, NegativeZeroFoldsOntoPositiveZero) {
   Engine::QuerySpec spec;
-  EXPECT_EQ(ResultCache::MakeKey(1, spec, Vec2{-0.0, 0.0}, 0.0),
-            ResultCache::MakeKey(1, spec, Vec2{0.0, -0.0}, 0.0));
-  // But genuinely different coordinates stay distinct.
-  EXPECT_NE(ResultCache::MakeKey(1, spec, Vec2{0.0, 0.0}, 0.0),
-            ResultCache::MakeKey(1, spec, Vec2{1e-300, 0.0}, 0.0));
-}
-
-TEST(CacheKey, QuantizationSnapsNearbyPointsTogether) {
-  Engine::QuerySpec spec;
-  const double quantum = 0.5;
-  // Both round to the same lattice point (2, -4) * 0.5.
-  EXPECT_EQ(ResultCache::MakeKey(1, spec, Vec2{1.01, -2.05}, quantum),
-            ResultCache::MakeKey(1, spec, Vec2{0.99, -1.98}, quantum));
-  EXPECT_NE(ResultCache::MakeKey(1, spec, Vec2{1.01, -2.05}, quantum),
-            ResultCache::MakeKey(1, spec, Vec2{1.40, -2.05}, quantum));
-  // quantum 0 keeps them apart.
-  EXPECT_NE(ResultCache::MakeKey(1, spec, Vec2{1.01, -2.05}, 0.0),
-            ResultCache::MakeKey(1, spec, Vec2{0.99, -1.98}, 0.0));
+  EXPECT_EQ(ResultCache::MakeKey(1, spec, Vec2{-0.0, 0.0}),
+            ResultCache::MakeKey(1, spec, Vec2{0.0, -0.0}));
+  // But genuinely different coordinates stay distinct, however close:
+  // keys are the exact coordinate bits, so a hit is never another
+  // point's answer.
+  EXPECT_NE(ResultCache::MakeKey(1, spec, Vec2{0.0, 0.0}),
+            ResultCache::MakeKey(1, spec, Vec2{1e-300, 0.0}));
+  EXPECT_NE(ResultCache::MakeKey(1, spec, Vec2{1.01, -2.05}),
+            ResultCache::MakeKey(1, spec, Vec2{0.99, -1.98}));
 }
 
 // ---------------------------------------------------------------------------
@@ -117,7 +104,7 @@ TEST(CacheKey, QuantizationSnapsNearbyPointsTogether) {
 TEST(ResultCache, RoundTripAndCounters) {
   ResultCache cache(ResultCache::Options{});
   Engine::QuerySpec spec = TopK(2);
-  CacheKey key = cache.Key(1, spec, Vec2{3.0, 4.0});
+  CacheKey key = ResultCache::MakeKey(1, spec, Vec2{3.0, 4.0});
 
   Engine::QueryResult out;
   EXPECT_FALSE(cache.Lookup(key, &out));
@@ -139,7 +126,7 @@ TEST(ResultCache, RoundTripAndCounters) {
 
 TEST(ResultCache, ReinsertRefreshesValue) {
   ResultCache cache(ResultCache::Options{});
-  CacheKey key = cache.Key(1, TopK(2), Vec2{0.0, 0.0});
+  CacheKey key = ResultCache::MakeKey(1, TopK(2), Vec2{0.0, 0.0});
   cache.Insert(key, MakeResult(1, 1, 0));
   cache.Insert(key, MakeResult(2, 4, 0));
   Engine::QueryResult out;
@@ -159,8 +146,9 @@ TEST(ResultCache, EvictsLeastRecentlyUsedUnderByteBudget) {
 
   const int kInserts = 64;
   for (int i = 0; i < kInserts; ++i) {
-    cache.Insert(cache.Key(1, spec, Vec2{static_cast<double>(i), 0.0}),
-                 MakeResult(i, 2, 0));
+    cache.Insert(
+        ResultCache::MakeKey(1, spec, Vec2{static_cast<double>(i), 0.0}),
+        MakeResult(i, 2, 0));
   }
   CacheStats s = cache.stats();
   EXPECT_GT(s.evictions, 0u);
@@ -170,9 +158,11 @@ TEST(ResultCache, EvictsLeastRecentlyUsedUnderByteBudget) {
   // The most recent insert survived; the oldest was evicted.
   Engine::QueryResult out;
   EXPECT_TRUE(cache.Lookup(
-      cache.Key(1, spec, Vec2{static_cast<double>(kInserts - 1), 0.0}),
+      ResultCache::MakeKey(1, spec,
+                           Vec2{static_cast<double>(kInserts - 1), 0.0}),
       &out));
-  EXPECT_FALSE(cache.Lookup(cache.Key(1, spec, Vec2{0.0, 0.0}), &out));
+  EXPECT_FALSE(
+      cache.Lookup(ResultCache::MakeKey(1, spec, Vec2{0.0, 0.0}), &out));
 }
 
 TEST(ResultCache, LookupRefreshesLruPosition) {
@@ -181,14 +171,15 @@ TEST(ResultCache, LookupRefreshesLruPosition) {
   options.num_shards = 1;
   ResultCache cache(options);
   Engine::QuerySpec spec = TopK(2);
-  CacheKey hot = cache.Key(1, spec, Vec2{-1.0, -1.0});
+  CacheKey hot = ResultCache::MakeKey(1, spec, Vec2{-1.0, -1.0});
   cache.Insert(hot, MakeResult(42, 2, 0));
 
   // Keep touching `hot` while flooding; it must survive the churn.
   Engine::QueryResult out;
   for (int i = 0; i < 64; ++i) {
-    cache.Insert(cache.Key(1, spec, Vec2{static_cast<double>(i), 0.0}),
-                 MakeResult(i, 2, 0));
+    cache.Insert(
+        ResultCache::MakeKey(1, spec, Vec2{static_cast<double>(i), 0.0}),
+        MakeResult(i, 2, 0));
     ASSERT_TRUE(cache.Lookup(hot, &out)) << "flood " << i;
   }
   EXPECT_EQ(out.nn, 42);
@@ -201,17 +192,18 @@ TEST(ResultCache, StaleGenerationsAgeOutWithoutASweep) {
   ResultCache cache(options);
   Engine::QuerySpec spec = TopK(2);
   Vec2 q{5.0, 5.0};
-  cache.Insert(cache.Key(1, spec, q), MakeResult(1, 2, 0));
+  cache.Insert(ResultCache::MakeKey(1, spec, q), MakeResult(1, 2, 0));
 
   // A "snapshot swap": generation 2 keys never match generation 1
   // entries, and the flood under the budget evicts the stale one.
   Engine::QueryResult out;
-  EXPECT_FALSE(cache.Lookup(cache.Key(2, spec, q), &out));
+  EXPECT_FALSE(cache.Lookup(ResultCache::MakeKey(2, spec, q), &out));
   for (int i = 0; i < 64; ++i) {
-    cache.Insert(cache.Key(2, spec, Vec2{static_cast<double>(i), 0.0}),
-                 MakeResult(i, 2, 0));
+    cache.Insert(
+        ResultCache::MakeKey(2, spec, Vec2{static_cast<double>(i), 0.0}),
+        MakeResult(i, 2, 0));
   }
-  EXPECT_FALSE(cache.Lookup(cache.Key(1, spec, q), &out));
+  EXPECT_FALSE(cache.Lookup(ResultCache::MakeKey(1, spec, q), &out));
 }
 
 TEST(ResultCache, DisabledCacheNeverStoresAndNeverCounts) {
@@ -219,7 +211,7 @@ TEST(ResultCache, DisabledCacheNeverStoresAndNeverCounts) {
   options.max_bytes = 0;
   ResultCache cache(options);
   EXPECT_TRUE(cache.disabled());
-  CacheKey key = cache.Key(1, TopK(2), Vec2{0.0, 0.0});
+  CacheKey key = ResultCache::MakeKey(1, TopK(2), Vec2{0.0, 0.0});
   cache.Insert(key, MakeResult(1, 1, 1));
   Engine::QueryResult out;
   EXPECT_FALSE(cache.Lookup(key, &out));
@@ -234,7 +226,7 @@ TEST(ResultCache, OversizedEntryIsNotStored) {
   options.max_bytes = 256;
   options.num_shards = 1;
   ResultCache cache(options);
-  CacheKey key = cache.Key(1, TopK(2), Vec2{0.0, 0.0});
+  CacheKey key = ResultCache::MakeKey(1, TopK(2), Vec2{0.0, 0.0});
   cache.Insert(key, MakeResult(1, 10000, 10000));
   Engine::QueryResult out;
   EXPECT_FALSE(cache.Lookup(key, &out));
@@ -245,15 +237,17 @@ TEST(ResultCache, ClearDropsEverything) {
   ResultCache cache(ResultCache::Options{});
   Engine::QuerySpec spec = TopK(2);
   for (int i = 0; i < 16; ++i) {
-    cache.Insert(cache.Key(1, spec, Vec2{static_cast<double>(i), 0.0}),
-                 MakeResult(i, 2, 0));
+    cache.Insert(
+        ResultCache::MakeKey(1, spec, Vec2{static_cast<double>(i), 0.0}),
+        MakeResult(i, 2, 0));
   }
   cache.Clear();
   CacheStats s = cache.stats();
   EXPECT_EQ(s.entries, 0u);
   EXPECT_EQ(s.bytes, 0u);
   Engine::QueryResult out;
-  EXPECT_FALSE(cache.Lookup(cache.Key(1, spec, Vec2{0.0, 0.0}), &out));
+  EXPECT_FALSE(
+      cache.Lookup(ResultCache::MakeKey(1, spec, Vec2{0.0, 0.0}), &out));
 }
 
 // Concurrency smoke for the TSan job: racing inserts, lookups, clears and
@@ -274,7 +268,7 @@ TEST(ResultCache, ConcurrentChurnIsSafe) {
       for (int i = 0; i < 500; ++i) {
         uint64_t gen = generation.load(std::memory_order_relaxed);
         Vec2 q{static_cast<double>((t * 131 + i) % 37), 1.0};
-        CacheKey key = cache.Key(gen, spec, q);
+        CacheKey key = ResultCache::MakeKey(gen, spec, q);
         if (cache.Lookup(key, &out)) {
           EXPECT_GE(out.nn, 0);
         } else {

@@ -10,7 +10,6 @@
 
 #include "engine/engine.h"
 #include "engine/query_contract.h"
-#include "obs/profile.h"
 #include "serve/parallel.h"
 #include "serve/query_server.h"
 #include "serve/thread_pool.h"
@@ -615,12 +614,6 @@ TEST(QueryServer, DumpMetricsEmitsPrometheusCatalog) {
   server.QueryBatch(reqs);  // All repeats: cache hits.
   server.Submit({qs[0], {Engine::QueryType::kNonzeroNn}}).get();
 
-  // Traversal counters are process-global and appended at dump time.
-  obs::ResetTraversalProfile();
-  spatial::TraversalStats st;
-  st.nodes_visited = 12;
-  obs::RecordTraversal(obs::TraversalOp::kQuantEnvelope, st);
-
   std::string text = server.DumpMetrics();
   // Counters: totals, per-type splits, cache and QoS counts.
   EXPECT_NE(text.find("# TYPE unn_server_queries_total counter"),
@@ -650,11 +643,6 @@ TEST(QueryServer, DumpMetricsEmitsPrometheusCatalog) {
   EXPECT_NE(text.find("unn_server_inflight"), std::string::npos);
   EXPECT_NE(text.find("unn_server_generation"), std::string::npos);
   EXPECT_NE(text.find("unn_cache_hit_ratio"), std::string::npos);
-  // The appended traversal sink.
-  EXPECT_NE(text.find("unn_traversal_nodes_visited_total{structure="
-                      "\"quant_tree\",op=\"quant_envelope\"} 12"),
-            std::string::npos);
-  obs::ResetTraversalProfile();
 
   // Values agree with the legacy stats() view.
   serve::ServerStats s = server.stats();

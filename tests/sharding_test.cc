@@ -395,9 +395,9 @@ TEST(ShardedEngine, SingleQueryDegenerateParametersDoNotAbort) {
 // without a local winner must drop out of the min-merge instead of having
 // its -1 looked up as a point id.
 TEST(ShardedEngine, ExpectedDistanceNnOnNonFiniteQueryMatchesSingleEngine) {
-  // A query with a NaN or infinite coordinate: under kAuto the
-  // expected-distance NN merges like any other, and on both backends the
-  // probability types get no estimates on either side, so MPNN is -1 and
+  // A query with a NaN or infinite coordinate has no distances to rank,
+  // on either backend, one Engine or sharded: no expected-distance NN
+  // (-1), an empty NN!=0, and no probability estimates, so MPNN is -1 and
   // Threshold/TopK report nothing (tau <= 0: every id at 0).
   const double inf = std::numeric_limits<double>::infinity();
   const Vec2 queries[] = {{std::nan(""), 0}, {0, std::nan("")}, {inf, 0},
@@ -418,11 +418,10 @@ TEST(ShardedEngine, ExpectedDistanceNnOnNonFiniteQueryMatchesSingleEngine) {
           where << "discrete=" << discrete
                 << " backend=" << static_cast<int>(backend) << " k=" << k
                 << " q=(" << q.x << "," << q.y << ")";
-          if (backend == Backend::kAuto) {
-            EXPECT_EQ(sharded.ExpectedDistanceNn(q),
-                      single.ExpectedDistanceNn(q))
-                << where.str();
-          }
+          EXPECT_EQ(sharded.ExpectedDistanceNn(q), -1) << where.str();
+          EXPECT_EQ(single.ExpectedDistanceNn(q), -1) << where.str();
+          EXPECT_TRUE(sharded.NonzeroNn(q).empty()) << where.str();
+          EXPECT_TRUE(single.NonzeroNn(q).empty()) << where.str();
           EXPECT_EQ(sharded.MostProbableNn(q), -1) << where.str();
           EXPECT_EQ(single.MostProbableNn(q), -1) << where.str();
           EXPECT_TRUE(sharded.Threshold(q, 0.25).empty()) << where.str();

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/uncertain_point.h"
+
 namespace unn {
 namespace voronoi {
 namespace {
@@ -105,6 +107,31 @@ TEST(WeightedVoronoi, ZeroWeightsIsStandardVoronoiWithLinearComplexity) {
     double d_got = Dist(q, sites[got]);
     double d_want = Dist(q, sites[want]);
     ASSERT_NEAR(d_got, d_want, 1e-9);
+  }
+}
+
+TEST(WeightedVoronoi, WeightedDistanceIsDeltaOfDisks) {
+  // With site i = center c_i and weight r_i, the weighted distance of q is
+  // Delta(q) = min_i (d(q, c_i) + r_i): stage one of the Theorem 3.1 NN!=0
+  // query, done by point location in M.
+  std::mt19937_64 rng(405);
+  std::uniform_real_distribution<double> pos(-10, 10);
+  std::uniform_real_distribution<double> rad(0.1, 1.5);
+  std::vector<core::UncertainPoint> pts;
+  std::vector<Vec2> centers;
+  std::vector<double> radii;
+  for (int i = 0; i < 80; ++i) {
+    double x = pos(rng), y = pos(rng), r = rad(rng);
+    pts.push_back(core::UncertainPoint::Disk({x, y}, r));
+    centers.push_back({x, y});
+    radii.push_back(r);
+  }
+  WeightedVoronoi vd(centers, radii);
+  std::uniform_real_distribution<double> qu(-25, 25);
+  for (int t = 0; t < 200; ++t) {
+    Vec2 q{qu(rng), qu(rng)};
+    EXPECT_NEAR(vd.WeightedDistance(q),
+                core::GlobalMaxDistLowerEnvelope(pts, q), 1e-9);
   }
 }
 
