@@ -40,14 +40,17 @@ Engine::Engine(std::vector<core::UncertainPoint> points, const Config& config)
   for (const auto& p : points_) {
     all_discrete_ = all_discrete_ && !p.is_disk();
     all_disk_ = all_disk_ && p.is_disk();
+    if (!p.is_disk()) {
+      max_sites_ = std::max(max_sites_, static_cast<int>(p.sites().size()));
+    }
   }
 }
 
 // ---------------------------------------------------------------------------
 // Lazy structure cache. Fixed structures build exactly once under their
 // once_flag (concurrent first queries block until the single build
-// finishes); the accuracy-keyed estimators use a shared mutex with
-// double-checked rebuilds and hand out shared_ptr snapshots so a rebuild
+// finishes); the sample-count-keyed estimator uses a shared mutex with
+// double-checked rebuilds and hands out shared_ptr snapshots so a rebuild
 // never pulls a structure out from under a running query.
 // ---------------------------------------------------------------------------
 
@@ -71,21 +74,27 @@ const core::NnNonzeroDiscreteIndex& Engine::GetNonzeroDiscrete() const {
 
 std::shared_ptr<const core::MonteCarloPnn> Engine::GetMonteCarlo(
     double eps) const {
-  // The cached structure is keyed by its accuracy; a request for a tighter
-  // accuracy rebuilds it.
+  // The cached structure is keyed by its sample count, which fixes it
+  // (the seed is the Engine's); a request that needs more samples rebuilds
+  // it. Under an override every accuracy needs the same count.
+  const int samples =
+      config_.mc_samples_override > 0
+          ? config_.mc_samples_override
+          : core::MonteCarloPnn::RequiredSamples(
+                static_cast<int>(points_.size()), max_sites_, eps,
+                config_.delta);
   {
     ReaderMutexLock lock(&estimator_mu_);
-    if (monte_carlo_ && monte_carlo_eps_ <= eps) return monte_carlo_;
+    if (monte_carlo_ && monte_carlo_->num_instantiations() >= samples) {
+      return monte_carlo_;
+    }
   }
   WriterMutexLock lock(&estimator_mu_);
-  if (!monte_carlo_ || monte_carlo_eps_ > eps) {
+  if (!monte_carlo_ || monte_carlo_->num_instantiations() < samples) {
     core::MonteCarloPnnOptions opts;
-    opts.eps = eps;
-    opts.delta = config_.delta;
     opts.seed = config_.seed;
-    opts.s_override = config_.mc_samples_override;
+    opts.s_override = samples;
     monte_carlo_ = std::make_shared<const core::MonteCarloPnn>(points_, opts);
-    monte_carlo_eps_ = eps;
     // relaxed: observability counter (see BuildOnce).
     builds_.fetch_add(1, std::memory_order_relaxed);
   }

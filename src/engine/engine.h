@@ -45,10 +45,10 @@
 /// Thread safety: every `const` query method may be called from any number
 /// of threads concurrently. The lazy structure cache is synchronized
 /// (`std::call_once` for the fixed structures, a shared-mutex-guarded
-/// snapshot for the accuracy-keyed Monte-Carlo estimator), so concurrent
-/// first queries build each structure exactly once. `Warmup` builds the
-/// structures a query type needs eagerly, which serving layers call before
-/// fanning a batch across workers so no query pays the build; see
+/// snapshot for the sample-count-keyed Monte-Carlo estimator), so
+/// concurrent first queries build each structure exactly once. `Warmup`
+/// builds the structures a query type needs eagerly, which serving layers
+/// call before fanning a batch across workers so no query pays the build; see
 /// `src/serve/` for the thread pool, batch-parallel QueryMany, data
 /// sharding (ShardedEngine merges per-shard answers via the hooks below),
 /// and QueryServer built on top of this guarantee.
@@ -314,19 +314,22 @@ class Engine {
   const core::NnNonzeroIndex& GetNonzeroIndex() const;
   const core::NnNonzeroDiscreteIndex& GetNonzeroDiscrete() const;
   const core::QuantTree& GetQuantTree() const;
-  /// The accuracy-keyed estimator returns an owning snapshot: a request
-  /// for a tighter accuracy replaces the cached structure, and the
-  /// returned shared_ptr keeps the one a concurrent query is using alive
-  /// until that query finishes.
+  /// The estimator is keyed by its sample count (the override, else
+  /// Theorem 4.3's count at `eps`) and returned as an owning snapshot: a
+  /// request that needs more samples replaces the cached structure, and
+  /// the returned shared_ptr keeps the one a concurrent query is using
+  /// alive until that query finishes.
   std::shared_ptr<const core::MonteCarloPnn> GetMonteCarlo(double eps) const;
 
   std::vector<core::UncertainPoint> points_;
   Config config_;
   bool all_discrete_ = true;
   bool all_disk_ = true;
+  /// Theorem 4.3's k: the most sites of any discrete point (1 if none).
+  int max_sites_ = 1;
 
   // Lazily built structures. Fixed structures are built exactly once
-  // under their once_flag; the accuracy-keyed estimator lives behind
+  // under their once_flag; the sample-count-keyed estimator lives behind
   // estimator_mu_ (shared-locked reads, unique-locked rebuilds). The
   // once_flag slots are deliberately NOT capability-annotated:
   // std::call_once is outside clang's capability model, and its
@@ -345,7 +348,6 @@ class Engine {
   mutable SharedMutex estimator_mu_;
   mutable std::shared_ptr<const core::MonteCarloPnn> monte_carlo_
       UNN_GUARDED_BY(estimator_mu_);
-  mutable double monte_carlo_eps_ UNN_GUARDED_BY(estimator_mu_) = 0.0;
 
   mutable std::atomic<int> builds_{0};
 };

@@ -25,7 +25,7 @@ namespace query_contract {
 /// definition of "degenerate" exists in the library; Engine::QueryMany,
 /// ShardedEngine::QueryMany, the serving result cache (degenerate specs
 /// are never cached) and QueryServer admission control (definition-level
-/// answers are never shed or degraded) all consult it.
+/// answers are never shed) all consult it.
 enum class SpecClass {
   /// Regular parameters: dispatch to a backend.
   kRegular,

@@ -47,26 +47,6 @@ ShardingOptions ImpliedSharding(const ShardedEngine& engine) {
   return s;
 }
 
-/// Reassembles the full dataset of a shard set in global-id order (the
-/// degraded engine answers over the whole dataset, not one shard).
-std::vector<core::UncertainPoint> CollectPoints(const ShardedEngine& engine) {
-  std::vector<std::pair<int, const core::UncertainPoint*>> tagged;
-  tagged.reserve(engine.size());
-  for (int s = 0; s < engine.num_shards(); ++s) {
-    const std::vector<int>& ids = engine.global_ids(s);
-    const std::vector<core::UncertainPoint>& local = engine.shard(s).points();
-    for (size_t j = 0; j < ids.size(); ++j) {
-      tagged.emplace_back(ids[j], &local[j]);
-    }
-  }
-  std::sort(tagged.begin(), tagged.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<core::UncertainPoint> points;
-  points.reserve(tagged.size());
-  for (const auto& [id, p] : tagged) points.push_back(*p);
-  return points;
-}
-
 std::chrono::microseconds ElapsedUs(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration_cast<std::chrono::microseconds>(
       std::chrono::steady_clock::now() - t0);
@@ -116,11 +96,7 @@ QueryServer::QueryServer(std::shared_ptr<const ShardedEngine> engine,
   // calls keep the shape of the engine the server was given (a server
   // seeded with 4 shards must not silently rebuild monolithic).
   if (sharding_.num_shards <= 1) sharding_ = ImpliedSharding(*engine);
-  std::shared_ptr<const Engine> degraded;
-  if (DegradeEnabled()) {
-    degraded = BuildDegraded(CollectPoints(*engine), engine->config());
-  }
-  StoreState(MakeSnapshot(std::move(engine), std::move(degraded), 1));
+  StoreState(MakeSnapshot(std::move(engine), 1));
 }
 
 QueryServer::QueryServer(std::shared_ptr<const Engine> engine,
@@ -138,50 +114,21 @@ QueryServer::QueryServer(std::vector<core::UncertainPoint> points,
       sharding_(options.sharding),
       pool_(options.num_threads) {
   InitMetrics();
-  std::vector<core::UncertainPoint> degrade_points;
-  if (DegradeEnabled()) degrade_points = points;  // Copy before the move.
-  auto engine = std::make_shared<const ShardedEngine>(std::move(points),
-                                                      config, sharding_,
-                                                      &pool_);
-  std::shared_ptr<const Engine> degraded;
-  if (DegradeEnabled()) {
-    degraded = BuildDegraded(std::move(degrade_points), config);
-  }
-  StoreState(MakeSnapshot(std::move(engine), std::move(degraded), 1));
+  StoreState(MakeSnapshot(std::make_shared<const ShardedEngine>(
+                              std::move(points), config, sharding_, &pool_),
+                          1));
 }
 
 QueryServer::QueryServer(std::vector<core::UncertainPoint> points,
                          const Engine::Config& config)
     : QueryServer(std::move(points), config, Options{}) {}
 
-void QueryServer::WarmSnapshot(const Snapshot& snap) {
-  for (Engine::QueryType type : options_.warm) {
-    snap.engine->Warmup(type, &pool_);
-    if (snap.degraded != nullptr) snap.degraded->Warmup(type);
-  }
-}
-
-std::shared_ptr<const Engine> QueryServer::BuildDegraded(
-    std::vector<core::UncertainPoint> points,
-    const Engine::Config& base) const {
-  Engine::Config config = base;
-  config.backend = Backend::kMonteCarlo;
-  // Loosen accuracy to the degrade floor (never tighten; Engine requires
-  // eps < 1) and cap the sample count: the point of this engine is a
-  // bounded, small per-query cost under overload.
-  config.eps = std::min(0.9, std::max(base.eps, options_.degrade_eps));
-  config.mc_samples_override = options_.degrade_mc_samples;
-  return std::make_shared<const Engine>(std::move(points), config);
-}
-
 std::shared_ptr<const QueryServer::Snapshot> QueryServer::MakeSnapshot(
-    std::shared_ptr<const ShardedEngine> engine,
-    std::shared_ptr<const Engine> degraded, uint64_t generation) {
+    std::shared_ptr<const ShardedEngine> engine, uint64_t generation) {
+  for (Engine::QueryType type : options_.warm) engine->Warmup(type, &pool_);
   auto snap = std::make_shared<Snapshot>();
   snap->engine = std::move(engine);
-  snap->degraded = std::move(degraded);
   snap->generation = generation;
-  WarmSnapshot(*snap);
   return snap;
 }
 
@@ -209,9 +156,6 @@ void QueryServer::InitMetrics() {
                                 "Dataset replacements installed");
   shed_ = registry_.GetCounter("unn_server_shed_total",
                                "Requests refused by admission control");
-  degraded_ = registry_.GetCounter(
-      "unn_server_degraded_total",
-      "Requests answered by the degraded (Monte-Carlo) backend");
   deadline_exceeded_ = registry_.GetCounter(
       "unn_server_deadline_exceeded_total",
       "Requests dropped because their deadline passed");
@@ -342,25 +286,8 @@ std::future<Response> QueryServer::Submit(const Request& request) {
   if (options_.max_inflight > 0 && regular &&
       active_.load(std::memory_order_relaxed) >= options_.max_inflight) {
     admission.End();
-    if (options_.overload == OverloadPolicy::kDegrade &&
-        snap->degraded != nullptr) {
-      // On the submitting thread by design: overload relief must not add
-      // pool work, and the caller feels the backpressure.
-      obs::ScopedSpan span(root_node, "degraded_query");
-      std::span<const geom::Vec2> one(&request.q, 1);
-      Response resp;
-      resp.result =
-          std::move(snap->degraded->QueryMany(one, request.spec)[0]);
-      span.End();
-      resp.source = ResultSource::kDegraded;
-      resp.latency = ElapsedUs(t0);
-      degraded_->Inc();
-      RecordLatency(request.spec.type, resp.latency);
-      finish(std::move(resp));
-    } else {
-      shed_->Inc();
-      finish(Response{{}, ResultSource::kShed, ElapsedUs(t0)});
-    }
+    shed_->Inc();
+    finish(Response{{}, ResultSource::kShed, ElapsedUs(t0)});
     return result;
   }
 
@@ -443,11 +370,11 @@ std::vector<Response> QueryServer::QueryBatch(
   }
   const obs::TraceNode root_node{ctx.get(), root};
 
-  // Pass one, serial: per-request deadline check and cache probe;
-  // everything unanswered is a miss headed for a backend.
-  std::vector<size_t> compute;   // Misses for the full backend.
-  std::vector<size_t> overload;  // Regular misses hit the in-flight limit.
+  // Pass one, serial: per-request deadline check, cache probe and
+  // admission; everything unanswered is a miss headed for the backend.
+  std::vector<size_t> compute;
   compute.reserve(requests.size());
+  size_t shed = 0;
   // Batch-level admission: the limit decides the batch's fate once, on
   // the way in (a batch the server accepts is not split).
   const bool at_limit =
@@ -474,69 +401,55 @@ std::vector<Response> QueryServer::QueryBatch(
         continue;
       }
       if (at_limit && regular) {
-        overload.push_back(i);
+        responses[i].source = ResultSource::kShed;
+        ++shed;
       } else {
         compute.push_back(i);
       }
     }
   }
-
-  // Overload handling for the batch's regular misses, as a unit.
-  std::vector<size_t> degrade;
-  if (!overload.empty()) {
-    if (options_.overload == OverloadPolicy::kDegrade &&
-        snap->degraded != nullptr) {
-      degrade = std::move(overload);
-    } else {
-      for (size_t i : overload) responses[i].source = ResultSource::kShed;
-      shed_->Inc(overload.size());
-    }
-  }
-
-  // Answers one index list on one backend, results scattered into
-  // `responses`. The misses are partitioned by distinct spec (the dedup
-  // scan is quadratic in the handful of distinct specs, cheaper than
-  // hashing) and each group runs through serve::QueryMany, so cache
-  // misses of the same spec form packs for the batched traversal kernels
-  // whether the batch arrived uniform (the common case: one group) or
-  // mixed, instead of fanning scalar singletons. Per-spec amortizations
-  // (warm once, block splitting) are kept either way, and the grouping
-  // cannot change any answer: each Response is produced by the same
-  // backend QueryMany contract in request order.
-  auto run = [&](const std::vector<size_t>& idx, const auto& backend) {
-    std::vector<Engine::QuerySpec> distinct;
-    std::vector<std::vector<size_t>> groups;
-    for (size_t i : idx) {
-      size_t g = 0;
-      while (g < distinct.size() && !SpecEquals(distinct[g], requests[i].spec))
-        ++g;
-      if (g == distinct.size()) {
-        distinct.push_back(requests[i].spec);
-        groups.emplace_back();
-      }
-      groups[g].push_back(i);
-    }
-    for (size_t g = 0; g < groups.size(); ++g) {
-      std::vector<geom::Vec2> points(groups[g].size());
-      for (size_t j = 0; j < groups[g].size(); ++j) {
-        points[j] = requests[groups[g][j]].q;
-      }
-      std::vector<Engine::QueryResult> results =
-          QueryMany(backend, points, distinct[g], &pool_);
-      for (size_t j = 0; j < groups[g].size(); ++j) {
-        responses[groups[g][j]].result = std::move(results[j]);
-      }
-    }
-  };
+  if (shed > 0) shed_->Inc(shed);
 
   if (!compute.empty()) {
     // relaxed: pure counter traffic; nothing is published through active_.
     active_.fetch_add(static_cast<int>(compute.size()),
                       std::memory_order_relaxed);
     {
+      // The misses are partitioned by distinct spec (the dedup scan is
+      // quadratic in the handful of distinct specs, cheaper than hashing)
+      // and each group runs through serve::QueryMany, so cache misses of
+      // the same spec form packs for the batched traversal kernels
+      // whether the batch arrived uniform (the common case: one group) or
+      // mixed, instead of fanning scalar singletons. Per-spec
+      // amortizations (warm once, block splitting) are kept either way,
+      // and the grouping cannot change any answer: each Response is
+      // produced by the same QueryMany contract in request order.
       obs::ScopedSpan span(root_node, "compute",
                            static_cast<std::int64_t>(compute.size()));
-      run(compute, *snap->engine);
+      std::vector<Engine::QuerySpec> distinct;
+      std::vector<std::vector<size_t>> groups;
+      for (size_t i : compute) {
+        size_t g = 0;
+        while (g < distinct.size() &&
+               !SpecEquals(distinct[g], requests[i].spec))
+          ++g;
+        if (g == distinct.size()) {
+          distinct.push_back(requests[i].spec);
+          groups.emplace_back();
+        }
+        groups[g].push_back(i);
+      }
+      for (size_t g = 0; g < groups.size(); ++g) {
+        std::vector<geom::Vec2> points(groups[g].size());
+        for (size_t j = 0; j < groups[g].size(); ++j) {
+          points[j] = requests[groups[g][j]].q;
+        }
+        std::vector<Engine::QueryResult> results =
+            QueryMany(*snap->engine, points, distinct[g], &pool_);
+        for (size_t j = 0; j < groups[g].size(); ++j) {
+          responses[groups[g][j]].result = std::move(results[j]);
+        }
+      }
     }
     for (size_t i : compute) responses[i].source = ResultSource::kComputed;
     if (!cache_.disabled()) {
@@ -553,16 +466,6 @@ std::vector<Response> QueryServer::QueryBatch(
     active_.fetch_sub(static_cast<int>(compute.size()),
                       std::memory_order_relaxed);
   }
-  if (!degrade.empty()) {
-    // Degraded answers are estimates at the relaxed accuracy: they are
-    // labeled, and never inserted into the exact-result cache.
-    obs::ScopedSpan span(root_node, "degraded_query",
-                         static_cast<std::int64_t>(degrade.size()));
-    run(degrade, *snap->degraded);
-    span.End();
-    for (size_t i : degrade) responses[i].source = ResultSource::kDegraded;
-    degraded_->Inc(degrade.size());
-  }
 
   // Completion latency for everything decided by this batch (cache hits
   // keep their probe-time latency); histograms get answered requests
@@ -571,8 +474,7 @@ std::vector<Response> QueryServer::QueryBatch(
   for (size_t i = 0; i < requests.size(); ++i) {
     if (responses[i].source == ResultSource::kCache) continue;
     responses[i].latency = batch_latency;
-    if (responses[i].source == ResultSource::kComputed ||
-        responses[i].source == ResultSource::kDegraded) {
+    if (responses[i].source == ResultSource::kComputed) {
       RecordLatency(requests[i].spec.type, batch_latency);
     }
   }
@@ -580,31 +482,34 @@ std::vector<Response> QueryServer::QueryBatch(
     ctx->EndSpan(root);
     // One representative slow-log entry per slow batch: the first
     // request stands in for the batch, the batch size disambiguates.
-    const ResultSource source = compute.empty() && !degrade.empty()
-                                    ? ResultSource::kDegraded
-                                    : ResultSource::kComputed;
-    MaybeLogSlowQuery(requests[0].q, requests[0].spec, source, batch_latency,
-                      ctx.get(), static_cast<int>(requests.size()));
+    MaybeLogSlowQuery(requests[0].q, requests[0].spec,
+                      ResultSource::kComputed, batch_latency, ctx.get(),
+                      static_cast<int>(requests.size()));
   }
   return responses;
 }
 
-void QueryServer::ReplaceDataset(std::vector<core::UncertainPoint> points) {
-  ReplaceImpl(std::move(points), nullptr);
+bool QueryServer::ReplaceDataset(std::vector<core::UncertainPoint> points) {
+  return ReplaceImpl(std::move(points), nullptr);
 }
 
-void QueryServer::ReplaceDataset(std::vector<core::UncertainPoint> points,
+bool QueryServer::ReplaceDataset(std::vector<core::UncertainPoint> points,
                                  const ShardingOptions& sharding) {
-  ReplaceImpl(std::move(points), &sharding);
+  return ReplaceImpl(std::move(points), &sharding);
 }
 
-void QueryServer::ReplaceImpl(std::vector<core::UncertainPoint> points,
+bool QueryServer::ReplaceImpl(std::vector<core::UncertainPoint> points,
                               const ShardingOptions* sharding) {
   // Counted in-flight like the query paths: a replacement that entered
   // before destruction must finish (it holds replace_mu_ and writes the
   // snapshot) before member teardown begins.
   InflightGuard inflight(inflight_, draining_);
   MutexLock lock(&replace_mu_);
+  // Refuse what ShardedEngine would abort on before any state changes.
+  const Partitioning partitioning = sharding != nullptr
+                                        ? sharding->partitioning
+                                        : sharding_.partitioning;
+  if (points.empty() || partitioning == Partitioning::kExternal) return false;
   // Read the config under the lock: a racing ReplaceShardedEngine may
   // have just installed a snapshot with different accuracy settings, and
   // "same config as the current snapshot" must mean the latest one.
@@ -613,6 +518,7 @@ void QueryServer::ReplaceImpl(std::vector<core::UncertainPoint> points,
   InstallLocked(std::make_shared<const ShardedEngine>(std::move(points),
                                                       config, sharding_,
                                                       &pool_));
+  return true;
 }
 
 void QueryServer::ReplaceEngine(std::shared_ptr<const Engine> engine) {
@@ -638,12 +544,7 @@ void QueryServer::InstallLocked(std::shared_ptr<const ShardedEngine> engine) {
   // so it dies only when the last of them finishes — and the generation
   // bump retires every cached result of the old snapshot without a
   // sweep.
-  std::shared_ptr<const Engine> degraded;
-  if (DegradeEnabled()) {
-    degraded = BuildDegraded(CollectPoints(*engine), engine->config());
-  }
-  StoreState(MakeSnapshot(std::move(engine), std::move(degraded),
-                          next_generation_++));
+  StoreState(MakeSnapshot(std::move(engine), next_generation_++));
   swaps_->Inc();
 }
 
@@ -667,7 +568,6 @@ ServerStats QueryServer::stats() const {
   s.batches = batches_->Value();
   s.swaps = swaps_->Value();
   s.shed = shed_->Value();
-  s.degraded = degraded_->Value();
   s.deadline_exceeded = deadline_exceeded_->Value();
   for (int t = 0; t < kNumQueryTypes; ++t) {
     s.queries_by_type[t] = queries_by_type_[t]->Value();

@@ -53,9 +53,8 @@
 ///     entries die by unreachability, with no invalidation sweep;
 ///   * admission control: past `Options::max_inflight` in-flight
 ///     backend queries, new regular requests are shed
-///     (`ResultSource::kShed`) or degraded to a cheap Monte-Carlo
-///     engine built beside each snapshot (`Options::overload`);
-///     definition-level (degenerate-spec) answers are never refused;
+///     (`ResultSource::kShed`); definition-level (degenerate-spec)
+///     answers are never refused;
 ///   * deadlines + priorities: a request past its deadline is dropped
 ///     without touching a backend — checked at admission and again at
 ///     dispatch — and `Request::priority` maps onto the pool's strict
@@ -63,18 +62,6 @@
 
 namespace unn {
 namespace serve {
-
-/// What to do with a regular request admitted while the server is past
-/// its in-flight limit.
-enum class OverloadPolicy {
-  /// Refuse it: `ResultSource::kShed`, empty result, ~0 latency.
-  kShed,
-  /// Answer it from the cheap Monte-Carlo engine built beside each
-  /// snapshot, on the *submitting* thread (deliberate backpressure):
-  /// `ResultSource::kDegraded`. Falls back to kShed when the degraded
-  /// engine is unavailable.
-  kDegrade,
-};
 
 class QueryServer {
  public:
@@ -97,16 +84,10 @@ class QueryServer {
     /// (snapshot, spec, point) requests from memory.
     ResultCache::Options cache{.max_bytes = 0};
     /// Admission control: maximum backend queries in flight (queued +
-    /// executing) before overload handling kicks in; 0 disables. Cache
-    /// hits and definition-level answers never count against it.
+    /// executing) before new regular requests are shed
+    /// (`ResultSource::kShed`: empty result, ~0 latency); 0 disables.
+    /// Cache hits and definition-level answers never count against it.
     int max_inflight = 0;
-    /// What happens to regular requests past the in-flight limit.
-    OverloadPolicy overload = OverloadPolicy::kShed;
-    /// Accuracy of the degraded Monte-Carlo engine (only built when
-    /// `overload == kDegrade` and `max_inflight > 0`): sample count
-    /// override and the eps floor it is allowed to relax to.
-    int degrade_mc_samples = 48;
-    double degrade_eps = 0.25;
     /// Slow-query logging: a request (or batch) whose serving latency
     /// reaches this threshold lands in the slow-query ring (SlowQueries)
     /// with its span tree. A positive threshold also makes the server
@@ -169,7 +150,7 @@ class QueryServer {
   /// shards across the pool). The future is always satisfied — refusals
   /// are Responses (`kShed` / `kDeadlineExceeded`), never exceptions.
   /// Degenerate spec parameters follow Engine::QueryMany's definitions
-  /// and are never cached, shed or degraded. Thread-safe. Shutdown note:
+  /// and are never cached or shed. Thread-safe. Shutdown note:
   /// a Submit that races server destruction no longer aborts — once the
   /// pool refuses new tasks the query runs inline on the submitting
   /// thread against the pinned snapshot (the same degradation
@@ -192,8 +173,8 @@ class QueryServer {
   /// answers requests[i]. The whole batch runs on one snapshot.
   /// Per-request deadlines are checked once, at batch admission.
   /// Admission control is batch-level: when the server is already at
-  /// its in-flight limit the batch's regular misses are all shed or all
-  /// degraded (a batch the server accepts is not split). Cache-hit
+  /// its in-flight limit the batch's regular misses are all shed (a
+  /// batch the server accepts is not split). Cache-hit
   /// responses carry their probe-time latency; computed ones the batch
   /// completion latency. Thread-safe.
   std::vector<Response> QueryBatch(std::span<const Request> requests);
@@ -207,12 +188,17 @@ class QueryServer {
   /// old snapshot become unreachable; no sweep). Queries submitted
   /// before the swap finish on the old snapshot; queries submitted after
   /// see the new one. Safe to call concurrently with queries and with
-  /// other replacements (replacements serialize).
-  void ReplaceDataset(std::vector<core::UncertainPoint> points);
+  /// other replacements (replacements serialize). Returns false, and
+  /// leaves the snapshot, the generation and the replacement sharding as
+  /// they were, when `points` is empty or the sharding names
+  /// `Partitioning::kExternal` (the marker of an assembled shard set,
+  /// not a partitioner).
+  bool ReplaceDataset(std::vector<core::UncertainPoint> points);
   /// Same, additionally changing the sharding (shard count and/or
   /// partitioner) for this and future replacements — resharding
-  /// mid-flight is just another snapshot swap.
-  void ReplaceDataset(std::vector<core::UncertainPoint> points,
+  /// mid-flight is just another snapshot swap. A refused call changes
+  /// nothing, the replacement sharding included.
+  bool ReplaceDataset(std::vector<core::UncertainPoint> points,
                       const ShardingOptions& sharding);
   /// Same swap for a caller-built engine, served as a single shard
   /// (future ReplaceDataset calls then build unsharded, like
@@ -275,32 +261,21 @@ class QueryServer {
   std::vector<SlowQuery> SlowQueries() const;
 
  private:
-  /// One immutable serving state: the shard set, the optional degraded
-  /// engine beside it, and the generation cache keys carry. Swapped as a
-  /// unit so a request can never pair engine A with generation B.
+  /// One immutable serving state: the shard set and the generation
+  /// cache keys carry. Swapped as a unit so a request can never pair
+  /// engine A with generation B.
   struct Snapshot {
     std::shared_ptr<const ShardedEngine> engine;
-    std::shared_ptr<const Engine> degraded;  ///< Null unless kDegrade.
     uint64_t generation = 0;
   };
 
-  void WarmSnapshot(const Snapshot& snap);
-  bool DegradeEnabled() const {
-    return options_.max_inflight > 0 &&
-           options_.overload == OverloadPolicy::kDegrade;
-  }
-  /// The cheap engine answering degraded traffic for a snapshot over
-  /// `points` (Monte-Carlo backend, loosened eps, small sample count).
-  std::shared_ptr<const Engine> BuildDegraded(
-      std::vector<core::UncertainPoint> points,
-      const Engine::Config& base) const;
-  /// Assembles + warms a Snapshot and returns it ready to install.
+  /// Assembles + warms (Options::warm) a Snapshot and returns it ready to
+  /// install.
   std::shared_ptr<const Snapshot> MakeSnapshot(
-      std::shared_ptr<const ShardedEngine> engine,
-      std::shared_ptr<const Engine> degraded, uint64_t generation);
-  /// Shared replacement path: optional resharding, build on the pool,
-  /// then InstallLocked. Takes replace_mu_.
-  void ReplaceImpl(std::vector<core::UncertainPoint> points,
+      std::shared_ptr<const ShardedEngine> engine, uint64_t generation);
+  /// Shared replacement path: input check, optional resharding, build on
+  /// the pool, then InstallLocked. Takes replace_mu_.
+  bool ReplaceImpl(std::vector<core::UncertainPoint> points,
                    const ShardingOptions* sharding) UNN_EXCLUDES(replace_mu_);
   /// Warm + snapshot swap + swap count; the annotation is the old "replace_mu_
   /// must be held" comment made checkable.
@@ -358,13 +333,12 @@ class QueryServer {
   obs::Counter* swaps_ = nullptr;
   std::array<obs::Counter*, kNumQueryTypes> queries_by_type_{};
   obs::Counter* shed_ = nullptr;
-  obs::Counter* degraded_ = nullptr;
   obs::Counter* deadline_exceeded_ = nullptr;
   std::array<obs::Histogram*, kNumQueryTypes> latency_{};
   /// Backend queries in flight (admission control's load signal):
   /// Submit-dispatched queries from post to completion, batch misses for
-  /// the span of their parallel compute. Cache hits, refusals and
-  /// degraded answers never count.
+  /// the span of their parallel compute. Cache hits and refusals never
+  /// count.
   std::atomic<int> active_{0};
   /// Slow-query ring (see SlowQueries); touched only for requests at or
   /// past the latency threshold.

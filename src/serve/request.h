@@ -65,9 +65,8 @@ enum class ResultSource {
   /// Served from the snapshot-keyed result cache: bit-identical to
   /// recomputing on the same snapshot (docs/QUERY_SEMANTICS.md).
   kCache,
-  /// Overload degraded the request to the cheap (Monte-Carlo) engine:
-  /// the answer is an estimate at the degraded accuracy, not the
-  /// configured one.
+  /// No server path produces it: overload sheds (kShed). Kept declared
+  /// while perfbench's serving client still names it.
   kDegraded,
   /// Overload shed the request; `result` is empty.
   kShed,

@@ -64,14 +64,13 @@ struct ServerStats {
 
   // QoS outcomes.
   uint64_t shed = 0;               ///< Refused by admission control.
-  uint64_t degraded = 0;           ///< Answered by the degraded backend.
   uint64_t deadline_exceeded = 0;  ///< Dropped past their deadline.
 
   // Result cache.
   CacheStats cache;
 
   /// Per-type serving latency (admission to completion) over every
-  /// answered request — computed, degraded and cache-hit alike; refused
+  /// answered request — computed and cache-hit alike; refused
   /// requests (shed / deadline-exceeded) are excluded.
   std::array<LatencySummary, kNumQueryTypes> latency_by_type{};
 

@@ -410,8 +410,8 @@ bool MergeConsultsEnvelope(const Engine::QuerySpec& spec) {
 void ShardedEngine::Warmup(const Engine::QuerySpec& spec,
                            ThreadPool* pool) const {
   // Engine::Warmup builds what the per-shard queries need; a multi-shard
-  // merge additionally calls the per-shard quantification hooks
-  // (MaxDistEnvelope / LogSurvivalProbability), so their index must be warm
+  // merge additionally calls the per-shard QuantTree hooks
+  // (MaxDistEnvelope(Many) and SupportsWithin), so that index must be warm
   // as well or serving traffic would build it. The probe point is
   // irrelevant: which structures get built never depends on q.
   bool warm_hooks = num_shards() > 1 && MergeConsultsEnvelope(spec);

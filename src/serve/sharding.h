@@ -161,9 +161,10 @@ class ShardedEngine {
 
   /// Warms every shard for the given query type / spec (in parallel on
   /// `pool` when given) so no serving query pays a structure build —
-  /// including the per-shard quantification index behind the merge hooks
-  /// (MaxDistEnvelope / LogSurvivalProbability) when the merge for `spec`
-  /// consults them. Idempotent and thread-safe, like Engine::Warmup.
+  /// including the per-shard quantification index (core::QuantTree)
+  /// behind the merge hooks MaxDistEnvelope(Many) and SupportsWithin when
+  /// the merge for `spec` consults them. Idempotent and thread-safe, like
+  /// Engine::Warmup.
   void Warmup(Engine::QueryType type, ThreadPool* pool = nullptr) const;
   void Warmup(const Engine::QuerySpec& spec, ThreadPool* pool = nullptr) const;
 

@@ -432,13 +432,29 @@ TEST(EngineWarmup, SpecOverloadWarmsTighterThresholdEstimator) {
   auto pts = workload::RandomDisks(10, 68);  // Continuous => Monte Carlo.
   Engine::Config cfg;
   cfg.eps = 0.1;
-  cfg.mc_samples_override = 32;
   Engine engine(pts, cfg);
   Engine::QuerySpec spec{Engine::QueryType::kThreshold, 0.05, 1};
   engine.Warmup(spec);
   int built = engine.StructuresBuilt();
   engine.Threshold({0.5, 0.5}, spec.tau);
   EXPECT_EQ(engine.StructuresBuilt(), built);
+}
+
+// A sample-count override fixes the Monte-Carlo estimator whatever the
+// accuracy a query asks for, so a Threshold with tau < 2 * eps is answered
+// by the estimator the default warmup built, not a rebuilt copy of it.
+TEST(EngineWarmup, SampleOverrideKeepsOneMonteCarloEstimator) {
+  auto pts = workload::RandomDisks(500, 7);  // Continuous => Monte Carlo.
+  Engine::Config cfg;
+  cfg.mc_samples_override = 96;
+  Engine engine(pts, cfg);
+  engine.Warmup(Engine::QueryType::kThreshold);
+  ASSERT_EQ(engine.StructuresBuilt(), 1);
+  Engine cold(pts, cfg);
+  for (Vec2 q : TestQueries()) {
+    EXPECT_EQ(engine.Threshold(q, 0.02), cold.Threshold(q, 0.02));
+  }
+  EXPECT_EQ(engine.StructuresBuilt(), 1);
 }
 
 // The single-query methods are packs of one, so degenerate parameters get

@@ -323,6 +323,52 @@ TEST(QueryServer, ReplaceDatasetBumpsGenerationAndInvalidates) {
   EXPECT_EQ(after.result.nn, oracle_b.MostProbableNn(req.q));
 }
 
+// Serving-time input ShardedEngine cannot build is refused, not aborted
+// on: the snapshot, the generation and the replacement sharding stay.
+TEST(QueryServer, ReplaceDatasetRefusesEmptyAndExternalInput) {
+  auto pts_a = workload::RandomDiscrete(10, 2, 96);
+  auto pts_b = workload::RandomDiscrete(14, 3, 97);
+  serve::QueryServer::Options options;
+  options.num_threads = 2;
+  options.sharding = {2, serve::Partitioning::kSpatial};
+  serve::QueryServer server(pts_a, {}, options);
+  std::shared_ptr<const serve::ShardedEngine> before =
+      server.sharded_snapshot();
+
+  EXPECT_FALSE(server.ReplaceDataset({}));
+  EXPECT_FALSE(
+      server.ReplaceDataset({}, {3, serve::Partitioning::kRoundRobin}));
+  EXPECT_FALSE(
+      server.ReplaceDataset(pts_b, {3, serve::Partitioning::kExternal}));
+  EXPECT_EQ(server.sharded_snapshot(), before);
+  EXPECT_EQ(server.generation(), 1u);
+  EXPECT_EQ(server.stats().swaps, 0u);
+
+  // Queries still answer from the old snapshot.
+  Engine oracle_a(pts_a, {});
+  for (Vec2 q : GridQueries(6)) {
+    serve::Response r = server.Submit({q, {}}).get();
+    EXPECT_EQ(r.source, serve::ResultSource::kComputed);
+    EXPECT_EQ(r.result.nn, oracle_a.MostProbableNn(q));
+  }
+
+  // The refused resharding did not stick: a plain replacement builds the
+  // constructor's two spatial shards.
+  EXPECT_TRUE(server.ReplaceDataset(pts_b));
+  EXPECT_EQ(server.generation(), 2u);
+  EXPECT_EQ(server.sharded_snapshot()->num_shards(), 2);
+  EXPECT_EQ(server.sharded_snapshot()->options().partitioning,
+            serve::Partitioning::kSpatial);
+
+  // kExternal named at construction is refused at the first replacement.
+  serve::QueryServer assembled(
+      std::make_shared<const Engine>(pts_a, Engine::Config{}),
+      {.num_threads = 1, .sharding = {2, serve::Partitioning::kExternal}});
+  EXPECT_FALSE(assembled.ReplaceDataset(pts_b));
+  EXPECT_EQ(assembled.generation(), 1u);
+  EXPECT_EQ(assembled.snapshot()->size(), 10);
+}
+
 TEST(QueryServer, ExpiredDeadlineIsRefusedWithoutComputing) {
   auto pts = workload::RandomDiscrete(12, 2, 95);
   serve::QueryServer server(pts, {}, {.num_threads = 2, .warm = {}});
@@ -394,29 +440,61 @@ TEST(QueryServer, AdmissionControlShedsPastInflightLimit) {
   EXPECT_EQ(s.queries, 4u);
 }
 
-TEST(QueryServer, AdmissionControlDegradesToCheapBackend) {
-  auto pts = workload::RandomDiscrete(20, 3, 98);
+// Batch-level admission: at the in-flight limit a batch sheds every
+// regular miss, while cache hits, degenerate specs and expired deadlines
+// in the same batch keep their own sources.
+TEST(QueryServer, AdmissionControlShedsBatchMissesPastInflightLimit) {
+  auto pts = workload::RandomDiscrete(12, 2, 95);
   serve::QueryServer::Options options;
   options.num_threads = 1;
   options.warm = {Engine::QueryType::kMostProbableNn};
   options.max_inflight = 1;
-  options.overload = serve::OverloadPolicy::kDegrade;
+  options.cache.max_bytes = 1u << 20;
   serve::QueryServer server(pts, {}, options);
 
+  const Vec2 cached_q{1.0, -1.0};
+  serve::Response first = server.Submit({cached_q, {}}).get();
+  ASSERT_EQ(first.source, serve::ResultSource::kComputed);
+
   PoolGate gate(server.pool(), 1);
-  serve::Request req;
-  req.q = {0.25, 0.25};
-  std::future<serve::Response> admitted = server.Submit(req);
-  // Past the limit: answered inline by the degraded Monte-Carlo engine —
-  // a labeled estimate, available while the full backend is wedged.
-  serve::Response degraded = server.Submit(req).get();
-  EXPECT_EQ(degraded.source, serve::ResultSource::kDegraded);
-  EXPECT_TRUE(degraded.ok());
-  EXPECT_GE(degraded.result.nn, 0);
-  EXPECT_LT(degraded.result.nn, static_cast<int>(pts.size()));
+  // Occupies the one in-flight slot (queued behind the gate).
+  std::future<serve::Response> admitted = server.Submit({{0.5, -0.5}, {}});
+
+  serve::Request dead{{0.0, 0.0}, {}};
+  dead.deadline = std::chrono::steady_clock::now() -
+                  std::chrono::milliseconds(1);
+  const std::vector<serve::Request> batch = {
+      {cached_q, {}},                                         // Cache hit.
+      {{2.0, 3.0}, {}},                                       // Regular miss.
+      {{2.0, 3.0}, {Engine::QueryType::kThreshold, 1.5, 1}},  // Degenerate.
+      {{-3.0, 0.5}, {Engine::QueryType::kTopK, 0.5, 2}},      // Regular miss.
+      dead,
+      {{-3.0, 0.5}, {Engine::QueryType::kTopK, 0.5, 0}},  // Degenerate.
+  };
+  std::vector<serve::Response> got = server.QueryBatch(batch);
+  ASSERT_EQ(got.size(), batch.size());
+  EXPECT_EQ(got[0].source, serve::ResultSource::kCache);
+  EXPECT_EQ(got[0].result.nn, first.result.nn);
+  for (size_t i : {1u, 3u}) {
+    EXPECT_EQ(got[i].source, serve::ResultSource::kShed) << "i=" << i;
+    EXPECT_FALSE(got[i].ok());
+    EXPECT_EQ(got[i].result.nn, -1);
+    EXPECT_TRUE(got[i].result.ranked.empty());
+  }
+  for (size_t i : {2u, 5u}) {
+    EXPECT_EQ(got[i].source, serve::ResultSource::kComputed) << "i=" << i;
+    EXPECT_TRUE(got[i].ok());
+    EXPECT_TRUE(got[i].result.ranked.empty());
+  }
+  EXPECT_EQ(got[4].source, serve::ResultSource::kDeadlineExceeded);
+
+  serve::ServerStats s = server.stats();
+  EXPECT_EQ(s.shed, 2u);
+  EXPECT_EQ(s.deadline_exceeded, 1u);
+  EXPECT_EQ(s.cache.insertions, 1u);  // Only the first Submit's answer.
   gate.Release();
   EXPECT_EQ(admitted.get().source, serve::ResultSource::kComputed);
-  EXPECT_EQ(server.stats().degraded, 1u);
+  EXPECT_EQ(server.stats().shed, 2u);
 }
 
 TEST(QueryServer, DegenerateSpecsBypassCacheAndAdmission) {
@@ -525,7 +603,6 @@ TEST(QueryServer, PackGroupingMatchesOneRequestBatches) {
   EXPECT_EQ(ps.queries, as.queries);
   EXPECT_EQ(ps.swaps, as.swaps);
   EXPECT_EQ(ps.shed, as.shed);
-  EXPECT_EQ(ps.degraded, as.degraded);
   EXPECT_EQ(ps.deadline_exceeded, as.deadline_exceeded);
   EXPECT_EQ(ps.cache.hits + duplicates, as.cache.hits);
   EXPECT_EQ(ps.cache.misses, as.cache.misses + duplicates);
@@ -626,7 +703,6 @@ TEST(QueryServer, DumpMetricsEmitsPrometheusCatalog) {
   EXPECT_NE(text.find("unn_cache_hits_total"), std::string::npos);
   EXPECT_NE(text.find("unn_cache_misses_total"), std::string::npos);
   EXPECT_NE(text.find("unn_server_shed_total"), std::string::npos);
-  EXPECT_NE(text.find("unn_server_degraded_total"), std::string::npos);
   EXPECT_NE(text.find("unn_server_deadline_exceeded_total"),
             std::string::npos);
   // Latency histograms with cumulative buckets, plus percentile gauges.
