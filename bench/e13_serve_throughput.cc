@@ -149,7 +149,7 @@ int main(int argc, char** argv) {
       for (int gid : ids) subset.push_back(pts[gid]);
       bench::Timer tb;
       auto e = std::make_shared<const Engine>(std::move(subset),
-                                              Engine::Config{});
+                                              Engine::Config{}, ids);
       e->Warmup(spec);
       build_ms.push_back(tb.Ms());
       engines.push_back(std::move(e));
@@ -159,7 +159,7 @@ int main(int argc, char** argv) {
       build_total += ms;
       build_max = std::max(build_max, ms);
     }
-    serve::ShardedEngine sharded(std::move(engines), std::move(parts));
+    serve::ShardedEngine sharded(std::move(engines));
 
     serve::ThreadPool pool(7);
     serve::QueryMany(sharded, queries, spec, &pool);  // Placement pass.

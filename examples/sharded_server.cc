@@ -34,9 +34,8 @@ int main() {
   printf(" points\n");
 
   // The query surface is the same as a single Engine's — answers carry
-  // global ids and match the unsharded semantics (exactly, for the
-  // NN!=0 / expected-distance merges and exact-backend probability
-  // merges; see docs/QUERY_SEMANTICS.md).
+  // global ids and equal the unsharded answers (see
+  // docs/QUERY_SEMANTICS.md).
   std::vector<serve::Request> batch;
   for (int i = 0; i < 8; ++i) {
     batch.push_back(

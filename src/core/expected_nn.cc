@@ -41,6 +41,15 @@ double DiskRadialVariance(const UncertainPoint& p) {
   return 0.0;
 }
 
+/// Largest coordinate magnitude of a node box — scales the absolute
+/// guard band that covers rounding of the stored means (the weighted
+/// mean of a discrete point is computed, not exact, so a Jensen bound
+/// through it needs slack proportional to the coordinate scale).
+double BoxMagnitude(const geom::Box& b) {
+  return std::max(std::max(std::abs(b.lo.x), std::abs(b.hi.x)),
+                  std::max(std::abs(b.lo.y), std::abs(b.hi.y)));
+}
+
 }  // namespace
 
 ExpectedNn::ExpectedNn(std::vector<UncertainPoint> points)
@@ -51,6 +60,7 @@ ExpectedNn::ExpectedNn(std::vector<UncertainPoint> points)
       all_discrete_ = false;
       mean_.push_back(p.center());  // Radially symmetric pdfs.
       var_.push_back(DiskRadialVariance(p));
+      max_reach_ = std::max(max_reach_, p.radius());
     } else {
       Vec2 mu{0, 0};
       for (size_t s = 0; s < p.sites().size(); ++s) {
@@ -59,10 +69,12 @@ ExpectedNn::ExpectedNn(std::vector<UncertainPoint> points)
       double var = 0;
       for (size_t s = 0; s < p.sites().size(); ++s) {
         var += p.weights()[s] * DistSq(p.sites()[s], mu);
+        max_reach_ = std::max(max_reach_, Dist(p.sites()[s], mu));
       }
       mean_.push_back(mu);
       var_.push_back(var);
     }
+    max_var_ = std::max(max_var_, var_.back());
   }
   tree_ = spatial::FlatKdTree<spatial::MinAugment>(
       mean_, {.leaf_size = kLeaf, .split = spatial::SplitRule::kAlternate},
@@ -124,11 +136,10 @@ std::vector<int> ExpectedNn::RankByExpectedDistance(Vec2 q, int k,
 }
 
 int ExpectedNn::QueryExpected(Vec2 q, double tol) const {
-  // Scan with pruning: E[d] >= delta_i(q) and E[d] <= sqrt(E[d^2]), so
-  // evaluating in increasing (E[d^2], id) order finds the minimizer
-  // early and skips most evaluations. The skip keeps a relative guard
-  // band (kSkipGuard): for discrete models the closed-form E[d] is a
-  // weighted sum of correctly-rounded distances whose weights sum to 1
+  // Evaluates in increasing E[d^2] order, skipping any point with
+  // E[d] >= delta_i(q) above the incumbent. The skip keeps a relative
+  // guard band (kSkipGuard): for discrete models the closed-form E[d] is
+  // a weighted sum of correctly-rounded distances whose weights sum to 1
   // only within 1e-9, so the computed E[d] can undershoot the computed
   // MinDist by ~1e-9 relative — the band guarantees a skipped item's
   // E[d] is strictly above the incumbent. With the band and the
@@ -137,18 +148,42 @@ int ExpectedNn::QueryExpected(Vec2 q, double tol) const {
   // contract QueryExpectedBatch reproduces through a shared traversal.
   // Disk models use the same loop; their quadrature values carry the
   // documented tol-level near-tie caveat either way.
-  int n = static_cast<int>(points_.size());
-  std::vector<std::pair<double, int>> order(n);
-  for (int i = 0; i < n; ++i) order[i] = {ExpectedSquaredDistance(i, q), i};
-  std::sort(order.begin(), order.end());
+  //
+  // The order comes from a best-first enumeration of the kd-tree over
+  // the means (subtree key: squared box distance plus the smallest
+  // variance), not from sorting all n points. It stops once no later
+  // point can pass the skip test: a point with E[d^2] >= k has
+  // d(q, mean) >= sqrt(k - max_var_), so delta_i(q) >= that minus
+  // max_reach_ — with an absolute guard for the rounding of the stored
+  // means, variances and reaches.
+  if (!geom::IsFinite(q)) return -1;
+  const double slack =
+      1e-12 * (BoxMagnitude(tree_.box(tree_.root())) + std::abs(q.x) +
+               std::abs(q.y) + max_reach_);
+  struct SquaredKeys {
+    const ExpectedNn* self;
+    Vec2 q;
+    double NodeKey(int n) const {
+      return self->tree_.box(n).DistSqTo(q) + self->tree_.aug().min(n);
+    }
+    double ItemKey(int id) const {
+      return self->ExpectedSquaredDistance(id, q);
+    }
+  };
+  spatial::BestFirstEnumerator<spatial::FlatKdTree<spatial::MinAugment>,
+                               SquaredKeys>
+      order(tree_, SquaredKeys{this, q});
   double best = std::numeric_limits<double>::infinity();
   int arg = -1;
-  for (auto [e2, i] : order) {
-    if (points_[i].MinDist(q) * kSkipGuard > best) continue;
-    double e = ExpectedDistance(i, q, tol);
-    if (e < best || (e == best && i < arg)) {
+  double e2;
+  for (int id = order.Next(&e2); id >= 0; id = order.Next(&e2)) {
+    double delta_lb = std::sqrt(std::max(e2 - max_var_, 0.0)) - max_reach_;
+    if (delta_lb * kSkipGuard - slack > best) break;
+    if (points_[id].MinDist(q) * kSkipGuard > best) continue;
+    double e = ExpectedDistance(id, q, tol);
+    if (e < best || (e == best && id < arg)) {
       best = e;
-      arg = i;
+      arg = id;
     }
   }
   return arg;
@@ -163,15 +198,6 @@ namespace {
 
 constexpr int kW = geom::kLaneWidth;
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// Largest coordinate magnitude of a node box — scales the absolute
-/// guard band that covers rounding of the stored means (the weighted
-/// mean of a discrete point is computed, not exact, so a Jensen bound
-/// through it needs slack proportional to the coordinate scale).
-double BoxMagnitude(const geom::Box& b) {
-  return std::max(std::max(std::abs(b.lo.x), std::abs(b.hi.x)),
-                  std::max(std::abs(b.lo.y), std::abs(b.hi.y)));
-}
 
 }  // namespace
 

@@ -21,8 +21,9 @@
 ///     E[d(q,P)^2] = |q - mu|^2 + Var(P) (a "power-like" weighted NN,
 ///     answered by branch-and-bound in O(log n) expected time);
 ///   * expected distance E[d(q,P)] — evaluated per point (closed form for
-///     discrete, adaptive quadrature for disks) and minimized by scan with
-///     E[d^2]-based pruning (sqrt(E[d^2]) >= E[d] >= delta).
+///     discrete, adaptive quadrature for disks) and minimized by a
+///     scan in increasing E[d^2] order (a best-first kd-tree enumeration)
+///     that skips points whose E[d] >= delta exceeds the incumbent.
 ///
 /// Experiment E12 measures how often the expected-NN disagrees with the
 /// most-probable NN — the [YTX+10] critique the paper cites for preferring
@@ -72,6 +73,11 @@ class ExpectedNn {
   std::vector<geom::Vec2> mean_;
   std::vector<double> var_;
   bool all_discrete_ = true;
+  /// Largest variance and largest distance from a mean to its support
+  /// (disk radius, farthest site): they turn QueryExpected's E[d^2] order
+  /// into a lower bound on delta_i(q) for every point not yet visited.
+  double max_var_ = 0.0;
+  double max_reach_ = 0.0;
   /// Kd-tree over the means, augmented with the subtree minimum variance:
   /// E[d(q,P)^2] = d(q, mu)^2 + Var is a power-like weighted distance, so
   /// box-distance-plus-min-variance is a valid subtree lower bound.

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cfloat>
 #include <cmath>
-#include <random>
+#include <numeric>
 
 #include "prob/distributions.h"
 #include "util/check.h"
@@ -29,10 +29,23 @@ int MonteCarloPnn::RequiredSamples(int n, int k, double eps, double delta) {
 }
 
 MonteCarloPnn::MonteCarloPnn(std::vector<UncertainPoint> points,
-                             const MonteCarloPnnOptions& opts)
-    : points_(std::move(points)), quant_(&points_) {
+                             const MonteCarloPnnOptions& opts,
+                             std::vector<int> keys)
+    : points_(std::move(points)), keys_(std::move(keys)), quant_(&points_) {
   UNN_CHECK(!points_.empty());
   int n = static_cast<int>(points_.size());
+  if (keys_.empty()) {
+    keys_.resize(n);
+    std::iota(keys_.begin(), keys_.end(), 0);
+  }
+  UNN_CHECK(static_cast<int>(keys_.size()) == n);
+  {
+    std::vector<int> sorted = keys_;
+    std::sort(sorted.begin(), sorted.end());
+    auto repeat = std::adjacent_find(sorted.begin(), sorted.end());
+    UNN_CHECK_MSG(sorted.front() >= 0 && repeat == sorted.end(),
+                  "Monte-Carlo keys must be distinct and non-negative");
+  }
   int k = 1;
   for (const auto& p : points_) {
     if (p.is_disk()) {
@@ -44,41 +57,32 @@ MonteCarloPnn::MonteCarloPnn(std::vector<UncertainPoint> points,
   }
   s_ = opts.s_override > 0 ? opts.s_override
                            : RequiredSamples(n, k, opts.eps, opts.delta);
-  // Drawn instantiation-major (the documented stream order), stored
-  // point-major for the per-candidate sweep.
-  std::mt19937_64 rng(opts.seed);
   samples_.resize(static_cast<size_t>(n) * s_);
-  for (int j = 0; j < s_; ++j) {
-    for (int i = 0; i < n; ++i) {
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < s_; ++j) {
       samples_[static_cast<size_t>(i) * s_ + j] =
-          prob::SamplePoint(points_[i], rng);
+          prob::KeyedSample(points_[i], opts.seed, keys_[i], j);
     }
   }
 }
 
-std::vector<std::pair<int, double>> MonteCarloPnn::Query(Vec2 q) const {
-  return std::move(QueryBatch({&q, 1})[0]);
-}
-
-std::vector<std::vector<std::pair<int, double>>> MonteCarloPnn::QueryBatch(
-    std::span<const Vec2> queries, spatial::BatchStats* stats) const {
+template <class Emit>
+void MonteCarloPnn::Sweep(std::span<const Vec2> queries, int s,
+                          spatial::BatchStats* stats, Emit emit) const {
+  UNN_CHECK(s > 0 && s <= s_);
   // The envelope pass shares packs, so it runs in pack-coherent (Morton)
-  // order; the sweep is per query and scatters back by index.
+  // order; the sweep is per query and hands results back by index.
   std::vector<int> order = spatial::PackCoherentOrder(queries);
   std::vector<Vec2> sorted(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) sorted[i] = queries[order[i]];
   std::vector<DeltaEnvelope> envs(queries.size());
   quant_.MaxDistEnvelopeBatch(sorted, envs, stats);
 
-  std::vector<std::vector<std::pair<int, double>>> out(queries.size());
-  // Scratch reused across the batch: the candidate ids, each
-  // instantiation's best distance and winner (an index into `cand`), and
-  // the per-candidate win counts.
+  // Scratch reused across the batch: the candidate ids, and each
+  // instantiation's best distance and winner (an index into `cand`).
   std::vector<int> cand;
-  std::vector<double> best_d(s_);
-  std::vector<int> winner(s_);
-  std::vector<int> wins;
-  const double s = static_cast<double>(s_);
+  std::vector<double> best_d(s);
+  std::vector<int> winner(s);
   for (size_t i = 0; i < sorted.size(); ++i) {
     const Vec2 q = sorted[i];
     const DeltaEnvelope& env = envs[i];
@@ -88,14 +92,16 @@ std::vector<std::vector<std::pair<int, double>>> MonteCarloPnn::QueryBatch(
                      16 * DBL_EPSILON * (NormInf(q) + scale_);
     cand.assign(1, env.argbest);
     quant_.SupportsWithin(q, r, &cand);
-    std::sort(cand.begin(), cand.end());
+    // Keys are distinct, so equal keys are repeats of one id.
+    std::sort(cand.begin(), cand.end(),
+              [this](int a, int b) { return keys_[a] < keys_[b]; });
     cand.erase(std::unique(cand.begin(), cand.end()), cand.end());
-    // Candidates in increasing id order with a strict `<`: an exact tie
-    // keeps the smaller id. The first candidate seeds every
+    // Candidates in increasing key order with a strict `<`: an exact tie
+    // keeps the smaller key. The first candidate seeds every
     // instantiation, so each has a winner even when distances are +inf.
     for (size_t c = 0; c < cand.size(); ++c) {
       const Vec2* x = &samples_[static_cast<size_t>(cand[c]) * s_];
-      for (int j = 0; j < s_; ++j) {
+      for (int j = 0; j < s; ++j) {
         double d = Dist(q, x[j]);
         if (c == 0 || d < best_d[j]) {
           best_d[j] = d;
@@ -103,13 +109,45 @@ std::vector<std::vector<std::pair<int, double>>> MonteCarloPnn::QueryBatch(
         }
       }
     }
-    wins.assign(cand.size(), 0);
-    for (int j = 0; j < s_; ++j) ++wins[winner[j]];
-    std::vector<std::pair<int, double>>& dst = out[order[i]];
-    for (size_t c = 0; c < cand.size(); ++c) {
-      if (wins[c] > 0) dst.push_back({cand[c], wins[c] / s});
-    }
+    emit(order[i], cand, best_d, winner);
   }
+}
+
+std::vector<std::pair<int, double>> MonteCarloPnn::Query(Vec2 q) const {
+  return std::move(QueryBatch({&q, 1})[0]);
+}
+
+std::vector<std::vector<std::pair<int, double>>> MonteCarloPnn::QueryBatch(
+    std::span<const Vec2> queries, spatial::BatchStats* stats, int s) const {
+  if (s == 0) s = s_;
+  std::vector<std::vector<std::pair<int, double>>> out(queries.size());
+  std::vector<int> wins;
+  const double count = static_cast<double>(s);
+  auto tally = [&](int qi, const std::vector<int>& cand,
+                   const std::vector<double>& /*best_d*/,
+                   const std::vector<int>& winner) {
+    wins.assign(cand.size(), 0);
+    for (int w : winner) ++wins[w];
+    std::vector<std::pair<int, double>>& dst = out[qi];
+    for (size_t c = 0; c < cand.size(); ++c) {
+      if (wins[c] > 0) dst.push_back({cand[c], wins[c] / count});
+    }
+    std::sort(dst.begin(), dst.end());
+  };
+  Sweep(queries, s, stats, tally);
+  return out;
+}
+
+std::vector<InstantiationWinner> MonteCarloPnn::WinnersBatch(
+    std::span<const Vec2> queries, int s, spatial::BatchStats* stats) const {
+  std::vector<InstantiationWinner> out(queries.size() * s);
+  auto copy = [&](int qi, const std::vector<int>& cand,
+                  const std::vector<double>& best_d,
+                  const std::vector<int>& winner) {
+    InstantiationWinner* dst = &out[static_cast<size_t>(qi) * s];
+    for (int j = 0; j < s; ++j) dst[j] = {best_d[j], keys_[cand[winner[j]]]};
+  };
+  Sweep(queries, s, stats, copy);
   return out;
 }
 

@@ -19,13 +19,18 @@
 /// simultaneously with probability >= 1 - delta when
 /// s = (1/2eps^2) ln(2 n |Q| / delta), |Q| = O(N^4) (Lemma 4.1).
 ///
-/// Draws. One std::mt19937_64 seeded with `seed` draws instantiation by
-/// instantiation: for j = 0..s-1, for i = 0..n-1, x_ij =
-/// prob::SamplePoint(P_i, rng). They are stored point-major, so one
-/// point's s samples are contiguous.
+/// Draws. Every point carries a key (its global id in a sharded set;
+/// 0..n-1 by default), and x_ij = prob::KeyedSample(P_i, seed, key_i, j):
+/// a SplitMix64 stream keyed on (seed, key_i, j). A sample depends on no
+/// other point and no other instantiation, so
+///   * a structure over a subset keyed by the subset's global ids holds
+///     exactly the whole set's samples at those ids, and
+///   * a structure with s' > s instantiations holds the s-instantiation
+///     structure as its prefix: a query may use the first s only.
+/// They are stored point-major, so one point's samples are contiguous.
 ///
 /// Winners. The winner of instantiation j is argmin_i Dist(q, x_ij), ties
-/// toward the smaller id. The paper answers it with one Voronoi diagram
+/// toward the smaller key. The paper answers it with one Voronoi diagram
 /// per instantiation; this structure needs no per-instantiation index.
 ///
 /// Candidate sweep. By Lemma 2.1 only points with delta_i(q) <= Delta(q)
@@ -43,7 +48,7 @@
 /// the support of P_w, so Dist(q, x_wj) >= delta_w(q). Together
 /// delta_w(q) <= Delta_a(q) = best, so w is in C(q), and so is every other
 /// id tied with w. The argmin over C(q) therefore equals the argmin over
-/// all n points, with the same smaller-id tie rule. In floating point each
+/// all n points, with the same smaller-key tie rule. In floating point each
 /// of these steps is off by rounding, and `guard` covers the total:
 ///   * a disk sample is placed as center + offset, so it may sit a few
 ///     ulps of the coordinates' magnitude outside its disk (discrete
@@ -59,12 +64,29 @@
 /// still answers, where a squared-distance tree descent overflows.
 /// A query with a NaN or infinite coordinate gets empty estimates.
 ///
+/// Sharding. Over a union of disjoint subsets, the winner of instantiation
+/// j is the smallest (distance, key) pair among the subsets' winners, so
+/// per-subset WinnersBatch answers merge into the whole set's counts by
+/// an elementwise minimum. Each subset sweeps its own C_k(q): its envelope
+/// argmin a_k has Delta_{a_k}(q) >= Delta(q), and the argument above run
+/// with a_k in place of a puts every subset point that wins (or ties the
+/// winner of) an instantiation into C_k(q), guard included, since the
+/// rounding terms involve only q, the subset's own supports and values
+/// the sweep computes identically in both structures.
+///
 /// Thread safety: immutable after construction; queries are const and may
 /// run concurrently. Not copyable or movable: the owned QuantTree points
 /// at the owned point vector.
 
 namespace unn {
 namespace core {
+
+/// One instantiation's winner: its distance to the query and its key.
+/// key -1 marks a query with no winners (a non-finite coordinate).
+struct InstantiationWinner {
+  double dist = 0.0;
+  int key = -1;
+};
 
 struct MonteCarloPnnOptions {
   double eps = 0.1;
@@ -76,8 +98,11 @@ struct MonteCarloPnnOptions {
 
 class MonteCarloPnn {
  public:
+  /// `keys[i]` keys point i's draws and its winning ties; keys must be
+  /// distinct and non-negative. Empty means 0..n-1.
   MonteCarloPnn(std::vector<UncertainPoint> points,
-                const MonteCarloPnnOptions& opts = {});
+                const MonteCarloPnnOptions& opts = {},
+                std::vector<int> keys = {});
   MonteCarloPnn(const MonteCarloPnn&) = delete;
   MonteCarloPnn& operator=(const MonteCarloPnn&) = delete;
 
@@ -86,20 +111,43 @@ class MonteCarloPnn {
 
   int num_instantiations() const { return s_; }
 
+  /// x_ij, point i's sample in instantiation j. O(1).
+  geom::Vec2 sample(int i, int j) const {
+    return samples_[static_cast<size_t>(i) * s_ + j];
+  }
+
   /// Estimates (id, hat-pi) for all ids with a nonzero count, sorted by
   /// id. A one-query QueryBatch.
   std::vector<std::pair<int, double>> Query(geom::Vec2 q) const;
 
-  /// Query for every query of the batch, through one candidate sweep per
-  /// query after one batched envelope pass (QuantTree::MaxDistEnvelopeBatch,
-  /// whose traversal counters land in `stats`). `out[i]` does not depend
-  /// on the batch around `queries[i]`.
+  /// Query for every query of the batch over the first `s` instantiations
+  /// (0 means all of them; otherwise 0 < s <= num_instantiations()),
+  /// through one candidate sweep per query after one batched envelope
+  /// pass (QuantTree::MaxDistEnvelopeBatch, whose traversal counters land
+  /// in `stats`). `out[i]` does not depend on the batch around
+  /// `queries[i]`.
   std::vector<std::vector<std::pair<int, double>>> QueryBatch(
-      std::span<const geom::Vec2> queries,
+      std::span<const geom::Vec2> queries, spatial::BatchStats* stats = nullptr,
+      int s = 0) const;
+
+  /// The winners behind QueryBatch: out[i * s + j] is the winner of
+  /// instantiation j < s for queries[i] (0 < s <= num_instantiations()).
+  /// A non-finite query's s entries keep key -1.
+  std::vector<InstantiationWinner> WinnersBatch(
+      std::span<const geom::Vec2> queries, int s,
       spatial::BatchStats* stats = nullptr) const;
 
  private:
+  /// The candidate sweep over the first `s` instantiations: for every
+  /// finite queries[i], emit(i, cand, best_d, winner) with `cand` its
+  /// candidate ids in increasing key order, `winner[j]` instantiation j's
+  /// winner as an index into `cand` and `best_d[j]` its distance.
+  template <class Emit>
+  void Sweep(std::span<const geom::Vec2> queries, int s,
+             spatial::BatchStats* stats, Emit emit) const;
+
   std::vector<UncertainPoint> points_;
+  std::vector<int> keys_;
   int s_ = 0;
   /// x_ij at samples_[i * s_ + j].
   std::vector<geom::Vec2> samples_;

@@ -1,6 +1,7 @@
 #include "engine/engine.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "baselines/brute_force.h"
 #include "core/exact_pnn.h"
@@ -32,8 +33,19 @@ Engine::Engine(std::vector<core::UncertainPoint> points)
     : Engine(std::move(points), Config()) {}
 
 Engine::Engine(std::vector<core::UncertainPoint> points, const Config& config)
-    : points_(std::move(points)), config_(config) {
+    : Engine(std::move(points), config, {}) {}
+
+Engine::Engine(std::vector<core::UncertainPoint> points, const Config& config,
+               std::vector<int> global_ids)
+    : points_(std::move(points)),
+      global_ids_(std::move(global_ids)),
+      config_(config) {
   UNN_CHECK(!points_.empty());
+  if (global_ids_.empty()) {
+    global_ids_.resize(points_.size());
+    std::iota(global_ids_.begin(), global_ids_.end(), 0);
+  }
+  UNN_CHECK(global_ids_.size() == points_.size());
   UNN_CHECK(config_.eps > 0 && config_.eps < 1);
   UNN_CHECK(config_.delta > 0 && config_.delta < 1);
   UNN_CHECK(config_.tol > 0);
@@ -73,16 +85,9 @@ const core::NnNonzeroDiscreteIndex& Engine::GetNonzeroDiscrete() const {
 }
 
 std::shared_ptr<const core::MonteCarloPnn> Engine::GetMonteCarlo(
-    double eps) const {
-  // The cached structure is keyed by its sample count, which fixes it
-  // (the seed is the Engine's); a request that needs more samples rebuilds
-  // it. Under an override every accuracy needs the same count.
-  const int samples =
-      config_.mc_samples_override > 0
-          ? config_.mc_samples_override
-          : core::MonteCarloPnn::RequiredSamples(
-                static_cast<int>(points_.size()), max_sites_, eps,
-                config_.delta);
+    int samples) const {
+  // The cached structure is fixed by its sample count (the seed and keys
+  // are the Engine's); a request that needs more samples rebuilds it.
   {
     ReaderMutexLock lock(&estimator_mu_);
     if (monte_carlo_ && monte_carlo_->num_instantiations() >= samples) {
@@ -94,7 +99,8 @@ std::shared_ptr<const core::MonteCarloPnn> Engine::GetMonteCarlo(
     core::MonteCarloPnnOptions opts;
     opts.seed = config_.seed;
     opts.s_override = samples;
-    monte_carlo_ = std::make_shared<const core::MonteCarloPnn>(points_, opts);
+    monte_carlo_ =
+        std::make_shared<const core::MonteCarloPnn>(points_, opts, global_ids_);
     // relaxed: observability counter (see BuildOnce).
     builds_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -144,10 +150,24 @@ std::vector<std::vector<std::pair<int, double>>> Engine::ProbabilitiesMany(
   }
   // Monte Carlo: kMonteCarlo, and kAuto on disk or mixed input (it alone
   // handles mixed models natively, so kBruteForce on a mixed set lands
-  // here too).
-  double eps = eps_needed > 0 ? std::min(eps_needed, config_.eps)
-                              : config_.eps;
-  return GetMonteCarlo(eps)->QueryBatch(queries, stats);
+  // here too). The first `samples` instantiations answer, however many
+  // the cached estimator holds.
+  const int samples =
+      MonteCarloSamples(config_, size(), max_sites_, eps_needed);
+  return GetMonteCarlo(samples)->QueryBatch(queries, stats, samples);
+}
+
+int Engine::MonteCarloSamples(const Config& config, int n, int max_sites,
+                              double eps_needed) {
+  if (config.mc_samples_override > 0) return config.mc_samples_override;
+  double eps = eps_needed > 0 ? std::min(eps_needed, config.eps) : config.eps;
+  return core::MonteCarloPnn::RequiredSamples(n, max_sites, eps, config.delta);
+}
+
+std::vector<core::InstantiationWinner> Engine::MonteCarloWinnersMany(
+    std::span<const geom::Vec2> queries, int samples,
+    spatial::BatchStats* stats) const {
+  return GetMonteCarlo(samples)->WinnersBatch(queries, samples, stats);
 }
 
 // ---------------------------------------------------------------------------

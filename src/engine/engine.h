@@ -74,6 +74,18 @@ enum class Backend {
   kMonteCarlo,
 };
 
+/// The one exactness rule, shared by Engine and ShardedEngine (which
+/// applies it with the whole set's flags). Probabilities are exact for
+/// kAuto on all-discrete input (Eq. (2) over the NN!=0 candidates) and for
+/// kBruteForce on a homogeneous set (Eq. (2) accumulation or Eq. (1)
+/// integration). Every other configuration takes the Monte-Carlo
+/// estimator; a mixed set has no exact quantifier.
+inline bool ExactQuantification(Backend backend, bool all_discrete,
+                                bool all_disk) {
+  if (backend == Backend::kAuto) return all_discrete;
+  return backend == Backend::kBruteForce && (all_discrete || all_disk);
+}
+
 class Engine {
  public:
   struct Config {
@@ -125,6 +137,13 @@ class Engine {
 
   explicit Engine(std::vector<core::UncertainPoint> points);
   Engine(std::vector<core::UncertainPoint> points, const Config& config);
+  /// `global_ids[i]` is point i's id in the whole dataset when this Engine
+  /// serves one shard of it (distinct, non-negative; the default is
+  /// 0..n-1). Answers still use local ids 0..n-1; the global ids key the
+  /// Monte-Carlo draws and break their ties, so every shard draws the
+  /// whole set's samples at its points.
+  Engine(std::vector<core::UncertainPoint> points, const Config& config,
+         std::vector<int> global_ids);
 
   // The five single-query methods below are one-element QueryMany calls:
   // each answer is bit-identical to the same query inside any pack.
@@ -204,9 +223,12 @@ class Engine {
 
   /// Quantification estimates (id, hat-pi) with positive estimate, sorted
   /// by id. `eps_needed` (<= 0 means Config::eps) is the Monte-Carlo
-  /// accuracy; exact quantification ignores it. Exposed so
+  /// accuracy; exact quantification ignores it. The estimator answers from
+  /// its first MonteCarloSamples(config(), size(), max_sites(),
+  /// eps_needed) instantiations, whatever was built before. Exposed so
   /// callers can post-process distributions themselves — the sharded
-  /// serving layer treats this as the per-shard candidate generator.
+  /// layer's kBruteForce disk merge treats this as the per-shard candidate
+  /// generator.
   /// A one-element ProbabilitiesMany. Thread-safe; cost is one backend
   /// quantification query.
   std::vector<std::pair<int, double>> Probabilities(
@@ -226,12 +248,30 @@ class Engine {
       std::span<const geom::Vec2> queries, double eps_needed = 0.0,
       spatial::BatchStats* stats = nullptr) const;
 
+  /// The Monte-Carlo sample count a request at accuracy `eps_needed` (<= 0
+  /// means config.eps; larger values are clamped to it) needs over a set
+  /// of n points with at most `max_sites` sites each: the override when
+  /// set, else Theorem 4.3's count. A sharded set passes its whole size.
+  static int MonteCarloSamples(const Config& config, int n, int max_sites,
+                               double eps_needed);
+
   // --- Per-point quantification hooks for cross-shard merging ----------
   // A sharded deployment partitions one logical point set across several
   // Engines and recombines per-shard answers (src/serve/sharding.h). The
-  // three hooks below are the per-point quantities that make that
-  // recombination exact under independent points; they are also useful on
-  // their own. All three are thread-safe const queries.
+  // hooks below are the per-point quantities that make that recombination
+  // exact under independent points; they are also useful on their own.
+  // All are thread-safe const queries.
+
+  /// The Monte-Carlo estimator's per-instantiation winners over the first
+  /// `samples` instantiations: out[i * samples + j] is (distance, global
+  /// id) of instantiation j's winner for queries[i] among this Engine's
+  /// points (core::MonteCarloPnn::WinnersBatch; key -1 for a non-finite
+  /// query). The winner over a union of shards is the smallest pair, so
+  /// the sharded layer min-merges these. Builds (or reuses a larger) the
+  /// estimator, whatever the backend.
+  std::vector<core::InstantiationWinner> MonteCarloWinnersMany(
+      std::span<const geom::Vec2> queries, int samples,
+      spatial::BatchStats* stats = nullptr) const;
 
   /// E[d(q, P_i)] at Config::tol — the per-point quantity the sharded
   /// layer min-merges: each shard reports its local argmin with this
@@ -266,9 +306,9 @@ class Engine {
   /// the log of the shard survival probability prod_i (1 - G_{q,i}(r)) of
   /// the paper-II factorization: for independent points the survival of a
   /// union of shards is the product of the per-shard survivals, which is
-  /// why candidate-union re-quantification recombines probabilistic
-  /// answers without error. The in-process merge computes these products
-  /// implicitly (it re-accumulates/re-integrates over the candidate
+  /// why the exact merges' candidate-union re-quantification recombines
+  /// probabilistic answers without error. They compute these products
+  /// implicitly (re-accumulating/re-integrating over the candidate
   /// union); this hook is the explicit form — used by the factorization
   /// tests and the surface an out-of-process merger would consume.
   /// Accumulated in log space: the product of n factors below 1
@@ -290,6 +330,8 @@ class Engine {
   /// The owned point set, in id order. Immutable after construction, so
   /// reading it is thread-safe and O(1).
   const std::vector<core::UncertainPoint>& points() const { return points_; }
+  /// global_ids()[i] is point i's id in the whole dataset. O(1).
+  const std::vector<int>& global_ids() const { return global_ids_; }
   /// The construction-time configuration. Immutable; O(1).
   const Config& config() const { return config_; }
   /// Number of uncertain points. O(1).
@@ -298,30 +340,27 @@ class Engine {
   bool all_discrete() const { return all_discrete_; }
   /// True when every point is a disk (continuous) model. O(1).
   bool all_disk() const { return all_disk_; }
+  /// Theorem 4.3's k: the most sites of any discrete point (1 if none).
+  int max_sites() const { return max_sites_; }
 
  private:
-  /// Probabilities are exact: kAuto on discrete input (Eq. (2) over the
-  /// NN!=0 candidates) and kBruteForce on a homogeneous set (Eq. (2)
-  /// accumulation or Eq. (1) integration). Every other configuration
-  /// takes the Monte-Carlo estimator; a mixed set has no exact quantifier.
   bool ExactQuantification() const {
-    if (config_.backend == Backend::kAuto) return all_discrete_;
-    return config_.backend == Backend::kBruteForce &&
-           (all_discrete_ || all_disk_);
+    return unn::ExactQuantification(config_.backend, all_discrete_, all_disk_);
   }
 
   const core::ExpectedNn& GetExpectedNn() const;
   const core::NnNonzeroIndex& GetNonzeroIndex() const;
   const core::NnNonzeroDiscreteIndex& GetNonzeroDiscrete() const;
   const core::QuantTree& GetQuantTree() const;
-  /// The estimator is keyed by its sample count (the override, else
-  /// Theorem 4.3's count at `eps`) and returned as an owning snapshot: a
-  /// request that needs more samples replaces the cached structure, and
-  /// the returned shared_ptr keeps the one a concurrent query is using
-  /// alive until that query finishes.
-  std::shared_ptr<const core::MonteCarloPnn> GetMonteCarlo(double eps) const;
+  /// An estimator with at least `samples` instantiations, as an owning
+  /// snapshot: a request that needs more samples replaces the cached
+  /// structure, and the returned shared_ptr keeps the one a concurrent
+  /// query is using alive until that query finishes. Keyed draws are
+  /// prefix-consistent, so callers answer from its first `samples`.
+  std::shared_ptr<const core::MonteCarloPnn> GetMonteCarlo(int samples) const;
 
   std::vector<core::UncertainPoint> points_;
+  std::vector<int> global_ids_;
   Config config_;
   bool all_discrete_ = true;
   bool all_disk_ = true;

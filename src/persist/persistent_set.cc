@@ -1,29 +1,23 @@
 #include "persist/persistent_set.h"
 
 #include "util/check.h"
+#include "util/splitmix64.h"
 
 namespace unn {
 namespace persist {
 
 namespace {
 constexpr int32_t kNil = -1;
-
-uint64_t SplitMix64(uint64_t* state) {
-  uint64_t z = (*state += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
 }  // namespace
 
-PersistentSet::PersistentSet() : rng_state_(0xabcdef1234567890ULL) {
+PersistentSet::PersistentSet() : rng_(0xabcdef1234567890ULL) {
   roots_.push_back(kNil);  // Version 0: empty set.
 }
 
 int32_t PersistentSet::NewNode(int key) {
   Node n;
   n.key = key;
-  n.prio = static_cast<uint32_t>(SplitMix64(&rng_state_));
+  n.prio = static_cast<uint32_t>(rng_());
   n.left = kNil;
   n.right = kNil;
   n.size = 1;

@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/splitmix64.h"
+
 /// \file persistent_set.h
 /// A partially persistent ordered set of ints, implemented as a
 /// path-copying treap. This is the [DSST89] technique the paper uses to
@@ -68,7 +70,7 @@ class PersistentSet {
 
   std::vector<Node> nodes_;
   std::vector<int32_t> roots_;
-  uint64_t rng_state_;
+  util::SplitMix64 rng_;
 };
 
 }  // namespace persist

@@ -10,16 +10,18 @@ namespace unn {
 namespace prob {
 
 using geom::Vec2;
+using util::SplitMix64;
 
-Vec2 SampleUniformDisk(std::mt19937_64& rng, Vec2 center, double radius) {
+template <class Rng>
+Vec2 SampleUniformDisk(Rng& rng, Vec2 center, double radius) {
   std::uniform_real_distribution<double> u(0.0, 1.0);
   double r = radius * std::sqrt(u(rng));
   double t = geom::kTwoPi * u(rng);
   return center + geom::UnitVec(t) * r;
 }
 
-Vec2 SampleTruncatedGaussian(std::mt19937_64& rng, Vec2 center,
-                             double radius) {
+template <class Rng>
+Vec2 SampleTruncatedGaussian(Rng& rng, Vec2 center, double radius) {
   std::normal_distribution<double> g(0.0, radius / 2.0);
   for (int attempt = 0; attempt < 1000; ++attempt) {
     Vec2 d{g(rng), g(rng)};
@@ -48,7 +50,8 @@ int DiscreteSampler::Sample(std::mt19937_64& rng) const {
                                            cumulative_.size() - 1));
 }
 
-Vec2 SamplePoint(const core::UncertainPoint& p, std::mt19937_64& rng) {
+template <class Rng>
+Vec2 SamplePoint(const core::UncertainPoint& p, Rng& rng) {
   if (p.is_disk()) {
     switch (p.pdf()) {
       case core::DiskPdf::kUniform:
@@ -68,6 +71,21 @@ Vec2 SamplePoint(const core::UncertainPoint& p, std::mt19937_64& rng) {
     if (x <= acc) return p.sites()[i];
   }
   return p.sites().back();
+}
+
+template Vec2 SampleUniformDisk(std::mt19937_64&, Vec2, double);
+template Vec2 SampleUniformDisk(SplitMix64&, Vec2, double);
+template Vec2 SampleTruncatedGaussian(std::mt19937_64&, Vec2, double);
+template Vec2 SampleTruncatedGaussian(SplitMix64&, Vec2, double);
+template Vec2 SamplePoint(const core::UncertainPoint&, std::mt19937_64&);
+template Vec2 SamplePoint(const core::UncertainPoint&, SplitMix64&);
+
+Vec2 KeyedSample(const core::UncertainPoint& p, uint64_t seed, uint64_t key,
+                 uint64_t j) {
+  const uint64_t point_seed =
+      SplitMix64::Mix(seed + SplitMix64::kGamma * (key + 1));
+  SplitMix64 rng(SplitMix64::Mix(point_seed + SplitMix64::kGamma * (j + 1)));
+  return SamplePoint(p, rng);
 }
 
 core::UncertainPoint DiscretizeBySampling(const core::UncertainPoint& p,

@@ -5,19 +5,15 @@
 
 #include "engine/query_contract.h"
 #include "util/check.h"
+#include "util/splitmix64.h"
 
 namespace unn {
 namespace serve {
 
 namespace {
 
-/// splitmix64: the standard cheap 64-bit finalizer, good avalanche.
-uint64_t Mix(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
+/// One SplitMix64 output: a cheap 64-bit hash with good avalanche.
+uint64_t Mix(uint64_t x) { return util::SplitMix64(x)(); }
 
 /// Coordinate canonicalization: the exact bit pattern with -0.0 folded
 /// onto +0.0 (distances cannot tell them apart, so neither may the key).

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "core/exact_pnn.h"
-#include "core/monte_carlo_pnn.h"
 #include "core/pnn_common.h"
 #include "util/check.h"
 
@@ -64,6 +63,35 @@ int MergeExpected(std::span<const ExpectedCandidate> winners) {
     }
   }
   return best;
+}
+
+std::vector<std::pair<int, double>> MergeInstantiationWinners(
+    std::span<const std::span<const core::InstantiationWinner>> local) {
+  // A finite query has a winner in every instantiation of every shard, a
+  // non-finite one in none.
+  if (local.empty() || local[0].empty() || local[0][0].key < 0) return {};
+  const size_t s = local[0].size();
+  std::vector<int> winners(s);
+  for (size_t j = 0; j < s; ++j) {
+    core::InstantiationWinner best = local[0][j];
+    for (size_t k = 1; k < local.size(); ++k) {
+      const core::InstantiationWinner& w = local[k][j];
+      if (w.dist < best.dist || (w.dist == best.dist && w.key < best.key)) {
+        best = w;
+      }
+    }
+    winners[j] = best.key;
+  }
+  std::sort(winners.begin(), winners.end());
+  std::vector<std::pair<int, double>> out;
+  const double count = static_cast<double>(s);
+  for (size_t j = 0; j < s;) {
+    size_t end = j;
+    while (end < s && winners[end] == winners[j]) ++end;
+    out.push_back({winners[j], static_cast<int>(end - j) / count});
+    j = end;
+  }
+  return out;
 }
 
 namespace {
@@ -135,7 +163,7 @@ MergedProbabilities MergeProbabilities(
     std::span<const ShardView> shards,
     std::span<const std::vector<std::pair<int, double>>> local_probs,
     std::span<const core::DeltaEnvelope> local_env, geom::Vec2 q,
-    const Engine::Config& config, double eps) {
+    const Engine::Config& config, double /*eps*/) {
   UNN_CHECK(local_probs.size() == shards.size());
   UNN_CHECK(local_env.size() == shards.size());
   // A non-finite query has no estimates on any shard backend; the merge
@@ -161,33 +189,23 @@ MergedProbabilities MergeProbabilities(
 
   MergedProbabilities out;
   if (cands.empty()) return out;
-
   bool all_discrete = true;
   bool all_disk = true;
   for (const Cand& c : cands) {
     all_discrete = all_discrete && !c.pt->is_disk();
     all_disk = all_disk && c.pt->is_disk();
   }
+  UNN_CHECK_MSG(all_discrete || all_disk,
+                "a mixed set takes the Monte-Carlo min-merge");
+  // The accumulation/integration over the union IS the product over every
+  // union point's survival function: the per-shard survival-product
+  // recombination.
   std::vector<core::UncertainPoint> union_pts = UnionPoints(cands);
-
-  // Re-quantification over the union. The homogeneous paths are the exact
-  // per-shard survival-product recombination (the accumulation/integration
-  // below IS the product over every union point's survival function); the
-  // mixed fallback estimates within eps via Monte Carlo.
   std::vector<std::pair<int, double>> local;  // (union index, pi)
   if (all_discrete) {
     local = core::DiscreteQuantification(union_pts, q);
-  } else if (all_disk) {
-    local = core::IntegrateAllQuantifications(union_pts, q, config.tol);
   } else {
-    out.requantified_exactly = false;
-    core::MonteCarloPnnOptions opts;
-    opts.eps = eps;
-    opts.delta = config.delta;
-    opts.seed = config.seed;
-    opts.s_override = config.mc_samples_override;
-    core::MonteCarloPnn mc(union_pts, opts);
-    local = mc.Query(q);
+    local = core::IntegrateAllQuantifications(union_pts, q, config.tol);
   }
   out.probs = ToGlobal(cands, local);
   return out;

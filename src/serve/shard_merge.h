@@ -19,23 +19,24 @@
 ///   * NN!=0                   — union of per-shard candidate sets,
 ///                               filtered by the merged Delta envelope
 ///                               (exact);
-///   * probability queries     — candidate union + re-quantification:
-///                               under independent points the survival
-///                               function of the whole set factors into
-///                               per-shard survival products, so
-///                               re-quantifying over a union that holds
-///                               every point able to affect the answer
-///                               reproduces the exact global
-///                               probabilities. A discrete set's union is
-///                               every point within the merged Delta(q)
-///                               (MergeDiscreteProbabilities: exact,
-///                               bit-identical to one Engine); other sets
-///                               union the per-shard candidates
-///                               (MergeProbabilities), which the
-///                               Monte-Carlo estimator may leave
-///                               incomplete (points of probability < eps
-///                               — the documented candidate-merge
-///                               approximation).
+///   * Monte-Carlo probability — per-instantiation min-merge
+///     queries                   (MergeInstantiationWinners): draws are
+///                               keyed by global id, so the winner of
+///                               instantiation j over the union is the
+///                               smallest per-shard (distance, id) winner,
+///                               and the merged counts are bit-identical
+///                               to one Engine's. O(K s), no point copies;
+///   * exact probability       — re-quantification over a candidate union
+///     queries                   that holds every point able to affect the
+///                               answer: under independent points the
+///                               survival function of the whole set
+///                               factors into per-shard survival
+///                               products. A discrete set's union is every
+///                               point within the merged Delta(q)
+///                               (MergeDiscreteProbabilities,
+///                               bit-identical to one Engine); a kBruteForce
+///                               disk set re-integrates Eq. (1) over the
+///                               per-shard candidates (MergeProbabilities).
 ///
 /// Every function here is stateless and reads only const Engine state, so
 /// all of them are thread-safe and may run concurrently with each other
@@ -88,22 +89,22 @@ struct ExpectedCandidate {
 /// values. O(K); thread-safe.
 int MergeExpected(std::span<const ExpectedCandidate> winners);
 
-/// Result of a cross-shard re-quantification: global quantification
-/// probabilities plus whether the re-quantification step itself was exact
-/// (survival-product integration / accumulation over a model-homogeneous
-/// candidate union) or the documented Monte-Carlo fallback for mixed
-/// unions. Candidate completeness is a separate dimension: with exact
-/// shard backends the union provably contains every point of positive
-/// global probability, so `requantified_exactly` then means the merged
-/// answer equals the single-Engine exact answer.
+/// Result of a cross-shard exact re-quantification.
 struct MergedProbabilities {
   /// (global id, pi) sorted by increasing id.
   std::vector<std::pair<int, double>> probs;
-  /// True when the re-quantifier was exact (all-discrete or all-disk
-  /// candidate union); false for the Monte-Carlo mixed-model fallback,
-  /// whose estimates carry the usual eps guarantee.
-  bool requantified_exactly = true;
 };
+
+/// The Monte-Carlo min-merge. `local[s]` holds shard s's winners of
+/// instantiations 0..s-1 for one query (Engine::MonteCarloWinnersMany at
+/// the whole set's sample count, keys = global ids). Instantiation j's
+/// winner over the union is the smallest (distance, global id) pair over
+/// the shards; the result is (global id, wins / s) for every id that wins
+/// at least once, sorted by id, exactly as one Engine over the whole set
+/// counts. A non-finite query (key -1 everywhere) merges to no estimates.
+/// O(K s + s log s); thread-safe.
+std::vector<std::pair<int, double>> MergeInstantiationWinners(
+    std::span<const std::span<const core::InstantiationWinner>> local);
 
 /// Re-quantification for a set whose shards are all discrete.
 /// `local_env[s]` is shard s's Delta envelope. The union is each shard's
@@ -117,21 +118,21 @@ MergedProbabilities MergeDiscreteProbabilities(
     std::span<const ShardView> shards,
     std::span<const core::DeltaEnvelope> local_env, geom::Vec2 q);
 
-/// Candidate-union + re-quantification. `local_probs[s]` are shard s's
-/// (local id, estimate) candidates (Engine::Probabilities); `local_env[s]`
+/// Candidate-union re-quantification, the exact merge of a kBruteForce
+/// all-disk set: `local_probs[s]` are shard s's (local id, pi) candidates
+/// (Engine::Probabilities, complete for an exact backend); `local_env[s]`
 /// its Delta envelope — each shard's envelope argmin joins the union so
 /// the union's own envelope equals the global one, which makes the
 /// re-quantification self-truncating (omitted points have min-distance at
 /// least the global envelope, i.e. survival exactly 1 over every
-/// integration range). On a discrete set the union can still miss a point
-/// whose nearest site lies exactly at Delta(q), which lowers the argmin's
-/// survival at r = Delta(q); MergeDiscreteProbabilities is the exact merge
-/// there. `eps` is the accuracy for the mixed-model
-/// Monte-Carlo fallback. Cost: O(U log U) accumulation for discrete
-/// unions of total site count U, adaptive quadrature per candidate for
-/// disk unions, one Monte-Carlo build + query for mixed unions. A query
-/// with a NaN or infinite coordinate merges to no estimates, as every
-/// Engine backend answers it. Thread-safe.
+/// integration range). A disk union is re-integrated by Eq. (1) at
+/// config.tol, a discrete one accumulated by Eq. (2) (which can miss a
+/// point whose nearest site lies exactly at Delta(q);
+/// MergeDiscreteProbabilities is the exact discrete merge). The union must
+/// not mix models. `eps` is unused. Cost: adaptive quadrature per disk
+/// candidate, O(U log U) for a discrete union of U sites. A query with a
+/// NaN or infinite coordinate merges to no estimates, as every Engine
+/// backend answers it. Thread-safe.
 MergedProbabilities MergeProbabilities(
     std::span<const ShardView> shards,
     std::span<const std::vector<std::pair<int, double>>> local_probs,

@@ -77,66 +77,53 @@ ShardedEngine::ShardedEngine(std::vector<core::UncertainPoint> points,
                              const Engine::Config& config,
                              const ShardingOptions& options,
                              ThreadPool* build_pool)
-    : config_(config),
-      options_(options),
-      size_(static_cast<int>(points.size())) {
+    : config_(config), options_(options) {
   UNN_CHECK(!points.empty());
-  global_ids_ = PartitionPoints(points, options);
-  engines_.resize(global_ids_.size());
+  std::vector<std::vector<int>> parts = PartitionPoints(points, options);
+  engines_.resize(parts.size());
   ForEachShard(build_pool, [&](int s) {
     std::vector<core::UncertainPoint> subset;
-    subset.reserve(global_ids_[s].size());
-    for (int gid : global_ids_[s]) subset.push_back(points[gid]);
-    engines_[s] = std::make_shared<const Engine>(std::move(subset), config_);
+    subset.reserve(parts[s].size());
+    for (int gid : parts[s]) subset.push_back(points[gid]);
+    engines_[s] = std::make_shared<const Engine>(std::move(subset), config_,
+                                                 std::move(parts[s]));
   });
-  views_.reserve(engines_.size());
-  for (size_t s = 0; s < engines_.size(); ++s) {
-    views_.push_back({engines_[s].get(), &global_ids_[s]});
-  }
+  IndexShards();
 }
 
 ShardedEngine::ShardedEngine(
-    std::vector<std::shared_ptr<const Engine>> shard_engines,
-    std::vector<std::vector<int>> shard_global_ids)
-    : engines_(std::move(shard_engines)),
-      global_ids_(std::move(shard_global_ids)) {
+    std::vector<std::shared_ptr<const Engine>> shard_engines)
+    : engines_(std::move(shard_engines)) {
   UNN_CHECK(!engines_.empty());
-  UNN_CHECK(engines_.size() == global_ids_.size());
+  for (const auto& e : engines_) UNN_CHECK(e != nullptr);
+  config_ = engines_[0]->config();
+  options_.num_shards = static_cast<int>(engines_.size());
+  options_.partitioning = Partitioning::kExternal;
+  IndexShards();
+}
+
+ShardedEngine::ShardedEngine(std::shared_ptr<const Engine> engine)
+    : ShardedEngine(
+          std::vector<std::shared_ptr<const Engine>>{std::move(engine)}) {}
+
+void ShardedEngine::IndexShards() {
   size_ = 0;
-  for (size_t s = 0; s < engines_.size(); ++s) {
-    UNN_CHECK(engines_[s] != nullptr);
-    UNN_CHECK(engines_[s]->size() ==
-              static_cast<int>(global_ids_[s].size()));
-    size_ += engines_[s]->size();
-  }
+  bool all_disk = true;
+  for (const auto& e : engines_) size_ += e->size();
   // The id lists must partition [0, size_).
   std::vector<bool> seen(size_, false);
-  for (const auto& gids : global_ids_) {
-    for (int gid : gids) {
+  for (const auto& e : engines_) {
+    for (int gid : e->global_ids()) {
       UNN_CHECK_MSG(gid >= 0 && gid < size_ && !seen[gid],
                     "shard ids must partition [0, total)");
       seen[gid] = true;
     }
+    all_discrete_ = all_discrete_ && e->all_discrete();
+    all_disk = all_disk && e->all_disk();
+    max_sites_ = std::max(max_sites_, e->max_sites());
+    views_.push_back({e.get(), &e->global_ids()});
   }
-  config_ = engines_[0]->config();
-  options_.num_shards = static_cast<int>(engines_.size());
-  options_.partitioning = Partitioning::kExternal;
-  views_.reserve(engines_.size());
-  for (size_t s = 0; s < engines_.size(); ++s) {
-    views_.push_back({engines_[s].get(), &global_ids_[s]});
-  }
-}
-
-ShardedEngine::ShardedEngine(std::shared_ptr<const Engine> engine) {
-  UNN_CHECK(engine != nullptr);
-  size_ = engine->size();
-  config_ = engine->config();
-  options_.num_shards = 1;
-  options_.partitioning = Partitioning::kExternal;
-  global_ids_.emplace_back(size_);
-  std::iota(global_ids_[0].begin(), global_ids_[0].end(), 0);
-  engines_.push_back(std::move(engine));
-  views_.push_back({engines_[0].get(), &global_ids_[0]});
+  exact_ = ExactQuantification(config_.backend, all_discrete_, all_disk);
 }
 
 // ---------------------------------------------------------------------------
@@ -206,16 +193,42 @@ std::vector<int> ShardedEngine::NonzeroNn(geom::Vec2 q, ThreadPool* pool,
 // Batched entry point + warmup (Engine::QueryMany's degenerate contract)
 // ---------------------------------------------------------------------------
 
-std::vector<MergedProbabilities> ShardedEngine::ProbabilitiesMany(
-    std::span<const geom::Vec2> queries, double eps_needed, ThreadPool* pool,
-    obs::TraceNode trace) const {
-  // Per-shard batched envelopes (plus candidates, unless the set is all
-  // discrete: its exact merge takes the points within the merged Delta(q)
-  // from the shards instead), then the re-quantification per query.
+std::vector<std::vector<std::pair<int, double>>>
+ShardedEngine::ProbabilitiesMany(std::span<const geom::Vec2> queries,
+                                 double eps_needed, ThreadPool* pool,
+                                 obs::TraceNode trace) const {
   size_t shards = engines_.size();
-  const bool discrete = std::all_of(
-      engines_.begin(), engines_.end(),
-      [](const std::shared_ptr<const Engine>& e) { return e->all_discrete(); });
+  std::vector<std::vector<std::pair<int, double>>> merged(queries.size());
+  if (!exact_) {
+    // Monte Carlo: every shard sweeps its own candidates at the whole
+    // set's sample count; the winners then min-merge per instantiation.
+    const int samples =
+        Engine::MonteCarloSamples(config_, size_, max_sites_, eps_needed);
+    std::vector<std::vector<core::InstantiationWinner>> winners(shards);
+    {
+      obs::ScopedSpan fan(trace, "shard_fanout",
+                          static_cast<std::int64_t>(shards));
+      ForEachShard(
+          pool,
+          [&](int s) {
+            winners[s] = engines_[s]->MonteCarloWinnersMany(queries, samples);
+          },
+          fan.node());
+    }
+    obs::ScopedSpan merge(trace, "merge");
+    std::vector<std::span<const core::InstantiationWinner>> q_winners(shards);
+    for (size_t i = 0; i < queries.size(); ++i) {
+      for (size_t s = 0; s < shards; ++s) {
+        q_winners[s] = std::span<const core::InstantiationWinner>(
+            winners[s].data() + i * samples, samples);
+      }
+      merged[i] = MergeInstantiationWinners(q_winners);
+    }
+    return merged;
+  }
+  // Exact: per-shard batched envelopes (plus candidates on a disk set; a
+  // discrete set's merge takes the points within the merged Delta(q) from
+  // the shards instead), then the re-quantification per query.
   std::vector<std::vector<std::vector<std::pair<int, double>>>> local(shards);
   std::vector<std::vector<core::DeltaEnvelope>> env(shards);
   {
@@ -224,8 +237,8 @@ std::vector<MergedProbabilities> ShardedEngine::ProbabilitiesMany(
     ForEachShard(
         pool,
         [&](int s) {
-          if (!discrete) {
-            local[s] = engines_[s]->ProbabilitiesMany(queries, eps_needed);
+          if (!all_discrete_) {
+            local[s] = engines_[s]->ProbabilitiesMany(queries);
           }
           env[s].resize(queries.size());
           engines_[s]->MaxDistEnvelopeMany(queries, env[s]);
@@ -233,19 +246,19 @@ std::vector<MergedProbabilities> ShardedEngine::ProbabilitiesMany(
         fan.node());
   }
   obs::ScopedSpan merge(trace, "merge");
-  double eps = eps_needed > 0 ? std::min(eps_needed, config_.eps) : config_.eps;
-  std::vector<MergedProbabilities> merged(queries.size());
   std::vector<std::vector<std::pair<int, double>>> q_local(shards);
   std::vector<core::DeltaEnvelope> q_env(shards);
   for (size_t i = 0; i < queries.size(); ++i) {
     for (size_t s = 0; s < shards; ++s) q_env[s] = env[s][i];
-    if (discrete) {
-      merged[i] = MergeDiscreteProbabilities(views_, q_env, queries[i]);
-      continue;
+    MergedProbabilities m;
+    if (all_discrete_) {
+      m = MergeDiscreteProbabilities(views_, q_env, queries[i]);
+    } else {
+      for (size_t s = 0; s < shards; ++s) q_local[s] = std::move(local[s][i]);
+      m = MergeProbabilities(views_, q_local, q_env, queries[i], config_,
+                             config_.eps);
     }
-    for (size_t s = 0; s < shards; ++s) q_local[s] = std::move(local[s][i]);
-    merged[i] =
-        MergeProbabilities(views_, q_local, q_env, queries[i], config_, eps);
+    merged[i] = std::move(m.probs);
   }
   return merged;
 }
@@ -262,7 +275,7 @@ std::vector<Engine::QueryResult> ShardedEngine::QueryMany(
     // across workers.
     obs::ScopedSpan span(trace, "shard_query", 0);
     auto results = engines_[0]->QueryMany(queries, spec);
-    const std::vector<int>& gids = global_ids_[0];
+    const std::vector<int>& gids = engines_[0]->global_ids();
     for (auto& r : results) {
       if (r.nn >= 0) r.nn = gids[r.nn];
       for (auto& [id, pi] : r.ranked) id = gids[id];
@@ -279,13 +292,7 @@ std::vector<Engine::QueryResult> ShardedEngine::QueryMany(
   if (query_contract::AnswerDegenerate(
           queries, spec, size_,
           [&](std::span<const geom::Vec2> qs) {
-            std::vector<std::vector<std::pair<int, double>>> probs;
-            probs.reserve(qs.size());
-            for (MergedProbabilities& m :
-                 ProbabilitiesMany(qs, 0.0, pool, trace)) {
-              probs.push_back(std::move(m.probs));
-            }
-            return probs;
+            return ProbabilitiesMany(qs, 0.0, pool, trace);
           },
           &results)) {
     return results;
@@ -311,7 +318,7 @@ std::vector<Engine::QueryResult> ShardedEngine::QueryMany(
                 // candidate (id -1) stays, and MergeExpected skips it.
                 int lid = local[i].nn;
                 if (lid < 0) continue;
-                cand[i][s] = {global_ids_[s][lid],
+                cand[i][s] = {engines_[s]->global_ids()[lid],
                               engines_[s]->ExpectedDistance(lid, queries[i])};
               }
             },
@@ -328,19 +335,17 @@ std::vector<Engine::QueryResult> ShardedEngine::QueryMany(
     case Engine::QueryType::kTopK: {
       double eps_needed =
           spec.type == Engine::QueryType::kThreshold ? spec.tau / 2 : 0.0;
-      std::vector<MergedProbabilities> merged =
+      std::vector<std::vector<std::pair<int, double>>> merged =
           ProbabilitiesMany(queries, eps_needed, pool, trace);
+      // Exact quantification reports the exact set {pi >= tau}; the
+      // Monte-Carlo estimator keeps the no-false-negative slack, like
+      // Engine.
+      const double slack = exact_ ? 0.0 : std::min(config_.eps, spec.tau / 2);
       for (size_t i = 0; i < queries.size(); ++i) {
-        std::vector<std::pair<int, double>>& probs = merged[i].probs;
+        std::vector<std::pair<int, double>>& probs = merged[i];
         if (spec.type == Engine::QueryType::kMostProbableNn) {
           results[i].nn = query_contract::MostProbable(probs);
         } else if (spec.type == Engine::QueryType::kThreshold) {
-          // Exact re-quantification reports the exact set {pi >= tau};
-          // the Monte-Carlo fallback keeps the no-false-negative slack,
-          // like Engine.
-          double slack = merged[i].requantified_exactly
-                             ? 0.0
-                             : std::min(config_.eps, spec.tau / 2);
           results[i].ranked =
               query_contract::ThresholdReport(probs, spec.tau, slack);
         } else {
@@ -385,40 +390,16 @@ void ShardedEngine::Warmup(Engine::QueryType type, ThreadPool* pool) const {
   Warmup(Engine::QuerySpec{type, 0.5, 1}, pool);
 }
 
-namespace {
-
-/// True when the multi-shard merge for `spec` consults the per-shard
-/// envelope hook (Engine::MaxDistEnvelope) at query time: every
-/// non-degenerate type except the expected-distance min-merge. Degenerate
-/// specs (k <= 0, tau > 1 or NaN) are answered definition-level without
-/// touching any shard, so warming them must stay build-free too.
-bool MergeConsultsEnvelope(const Engine::QuerySpec& spec) {
-  switch (spec.type) {
-    case Engine::QueryType::kExpectedDistanceNn:
-      return false;
-    case Engine::QueryType::kTopK:
-      return spec.k > 0;
-    case Engine::QueryType::kThreshold:
-      return spec.tau <= 1;  // NaN-safe: !(tau <= 1) builds nothing.
-    default:
-      return true;
-  }
-}
-
-}  // namespace
-
 void ShardedEngine::Warmup(const Engine::QuerySpec& spec,
                            ThreadPool* pool) const {
-  // Engine::Warmup builds what the per-shard queries need; a multi-shard
-  // merge additionally calls the per-shard QuantTree hooks
-  // (MaxDistEnvelope(Many) and SupportsWithin), so that index must be warm
-  // as well or serving traffic would build it. The probe point is
-  // irrelevant: which structures get built never depends on q.
-  bool warm_hooks = num_shards() > 1 && MergeConsultsEnvelope(spec);
-  ForEachShard(pool, [&](int s) {
-    engines_[s]->Warmup(spec);
-    if (warm_hooks) engines_[s]->MaxDistEnvelope({0, 0});
-  });
+  // Warming is answering one representative query, as in Engine::Warmup:
+  // which structures the fan-out and the merge build depends on the spec
+  // and config but never on the query point (a finite one), so the probe
+  // builds exactly what later queries of this spec need — each shard's
+  // estimator at the whole set's sample count included — and the
+  // degenerate specs stay build-free.
+  geom::Vec2 probe{0, 0};
+  QueryMany(std::span<const geom::Vec2>(&probe, 1), spec, pool);
 }
 
 }  // namespace serve

@@ -25,14 +25,16 @@
 /// Ids are GLOBAL throughout the public API: a ShardedEngine over
 /// `points` answers with the same ids as an Engine over `points`.
 ///
-/// Exactness (details in docs/QUERY_SEMANTICS.md): NonzeroNn and
-/// ExpectedDistanceNn merges are always exact. The probability queries
-/// (MostProbableNn / Threshold / TopK) are exact whenever the shard
-/// backend reports complete candidate sets (kBruteForce) and the
-/// candidate union is model-homogeneous; with estimator shard backends
-/// (kAuto, kMonteCarlo) the union may omit points of probability below
-/// Config::eps (candidate-merge approximation), and mixed-model unions
-/// are re-quantified by Monte Carlo within eps.
+/// Exactness (details in docs/QUERY_SEMANTICS.md): sharding never changes
+/// an answer. NonzeroNn and ExpectedDistanceNn merges are exact. The
+/// probability queries (MostProbableNn / Threshold / TopK) follow
+/// ExactQuantification (engine.h) on the whole set's flags: where one
+/// Engine is exact, the exact merges re-quantify (bit-identical on
+/// discrete sets, within quadrature tolerance on kBruteForce disks);
+/// everywhere else every shard reports its per-instantiation Monte-Carlo
+/// winners at the whole set's sample count, and their elementwise minimum
+/// reproduces one Engine's estimates bit for bit (every shard Engine keys
+/// its draws by global id).
 ///
 /// Thread safety: a ShardedEngine is immutable after construction and
 /// every const query method may be called from any number of threads
@@ -79,22 +81,24 @@ std::vector<std::vector<int>> PartitionPoints(
 class ShardedEngine {
  public:
   /// Partitions `points` per `options` and builds one Engine per shard,
-  /// every shard with the same `config`. When `build_pool` is given the
-  /// shard builds run on the pool in parallel (plus the calling thread).
+  /// every shard with the same `config` and its points' global ids. When
+  /// `build_pool` is given the shard builds run on the pool in parallel
+  /// (plus the calling thread).
   ShardedEngine(std::vector<core::UncertainPoint> points,
                 const Engine::Config& config, const ShardingOptions& options,
                 ThreadPool* build_pool = nullptr);
 
-  /// Assembles a shard set from prebuilt engines: `shard_global_ids[s][j]`
-  /// is the global id of shard s's local point j. The id lists must
-  /// partition [0, total); engines must be non-null and non-empty. Used
-  /// to wrap caller-built engines and by benchmarks that time shard
+  /// Assembles a shard set from prebuilt engines: shard s's local point j
+  /// has global id `shard_engines[s]->global_ids()[j]`. The id lists must
+  /// partition [0, total); engines must be non-null and share one config.
+  /// Used to wrap caller-built engines and by benchmarks that time shard
   /// builds individually.
-  ShardedEngine(std::vector<std::shared_ptr<const Engine>> shard_engines,
-                std::vector<std::vector<int>> shard_global_ids);
+  explicit ShardedEngine(
+      std::vector<std::shared_ptr<const Engine>> shard_engines);
 
-  /// Wraps one prebuilt engine as a single-shard set (ids are identity).
-  /// Queries delegate directly to the engine — zero merge overhead.
+  /// Wraps one prebuilt engine as a single-shard set (its global ids,
+  /// identity by default, must be 0..n-1 in some order). Queries delegate
+  /// directly to the engine — zero merge overhead.
   explicit ShardedEngine(std::shared_ptr<const Engine> engine);
 
   // Not copyable/movable: the internal shard views point into this
@@ -114,8 +118,8 @@ class ShardedEngine {
   // "shard_query" (tagged with the shard index) / "merge" spans under it.
   // The default (null) node costs one pointer test per span site.
 
-  /// argmax_i pi_i(q) over the whole dataset via candidate-union
-  /// re-quantification; ties toward the smaller global id.
+  /// argmax_i pi_i(q) over the whole dataset from the merged
+  /// probabilities; ties toward the smaller global id.
   int MostProbableNn(geom::Vec2 q, ThreadPool* pool = nullptr,
                      obs::TraceNode trace = {}) const;
 
@@ -125,17 +129,16 @@ class ShardedEngine {
                          obs::TraceNode trace = {}) const;
 
   /// All i whose pi_i(q) may reach tau, (id, estimate) sorted by
-  /// decreasing estimate. No false negatives: a point with global
-  /// probability >= tau has local probability >= tau on its shard (fewer
-  /// competitors can only increase pi), so it survives candidate
-  /// generation at accuracy tau/2 and the re-quantified estimate keeps it.
-  /// `tau > 1` or NaN reports nothing; `tau <= 0` reports every id.
+  /// decreasing estimate: the same report as one Engine (no false
+  /// negatives; the Monte-Carlo estimator runs at accuracy tau/2 and keeps
+  /// its slack). `tau > 1` or NaN reports nothing; `tau <= 0` reports
+  /// every id.
   std::vector<std::pair<int, double>> Threshold(
       geom::Vec2 q, double tau, ThreadPool* pool = nullptr,
       obs::TraceNode trace = {}) const;
 
   /// The k ids with the largest merged pi_i(q), sorted by decreasing
-  /// estimate; near-ties within the backend accuracy may permute.
+  /// estimate, as one Engine ranks them.
   /// `k <= 0` reports nothing without touching a shard.
   std::vector<std::pair<int, double>> TopK(geom::Vec2 q, int k,
                                            ThreadPool* pool = nullptr,
@@ -160,11 +163,10 @@ class ShardedEngine {
       ThreadPool* pool = nullptr, obs::TraceNode trace = {}) const;
 
   /// Warms every shard for the given query type / spec (in parallel on
-  /// `pool` when given) so no serving query pays a structure build —
-  /// including the per-shard quantification index (core::QuantTree)
-  /// behind the merge hooks MaxDistEnvelope(Many) and SupportsWithin when
-  /// the merge for `spec` consults them. Idempotent and thread-safe, like
-  /// Engine::Warmup.
+  /// `pool` when given) so no serving query pays a structure build: the
+  /// per-shard structures and merge hooks the sharded path for `spec`
+  /// consults, each Monte-Carlo estimator at the whole set's sample count.
+  /// Idempotent and thread-safe, like Engine::Warmup.
   void Warmup(Engine::QueryType type, ThreadPool* pool = nullptr) const;
   void Warmup(const Engine::QuerySpec& spec, ThreadPool* pool = nullptr) const;
 
@@ -179,8 +181,10 @@ class ShardedEngine {
   /// Shard s's engine as an owning pointer (shareable snapshot). O(1).
   std::shared_ptr<const Engine> shard_ptr(int s) const { return engines_[s]; }
   /// Shard s's local-to-global id map: global_ids(s)[j] is the dataset id
-  /// of shard s's local point j. O(1).
-  const std::vector<int>& global_ids(int s) const { return global_ids_[s]; }
+  /// of shard s's local point j (Engine::global_ids). O(1).
+  const std::vector<int>& global_ids(int s) const {
+    return engines_[s]->global_ids();
+  }
   /// The per-shard Engine config (identical across shards). O(1).
   const Engine::Config& config() const { return config_; }
   /// The partitioning this shard set was built with.
@@ -195,23 +199,31 @@ class ShardedEngine {
   /// call is wrapped in a "shard_query" span tagged with s.
   void ForEachShard(ThreadPool* pool, const std::function<void(int)>& fn,
                     obs::TraceNode trace = {}) const;
-  /// Candidate generation + merged re-quantification at `eps_needed` for
-  /// a whole pack: one batched MaxDistEnvelopeMany (plus ProbabilitiesMany
-  /// unless every shard is all-discrete) visit per shard, then per query
-  /// MergeDiscreteProbabilities on an all-discrete set and
-  /// MergeProbabilities otherwise. The only merge call site: MostProbableNn
-  /// / Threshold / TopK and the tau <= 0 degenerate answer all go through
-  /// it.
-  std::vector<MergedProbabilities> ProbabilitiesMany(
+  /// Checks the shard id lists and fills the views and whole-set facts
+  /// from engines_. Both constructors end here.
+  void IndexShards();
+  /// Merged (global id, pi) lists at `eps_needed` for a whole pack: under
+  /// Monte Carlo one MonteCarloWinnersMany visit per shard at the whole
+  /// set's sample count, then MergeInstantiationWinners per query; where
+  /// quantification is exact one MaxDistEnvelopeMany visit per shard
+  /// (plus ProbabilitiesMany on a disk set), then
+  /// MergeDiscreteProbabilities or MergeProbabilities per query. The only
+  /// merge call site: MostProbableNn / Threshold / TopK and the tau <= 0
+  /// degenerate answer all go through it.
+  std::vector<std::vector<std::pair<int, double>>> ProbabilitiesMany(
       std::span<const geom::Vec2> queries, double eps_needed,
       ThreadPool* pool, obs::TraceNode trace) const;
 
   std::vector<std::shared_ptr<const Engine>> engines_;
-  std::vector<std::vector<int>> global_ids_;
-  std::vector<ShardView> views_;  // Parallel to engines_/global_ids_.
+  std::vector<ShardView> views_;  // Parallel to engines_.
   Engine::Config config_;
   ShardingOptions options_;
   int size_ = 0;
+  // Facts of the whole set: ExactQuantification on its model flags, and
+  // the flag and Theorem 4.3's k that pick the merge and the sample count.
+  bool exact_ = false;
+  bool all_discrete_ = true;
+  int max_sites_ = 1;
 };
 
 }  // namespace serve

@@ -14,7 +14,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <iterator>
 #include <limits>
 #include <random>
@@ -31,6 +30,7 @@
 #include "core/quant_tree.h"
 #include "core/uncertain_point.h"
 #include "engine/engine.h"
+#include "fuzz_iters.h"
 #include "geom/lanes.h"
 #include "prob/distributions.h"
 #include "workload/generators.h"
@@ -40,13 +40,6 @@ namespace {
 
 using core::UncertainPoint;
 using geom::Vec2;
-
-int FuzzIters(int base) {
-  const char* env = std::getenv("UNN_FUZZ_ITERS");
-  if (env == nullptr) return base;
-  int v = std::atoi(env);
-  return v > 0 ? v : base;
-}
 
 // ---------------------------------------------------------------------------
 // Adversarial generators. All deterministic in the seed.
@@ -413,15 +406,14 @@ TEST(BatchFuzz, DiscreteCandidateSweepMatchesDefinition) {
 // estimator's definition, every instantiation scanned over all n points.
 // ---------------------------------------------------------------------------
 
-/// The s instantiations in the documented draw order: one mt19937_64,
-/// instantiation-major, one prob::SamplePoint per point.
+/// The s instantiations by the documented keyed draw: point i keyed by
+/// its id, x_ij = prob::KeyedSample(P_i, seed, i, j).
 std::vector<std::vector<Vec2>> DrawInstantiations(
     const std::vector<UncertainPoint>& pts, uint64_t seed, int s) {
-  std::mt19937_64 rng(seed);
   std::vector<std::vector<Vec2>> inst(s, std::vector<Vec2>(pts.size()));
-  for (auto& r : inst) {
+  for (int j = 0; j < s; ++j) {
     for (size_t i = 0; i < pts.size(); ++i) {
-      r[i] = prob::SamplePoint(pts[i], rng);
+      inst[j][i] = prob::KeyedSample(pts[i], seed, i, j);
     }
   }
   return inst;

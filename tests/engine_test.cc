@@ -457,6 +457,22 @@ TEST(EngineWarmup, SampleOverrideKeepsOneMonteCarloEstimator) {
   EXPECT_EQ(engine.StructuresBuilt(), 1);
 }
 
+// Every request is answered from the first instantiations it needs, so a
+// larger estimator built for an earlier, tighter request does not change
+// later answers: an Engine's answers do not depend on its query history.
+TEST(EngineMonteCarlo, AnswersDoNotDependOnQueryHistory) {
+  auto pts = workload::RandomDisks(200, 7);  // Continuous => Monte Carlo.
+  Engine fresh(pts);
+  Engine used(pts);
+  used.Threshold({0.5, 0.5}, 0.08);  // tau / 2 < eps: more samples.
+  std::mt19937_64 rng(71);
+  std::uniform_real_distribution<double> u(-35.0, 35.0);
+  for (int i = 0; i < 50; ++i) {
+    Vec2 q{u(rng), u(rng)};
+    EXPECT_EQ(used.TopK(q, 3), fresh.TopK(q, 3)) << "i=" << i;
+  }
+}
+
 // The single-query methods are packs of one, so degenerate parameters get
 // QueryMany's definition-level answers instead of aborting the process.
 TEST(EngineSingleQuery, DegenerateParametersAnswerDefinitionLevel) {

@@ -1,4 +1,7 @@
+#include <cstdint>
+#include <limits>
 #include <random>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -71,23 +74,39 @@ TEST(ExpectedNn, ExpectedDistanceMatchesSampling) {
 }
 
 TEST(ExpectedNn, QueryExpectedMatchesLinearScan) {
-  auto pts = workload::RandomDisks(25, /*seed=*/13, 8.0, 0.2, 2.5);
-  ExpectedNn enn(pts);
-  std::mt19937_64 rng(15);
-  std::uniform_real_distribution<double> qu(-10, 10);
-  for (int t = 0; t < 40; ++t) {
-    Vec2 q{qu(rng), qu(rng)};
-    int got = enn.QueryExpected(q);
-    double best = 1e18;
-    int want = -1;
-    for (int i = 0; i < 25; ++i) {
-      double e = enn.ExpectedDistance(i, q);
-      if (e < best) {
-        best = e;
-        want = i;
+  // A small disk set, and one deep enough for the E[d^2]-ordered walk's
+  // stop rule to cut it short, with discrete points among the disks.
+  auto mixed = workload::RandomDisks(100, /*seed=*/17, 20.0, 0.2, 2.0);
+  for (const UncertainPoint& p : workload::RandomDiscrete(100, 3, 19, 20.0)) {
+    mixed.push_back(p);
+  }
+  struct Case {
+    std::vector<UncertainPoint> pts;
+    std::uint64_t seed;
+    double extent;
+    int queries;
+  };
+  const Case cases[] = {
+      {workload::RandomDisks(25, /*seed=*/13, 8.0, 0.2, 2.5), 15, 10.0, 40},
+      {mixed, 23, 30.0, 30}};
+  for (const Case& c : cases) {
+    ExpectedNn enn(c.pts);
+    std::mt19937_64 rng(c.seed);
+    std::uniform_real_distribution<double> qu(-c.extent, c.extent);
+    for (int t = 0; t < c.queries; ++t) {
+      Vec2 q{qu(rng), qu(rng)};
+      int got = enn.QueryExpected(q);
+      double best = std::numeric_limits<double>::infinity();
+      int want = -1;
+      for (int i = 0; i < static_cast<int>(c.pts.size()); ++i) {
+        double e = enn.ExpectedDistance(i, q);
+        if (e < best) {
+          best = e;
+          want = i;
+        }
       }
+      ASSERT_EQ(got, want) << "n=" << c.pts.size() << " t=" << t;
     }
-    ASSERT_EQ(got, want) << "t=" << t;
   }
 }
 

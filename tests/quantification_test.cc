@@ -12,6 +12,7 @@
 #include "core/pnn_common.h"
 #include "core/spiral_search.h"
 #include "engine/engine.h"
+#include "prob/distributions.h"
 
 namespace unn {
 namespace core {
@@ -280,6 +281,97 @@ TEST(MonteCarloPnn, NonFiniteQueryHasNoEstimates) {
   EXPECT_EQ(batch[0], mc.Query(qs[0]));
   EXPECT_TRUE(batch[1].empty());
   EXPECT_EQ(batch[2], mc.Query(qs[2]));
+}
+
+/// Discrete points plus uniform and truncated-Gaussian disks.
+std::vector<UncertainPoint> KeyedDrawPoints(uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  auto pts = RandomDiscrete(10, 3, rng, 4.0, 2.0);
+  std::uniform_real_distribution<double> u(-4, 4);
+  for (int i = 0; i < 10; ++i) {
+    pts.push_back(UncertainPoint::Disk(
+        {u(rng), u(rng)}, 0.5 + 0.1 * i,
+        i % 2 ? DiskPdf::kTruncatedGaussian : DiskPdf::kUniform));
+  }
+  return pts;
+}
+
+std::vector<Vec2> KeyedDrawQueries(uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> u(-6, 6);
+  std::vector<Vec2> qs;
+  for (int i = 0; i < 30; ++i) qs.push_back({u(rng), u(rng)});
+  return qs;
+}
+
+// A sample depends on its point, the seed, its key and j alone: a
+// structure over a subset keyed by the subset's ids holds exactly the
+// whole set's samples at those ids, and the per-instantiation winners of
+// a partition min-merge into the whole set's.
+TEST(MonteCarloPnn, SubsetKeyedByIdsHoldsTheWholeSetsSamples) {
+  auto pts = KeyedDrawPoints(81);
+  MonteCarloPnnOptions opts;
+  opts.s_override = 40;
+  opts.seed = 99;
+  MonteCarloPnn whole(pts, opts);
+  for (int i = 0; i < static_cast<int>(pts.size()); ++i) {
+    for (int j = 0; j < 40; ++j) {
+      ASSERT_EQ(whole.sample(i, j), prob::KeyedSample(pts[i], 99, i, j));
+    }
+  }
+  // Two halves, ids in no particular order.
+  const std::vector<std::vector<int>> parts = {
+      {17, 2, 5, 11, 19, 0, 8, 13, 3, 14},
+      {1, 4, 6, 7, 9, 10, 12, 15, 16, 18}};
+  std::vector<std::vector<InstantiationWinner>> winners;
+  auto qs = KeyedDrawQueries(82);
+  for (const std::vector<int>& ids : parts) {
+    std::vector<UncertainPoint> subset;
+    for (int id : ids) subset.push_back(pts[id]);
+    MonteCarloPnn part(subset, opts, ids);
+    for (size_t k = 0; k < ids.size(); ++k) {
+      for (int j = 0; j < 40; ++j) {
+        EXPECT_EQ(part.sample(static_cast<int>(k), j), whole.sample(ids[k], j))
+            << "id=" << ids[k] << " j=" << j;
+      }
+    }
+    winners.push_back(part.WinnersBatch(qs, 40));
+  }
+  auto want = whole.WinnersBatch(qs, 40);
+  ASSERT_EQ(want.size(), qs.size() * 40);
+  for (size_t x = 0; x < want.size(); ++x) {
+    const InstantiationWinner& a = winners[0][x];
+    const InstantiationWinner& b = winners[1][x];
+    bool a_wins = a.dist < b.dist || (a.dist == b.dist && a.key < b.key);
+    const InstantiationWinner& got = a_wins ? a : b;
+    EXPECT_EQ(got.key, want[x].key) << x;
+    EXPECT_EQ(got.dist, want[x].dist) << x;
+  }
+}
+
+// A structure with s' > s instantiations holds the s-instantiation one as
+// its prefix, and answers from its first s exactly as that one does.
+TEST(MonteCarloPnn, LargerEstimatorHoldsTheSmallerAsPrefix) {
+  auto pts = KeyedDrawPoints(83);
+  MonteCarloPnnOptions opts;
+  opts.s_override = 50;
+  MonteCarloPnn small(pts, opts);
+  opts.s_override = 130;
+  MonteCarloPnn big(pts, opts);
+  for (int i = 0; i < static_cast<int>(pts.size()); ++i) {
+    for (int j = 0; j < 50; ++j) {
+      ASSERT_EQ(big.sample(i, j), small.sample(i, j));
+    }
+  }
+  auto qs = KeyedDrawQueries(84);
+  EXPECT_EQ(big.QueryBatch(qs, nullptr, 50), small.QueryBatch(qs));
+  auto got = big.WinnersBatch(qs, 50);
+  auto want = small.WinnersBatch(qs, 50);
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t x = 0; x < got.size(); ++x) {
+    EXPECT_EQ(got[x].key, want[x].key) << x;
+    EXPECT_EQ(got[x].dist, want[x].dist) << x;
+  }
 }
 
 class SpiralSearchEps : public ::testing::TestWithParam<double> {};

@@ -1,11 +1,11 @@
 // Sharded-vs-single-Engine oracle parity: a ShardedEngine over K shards
 // must answer every query type with the same global-id answers as one
-// Engine over the whole dataset — exactly where the merge is exact
-// (kBruteForce-backed shards, every discrete set, NN!=0, expected-distance
-// NN), within the backend accuracy where candidates come from estimators. Also covers the
-// partitioners, the degenerate-spec contract, empty shards (K > n), all
-// mass on one shard, coincident duplicates split across shards, and the
-// sharded QueryServer (including resharding via ReplaceDataset).
+// Engine over the whole dataset, bit for bit on every backend and model
+// (kBruteForce disk probabilities: within quadrature tolerance where the
+// older parity tests allow it). Also covers the partitioners, the
+// degenerate-spec contract, empty shards (K > n), all mass on one shard,
+// coincident duplicates split across shards, and the sharded QueryServer
+// (including resharding via ReplaceDataset).
 
 #include <algorithm>
 #include <cmath>
@@ -21,6 +21,7 @@
 
 #include "baselines/brute_force.h"
 #include "engine/engine.h"
+#include "fuzz_iters.h"
 #include "serve/parallel.h"
 #include "serve/query_server.h"
 #include "serve/shard_merge.h"
@@ -221,8 +222,116 @@ TEST(ShardedEngine, DiscreteAutoMatchesSingleEngineBitForBit) {
 }
 
 // ---------------------------------------------------------------------------
-// Estimator shards: candidate-merge approximation stays within eps of the
-// exact distribution and keeps the threshold no-false-negative contract.
+// Sharding never changes an answer: every query type on discrete, uniform
+// disk, Gaussian disk, mixed and duplicated-point sets, under every
+// backend, with and without a sample-count override, equals one Engine's
+// answer. Monte-Carlo
+// shards draw the whole set's samples (keyed by global id) at the whole
+// set's count, and the per-instantiation min-merge recounts the whole
+// set's winners.
+// ---------------------------------------------------------------------------
+
+std::vector<UncertainPoint> GaussianDisks(int n, uint64_t seed) {
+  auto pts = workload::RandomDisks(n, seed);
+  for (auto& d : pts) {
+    d = UncertainPoint::Disk(d.center(), d.radius(),
+                             core::DiskPdf::kTruncatedGaussian);
+  }
+  return pts;
+}
+
+TEST(ShardedEngine, MatchesSingleEngineBitForBit) {
+  const Engine::QuerySpec specs[] = {
+      {Engine::QueryType::kMostProbableNn, 0.5, 1},
+      {Engine::QueryType::kExpectedDistanceNn, 0.5, 1},
+      {Engine::QueryType::kThreshold, 0.2, 1},
+      {Engine::QueryType::kTopK, 0.5, 3},
+      {Engine::QueryType::kNonzeroNn, 0.5, 1},
+  };
+  const Backend backends[] = {Backend::kAuto, Backend::kMonteCarlo,
+                              Backend::kBruteForce};
+  const int iters = FuzzIters(1);
+  int checked = 0;
+  for (int it = 0; it < iters; ++it) {
+    const uint64_t seed = 330 + 17 * static_cast<uint64_t>(it);
+    // Without an override the count is Theorem 4.3's (thousands of
+    // instantiations at the default eps), so those sets stay small.
+    for (int override_samples : {64, 0}) {
+      const int n = override_samples > 0 ? 24 : 10;
+      auto mixed = workload::RandomDisks(n / 2, seed + 3);
+      for (auto& p : workload::RandomDiscrete(n - n / 2, 2, seed + 4)) {
+        mixed.push_back(p);
+      }
+      // Two-site points, each twice in a row, plus two disks (so every
+      // backend estimates): round-robin shards split each pair, and a pair
+      // ties exactly in every instantiation where both draw one site.
+      std::vector<UncertainPoint> duplicated;
+      for (const auto& p : workload::RandomDiscrete(n / 2 - 1, 2, seed + 6)) {
+        duplicated.push_back(p);
+        duplicated.push_back(p);
+      }
+      for (const auto& p : workload::RandomDisks(2, seed + 7)) {
+        duplicated.push_back(p);
+      }
+      const std::pair<const char*, std::vector<UncertainPoint>> corpora[] = {
+          {"discrete", workload::RandomDiscrete(n, 3, seed)},
+          {"uniform_disks", workload::RandomDisks(n, seed + 1)},
+          {"gaussian_disks", GaussianDisks(n / 2, seed + 2)},
+          {"mixed", std::move(mixed)},
+          {"duplicated", std::move(duplicated)},
+      };
+      for (const auto& [name, pts] : corpora) {
+        // Random queries over the data's extent, plus one on a support.
+        std::mt19937_64 rng(seed + 5);
+        const double extent = 2.5 * std::sqrt(static_cast<double>(n)) + 1;
+        std::uniform_real_distribution<double> u(-extent, extent);
+        std::vector<Vec2> qs;
+        for (int i = 0; i < 6; ++i) qs.push_back({u(rng), u(rng)});
+        qs.push_back(pts[0].is_disk() ? pts[0].center()
+                                      : pts[0].sites().front());
+        for (Backend backend : backends) {
+          Engine::Config cfg;
+          cfg.backend = backend;
+          cfg.mc_samples_override = override_samples;
+          cfg.seed = seed;
+          // Loose because truncated-Gaussian expected distances are slow;
+          // both sides use the same tolerance.
+          cfg.tol = 1e-3;
+          Engine single(pts, cfg);
+          std::vector<std::vector<Engine::QueryResult>> want;
+          for (const Engine::QuerySpec& spec : specs) {
+            want.push_back(single.QueryMany(qs, spec));
+          }
+          for (int k : {1, 2, 4}) {
+            for (auto part : kPartitioners) {
+              if (k == 1 && part != kPartitioners[0]) continue;  // Same set.
+              serve::ShardedEngine sharded(pts, cfg, {k, part});
+              for (size_t t = 0; t < std::size(specs); ++t) {
+                auto got = sharded.QueryMany(qs, specs[t]);
+                ASSERT_EQ(got.size(), qs.size());
+                for (size_t i = 0; i < qs.size(); ++i) {
+                  std::ostringstream where;
+                  where << name << " backend=" << static_cast<int>(backend)
+                        << " override=" << override_samples << " k=" << k
+                        << " part=" << static_cast<int>(part)
+                        << " type=" << t << " i=" << i << " it=" << it;
+                  EXPECT_EQ(got[i].nn, want[t][i].nn) << where.str();
+                  EXPECT_EQ(got[i].ranked, want[t][i].ranked) << where.str();
+                  EXPECT_EQ(got[i].ids, want[t][i].ids) << where.str();
+                  ++checked;
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 0);
+}
+
+// ---------------------------------------------------------------------------
+// The threshold no-false-negative contract against the exact distribution.
 // ---------------------------------------------------------------------------
 
 TEST(ShardedEngine, EstimatorShardsWithinEpsOfExact) {
@@ -709,10 +818,10 @@ TEST(ShardedEngine, AssembledShardSetReportsExternalPartitioning) {
   for (const auto& ids : parts) {
     std::vector<UncertainPoint> subset;
     for (int gid : ids) subset.push_back(pts[gid]);
-    engines.push_back(
-        std::make_shared<const Engine>(std::move(subset), Engine::Config{}));
+    engines.push_back(std::make_shared<const Engine>(std::move(subset),
+                                                     Engine::Config{}, ids));
   }
-  serve::ShardedEngine sharded(std::move(engines), std::move(parts));
+  serve::ShardedEngine sharded(std::move(engines));
   EXPECT_EQ(sharded.num_shards(), 2);
   EXPECT_EQ(sharded.options().partitioning, serve::Partitioning::kExternal);
   Engine single(pts, {});
@@ -732,7 +841,7 @@ TEST(ShardedEngine, SingleAssembledShardWithPermutedIdsKeepsOrder) {
   std::vector<UncertainPoint> local;
   for (int gid : gids) local.push_back(pts[gid]);
   serve::ShardedEngine sharded(
-      {std::make_shared<const Engine>(std::move(local), cfg)}, {gids});
+      std::make_shared<const Engine>(std::move(local), cfg, gids));
   Engine single(pts, cfg);
   for (Vec2 q : GridQueries(9)) {
     EXPECT_EQ(sharded.NonzeroNn(q), single.NonzeroNn(q));
