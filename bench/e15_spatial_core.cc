@@ -1,9 +1,9 @@
-// Experiment E15 — the pack kernels behind Engine::QueryMany: a pack of
-// one against a full pack. Every query type has one execution path,
-// QueryMany over the shared-traversal kernels of spatial/batch.h, so the
-// fair question is what a full pack buys over the same queries answered
-// one per call (`QueryMany({&q, 1})`, what a single Submit pays) on the
-// same Engine. Both sides are pruned; neither is an unpruned scan.
+// Experiment E15 — the pack path behind Engine::QueryMany: a pack of one
+// against a full pack. Every query type has one execution path,
+// QueryMany over a Morton-sorted pack, so the fair question is what a
+// full pack buys over the same queries answered one per call
+// (`QueryMany({&q, 1})`, what a single Submit pays) on the same Engine.
+// Both sides are pruned; neither is an unpruned scan.
 //
 // Rows, one Engine per input model:
 //   batched_qm         ExpectedDistanceNn on discrete points (ExpectedNn);
@@ -13,11 +13,13 @@
 //   batched_nonzero    NonzeroNn on discrete points (Theorem 3.2 index).
 //
 // Each row reports µs per query for both sides, their ratio as
-// batched_speedup, and the dominant kernel's lane utilization and scalar
-// replays with the lane ISA as provenance. Exactness is the gate: a query
-// must get the same answer in a full pack as alone, and any mismatch
-// fails the run. The ratio is reported without a floor — at some sizes a
-// full pack is slower than a pack of one.
+// batched_speedup, and the lane utilization and scalar replays of the
+// row's lane kernel, with the lane ISA as provenance. The discrete rows
+// also report scalar_sorted_us: their scalar query alone, looped over
+// the Morton-sorted pack (ExpectedDistanceNn has no lane kernel left;
+// for NonzeroNn it is the scalar twin of the lane range walk). Exactness
+// is the gate: a query must get the same answer in a full pack as alone,
+// and any mismatch fails the run. The ratio is reported without a floor.
 
 #include <algorithm>
 #include <cmath>
@@ -50,8 +52,8 @@ int main(int argc, char** argv) {
   auto args = bench::ParseArgs(argc, argv);
   bench::JsonEmitter json("e15");
   printf("E15: Engine::QueryMany, pack of one vs full pack\n");
-  printf("%-18s %9s %7s %11s %11s %8s %6s\n", "structure", "n", "burst",
-         "pack1_us", "pack_us", "ratio", "util");
+  printf("%-18s %9s %7s %11s %11s %8s %11s %6s\n", "structure", "n",
+         "burst", "pack1_us", "pack_us", "ratio", "scalar_us", "util");
 
   size_t total_mismatches = 0;
   auto sizes = bench::Sweep<int>(args.tiny, {2000}, {20000, 200000});
@@ -66,6 +68,8 @@ int main(int argc, char** argv) {
     cfg.mc_samples_override = 96;
     Engine disk(disk_pts, cfg);
     Engine disc(disc_pts, cfg);
+    core::ExpectedNn expected(disc_pts);
+    core::NnNonzeroDiscreteIndex nonzero(disc_pts);
 
     struct Part {
       const char* structure;
@@ -125,30 +129,41 @@ int main(int argc, char** argv) {
       double pack_us = pack_ms * 1000.0 / part.burst;
       double ratio = pack1_us / std::max(pack_us, 1e-9);
 
-      // Lane utilization / replay counts of the dominant kernel on the
-      // same queries (QueryMany itself does not expose pack stats).
+      // The dominant kernel on the same queries, Morton-sorted as
+      // QueryMany sorts them: the lane counters of the row's lane kernel,
+      // and for the discrete rows the scalar query looped over the sorted
+      // pack (E[d] has no lane kernel left; for NN!=0 it is the scalar
+      // twin of QueryBatch's lane range walk).
+      std::vector<Vec2> sorted;
+      for (int i : spatial::PackCoherentOrder(qs)) sorted.push_back(qs[i]);
       spatial::BatchStats stats;
+      double scalar_sorted_us = 0.0;
       switch (part.spec.type) {
         case Engine::QueryType::kExpectedDistanceNn: {
-          std::vector<int> ids(qs.size());
-          core::ExpectedNn(disc_pts).QueryExpectedBatch(qs, cfg.tol, ids,
-                                                        &stats);
+          bench::Timer tk;
+          for (Vec2 q : sorted) expected.QueryExpected(q, cfg.tol);
+          scalar_sorted_us = tk.Ms() * 1000.0 / part.burst;
           break;
         }
-        case Engine::QueryType::kNonzeroNn:
-          core::NnNonzeroDiscreteIndex(disc_pts).QueryBatch(qs, &stats);
+        case Engine::QueryType::kNonzeroNn: {
+          nonzero.QueryBatch(sorted, &stats);
+          bench::Timer tk;
+          for (Vec2 q : sorted) nonzero.Query(q);
+          scalar_sorted_us = tk.Ms() * 1000.0 / part.burst;
           break;
+        }
         default: {
           double eps_needed = part.spec.type == Engine::QueryType::kThreshold
                                   ? part.spec.tau / 2
                                   : 0.0;
-          engine.ProbabilitiesMany(qs, eps_needed, &stats);
+          engine.ProbabilitiesMany(sorted, eps_needed, &stats);
         }
       }
 
       total_mismatches += mismatches;
-      printf("%-18s %9d %7d %11.3f %11.3f %7.2fx %6.2f%s\n", part.structure, n,
-             part.burst, pack1_us, pack_us, ratio, stats.LaneUtilization(),
+      printf("%-18s %9d %7d %11.3f %11.3f %7.2fx %11.3f %6.2f%s\n",
+             part.structure, n, part.burst, pack1_us, pack_us, ratio,
+             scalar_sorted_us, stats.LaneUtilization(),
              mismatches ? "  MISMATCH" : "");
       json.StartRow();
       json.Metric("n", n);
@@ -158,6 +173,7 @@ int main(int argc, char** argv) {
       json.Metric("pack_us", pack_us);
       json.Metric("batched_speedup", ratio);
       json.Metric("mismatches", static_cast<double>(mismatches));
+      json.Metric("scalar_sorted_us", scalar_sorted_us);
       json.Metric("lane_utilization", stats.LaneUtilization());
       json.Metric("scalar_replays", static_cast<double>(stats.scalar_replays));
       json.Str("lane_isa", geom::LaneIsaName());

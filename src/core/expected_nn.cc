@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
 
 #include "prob/distance_cdf.h"
 #include "prob/quadrature.h"
@@ -57,7 +56,6 @@ ExpectedNn::ExpectedNn(std::vector<UncertainPoint> points)
   UNN_CHECK(!points_.empty());
   for (const auto& p : points_) {
     if (p.is_disk()) {
-      all_discrete_ = false;
       mean_.push_back(p.center());  // Radially symmetric pdfs.
       var_.push_back(DiskRadialVariance(p));
       max_reach_ = std::max(max_reach_, p.radius());
@@ -69,7 +67,6 @@ ExpectedNn::ExpectedNn(std::vector<UncertainPoint> points)
       double var = 0;
       for (size_t s = 0; s < p.sites().size(); ++s) {
         var += p.weights()[s] * DistSq(p.sites()[s], mu);
-        max_reach_ = std::max(max_reach_, Dist(p.sites()[s], mu));
       }
       mean_.push_back(mu);
       var_.push_back(var);
@@ -144,18 +141,23 @@ int ExpectedNn::QueryExpected(Vec2 q, double tol) const {
   // MinDist by ~1e-9 relative — the band guarantees a skipped item's
   // E[d] is strictly above the incumbent. With the band and the
   // smallest-id tie break, the discrete result is the lexicographic
-  // argmin of (E[d], id), independent of evaluation order — the
-  // contract QueryExpectedBatch reproduces through a shared traversal.
+  // argmin of (E[d], id), independent of evaluation order.
   // Disk models use the same loop; their quadrature values carry the
   // documented tol-level near-tie caveat either way.
   //
   // The order comes from a best-first enumeration of the kd-tree over
   // the means (subtree key: squared box distance plus the smallest
   // variance), not from sorting all n points. It stops once no later
-  // point can pass the skip test: a point with E[d^2] >= k has
-  // d(q, mean) >= sqrt(k - max_var_), so delta_i(q) >= that minus
-  // max_reach_ — with an absolute guard for the rounding of the stored
-  // means, variances and reaches.
+  // point can win: a point with E[d^2] >= k has d(q, mean) >=
+  // sqrt(k - max_var_). A discrete point's closed-form E[d] is at least
+  // that (Jensen: E|q - X| >= |q - E X|); a disk would pass the skip
+  // test only if delta_i(q) >= that minus max_reach_ did not exceed the
+  // incumbent. All with an absolute guard for the rounding of the stored
+  // means, variances and radii. Far from the data (|q - mean| past
+  // ~1e154) E[d^2] overflows to +inf while E[d] stays finite; an
+  // infinite key bounds nothing, so from there on every point is
+  // evaluated (subject to the MinDist skip), which keeps the answer the
+  // lexicographic argmin a sharded merge also computes.
   if (!geom::IsFinite(q)) return -1;
   const double slack =
       1e-12 * (BoxMagnitude(tree_.box(tree_.root())) + std::abs(q.x) +
@@ -178,7 +180,10 @@ int ExpectedNn::QueryExpected(Vec2 q, double tol) const {
   double e2;
   for (int id = order.Next(&e2); id >= 0; id = order.Next(&e2)) {
     double delta_lb = std::sqrt(std::max(e2 - max_var_, 0.0)) - max_reach_;
-    if (delta_lb * kSkipGuard - slack > best) break;
+    if (e2 < std::numeric_limits<double>::infinity() &&
+        delta_lb * kSkipGuard - slack > best) {
+      break;
+    }
     if (points_[id].MinDist(q) * kSkipGuard > best) continue;
     double e = ExpectedDistance(id, q, tol);
     if (e < best || (e == best && id < arg)) {
@@ -187,95 +192,6 @@ int ExpectedNn::QueryExpected(Vec2 q, double tol) const {
     }
   }
   return arg;
-}
-
-// ---------------------------------------------------------------------------
-// Batched entry points (spatial/batch.h): pack geom::kLaneWidth queries
-// per traversal, bit-identical to the scalar queries above.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-constexpr int kW = geom::kLaneWidth;
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-}  // namespace
-
-void ExpectedNn::QueryExpectedBatch(std::span<const Vec2> queries, double tol,
-                                    std::span<int> out,
-                                    spatial::BatchStats* stats) const {
-  UNN_CHECK(out.size() >= queries.size());
-  if (!all_discrete_) {
-    // Quadrature values admit no sound batched prune (a tol-level
-    // undershoot could evict the true winner), so disk/mixed sets serve
-    // every lane through the scalar path — identical by definition.
-    for (size_t i = 0; i < queries.size(); ++i) {
-      out[i] = QueryExpected(queries[i], tol);
-    }
-    if (stats != nullptr) {
-      stats->scalar_replays += static_cast<std::int64_t>(queries.size());
-    }
-    return;
-  }
-  for (size_t base = 0; base < queries.size(); base += kW) {
-    int count = static_cast<int>(std::min<size_t>(kW, queries.size() - base));
-    Vec2 qv[kW];
-    double qx[kW], qy[kW];
-    for (int l = 0; l < kW; ++l) {
-      qv[l] = queries[base + std::min(l, count - 1)];  // Pad ragged packs.
-      qx[l] = qv[l].x;
-      qy[l] = qv[l].y;
-    }
-    double best[kW];
-    int arg[kW];
-    for (int l = 0; l < kW; ++l) {
-      best[l] = kInf;
-      arg[l] = -1;
-    }
-    // The scalar discrete result is the lexicographic argmin of
-    // (E[d], id) independent of evaluation order (see QueryExpected), so
-    // the shared traversal only needs sound pruning, no replay. Subtree
-    // bound: E[d] >= d(q, mean) (Jensen) >= box distance, with a
-    // relative guard for the weighted-sum rounding plus an absolute
-    // guard at the node's coordinate scale for the rounding of the
-    // stored means themselves.
-    spatial::BatchPrunedVisitNearFirst(
-        tree_, spatial::FullMask(count),
-        [&](int n, double* lb) {
-          geom::BoxDistSqLanes(qx, qy, tree_.box(n), lb);
-          geom::SqrtLanes(lb, lb);
-          double mag = BoxMagnitude(tree_.box(n));
-          for (int l = 0; l < kW; ++l) {
-            lb[l] = lb[l] * kSkipGuard -
-                    1e-12 * (mag + std::abs(qx[l]) + std::abs(qy[l]));
-          }
-        },
-        [&](int l, double lb) { return lb > best[l]; },
-        [&](int n, spatial::LaneMask m) {
-          double mag = BoxMagnitude(tree_.box(n));
-          for (int s = tree_.begin(n); s < tree_.end(n); ++s) {
-            int id = tree_.item(s);
-            double dsq[kW];
-            geom::DistSqLanes(qx, qy, mean_[id], dsq);
-            for (int l = 0; l < kW; ++l) {
-              if ((m >> l & 1u) == 0) continue;
-              double slack =
-                  1e-12 * (mag + std::abs(qx[l]) + std::abs(qy[l]));
-              if (std::sqrt(dsq[l]) * kSkipGuard - slack > best[l]) continue;
-              if (points_[id].MinDist(qv[l]) * kSkipGuard > best[l]) continue;
-              if (stats != nullptr) ++stats->lane_points_evaluated;
-              double e = ExpectedDistance(id, qv[l], tol);
-              if (e < best[l] || (e == best[l] && id < arg[l])) {
-                best[l] = e;
-                arg[l] = id;
-              }
-            }
-          }
-        },
-        stats);
-    if (stats != nullptr) ++stats->packs;
-    for (int l = 0; l < count; ++l) out[base + l] = arg[l];
-  }
 }
 
 }  // namespace core

@@ -1,12 +1,10 @@
 #ifndef UNN_CORE_EXPECTED_NN_H_
 #define UNN_CORE_EXPECTED_NN_H_
 
-#include <span>
 #include <vector>
 
 #include "core/uncertain_point.h"
 #include "geom/vec2.h"
-#include "spatial/batch.h"
 #include "spatial/flat_tree.h"
 
 /// \file expected_nn.h
@@ -42,17 +40,6 @@ class ExpectedNn {
   /// argmin_i E[d(q, P_i)]; quadrature tolerance `tol` for disk models.
   int QueryExpected(geom::Vec2 q, double tol = 1e-9) const;
 
-  /// QueryExpected for a batch: `out[i]` is bit-identical to
-  /// `QueryExpected(queries[i], tol)`. For all-discrete point sets the
-  /// packs run a pruned shared traversal that evaluates the same
-  /// closed-form E[d] as the scalar path (the scalar result is the
-  /// evaluation-order-independent lexicographic argmin of (E[d], id), so
-  /// no replay is needed); any disk model falls back to the scalar query
-  /// per lane (quadrature tolerances admit no sound batched prune).
-  void QueryExpectedBatch(std::span<const geom::Vec2> queries, double tol,
-                          std::span<int> out,
-                          spatial::BatchStats* stats = nullptr) const;
-
   /// E[d(q, P_i)^2] = |q - mu_i|^2 + Var_i (closed form, all models).
   double ExpectedSquaredDistance(int i, geom::Vec2 q) const;
 
@@ -72,10 +59,10 @@ class ExpectedNn {
   std::vector<UncertainPoint> points_;
   std::vector<geom::Vec2> mean_;
   std::vector<double> var_;
-  bool all_discrete_ = true;
-  /// Largest variance and largest distance from a mean to its support
-  /// (disk radius, farthest site): they turn QueryExpected's E[d^2] order
-  /// into a lower bound on delta_i(q) for every point not yet visited.
+  /// Largest variance and largest disk radius (0 without disks): they
+  /// turn QueryExpected's E[d^2] order into a lower bound on E[d] of
+  /// every discrete point and on delta_i(q) of every disk not yet
+  /// visited.
   double max_var_ = 0.0;
   double max_reach_ = 0.0;
   /// Kd-tree over the means, augmented with the subtree minimum variance:

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "core/pnn_common.h"
-#include "geom/lanes.h"
 #include "spatial/traverse.h"
 #include "util/check.h"
 
@@ -16,6 +15,13 @@ using geom::Vec2;
 
 namespace {
 constexpr int kLeafGroups = 4;
+
+/// The skip test of DeltaPair: a lower bound at or above the second
+/// smallest Delta_i so far, unless the bound overflowed to +inf.
+bool Prunes(double lower_bound, double second) {
+  return lower_bound >= second &&
+         lower_bound < std::numeric_limits<double>::infinity();
+}
 }  // namespace
 
 NnNonzeroDiscreteIndex::NnNonzeroDiscreteIndex(
@@ -55,11 +61,15 @@ DeltaEnvelope NnNonzeroDiscreteIndex::DeltaPair(Vec2 q) const {
       [&](int n) { return std::sqrt(group_tree_.box(n).DistSqTo(q)); },
       // Lower bound on Delta_i(q) over the subtree: with SEB (c, R),
       // Delta_i(q) >= sqrt(d(q,c)^2 + R^2) >= sqrt(d(q,box)^2 + r_min^2).
-      // Prune against `second` so both smallest values survive.
+      // Prune against `second` so both smallest values survive. Beyond
+      // |q| ~ 1e154 the squares overflow to +inf, which bounds nothing
+      // (every true distance is finite), so an infinite bound never
+      // prunes.
       [&](int n) {
         double r_min = group_tree_.aug().min(n);
-        return std::sqrt(group_tree_.box(n).DistSqTo(q) + r_min * r_min) >=
-               env.second;
+        return Prunes(std::sqrt(group_tree_.box(n).DistSqTo(q) +
+                                r_min * r_min),
+                      env.second);
       },
       [&](int n) {
         for (int i = group_tree_.begin(n); i < group_tree_.end(n); ++i) {
@@ -67,7 +77,7 @@ DeltaEnvelope NnNonzeroDiscreteIndex::DeltaPair(Vec2 q) const {
           const geom::Circle& seb = group_seb_[g];
           double group_lb =
               std::sqrt(DistSq(q, seb.center) + seb.radius * seb.radius);
-          if (group_lb >= env.second) continue;
+          if (Prunes(group_lb, env.second)) continue;
           double v = points_[g].MaxDist(q);
           if (v < env.best) {
             env.second = env.best;
@@ -79,127 +89,6 @@ DeltaEnvelope NnNonzeroDiscreteIndex::DeltaPair(Vec2 q) const {
         }
       });
   return env;
-}
-
-void NnNonzeroDiscreteIndex::DeltaPairBatch(std::span<const Vec2> queries,
-                                            std::span<DeltaEnvelope> out,
-                                            spatial::BatchStats* stats) const {
-  constexpr int kW = geom::kLaneWidth;
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  // The dominant cost of the scalar walk is the hypot-per-site MaxDist
-  // evaluation, so the batched walk defers it entirely. Stage A runs the
-  // shared traversal on nothing but the group's SEB bracket
-  //   sqrt(d(q,c)^2 + R^2) <= Delta_i(q) <= d(q,c) + R
-  // and works in SQUARED space (no per-site arithmetic, no SIMD sqrt):
-  // each surviving group is collected with its squared lower bound, and
-  // the per-lane envelope is maintained over the bracket's UPPER ends,
-  // so its `second` certifies an upper bound on the true second-smallest
-  // value and every squared `>= second^2` prune discards only groups the
-  // scalar walk's own `group_lb >= second` rule would skip (the squared
-  // threshold carries one extra rounding, absorbed by inflating it a
-  // relative 1e-12 toward "keep"). Stage B then evaluates exact MaxDist
-  // in ascending lower-bound order — stopping via exactly the scalar's
-  // skip test, `group_lb >= env.second`, which in sorted order holds for
-  // every later candidate too — typically two or three hypot
-  // evaluations per query, below even the scalar walk's count. The
-  // exact envelope is a pure min/second-min over values, so it is
-  // traversal-order-independent; the one order-dependent output, the
-  // argmin under a minimum tie, replays the scalar walk as everywhere
-  // else in the batch scheme. Bit-identical, differentially fuzzed.
-  constexpr double kSqBand = 1.0 + 1e-12;
-  std::vector<std::pair<double, int>> cand[kW];  // (squared lb, group), tiny.
-  for (size_t base = 0; base < queries.size(); base += kW) {
-    int count = static_cast<int>(std::min<size_t>(kW, queries.size() - base));
-    Vec2 qv[kW];
-    double qx[kW], qy[kW];
-    for (int l = 0; l < kW; ++l) {
-      qv[l] = queries[base + std::min(l, count - 1)];  // Pad ragged packs.
-      qx[l] = qv[l].x;
-      qy[l] = qv[l].y;
-    }
-    double best_hi[kW], second_hi[kW], second_hi_sq[kW];
-    for (int l = 0; l < kW; ++l) {
-      best_hi[l] = kInf;
-      second_hi[l] = kInf;
-      second_hi_sq[l] = kInf;
-      cand[l].clear();
-    }
-    // Per-lane squared subtree bound d(q,box)^2 + r_min^2 — the scalar's
-    // bound arithmetic minus its final sqrt, compared against the
-    // inflated squared threshold instead.
-    spatial::BatchPrunedVisitNearFirst(
-        group_tree_, spatial::FullMask(count),
-        [&](int n, double* lb) {
-          geom::BoxDistSqLanes(qx, qy, group_tree_.box(n), lb);
-          const double r_min = group_tree_.aug().min(n);
-          geom::AddScalarLanes(lb, r_min * r_min, lb);
-        },
-        [&](int l, double lb) { return lb >= second_hi_sq[l]; },
-        [&](int n, spatial::LaneMask m) {
-          for (int i = group_tree_.begin(n); i < group_tree_.end(n); ++i) {
-            int g = group_tree_.item(i);
-            const geom::Circle& seb = group_seb_[g];
-            double gsq[kW], glb_sq[kW];
-            geom::DistSqLanes(qx, qy, seb.center, gsq);
-            const double r2 = seb.radius * seb.radius;
-            geom::AddScalarLanes(gsq, r2, glb_sq);
-            for (int l = 0; l < kW; ++l) {
-              if ((m >> l & 1u) == 0) continue;
-              if (glb_sq[l] >= second_hi_sq[l]) continue;
-              cand[l].push_back({glb_sq[l], g});
-              // Upper end of the bracket; the sqrt is scalar and only
-              // paid by lanes whose group survived the squared prune.
-              double v_hi = std::sqrt(gsq[l]) + seb.radius;
-              if (v_hi < best_hi[l]) {
-                second_hi[l] = best_hi[l];
-                best_hi[l] = v_hi;
-              } else if (v_hi < second_hi[l]) {
-                second_hi[l] = v_hi;
-              } else {
-                continue;
-              }
-              second_hi_sq[l] = second_hi[l] * second_hi[l] * kSqBand;
-            }
-          }
-        },
-        stats);
-    if (stats != nullptr) ++stats->packs;
-    for (int l = 0; l < count; ++l) {
-      // Stage B: the exact envelope from the candidate set, tightest
-      // lower bound first so the exact second tightens fastest. The
-      // break is the scalar walk's own skip rule on the bit-identical
-      // group_lb = sqrt(d(q,c)^2 + R^2); in ascending order it holds
-      // for every later candidate too (bounds ascend, the exact second
-      // never rises), so the rest of the list is provably irrelevant.
-      std::sort(cand[l].begin(), cand[l].end());
-      DeltaEnvelope env;
-      env.best = kInf;
-      env.second = kInf;
-      for (const auto& [glb_sq, g] : cand[l]) {
-        if (std::sqrt(glb_sq) >= env.second) break;
-        if (stats != nullptr) ++stats->lane_points_evaluated;
-        double v = points_[g].MaxDist(qv[l]);
-        if (v < env.best) {
-          env.second = env.best;
-          env.best = v;
-          env.argbest = g;
-        } else {
-          env.second = std::min(env.second, v);
-        }
-      }
-      // best == second is the only way a minimum tie can exist, and then
-      // the argmin is whichever tied group the ordered scalar walk
-      // reaches first — replay it. Distinct best/second pin the argmin
-      // to the unique minimizer, which the candidate sweep provably
-      // found.
-      if (env.best == env.second) {
-        if (stats != nullptr) ++stats->scalar_replays;
-        out[base + l] = DeltaPair(queries[base + l]);
-      } else {
-        out[base + l] = env;
-      }
-    }
-  }
 }
 
 double NnNonzeroDiscreteIndex::Delta(Vec2 q) const { return DeltaPair(q).best; }
@@ -242,26 +131,15 @@ std::vector<int> NnNonzeroDiscreteIndex::Query(Vec2 q) const {
 NnNonzeroDiscreteIndex::BatchHits NnNonzeroDiscreteIndex::SitesWithinDelta(
     std::span<const Vec2> queries, bool closed,
     spatial::BatchStats* stats) const {
-  // Non-finite queries skip both walks; the rest run in pack-coherent
-  // (Morton) order, which keeps each pack's lanes pruning together.
-  // Per-lane results are pack-independent, so reordering the batch and
-  // scattering back is bit-identical (spatial/batch.h).
-  std::vector<int> finite_ids;
-  std::vector<Vec2> finite;
+  // Non-finite queries skip both walks. The rest keep the caller's order:
+  // Engine::QueryMany and serve::QueryMany hand over Morton-sorted packs.
+  BatchHits b;
   for (size_t i = 0; i < queries.size(); ++i) {
     if (!geom::IsFinite(queries[i])) continue;
-    finite_ids.push_back(static_cast<int>(i));
-    finite.push_back(queries[i]);
+    b.index.push_back(static_cast<int>(i));
+    b.queries.push_back(queries[i]);
+    b.envs.push_back(DeltaPair(queries[i]));
   }
-  BatchHits b;
-  b.index = spatial::PackCoherentOrder(finite);
-  b.queries.resize(b.index.size());
-  for (size_t i = 0; i < b.index.size(); ++i) {
-    b.queries[i] = finite[b.index[i]];
-    b.index[i] = finite_ids[b.index[i]];
-  }
-  b.envs.resize(b.queries.size());
-  DeltaPairBatch(b.queries, b.envs, stats);
   // Stage two batched: one shared range walk per pack with per-query
   // radius Delta(q); the hit list per lane is RangeCircle's verbatim.
   std::vector<double> radii(b.queries.size());

@@ -27,6 +27,11 @@
 /// by Lemma 2.1 every point outside NN!=0(q) has pi_i(q) = 0, and no site
 /// farther than Delta(q) scores, so Eq. (2) needs only the sites in the
 /// closed disk of radius Delta(q).
+///
+/// Stage one is a scalar descent per query; stage two shares one range
+/// walk among geom::kLaneWidth queries. An 8-lane stage one was slower
+/// than the scalar one on a Morton-sorted pack and was removed; the lane
+/// range walk was faster than its scalar loop and stays.
 
 namespace unn {
 namespace core {
@@ -39,15 +44,16 @@ class NnNonzeroDiscreteIndex {
   std::vector<int> Query(geom::Vec2 q) const;
 
   /// Batched Query: `out[i]` is bit-identical to `Query(queries[i])`.
-  /// Stage one (the Delta envelope) runs through DeltaPairBatch's shared
-  /// group-tree walk; stage two batches the lifted range queries through
+  /// Stage one (the Delta envelope) is the scalar DeltaPair per query;
+  /// stage two batches the lifted range queries through
   /// range::KdTree::RangeCircleBatch (per-lane hit lists are the scalar
   /// RangeCircle's verbatim) before the scalar owner dedup and argbest
   /// membership fix, so an identical envelope forces an identical
-  /// answer. The batch runs in pack-coherent (Morton) order internally,
-  /// a pack of one included. A query with a NaN or infinite coordinate
-  /// gets Query's answer without a walk: the empty set, or {0} when the
-  /// set has one point.
+  /// answer. Queries are answered in the caller's order, so a
+  /// Morton-sorted pack (spatial::InCoherentOrder) keeps the range
+  /// walk's lanes pruning together. A query with a NaN or infinite
+  /// coordinate gets Query's answer without a walk: the empty set, or {0}
+  /// when the set has one point.
   std::vector<std::vector<int>> QueryBatch(
       std::span<const geom::Vec2> queries,
       spatial::BatchStats* stats = nullptr) const;
@@ -55,7 +61,7 @@ class NnNonzeroDiscreteIndex {
   /// Exact quantification probabilities: `out[i]` holds (id, pi) for
   /// every pi_i(queries[i]) > 0, sorted by id, bit-identical to
   /// core::DiscreteQuantification over the whole set. Stage one is
-  /// DeltaPairBatch; stage two collects the sites with d(q, p) <= Delta(q)
+  /// DeltaPair; stage two collects the sites with d(q, p) <= Delta(q)
   /// through RangeCircleBatch; a sweep sorts those sites by (distance,
   /// site id) and runs core::AccumulateQuantification over their owners
   /// only, the same accumulation over the same prefix in the same order
@@ -72,21 +78,6 @@ class NnNonzeroDiscreteIndex {
   /// semantics of Lemma 2.1 on degenerate inputs).
   DeltaEnvelope DeltaPair(geom::Vec2 q) const;
 
-  /// Batched DeltaPair: `out[i]` is bit-identical to
-  /// `DeltaPair(queries[i])`, geom::kLaneWidth queries per shared
-  /// near-first pruned walk over the group tree. The walk defers every
-  /// exact (hypot-based) MaxDist evaluation: it collects candidate
-  /// groups through their SEB bracket in squared space, then evaluates
-  /// exact values in ascending lower-bound order under the scalar's own
-  /// skip rule (see the .cc). The best/second values are
-  /// order-independent, but the argmin is the *first* minimizer in the
-  /// scalar's ordered traversal, so any lane whose envelope ends with
-  /// best == second — the only way a minimum tie can exist — replays
-  /// the scalar walk (spatial/batch.h idiom).
-  void DeltaPairBatch(std::span<const geom::Vec2> queries,
-                      std::span<DeltaEnvelope> out,
-                      spatial::BatchStats* stats = nullptr) const;
-
  private:
   /// Stage two for one query: range query then owner assembly.
   std::vector<int> AssembleFromEnvelope(geom::Vec2 q,
@@ -97,11 +88,10 @@ class NnNonzeroDiscreteIndex {
   std::vector<int> AssembleFromHits(geom::Vec2 q, const DeltaEnvelope& env,
                                     const std::vector<int>& hits) const;
   /// Stages one and two shared by QueryBatch and ProbabilitiesBatch, over
-  /// the batch's finite queries in pack-coherent (Morton) order: per
-  /// query, its position in the batch, the query, its envelope and the
-  /// ids of the sites in the open disk D(q, Delta(q)), or with `closed`
-  /// every site of the closed disk (plus any the kClosedDiskSlack radius
-  /// adds).
+  /// the batch's finite queries in the caller's order: per query, its
+  /// position in the batch, the query, its envelope and the ids of the
+  /// sites in the open disk D(q, Delta(q)), or with `closed` every site of
+  /// the closed disk (plus any the kClosedDiskSlack radius adds).
   struct BatchHits {
     std::vector<int> index;
     std::vector<geom::Vec2> queries;

@@ -246,6 +246,17 @@ void Engine::Warmup(const QuerySpec& spec) const {
 
 std::vector<Engine::QueryResult> Engine::QueryMany(
     std::span<const geom::Vec2> queries, const QuerySpec& spec) const {
+  // The pack is answered in Morton order and scattered back: consecutive
+  // queries then descend the same subtrees, and no answer depends on its
+  // neighbours (BatchFuzz.EngineQueryManyPackIndependent).
+  return spatial::InCoherentOrder(
+      queries, [&](std::span<const geom::Vec2> sorted) {
+        return QueryInOrder(sorted, spec);
+      });
+}
+
+std::vector<Engine::QueryResult> Engine::QueryInOrder(
+    std::span<const geom::Vec2> queries, const QuerySpec& spec) const {
   // Degenerate parameters (see header) get definition-level answers from
   // the shared contract; only the tau <= 0 case consults a backend.
   std::vector<QueryResult> results;
@@ -257,15 +268,11 @@ std::vector<Engine::QueryResult> Engine::QueryMany(
           &results)) {
     return results;
   }
-  // One uniform dispatch: every type runs through its shared-traversal
-  // kernel (spatial/batch.h), each lane's answer independent of the rest
-  // of the pack (docs/ARCHITECTURE.md "Batch traversal" has the coverage
-  // matrix and per-kernel exactness argument). Structures a type has no
-  // kernel for — the definition-level NN!=0 oracle and the all-disk
-  // nonzero index — loop their per-query answer inside the case arm. A
-  // query with a NaN or infinite coordinate has no distances to rank: it
-  // gets no expected-distance NN and an empty NN!=0 on every backend, as
-  // it gets no probability estimates (so MPNN -1, Threshold/TopK empty).
+  // One dispatch per type (docs/ARCHITECTURE.md "Batch traversal" has the
+  // coverage matrix and per-kernel exactness argument). A query with a
+  // NaN or infinite coordinate has no distances to rank: it gets no
+  // expected-distance NN and an empty NN!=0 on every backend, as it gets
+  // no probability estimates (so MPNN -1, Threshold/TopK empty).
   switch (spec.type) {
     case QueryType::kMostProbableNn: {
       auto est = ProbabilitiesMany(queries);
@@ -277,7 +284,10 @@ std::vector<Engine::QueryResult> Engine::QueryMany(
     case QueryType::kExpectedDistanceNn: {
       std::vector<int> ids(queries.size());
       if (config_.backend != Backend::kBruteForce) {
-        GetExpectedNn().QueryExpectedBatch(queries, config_.tol, ids);
+        const core::ExpectedNn& index = GetExpectedNn();
+        for (size_t i = 0; i < queries.size(); ++i) {
+          ids[i] = index.QueryExpected(queries[i], config_.tol);
+        }
       } else {
         // Definition-level argmin of E[d(q, P_i)], pruned by the
         // quantification index's min-distance bounds (E[d] >= delta_i),

@@ -103,8 +103,8 @@ class Engine {
     uint64_t seed = 0xC0FFEE;
     /// Overrides the Theorem 4.3 Monte-Carlo sample count when > 0.
     int mc_samples_override = 0;
-    /// Always true: every query runs through QueryMany's shared-traversal
-    /// kernels (docs/ARCHITECTURE.md "Batch traversal"). Not a knob; kept
+    /// Always true: every query runs through QueryMany's Morton-ordered
+    /// pack (docs/ARCHITECTURE.md "Batch traversal"). Not a knob; kept
     /// readable so run records can state it.
     static constexpr bool batch_traversal = true;
   };
@@ -195,7 +195,8 @@ class Engine {
   /// threshold). A query with a NaN or infinite coordinate gets nn -1 and
   /// empty ranked/ids on every backend, except that `tau <= 0` still
   /// lists every id at 0 (docs/QUERY_SEMANTICS.md "Non-finite queries").
-  /// Each type runs through its shared-traversal kernel (spatial/batch.h);
+  /// The pack is answered in Morton order (spatial::InCoherentOrder) and
+  /// scattered back, so consecutive queries share cached tree nodes;
   /// `serve::QueryMany` splits the pack across a thread pool.
   /// Thread-safe.
   std::vector<QueryResult> QueryMany(std::span<const geom::Vec2> queries,
@@ -347,6 +348,10 @@ class Engine {
   bool ExactQuantification() const {
     return unn::ExactQuantification(config_.backend, all_discrete_, all_disk_);
   }
+
+  /// QueryMany over a pack already in the order it is answered in.
+  std::vector<QueryResult> QueryInOrder(std::span<const geom::Vec2> queries,
+                                        const QuerySpec& spec) const;
 
   const core::ExpectedNn& GetExpectedNn() const;
   const core::NnNonzeroIndex& GetNonzeroIndex() const;

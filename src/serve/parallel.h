@@ -9,13 +9,16 @@
 #include "serve/thread_pool.h"
 
 /// \file parallel.h
-/// The parallel batched-query path: split a query batch across a thread
-/// pool, one contiguous block per task, every worker querying the same
-/// warmed (single or sharded) engine. `results[i]` answers `queries[i]`
-/// regardless of thread count or scheduling — each block writes only its
-/// own slots, and the engine's structures are built once up front
-/// (Warmup) so workers race on nothing. Speedup is near-linear because
-/// queries are read-only and independent.
+/// The parallel batched-query path: sort a query batch into Morton order
+/// once (spatial::PackCoherentOrder), split the sorted copy across a
+/// thread pool, one contiguous block per task, every worker querying the
+/// same warmed (single or sharded) engine, and scatter the results back.
+/// Each block is then one compact region of the plane, so its queries
+/// share cached tree nodes. `results[i]` answers `queries[i]` regardless
+/// of thread count or scheduling — each block writes only its own slots,
+/// and the engine's structures are built once up front (Warmup) so
+/// workers race on nothing. Speedup is near-linear because queries are
+/// read-only and independent.
 
 namespace unn {
 namespace serve {

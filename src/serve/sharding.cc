@@ -269,8 +269,8 @@ std::vector<Engine::QueryResult> ShardedEngine::QueryMany(
   if (num_shards() == 1) {
     // Single shard: delegate wholesale, then map ids to global ones and
     // restore the presentation order (an assembled shard's id map need
-    // not be ascending). The shard's own QueryMany runs the batched
-    // kernels, and with only one shard to visit a pool buys nothing here
+    // not be ascending). The shard's own QueryMany answers the pack in
+    // Morton order, and with only one shard to visit a pool buys nothing here
     // — serve::QueryMany is the layer that spreads the pack itself
     // across workers.
     obs::ScopedSpan span(trace, "shard_query", 0);
@@ -299,7 +299,7 @@ std::vector<Engine::QueryResult> ShardedEngine::QueryMany(
   }
   // Fan the whole pack to each shard once — one shard visit per shard
   // per batch instead of per query — and merge per query. Each shard
-  // answers through its Engine's batched kernels, whose per-query answers
+  // answers through its Engine's pack entry points, whose per-query answers
   // do not depend on the pack, so neither do the merged ones.
   size_t shards = engines_.size();
   switch (spec.type) {

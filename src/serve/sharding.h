@@ -154,7 +154,7 @@ class ShardedEngine {
   /// k <= 0 / tau outside (0, 1] answered definition-level; only
   /// tau <= 0 touches the shards). Every query type fans the whole pack to
   /// each shard once — one shard visit per shard per batch, each running
-  /// the shard Engine's batched kernels — and merges per query; a query's
+  /// the shard Engine's pack entry points — and merges per query; a query's
   /// answer does not depend on the rest of the pack. `serve::QueryMany`
   /// additionally spreads the pack itself across a pool, which is the
   /// better fit for large batches.

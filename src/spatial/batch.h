@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <numeric>
 #include <queue>
 #include <span>
 #include <utility>
@@ -14,45 +13,49 @@
 #include "spatial/traverse.h"
 
 /// \file batch.h
-/// Batched counterparts of the traverse.h engines: up to geom::kLaneWidth
-/// queries ("lanes") share one traversal of a FlatKdTree, so the node
-/// arrays are touched once per pack instead of once per query, box bounds
-/// are evaluated with the SIMD lane ops of geom/lanes.h, and the SoA
-/// child arrays are software-prefetched a node ahead of the descent.
+/// Pack order, and the shared-traversal engines behind the lane kernels
+/// that beat their scalar twins.
 ///
-///   * BatchPrunedVisit — shared left-first DFS with a per-entry active
-///     lane mask. For every lane the visited nodes, the prune tests, and
-///     the leaf scans are exactly the scalar PrunedVisit sequence of that
-///     lane alone (other lanes only interleave extra nodes the lane
-///     ignores), so a per-lane computation over it is bit-identical to
-///     the scalar engine by construction.
-///   * BatchPrunedVisitNearFirst — shared pruned DFS descending the child
-///     with the smaller shared bound first, the batch analogue of the
-///     scalar PrunedVisitOrdered descent: evolving per-lane bounds
-///     tighten almost as fast as in the scalar engine, so the shared
-///     walk visits scalar-like node counts instead of the left-first
-///     union. Per-lane visit ORDER is not the scalar sequence — use it
-///     only for order-robust accumulation (strict prunes plus the
-///     replay-band idiom below), never for order-sensitive sums.
+///   * PackCoherentOrder / InCoherentOrder — sort a pack of queries along
+///     a Morton (Z-order) curve once, answer it in that order and scatter
+///     the results back. Engine::QueryMany and serve::QueryMany do this
+///     for every pack, so consecutive queries descend the same subtrees,
+///     find their nodes in cache, and share lanes that prune together.
+///     Pack order never changes an answer: every kernel answers a query
+///     independently of the others.
+///   * BatchPrunedVisit — up to geom::kLaneWidth queries ("lanes") share
+///     one left-first DFS with a per-entry active lane mask. For every
+///     lane the visited nodes, the prune tests, and the leaf scans are
+///     exactly the scalar PrunedVisit sequence of that lane alone (other
+///     lanes only interleave extra nodes the lane ignores), so a per-lane
+///     computation over it is bit-identical to the scalar engine by
+///     construction. range::KdTree::RangeCircleBatch runs on it.
 ///   * BatchBestFirstScan — shared best-first frontier ordered by the
 ///     minimum lower bound over each entry's active lanes. Per lane it
 ///     visits a superset of the scalar BestFirstScan's surviving nodes,
 ///     in an order that may differ from the lane's own key order; use it
 ///     for exact-min accumulation, never for first-hit semantics.
+///     core::QuantTree's envelope and pointwise-argmin passes run on it.
 ///
-/// Bit-identity idiom (used by core::ExpectedNn and range::KdTree): the
-/// scalar nearest descents are PrunedVisitOrdered with a per-query child
-/// order, which a shared traversal cannot replicate lane by lane. The
-/// batch entry points instead run a pass-1 BatchPrunedVisit with a
-/// *strict* prune (`bound > best`, keeping every item whose value ties
-/// the minimum), which computes each lane's exact minimum value, and
-/// raise a per-lane `replay` flag whenever the argmin could be
-/// order-dependent (a tie on the minimum, or values within a guard band
-/// of the evolving bound where floating-point pruning could diverge).
-/// Flagged lanes re-run the scalar query verbatim — bit-identical by
-/// definition — while unflagged lanes have a unique minimizer that every
-/// sound traversal, scalar or batched, must return. tests/batch_fuzz_test
-/// differentially verifies the whole scheme on adversarial inputs.
+/// Both evaluate box bounds with the SIMD lane ops of geom/lanes.h and
+/// prefetch the SoA child arrays a node ahead. A lane kernel stays only
+/// where its full sorted pack beats the scalar loop over the same sorted
+/// pack by at least 1.2x; the discrete E[d] argmin and the Delta(q)
+/// envelope of Theorem 3.2 did not, and are served by their scalar
+/// queries.
+///
+/// Bit-identity idiom (used by core::QuantTree::ArgminPointwiseBatch):
+/// where the scalar query's argmin depends on its visit order, the batch
+/// entry point prunes *strictly* (`bound > best`, keeping every item
+/// whose value ties the minimum), which computes each lane's exact
+/// minimum value, and raises a per-lane `replay` flag whenever the argmin
+/// could be order-dependent (a tie on the minimum, or values within a
+/// guard band of the evolving bound where floating-point pruning could
+/// diverge). Flagged lanes re-run the scalar query verbatim — bit-identical
+/// by definition — while unflagged lanes have a unique minimizer that
+/// every sound traversal, scalar or batched, must return.
+/// tests/batch_fuzz_test differentially verifies the scheme on
+/// adversarial inputs.
 
 namespace unn {
 namespace spatial {
@@ -196,127 +199,43 @@ void BatchPrunedVisit(const Tree& tree, LaneMask lanes, Filter&& filter,
   }
 }
 
-/// Shared pruned DFS descending the nearer child first (the batch
-/// PrunedVisitOrdered). `bound(node, lb)` fills all geom::kLaneWidth
-/// per-lane lower bounds for `node` (one SIMD evaluation);
-/// `prunable(lane, lb)` tests a lane's bound against its evolving state
-/// and must be monotone in lb. At every internal node both children's
-/// bounds are evaluated and the child with the smaller shared bound
-/// (min over its surviving lanes) is visited first, so per-lane bests
-/// tighten at scalar-descent speed; each frame's per-lane bounds are
-/// stored and re-tested at pop against the tightened state without
-/// recomputation. Per-lane visit order is NOT the scalar sequence: use
-/// only with order-robust accumulators (strict prune + replay band).
-template <typename Tree, typename Bound, typename Prunable, typename Leaf>
-void BatchPrunedVisitNearFirst(const Tree& tree, LaneMask lanes, Bound&& bound,
-                               Prunable&& prunable, Leaf&& leaf,
-                               BatchStats* stats = nullptr) {
-  if (tree.root() < 0 || lanes == 0) return;
-  constexpr int kW = geom::kLaneWidth;
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  struct Frame {
-    double lb[kW];
-    double key;  ///< min over surviving lanes of lb (the descent order).
-    int node;
-    LaneMask mask;
-  };
-  // Evaluates `node` for the lanes in `m`; false when every lane prunes.
-  auto make = [&](int node, LaneMask m, Frame* f) {
-    bound(node, f->lb);
-    LaneMask keep = 0;
-    double key = kInf;
-    for (int l = 0; l < kW; ++l) {
-      if ((m >> l & 1u) == 0 || prunable(l, f->lb[l])) continue;
-      keep |= static_cast<LaneMask>(1u << l);
-      key = std::min(key, f->lb[l]);
-    }
-    if (keep == 0) {
-      if (stats != nullptr) ++stats->prunes;
-      return false;
-    }
-    f->node = node;
-    f->mask = keep;
-    f->key = key;
-    return true;
-  };
-  std::vector<Frame> stack;
-  stack.reserve(64);
-  {
-    Frame root;
-    if (!make(tree.root(), lanes, &root)) return;
-    stack.push_back(root);
-  }
-  while (!stack.empty()) {
-    Frame f = stack.back();
-    stack.pop_back();
-    // Re-test the stored bounds against state tightened since the push.
-    LaneMask m = 0;
-    for (int l = 0; l < kW; ++l) {
-      if ((f.mask >> l & 1u) != 0 && !prunable(l, f.lb[l])) {
-        m |= static_cast<LaneMask>(1u << l);
-      }
-    }
-    if (m == 0) {
-      if (stats != nullptr) ++stats->prunes;
-      continue;
-    }
-    internal::PrefetchChildren(tree, f.node);
-    if (stats != nullptr) {
-      ++stats->nodes_visited;
-      stats->lane_nodes_visited += internal::PopCount(m);
-    }
-    if (tree.is_leaf(f.node)) {
-      if (stats != nullptr) ++stats->leaves_scanned;
-      leaf(f.node, m);
-      continue;
-    }
-    Frame lf, rf;
-    bool lok = make(tree.left(f.node), m, &lf);
-    bool rok = make(tree.right(f.node), m, &rf);
-    if (lok && rok) {
-      // Far child below near child, so the near child pops first.
-      if (lf.key <= rf.key) {
-        stack.push_back(rf);
-        stack.push_back(lf);
-      } else {
-        stack.push_back(lf);
-        stack.push_back(rf);
-      }
-    } else if (lok) {
-      stack.push_back(lf);
-    } else if (rok) {
-      stack.push_back(rf);
-    }
-  }
-}
-
-/// Pack-coherence ordering: indices of `queries` sorted along a Morton
-/// (Z-order) curve of the batch's own bounding box, so consecutive
-/// kLaneWidth-sized packs hold spatially adjacent queries and a shared
-/// traversal prunes the same subtrees for every lane. Reordering is
-/// free: a lane's result never depends on which queries share its pack
-/// (the per-lane bit-identity contract every batch kernel carries), so
-/// callers may process in this order and scatter results back by index.
-/// Deterministic; stable for equal codes.
+/// Pack-coherence ordering: indices of `queries` with the finite ones
+/// first, sorted along a Morton (Z-order) curve of their own bounding box,
+/// then the queries with a NaN or infinite coordinate in input order.
+/// Consecutive queries are then spatially adjacent, so they prune the same
+/// subtrees and share cached nodes. Total over every input: coordinates
+/// are halved before they are differenced, so even a box spanning
+/// +-DBL_MAX has a finite extent, and each 16-bit cell index is cast from
+/// a value in [0, 65535]. Deterministic; stable for equal codes.
 inline std::vector<int> PackCoherentOrder(std::span<const geom::Vec2> queries) {
-  const size_t m = queries.size();
-  std::vector<int> order(m);
-  std::iota(order.begin(), order.end(), 0);
-  if (m <= static_cast<size_t>(geom::kLaneWidth)) return order;  // One pack.
-  double lox = queries[0].x, hix = queries[0].x;
-  double loy = queries[0].y, hiy = queries[0].y;
-  for (const geom::Vec2& q : queries) {
+  if (queries.size() <= 1) return std::vector<int>(queries.size(), 0);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<int> order, non_finite;
+  order.reserve(queries.size());
+  double lox = kInf, hix = -kInf, loy = kInf, hiy = -kInf;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const geom::Vec2 q = queries[i];
+    if (!geom::IsFinite(q)) {
+      non_finite.push_back(static_cast<int>(i));
+      continue;
+    }
+    order.push_back(static_cast<int>(i));
     lox = std::min(lox, q.x);
     hix = std::max(hix, q.x);
     loy = std::min(loy, q.y);
     hiy = std::max(hiy, q.y);
   }
-  const double sx = hix > lox ? 65535.0 / (hix - lox) : 0.0;
-  const double sy = hiy > loy ? 65535.0 / (hiy - loy) : 0.0;
-  std::vector<std::uint32_t> code(m);
-  for (size_t i = 0; i < m; ++i) {
-    auto xi = static_cast<std::uint32_t>((queries[i].x - lox) * sx);
-    auto yi = static_cast<std::uint32_t>((queries[i].y - loy) * sy);
+  // Rounding is monotone, so 0.5 v - 0.5 lo never exceeds the extent
+  // 0.5 hi - 0.5 lo and the ratio lies in [0, 1].
+  auto cell = [](double v, double lo, double hi) -> std::uint32_t {
+    const double extent = 0.5 * hi - 0.5 * lo;
+    if (!(extent > 0)) return 0;
+    return static_cast<std::uint32_t>((0.5 * v - 0.5 * lo) / extent * 65535.0);
+  };
+  std::vector<std::uint32_t> code(queries.size());
+  for (int i : order) {
+    const std::uint32_t xi = cell(queries[i].x, lox, hix);
+    const std::uint32_t yi = cell(queries[i].y, loy, hiy);
     std::uint32_t z = 0;
     for (int b = 0; b < 16; ++b) {
       z |= ((xi >> b) & 1u) << (2 * b);
@@ -326,7 +245,27 @@ inline std::vector<int> PackCoherentOrder(std::span<const geom::Vec2> queries) {
   }
   std::stable_sort(order.begin(), order.end(),
                    [&](int a, int b) { return code[a] < code[b]; });
+  order.insert(order.end(), non_finite.begin(), non_finite.end());
   return order;
+}
+
+/// Answers `queries` in PackCoherentOrder: `answer(sorted)` returns one
+/// result per query of the sorted copy, and `out[i]` is the result for
+/// `queries[i]`. Correct for any `answer` whose result for a query does
+/// not depend on the other queries of the call.
+template <typename Answer>
+auto InCoherentOrder(std::span<const geom::Vec2> queries, Answer&& answer)
+    -> decltype(answer(queries)) {
+  if (queries.size() <= 1) return answer(queries);
+  const std::vector<int> order = PackCoherentOrder(queries);
+  std::vector<geom::Vec2> sorted(queries.size());
+  for (size_t i = 0; i < sorted.size(); ++i) sorted[i] = queries[order[i]];
+  auto in_order = answer(std::span<const geom::Vec2>(sorted));
+  decltype(in_order) out(queries.size());
+  for (size_t i = 0; i < sorted.size(); ++i) {
+    out[order[i]] = std::move(in_order[i]);
+  }
+  return out;
 }
 
 /// Shared best-first scan (the batch BestFirstScan). The frontier is

@@ -27,10 +27,10 @@
 /// All engines are allocation-free except the best-first heap and are
 /// safe for concurrent use on a const tree.
 ///
-/// Batched counterparts — BatchPrunedVisit / BatchBestFirstScan, which
-/// run up to geom::kLaneWidth queries through one shared traversal with
-/// SIMD bound evaluation — live in spatial/batch.h alongside the
-/// bit-identity idiom their consumers use.
+/// The batched counterpart BatchBestFirstScan, which runs up to
+/// geom::kLaneWidth queries through one shared best-first frontier with
+/// SIMD bound evaluation, lives in spatial/batch.h with the pack-order
+/// helpers.
 
 namespace unn {
 namespace spatial {

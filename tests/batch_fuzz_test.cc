@@ -1,5 +1,5 @@
 // Differential fuzz harness for the batched traversal kernels
-// (spatial/batch.h, geom/lanes.h): every batch entry point must be
+// (spatial/batch.h, geom/lanes.h): every lane kernel must be
 // bit-identical to its scalar counterpart — including argmin tie
 // semantics — on adversarial inputs: clustered sites, coincident
 // anchors, duplicated points, equal radii, duplicate coordinates, and
@@ -140,27 +140,6 @@ std::vector<UncertainPoint> AdversarialSet(int which, int n, uint64_t seed) {
 // Kernel-level differentials
 // ---------------------------------------------------------------------------
 
-TEST(BatchFuzz, QueryExpectedBatchBitIdentical) {
-  int iters = FuzzIters(6);
-  for (int it = 0; it < iters; ++it) {
-    uint64_t seed = 2000 + 31 * static_cast<uint64_t>(it);
-    // Includes the disk sets: those must take the per-lane scalar
-    // fallback and still match exactly.
-    auto pts = AdversarialSet(it, 30 + (it % 4) * 17, seed);
-    core::ExpectedNn index(pts);
-    for (int m : {1, 3, geom::kLaneWidth, geom::kLaneWidth + 5}) {
-      auto qs = AdversarialQueries(m, seed + m);
-      std::vector<int> got(qs.size());
-      spatial::BatchStats stats;
-      index.QueryExpectedBatch(qs, 1e-8, got, &stats);
-      for (size_t i = 0; i < qs.size(); ++i) {
-        EXPECT_EQ(got[i], index.QueryExpected(qs[i], 1e-8))
-            << "it=" << it << " m=" << m << " i=" << i;
-      }
-    }
-  }
-}
-
 TEST(BatchFuzz, QuantTreeEnvelopeBatchBitIdentical) {
   int iters = FuzzIters(8);
   for (int it = 0; it < iters; ++it) {
@@ -246,20 +225,9 @@ TEST(BatchFuzz, NonzeroDiscreteBatchBitIdentical) {
     core::NnNonzeroDiscreteIndex index(pts);
     for (int m = 1; m <= 2 * geom::kLaneWidth + 1; ++m) {
       auto qs = AdversarialQueries(m, seed + m);
-      std::vector<core::DeltaEnvelope> env(qs.size());
       spatial::BatchStats stats;
-      index.DeltaPairBatch(qs, env, &stats);
+      auto sets = index.QueryBatch(qs, &stats);
       EXPECT_GT(stats.packs, 0);
-      for (size_t i = 0; i < qs.size(); ++i) {
-        auto want = index.DeltaPair(qs[i]);
-        EXPECT_EQ(env[i].best, want.best)
-            << "it=" << it << " m=" << m << " i=" << i;
-        EXPECT_EQ(env[i].second, want.second)
-            << "it=" << it << " m=" << m << " i=" << i;
-        EXPECT_EQ(env[i].argbest, want.argbest)
-            << "it=" << it << " m=" << m << " i=" << i;
-      }
-      auto sets = index.QueryBatch(qs);
       ASSERT_EQ(sets.size(), qs.size());
       for (size_t i = 0; i < qs.size(); ++i) {
         EXPECT_EQ(sets[i], index.Query(qs[i]))
@@ -596,8 +564,7 @@ TEST(BatchFuzz, EngineQueryManyPackIndependent) {
       }
       // Definition-level oracles. NN!=0 is undefined exactly on diagram
       // edges (zero margin), so those queries are skipped; the discrete
-      // expected-distance argmin is ExpectedNn's scalar scan, the replay
-      // target of the batched kernel.
+      // expected-distance argmin is ExpectedNn's scalar query.
       auto nonzero = engine.QueryMany(qs, specs[4]);
       auto nearest = engine.QueryMany(qs, specs[1]);
       auto most_probable = engine.QueryMany(qs, specs[0]);

@@ -80,6 +80,10 @@ TEST(ExpectedNn, QueryExpectedMatchesLinearScan) {
   for (const UncertainPoint& p : workload::RandomDiscrete(100, 3, 19, 20.0)) {
     mixed.push_back(p);
   }
+  // All discrete, where the stop rule is Jensen's bound alone, with exact
+  // duplicates: their E[d] tie, and the smaller id must win.
+  auto discrete = workload::RandomDiscrete(300, 4, /*seed=*/29, 20.0);
+  for (int i = 0; i < 60; ++i) discrete.push_back(discrete[5 * i]);
   struct Case {
     std::vector<UncertainPoint> pts;
     std::uint64_t seed;
@@ -88,7 +92,8 @@ TEST(ExpectedNn, QueryExpectedMatchesLinearScan) {
   };
   const Case cases[] = {
       {workload::RandomDisks(25, /*seed=*/13, 8.0, 0.2, 2.5), 15, 10.0, 40},
-      {mixed, 23, 30.0, 30}};
+      {mixed, 23, 30.0, 30},
+      {discrete, 31, 25.0, 60}};
   for (const Case& c : cases) {
     ExpectedNn enn(c.pts);
     std::mt19937_64 rng(c.seed);

@@ -162,6 +162,45 @@ TEST(NnNonzeroDiscreteIndex, DeltaMatchesDefinition) {
   }
 }
 
+// DeltaPair against the linear two-smallest scan, on random sets and on
+// grid-snapped ones where groups repeat exactly: the values are equal on
+// every query, and the argmin too whenever the minimum is unique (on a
+// tie the index keeps the first minimizer its walk reaches, which must
+// still attain the minimum).
+TEST(NnNonzeroDiscreteIndex, DeltaPairMatchesTwoSmallestMaxDist) {
+  std::mt19937_64 rng(505);
+  std::uniform_int_distribution<int> grid(-8, 8);
+  std::uniform_real_distribution<double> qu(-15, 15);
+  for (int set = 0; set < 6; ++set) {
+    std::vector<UncertainPoint> pts = RandomDiscrete(20 + 15 * set, 3, rng);
+    if (set % 2 == 1) {
+      for (auto& p : pts) {
+        std::vector<Vec2> sites;
+        for (int s = 0; s < 3; ++s) {
+          sites.push_back({grid(rng) * 0.5, grid(rng) * 0.5});
+        }
+        p = UncertainPoint::DiscreteUniform(sites);
+      }
+      pts.push_back(pts[0]);  // An exact duplicate group.
+    }
+    NnNonzeroDiscreteIndex ix(pts);
+    for (int t = 0; t < 200; ++t) {
+      Vec2 q = t % 2 == 0 ? Vec2{qu(rng), qu(rng)}
+                          : Vec2{grid(rng) * 0.5, grid(rng) * 0.5};
+      DeltaEnvelope got = ix.DeltaPair(q);
+      DeltaEnvelope want = TwoSmallestMaxDist(pts, q);
+      ASSERT_EQ(got.best, want.best) << "set=" << set << " t=" << t;
+      ASSERT_EQ(got.second, want.second) << "set=" << set << " t=" << t;
+      if (want.best < want.second) {
+        EXPECT_EQ(got.argbest, want.argbest) << "set=" << set << " t=" << t;
+      } else {
+        ASSERT_GE(got.argbest, 0);
+        EXPECT_EQ(pts[got.argbest].MaxDist(q), want.best);
+      }
+    }
+  }
+}
+
 TEST(NnNonzeroDiscreteIndex, AgreesWithDiscreteDiagram) {
   std::mt19937_64 rng(504);
   auto pts = RandomDiscrete(6, 3, rng);

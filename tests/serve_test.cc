@@ -1,8 +1,12 @@
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <future>
+#include <limits>
 #include <mutex>
 #include <numeric>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -116,6 +120,62 @@ TEST(ServeQueryMany, MatchesSerialForEveryTypeAndThreadCount) {
         EXPECT_EQ(parallel[i].nn, serial[i].nn);
         EXPECT_EQ(parallel[i].ranked, serial[i].ranked);
         EXPECT_EQ(parallel[i].ids, serial[i].ids);
+      }
+    }
+  }
+}
+
+// serve::QueryMany sorts the pack into Morton order, splits the sorted
+// copy across the pool and scatters the results back. A shuffled pack
+// with duplicates, NaN/inf coordinates, |q| = 1e300 and a ragged length
+// must still put every query's own pack-of-one answer in its slot, on one
+// Engine and on two shards, for every type and pool size.
+TEST(ServeQueryMany, ShuffledPackScattersBackToEveryQuery) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::nan("");
+  auto pts = workload::RandomDiscrete(40, 3, 93);
+  Engine engine(pts, {});
+  serve::ShardedEngine sharded(pts, {}, {2, serve::Partitioning::kSpatial});
+  std::mt19937_64 rng(94);
+  std::uniform_real_distribution<double> u(-12, 12);
+  std::vector<Vec2> qs;
+  for (int i = 0; i < 253; ++i) qs.push_back({u(rng), u(rng)});
+  for (int i = 0; i < 40; ++i) qs.push_back(qs[5 * i]);  // Duplicates.
+  for (Vec2 q : {Vec2{nan, 1}, Vec2{2, nan}, Vec2{inf, 0}, Vec2{0, -inf},
+                 Vec2{nan, inf}, Vec2{1e300, 1e300}, Vec2{-1e300, 3},
+                 Vec2{5, 1e300}}) {
+    qs.push_back(q);
+  }
+  std::shuffle(qs.begin(), qs.end(), rng);
+  ASSERT_EQ(qs.size(), 301u);  // Not a multiple of 8 or of a block count.
+
+  const std::vector<Engine::QuerySpec> specs = {
+      {Engine::QueryType::kMostProbableNn, 0.5, 1},
+      {Engine::QueryType::kExpectedDistanceNn, 0.5, 1},
+      {Engine::QueryType::kThreshold, 0.3, 1},
+      {Engine::QueryType::kTopK, 0.5, 3},
+      {Engine::QueryType::kNonzeroNn, 0.5, 1},
+  };
+  for (const auto& spec : specs) {
+    std::vector<Engine::QueryResult> alone;
+    for (Vec2 q : qs) alone.push_back(engine.QueryMany({&q, 1}, spec)[0]);
+    for (int threads : {1, 2, 8}) {
+      serve::ThreadPool pool(threads);
+      auto one = serve::QueryMany(engine, qs, spec, &pool);
+      auto two = serve::QueryMany(sharded, qs, spec, &pool);
+      ASSERT_EQ(one.size(), qs.size());
+      ASSERT_EQ(two.size(), qs.size());
+      for (size_t i = 0; i < qs.size(); ++i) {
+        SCOPED_TRACE(testing::Message()
+                     << "type " << static_cast<int>(spec.type) << ", "
+                     << threads << " threads, q = (" << qs[i].x << ", "
+                     << qs[i].y << ")");
+        EXPECT_EQ(one[i].nn, alone[i].nn);
+        EXPECT_EQ(one[i].ranked, alone[i].ranked);
+        EXPECT_EQ(one[i].ids, alone[i].ids);
+        EXPECT_EQ(two[i].nn, alone[i].nn);
+        EXPECT_EQ(two[i].ranked, alone[i].ranked);
+        EXPECT_EQ(two[i].ids, alone[i].ids);
       }
     }
   }

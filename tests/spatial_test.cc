@@ -332,6 +332,47 @@ TEST(BatchTraverse, RaggedMaskVisitsOnlyActiveLanes) {
   EXPECT_EQ(seen, FullMask(3));
 }
 
+// PackCoherentOrder is total: a permutation with the finite queries first
+// and the non-finite ones after them in input order, the same on every
+// call, even for a box spanning +-1e308.
+TEST(PackOrder, PermutationWithFiniteQueriesFirst) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::nan("");
+  std::vector<Vec2> qs = RandomPoints(40, 21);
+  qs.insert(qs.begin() + 3, Vec2{nan, 1});
+  qs.insert(qs.begin() + 9, Vec2{inf, 0});
+  qs.insert(qs.begin() + 20, Vec2{2, -inf});
+  qs.push_back({1e308, -1e308});
+  qs.push_back({-1e308, 1e308});
+  qs.push_back(qs[0]);  // A duplicate.
+  std::vector<int> order = PackCoherentOrder(qs);
+  ASSERT_EQ(order.size(), qs.size());
+  std::vector<int> sorted = order;
+  std::sort(sorted.begin(), sorted.end());
+  for (size_t i = 0; i < sorted.size(); ++i) {
+    ASSERT_EQ(sorted[i], static_cast<int>(i));
+  }
+  const size_t finite = qs.size() - 3;
+  for (size_t i = 0; i < finite; ++i) {
+    EXPECT_TRUE(geom::IsFinite(qs[order[i]])) << i;
+  }
+  EXPECT_EQ(std::vector<int>(order.begin() + finite, order.end()),
+            (std::vector<int>{3, 9, 20}));
+  EXPECT_EQ(PackCoherentOrder(qs), order);
+  // A box from -1e308 to 1e308: the corners get the first and last
+  // cells, and the three small queries share the middle one in input
+  // order.
+  std::vector<Vec2> near(qs.begin(), qs.begin() + 3);
+  near.push_back({-1e308, -1e308});
+  near.push_back({1e308, 1e308});
+  EXPECT_EQ(PackCoherentOrder(near), (std::vector<int>{3, 0, 1, 2, 4}));
+  // Every query non-finite, one query, none.
+  std::vector<Vec2> bad = {{nan, nan}, {inf, 1}, {-inf, nan}};
+  EXPECT_EQ(PackCoherentOrder(bad), (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(PackCoherentOrder(std::vector<Vec2>{{1, 2}}), std::vector<int>{0});
+  EXPECT_TRUE(PackCoherentOrder({}).empty());
+}
+
 // ---------------------------------------------------------------------------
 // Migrated structures on degenerate inputs
 // ---------------------------------------------------------------------------
