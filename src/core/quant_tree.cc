@@ -217,116 +217,5 @@ double QuantTree::LogSurvivalScan(const std::vector<UncertainPoint>& points,
   return acc;
 }
 
-int QuantTree::ArgminPointwise(geom::Vec2 q,
-                               const std::function<double(int)>& value,
-                               QueryStats* stats) const {
-  int best_id = -1;
-  double best_v = kInf;
-  spatial::BestFirstScan(
-      tree_, [&](int n) { return MinDistLowerBound(n, q); },
-      // Strict comparison: a subtree at lb == best_v may still hold an
-      // exact tie with a smaller id, which the linear scan would report.
-      [&](double lb) { return lb > best_v; },
-      [&](int n) {
-        if (tree_.is_leaf(n)) {
-          for (int j = tree_.begin(n); j < tree_.end(n); ++j) {
-            int id = tree_.item(j);
-            double v = value(id);
-            if (stats != nullptr) ++stats->points_evaluated;
-            if (v < best_v || (v == best_v && id < best_id)) {
-              best_v = v;
-              best_id = id;
-            }
-          }
-        }
-        return true;
-      },
-      stats);
-  return best_id;
-}
-
-void QuantTree::ArgminPointwiseBatch(
-    std::span<const geom::Vec2> queries,
-    const std::function<double(int, int)>& value, double slack,
-    std::span<int> out, spatial::BatchStats* stats) const {
-  constexpr int kW = geom::kLaneWidth;
-  UNN_CHECK(slack >= 0.0);
-  // An approximate value may undershoot its lane's lower bound by up to
-  // `slack`, so the strict scalar prune and the pack's prune can resolve
-  // candidates within that margin differently. Pruning with a 2*slack
-  // band keeps every point whose value can come within `slack` of the
-  // minimum, and a runner-up inside the band flags the lane for scalar
-  // replay; an unflagged lane's minimizer wins by more than the total
-  // error, so the scalar walk must have found the same one.
-  const double band = 2.0 * slack;
-  for (size_t base = 0; base < queries.size(); base += kW) {
-    int count = static_cast<int>(std::min<size_t>(kW, queries.size() - base));
-    geom::Vec2 qv[kW];
-    double qx[kW], qy[kW];
-    int qi[kW];
-    for (int l = 0; l < kW; ++l) {
-      size_t i = base + std::min(l, count - 1);  // Pad ragged packs.
-      qv[l] = queries[i];
-      qx[l] = qv[l].x;
-      qy[l] = qv[l].y;
-      qi[l] = static_cast<int>(i);
-    }
-    double best_v[kW], second_v[kW];
-    int best_id[kW];
-    for (int l = 0; l < kW; ++l) {
-      best_v[l] = kInf;
-      second_v[l] = kInf;
-      best_id[l] = -1;
-    }
-    // Per-lane MinDistLowerBound, scalar arithmetic per lane.
-    auto key = spatial::MakeLaneKeyCache([&](int n, double* k) {
-      double dsq[kW];
-      geom::BoxDistSqLanes(qx, qy, tree_.box(n), dsq);
-      geom::SqrtLanes(dsq, k);
-      const double rmax = tree_.aug().first.max(n);
-      for (int l = 0; l < kW; ++l) k[l] = std::max(k[l] - rmax, 0.0);
-    });
-    spatial::BatchBestFirstScan(
-        tree_, spatial::FullMask(count),
-        [&](int l, int n) { return key(l, n); },
-        [&](int l, double lb) { return lb > best_v[l] + band; },
-        [&](int n, spatial::LaneMask m) {
-          if (!tree_.is_leaf(n)) return;
-          for (int j = tree_.begin(n); j < tree_.end(n); ++j) {
-            int id = tree_.item(j);
-            for (int l = 0; l < kW; ++l) {
-              if ((m >> l & 1u) == 0) continue;
-              if (stats != nullptr) ++stats->lane_points_evaluated;
-              double v = value(id, qi[l]);
-              if (v < best_v[l]) {
-                second_v[l] = best_v[l];
-                best_v[l] = v;
-                best_id[l] = id;
-              } else if (v == best_v[l]) {
-                // A tie always lands the runner-up on the minimum, so
-                // the end-of-pack band check flags the lane.
-                second_v[l] = v;
-                if (id < best_id[l]) best_id[l] = id;
-              } else {
-                second_v[l] = std::min(second_v[l], v);
-              }
-            }
-          }
-        },
-        stats);
-    if (stats != nullptr) ++stats->packs;
-    for (int l = 0; l < count; ++l) {
-      int id = best_id[l];
-      if (second_v[l] - best_v[l] <= band) {
-        if (stats != nullptr) ++stats->scalar_replays;
-        const int i = qi[l];
-        id = ArgminPointwise(queries[base + l],
-                             [&](int pid) { return value(pid, i); });
-      }
-      out[base + l] = id;
-    }
-  }
-}
-
 }  // namespace core
 }  // namespace unn

@@ -1,7 +1,6 @@
 #ifndef UNN_CORE_QUANT_TREE_H_
 #define UNN_CORE_QUANT_TREE_H_
 
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -28,11 +27,6 @@
 ///                             than r, visiting only points whose support
 ///                             intersects ball(q, r) (a disjoint support
 ///                             contributes factor 1 = log 0);
-///   * ArgminPointwise(q, f) — argmin_i f(i) for any per-point value with
-///                             f(i) >= delta_i(q) (e.g. the expected
-///                             distance E[d(q, P_i)]), pruning subtrees
-///                             whose min-distance lower bound exceeds the
-///                             running best;
 ///   * SupportsWithin(q, r)  — the ids whose support meets ball(q, r),
 ///                             the candidate set of core::MonteCarloPnn.
 ///
@@ -48,10 +42,10 @@
 /// evaluates surviving points with the same arithmetic as the linear
 /// scans, so MaxDistEnvelope reproduces core::TwoSmallestMaxDist
 /// bit-identically (including argmin tie-breaking toward the smaller id)
-/// and ArgminPointwise reproduces the definition-level scan's argmin
-/// exactly. LogSurvival accumulates the same per-point terms in leaf
-/// visit order, so it matches a linear log-space scan up to
-/// floating-point associativity (~1e-15 relative).
+/// and SupportsWithin reports exactly the scan's ids. LogSurvival
+/// accumulates the same per-point terms in leaf visit order, so it
+/// matches a linear log-space scan up to floating-point associativity
+/// (~1e-15 relative).
 ///
 /// Thread safety: immutable after construction; every query method is
 /// const, allocates only local state, and may be called concurrently.
@@ -143,32 +137,6 @@ class QuantTree {
   /// the index cannot drift apart.
   static double LogSurvivalScan(const std::vector<UncertainPoint>& points,
                                 geom::Vec2 q, double r);
-
-  /// argmin_i value(i) for a per-point quantity bounded below by the
-  /// min-distance, value(i) >= delta_i(q) (ties toward the smaller id,
-  /// like a definition-level scan). Prunes subtrees whose min-distance
-  /// lower bound exceeds the best value seen, never pruning a potential
-  /// minimizer, so the result matches the unpruned scan exactly — when
-  /// the precondition holds exactly. A numerically *approximated* value
-  /// (quadrature, accumulated rounding) may undershoot delta_i(q) by its
-  /// error bound, in which case candidates within that margin of each
-  /// other may resolve either way (the same near-tie caveat the
-  /// expected-distance API already carries).
-  int ArgminPointwise(geom::Vec2 q, const std::function<double(int)>& value,
-                      QueryStats* stats = nullptr) const;
-
-  /// Batched ArgminPointwise: `out[i]` is bit-identical to
-  /// `ArgminPointwise(queries[i], value(., i))`. `slack` bounds how far
-  /// `value(id, i)` may undershoot delta_id(queries[i]) (0 for exact
-  /// values; the quadrature tolerance for expected distances). The pack
-  /// prunes with a 2*slack guard band so no candidate the scalar walk
-  /// could have reached is skipped, and any lane whose runner-up lands
-  /// within that band of its minimum — where prune order can decide the
-  /// argmin — replays the scalar query (spatial/batch.h idiom).
-  void ArgminPointwiseBatch(std::span<const geom::Vec2> queries,
-                            const std::function<double(int, int)>& value,
-                            double slack, std::span<int> out,
-                            spatial::BatchStats* stats = nullptr) const;
 
  private:
   using Augment = spatial::PairAugment<spatial::MinMaxAugment, AllDiskAugment>;

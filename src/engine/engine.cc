@@ -4,7 +4,6 @@
 #include <numeric>
 
 #include "baselines/brute_force.h"
-#include "core/exact_pnn.h"
 #include "engine/query_contract.h"
 #include "util/check.h"
 
@@ -131,27 +130,12 @@ std::vector<std::vector<std::pair<int, double>>> Engine::ProbabilitiesMany(
   // kAuto on discrete input: exact Eq. (2) over each query's NN!=0
   // candidates (Lemma 2.1 zeroes every other point), batched through the
   // two-stage index.
-  if (config_.backend == Backend::kAuto && all_discrete_) {
+  if (ExactQuantification()) {
     return GetNonzeroDiscrete().ProbabilitiesBatch(queries, stats);
   }
-  if (ExactQuantification()) {
-    // kBruteForce: the exact definitions have no traversal to share; the
-    // batch is the scalar definition per query. A query with a NaN or
-    // infinite coordinate gets no estimates, as from the estimators.
-    std::vector<std::vector<std::pair<int, double>>> out(queries.size());
-    for (size_t i = 0; i < queries.size(); ++i) {
-      const geom::Vec2 q = queries[i];
-      if (!geom::IsFinite(q)) continue;
-      out[i] = all_discrete_ ? core::DiscreteQuantification(points_, q)
-                             : core::IntegrateAllQuantifications(points_, q,
-                                                                 config_.tol);
-    }
-    return out;
-  }
-  // Monte Carlo: kMonteCarlo, and kAuto on disk or mixed input (it alone
-  // handles mixed models natively, so kBruteForce on a mixed set lands
-  // here too). The first `samples` instantiations answer, however many
-  // the cached estimator holds.
+  // Monte Carlo: kMonteCarlo, and kAuto on disk or mixed input. The first
+  // `samples` instantiations answer, however many the cached estimator
+  // holds.
   const int samples =
       MonteCarloSamples(config_, size(), max_sites_, eps_needed);
   return GetMonteCarlo(samples)->QueryBatch(queries, stats, samples);
@@ -282,29 +266,11 @@ std::vector<Engine::QueryResult> Engine::QueryInOrder(
       break;
     }
     case QueryType::kExpectedDistanceNn: {
-      std::vector<int> ids(queries.size());
-      if (config_.backend != Backend::kBruteForce) {
-        const core::ExpectedNn& index = GetExpectedNn();
-        for (size_t i = 0; i < queries.size(); ++i) {
-          ids[i] = index.QueryExpected(queries[i], config_.tol);
-        }
-      } else {
-        // Definition-level argmin of E[d(q, P_i)], pruned by the
-        // quantification index's min-distance bounds (E[d] >= delta_i),
-        // which never skip a potential minimizer. The quadrature
-        // tolerance is the value slack the kernel's guard band covers:
-        // values within Config::tol of each other may tie-break either
-        // way (docs/QUERY_SEMANTICS.md).
-        const core::ExpectedNn& index = GetExpectedNn();
-        GetQuantTree().ArgminPointwiseBatch(
-            queries,
-            [&](int id, int qi) {
-              return index.ExpectedDistance(id, queries[qi], config_.tol);
-            },
-            /*slack=*/config_.tol, ids);
-      }
+      const core::ExpectedNn& index = GetExpectedNn();
       for (size_t i = 0; i < queries.size(); ++i) {
-        if (geom::IsFinite(queries[i])) results[i].nn = ids[i];
+        if (geom::IsFinite(queries[i])) {
+          results[i].nn = index.QueryExpected(queries[i], config_.tol);
+        }
       }
       break;
     }

@@ -34,8 +34,10 @@
 ///
 /// `Engine::Config` selects a backend and an accuracy. The default
 /// `Backend::kAuto` picks one structure per query type and input model
-/// (docs/ARCHITECTURE.md "Batch traversal"); `kBruteForce` answers from
-/// the definitions and `kMonteCarlo` from instantiation sampling. The
+/// (docs/ARCHITECTURE.md "Batch traversal"); `kMonteCarlo` answers the
+/// probabilities from instantiation sampling on every input. The
+/// definitions themselves (Lemma 2.1, Eq. (1), Eq. (2)) serve no query:
+/// they are the test oracles in `baselines/` and `core/exact_pnn.h`. The
 /// paper's other structures (the V!=0 diagrams, the L_inf index and the
 /// Theorem 4.5/4.7 spiral searches, which build into the `unn_paper`
 /// library) are `core::` classes used directly.
@@ -66,24 +68,17 @@ enum class Backend {
   /// NN!=0 index on disks and the definition oracle on mixed sets.
   /// ExpectedDistanceNn always uses core::ExpectedNn.
   kAuto,
-  /// Definition-level O(n)-per-query oracle; exact. A mixed set has no
-  /// exact quantifier, so its probabilities come from Monte Carlo.
-  kBruteForce,
   /// Theorem 4.3/4.5 instantiation sampling for the probabilities; NN!=0
   /// from the oracle, ExpectedDistanceNn from core::ExpectedNn.
   kMonteCarlo,
 };
 
 /// The one exactness rule, shared by Engine and ShardedEngine (which
-/// applies it with the whole set's flags). Probabilities are exact for
-/// kAuto on all-discrete input (Eq. (2) over the NN!=0 candidates) and for
-/// kBruteForce on a homogeneous set (Eq. (2) accumulation or Eq. (1)
-/// integration). Every other configuration takes the Monte-Carlo
-/// estimator; a mixed set has no exact quantifier.
-inline bool ExactQuantification(Backend backend, bool all_discrete,
-                                bool all_disk) {
-  if (backend == Backend::kAuto) return all_discrete;
-  return backend == Backend::kBruteForce && (all_discrete || all_disk);
+/// applies it with the whole set's flag). Probabilities are exact for
+/// kAuto on all-discrete input (Eq. (2) over the NN!=0 candidates); every
+/// other configuration takes the Monte-Carlo estimator.
+inline bool ExactQuantification(Backend backend, bool all_discrete) {
+  return backend == Backend::kAuto && all_discrete;
 }
 
 class Engine {
@@ -92,12 +87,13 @@ class Engine {
     Backend backend = Backend::kAuto;
     /// Accuracy of the Monte-Carlo estimates (disk and mixed input, and
     /// every input under kMonteCarlo): every reported hat-pi is within eps
-    /// of the true pi. Exact quantification — kAuto on discrete input,
-    /// kBruteForce on a homogeneous set — ignores it.
+    /// of the true pi. Exact quantification (kAuto on discrete input)
+    /// ignores it.
     double eps = 0.05;
     /// Monte-Carlo failure probability (Theorem 4.3).
     double delta = 0.05;
-    /// Quadrature tolerance for exact disk-model integrals.
+    /// Quadrature tolerance of the disk-model expected distance E[d]
+    /// (ExpectedDistanceNn and ExpectedDistance).
     double tol = 1e-8;
     /// Seed for every randomized structure.
     uint64_t seed = 0xC0FFEE;
@@ -149,16 +145,13 @@ class Engine {
   // each answer is bit-identical to the same query inside any pack.
 
   /// argmax_i pi_i(q), ties broken toward the smaller id; -1 when no
-  /// point has a positive estimate. Exact for kAuto on discrete input and
-  /// kBruteForce on homogeneous inputs; within Config::eps for the
-  /// Monte-Carlo estimator. Thread-safe; cost is one quantification query
-  /// (near-linear worst case for the estimators, O(N log N) for the
-  /// oracle).
+  /// point has a positive estimate. Exact for kAuto on discrete input;
+  /// within Config::eps for the Monte-Carlo estimator. Thread-safe; cost
+  /// is one quantification query (near-linear worst case).
   int MostProbableNn(geom::Vec2 q) const;
 
-  /// argmin_i E[d(q, P_i)]. Served by core::ExpectedNn except under
-  /// kBruteForce, which scans the definition. Thread-safe;
-  /// O(log n) expected via branch-and-bound, O(n) for the scan.
+  /// argmin_i E[d(q, P_i)], served by core::ExpectedNn on every backend.
+  /// Thread-safe; O(log n) expected via branch-and-bound.
   int ExpectedDistanceNn(geom::Vec2 q) const;
 
   /// All i whose true pi_i(q) may reach tau, (id, estimate) sorted by
@@ -180,7 +173,8 @@ class Engine {
   std::vector<std::pair<int, double>> TopK(geom::Vec2 q, int k) const;
 
   /// NN!=0(q), sorted ids; exact. Thread-safe; polylogarithmic +
-  /// output-sensitive for kAuto's indexes, O(n) for the oracle.
+  /// output-sensitive for kAuto's indexes on homogeneous sets, O(n) for
+  /// the oracle otherwise.
   std::vector<int> NonzeroNn(geom::Vec2 q) const;
 
   /// Batched entry point and the one execution path of every query type:
@@ -227,11 +221,9 @@ class Engine {
   /// accuracy; exact quantification ignores it. The estimator answers from
   /// its first MonteCarloSamples(config(), size(), max_sites(),
   /// eps_needed) instantiations, whatever was built before. Exposed so
-  /// callers can post-process distributions themselves — the sharded
-  /// layer's kBruteForce disk merge treats this as the per-shard candidate
-  /// generator.
-  /// A one-element ProbabilitiesMany. Thread-safe; cost is one backend
-  /// quantification query.
+  /// callers can post-process distributions themselves. A one-element
+  /// ProbabilitiesMany. Thread-safe; cost is one backend quantification
+  /// query.
   std::vector<std::pair<int, double>> Probabilities(
       geom::Vec2 q, double eps_needed = 0.0) const;
 
@@ -239,12 +231,11 @@ class Engine {
   /// on discrete input answers the whole batch through
   /// core::NnNonzeroDiscreteIndex::ProbabilitiesBatch (exact, bit-identical
   /// to core::DiscreteQuantification); the Monte-Carlo estimator through
-  /// its candidate sweep after a batched envelope pass; kBruteForce
-  /// evaluates the definition per query. A query with a NaN or infinite
-  /// coordinate gets no estimates on every backend, so MostProbableNn
-  /// answers -1 and Threshold/TopK report nothing for it. This is the
-  /// substrate QueryMany's MostProbableNn/Threshold/TopK arms and the
-  /// sharded pack fan-out of disk and mixed sets share. Thread-safe.
+  /// its candidate sweep after a batched envelope pass. A query with a
+  /// NaN or infinite coordinate gets no estimates on every backend, so
+  /// MostProbableNn answers -1 and Threshold/TopK report nothing for it.
+  /// This is the substrate QueryMany's MostProbableNn/Threshold/TopK arms
+  /// share. Thread-safe.
   std::vector<std::vector<std::pair<int, double>>> ProbabilitiesMany(
       std::span<const geom::Vec2> queries, double eps_needed = 0.0,
       spatial::BatchStats* stats = nullptr) const;
@@ -339,14 +330,12 @@ class Engine {
   int size() const { return static_cast<int>(points_.size()); }
   /// True when every point is a discrete distribution. O(1).
   bool all_discrete() const { return all_discrete_; }
-  /// True when every point is a disk (continuous) model. O(1).
-  bool all_disk() const { return all_disk_; }
   /// Theorem 4.3's k: the most sites of any discrete point (1 if none).
   int max_sites() const { return max_sites_; }
 
  private:
   bool ExactQuantification() const {
-    return unn::ExactQuantification(config_.backend, all_discrete_, all_disk_);
+    return unn::ExactQuantification(config_.backend, all_discrete_);
   }
 
   /// QueryMany over a pack already in the order it is answered in.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <functional>
 #include <string>
 #include <utility>
@@ -35,6 +36,17 @@ class InflightGuard {
   std::atomic<int>& counter_;
   const std::atomic<bool>& draining_;
 };
+
+/// True when every coordinate of the point's support and its radius are
+/// finite. A NaN centre would also break the strict weak ordering the
+/// spatial partitioner sorts by.
+bool FiniteSupport(const core::UncertainPoint& p) {
+  if (p.is_disk()) {
+    return geom::IsFinite(p.center()) && std::isfinite(p.radius());
+  }
+  return std::all_of(p.sites().begin(), p.sites().end(),
+                     [](geom::Vec2 s) { return geom::IsFinite(s); });
+}
 
 /// The sharding a caller-installed shard set implies for future
 /// replacements: its own shape, with the assembled-set marker mapped to
@@ -505,11 +517,15 @@ bool QueryServer::ReplaceImpl(std::vector<core::UncertainPoint> points,
   // snapshot) before member teardown begins.
   InflightGuard inflight(inflight_, draining_);
   MutexLock lock(&replace_mu_);
-  // Refuse what ShardedEngine would abort on before any state changes.
+  // Refuse what ShardedEngine would abort on, and data no query could be
+  // answered from, before any state changes.
   const Partitioning partitioning = sharding != nullptr
                                         ? sharding->partitioning
                                         : sharding_.partitioning;
-  if (points.empty() || partitioning == Partitioning::kExternal) return false;
+  if (points.empty() || partitioning == Partitioning::kExternal ||
+      !std::all_of(points.begin(), points.end(), FiniteSupport)) {
+    return false;
+  }
   // Read the config under the lock: a racing ReplaceShardedEngine may
   // have just installed a snapshot with different accuracy settings, and
   // "same config as the current snapshot" must mean the latest one.

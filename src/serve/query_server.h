@@ -190,7 +190,8 @@ class QueryServer {
   /// see the new one. Safe to call concurrently with queries and with
   /// other replacements (replacements serialize). Returns false, and
   /// leaves the snapshot, the generation and the replacement sharding as
-  /// they were, when `points` is empty or the sharding names
+  /// they were, when `points` is empty, when some disk centre, site or
+  /// radius has a NaN or infinite coordinate, or when the sharding names
   /// `Partitioning::kExternal` (the marker of an assembled shard set,
   /// not a partitioner).
   bool ReplaceDataset(std::vector<core::UncertainPoint> points);

@@ -31,12 +31,16 @@
 ///                               answer: under independent points the
 ///                               survival function of the whole set
 ///                               factors into per-shard survival
-///                               products. A discrete set's union is every
-///                               point within the merged Delta(q)
-///                               (MergeDiscreteProbabilities,
-///                               bit-identical to one Engine); a kBruteForce
-///                               disk set re-integrates Eq. (1) over the
-///                               per-shard candidates (MergeProbabilities).
+///                               products. The union is every point
+///                               within the merged Delta(q)
+///                               (MergeDiscreteProbabilities, the merge of
+///                               a kAuto discrete set, bit-identical to
+///                               one Engine).
+///
+/// MergeProbabilities, the Eq. (1) re-integration over per-shard
+/// candidates, has no library caller: no backend quantifies disks
+/// exactly. It stays while perfbench times it, and goes with the
+/// benchmark change that retargets that probe (ROADMAP item 3).
 ///
 /// Every function here is stateless and reads only const Engine state, so
 /// all of them are thread-safe and may run concurrently with each other
@@ -118,9 +122,9 @@ MergedProbabilities MergeDiscreteProbabilities(
     std::span<const ShardView> shards,
     std::span<const core::DeltaEnvelope> local_env, geom::Vec2 q);
 
-/// Candidate-union re-quantification, the exact merge of a kBruteForce
-/// all-disk set: `local_probs[s]` are shard s's (local id, pi) candidates
-/// (Engine::Probabilities, complete for an exact backend); `local_env[s]`
+/// Candidate-union re-quantification by the definitions (no library
+/// caller; see the file comment): `local_probs[s]` are shard s's
+/// (local id, pi) candidates, complete when exact; `local_env[s]`
 /// its Delta envelope — each shard's envelope argmin joins the union so
 /// the union's own envelope equals the global one, which makes the
 /// re-quantification self-truncating (omitted points have min-distance at

@@ -108,7 +108,7 @@ ShardedEngine::ShardedEngine(std::shared_ptr<const Engine> engine)
 
 void ShardedEngine::IndexShards() {
   size_ = 0;
-  bool all_disk = true;
+  bool all_discrete = true;
   for (const auto& e : engines_) size_ += e->size();
   // The id lists must partition [0, size_).
   std::vector<bool> seen(size_, false);
@@ -118,12 +118,11 @@ void ShardedEngine::IndexShards() {
                     "shard ids must partition [0, total)");
       seen[gid] = true;
     }
-    all_discrete_ = all_discrete_ && e->all_discrete();
-    all_disk = all_disk && e->all_disk();
+    all_discrete = all_discrete && e->all_discrete();
     max_sites_ = std::max(max_sites_, e->max_sites());
     views_.push_back({e.get(), &e->global_ids()});
   }
-  exact_ = ExactQuantification(config_.backend, all_discrete_, all_disk);
+  exact_ = ExactQuantification(config_.backend, all_discrete);
 }
 
 // ---------------------------------------------------------------------------
@@ -226,10 +225,9 @@ ShardedEngine::ProbabilitiesMany(std::span<const geom::Vec2> queries,
     }
     return merged;
   }
-  // Exact: per-shard batched envelopes (plus candidates on a disk set; a
-  // discrete set's merge takes the points within the merged Delta(q) from
-  // the shards instead), then the re-quantification per query.
-  std::vector<std::vector<std::vector<std::pair<int, double>>>> local(shards);
+  // Exact (an all-discrete set): per-shard batched envelopes, then each
+  // query's merge takes the points within the merged Delta(q) from the
+  // shards and re-quantifies them.
   std::vector<std::vector<core::DeltaEnvelope>> env(shards);
   {
     obs::ScopedSpan fan(trace, "shard_fanout",
@@ -237,28 +235,16 @@ ShardedEngine::ProbabilitiesMany(std::span<const geom::Vec2> queries,
     ForEachShard(
         pool,
         [&](int s) {
-          if (!all_discrete_) {
-            local[s] = engines_[s]->ProbabilitiesMany(queries);
-          }
           env[s].resize(queries.size());
           engines_[s]->MaxDistEnvelopeMany(queries, env[s]);
         },
         fan.node());
   }
   obs::ScopedSpan merge(trace, "merge");
-  std::vector<std::vector<std::pair<int, double>>> q_local(shards);
   std::vector<core::DeltaEnvelope> q_env(shards);
   for (size_t i = 0; i < queries.size(); ++i) {
     for (size_t s = 0; s < shards; ++s) q_env[s] = env[s][i];
-    MergedProbabilities m;
-    if (all_discrete_) {
-      m = MergeDiscreteProbabilities(views_, q_env, queries[i]);
-    } else {
-      for (size_t s = 0; s < shards; ++s) q_local[s] = std::move(local[s][i]);
-      m = MergeProbabilities(views_, q_local, q_env, queries[i], config_,
-                             config_.eps);
-    }
-    merged[i] = std::move(m.probs);
+    merged[i] = MergeDiscreteProbabilities(views_, q_env, queries[i]).probs;
   }
   return merged;
 }

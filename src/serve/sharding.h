@@ -28,13 +28,13 @@
 /// Exactness (details in docs/QUERY_SEMANTICS.md): sharding never changes
 /// an answer. NonzeroNn and ExpectedDistanceNn merges are exact. The
 /// probability queries (MostProbableNn / Threshold / TopK) follow
-/// ExactQuantification (engine.h) on the whole set's flags: where one
-/// Engine is exact, the exact merges re-quantify (bit-identical on
-/// discrete sets, within quadrature tolerance on kBruteForce disks);
-/// everywhere else every shard reports its per-instantiation Monte-Carlo
-/// winners at the whole set's sample count, and their elementwise minimum
-/// reproduces one Engine's estimates bit for bit (every shard Engine keys
-/// its draws by global id).
+/// ExactQuantification (engine.h) on the whole set's flag: where one
+/// Engine is exact (kAuto on a discrete set), the discrete merge
+/// re-quantifies the points within the merged Delta(q), bit-identical to
+/// one Engine; everywhere else every shard reports its per-instantiation
+/// Monte-Carlo winners at the whole set's sample count, and their
+/// elementwise minimum reproduces one Engine's estimates bit for bit
+/// (every shard Engine keys its draws by global id).
 ///
 /// Thread safety: a ShardedEngine is immutable after construction and
 /// every const query method may be called from any number of threads
@@ -205,11 +205,10 @@ class ShardedEngine {
   /// Merged (global id, pi) lists at `eps_needed` for a whole pack: under
   /// Monte Carlo one MonteCarloWinnersMany visit per shard at the whole
   /// set's sample count, then MergeInstantiationWinners per query; where
-  /// quantification is exact one MaxDistEnvelopeMany visit per shard
-  /// (plus ProbabilitiesMany on a disk set), then
-  /// MergeDiscreteProbabilities or MergeProbabilities per query. The only
-  /// merge call site: MostProbableNn / Threshold / TopK and the tau <= 0
-  /// degenerate answer all go through it.
+  /// quantification is exact one MaxDistEnvelopeMany visit per shard, then
+  /// MergeDiscreteProbabilities per query. The only merge call site:
+  /// MostProbableNn / Threshold / TopK and the tau <= 0 degenerate answer
+  /// all go through it.
   std::vector<std::vector<std::pair<int, double>>> ProbabilitiesMany(
       std::span<const geom::Vec2> queries, double eps_needed,
       ThreadPool* pool, obs::TraceNode trace) const;
@@ -219,10 +218,10 @@ class ShardedEngine {
   Engine::Config config_;
   ShardingOptions options_;
   int size_ = 0;
-  // Facts of the whole set: ExactQuantification on its model flags, and
-  // the flag and Theorem 4.3's k that pick the merge and the sample count.
+  // Facts of the whole set: ExactQuantification on its model flag (exact
+  // implies all-discrete, so it picks the merge), and Theorem 4.3's k for
+  // the sample count.
   bool exact_ = false;
-  bool all_discrete_ = true;
   int max_sites_ = 1;
 };
 

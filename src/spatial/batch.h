@@ -35,7 +35,7 @@
 ///     visits a superset of the scalar BestFirstScan's surviving nodes,
 ///     in an order that may differ from the lane's own key order; use it
 ///     for exact-min accumulation, never for first-hit semantics.
-///     core::QuantTree's envelope and pointwise-argmin passes run on it.
+///     core::QuantTree's envelope pass runs on it.
 ///
 /// Both evaluate box bounds with the SIMD lane ops of geom/lanes.h and
 /// prefetch the SoA child arrays a node ahead. A lane kernel stays only
@@ -43,19 +43,6 @@
 /// pack by at least 1.2x; the discrete E[d] argmin and the Delta(q)
 /// envelope of Theorem 3.2 did not, and are served by their scalar
 /// queries.
-///
-/// Bit-identity idiom (used by core::QuantTree::ArgminPointwiseBatch):
-/// where the scalar query's argmin depends on its visit order, the batch
-/// entry point prunes *strictly* (`bound > best`, keeping every item
-/// whose value ties the minimum), which computes each lane's exact
-/// minimum value, and raises a per-lane `replay` flag whenever the argmin
-/// could be order-dependent (a tie on the minimum, or values within a
-/// guard band of the evolving bound where floating-point pruning could
-/// diverge). Flagged lanes re-run the scalar query verbatim — bit-identical
-/// by definition — while unflagged lanes have a unique minimizer that
-/// every sound traversal, scalar or batched, must return.
-/// tests/batch_fuzz_test differentially verifies the scheme on
-/// adversarial inputs.
 
 namespace unn {
 namespace spatial {
@@ -78,7 +65,8 @@ struct BatchStats {
   std::int64_t leaves_scanned = 0;
   std::int64_t lane_points_evaluated = 0;
   std::int64_t prunes = 0;          ///< Entries dropped with no lane active.
-  std::int64_t scalar_replays = 0;  ///< Lanes re-run through the scalar path.
+  /// Always 0: no kernel replays; perfbench still reports the field.
+  std::int64_t scalar_replays = 0;
 
   double LaneUtilization() const {
     return nodes_visited == 0 ? 0.0

@@ -71,7 +71,7 @@ std::vector<UncertainPoint> ClusteredDiscrete(int n, uint64_t seed) {
 
 /// Many points sharing the exact same mean (sites mirrored around a few
 /// anchors), so expected-squared values tie whenever variances do — the
-/// hardest case for the tie-replay scheme.
+/// hardest case for argmin tie-breaking.
 std::vector<UncertainPoint> CoincidentAnchors(int n, uint64_t seed) {
   std::mt19937_64 rng(seed);
   std::uniform_real_distribution<double> u(-5, 5);
@@ -163,51 +163,6 @@ TEST(BatchFuzz, QuantTreeEnvelopeBatchBitIdentical) {
             << "it=" << it << " m=" << m << " i=" << i;
         EXPECT_EQ(got[i].argbest, want.argbest)
             << "it=" << it << " m=" << m << " i=" << i;
-      }
-    }
-  }
-}
-
-TEST(BatchFuzz, QuantTreeArgminBatchBitIdentical) {
-  int iters = FuzzIters(6);
-  for (int it = 0; it < iters; ++it) {
-    uint64_t seed = 7000 + 29 * static_cast<uint64_t>(it);
-    auto pts = AdversarialSet(it, 30 + (it % 4) * 17, seed);
-    core::QuantTree qt(&pts);
-    core::ExpectedNn index(pts);
-    for (int m = 1; m <= 2 * geom::kLaneWidth + 1; ++m) {
-      auto qs = AdversarialQueries(m, seed + m);
-      // Approximate value (quadrature): slack = the tolerance, as the
-      // engine's brute-force expected-distance arm uses it.
-      {
-        std::vector<int> got(qs.size());
-        spatial::BatchStats stats;
-        qt.ArgminPointwiseBatch(
-            qs,
-            [&](int id, int qi) {
-              return index.ExpectedDistance(id, qs[qi], 1e-8);
-            },
-            /*slack=*/1e-8, got, &stats);
-        for (size_t i = 0; i < qs.size(); ++i) {
-          int want = qt.ArgminPointwise(qs[i], [&](int id) {
-            return index.ExpectedDistance(id, qs[i], 1e-8);
-          });
-          EXPECT_EQ(got[i], want) << "it=" << it << " m=" << m << " i=" << i;
-        }
-      }
-      // Exact value (min-distance itself, slack 0): the coincident /
-      // duplicated sets produce exact minimum ties, so the zero-width
-      // band must still trigger replay on true ties.
-      {
-        std::vector<int> got(qs.size());
-        qt.ArgminPointwiseBatch(
-            qs, [&](int id, int qi) { return pts[id].MinDist(qs[qi]); },
-            /*slack=*/0.0, got);
-        for (size_t i = 0; i < qs.size(); ++i) {
-          int want = qt.ArgminPointwise(
-              qs[i], [&](int id) { return pts[id].MinDist(qs[i]); });
-          EXPECT_EQ(got[i], want) << "it=" << it << " m=" << m << " i=" << i;
-        }
       }
     }
   }

@@ -132,14 +132,14 @@ INSTANTIATE_TEST_SUITE_P(
     AllExactBackends, EngineNonzeroAgreement,
     ::testing::Values(
         std::make_tuple("disk", Backend::kAuto),
-        std::make_tuple("disk", Backend::kBruteForce),
         std::make_tuple("disk", Backend::kMonteCarlo),  // answers by oracle
         std::make_tuple("discrete", Backend::kAuto),
-        std::make_tuple("discrete", Backend::kBruteForce)));
+        std::make_tuple("discrete", Backend::kMonteCarlo)));
 
 // ---------------------------------------------------------------------------
-// Probabilistic queries: estimator backends agree with the exact oracle up
-// to their accuracy guarantee; the brute-force backend agrees exactly.
+// Probabilistic queries: the estimator agrees with the exact oracle up to
+// its accuracy guarantee; exact quantification (kAuto on discrete input)
+// agrees exactly.
 // ---------------------------------------------------------------------------
 
 class EngineProbabilisticAgreement
@@ -173,8 +173,7 @@ TEST_P(EngineProbabilisticAgreement, ArgmaxThresholdTopK) {
     cfg.eps = eps;
     cfg.seed = 99;
     Engine engine(pts, cfg);
-    bool exact = backend == Backend::kBruteForce ||
-                 (backend == Backend::kAuto && discrete);
+    bool exact = ExactQuantification(backend, discrete);
     for (Vec2 q : TestQueries()) {
       auto oracle = OracleProbabilities(pts, q);
       // On an exact tie no point is strictly nearest, so the exact
@@ -240,10 +239,8 @@ TEST_P(EngineProbabilisticAgreement, ArgmaxThresholdTopK) {
 INSTANTIATE_TEST_SUITE_P(
     Backends, EngineProbabilisticAgreement,
     ::testing::Values(
-        std::make_tuple("discrete", Backend::kBruteForce),
         std::make_tuple("discrete", Backend::kMonteCarlo),
         std::make_tuple("discrete", Backend::kAuto),
-        std::make_tuple("disk", Backend::kBruteForce),
         std::make_tuple("disk", Backend::kMonteCarlo)));
 
 // ---------------------------------------------------------------------------
@@ -254,18 +251,21 @@ TEST(EngineExpectedDistanceNn, IndexAgreesWithScan) {
   for (bool discrete : {false, true}) {
     auto pts = discrete ? workload::RandomDiscrete(20, 4, 51)
                         : workload::RandomDisks(20, 52);
-    Engine indexed(pts, {});
-    Engine::Config brute_cfg;
-    brute_cfg.backend = Backend::kBruteForce;
-    Engine brute(pts, brute_cfg);
-    core::ExpectedNn reference(pts);
+    Engine engine(pts, {});
     for (Vec2 q : TestQueries()) {
-      int a = indexed.ExpectedDistanceNn(q);
-      int b = brute.ExpectedDistanceNn(q);
-      // Both must achieve the minimum expected distance (ties allowed).
-      double da = reference.ExpectedDistance(a, q);
-      double db = reference.ExpectedDistance(b, q);
-      EXPECT_NEAR(da, db, 1e-7);
+      // Linear scan for the lexicographic (E[d], id) minimum.
+      int scan = 0;
+      for (int i = 1; i < engine.size(); ++i) {
+        if (engine.ExpectedDistance(i, q) < engine.ExpectedDistance(scan, q)) {
+          scan = i;
+        }
+      }
+      int got = engine.ExpectedDistanceNn(q);
+      ASSERT_GE(got, 0);
+      // The index must achieve the minimum expected distance (ties
+      // allowed).
+      EXPECT_NEAR(engine.ExpectedDistance(got, q),
+                  engine.ExpectedDistance(scan, q), 1e-7);
     }
   }
 }
@@ -295,32 +295,6 @@ TEST(EngineMostProbableNn, DiskQueryAtHugeMagnitudeReturnsValidId) {
     EXPECT_GE(nn, 0) << q.x << "," << q.y;
     EXPECT_LT(nn, static_cast<int>(pts.size())) << q.x << "," << q.y;
   }
-}
-
-TEST(EngineBruteForce, MixedSetAnswersLikeMonteCarlo) {
-  // A mixed set has no exact quantifier, so kBruteForce takes the
-  // Monte-Carlo estimator, as kAuto does, with Threshold's eps slack:
-  // every probability answer equals a kMonteCarlo Engine's with the same
-  // config.
-  auto disks = workload::RandomDisks(300, 7);
-  auto discrete = workload::RandomDiscrete(300, 3, 7);
-  std::vector<UncertainPoint> pts(disks.begin(), disks.begin() + 100);
-  pts.insert(pts.end(), discrete.begin(), discrete.begin() + 100);
-  Engine::Config cfg;
-  cfg.backend = Backend::kBruteForce;
-  Engine brute(pts, cfg);
-  cfg.backend = Backend::kMonteCarlo;
-  Engine monte_carlo(pts, cfg);
-  std::vector<Vec2> qs = TestQueries();
-  qs.push_back({0.5, 0.5});
-  for (Vec2 q : qs) {
-    EXPECT_EQ(brute.MostProbableNn(q), monte_carlo.MostProbableNn(q))
-        << q.x << "," << q.y;
-    EXPECT_EQ(brute.Threshold(q, 0.25), monte_carlo.Threshold(q, 0.25))
-        << q.x << "," << q.y;
-    EXPECT_EQ(brute.TopK(q, 3), monte_carlo.TopK(q, 3)) << q.x << "," << q.y;
-  }
-  EXPECT_GE(brute.MostProbableNn({0.5, 0.5}), 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,9 +2,8 @@
 // the linear scans it replaces: MaxDistEnvelope must reproduce
 // core::TwoSmallestMaxDist bit-identically (values and argmin ties),
 // LogSurvival must match a linear log-space scan up to floating-point
-// associativity, and ArgminPointwise must match the definition-level
-// argmin scan exactly — on randomized and adversarial (coincident
-// duplicates, exact ties, certain points, mixed-model) inputs. Also the
+// associativity — on randomized and adversarial (coincident duplicates,
+// exact ties, certain points, mixed-model) inputs. Also the
 // satellite regressions: sublinear search effort, and the n = 10^5
 // survival product that underflows to zero unless accumulated in log
 // space (the form sharded probability merges rely on).
@@ -16,7 +15,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/expected_nn.h"
 #include "core/quant_tree.h"
 #include "core/uncertain_point.h"
 #include "engine/engine.h"
@@ -37,22 +35,6 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 double LogSurvivalScan(const std::vector<UncertainPoint>& pts, Vec2 q,
                        double r) {
   return QuantTree::LogSurvivalScan(pts, q, r);
-}
-
-/// The definition-level argmin scan (first strict minimum, i.e. smallest
-/// id among minimizers) for any per-point value.
-template <class Fn>
-int ArgminScan(int n, const Fn& value) {
-  int best = -1;
-  double best_v = kInf;
-  for (int i = 0; i < n; ++i) {
-    double v = value(i);
-    if (v < best_v) {
-      best_v = v;
-      best = i;
-    }
-  }
-  return best;
 }
 
 std::vector<UncertainPoint> MixedPoints(int n, uint64_t seed) {
@@ -246,31 +228,6 @@ TEST(QuantTreeEnvelope, NodesVisitedGrowsSublinearlyAtScale) {
   // Sublinear growth: 10x the input, at most ~2x the traversal.
   EXPECT_LT(nodes_large, 2 * nodes_small + 16);
   EXPECT_LT(points_large, 2 * points_small + 16);
-}
-
-TEST(QuantTreeArgmin, MatchesDefinitionScan) {
-  std::mt19937_64 rng(76);
-  for (int n : {1, 5, 64, 300}) {
-    auto pts = MixedPoints(n, 1100 + n);
-    QuantTree tree(&pts);
-    for (Vec2 q : ParityQueries(pts, rng)) {
-      // MaxDist is a valid pointwise value (>= MinDist everywhere).
-      auto value = [&](int i) { return pts[i].MaxDist(q); };
-      EXPECT_EQ(tree.ArgminPointwise(q, value), ArgminScan(n, value));
-    }
-  }
-}
-
-TEST(QuantTreeArgmin, MatchesExpectedDistanceScan) {
-  auto pts = MixedPoints(40, 77);
-  ExpectedNn expected(pts);
-  QuantTree tree(&pts);
-  std::mt19937_64 rng(78);
-  for (Vec2 q : ParityQueries(pts, rng)) {
-    auto value = [&](int i) { return expected.ExpectedDistance(i, q, 1e-8); };
-    EXPECT_EQ(tree.ArgminPointwise(q, value),
-              ArgminScan(static_cast<int>(pts.size()), value));
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -110,14 +110,10 @@ TEST(ExactPnn, ExactTieGivesNoMassOutsideNonzeroNn) {
     EXPECT_EQ(baselines::NonzeroNn(pts, q), std::vector<int>{p1});
     const std::vector<std::pair<int, double>> want = {{p1, 0.5}};
     EXPECT_EQ(DiscreteQuantification(pts, q), want) << "swap=" << swap;
-    for (Backend backend : {Backend::kAuto, Backend::kBruteForce}) {
-      Engine::Config cfg;
-      cfg.backend = backend;
-      Engine engine(pts, cfg);
-      EXPECT_EQ(engine.Probabilities(q), want) << "swap=" << swap;
-      EXPECT_EQ(engine.MostProbableNn(q), p1) << "swap=" << swap;
-      EXPECT_EQ(engine.NonzeroNn(q), std::vector<int>{p1});
-    }
+    Engine engine(pts);  // kAuto: exact Eq. (2) on discrete input.
+    EXPECT_EQ(engine.Probabilities(q), want) << "swap=" << swap;
+    EXPECT_EQ(engine.MostProbableNn(q), p1) << "swap=" << swap;
+    EXPECT_EQ(engine.NonzeroNn(q), std::vector<int>{p1});
   }
   // Weights may sum to 1 within 1e-9. P0's sum to 1 - 1e-10, yet P0 must
   // still be exhausted at its last site (2,0): then P1's site there
@@ -132,13 +128,9 @@ TEST(ExactPnn, ExactTieGivesNoMassOutsideNonzeroNn) {
   ASSERT_EQ(exact.size(), 1u);
   EXPECT_EQ(exact[0].first, 0);
   EXPECT_NEAR(exact[0].second, 0.75, 1e-9);
-  for (Backend backend : {Backend::kAuto, Backend::kBruteForce}) {
-    Engine::Config cfg;
-    cfg.backend = backend;
-    Engine engine(short_sum, cfg);
-    EXPECT_EQ(engine.Probabilities(q), exact);
-    EXPECT_EQ(engine.MostProbableNn(q), 0);
-  }
+  Engine engine(short_sum);
+  EXPECT_EQ(engine.Probabilities(q), exact);
+  EXPECT_EQ(engine.MostProbableNn(q), 0);
 }
 
 TEST(ExactPnn, ProbabilitiesSumToOneRandomized) {

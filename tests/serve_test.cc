@@ -400,6 +400,24 @@ TEST(QueryServer, ReplaceDatasetRefusesEmptyAndExternalInput) {
       server.ReplaceDataset({}, {3, serve::Partitioning::kRoundRobin}));
   EXPECT_FALSE(
       server.ReplaceDataset(pts_b, {3, serve::Partitioning::kExternal}));
+  // A NaN or infinite centre, site or radius anywhere in the set: no
+  // query could be answered from it, and a NaN centre breaks the spatial
+  // partitioner's ordering.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (UncertainPoint bad :
+       {UncertainPoint::Disk({nan, 0.0}, 1.0),
+        UncertainPoint::Disk({inf, 0.0}, 1.0),
+        UncertainPoint::Disk({0.0, -inf}, 1.0),
+        UncertainPoint::Disk({0.0, 0.0}, inf),
+        UncertainPoint::DiscreteUniform({{0.0, 0.0}, {nan, 0.0}}),
+        UncertainPoint::DiscreteUniform({{inf, 0.0}, {1.0, 1.0}})}) {
+    std::vector<UncertainPoint> pts_bad = pts_b;
+    pts_bad[7] = bad;
+    EXPECT_FALSE(server.ReplaceDataset(pts_bad));
+    EXPECT_FALSE(
+        server.ReplaceDataset(pts_bad, {3, serve::Partitioning::kRoundRobin}));
+  }
   EXPECT_EQ(server.sharded_snapshot(), before);
   EXPECT_EQ(server.generation(), 1u);
   EXPECT_EQ(server.stats().swaps, 0u);

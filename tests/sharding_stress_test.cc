@@ -36,8 +36,7 @@ std::vector<Vec2> StressQueries(int count) {
 
 TEST(ShardedEngineStress, WarmedShardsServeEightThreads) {
   auto pts = workload::RandomDiscrete(36, 3, 401);
-  Engine::Config cfg;
-  cfg.backend = Backend::kBruteForce;  // Deterministic exact merges.
+  Engine::Config cfg;  // kAuto on discrete input: exact merges.
   serve::ShardedEngine sharded(pts, cfg,
                                {4, serve::Partitioning::kRoundRobin});
   for (auto type :
@@ -92,7 +91,6 @@ TEST(QueryServerShardedStress, EightClientsWithConcurrentReshardingSwap) {
   auto qs = StressQueries(32);
 
   Engine::Config cfg;
-  cfg.backend = Backend::kBruteForce;
   Engine oracle_a(pts_a, cfg);
   Engine oracle_b(pts_b, cfg);
   std::vector<int> ans_a, ans_b;
@@ -156,7 +154,6 @@ TEST(QueryServerShardedStress, DestructionWithInFlightShardedSubmits) {
   // fulfilled.
   auto pts = workload::RandomDiscrete(16, 2, 404);
   Engine::Config cfg;
-  cfg.backend = Backend::kBruteForce;
   auto qs = StressQueries(24);
   std::vector<std::future<serve::Response>> futures;
   {

@@ -1,11 +1,11 @@
 // Sharded-vs-single-Engine oracle parity: a ShardedEngine over K shards
 // must answer every query type with the same global-id answers as one
-// Engine over the whole dataset, bit for bit on every backend and model
-// (kBruteForce disk probabilities: within quadrature tolerance where the
-// older parity tests allow it). Also covers the partitioners, the
-// degenerate-spec contract, empty shards (K > n), all mass on one shard,
-// coincident duplicates split across shards, and the sharded QueryServer
-// (including resharding via ReplaceDataset).
+// Engine over the whole dataset, bit for bit on every backend and model.
+// Also covers the partitioners, the degenerate-spec contract, empty shards
+// (K > n), all mass on one shard, coincident duplicates split across
+// shards, the Eq. (1) candidate-union merge against whole-set
+// integration, and the sharded QueryServer (including resharding via
+// ReplaceDataset).
 
 #include <algorithm>
 #include <cmath>
@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/brute_force.h"
+#include "core/exact_pnn.h"
 #include "engine/engine.h"
 #include "fuzz_iters.h"
 #include "serve/parallel.h"
@@ -78,60 +79,35 @@ TEST(PartitionPoints, SpatialShardsAreBalanced) {
 }
 
 // ---------------------------------------------------------------------------
-// Exact parity: kBruteForce shards against the kBruteForce single engine,
-// for every query type, shard count and partitioner.
+// Parity with one Engine of the same config, for every query type, shard
+// count and partitioner: kAuto on discrete input (exact), or a fixed
+// Monte-Carlo sample count on disks (keyed draws, bit-identical).
 // ---------------------------------------------------------------------------
 
 void ExpectParity(const Engine& single, const serve::ShardedEngine& sharded,
-                  const std::vector<Vec2>& qs, double value_tol) {
+                  const std::vector<Vec2>& qs) {
   for (Vec2 q : qs) {
     EXPECT_EQ(sharded.NonzeroNn(q), single.NonzeroNn(q));
     EXPECT_EQ(sharded.MostProbableNn(q), single.MostProbableNn(q));
     EXPECT_EQ(sharded.ExpectedDistanceNn(q), single.ExpectedDistanceNn(q));
     for (double tau : {0.25, 0.6}) {
-      auto got = sharded.Threshold(q, tau);
-      auto want = single.Threshold(q, tau);
-      ASSERT_EQ(got.size(), want.size()) << "tau=" << tau;
-      for (size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].first, want[i].first);
-        EXPECT_NEAR(got[i].second, want[i].second, value_tol);
-      }
+      EXPECT_EQ(sharded.Threshold(q, tau), single.Threshold(q, tau))
+          << "tau=" << tau;
     }
-    auto got = sharded.TopK(q, 3);
-    auto want = single.TopK(q, 3);
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].first, want[i].first);
-      EXPECT_NEAR(got[i].second, want[i].second, value_tol);
-    }
+    EXPECT_EQ(sharded.TopK(q, 3), single.TopK(q, 3));
   }
 }
 
 TEST(ShardedEngine, ExactParityDiscrete) {
   auto pts = workload::RandomDiscrete(24, 3, 303);
-  Engine::Config cfg;
-  cfg.backend = Backend::kBruteForce;
+  Engine::Config cfg;  // kAuto: exact Eq. (2) on discrete input.
   Engine single(pts, cfg);
   auto qs = GridQueries(25);
   for (int k : kShardCounts) {
     for (auto part : kPartitioners) {
       serve::ShardedEngine sharded(pts, cfg, {k, part});
       EXPECT_EQ(sharded.size(), 24);
-      ExpectParity(single, sharded, qs, 1e-12);
-    }
-  }
-}
-
-TEST(ShardedEngine, ExactParityDisks) {
-  auto pts = workload::RandomDisks(16, 304);
-  Engine::Config cfg;
-  cfg.backend = Backend::kBruteForce;
-  Engine single(pts, cfg);
-  auto qs = GridQueries(15);
-  for (int k : kShardCounts) {
-    for (auto part : kPartitioners) {
-      serve::ShardedEngine sharded(pts, cfg, {k, part});
-      ExpectParity(single, sharded, qs, 1e-6);
+      ExpectParity(single, sharded, qs);
     }
   }
 }
@@ -248,8 +224,7 @@ TEST(ShardedEngine, MatchesSingleEngineBitForBit) {
       {Engine::QueryType::kTopK, 0.5, 3},
       {Engine::QueryType::kNonzeroNn, 0.5, 1},
   };
-  const Backend backends[] = {Backend::kAuto, Backend::kMonteCarlo,
-                              Backend::kBruteForce};
+  const Backend backends[] = {Backend::kAuto, Backend::kMonteCarlo};
   const int iters = FuzzIters(1);
   int checked = 0;
   for (int it = 0; it < iters; ++it) {
@@ -374,19 +349,18 @@ TEST(ShardedEngine, EstimatorShardsWithinEpsOfExact) {
 TEST(ShardedEngine, MoreShardsThanPoints) {
   auto pts = workload::RandomDiscrete(5, 2, 309);
   Engine::Config cfg;
-  cfg.backend = Backend::kBruteForce;
   Engine single(pts, cfg);
   for (auto part : kPartitioners) {
     serve::ShardedEngine sharded(pts, cfg, {7, part});
     EXPECT_EQ(sharded.num_shards(), 5);  // Empty shards are dropped.
-    ExpectParity(single, sharded, GridQueries(12), 1e-12);
+    ExpectParity(single, sharded, GridQueries(12));
   }
 }
 
 TEST(ShardedEngine, SinglePointDataset) {
   std::vector<UncertainPoint> pts = {UncertainPoint::Disk({1, 2}, 0.5)};
   Engine::Config cfg;
-  cfg.backend = Backend::kBruteForce;
+  cfg.mc_samples_override = 64;
   serve::ShardedEngine sharded(pts, cfg, {4, serve::Partitioning::kSpatial});
   EXPECT_EQ(sharded.num_shards(), 1);
   EXPECT_EQ(sharded.NonzeroNn({0, 0}), std::vector<int>{0});
@@ -405,11 +379,11 @@ TEST(ShardedEngine, AllMassOnOneShard) {
     pts.push_back(UncertainPoint::Disk({100.0 + i, 90.0 - i}, 0.3));
   }
   Engine::Config cfg;
-  cfg.backend = Backend::kBruteForce;
+  cfg.mc_samples_override = 64;
   Engine single(pts, cfg);
   serve::ShardedEngine sharded(pts, cfg, {4, serve::Partitioning::kSpatial});
   std::vector<Vec2> qs = {{0, 0}, {0.3, 0.1}, {-1, -1}, {2, 2}};
-  ExpectParity(single, sharded, qs, 1e-6);
+  ExpectParity(single, sharded, qs);
   // The cluster owns the candidate set.
   for (Vec2 q : qs) {
     for (int id : sharded.NonzeroNn(q)) EXPECT_LT(id, 6);
@@ -427,7 +401,6 @@ TEST(ShardedEngine, CoincidentDuplicatesSplitAcrossShards) {
     pts.push_back(UncertainPoint::DiscreteUniform({{0, -2}}));
   }
   Engine::Config cfg;
-  cfg.backend = Backend::kBruteForce;
   Engine single(pts, cfg);
   auto qs = GridQueries(12);
   for (int k : {2, 3}) {
@@ -473,7 +446,6 @@ TEST(ShardedEngine, DegenerateSpecsBuildNothing) {
 TEST(ShardedEngine, SingleQueryDegenerateParametersDoNotAbort) {
   auto pts = workload::RandomDiscrete(10, 2, 322);
   Engine::Config cfg;
-  cfg.backend = Backend::kBruteForce;
   Engine single(pts, cfg);
   for (int k : {1, 3}) {
     serve::ShardedEngine sharded(pts, cfg, {k, serve::Partitioning::kSpatial});
@@ -515,7 +487,7 @@ TEST(ShardedEngine, ExpectedDistanceNnOnNonFiniteQueryMatchesSingleEngine) {
   for (bool discrete : {true, false}) {
     auto pts = discrete ? workload::RandomDiscrete(200, 3, 7)
                         : workload::RandomDisks(60, 7);
-    for (Backend backend : {Backend::kAuto, Backend::kBruteForce}) {
+    for (Backend backend : {Backend::kAuto, Backend::kMonteCarlo}) {
       Engine::Config cfg;
       cfg.backend = backend;
       Engine single(pts, cfg);
@@ -567,7 +539,6 @@ TEST(QueryServerSharded, ExpectedDistanceNnOnNonFiniteQueryIsComputed) {
 TEST(ShardedEngine, NonPositiveTauListsEveryId) {
   auto pts = workload::RandomDiscrete(9, 2, 311);
   Engine::Config cfg;
-  cfg.backend = Backend::kBruteForce;
   Engine single(pts, cfg);
   serve::ShardedEngine sharded(pts, cfg, {2, serve::Partitioning::kSpatial});
   auto qs = GridQueries(5);
@@ -601,7 +572,6 @@ TEST(ShardedEngine, WarmupPrebuildsEveryShard) {
 TEST(ShardedEngine, ParallelFanOutMatchesSerial) {
   auto pts = workload::RandomDiscrete(18, 3, 313);
   Engine::Config cfg;
-  cfg.backend = Backend::kBruteForce;
   serve::ShardedEngine sharded(pts, cfg, {4, serve::Partitioning::kRoundRobin});
   serve::ThreadPool pool(3);
   auto qs = GridQueries(17);
@@ -667,6 +637,43 @@ TEST(ShardMerge, MergeEnvelopesMatchesGlobalScan) {
   }
 }
 
+// MergeProbabilities re-integrates Eq. (1) over the per-shard candidates.
+// No backend quantifies disks exactly, so it is checked directly: each
+// shard's candidates integrated over that shard's points alone, merged
+// with the shard envelopes, equal the whole set's integration.
+TEST(ShardMerge, MergeProbabilitiesMatchesWholeSetIntegration) {
+  auto pts = workload::RandomDisks(16, 304);
+  Engine::Config cfg;
+  auto qs = GridQueries(15);
+  for (int k : {2, 4}) {
+    for (auto part : kPartitioners) {
+      serve::ShardedEngine sharded(pts, cfg, {k, part});
+      std::vector<serve::ShardView> views;
+      for (int s = 0; s < sharded.num_shards(); ++s) {
+        views.push_back({&sharded.shard(s), &sharded.global_ids(s)});
+      }
+      for (Vec2 q : qs) {
+        std::vector<std::vector<std::pair<int, double>>> local;
+        std::vector<core::DeltaEnvelope> env;
+        for (int s = 0; s < sharded.num_shards(); ++s) {
+          local.push_back(core::IntegrateAllQuantifications(
+              sharded.shard(s).points(), q, cfg.tol));
+          env.push_back(sharded.shard(s).MaxDistEnvelope(q));
+        }
+        auto got =
+            serve::MergeProbabilities(views, local, env, q, cfg, cfg.eps)
+                .probs;
+        auto want = core::IntegrateAllQuantifications(pts, q, cfg.tol);
+        ASSERT_EQ(got.size(), want.size()) << "k=" << k;
+        for (size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].first, want[i].first) << "k=" << k;
+          EXPECT_NEAR(got[i].second, want[i].second, 1e-6) << "k=" << k;
+        }
+      }
+    }
+  }
+}
+
 TEST(ShardMerge, EnvelopeTieSemanticsAcrossShards) {
   // Coincident duplicate supports and exact equal-MaxDist ties, split
   // across shards at every K by both partitioners: the merged envelope
@@ -726,7 +733,6 @@ TEST(ShardMerge, EnvelopeTieSemanticsAcrossShards) {
 TEST(QueryServerSharded, BatchAndSubmitMatchOracle) {
   auto pts = workload::RandomDiscrete(20, 3, 316);
   Engine::Config cfg;
-  cfg.backend = Backend::kBruteForce;
   Engine oracle(pts, cfg);
   serve::QueryServer server(
       pts, cfg,
@@ -754,7 +760,6 @@ TEST(QueryServerSharded, ReplaceDatasetCanChangeShardCount) {
   auto pts_a = workload::RandomDiscrete(12, 2, 317);
   auto pts_b = workload::RandomDiscrete(18, 2, 318);
   Engine::Config cfg;
-  cfg.backend = Backend::kBruteForce;
   serve::QueryServer server(
       pts_a, cfg,
       {.num_threads = 2,
@@ -797,7 +802,6 @@ TEST(QueryServerSharded, ReplaceDatasetKeepsCallerInstalledShardShape) {
   // silently rebuild monolithic on the next plain ReplaceDataset.
   auto pts = workload::RandomDiscrete(12, 2, 321);
   Engine::Config cfg;
-  cfg.backend = Backend::kBruteForce;
   auto four_shards = std::make_shared<const serve::ShardedEngine>(
       pts, cfg, serve::ShardingOptions{4, serve::Partitioning::kRoundRobin});
   serve::QueryServer server(four_shards, {.num_threads = 2, .warm = {}});
@@ -835,7 +839,6 @@ TEST(ShardedEngine, SingleAssembledShardWithPermutedIdsKeepsOrder) {
   // order, exactly as from an Engine over the points in global order.
   auto pts = workload::RandomDiscrete(12, 2, 323);
   Engine::Config cfg;
-  cfg.backend = Backend::kBruteForce;
   std::vector<int> gids(pts.size());
   std::iota(gids.rbegin(), gids.rend(), 0);  // Local j is global n-1-j.
   std::vector<UncertainPoint> local;

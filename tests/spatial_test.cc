@@ -527,8 +527,6 @@ TEST(MigratedQuantTree, CoincidentSupportsDuplicateRadiiPinSmallestId) {
     EXPECT_EQ(got.second, want.second);
     EXPECT_EQ(got.argbest, want.argbest);
     EXPECT_EQ(got.argbest, 0);
-    auto value = [&](int i) { return pts[i].MaxDist(q); };
-    EXPECT_EQ(tree.ArgminPointwise(q, value), 0);
   }
 }
 
