@@ -56,7 +56,10 @@ int main(int argc, char** argv) {
 
   auto pts = workload::RandomDiscrete(n, 3, /*seed=*/13, /*spread=*/4.0);
   auto queries = bench::RandomQueries(num_queries, 30, 113);
-  Engine engine(pts, {});
+  auto shared_engine = std::make_shared<const Engine>(pts, Engine::Config{});
+  const Engine& engine = *shared_engine;
+  // serve::QueryMany serves shard sets; this one is the same Engine.
+  const serve::ShardedEngine one_shard(shared_engine);
   const Engine::QuerySpec spec{Engine::QueryType::kMostProbableNn, 0.5, 1};
   // The same queries as serving requests, built once outside every timed
   // region.
@@ -88,9 +91,9 @@ int main(int argc, char** argv) {
     // `threads` participants total: threads - 1 pool workers + the caller.
     serve::ThreadPool pool(threads - 1);
     // One untimed pass to let the OS place the worker threads.
-    serve::QueryMany(engine, queries, spec, &pool);
+    serve::QueryMany(one_shard, queries, spec, &pool);
     bench::Timer tp;
-    auto parallel = serve::QueryMany(engine, queries, spec, &pool);
+    auto parallel = serve::QueryMany(one_shard, queries, spec, &pool);
     double ms = tp.Ms();
     double qps = num_queries / (ms / 1000.0);
     // Answers must be bit-identical to the serial run.
@@ -331,6 +334,7 @@ int main(int argc, char** argv) {
   {
     auto engine_ptr = std::make_shared<const Engine>(pts, Engine::Config{});
     engine_ptr->Warmup(spec);
+    const serve::ShardedEngine engine_shard(engine_ptr);
     const int reps = 5;
 
     auto best_of = [&](auto&& run) {
@@ -347,7 +351,7 @@ int main(int argc, char** argv) {
 
     serve::ThreadPool pool(7);
     double baseline_ms = best_of(
-        [&] { serve::QueryMany(*engine_ptr, queries, spec, &pool); });
+        [&] { serve::QueryMany(engine_shard, queries, spec, &pool); });
 
     serve::QueryServer::Options off_opts;
     off_opts.num_threads = 7;

@@ -1,6 +1,8 @@
 #ifndef UNN_CORE_UNCERTAIN_POINT_H_
 #define UNN_CORE_UNCERTAIN_POINT_H_
 
+#include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "geom/vec2.h"
@@ -91,6 +93,16 @@ class UncertainPoint {
   const std::vector<double>& weights() const {
     UNN_DCHECK(!is_disk_);
     return weights_;
+  }
+
+  /// True when the disk centre and radius, or every site, are finite.
+  /// Engines and shard sets are built only from such points: no query
+  /// could be answered from an infinite support, and a NaN centre breaks
+  /// the strict weak ordering the spatial shard partitioner sorts by.
+  bool finite() const {
+    if (is_disk_) return geom::IsFinite(center_) && std::isfinite(radius_);
+    return std::all_of(sites_.begin(), sites_.end(),
+                       [](geom::Vec2 s) { return geom::IsFinite(s); });
   }
 
   /// delta_i(q): minimum possible distance from q to this point.

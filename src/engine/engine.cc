@@ -49,6 +49,7 @@ Engine::Engine(std::vector<core::UncertainPoint> points, const Config& config,
   UNN_CHECK(config_.delta > 0 && config_.delta < 1);
   UNN_CHECK(config_.tol > 0);
   for (const auto& p : points_) {
+    UNN_CHECK_MSG(p.finite(), "every support must be finite");
     all_discrete_ = all_discrete_ && !p.is_disk();
     all_disk_ = all_disk_ && p.is_disk();
     if (!p.is_disk()) {

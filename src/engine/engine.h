@@ -120,6 +120,10 @@ class Engine {
     QueryType type = QueryType::kMostProbableNn;
     double tau = 0.5;
     int k = 1;
+
+    /// Raw field equality (canonical equivalence, e.g. TopK specs that
+    /// differ only in tau, is the result cache key's business).
+    bool operator==(const QuerySpec&) const = default;
   };
 
   /// Result of one batched query. Which field is populated depends on the
@@ -131,6 +135,8 @@ class Engine {
     std::vector<int> ids;
   };
 
+  /// `points` must be non-empty, every support finite
+  /// (UncertainPoint::finite); both are checked.
   explicit Engine(std::vector<core::UncertainPoint> points);
   Engine(std::vector<core::UncertainPoint> points, const Config& config);
   /// `global_ids[i]` is point i's id in the whole dataset when this Engine

@@ -5,44 +5,39 @@
 #include <vector>
 
 #include "engine/engine.h"
+#include "obs/trace.h"
 #include "serve/sharding.h"
 #include "serve/thread_pool.h"
 
 /// \file parallel.h
-/// The parallel batched-query path: sort a query batch into Morton order
-/// once (spatial::PackCoherentOrder), split the sorted copy across a
-/// thread pool, one contiguous block per task, every worker querying the
-/// same warmed (single or sharded) engine, and scatter the results back.
-/// Each block is then one compact region of the plane, so its queries
-/// share cached tree nodes. `results[i]` answers `queries[i]` regardless
-/// of thread count or scheduling — each block writes only its own slots,
-/// and the engine's structures are built once up front (Warmup) so
-/// workers race on nothing. Speedup is near-linear because queries are
-/// read-only and independent.
+/// The pack path QueryServer serves every spec group through, Submit's
+/// pack of one included. The pack's size chooses how it spreads over the
+/// pool: a pack of one fans out across the shards, which then run
+/// concurrently; a larger pack is sorted into Morton order once
+/// (spatial::PackCoherentOrder), split across the pool one contiguous
+/// block per task, each block visiting the shards serially, and scattered
+/// back. Each block is then one compact region of the plane, so its
+/// queries share cached tree nodes. `results[i]` answers `queries[i]`
+/// regardless of thread count or scheduling: each block writes only its
+/// own slots, and a structure the engine builds lazily is built once
+/// under the engine's own synchronization. Speedup is near-linear because
+/// queries are read-only and independent.
 
 namespace unn {
 namespace serve {
 
-/// Parallel Engine::QueryMany: identical results (including the
-/// degenerate-parameter semantics documented on the serial method), wall
-/// clock divided across `pool`'s workers plus the calling thread. Warms
-/// the engine for `spec` before splitting. Thread-safe (concurrent calls
-/// may share the engine and the pool).
-std::vector<Engine::QueryResult> QueryMany(const Engine& engine,
-                                           std::span<const geom::Vec2> queries,
-                                           const Engine::QuerySpec& spec,
-                                           ThreadPool* pool);
-
-/// Parallel ShardedEngine::QueryMany: same contract against the sharded
-/// merge semantics. The batch parallelism is across queries — each
-/// worker's queries visit the shards serially, so a large batch saturates
-/// the pool without nested fan-out overhead (a single low-latency query
-/// should instead call ShardedEngine::QueryMany with the pool directly).
-/// Thread-safe.
+/// Parallel ShardedEngine::QueryMany: identical results (including the
+/// degenerate-parameter semantics documented there), wall clock divided
+/// across `pool`'s workers plus the calling thread. `trace` receives a
+/// pack of one's shard fan-out and merge spans; a larger pack records
+/// none. Builds nothing up front: warm the engine (ShardedEngine::Warmup,
+/// QueryServer::Options::warm) to keep builds off the serving path.
+/// Thread-safe (concurrent calls may share the engine and the pool).
 std::vector<Engine::QueryResult> QueryMany(const ShardedEngine& engine,
                                            std::span<const geom::Vec2> queries,
                                            const Engine::QuerySpec& spec,
-                                           ThreadPool* pool);
+                                           ThreadPool* pool,
+                                           obs::TraceNode trace = {});
 
 }  // namespace serve
 }  // namespace unn

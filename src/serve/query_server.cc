@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <functional>
 #include <string>
 #include <utility>
@@ -37,17 +36,6 @@ class InflightGuard {
   const std::atomic<bool>& draining_;
 };
 
-/// True when every coordinate of the point's support and its radius are
-/// finite. A NaN centre would also break the strict weak ordering the
-/// spatial partitioner sorts by.
-bool FiniteSupport(const core::UncertainPoint& p) {
-  if (p.is_disk()) {
-    return geom::IsFinite(p.center()) && std::isfinite(p.radius());
-  }
-  return std::all_of(p.sites().begin(), p.sites().end(),
-                     [](geom::Vec2 s) { return geom::IsFinite(s); });
-}
-
 /// The sharding a caller-installed shard set implies for future
 /// replacements: its own shape, with the assembled-set marker mapped to
 /// a strategy PartitionPoints accepts.
@@ -81,18 +69,6 @@ TaskPriority ToTaskPriority(Priority p) {
 constexpr std::array<const char*, kNumQueryTypes> kQueryTypeNames = {
     "most_probable_nn", "expected_distance_nn", "threshold", "top_k",
     "nonzero_nn"};
-
-bool IsRegular(const Engine::QuerySpec& spec) {
-  return query_contract::Classify(spec) ==
-         query_contract::SpecClass::kRegular;
-}
-
-/// Raw spec equality — good enough for batching decisions (canonical
-/// equivalence, e.g. TopK specs differing only in tau, is the cache
-/// key's business).
-bool SpecEquals(const Engine::QuerySpec& a, const Engine::QuerySpec& b) {
-  return a.type == b.type && a.tau == b.tau && a.k == b.k;
-}
 
 }  // namespace
 
@@ -204,12 +180,7 @@ void QueryServer::MaybeLogSlowQuery(geom::Vec2 q,
                                     int batch_size) {
   if (options_.slow_query_threshold.count() <= 0) return;
   if (latency < options_.slow_query_threshold) return;
-  SlowQuery entry;
-  entry.q = q;
-  entry.spec = spec;
-  entry.source = source;
-  entry.latency = latency;
-  entry.batch_size = batch_size;
+  SlowQuery entry{q, spec, source, latency, batch_size, {}};
   if (ctx != nullptr) entry.spans = ctx->spans();
   const size_t cap =
       static_cast<size_t>(std::max(1, options_.slow_query_log_size));
@@ -232,7 +203,6 @@ std::future<Response> QueryServer::Submit(const Request& request) {
   // dataset (and cache generation) that was current when the server
   // accepted it, even if a swap lands before a worker picks it up.
   std::shared_ptr<const Snapshot> snap = LoadState();
-  CountQuery(request.spec);
 
   // Tracing: the caller's context when the request carries one, a
   // server-owned context when the slow-query log is on (so slow requests
@@ -259,100 +229,34 @@ std::future<Response> QueryServer::Submit(const Request& request) {
     promise->set_value(std::move(resp));
   };
 
-  // The admission span covers everything up to the dispatch decision.
-  obs::ScopedSpan admission(root_node, "admission");
-
-  // Deadline check one: already dead on arrival.
-  if (request.deadline != kNoDeadline && t0 >= request.deadline) {
-    deadline_exceeded_->Inc();
-    admission.End();
-    finish(Response{{}, ResultSource::kDeadlineExceeded, ElapsedUs(t0)});
+  // A pack of one through QueryBatch's stages. What admission decides (a
+  // refusal or a cache hit) is answered on the submitting thread.
+  Response decided;
+  std::vector<Miss> misses;
+  {
+    obs::ScopedSpan admission(root_node, "admission");
+    misses = Admit({&request, 1}, *snap, t0, {&decided, 1}, admission.node());
+  }
+  if (misses.empty()) {
+    finish(std::move(decided));
     return result;
   }
-
-  const bool regular = IsRegular(request.spec);
-  const bool cacheable = regular && !cache_.disabled();
-
-  // Cache probe: a hit answers on the submitting thread, touching no
-  // backend and no admission state.
-  if (cacheable) {
-    obs::ScopedSpan lookup(admission.node(), "cache_lookup");
-    Response resp;
-    if (cache_.Lookup(
-            ResultCache::MakeKey(snap->generation, request.spec, request.q),
-            &resp.result)) {
-      lookup.End();
-      admission.End();
-      resp.source = ResultSource::kCache;
-      resp.latency = ElapsedUs(t0);
-      RecordLatency(request.spec.type, resp.latency);
-      finish(std::move(resp));
-      return result;
-    }
-  }
-
-  // Admission control. Definition-level answers (degenerate specs) are
-  // never refused: they cost no backend work worth protecting.
-  // relaxed: active_ is a load-shedding heuristic; admission may read a
-  // slightly stale count, which only shifts where the limit bites.
-  if (options_.max_inflight > 0 && regular &&
-      active_.load(std::memory_order_relaxed) >= options_.max_inflight) {
-    admission.End();
-    shed_->Inc();
-    finish(Response{{}, ResultSource::kShed, ElapsedUs(t0)});
-    return result;
-  }
-
-  admission.End();
-  // relaxed: pure counter traffic; nothing is published through active_.
-  active_.fetch_add(1, std::memory_order_relaxed);
   // Queue span: post to worker pickup (ended first thing in the task).
   const std::int32_t queue_span =
       ctx != nullptr ? ctx->StartSpan("queue", root) : -1;
-  // The worker fans a multi-shard query back out across the pool (nested
-  // ParallelFor; on a stopping pool it degrades to the worker alone).
-  ThreadPool* fan = snap->engine->num_shards() > 1 ? &pool_ : nullptr;
   std::function<void()> task =
       [this, snap = std::move(snap), finish = std::move(finish), request,
-       cacheable, fan, t0, ctx, root, queue_span] {
-        if (ctx != nullptr) ctx->EndSpan(queue_span);
-        const obs::TraceNode root_at{ctx, root};
+       misses = std::move(misses), t0, root_node, queue_span] {
+        if (root_node.ctx != nullptr) root_node.ctx->EndSpan(queue_span);
         Response resp;
-        if (request.deadline != kNoDeadline &&
-            std::chrono::steady_clock::now() >= request.deadline) {
-          // Deadline check two: aged out while queued.
-          resp.source = ResultSource::kDeadlineExceeded;
-          deadline_exceeded_->Inc();
-        } else {
-          // Route through QueryMany so degenerate spec parameters follow
-          // the documented definitions instead of tripping single-query
-          // CHECKs.
-          obs::ScopedSpan engine_span(root_at, "engine_query");
-          std::span<const geom::Vec2> one(&request.q, 1);
-          resp.result = std::move(
-              snap->engine->QueryMany(one, request.spec, fan,
-                                      engine_span.node())[0]);
-          engine_span.End();
-          if (cacheable) {
-            obs::ScopedSpan insert(root_at, "cache_insert");
-            cache_.Insert(ResultCache::MakeKey(snap->generation, request.spec,
-                                               request.q),
-                          resp.result);
-          }
-        }
-        // relaxed: counter only; the response is delivered via the
-        // promise, which provides the ordering the caller observes.
-        active_.fetch_sub(1, std::memory_order_relaxed);
-        resp.latency = ElapsedUs(t0);
-        if (resp.source == ResultSource::kComputed) {
-          RecordLatency(request.spec.type, resp.latency);
-        }
+        ComputeAndRespond({&request, 1}, misses, *snap, t0, {&resp, 1},
+                          root_node, "engine_query");
         finish(std::move(resp));
       };
   if (!pool_.TryPost(std::move(task), ToTaskPriority(request.priority))) {
     // A submit racing server shutdown: once the pool's destructor has
     // begun no task can be enqueued, so answer inline on the submitting
-    // thread against the snapshot pinned above (the nested fan-out
+    // thread against the snapshot pinned above (the shard fan-out
     // degrades the same way inside ParallelFor). TryPost leaves the task
     // intact on failure, so running it here is safe; the future is
     // always satisfied and nothing aborts.
@@ -382,123 +286,155 @@ std::vector<Response> QueryServer::QueryBatch(
   }
   const obs::TraceNode root_node{ctx.get(), root};
 
-  // Pass one, serial: per-request deadline check, cache probe and
-  // admission; everything unanswered is a miss headed for the backend.
-  std::vector<size_t> compute;
-  compute.reserve(requests.size());
-  size_t shed = 0;
-  // Batch-level admission: the limit decides the batch's fate once, on
-  // the way in (a batch the server accepts is not split).
-  const bool at_limit =
-      options_.max_inflight > 0 &&
-      // relaxed: same load-shedding heuristic as Submit's admission.
-      active_.load(std::memory_order_relaxed) >= options_.max_inflight;
+  std::vector<Miss> misses;
   {
+    // No per-request cache_lookup spans: a traced batch would record one
+    // per request.
     obs::ScopedSpan admission(root_node, "batch_admission");
-    for (size_t i = 0; i < requests.size(); ++i) {
-      const Request& r = requests[i];
-      CountQuery(r.spec);
-      if (r.deadline != kNoDeadline && t0 >= r.deadline) {
-        responses[i].source = ResultSource::kDeadlineExceeded;
-        deadline_exceeded_->Inc();
-        continue;
-      }
-      const bool regular = IsRegular(r.spec);
-      if (regular && !cache_.disabled() &&
-          cache_.Lookup(ResultCache::MakeKey(snap->generation, r.spec, r.q),
-                        &responses[i].result)) {
-        responses[i].source = ResultSource::kCache;
-        responses[i].latency = ElapsedUs(t0);
-        RecordLatency(r.spec.type, responses[i].latency);
-        continue;
-      }
-      if (at_limit && regular) {
-        responses[i].source = ResultSource::kShed;
-        ++shed;
-      } else {
-        compute.push_back(i);
-      }
-    }
+    misses = Admit(requests, *snap, t0, responses, {});
   }
-  if (shed > 0) shed_->Inc(shed);
-
-  if (!compute.empty()) {
-    // relaxed: pure counter traffic; nothing is published through active_.
-    active_.fetch_add(static_cast<int>(compute.size()),
-                      std::memory_order_relaxed);
-    {
-      // The misses are partitioned by distinct spec (the dedup scan is
-      // quadratic in the handful of distinct specs, cheaper than hashing)
-      // and each group runs through serve::QueryMany, so cache misses of
-      // the same spec form packs for the batched traversal kernels
-      // whether the batch arrived uniform (the common case: one group) or
-      // mixed, instead of fanning scalar singletons. Per-spec
-      // amortizations (warm once, block splitting) are kept either way,
-      // and the grouping cannot change any answer: each Response is
-      // produced by the same QueryMany contract in request order.
-      obs::ScopedSpan span(root_node, "compute",
-                           static_cast<std::int64_t>(compute.size()));
-      std::vector<Engine::QuerySpec> distinct;
-      std::vector<std::vector<size_t>> groups;
-      for (size_t i : compute) {
-        size_t g = 0;
-        while (g < distinct.size() &&
-               !SpecEquals(distinct[g], requests[i].spec))
-          ++g;
-        if (g == distinct.size()) {
-          distinct.push_back(requests[i].spec);
-          groups.emplace_back();
-        }
-        groups[g].push_back(i);
-      }
-      for (size_t g = 0; g < groups.size(); ++g) {
-        std::vector<geom::Vec2> points(groups[g].size());
-        for (size_t j = 0; j < groups[g].size(); ++j) {
-          points[j] = requests[groups[g][j]].q;
-        }
-        std::vector<Engine::QueryResult> results =
-            QueryMany(*snap->engine, points, distinct[g], &pool_);
-        for (size_t j = 0; j < groups[g].size(); ++j) {
-          responses[groups[g][j]].result = std::move(results[j]);
-        }
-      }
-    }
-    for (size_t i : compute) responses[i].source = ResultSource::kComputed;
-    if (!cache_.disabled()) {
-      obs::ScopedSpan span(root_node, "cache_insert");
-      for (size_t i : compute) {
-        const Request& r = requests[i];
-        if (IsRegular(r.spec)) {
-          cache_.Insert(ResultCache::MakeKey(snap->generation, r.spec, r.q),
-                        responses[i].result);
-        }
-      }
-    }
-    // relaxed: pure counter traffic; nothing is published through active_.
-    active_.fetch_sub(static_cast<int>(compute.size()),
-                      std::memory_order_relaxed);
-  }
-
-  // Completion latency for everything decided by this batch (cache hits
-  // keep their probe-time latency); histograms get answered requests
-  // only.
-  const std::chrono::microseconds batch_latency = ElapsedUs(t0);
-  for (size_t i = 0; i < requests.size(); ++i) {
-    if (responses[i].source == ResultSource::kCache) continue;
-    responses[i].latency = batch_latency;
-    if (responses[i].source == ResultSource::kComputed) {
-      RecordLatency(requests[i].spec.type, batch_latency);
-    }
-  }
+  ComputeAndRespond(requests, misses, *snap, t0, responses, root_node,
+                    "compute");
   if (ctx != nullptr) {
     ctx->EndSpan(root);
     // One representative slow-log entry per slow batch: the first
     // request stands in for the batch, the batch size disambiguates.
     MaybeLogSlowQuery(requests[0].q, requests[0].spec,
-                      ResultSource::kComputed, batch_latency, ctx.get(),
+                      ResultSource::kComputed, ElapsedUs(t0), ctx.get(),
                       static_cast<int>(requests.size()));
   }
   return responses;
+}
+
+std::vector<QueryServer::Miss> QueryServer::Admit(
+    std::span<const Request> requests, const Snapshot& snap,
+    std::chrono::steady_clock::time_point t0, std::span<Response> responses,
+    obs::TraceNode lookup_trace) {
+  std::vector<Miss> misses;
+  misses.reserve(requests.size());
+  // The in-flight limit decides the pack's fate once, on the way in (a
+  // pack the server accepts is not split).
+  const bool at_limit =
+      options_.max_inflight > 0 &&
+      // relaxed: active_ is a load-shedding heuristic; a slightly stale
+      // count only shifts where the limit bites.
+      active_.load(std::memory_order_relaxed) >= options_.max_inflight;
+  uint64_t expired = 0;
+  uint64_t shed = 0;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    const Request& r = requests[i];
+    Response& resp = responses[i];
+    CountQuery(r.spec);
+    // Deadline check one: already dead on arrival (never for kNoDeadline,
+    // the clock's maximum).
+    if (t0 >= r.deadline) {
+      resp.source = ResultSource::kDeadlineExceeded;
+      resp.latency = ElapsedUs(t0);
+      ++expired;
+      continue;
+    }
+    const bool regular = query_contract::Classify(r.spec) ==
+                         query_contract::SpecClass::kRegular;
+    const bool cacheable = regular && !cache_.disabled();
+    if (cacheable) {
+      obs::ScopedSpan lookup(lookup_trace, "cache_lookup");
+      if (cache_.Lookup(ResultCache::MakeKey(snap.generation, r.spec, r.q),
+                        &resp.result)) {
+        resp.source = ResultSource::kCache;
+        resp.latency = ElapsedUs(t0);
+        RecordLatency(r.spec.type, resp.latency);
+        continue;
+      }
+    }
+    // Definition-level answers (degenerate specs) are never refused: they
+    // cost no backend work worth protecting.
+    if (at_limit && regular) {
+      resp.source = ResultSource::kShed;
+      resp.latency = ElapsedUs(t0);
+      ++shed;
+      continue;
+    }
+    misses.push_back({i, cacheable});
+  }
+  if (expired > 0) deadline_exceeded_->Inc(expired);
+  if (shed > 0) shed_->Inc(shed);
+  if (!misses.empty()) {
+    // relaxed: pure counter traffic; nothing is published through active_.
+    active_.fetch_add(static_cast<int>(misses.size()),
+                      std::memory_order_relaxed);
+  }
+  return misses;
+}
+
+void QueryServer::ComputeAndRespond(std::span<const Request> requests,
+                                    std::span<const Miss> misses,
+                                    const Snapshot& snap,
+                                    std::chrono::steady_clock::time_point t0,
+                                    std::span<Response> responses,
+                                    obs::TraceNode trace,
+                                    const char* compute_span) {
+  if (misses.empty()) return;
+  // Deadline check two drops a miss that aged out since admission (queued
+  // behind other work). The rest are partitioned by distinct spec (the
+  // dedup scan is quadratic in the handful of distinct specs, cheaper than
+  // hashing), so misses of one spec form one pack for the batched kernels
+  // whether the pack arrived uniform or mixed. Grouping cannot change an
+  // answer: each one comes from the same QueryMany contract.
+  const auto now = std::chrono::steady_clock::now();
+  uint64_t expired = 0;
+  bool inserts = false;
+  std::vector<std::pair<Engine::QuerySpec, std::vector<size_t>>> groups;
+  for (const Miss& m : misses) {
+    const Request& r = requests[m.index];
+    if (now >= r.deadline) {
+      responses[m.index].source = ResultSource::kDeadlineExceeded;
+      ++expired;
+      continue;
+    }
+    inserts = inserts || m.cacheable;
+    auto g = groups.begin();
+    while (g != groups.end() && g->first != r.spec) ++g;
+    if (g == groups.end()) g = groups.insert(g, {r.spec, {}});
+    g->second.push_back(m.index);
+  }
+  if (expired > 0) deadline_exceeded_->Inc(expired);
+  if (!groups.empty()) {
+    obs::ScopedSpan span(trace, compute_span,
+                         static_cast<std::int64_t>(misses.size() - expired));
+    for (const auto& [spec, slots] : groups) {
+      std::vector<geom::Vec2> points(slots.size());
+      for (size_t j = 0; j < slots.size(); ++j) {
+        points[j] = requests[slots[j]].q;
+      }
+      std::vector<Engine::QueryResult> results =
+          QueryMany(*snap.engine, points, spec, &pool_, span.node());
+      for (size_t j = 0; j < slots.size(); ++j) {
+        responses[slots[j]].result = std::move(results[j]);
+      }
+    }
+  }
+  if (inserts) {
+    obs::ScopedSpan span(trace, "cache_insert");
+    for (const Miss& m : misses) {
+      const Request& r = requests[m.index];
+      if (m.cacheable && responses[m.index].source == ResultSource::kComputed) {
+        cache_.Insert(ResultCache::MakeKey(snap.generation, r.spec, r.q),
+                      responses[m.index].result);
+      }
+    }
+  }
+  // relaxed: counter only; responses reach the caller through the promise
+  // or the return value, which order what the caller observes.
+  active_.fetch_sub(static_cast<int>(misses.size()), std::memory_order_relaxed);
+  // Completion latency; the histograms get answered requests only.
+  const std::chrono::microseconds latency = ElapsedUs(t0);
+  for (const Miss& m : misses) {
+    Response& resp = responses[m.index];
+    resp.latency = latency;
+    if (resp.source == ResultSource::kComputed) {
+      RecordLatency(requests[m.index].spec.type, latency);
+    }
+  }
 }
 
 bool QueryServer::ReplaceDataset(std::vector<core::UncertainPoint> points) {
@@ -523,7 +459,7 @@ bool QueryServer::ReplaceImpl(std::vector<core::UncertainPoint> points,
                                         ? sharding->partitioning
                                         : sharding_.partitioning;
   if (points.empty() || partitioning == Partitioning::kExternal ||
-      !std::all_of(points.begin(), points.end(), FiniteSupport)) {
+      !std::ranges::all_of(points, &core::UncertainPoint::finite)) {
     return false;
   }
   // Read the config under the lock: a racing ReplaceShardedEngine may
@@ -535,12 +471,6 @@ bool QueryServer::ReplaceImpl(std::vector<core::UncertainPoint> points,
                                                       config, sharding_,
                                                       &pool_));
   return true;
-}
-
-void QueryServer::ReplaceEngine(std::shared_ptr<const Engine> engine) {
-  UNN_CHECK(engine != nullptr);
-  ReplaceShardedEngine(
-      std::make_shared<const ShardedEngine>(std::move(engine)));
 }
 
 void QueryServer::ReplaceShardedEngine(

@@ -69,9 +69,8 @@ class QueryServer {
     /// Worker threads; <= 0 picks std::thread::hardware_concurrency().
     int num_threads = 0;
     /// Query types warmed on every snapshot before it starts serving
-    /// (construction and ReplaceDataset). Batches warm their own type
-    /// anyway; listing the types Submit traffic uses keeps single-query
-    /// latency flat.
+    /// (construction and ReplaceDataset). A type left out builds its
+    /// structures on its first query, inside that query's latency.
     std::vector<Engine::QueryType> warm;
     /// Data partitioning for snapshots the server builds itself
     /// (dataset constructors and ReplaceDataset). num_shards <= 1 serves
@@ -107,6 +106,8 @@ class QueryServer {
   QueryServer(std::shared_ptr<const ShardedEngine> engine,
               const Options& options);
   /// Builds the shard set from a dataset + config per Options::sharding.
+  /// `points` must be non-empty, every support finite
+  /// (core::UncertainPoint::finite); the build checks both.
   QueryServer(std::vector<core::UncertainPoint> points,
               const Engine::Config& config, const Options& options);
   QueryServer(std::vector<core::UncertainPoint> points,
@@ -143,10 +144,12 @@ class QueryServer {
     return LoadState()->generation;
   }
 
-  /// Async single query under the full QoS contract: deadline check at
-  /// admission and dispatch, result-cache probe, admission control, then
-  /// pool dispatch at `Request::priority` against the snapshot current
-  /// at submission time (a sharded snapshot fans the query out to all
+  /// Async single query under the full QoS contract: a pack of one
+  /// through QueryBatch's admission (deadline check, result-cache probe,
+  /// admission control) on the submitting thread, then its compute and
+  /// respond stages (deadline check two, the query, cache insert) in a
+  /// pool task at `Request::priority`, against the snapshot current at
+  /// submission time (a sharded snapshot fans the query out to all
   /// shards across the pool). The future is always satisfied — refusals
   /// are Responses (`kShed` / `kDeadlineExceeded`), never exceptions.
   /// Degenerate spec parameters follow Engine::QueryMany's definitions
@@ -169,14 +172,15 @@ class QueryServer {
   std::future<Response> Submit(const Request& request);
 
   /// Blocking batched API: probes the cache per request, then computes
-  /// the misses across the pool (plus the calling thread); responses[i]
-  /// answers requests[i]. The whole batch runs on one snapshot.
-  /// Per-request deadlines are checked once, at batch admission.
+  /// the misses across the pool (plus the calling thread), one pack per
+  /// distinct spec; responses[i] answers requests[i]. The whole batch
+  /// runs on one snapshot. Per-request deadlines are checked twice: at
+  /// admission and again just before the misses are computed.
   /// Admission control is batch-level: when the server is already at
   /// its in-flight limit the batch's regular misses are all shed (a
-  /// batch the server accepts is not split). Cache-hit
-  /// responses carry their probe-time latency; computed ones the batch
-  /// completion latency. Thread-safe.
+  /// batch the server accepts is not split). Responses decided at
+  /// admission (cache hits and refusals) carry their admission-time
+  /// latency; the rest the batch completion latency. Thread-safe.
   std::vector<Response> QueryBatch(std::span<const Request> requests);
 
   /// Atomically replaces the dataset: partitions per the server's current
@@ -201,13 +205,10 @@ class QueryServer {
   /// nothing, the replacement sharding included.
   bool ReplaceDataset(std::vector<core::UncertainPoint> points,
                       const ShardingOptions& sharding);
-  /// Same swap for a caller-built engine, served as a single shard
-  /// (future ReplaceDataset calls then build unsharded, like
-  /// ReplaceShardedEngine with one shard).
-  void ReplaceEngine(std::shared_ptr<const Engine> engine);
-  /// Same swap for a caller-assembled shard set; its shape (shard
-  /// count, round-robin for assembled sets) becomes the replacement
-  /// sharding for future ReplaceDataset calls.
+  /// Same swap for a caller-assembled shard set (a caller-built Engine
+  /// is the one-shard `ShardedEngine(engine)`); its shape (shard count,
+  /// round-robin for assembled sets) becomes the replacement sharding
+  /// for future ReplaceDataset calls.
   void ReplaceShardedEngine(std::shared_ptr<const ShardedEngine> engine);
 
   /// The worker pool (shared with callers that want to fan out their own
@@ -270,6 +271,35 @@ class QueryServer {
     uint64_t generation = 0;
   };
 
+  /// A request admission sends to the backend: its index in the pack
+  /// and whether its answer goes into the result cache.
+  struct Miss {
+    size_t index;
+    bool cacheable;
+  };
+
+  /// The admission stage of both entry points, over a pack (Submit's is a
+  /// pack of one). Per request, in order: counts it, refuses it if its
+  /// deadline has passed, probes the cache, and sheds a regular request
+  /// when the in-flight limit (read once per pack) is reached; those
+  /// decisions land in `responses`. Returns the rest, headed for the
+  /// backend, and adds them to active_. Each probe opens a
+  /// `cache_lookup` span under `lookup_trace`.
+  std::vector<Miss> Admit(std::span<const Request> requests,
+                          const Snapshot& snap,
+                          std::chrono::steady_clock::time_point t0,
+                          std::span<Response> responses,
+                          obs::TraceNode lookup_trace);
+  /// The compute and respond stages for Admit's misses: refuses those
+  /// whose deadline has passed since, answers the rest with one
+  /// serve::QueryMany per distinct spec under a `compute_span` span of
+  /// `trace`, caches the cacheable answers (`cache_insert` span),
+  /// releases the misses from active_ and stamps the completion latency.
+  void ComputeAndRespond(std::span<const Request> requests,
+                         std::span<const Miss> misses, const Snapshot& snap,
+                         std::chrono::steady_clock::time_point t0,
+                         std::span<Response> responses, obs::TraceNode trace,
+                         const char* compute_span);
   /// Assembles + warms (Options::warm) a Snapshot and returns it ready to
   /// install.
   std::shared_ptr<const Snapshot> MakeSnapshot(
@@ -336,10 +366,9 @@ class QueryServer {
   obs::Counter* shed_ = nullptr;
   obs::Counter* deadline_exceeded_ = nullptr;
   std::array<obs::Histogram*, kNumQueryTypes> latency_{};
-  /// Backend queries in flight (admission control's load signal):
-  /// Submit-dispatched queries from post to completion, batch misses for
-  /// the span of their parallel compute. Cache hits and refusals never
-  /// count.
+  /// Backend queries in flight (admission control's load signal): every
+  /// miss from admission to completion (a Submit's time in the queue
+  /// included). Cache hits and refusals never count.
   std::atomic<int> active_{0};
   /// Slow-query ring (see SlowQueries); touched only for requests at or
   /// past the latency threshold.

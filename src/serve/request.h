@@ -13,8 +13,8 @@
 /// types. A Request carries the QoS contract — an optional
 /// deadline and a scheduling priority — alongside the query itself; a
 /// Response says not just what the answer is but how it was produced
-/// (computed, served from the result cache, degraded to the cheap
-/// backend, or refused) and how long the server held it.
+/// (computed, served from the result cache, or refused) and how long the
+/// server held it.
 
 namespace unn {
 namespace serve {
@@ -46,7 +46,7 @@ struct Request {
   Engine::QuerySpec spec;
   /// Requests whose deadline has passed are answered
   /// `kDeadlineExceeded` without touching a backend — checked at
-  /// admission and again when a worker picks the query up, so a request
+  /// admission and again just before the query is computed, so a request
   /// that aged out while queued is dropped rather than computed.
   std::chrono::steady_clock::time_point deadline = kNoDeadline;
   Priority priority = Priority::kNormal;

@@ -79,6 +79,9 @@ ShardedEngine::ShardedEngine(std::vector<core::UncertainPoint> points,
                              ThreadPool* build_pool)
     : config_(config), options_(options) {
   UNN_CHECK(!points.empty());
+  for (const core::UncertainPoint& p : points) {
+    UNN_CHECK_MSG(p.finite(), "every support must be finite");
+  }
   std::vector<std::vector<int>> parts = PartitionPoints(points, options);
   engines_.resize(parts.size());
   ForEachShard(build_pool, [&](int s) {

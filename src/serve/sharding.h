@@ -83,7 +83,8 @@ class ShardedEngine {
   /// Partitions `points` per `options` and builds one Engine per shard,
   /// every shard with the same `config` and its points' global ids. When
   /// `build_pool` is given the shard builds run on the pool in parallel
-  /// (plus the calling thread).
+  /// (plus the calling thread). `points` must be non-empty, every support
+  /// finite (UncertainPoint::finite); both are checked.
   ShardedEngine(std::vector<core::UncertainPoint> points,
                 const Engine::Config& config, const ShardingOptions& options,
                 ThreadPool* build_pool = nullptr);

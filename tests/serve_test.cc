@@ -98,9 +98,15 @@ TEST(ThreadPool, ParallelForNestedInsideTaskCompletes) {
 // order, for every query type.
 // ---------------------------------------------------------------------------
 
+/// The one-shard set QueryServer serves a single Engine as.
+serve::ShardedEngine OneShard(const std::vector<UncertainPoint>& pts) {
+  return serve::ShardedEngine(std::make_shared<const Engine>(pts));
+}
+
 TEST(ServeQueryMany, MatchesSerialForEveryTypeAndThreadCount) {
   auto pts = workload::RandomDiscrete(18, 3, 91);
   Engine engine(pts, {});
+  serve::ShardedEngine one_shard = OneShard(pts);
   auto qs = GridQueries(57);  // Not a multiple of any block count.
 
   const std::vector<Engine::QuerySpec> specs = {
@@ -114,7 +120,7 @@ TEST(ServeQueryMany, MatchesSerialForEveryTypeAndThreadCount) {
     auto serial = engine.QueryMany(qs, spec);
     for (int threads : {1, 2, 8}) {
       serve::ThreadPool pool(threads);
-      auto parallel = serve::QueryMany(engine, qs, spec, &pool);
+      auto parallel = serve::QueryMany(one_shard, qs, spec, &pool);
       ASSERT_EQ(parallel.size(), serial.size());
       for (size_t i = 0; i < qs.size(); ++i) {
         EXPECT_EQ(parallel[i].nn, serial[i].nn);
@@ -135,6 +141,7 @@ TEST(ServeQueryMany, ShuffledPackScattersBackToEveryQuery) {
   const double nan = std::nan("");
   auto pts = workload::RandomDiscrete(40, 3, 93);
   Engine engine(pts, {});
+  serve::ShardedEngine one_shard = OneShard(pts);
   serve::ShardedEngine sharded(pts, {}, {2, serve::Partitioning::kSpatial});
   std::mt19937_64 rng(94);
   std::uniform_real_distribution<double> u(-12, 12);
@@ -161,7 +168,7 @@ TEST(ServeQueryMany, ShuffledPackScattersBackToEveryQuery) {
     for (Vec2 q : qs) alone.push_back(engine.QueryMany({&q, 1}, spec)[0]);
     for (int threads : {1, 2, 8}) {
       serve::ThreadPool pool(threads);
-      auto one = serve::QueryMany(engine, qs, spec, &pool);
+      auto one = serve::QueryMany(one_shard, qs, spec, &pool);
       auto two = serve::QueryMany(sharded, qs, spec, &pool);
       ASSERT_EQ(one.size(), qs.size());
       ASSERT_EQ(two.size(), qs.size());
@@ -183,7 +190,7 @@ TEST(ServeQueryMany, ShuffledPackScattersBackToEveryQuery) {
 
 TEST(ServeQueryMany, EmptyBatchAndDegenerateSpecs) {
   auto pts = workload::RandomDiscrete(10, 2, 92);
-  Engine engine(pts, {});
+  serve::ShardedEngine engine = OneShard(pts);
   serve::ThreadPool pool(2);
 
   auto empty = serve::QueryMany(engine, {}, {}, &pool);
@@ -447,6 +454,53 @@ TEST(QueryServer, ReplaceDatasetRefusesEmptyAndExternalInput) {
   EXPECT_EQ(assembled.snapshot()->size(), 10);
 }
 
+// The dataset constructors take no bad input either: the six supports
+// ReplaceDataset refuses abort every Engine and shard-set build, before
+// the spatial partitioner could sort a NaN centre.
+TEST(QueryServerDeathTest, DatasetConstructorsRefuseNonFiniteSupports) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  auto pts = workload::RandomDiscrete(14, 3, 97);
+  serve::QueryServer::Options options;
+  options.num_threads = 1;
+  options.sharding = {2, serve::Partitioning::kSpatial};
+  for (UncertainPoint bad :
+       {UncertainPoint::Disk({nan, 0.0}, 1.0),
+        UncertainPoint::Disk({inf, 0.0}, 1.0),
+        UncertainPoint::Disk({0.0, -inf}, 1.0),
+        UncertainPoint::Disk({0.0, 0.0}, inf),
+        UncertainPoint::DiscreteUniform({{0.0, 0.0}, {nan, 0.0}}),
+        UncertainPoint::DiscreteUniform({{inf, 0.0}, {1.0, 1.0}})}) {
+    EXPECT_FALSE(bad.finite());
+    std::vector<UncertainPoint> pts_bad = pts;
+    pts_bad[7] = bad;
+    EXPECT_DEATH(Engine(pts_bad, {}), "finite");
+    EXPECT_DEATH(serve::ShardedEngine(pts_bad, {}, options.sharding), "finite");
+    EXPECT_DEATH(serve::QueryServer(pts_bad, {}, options), "finite");
+  }
+}
+
+/// Parks every pool worker behind a gate so the admission-control tests
+/// can hold the server at a known in-flight level deterministically.
+class PoolGate {
+ public:
+  PoolGate(serve::ThreadPool& pool, int workers) {
+    for (int i = 0; i < workers; ++i) {
+      pool.Post([this] {
+        gated_.fetch_add(1);
+        while (!release_.load()) std::this_thread::yield();
+      });
+    }
+    while (gated_.load() < workers) std::this_thread::yield();
+  }
+  void Release() { release_.store(true); }
+
+ private:
+  std::atomic<int> gated_{0};
+  std::atomic<bool> release_{false};
+};
+
 TEST(QueryServer, ExpiredDeadlineIsRefusedWithoutComputing) {
   auto pts = workload::RandomDiscrete(12, 2, 95);
   serve::QueryServer server(pts, {}, {.num_threads = 2, .warm = {}});
@@ -470,27 +524,21 @@ TEST(QueryServer, ExpiredDeadlineIsRefusedWithoutComputing) {
   EXPECT_EQ(s.queries, 2u);
   // Refusals never enter the latency histograms.
   EXPECT_EQ(s.latency(Engine::QueryType::kMostProbableNn).count, 1u);
+
+  // Deadline check two: a request that ages out queued behind busy
+  // workers is dropped instead of computed. (Were admission itself late,
+  // check one would answer the same.)
+  PoolGate gate(server.pool(), 2);
+  serve::Request queued = alive;
+  queued.deadline = serve::DeadlineAfter(std::chrono::milliseconds(100));
+  std::future<serve::Response> aged = server.Submit(queued);
+  std::this_thread::sleep_until(queued.deadline);
+  gate.Release();
+  EXPECT_EQ(aged.get().source, serve::ResultSource::kDeadlineExceeded);
+  s = server.stats();
+  EXPECT_EQ(s.deadline_exceeded, 2u);
+  EXPECT_EQ(s.latency(Engine::QueryType::kMostProbableNn).count, 1u);
 }
-
-/// Parks every pool worker behind a gate so the admission-control tests
-/// can hold the server at a known in-flight level deterministically.
-class PoolGate {
- public:
-  PoolGate(serve::ThreadPool& pool, int workers) {
-    for (int i = 0; i < workers; ++i) {
-      pool.Post([this] {
-        gated_.fetch_add(1);
-        while (!release_.load()) std::this_thread::yield();
-      });
-    }
-    while (gated_.load() < workers) std::this_thread::yield();
-  }
-  void Release() { release_.store(true); }
-
- private:
-  std::atomic<int> gated_{0};
-  std::atomic<bool> release_{false};
-};
 
 TEST(QueryServer, AdmissionControlShedsPastInflightLimit) {
   auto pts = workload::RandomDiscrete(12, 2, 95);
@@ -605,94 +653,119 @@ TEST(QueryServer, DegenerateSpecsBypassCacheAndAdmission) {
   EXPECT_EQ(s.cache.insertions, 1u);  // The regular request; not tau=1.5.
 }
 
-// Pack-grouping property: a server fed mixed-spec batches and a second
-// server fed the same request stream one request per QueryBatch call must
-// produce the same Responses — order, values, ResultSource labels — and
-// the same counters except `batches`, on mixed-SpecClass batches with
-// degenerate specs, duplicate requests, and cache-hit interleavings on the
-// second pass. The one designed difference: a duplicate inside a batch
-// misses the cache probe (probing precedes computing), while fed alone it
-// hits the entry its first occurrence inserted.
+// Pack-grouping property: a server fed mixed-spec batches, a second
+// server fed the same request stream one request per QueryBatch call and a
+// third fed it one Submit at a time must produce the same Responses —
+// order, values, ResultSource labels — and the same counters except
+// `batches`, on mixed-SpecClass batches with degenerate specs, duplicate
+// requests, and cache-hit interleavings on the second pass. The one
+// designed difference: a duplicate inside a batch misses the cache probe
+// (probing precedes computing), while fed alone it hits the entry its
+// first occurrence inserted. The body runs on one discrete Engine, and on
+// two spatial disk shards, where a Submit's pack of one fans out across the
+// shards while a batch splits its packs across queries.
 TEST(QueryServer, PackGroupingMatchesOneRequestBatches) {
-  auto pts = workload::RandomDiscrete(20, 3, 101);
-  serve::QueryServer::Options options;
-  options.num_threads = 3;
-  options.cache.max_bytes = 1u << 20;
-  serve::QueryServer packed(pts, {}, options);
-  serve::QueryServer alone(pts, {}, options);
+  auto check = [](const std::vector<UncertainPoint>& pts,
+                  const Engine::Config& config,
+                  const serve::ShardingOptions& sharding) {
+    serve::QueryServer::Options options;
+    options.num_threads = 3;
+    options.cache.max_bytes = 1u << 20;
+    options.sharding = sharding;
+    serve::QueryServer packed(pts, config, options);
+    serve::QueryServer alone(pts, config, options);
+    serve::QueryServer submitted(pts, config, options);
+    ASSERT_EQ(packed.sharded_snapshot()->num_shards(), sharding.num_shards);
 
-  auto qs = GridQueries(9);
-  std::vector<serve::Request> reqs;
-  for (size_t i = 0; i < qs.size(); ++i) {
-    Vec2 q = qs[i];
-    reqs.push_back({q, {Engine::QueryType::kExpectedDistanceNn, 0.5, 1}});
-    if (i % 2 == 0) {
-      reqs.push_back({q, {Engine::QueryType::kMostProbableNn, 0.5, 1}});
-    }
-    if (i % 3 == 0) {
-      // Degenerate spec interleaved mid-batch: answered definition-level,
-      // never grouped into a backend pack, never cached.
-      reqs.push_back({q, {Engine::QueryType::kThreshold, 1.5, 1}});
-    }
-    if (i % 4 == 1) {
-      // Duplicate of an earlier request in the same batch.
-      reqs.push_back(
-          {qs[0], {Engine::QueryType::kExpectedDistanceNn, 0.5, 1}});
-    }
-  }
-  auto is_duplicate = [&](size_t i) {
-    for (size_t j = 0; j < i; ++j) {
-      if (reqs[j].q == reqs[i].q &&
-          reqs[j].spec.type == reqs[i].spec.type &&
-          reqs[j].spec.tau == reqs[i].spec.tau &&
-          reqs[j].spec.k == reqs[i].spec.k) {
-        return query_contract::Classify(reqs[i].spec) ==
-               query_contract::SpecClass::kRegular;
+    auto qs = GridQueries(9);
+    std::vector<serve::Request> reqs;
+    for (size_t i = 0; i < qs.size(); ++i) {
+      Vec2 q = qs[i];
+      reqs.push_back({q, {Engine::QueryType::kExpectedDistanceNn, 0.5, 1}});
+      if (i % 2 == 0) {
+        reqs.push_back({q, {Engine::QueryType::kMostProbableNn, 0.5, 1}});
+      }
+      if (i % 3 == 0) {
+        // Degenerate spec interleaved mid-batch: answered
+        // definition-level, never grouped into a backend pack, never
+        // cached.
+        reqs.push_back({q, {Engine::QueryType::kThreshold, 1.5, 1}});
+      }
+      if (i % 4 == 1) {
+        // Duplicate of an earlier request in the same batch.
+        reqs.push_back(
+            {qs[0], {Engine::QueryType::kExpectedDistanceNn, 0.5, 1}});
       }
     }
-    return false;
+    auto is_duplicate = [&](size_t i) {
+      for (size_t j = 0; j < i; ++j) {
+        if (reqs[j].q == reqs[i].q && reqs[j].spec == reqs[i].spec) {
+          return query_contract::Classify(reqs[i].spec) ==
+                 query_contract::SpecClass::kRegular;
+        }
+      }
+      return false;
+    };
+    uint64_t duplicates = 0;
+    // Pass 0 computes everything; pass 1 interleaves cache hits with the
+    // degenerate computes.
+    for (int pass = 0; pass < 2; ++pass) {
+      auto got = packed.QueryBatch(reqs);
+      ASSERT_EQ(got.size(), reqs.size());
+      for (size_t i = 0; i < reqs.size(); ++i) {
+        std::span<const serve::Request> single(&reqs[i], 1);
+        auto want = alone.QueryBatch(single);
+        ASSERT_EQ(want.size(), 1u);
+        serve::Response one = submitted.Submit(reqs[i]).get();
+        EXPECT_EQ(one.source, want[0].source) << "pass=" << pass << " i=" << i;
+        EXPECT_EQ(one.result.nn, want[0].result.nn);
+        EXPECT_EQ(one.result.ranked, want[0].result.ranked);
+        EXPECT_EQ(one.result.ids, want[0].result.ids);
+        serve::ResultSource source = got[i].source;
+        if (pass == 0 && is_duplicate(i)) {
+          EXPECT_EQ(source, serve::ResultSource::kComputed) << "i=" << i;
+          source = serve::ResultSource::kCache;
+          ++duplicates;
+        }
+        EXPECT_EQ(source, want[0].source) << "pass=" << pass << " i=" << i;
+        EXPECT_EQ(got[i].result.nn, want[0].result.nn);
+        EXPECT_EQ(got[i].result.ranked, want[0].result.ranked);
+        EXPECT_EQ(got[i].result.ids, want[0].result.ids);
+      }
+    }
+    EXPECT_GT(duplicates, 0u);
+    auto ps = packed.stats();
+    auto as = alone.stats();
+    auto ss = submitted.stats();
+    EXPECT_EQ(ps.batches, 2u);
+    EXPECT_EQ(as.batches, 2 * reqs.size());
+    EXPECT_EQ(ss.batches, 0u);
+    for (const serve::ServerStats* s : {&ps, &ss}) {
+      // The submitted server's cache traffic is the one-request batches'
+      // exactly; the packed server's differs by the in-batch duplicates.
+      const uint64_t dup = s == &ps ? duplicates : 0;
+      EXPECT_EQ(s->queries, as.queries);
+      EXPECT_EQ(s->swaps, as.swaps);
+      EXPECT_EQ(s->shed, as.shed);
+      EXPECT_EQ(s->deadline_exceeded, as.deadline_exceeded);
+      EXPECT_EQ(s->cache.hits + dup, as.cache.hits);
+      EXPECT_EQ(s->cache.misses, as.cache.misses + dup);
+      EXPECT_EQ(s->cache.insertions, as.cache.insertions);
+      EXPECT_EQ(s->cache.evictions, as.cache.evictions);
+      EXPECT_EQ(s->cache.entries, as.cache.entries);
+      EXPECT_EQ(s->cache.bytes, as.cache.bytes);
+      for (int t = 0; t < serve::kNumQueryTypes; ++t) {
+        EXPECT_EQ(s->queries_by_type[t], as.queries_by_type[t]) << "type " << t;
+        EXPECT_EQ(s->latency_by_type[t].count, as.latency_by_type[t].count)
+            << "type " << t;
+      }
+    }
   };
-  uint64_t duplicates = 0;
-  // Pass 0 computes everything; pass 1 interleaves cache hits with the
-  // degenerate computes.
-  for (int pass = 0; pass < 2; ++pass) {
-    auto got = packed.QueryBatch(reqs);
-    ASSERT_EQ(got.size(), reqs.size());
-    for (size_t i = 0; i < reqs.size(); ++i) {
-      auto want = alone.QueryBatch(std::span<const serve::Request>(&reqs[i], 1));
-      ASSERT_EQ(want.size(), 1u);
-      serve::ResultSource source = got[i].source;
-      if (pass == 0 && is_duplicate(i)) {
-        EXPECT_EQ(source, serve::ResultSource::kComputed) << "i=" << i;
-        source = serve::ResultSource::kCache;
-        ++duplicates;
-      }
-      EXPECT_EQ(source, want[0].source) << "pass=" << pass << " i=" << i;
-      EXPECT_EQ(got[i].result.nn, want[0].result.nn);
-      EXPECT_EQ(got[i].result.ranked, want[0].result.ranked);
-      EXPECT_EQ(got[i].result.ids, want[0].result.ids);
-    }
-  }
-  EXPECT_GT(duplicates, 0u);
-  auto ps = packed.stats();
-  auto as = alone.stats();
-  EXPECT_EQ(ps.batches, 2u);
-  EXPECT_EQ(as.batches, 2 * reqs.size());
-  EXPECT_EQ(ps.queries, as.queries);
-  EXPECT_EQ(ps.swaps, as.swaps);
-  EXPECT_EQ(ps.shed, as.shed);
-  EXPECT_EQ(ps.deadline_exceeded, as.deadline_exceeded);
-  EXPECT_EQ(ps.cache.hits + duplicates, as.cache.hits);
-  EXPECT_EQ(ps.cache.misses, as.cache.misses + duplicates);
-  EXPECT_EQ(ps.cache.insertions, as.cache.insertions);
-  EXPECT_EQ(ps.cache.evictions, as.cache.evictions);
-  EXPECT_EQ(ps.cache.entries, as.cache.entries);
-  EXPECT_EQ(ps.cache.bytes, as.cache.bytes);
-  for (int t = 0; t < serve::kNumQueryTypes; ++t) {
-    EXPECT_EQ(ps.queries_by_type[t], as.queries_by_type[t]) << "type " << t;
-    EXPECT_EQ(ps.latency_by_type[t].count, as.latency_by_type[t].count)
-        << "type " << t;
-  }
+  check(workload::RandomDiscrete(20, 3, 101), {}, {});
+  Engine::Config disks;
+  disks.mc_samples_override = 64;
+  check(workload::RandomDisks(20, 102), disks,
+        {2, serve::Partitioning::kSpatial});
 }
 
 TEST(QueryServer, RequestBatchMixedSpecsMatchOracle) {
@@ -837,7 +910,9 @@ TEST(QueryServer, ExternalTraceContextRecordsSpanTree) {
   EXPECT_TRUE(has("request"));
   EXPECT_TRUE(has("admission"));
   EXPECT_TRUE(has("cache_lookup"));
+  EXPECT_TRUE(has("queue"));
   EXPECT_TRUE(has("engine_query"));
+  EXPECT_TRUE(has("cache_insert"));
   // The root span is closed once the response is delivered.
   EXPECT_EQ(spans[0].parent, -1);
   EXPECT_GE(spans[0].end_ns, 0);
@@ -869,6 +944,22 @@ TEST(QueryServer, SlowQueryLogIsBoundedAndCarriesSpans) {
     std::string rendered = obs::RenderSpanTree(sq.spans);
     EXPECT_NE(rendered.find("request"), std::string::npos);
   }
+
+  // A slow batch logs one entry whose tree hangs admission, compute and
+  // cache insertion off a `batch` root.
+  server.QueryBatch(Requests(qs, {Engine::QueryType::kMostProbableNn}));
+  const serve::QueryServer::SlowQuery batch = server.SlowQueries().back();
+  EXPECT_EQ(batch.batch_size, static_cast<int>(qs.size()));
+  ASSERT_FALSE(batch.spans.empty());
+  EXPECT_EQ(std::string(batch.spans[0].name), "batch");
+  auto parent_of = [&batch](const char* name) {
+    for (const obs::Span& sp : batch.spans) {
+      if (std::string(sp.name) == name) return sp.parent;
+    }
+    return std::int32_t{-2};
+  };
+  EXPECT_EQ(parent_of("batch_admission"), batch.spans[0].id);
+  EXPECT_EQ(parent_of("compute"), batch.spans[0].id);
 }
 
 }  // namespace

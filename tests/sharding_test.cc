@@ -810,7 +810,8 @@ TEST(QueryServerSharded, ReplaceDatasetKeepsCallerInstalledShardShape) {
 
   // A caller-installed single engine switches replacements back to
   // unsharded builds.
-  server.ReplaceEngine(std::make_shared<const Engine>(pts, cfg));
+  server.ReplaceShardedEngine(std::make_shared<const serve::ShardedEngine>(
+      std::make_shared<const Engine>(pts, cfg)));
   server.ReplaceDataset(pts);
   EXPECT_EQ(server.sharded_snapshot()->num_shards(), 1);
 }
