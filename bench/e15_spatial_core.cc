@@ -8,13 +8,14 @@
 // Rows, one Engine per input model:
 //   batched_qm         ExpectedDistanceNn on discrete points (ExpectedNn);
 //   batched_mpnn       MostProbableNn on disks (Monte-Carlo backend:
-//   batched_threshold  Threshold        batched envelope, then the
-//   batched_topk       TopK             per-query candidate sweep);
+//   batched_threshold  Threshold        the scalar envelope walk, then
+//   batched_topk       TopK             the candidate sweep, per query);
 //   batched_nonzero    NonzeroNn on discrete points (Theorem 3.2 index).
 //
 // Each row reports µs per query for both sides, their ratio as
 // batched_speedup, and the lane utilization and scalar replays of the
-// row's lane kernel, with the lane ISA as provenance. The discrete rows
+// row's lane kernel, with the lane ISA as provenance; the disk rows have
+// no lane kernel, so their lane counters read 0. The discrete rows
 // also report scalar_sorted_us: their scalar query alone, looped over
 // the Morton-sorted pack (ExpectedDistanceNn has no lane kernel left;
 // for NonzeroNn it is the scalar twin of the lane range walk). Exactness
@@ -130,10 +131,11 @@ int main(int argc, char** argv) {
       double ratio = pack1_us / std::max(pack_us, 1e-9);
 
       // The dominant kernel on the same queries, Morton-sorted as
-      // QueryMany sorts them: the lane counters of the row's lane kernel,
-      // and for the discrete rows the scalar query looped over the sorted
-      // pack (E[d] has no lane kernel left; for NN!=0 it is the scalar
-      // twin of QueryBatch's lane range walk).
+      // QueryMany sorts them: the lane counters of the row's lane kernel
+      // (0 on the disk rows, whose envelope is a scalar walk), and for the
+      // discrete rows the scalar query looped over the sorted pack (E[d]
+      // has no lane kernel left; for NN!=0 it is the scalar twin of
+      // QueryBatch's lane range walk).
       std::vector<Vec2> sorted;
       for (int i : spatial::PackCoherentOrder(qs)) sorted.push_back(qs[i]);
       spatial::BatchStats stats;

@@ -70,23 +70,18 @@ template <class Emit>
 void MonteCarloPnn::Sweep(std::span<const Vec2> queries, int s,
                           spatial::BatchStats* stats, Emit emit) const {
   UNN_CHECK(s > 0 && s <= s_);
-  // The envelope pass shares packs, so it runs in pack-coherent (Morton)
-  // order; the sweep is per query and hands results back by index.
-  std::vector<int> order = spatial::PackCoherentOrder(queries);
-  std::vector<Vec2> sorted(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) sorted[i] = queries[order[i]];
-  std::vector<DeltaEnvelope> envs(queries.size());
-  quant_.MaxDistEnvelopeBatch(sorted, envs, stats);
-
-  // Scratch reused across the batch: the candidate ids, and each
-  // instantiation's best distance and winner (an index into `cand`).
+  // Scratch reused across the batch: the envelope walks' counters, the
+  // candidate ids, and each instantiation's best distance and winner (an
+  // index into `cand`).
+  spatial::TraversalStats walk;
   std::vector<int> cand;
   std::vector<double> best_d(s);
   std::vector<int> winner(s);
-  for (size_t i = 0; i < sorted.size(); ++i) {
-    const Vec2 q = sorted[i];
-    const DeltaEnvelope& env = envs[i];
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const Vec2 q = queries[i];
     if (!geom::IsFinite(q)) continue;
+    const DeltaEnvelope env =
+        quant_.MaxDistEnvelope(q, stats != nullptr ? &walk : nullptr);
     // The guard band of the header's soundness argument.
     const double r = env.best + 1e-9 * env.best +
                      16 * DBL_EPSILON * (NormInf(q) + scale_);
@@ -109,8 +104,9 @@ void MonteCarloPnn::Sweep(std::span<const Vec2> queries, int s,
         }
       }
     }
-    emit(order[i], cand, best_d, winner);
+    emit(static_cast<int>(i), cand, best_d, winner);
   }
+  if (stats != nullptr) stats->AddWalk(walk);
 }
 
 std::vector<std::pair<int, double>> MonteCarloPnn::Query(Vec2 q) const {

@@ -122,9 +122,9 @@ class MonteCarloPnn {
 
   /// Query for every query of the batch over the first `s` instantiations
   /// (0 means all of them; otherwise 0 < s <= num_instantiations()),
-  /// through one candidate sweep per query after one batched envelope
-  /// pass (QuantTree::MaxDistEnvelopeBatch, whose traversal counters land
-  /// in `stats`). `out[i]` does not depend on the batch around
+  /// through one envelope walk (QuantTree::MaxDistEnvelope, whose node,
+  /// leaf and prune counts land in `stats`) and one candidate sweep per
+  /// finite query. `out[i]` does not depend on the batch around
   /// `queries[i]`.
   std::vector<std::vector<std::pair<int, double>>> QueryBatch(
       std::span<const geom::Vec2> queries, spatial::BatchStats* stats = nullptr,

@@ -5,9 +5,7 @@
 #include <limits>
 
 #include "geom/box_metrics.h"
-#include "geom/lanes.h"
 #include "prob/distance_cdf.h"
-#include "spatial/batch.h"
 #include "spatial/traverse.h"
 #include "util/check.h"
 
@@ -101,63 +99,6 @@ DeltaEnvelope QuantTree::MaxDistEnvelope(geom::Vec2 q,
       },
       stats);
   return env;
-}
-
-void QuantTree::MaxDistEnvelopeBatch(std::span<const geom::Vec2> queries,
-                                     std::span<DeltaEnvelope> out,
-                                     spatial::BatchStats* stats) const {
-  constexpr int kW = geom::kLaneWidth;
-  for (size_t base = 0; base < queries.size(); base += kW) {
-    int count = static_cast<int>(std::min<size_t>(kW, queries.size() - base));
-    geom::Vec2 qv[kW];
-    double qx[kW], qy[kW];
-    for (int l = 0; l < kW; ++l) {
-      qv[l] = queries[base + std::min(l, count - 1)];  // Pad ragged packs.
-      qx[l] = qv[l].x;
-      qy[l] = qv[l].y;
-    }
-    DeltaEnvelope env[kW];
-    for (int l = 0; l < kW; ++l) {
-      env[l].best = kInf;
-      env[l].second = kInf;
-    }
-    // Per-lane MaxDistLowerBound with the scalar's exact arithmetic:
-    // sqrt of the squared box distance (SIMD, correctly rounded), the
-    // all-disk r_min added with the scalar's rounding, and the
-    // radius-dominant term r_min - MaxDistTo(q) — which is at most
-    // r_min, so the max can only bite while the lane's bound is still
-    // below r_min; the per-lane hypot stays off the common path.
-    auto key = spatial::MakeLaneKeyCache([&](int n, double* k) {
-      double dsq[kW];
-      geom::BoxDistSqLanes(qx, qy, tree_.box(n), dsq);
-      geom::SqrtLanes(dsq, k);
-      const double rmin = tree_.aug().first.min(n);
-      if (tree_.aug().second.all_disk(n)) geom::AddScalarLanes(k, rmin, k);
-      for (int l = 0; l < kW; ++l) {
-        if (k[l] < rmin) {
-          k[l] = std::max(k[l], rmin - tree_.box(n).MaxDistTo(qv[l]));
-        }
-      }
-    });
-    spatial::BatchBestFirstScan(
-        tree_, spatial::FullMask(count),
-        [&](int l, int n) { return key(l, n); },
-        [&](int l, double lb) { return EnvelopePrunable(lb, env[l]); },
-        [&](int n, spatial::LaneMask m) {
-          if (!tree_.is_leaf(n)) return;
-          for (int j = tree_.begin(n); j < tree_.end(n); ++j) {
-            int id = tree_.item(j);
-            for (int l = 0; l < kW; ++l) {
-              if ((m >> l & 1u) == 0) continue;
-              if (stats != nullptr) ++stats->lane_points_evaluated;
-              env[l].Insert((*points_)[id].MaxDist(qv[l]), id);
-            }
-          }
-        },
-        stats);
-    if (stats != nullptr) ++stats->packs;
-    for (int l = 0; l < count; ++l) out[base + l] = env[l];
-  }
 }
 
 double QuantTree::LogSurvival(geom::Vec2 q, double r,

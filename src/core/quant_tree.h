@@ -1,12 +1,10 @@
 #ifndef UNN_CORE_QUANT_TREE_H_
 #define UNN_CORE_QUANT_TREE_H_
 
-#include <span>
 #include <vector>
 
 #include "core/uncertain_point.h"
 #include "geom/vec2.h"
-#include "spatial/batch.h"
 #include "spatial/flat_tree.h"
 #include "spatial/traverse.h"
 
@@ -21,7 +19,10 @@
 ///                             values plus the argmin (Lemma 2.1's pruning
 ///                             envelope), best-first search that prunes a
 ///                             subtree once its MaxDist lower bound cannot
-///                             beat the running runner-up;
+///                             beat the running runner-up. The one envelope
+///                             kernel: batched callers (the Monte-Carlo
+///                             sweep, Engine::MaxDistEnvelopeMany) loop it
+///                             per query;
 ///   * LogSurvival(q, r)     — sum_i log(1 - G_{q,i}(r)), the log of the
 ///                             probability that every point is farther
 ///                             than r, visiting only points whose support
@@ -103,18 +104,6 @@ class QuantTree {
   /// inputs, O(n) worst case.
   DeltaEnvelope MaxDistEnvelope(geom::Vec2 q,
                                 QueryStats* stats = nullptr) const;
-
-  /// Batched MaxDistEnvelope: `out[i]` is bit-identical to
-  /// `MaxDistEnvelope(queries[i])`, geom::kLaneWidth queries per shared
-  /// best-first walk with SIMD bound evaluation. No scalar replay is
-  /// ever needed: DeltaEnvelope::Insert is order-independent (argmin
-  /// ties resolve toward the smaller id regardless of insertion order)
-  /// and the per-lane prune is the scalar EnvelopePrunable over
-  /// bit-identical bounds, so any sound traversal — scalar order or the
-  /// pack's shared order — produces the same envelope.
-  void MaxDistEnvelopeBatch(std::span<const geom::Vec2> queries,
-                            std::span<DeltaEnvelope> out,
-                            spatial::BatchStats* stats = nullptr) const;
 
   /// log prod_i (1 - G_{q,i}(r)) = sum_i log1p(-G_{q,i}(r)), accumulated
   /// in log space so products over 10^5+ points do not underflow;

@@ -196,7 +196,15 @@ core::DeltaEnvelope Engine::MaxDistEnvelope(geom::Vec2 q) const {
 void Engine::MaxDistEnvelopeMany(std::span<const geom::Vec2> queries,
                                  std::span<core::DeltaEnvelope> out,
                                  spatial::BatchStats* stats) const {
-  GetQuantTree().MaxDistEnvelopeBatch(queries, out, stats);
+  UNN_CHECK_MSG(out.size() == queries.size(),
+                "MaxDistEnvelopeMany needs one output slot per query");
+  const core::QuantTree& tree = GetQuantTree();
+  spatial::TraversalStats walk;
+  spatial::TraversalStats* walk_stats = stats != nullptr ? &walk : nullptr;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    out[i] = tree.MaxDistEnvelope(queries[i], walk_stats);
+  }
+  if (stats != nullptr) stats->AddWalk(walk);
 }
 
 double Engine::LogSurvivalProbability(geom::Vec2 q, double r) const {
@@ -298,10 +306,10 @@ std::vector<Engine::QueryResult> Engine::QueryInOrder(
       break;
     }
     case QueryType::kNonzeroNn: {
-      // kAuto on a homogeneous set uses the Theorem 3.1/3.2 index; every
-      // other configuration answers from the definition-level oracle.
-      bool indexed = config_.backend == Backend::kAuto &&
-                     (all_disk_ || all_discrete_);
+      // NN!=0 is exact on every backend, so the data model alone picks
+      // the structure: a homogeneous set uses the Theorem 3.1/3.2 index,
+      // a mixed set the definition-level oracle.
+      bool indexed = all_disk_ || all_discrete_;
       if (indexed && all_discrete_) {
         auto ids = GetNonzeroDiscrete().QueryBatch(queries);
         for (size_t i = 0; i < queries.size(); ++i) {

@@ -36,8 +36,9 @@
 /// `Backend::kAuto` picks one structure per query type and input model
 /// (docs/ARCHITECTURE.md "Batch traversal"); `kMonteCarlo` answers the
 /// probabilities from instantiation sampling on every input. The
-/// definitions themselves (Lemma 2.1, Eq. (1), Eq. (2)) serve no query:
-/// they are the test oracles in `baselines/` and `core/exact_pnn.h`. The
+/// definitions themselves (Lemma 2.1, Eq. (1), Eq. (2)) are the test
+/// oracles in `baselines/` and `core/exact_pnn.h`; the one query they
+/// serve is NonzeroNn on a mixed disk/discrete set, from Lemma 2.1. The
 /// paper's other structures (the V!=0 diagrams, the L_inf index and the
 /// Theorem 4.5/4.7 spiral searches, which build into the `unn_paper`
 /// library) are `core::` classes used directly.
@@ -68,8 +69,9 @@ enum class Backend {
   /// NN!=0 index on disks and the definition oracle on mixed sets.
   /// ExpectedDistanceNn always uses core::ExpectedNn.
   kAuto,
-  /// Theorem 4.3/4.5 instantiation sampling for the probabilities; NN!=0
-  /// from the oracle, ExpectedDistanceNn from core::ExpectedNn.
+  /// Theorem 4.3/4.5 instantiation sampling for the probabilities on
+  /// every input. NN!=0 and ExpectedDistanceNn are exact, so they use
+  /// kAuto's structures.
   kMonteCarlo,
 };
 
@@ -179,8 +181,8 @@ class Engine {
   std::vector<std::pair<int, double>> TopK(geom::Vec2 q, int k) const;
 
   /// NN!=0(q), sorted ids; exact. Thread-safe; polylogarithmic +
-  /// output-sensitive for kAuto's indexes on homogeneous sets, O(n) for
-  /// the oracle otherwise.
+  /// output-sensitive on homogeneous sets (the Theorem 3.1/3.2 index on
+  /// every backend), O(n) for the oracle on mixed sets.
   std::vector<int> NonzeroNn(geom::Vec2 q) const;
 
   /// Batched entry point and the one execution path of every query type:
@@ -289,12 +291,12 @@ class Engine {
   /// core::TwoSmallestMaxDist scan including tie-breaking.
   core::DeltaEnvelope MaxDistEnvelope(geom::Vec2 q) const;
 
-  /// Batched MaxDistEnvelope: `out[i]` is bit-identical to
-  /// `MaxDistEnvelope(queries[i])`, geom::kLaneWidth queries per shared
-  /// best-first walk (core::QuantTree::MaxDistEnvelopeBatch; the
-  /// envelope is traversal-order-independent, so no scalar replay
-  /// exists on this path). The sharded layer calls this once per shard
-  /// per pack when recombining batched answers. Thread-safe.
+  /// MaxDistEnvelope for every query: `out[i]` is
+  /// `MaxDistEnvelope(queries[i])`, one scalar best-first walk per query
+  /// (the walks' node, leaf and prune counts land in `stats`; its lane
+  /// counters stay 0). `out` must hold one slot per query. The sharded
+  /// layer calls this once per shard per pack when recombining batched
+  /// answers. Thread-safe.
   void MaxDistEnvelopeMany(std::span<const geom::Vec2> queries,
                            std::span<core::DeltaEnvelope> out,
                            spatial::BatchStats* stats = nullptr) const;

@@ -1,7 +1,6 @@
 #ifndef UNN_GEOM_LANES_H_
 #define UNN_GEOM_LANES_H_
 
-#include <cmath>
 #include <cstddef>
 
 #include "geom/vec2.h"
@@ -23,7 +22,7 @@
 /// per lane in the same order as the scalar code it replaces, and no
 /// fused multiply-add is ever emitted (the repo builds with
 /// -ffp-contract=off), so each lane's result is bit-identical to the
-/// scalar computation — the property the batch engines' exactness
+/// scalar computation — the property the lane kernel's exactness
 /// contract rests on.
 
 namespace unn {
@@ -118,41 +117,6 @@ inline void BoxDistSqLanes(const double* qx, const double* qy, const Box& b,
   for (int l = 0; l < kLaneWidth; ++l) {
     out[l] = b.DistSqTo({qx[l], qy[l]});
   }
-#endif
-}
-
-/// out[l] = sqrt(a[l]). IEEE-754 square root is correctly rounded on
-/// every path (VSQRTPD / SQRTPD / std::sqrt), so each lane is
-/// bit-identical to the scalar std::sqrt of the same input — sqrt joins
-/// +, -, *, min, max in the set of operations the exactness contract
-/// allows inside a batched bound.
-inline void SqrtLanes(const double* a, double* out) {
-#if defined(UNN_LANES_ISA_AVX2)
-  _mm256_storeu_pd(out, _mm256_sqrt_pd(_mm256_loadu_pd(a)));
-  _mm256_storeu_pd(out + 4, _mm256_sqrt_pd(_mm256_loadu_pd(a + 4)));
-#elif defined(UNN_LANES_ISA_SSE2)
-  for (int h = 0; h < 4; ++h) {
-    _mm_storeu_pd(out + 2 * h, _mm_sqrt_pd(_mm_loadu_pd(a + 2 * h)));
-  }
-#else
-  for (int l = 0; l < kLaneWidth; ++l) out[l] = std::sqrt(a[l]);
-#endif
-}
-
-/// out[l] = a[l] + s — broadcast add (e.g. squared box distance plus a
-/// subtree-minimum variance), rounding exactly like the scalar sum.
-inline void AddScalarLanes(const double* a, double s, double* out) {
-#if defined(UNN_LANES_ISA_AVX2)
-  __m256d sv = _mm256_set1_pd(s);
-  _mm256_storeu_pd(out, _mm256_add_pd(_mm256_loadu_pd(a), sv));
-  _mm256_storeu_pd(out + 4, _mm256_add_pd(_mm256_loadu_pd(a + 4), sv));
-#elif defined(UNN_LANES_ISA_SSE2)
-  __m128d sv = _mm_set1_pd(s);
-  for (int h = 0; h < 4; ++h) {
-    _mm_storeu_pd(out + 2 * h, _mm_add_pd(_mm_loadu_pd(a + 2 * h), sv));
-  }
-#else
-  for (int l = 0; l < kLaneWidth; ++l) out[l] = a[l] + s;
 #endif
 }
 

@@ -56,12 +56,13 @@ double Histogram::BucketUpper(int i) {
   return FiniteUppers()[i];
 }
 
-void Histogram::Record(double v) {
+void Histogram::Record(double v, std::uint64_t n) {
+  if (n == 0) return;
   if (!(v >= 0.0)) v = 0.0;  // Negative or NaN: clamp into bucket 0.
   // relaxed: bucket/sum/max race only with other recordings; readers
   // accept eventually-consistent cross-field snapshots (metrics.h).
-  buckets_[BucketIndex(v)].fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(v, std::memory_order_relaxed);
+  buckets_[BucketIndex(v)].fetch_add(n, std::memory_order_relaxed);
+  sum_.fetch_add(v * static_cast<double>(n), std::memory_order_relaxed);
   double prev = max_.load(std::memory_order_relaxed);
   while (v > prev &&
          !max_.compare_exchange_weak(prev, v, std::memory_order_relaxed)) {

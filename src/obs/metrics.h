@@ -114,7 +114,8 @@ class Histogram {
   static constexpr int kBuckets = 128;
   static constexpr int kOverflowBucket = kBuckets - 1;
 
-  void Record(double v);
+  /// Records `v` `n` times at the cost of one recording.
+  void Record(double v, std::uint64_t n = 1);
 
   /// Upper boundary of bucket `i`; +infinity for the overflow bucket.
   static double BucketUpper(int i);

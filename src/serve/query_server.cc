@@ -158,17 +158,24 @@ void QueryServer::InitMetrics() {
   }
 }
 
-void QueryServer::CountQuery(const Engine::QuerySpec& spec) {
-  queries_->Inc();
-  const int t = static_cast<int>(spec.type);
-  if (t >= 0 && t < kNumQueryTypes) queries_by_type_[t]->Inc();
+void QueryServer::CountQueries(std::span<const Request> requests) {
+  std::array<std::uint64_t, kNumQueryTypes> by_type{};
+  for (const Request& r : requests) {
+    const int t = static_cast<int>(r.spec.type);
+    if (t >= 0 && t < kNumQueryTypes) ++by_type[t];
+  }
+  queries_->Inc(requests.size());
+  for (int t = 0; t < kNumQueryTypes; ++t) {
+    if (by_type[t] > 0) queries_by_type_[t]->Inc(by_type[t]);
+  }
 }
 
 void QueryServer::RecordLatency(Engine::QueryType type,
-                                std::chrono::microseconds us) {
+                                std::chrono::microseconds us,
+                                std::uint64_t n) {
   const int t = static_cast<int>(type);
   if (t >= 0 && t < kNumQueryTypes) {
-    latency_[t]->Record(static_cast<double>(us.count()));
+    latency_[t]->Record(static_cast<double>(us.count()), n);
   }
 }
 
@@ -310,6 +317,7 @@ std::vector<QueryServer::Miss> QueryServer::Admit(
     std::span<const Request> requests, const Snapshot& snap,
     std::chrono::steady_clock::time_point t0, std::span<Response> responses,
     obs::TraceNode lookup_trace) {
+  CountQueries(requests);
   std::vector<Miss> misses;
   misses.reserve(requests.size());
   // The in-flight limit decides the pack's fate once, on the way in (a
@@ -324,7 +332,6 @@ std::vector<QueryServer::Miss> QueryServer::Admit(
   for (size_t i = 0; i < requests.size(); ++i) {
     const Request& r = requests[i];
     Response& resp = responses[i];
-    CountQuery(r.spec);
     // Deadline check one: already dead on arrival (never for kNoDeadline,
     // the clock's maximum).
     if (t0 >= r.deadline) {
@@ -426,14 +433,21 @@ void QueryServer::ComputeAndRespond(std::span<const Request> requests,
   // relaxed: counter only; responses reach the caller through the promise
   // or the return value, which order what the caller observes.
   active_.fetch_sub(static_cast<int>(misses.size()), std::memory_order_relaxed);
-  // Completion latency; the histograms get answered requests only.
+  // Completion latency, shared by the pack; the histograms get answered
+  // requests only, one recording per query type.
   const std::chrono::microseconds latency = ElapsedUs(t0);
+  std::array<std::uint64_t, kNumQueryTypes> answered{};
   for (const Miss& m : misses) {
     Response& resp = responses[m.index];
     resp.latency = latency;
-    if (resp.source == ResultSource::kComputed) {
-      RecordLatency(requests[m.index].spec.type, latency);
+    const int t = static_cast<int>(requests[m.index].spec.type);
+    if (resp.source == ResultSource::kComputed && t >= 0 &&
+        t < kNumQueryTypes) {
+      ++answered[t];
     }
+  }
+  for (int t = 0; t < kNumQueryTypes; ++t) {
+    RecordLatency(static_cast<Engine::QueryType>(t), latency, answered[t]);
   }
 }
 

@@ -320,8 +320,12 @@ class QueryServer {
   /// teardown must not run under state_mu_.
   void StoreState(std::shared_ptr<const Snapshot> next)
       UNN_EXCLUDES(state_mu_);
-  void CountQuery(const Engine::QuerySpec& spec);
-  void RecordLatency(Engine::QueryType type, std::chrono::microseconds us);
+  /// Counts a pack in, with one counter update per query type rather than
+  /// per request: the admission loop is serial, ahead of the pool.
+  void CountQueries(std::span<const Request> requests);
+  /// Records `us` `n` times into the type's latency histogram.
+  void RecordLatency(Engine::QueryType type, std::chrono::microseconds us,
+                     std::uint64_t n = 1);
   /// Resolves every registry handle below; called once per constructor,
   /// before any traffic can exist.
   void InitMetrics();

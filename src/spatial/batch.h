@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <queue>
 #include <span>
 #include <utility>
 #include <vector>
@@ -13,8 +12,8 @@
 #include "spatial/traverse.h"
 
 /// \file batch.h
-/// Pack order, and the shared-traversal engines behind the lane kernels
-/// that beat their scalar twins.
+/// Pack order, and the shared-traversal engine behind the one lane kernel
+/// that beats its scalar twin.
 ///
 ///   * PackCoherentOrder / InCoherentOrder — sort a pack of queries along
 ///     a Morton (Z-order) curve once, answer it in that order and scatter
@@ -29,20 +28,16 @@
 ///     exactly the scalar PrunedVisit sequence of that lane alone (other
 ///     lanes only interleave extra nodes the lane ignores), so a per-lane
 ///     computation over it is bit-identical to the scalar engine by
-///     construction. range::KdTree::RangeCircleBatch runs on it.
-///   * BatchBestFirstScan — shared best-first frontier ordered by the
-///     minimum lower bound over each entry's active lanes. Per lane it
-///     visits a superset of the scalar BestFirstScan's surviving nodes,
-///     in an order that may differ from the lane's own key order; use it
-///     for exact-min accumulation, never for first-hit semantics.
-///     core::QuantTree's envelope pass runs on it.
+///     construction. range::KdTree::RangeCircleBatch runs on it; it
+///     evaluates box bounds with the SIMD lane ops of geom/lanes.h and
+///     prefetches the SoA child arrays a node ahead.
 ///
-/// Both evaluate box bounds with the SIMD lane ops of geom/lanes.h and
-/// prefetch the SoA child arrays a node ahead. A lane kernel stays only
-/// where its full sorted pack beats the scalar loop over the same sorted
-/// pack by at least 1.2x; the discrete E[d] argmin and the Delta(q)
-/// envelope of Theorem 3.2 did not, and are served by their scalar
-/// queries.
+/// A lane kernel stays only where it beats the scalar loop on a pack
+/// shape some benchmark workload serves. RangeCircleBatch does, on the
+/// sorted 4096-query packs of discrete-batch. The discrete E[d] argmin,
+/// the discrete Delta(q) pair and the QuantTree Delta(q) envelope did
+/// not (the served envelope calls are packs of one, where the scalar
+/// best-first walk is faster), and are served by their scalar queries.
 
 namespace unn {
 namespace spatial {
@@ -58,8 +53,10 @@ inline LaneMask FullMask(int count) {
 /// Per-pack traversal counters, aggregated by the batch entry points.
 /// `lane_nodes_visited / (nodes_visited * kLaneWidth)` is the lane
 /// utilization: 1.0 means every shared node visit served all lanes.
+/// Entry points that loop a scalar walk add its counters with AddWalk and
+/// leave the lane counters (packs, lane_*) at 0.
 struct BatchStats {
-  std::int64_t packs = 0;
+  std::int64_t packs = 0;  ///< Lane packs run.
   std::int64_t nodes_visited = 0;       ///< Shared node visits.
   std::int64_t lane_nodes_visited = 0;  ///< Sum of active lanes per visit.
   std::int64_t leaves_scanned = 0;
@@ -83,6 +80,13 @@ struct BatchStats {
     lane_points_evaluated += o.lane_points_evaluated;
     prunes += o.prunes;
     scalar_replays += o.scalar_replays;
+  }
+
+  /// Adds a scalar walk's node, leaf and prune counts.
+  void AddWalk(const TraversalStats& o) {
+    nodes_visited += o.nodes_visited;
+    leaves_scanned += o.leaves_scanned;
+    prunes += o.prunes;
   }
 };
 
@@ -111,39 +115,6 @@ inline int PopCount(LaneMask m) {
 }
 
 }  // namespace internal
-
-/// Memoizes one pack's per-lane lower bounds per node, so a
-/// BatchBestFirstScan whose bound is a SIMD evaluation over all lanes
-/// (geom/lanes.h) computes it once per node instead of once at push and
-/// once per lane at the pop re-test. The caller's `compute(node, out)`
-/// fills all kLaneWidth slots; `key_lb` then reads the cached lane.
-/// Bounds are a pure function of (node, query), so caching cannot change
-/// any per-lane decision — only how often the arithmetic runs.
-template <typename Compute>
-class LaneKeyCache {
- public:
-  explicit LaneKeyCache(Compute compute) : compute_(std::move(compute)) {}
-
-  /// The per-lane bound for `node`, computing the node's lane vector on
-  /// first touch.
-  double operator()(int lane, int node) {
-    if (node != node_) {
-      compute_(node, keys_);
-      node_ = node;
-    }
-    return keys_[lane];
-  }
-
- private:
-  Compute compute_;
-  int node_ = -1;
-  double keys_[geom::kLaneWidth] = {};
-};
-
-template <typename Compute>
-LaneKeyCache<Compute> MakeLaneKeyCache(Compute compute) {
-  return LaneKeyCache<Compute>(std::move(compute));
-}
 
 /// Shared pruned DFS, left child first (the batch PrunedVisit).
 /// `filter(node, mask)` returns the sub-mask of lanes that do NOT prune
@@ -254,88 +225,6 @@ auto InCoherentOrder(std::span<const geom::Vec2> queries, Answer&& answer)
     out[order[i]] = std::move(in_order[i]);
   }
   return out;
-}
-
-/// Shared best-first scan (the batch BestFirstScan). The frontier is
-/// ordered by the minimum of `key_lb(lane, node)` over the entry's
-/// active lanes; `prunable(lane, key)` must be monotone in key per lane.
-/// `visit(node, mask)` runs for the lanes that survive their own bound.
-/// Per lane the visited set is a superset of the scalar engine's, so
-/// exact-min accumulation matches the scalar result; first-hit order per
-/// lane is NOT preserved. Lane bounds are evaluated once at push and
-/// once at pop (the pop re-test sees bounds tightened since the push).
-template <typename Tree, typename KeyLb, typename Prunable, typename Visit>
-void BatchBestFirstScan(const Tree& tree, LaneMask lanes, KeyLb&& key_lb,
-                        Prunable&& prunable, Visit&& visit,
-                        BatchStats* stats = nullptr) {
-  if (tree.root() < 0 || lanes == 0) return;
-  struct Entry {
-    double key;  ///< min over active lanes of key_lb(lane, node).
-    int node;
-    LaneMask mask;
-    bool operator<(const Entry& o) const { return key > o.key; }
-  };
-  std::priority_queue<Entry> heap;
-  auto push = [&](int node, LaneMask m) {
-    double key = 0.0;
-    bool first = true;
-    LaneMask keep = 0;
-    for (int l = 0; l < geom::kLaneWidth; ++l) {
-      if ((m & (1u << l)) == 0) continue;
-      double k = key_lb(l, node);
-      if (prunable(l, k)) continue;
-      keep |= static_cast<LaneMask>(1u << l);
-      if (first || k < key) key = k;
-      first = false;
-    }
-    if (keep != 0) heap.push({key, node, keep});
-  };
-  push(tree.root(), lanes);
-  while (!heap.empty()) {
-    Entry e = heap.top();
-    heap.pop();
-    // Re-test each lane against its own (possibly tightened) bound.
-    LaneMask m = 0;
-    for (int l = 0; l < geom::kLaneWidth; ++l) {
-      if ((e.mask & (1u << l)) == 0) continue;
-      if (!prunable(l, key_lb(l, e.node))) {
-        m |= static_cast<LaneMask>(1u << l);
-      }
-    }
-    // Early exit must consider every lane of the PACK, not just this
-    // entry's mask: remaining heap entries can carry lanes absent here,
-    // and a lane's own entries are the only ones that can finish its
-    // accumulation. Only when all pack lanes prune at e.key is every
-    // remaining entry (shared key >= e.key, per-lane keys >= the shared
-    // key) dead for every lane by monotonicity.
-    bool all_dead_at_shared_key = true;
-    for (int l = 0; l < geom::kLaneWidth; ++l) {
-      if ((lanes & (1u << l)) == 0) continue;
-      if (!prunable(l, e.key)) {
-        all_dead_at_shared_key = false;
-        break;
-      }
-    }
-    if (all_dead_at_shared_key) {
-      if (stats != nullptr) ++stats->prunes;
-      break;
-    }
-    if (m == 0) {
-      if (stats != nullptr) ++stats->prunes;
-      continue;
-    }
-    internal::PrefetchChildren(tree, e.node);
-    if (stats != nullptr) {
-      ++stats->nodes_visited;
-      stats->lane_nodes_visited += internal::PopCount(m);
-      if (tree.is_leaf(e.node)) ++stats->leaves_scanned;
-    }
-    visit(e.node, m);
-    if (!tree.is_leaf(e.node)) {
-      push(tree.left(e.node), m);
-      push(tree.right(e.node), m);
-    }
-  }
 }
 
 }  // namespace spatial

@@ -13,7 +13,7 @@
 ///   * BestFirstScan / BestFirstEnumerator — priority-queue
 ///     branch-and-bound in increasing lower-bound order (the engine
 ///     behind KdTree::KNearest/Enumerator and the quantification index's
-///     two-smallest envelope and pointwise-argmin searches);
+///     two-smallest envelope search);
 ///   * PrunedVisit / PrunedVisitOrdered — pruned DFS (the engine behind
 ///     RangeCircle, ReportMinDistLess, the L_inf index, the discrete
 ///     group tree, LogSurvival's ball-intersection walk, and the
@@ -27,10 +27,10 @@
 /// All engines are allocation-free except the best-first heap and are
 /// safe for concurrent use on a const tree.
 ///
-/// The batched counterpart BatchBestFirstScan, which runs up to
-/// geom::kLaneWidth queries through one shared best-first frontier with
-/// SIMD bound evaluation, lives in spatial/batch.h with the pack-order
-/// helpers.
+/// The one batched counterpart, BatchPrunedVisit (up to geom::kLaneWidth
+/// queries through one shared DFS with SIMD bound evaluation), lives in
+/// spatial/batch.h with the pack-order helpers. Best-first search has no
+/// batched twin: the envelope callers loop BestFirstScan per query.
 
 namespace unn {
 namespace spatial {

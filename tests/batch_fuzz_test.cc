@@ -1,16 +1,17 @@
 // Differential fuzz harness for the batched traversal kernels
 // (spatial/batch.h, geom/lanes.h): every lane kernel must be
-// bit-identical to its scalar counterpart — including argmin tie
-// semantics — on adversarial inputs: clustered sites, coincident
-// anchors, duplicated points, equal radii, duplicate coordinates, and
-// queries snapped onto site coordinates so distances tie exactly. The
-// Monte-Carlo estimator is checked against its definition instead: the
-// instantiations redrawn and every one scanned over all n points, and
-// kAuto's exact discrete quantification against Eq. (2) itself. At the
-// Engine level, where QueryMany is the only path, a query's answer must
-// not depend on its pack. Batch sizes sweep 1..2*kLaneWidth+1, covering every pack size 1..8
-// and ragged final packs. CTest runs a fixed seeded corpus; the nightly
-// CI job raises the iteration count through UNN_FUZZ_ITERS.
+// bit-identical to its scalar counterpart, and Engine's envelope loop to
+// the linear scan — including argmin tie semantics — on adversarial
+// inputs: clustered sites, coincident anchors, duplicated points, equal
+// radii, duplicate coordinates, and queries snapped onto site coordinates
+// so distances tie exactly. The Monte-Carlo estimator is checked against
+// its definition instead: the instantiations redrawn and every one
+// scanned over all n points, and kAuto's exact discrete quantification
+// against Eq. (2) itself. At the Engine level, where QueryMany is the
+// only path, a query's answer must not depend on its pack. Batch sizes
+// sweep 1..2*kLaneWidth+1, covering every pack size 1..8 and ragged final
+// packs. CTest runs a fixed seeded corpus; the nightly CI job raises the
+// iteration count through UNN_FUZZ_ITERS.
 
 #include <algorithm>
 #include <cmath>
@@ -27,7 +28,6 @@
 #include "core/expected_nn.h"
 #include "core/monte_carlo_pnn.h"
 #include "core/nn_nonzero_discrete_index.h"
-#include "core/quant_tree.h"
 #include "core/uncertain_point.h"
 #include "engine/engine.h"
 #include "fuzz_iters.h"
@@ -140,23 +140,25 @@ std::vector<UncertainPoint> AdversarialSet(int which, int n, uint64_t seed) {
 // Kernel-level differentials
 // ---------------------------------------------------------------------------
 
+// The envelope hook the shard merges call: one scalar QuantTree walk per
+// query, bit-identical to the linear scan it replaces (argmin ties toward
+// the smaller id included).
 TEST(BatchFuzz, QuantTreeEnvelopeBatchBitIdentical) {
   int iters = FuzzIters(8);
   for (int it = 0; it < iters; ++it) {
     uint64_t seed = 5000 + 19 * static_cast<uint64_t>(it);
     auto pts = AdversarialSet(it, 40 + (it % 5) * 21, seed);
-    core::QuantTree qt(&pts);
+    Engine engine(pts, {});
     for (int m = 1; m <= 2 * geom::kLaneWidth + 1; ++m) {
       auto qs = AdversarialQueries(m, seed + m);
       std::vector<core::DeltaEnvelope> got(qs.size());
       spatial::BatchStats stats;
-      qt.MaxDistEnvelopeBatch(qs, got, &stats);
-      EXPECT_GT(stats.packs, 0);
-      // The envelope kernel needs no replay (order-independent inserts);
-      // the differential must hold with none taken.
-      EXPECT_EQ(stats.scalar_replays, 0);
+      engine.MaxDistEnvelopeMany(qs, got, &stats);
+      // Every walk enters the root; no lane kernel runs.
+      EXPECT_GE(stats.nodes_visited, m);
+      EXPECT_EQ(stats.lane_nodes_visited, 0);
       for (size_t i = 0; i < qs.size(); ++i) {
-        auto want = qt.MaxDistEnvelope(qs[i]);
+        auto want = core::TwoSmallestMaxDist(pts, qs[i]);
         EXPECT_EQ(got[i].best, want.best)
             << "it=" << it << " m=" << m << " i=" << i;
         EXPECT_EQ(got[i].second, want.second)
@@ -459,7 +461,8 @@ TEST(BatchFuzz, MonteCarloMatchesDefinitionOracle) {
           spatial::BatchStats stats;
           auto got = mc.QueryBatch(qs, &stats);
           ASSERT_EQ(got.size(), qs.size());
-          EXPECT_GT(stats.packs, 0);
+          // One envelope walk per (finite) query, each entering the root.
+          EXPECT_GE(stats.nodes_visited, m);
           for (int i = 0; i < m; ++i) {
             EXPECT_EQ(got[i], want[base + i])
                 << c.name << " it=" << it << " m=" << m << " i=" << base + i;

@@ -132,7 +132,7 @@ INSTANTIATE_TEST_SUITE_P(
     AllExactBackends, EngineNonzeroAgreement,
     ::testing::Values(
         std::make_tuple("disk", Backend::kAuto),
-        std::make_tuple("disk", Backend::kMonteCarlo),  // answers by oracle
+        std::make_tuple("disk", Backend::kMonteCarlo),  // indexed, as kAuto
         std::make_tuple("discrete", Backend::kAuto),
         std::make_tuple("discrete", Backend::kMonteCarlo)));
 
@@ -495,6 +495,18 @@ TEST(EngineQueryMany, MatchesSingleQueries) {
     EXPECT_EQ(th[i].ranked, engine.Threshold(qs[i], 0.3));
     EXPECT_EQ(tk[i].ranked, engine.TopK(qs[i], 3));
     EXPECT_EQ(nz[i].ids, engine.NonzeroNn(qs[i]));
+  }
+}
+
+// The envelope hook writes one slot per query: a span of another length
+// aborts before anything is written, instead of writing past its end.
+TEST(EngineDeathTest, MaxDistEnvelopeManyChecksOutputSize) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Engine engine(workload::RandomDisks(12, 63), {});
+  auto qs = TestQueries();
+  for (size_t slots : {size_t{0}, qs.size() - 1, qs.size() + 1}) {
+    std::vector<core::DeltaEnvelope> out(slots);
+    EXPECT_DEATH(engine.MaxDistEnvelopeMany(qs, out), "one output slot");
   }
 }
 

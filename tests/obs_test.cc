@@ -114,6 +114,23 @@ TEST(HistogramTest, NonPositiveValuesLandInBucketZero) {
   EXPECT_EQ(s.p99, 0.0);  // Clamped to the observed max of 0.
 }
 
+// Record(v, n) is n recordings of v in one update: the server records a
+// pack's shared completion latency this way.
+TEST(HistogramTest, RecordManyEqualsRepeatedRecords) {
+  Histogram once, repeated;
+  once.Record(37.0, 5);
+  once.Record(900.0, 0);  // No-op.
+  once.Record(-2.0, 3);   // Clamped into bucket 0, like a single record.
+  for (int i = 0; i < 5; ++i) repeated.Record(37.0);
+  for (int i = 0; i < 3; ++i) repeated.Record(-2.0);
+  EXPECT_EQ(once.count(), 8u);
+  for (int i = 0; i < Histogram::kBuckets; ++i) {
+    EXPECT_EQ(once.bucket_count(i), repeated.bucket_count(i)) << "bucket " << i;
+  }
+  EXPECT_EQ(once.sum(), repeated.sum());
+  EXPECT_EQ(once.max(), repeated.max());
+}
+
 TEST(HistogramTest, BucketBoundariesAreMonotone) {
   EXPECT_EQ(Histogram::BucketUpper(0), 1.0);
   for (int i = 1; i < Histogram::kOverflowBucket; ++i) {

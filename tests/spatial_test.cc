@@ -222,9 +222,8 @@ TEST(Traverse, BestFirstEnumeratorReentryAfterPartialDrain) {
 }
 
 // ---------------------------------------------------------------------------
-// Batch engines, oracle style: per lane, the shared traversal must reach
-// exactly the nodes the scalar engine reaches (BatchPrunedVisit) or
-// accumulate the same exact minimum (BatchBestFirstScan).
+// Batch engine, oracle style: per lane, the shared traversal must reach
+// exactly the nodes the scalar engine reaches.
 // ---------------------------------------------------------------------------
 
 TEST(BatchTraverse, BatchPrunedVisitMatchesScalarPerLane) {
@@ -283,43 +282,6 @@ TEST(BatchTraverse, BatchPrunedVisitMatchesScalarPerLane) {
   EXPECT_GT(stats.nodes_visited, 0);
   EXPECT_GE(stats.lane_nodes_visited, stats.nodes_visited);
   EXPECT_LE(stats.LaneUtilization(), 1.0);
-}
-
-TEST(BatchTraverse, BatchBestFirstScanExactMinMatchesBruteForce) {
-  auto pts = RandomPoints(150, 18);
-  FlatKdTree<> tree(pts, BuildOptions{});
-  std::mt19937_64 rng(19);
-  std::uniform_real_distribution<double> u(-12, 12);
-  double qx[geom::kLaneWidth], qy[geom::kLaneWidth];
-  for (int l = 0; l < geom::kLaneWidth; ++l) {
-    qx[l] = u(rng);
-    qy[l] = u(rng);
-  }
-  double best[geom::kLaneWidth];
-  for (double& b : best) b = kInf;
-  BatchBestFirstScan(
-      tree, FullMask(geom::kLaneWidth),
-      [&](int l, int n) {
-        double lb[geom::kLaneWidth];
-        geom::BoxDistSqLanes(qx, qy, tree.box(n), lb);
-        return lb[l];
-      },
-      [&](int l, double key) { return key >= best[l]; },
-      [&](int n, LaneMask m) {
-        if (!tree.is_leaf(n)) return;
-        for (int i = tree.begin(n); i < tree.end(n); ++i) {
-          Vec2 p = pts[tree.item(i)];
-          for (int l = 0; l < geom::kLaneWidth; ++l) {
-            if ((m >> l & 1u) == 0) continue;
-            best[l] = std::min(best[l], DistSq(Vec2{qx[l], qy[l]}, p));
-          }
-        }
-      });
-  for (int l = 0; l < geom::kLaneWidth; ++l) {
-    double want = kInf;
-    for (Vec2 p : pts) want = std::min(want, DistSq(Vec2{qx[l], qy[l]}, p));
-    EXPECT_EQ(best[l], want) << "lane " << l;
-  }
 }
 
 TEST(BatchTraverse, RaggedMaskVisitsOnlyActiveLanes) {
