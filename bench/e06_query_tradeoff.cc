@@ -1,14 +1,16 @@
 // Experiment E6 — Theorem 2.11 vs Theorem 3.1: the V!=0 point-location
 // structure answers NN!=0 queries fastest but its size can blow up (cubic
-// worst case); the near-linear index trades a slightly slower query for
-// O(n) space; the O(n) brute-force scan anchors the comparison.
+// worst case); the near-linear index (core::QuantTree::NonzeroNn, the
+// Delta envelope then the supports within Delta(q)) trades a slightly
+// slower query for O(n) space; the O(n) brute-force scan anchors the
+// comparison.
 
 #include <cstdio>
 
 #include "baselines/brute_force.h"
 #include "bench_util.h"
-#include "core/nn_nonzero_index.h"
 #include "core/nonzero_voronoi.h"
+#include "core/quant_tree.h"
 #include "workload/generators.h"
 
 using namespace unn;
@@ -43,10 +45,10 @@ int main(int argc, char** argv) {
       if (sink == 0) printf("");
     }
 
-    core::NnNonzeroIndex ix(pts);
+    core::QuantTree ix(&pts);
     bench::Timer ti;
     size_t sink = 0;
-    for (auto q : queries) sink += ix.Query(q).size();
+    for (auto q : queries) sink += ix.NonzeroNn(q).size();
     double index_q = ti.Ms() * 1000.0 / queries.size();
 
     bench::Timer tbr;

@@ -333,7 +333,10 @@ int main(int argc, char** argv) {
   // of per-pair ratios over alternating (baseline, server) pairs, the
   // order flipped every pair, so a load swing on a shared host hits both
   // sides of a pair alike; each sample repeats the batch until it takes
-  // at least 20 ms.
+  // at least 20 ms. An A/A control times a second obs-off server against
+  // the first in the same pairs (obs_aa_ratio): its distance from 1.0 is
+  // what the host's noise alone does to a ratio, the yardstick for
+  // reading obs_off_overhead against its gate.
   {
     auto engine_ptr = std::make_shared<const Engine>(pts, Engine::Config{});
     engine_ptr->Warmup(spec);
@@ -344,6 +347,7 @@ int main(int argc, char** argv) {
     off_opts.num_threads = 7;
     off_opts.warm = {spec.type};
     serve::QueryServer obs_off(engine_ptr, off_opts);
+    serve::QueryServer obs_off_twin(engine_ptr, off_opts);
     serve::QueryServer::Options on_opts = off_opts;
     on_opts.slow_query_threshold = std::chrono::microseconds(1);
     serve::QueryServer obs_on(engine_ptr, on_opts);
@@ -352,9 +356,11 @@ int main(int argc, char** argv) {
       serve::QueryMany(engine_shard, queries, spec, &pool);
     };
     auto off = [&] { obs_off.QueryBatch(requests); };
+    auto off_twin = [&] { obs_off_twin.QueryBatch(requests); };
     auto on = [&] { obs_on.QueryBatch(requests); };
     baseline();  // Placement passes.
     off();
+    off_twin();
     on();
 
     int repeat = 1;
@@ -368,19 +374,25 @@ int main(int argc, char** argv) {
     }
 
     const int pairs = 15;
-    std::vector<double> base_ms, off_ms, on_ms, off_ratio, on_ratio;
-    auto measure_pair = [&](auto&& server, std::vector<double>* server_ms,
-                            std::vector<double>* ratio, bool server_first) {
-      double s_ms = server_first ? sample_ms(server) : 0.0;
-      double b_ms = sample_ms(baseline);
-      if (!server_first) s_ms = sample_ms(server);
-      base_ms.push_back(b_ms);
-      server_ms->push_back(s_ms);
-      ratio->push_back(s_ms / b_ms);
+    std::vector<double> base_ms, off_ms, on_ms, off_ratio, on_ratio,
+        aa_ratio;
+    // One pair: `reference` and `subject` back to back, in the given
+    // order; records subject / reference.
+    auto measure_pair = [&](auto&& reference, auto&& subject,
+                            std::vector<double>* reference_ms,
+                            std::vector<double>* subject_ms,
+                            std::vector<double>* ratio, bool subject_first) {
+      double s_ms = subject_first ? sample_ms(subject) : 0.0;
+      double r_ms = sample_ms(reference);
+      if (!subject_first) s_ms = sample_ms(subject);
+      if (reference_ms != nullptr) reference_ms->push_back(r_ms);
+      if (subject_ms != nullptr) subject_ms->push_back(s_ms);
+      ratio->push_back(s_ms / r_ms);
     };
     for (int p = 0; p < pairs; ++p) {
-      measure_pair(off, &off_ms, &off_ratio, p % 2 == 1);
-      measure_pair(on, &on_ms, &on_ratio, p % 2 == 0);
+      measure_pair(baseline, off, &base_ms, &off_ms, &off_ratio, p % 2 == 1);
+      measure_pair(baseline, on, &base_ms, &on_ms, &on_ratio, p % 2 == 0);
+      measure_pair(off, off_twin, nullptr, nullptr, &aa_ratio, p % 2 == 1);
     }
     auto median = [](std::vector<double> v) {
       std::sort(v.begin(), v.end());
@@ -391,12 +403,15 @@ int main(int argc, char** argv) {
     const double off_med = median(off_ms), on_med = median(on_ms);
     const double off_overhead = median(off_ratio);
     const double on_overhead = median(on_ratio);
+    const double aa_ratio_med = median(aa_ratio);
     printf("\nObservability overhead (median of %d alternating pairs, "
            "%d queries x %d per sample):\n",
            pairs, num_queries, repeat);
     printf("  baseline (no server) %.2f ms   obs off %.2f ms (%.3fx)   "
            "obs on %.2f ms (%.3fx)\n",
            baseline_med, off_med, off_overhead, on_med, on_overhead);
+    printf("  A/A control (obs off vs an identical obs-off server): %.3fx\n",
+           aa_ratio_med);
     json.StartRow();
     json.Metric("obs_pairs", pairs);
     json.Metric("obs_batches_per_sample", repeat);
@@ -405,6 +420,7 @@ int main(int argc, char** argv) {
     json.Metric("obs_on_ms", on_med);
     json.Metric("obs_off_overhead", off_overhead);
     json.Metric("obs_on_overhead", on_overhead);
+    json.Metric("obs_aa_ratio", aa_ratio_med);
     json.Metric("slow_queries_logged",
                 static_cast<double>(obs_on.SlowQueries().size()));
 

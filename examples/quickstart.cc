@@ -7,8 +7,8 @@
 
 #include "core/expected_nn.h"
 #include "core/monte_carlo_pnn.h"
-#include "core/nn_nonzero_index.h"
 #include "core/nonzero_voronoi.h"
+#include "core/quant_tree.h"
 #include "core/spiral_search.h"
 #include "core/vpr_diagram.h"
 #include "engine/engine.h"
@@ -35,10 +35,10 @@ int main() {
          diagram.stats().bounded_faces);
 
   // The near-linear index (Theorem 3.1) answers the same query in O(n) space.
-  core::NnNonzeroIndex index(sensors);
+  core::QuantTree index(&sensors);
   printf("NN!=0(q) via near-linear index:");
-  for (int id : index.Query(q)) printf(" P%d", id);
-  printf("   (Delta(q) = %.3f)\n", index.Delta(q));
+  for (int id : index.NonzeroNn(q)) printf(" P%d", id);
+  printf("   (Delta(q) = %.3f)\n", index.MaxDistEnvelope(q).best);
 
   // Monte-Carlo quantification probabilities (Theorem 4.5).
   core::MonteCarloPnnOptions mc_opts;

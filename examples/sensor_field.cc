@@ -1,8 +1,8 @@
 // Scenario: a field of location-uncertain sensors (disk noise regions).
 // Builds the nonzero Voronoi diagram V!=0, compares it against the
-// near-linear index on a query workload, and renders the diagram to SVG —
-// the kind of "which sensors could possibly be closest to an event?"
-// dispatch question that motivates NN!=0 queries.
+// Engine's near-linear index on a query workload, and renders the
+// diagram to SVG — the kind of "which sensors could possibly be closest
+// to an event?" dispatch question that motivates NN!=0 queries.
 //
 //   ./build/examples/sensor_field [n] [out.svg]
 
@@ -10,7 +10,6 @@
 #include <cstdlib>
 #include <random>
 
-#include "core/nn_nonzero_index.h"
 #include "core/nonzero_voronoi.h"
 #include "engine/engine.h"
 #include "workload/generators.h"
@@ -25,7 +24,7 @@ int main(int argc, char** argv) {
 
   auto sensors = workload::RandomDisks(n, /*seed=*/2024, 0.0, 0.4, 1.6);
   core::NonzeroVoronoi diagram(sensors);
-  core::NnNonzeroIndex index(sensors);
+  Engine engine(sensors, {});
 
   printf("sensor field: n=%d, V!=0 has %lld vertices, %d faces, %d edges\n",
          n, static_cast<long long>(diagram.stats().arrangement_vertices),
@@ -40,7 +39,7 @@ int main(int argc, char** argv) {
   for (int t = 0; t < kQueries; ++t) {
     Vec2 q{u(rng), u(rng)};
     auto a = diagram.Query(q);
-    auto b = index.Query(q);
+    auto b = engine.NonzeroNn(q);
     total_candidates += static_cast<int>(a.size());
     agree += (a == b);
   }
@@ -50,7 +49,6 @@ int main(int argc, char** argv) {
          kQueries);
 
   // The same dispatch question through the Engine facade, batched.
-  Engine engine(sensors, {});
   std::vector<Vec2> events;
   for (int t = 0; t < 8; ++t) events.push_back({u(rng), u(rng)});
   auto batched = engine.QueryMany(events, {Engine::QueryType::kNonzeroNn});

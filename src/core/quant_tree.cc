@@ -27,6 +27,22 @@ bool EnvelopePrunable(double lb, const DeltaEnvelope& env) {
   return lb >= env.second && env.second > env.best;
 }
 
+/// Distance from q to the box by hypot, as geom::Dist takes it.
+double HypotBoxDist(const geom::Box& b, geom::Vec2 q) {
+  double dx = std::max({b.lo.x - q.x, 0.0, q.x - b.hi.x});
+  double dy = std::max({b.lo.y - q.y, 0.0, q.y - b.hi.y});
+  return std::hypot(dx, dy);
+}
+
+/// geom::MinDistToBox, the squared form the other trees prune with,
+/// except where its squares overflow to +infinity (|q| near 1e154 and
+/// beyond): a bound of +infinity would prune every subtree after the
+/// first leaf, so there it falls back to hypot.
+double BoxDist(const geom::Box& b, geom::Vec2 q) {
+  double d = geom::MinDistToBox(q, b);
+  return d < kInf ? d : HypotBoxDist(b, q);
+}
+
 }  // namespace
 
 QuantTree::QuantTree(const std::vector<UncertainPoint>* points)
@@ -60,7 +76,7 @@ double QuantTree::MaxDistLowerBound(int node, geom::Vec2 q) const {
   // Every anchor lies in the convex hull of its support, so
   // Delta_i(q) >= d(q, anchor_i) >= dist(q, box); for an all-disk subtree
   // Delta_i(q) = d(q, center_i) + radius_i additionally clears r_min.
-  double lb = geom::MinDistToBox(q, tree_.box(node));
+  double lb = BoxDist(tree_.box(node), q);
   if (tree_.aug().second.all_disk(node)) lb += tree_.aug().first.min(node);
   // The support's farthest point sits radius_i away from the anchor, so
   // Delta_i(q) >= radius_i - d(q, anchor_i): bites when q is inside a
@@ -72,9 +88,8 @@ double QuantTree::MaxDistLowerBound(int node, geom::Vec2 q) const {
 double QuantTree::MinDistLowerBound(int node, geom::Vec2 q) const {
   // The support lies within radius_i of its anchor, so
   // delta_i(q) >= d(q, anchor_i) - radius_i.
-  return std::max(
-      geom::MinDistToBox(q, tree_.box(node)) - tree_.aug().first.max(node),
-      0.0);
+  return std::max(BoxDist(tree_.box(node), q) - tree_.aug().first.max(node),
+                  0.0);
 }
 
 DeltaEnvelope QuantTree::MaxDistEnvelope(geom::Vec2 q,
@@ -132,11 +147,11 @@ void QuantTree::SupportsWithin(geom::Vec2 q, double r,
                                std::vector<int>* out) const {
   spatial::PrunedVisit(
       tree_,
+      // Hypot throughout, not BoxDist: the closed-ball report must not
+      // lose a support at distance exactly r to the squared form's
+      // rounding.
       [&](int n) {
-        const geom::Box& b = tree_.box(n);
-        double dx = std::max({b.lo.x - q.x, 0.0, q.x - b.hi.x});
-        double dy = std::max({b.lo.y - q.y, 0.0, q.y - b.hi.y});
-        return std::hypot(dx, dy) - tree_.aug().first.max(n) > r;
+        return HypotBoxDist(tree_.box(n), q) - tree_.aug().first.max(n) > r;
       },
       [&](int n) {
         for (int j = tree_.begin(n); j < tree_.end(n); ++j) {
@@ -145,6 +160,20 @@ void QuantTree::SupportsWithin(geom::Vec2 q, double r,
         }
         return true;
       });
+}
+
+std::vector<int> QuantTree::NonzeroNn(geom::Vec2 q) const {
+  const DeltaEnvelope env = MaxDistEnvelope(q);
+  std::vector<int> out;
+  SupportsWithin(q, env.best, &out);
+  // Lemma 2.1 with the oracle's own test (baselines::NonzeroNn).
+  std::erase_if(out, [&](int id) {
+    double threshold = env.ThresholdFor(id);
+    return std::isfinite(threshold) &&
+           !((*points_)[id].MinDist(q) < threshold);
+  });
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 double QuantTree::LogSurvivalScan(const std::vector<UncertainPoint>& points,

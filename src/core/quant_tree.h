@@ -29,10 +29,16 @@
 ///                             intersects ball(q, r) (a disjoint support
 ///                             contributes factor 1 = log 0);
 ///   * SupportsWithin(q, r)  — the ids whose support meets ball(q, r),
-///                             the candidate set of core::MonteCarloPnn.
+///                             the candidate set of core::MonteCarloPnn;
+///   * NonzeroNn(q)          — NN!=0(q) by Lemma 2.1, the two stages of
+///                             Theorem 3.1 on any model: the envelope
+///                             gives Delta(q), SupportsWithin(q, Delta(q))
+///                             the candidates, and each keeps its place
+///                             iff delta_i(q) < min_{j != i} Delta_j(q).
 ///
 /// This is the practical stand-in for the Delta-based NN!=0 machinery of
-/// Section 3 and the BBD/quadtree hierarchies reused by the follow-up
+/// Section 3 (the [KMR+16] dynamic lower envelope of Theorem 3.1 included)
+/// and the BBD/quadtree hierarchies reused by the follow-up
 /// paper (*Nearest-Neighbor Searching Under Uncertainty II*): per-node
 /// bounds come from a box over per-point anchors plus the min/max support
 /// radius, so queries run in O(log n + output) on bounded-density inputs
@@ -43,7 +49,8 @@
 /// evaluates surviving points with the same arithmetic as the linear
 /// scans, so MaxDistEnvelope reproduces core::TwoSmallestMaxDist
 /// bit-identically (including argmin tie-breaking toward the smaller id)
-/// and SupportsWithin reports exactly the scan's ids. LogSurvival
+/// and SupportsWithin reports exactly the scan's ids, so NonzeroNn equals
+/// baselines::NonzeroNn bit for bit, far from the data included. LogSurvival
 /// accumulates the same per-point terms in leaf visit order, so it
 /// matches a linear log-space scan up to floating-point associativity
 /// (~1e-15 relative).
@@ -115,10 +122,19 @@ class QuantTree {
   /// Appends every id whose support reaches within `r` of q,
   /// MinDist(q) <= r, in left-first leaf order (not sorted). Prunes with
   /// the MinDistLowerBound bound, but takes the box distance by hypot
-  /// rather than by the squared distance the pack kernels share: squares
-  /// overflow to +infinity once |q| nears 1e154 and would prune every
-  /// subtree. O(log n + k) for k reported supports.
+  /// throughout, as geom::Dist does, so a support at distance exactly r
+  /// is never pruned by the squared form's rounding. O(log n + k) for k
+  /// reported supports.
   void SupportsWithin(geom::Vec2 q, double r, std::vector<int>* out) const;
+
+  /// NN!=0(q), sorted ids: SupportsWithin(q, Delta(q)) filtered by the
+  /// oracle's own test MinDist_i(q) < env.ThresholdFor(i), where the
+  /// argmin is compared against the runner-up Delta — the distinction
+  /// that keeps it when its delta and Delta round to one double, far from
+  /// the data. Every answer id has MinDist_i <= Delta(q), so the
+  /// candidates cover it. Equal to baselines::NonzeroNn on every model.
+  /// O(log n + k) for k candidates on bounded-density inputs.
+  std::vector<int> NonzeroNn(geom::Vec2 q) const;
 
   /// The O(n) linear-scan oracle for LogSurvival: the same per-point
   /// terms accumulated in id order. The one definition tests and
@@ -130,6 +146,10 @@ class QuantTree {
  private:
   using Augment = spatial::PairAugment<spatial::MinMaxAugment, AllDiskAugment>;
 
+  /// Both bounds take the box distance from its square, falling back to
+  /// hypot where the squares overflow (|q| near 1e154 and beyond), so the
+  /// envelope stays bit-identical to the scan far from the data too.
+  ///
   /// Lower bound on min_{i in node} Delta_i(q); valid for mixed models.
   double MaxDistLowerBound(int node, geom::Vec2 q) const;
   /// Lower bound on min_{i in node} delta_i(q).

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "baselines/brute_force.h"
 #include "engine/query_contract.h"
 #include "util/check.h"
 
@@ -51,7 +50,6 @@ Engine::Engine(std::vector<core::UncertainPoint> points, const Config& config,
   for (const auto& p : points_) {
     UNN_CHECK_MSG(p.finite(), "every support must be finite");
     all_discrete_ = all_discrete_ && !p.is_disk();
-    all_disk_ = all_disk_ && p.is_disk();
     if (!p.is_disk()) {
       max_sites_ = std::max(max_sites_, static_cast<int>(p.sites().size()));
     }
@@ -69,12 +67,6 @@ Engine::Engine(std::vector<core::UncertainPoint> points, const Config& config,
 const core::ExpectedNn& Engine::GetExpectedNn() const {
   return BuildOnce(expected_nn_once_, expected_nn_, builds_, [this] {
     return std::make_unique<core::ExpectedNn>(points_);
-  });
-}
-
-const core::NnNonzeroIndex& Engine::GetNonzeroIndex() const {
-  return BuildOnce(nonzero_index_once_, nonzero_index_, builds_, [this] {
-    return std::make_unique<core::NnNonzeroIndex>(points_);
   });
 }
 
@@ -307,21 +299,21 @@ std::vector<Engine::QueryResult> Engine::QueryInOrder(
     }
     case QueryType::kNonzeroNn: {
       // NN!=0 is exact on every backend, so the data model alone picks
-      // the structure: a homogeneous set uses the Theorem 3.1/3.2 index,
-      // a mixed set the definition-level oracle.
-      bool indexed = all_disk_ || all_discrete_;
-      if (indexed && all_discrete_) {
+      // the structure: a discrete set uses the Theorem 3.2 index (whose
+      // batch the exact probabilities share), every other set the
+      // quantification index's Lemma 2.1 walk.
+      if (all_discrete_) {
         auto ids = GetNonzeroDiscrete().QueryBatch(queries);
         for (size_t i = 0; i < queries.size(); ++i) {
           if (geom::IsFinite(queries[i])) results[i].ids = std::move(ids[i]);
         }
         break;
       }
+      const core::QuantTree& tree = GetQuantTree();
       for (size_t i = 0; i < queries.size(); ++i) {
-        if (!geom::IsFinite(queries[i])) continue;
-        results[i].ids = indexed  // All-disk: no batched kernel.
-                             ? GetNonzeroIndex().Query(queries[i])
-                             : baselines::NonzeroNn(points_, queries[i]);
+        if (geom::IsFinite(queries[i])) {
+          results[i].ids = tree.NonzeroNn(queries[i]);
+        }
       }
       break;
     }

@@ -12,7 +12,6 @@
 #include "core/expected_nn.h"
 #include "core/monte_carlo_pnn.h"
 #include "core/nn_nonzero_discrete_index.h"
-#include "core/nn_nonzero_index.h"
 #include "core/quant_tree.h"
 #include "core/uncertain_point.h"
 #include "geom/vec2.h"
@@ -37,11 +36,11 @@
 /// (docs/ARCHITECTURE.md "Batch traversal"); `kMonteCarlo` answers the
 /// probabilities from instantiation sampling on every input. The
 /// definitions themselves (Lemma 2.1, Eq. (1), Eq. (2)) are the test
-/// oracles in `baselines/` and `core/exact_pnn.h`; the one query they
-/// serve is NonzeroNn on a mixed disk/discrete set, from Lemma 2.1. The
-/// paper's other structures (the V!=0 diagrams, the L_inf index and the
-/// Theorem 4.5/4.7 spiral searches, which build into the `unn_paper`
-/// library) are `core::` classes used directly.
+/// oracles in `baselines/` and `core/exact_pnn.h`; no query is answered
+/// by a linear scan over the set. The paper's other structures (the V!=0
+/// diagrams, the L_inf index and the Theorem 4.5/4.7 spiral searches,
+/// which build into the `unn_paper` library) are `core::` classes used
+/// directly.
 /// Structures are built lazily on first use and cached, so an Engine that
 /// only ever answers NonzeroNn never pays for Monte-Carlo preprocessing.
 ///
@@ -65,8 +64,9 @@ enum class Backend {
   /// (Theorem 3.2) for NN!=0, and exact probabilities from Eq. (2) over
   /// each query's NN!=0 candidates (Lemma 2.1: every other point has
   /// pi = 0), so MostProbableNn, Threshold and TopK are exact.
-  /// Disk and mixed inputs: Monte-Carlo probabilities, the Theorem 3.1
-  /// NN!=0 index on disks and the definition oracle on mixed sets.
+  /// Disk and mixed inputs: Monte-Carlo probabilities, and NN!=0 from
+  /// the quantification index (core::QuantTree::NonzeroNn, the two
+  /// stages of Theorem 3.1 on any model).
   /// ExpectedDistanceNn always uses core::ExpectedNn.
   kAuto,
   /// Theorem 4.3/4.5 instantiation sampling for the probabilities on
@@ -180,9 +180,11 @@ class Engine {
   /// plus a sort of the positive-probability candidates.
   std::vector<std::pair<int, double>> TopK(geom::Vec2 q, int k) const;
 
-  /// NN!=0(q), sorted ids; exact. Thread-safe; polylogarithmic +
-  /// output-sensitive on homogeneous sets (the Theorem 3.1/3.2 index on
-  /// every backend), O(n) for the oracle on mixed sets.
+  /// NN!=0(q), sorted ids; exact, equal to baselines::NonzeroNn far from
+  /// the data too. Thread-safe; polylogarithmic + output-sensitive on
+  /// every backend: the Theorem 3.2 index on discrete sets, the
+  /// quantification index (core::QuantTree::NonzeroNn) on disk and mixed
+  /// sets, one structure each.
   std::vector<int> NonzeroNn(geom::Vec2 q) const;
 
   /// Batched entry point and the one execution path of every query type:
@@ -351,7 +353,6 @@ class Engine {
                                         const QuerySpec& spec) const;
 
   const core::ExpectedNn& GetExpectedNn() const;
-  const core::NnNonzeroIndex& GetNonzeroIndex() const;
   const core::NnNonzeroDiscreteIndex& GetNonzeroDiscrete() const;
   const core::QuantTree& GetQuantTree() const;
   /// An estimator with at least `samples` instantiations, as an owning
@@ -365,7 +366,6 @@ class Engine {
   std::vector<int> global_ids_;
   Config config_;
   bool all_discrete_ = true;
-  bool all_disk_ = true;
   /// Theorem 4.3's k: the most sites of any discrete point (1 if none).
   int max_sites_ = 1;
 
@@ -379,8 +379,6 @@ class Engine {
   // read after the corresponding call_once returns).
   mutable std::once_flag expected_nn_once_;
   mutable std::unique_ptr<core::ExpectedNn> expected_nn_;
-  mutable std::once_flag nonzero_index_once_;
-  mutable std::unique_ptr<core::NnNonzeroIndex> nonzero_index_;
   mutable std::once_flag nonzero_discrete_once_;
   mutable std::unique_ptr<core::NnNonzeroDiscreteIndex> nonzero_discrete_;
   mutable std::once_flag quant_tree_once_;

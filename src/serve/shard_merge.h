@@ -16,9 +16,10 @@
 /// semantics (docs/QUERY_SEMANTICS.md has the full contract):
 ///
 ///   * expected-distance NN    — min-merge of per-shard (argmin, value);
-///   * NN!=0                   — union of per-shard candidate sets,
-///                               filtered by the merged Delta envelope
-///                               (exact);
+///   * NN!=0                   — union of per-shard candidate sets
+///                               (each shard's supports within its own
+///                               Delta(q)), filtered by the merged Delta
+///                               envelope (exact);
 ///   * Monte-Carlo probability — per-instantiation min-merge
 ///     queries                   (MergeInstantiationWinners): draws are
 ///                               keyed by global id, so the winner of
@@ -70,11 +71,16 @@ struct ShardView {
 core::DeltaEnvelope MergeEnvelopes(std::span<const core::DeltaEnvelope> local,
                                    std::span<const ShardView> shards);
 
-/// Exact NN!=0 merge: per-shard candidate sets are supersets of their
-/// slice of the global answer (a shard's envelope is at least the global
-/// one), so filtering the union by the merged envelope's per-id threshold
-/// recovers exactly the single-Engine answer. Returns sorted global ids.
-/// O(sum of candidate sizes + K); thread-safe.
+/// Exact NN!=0 merge, Lemma 2.1 over the union. `local_nonzero[s]` holds
+/// shard-local ids, in any order, and must contain shard s's slice of the
+/// global answer. ShardedEngine passes Engine::SupportsWithin(q,
+/// local_env[s].best): a global answer id i has delta_i(q) below every
+/// other Delta_j(q), so below the local Delta(q) unless it is the local
+/// argmin, whose delta_i <= Delta_i is the local Delta(q) itself. A
+/// shard's local NN!=0 answer qualifies too. Filtering the union by the
+/// merged envelope's per-id threshold (the runner-up for the global
+/// argmin) recovers exactly the single-Engine answer. Returns sorted
+/// global ids. O(sum of candidate sizes + K); thread-safe.
 std::vector<int> MergeNonzero(std::span<const ShardView> shards,
                               std::span<const std::vector<int>> local_nonzero,
                               std::span<const core::DeltaEnvelope> local_env,

@@ -345,7 +345,12 @@ std::vector<Engine::QueryResult> ShardedEngine::QueryMany(
       break;
     }
     case Engine::QueryType::kNonzeroNn: {
-      std::vector<std::vector<Engine::QueryResult>> local(shards);
+      // Each shard's candidates are its supports within its own Delta(q),
+      // read off the envelope the merge needs anyway: a superset of the
+      // shard's slice of the global answer, which MergeNonzero filters.
+      // A non-finite query has no candidates.
+      std::vector<std::vector<std::vector<int>>> local(
+          shards, std::vector<std::vector<int>>(queries.size()));
       std::vector<std::vector<core::DeltaEnvelope>> env(shards);
       {
         obs::ScopedSpan fan(trace, "shard_fanout",
@@ -353,9 +358,13 @@ std::vector<Engine::QueryResult> ShardedEngine::QueryMany(
         ForEachShard(
             pool,
             [&](int s) {
-              local[s] = engines_[s]->QueryMany(queries, spec);
               env[s].resize(queries.size());
               engines_[s]->MaxDistEnvelopeMany(queries, env[s]);
+              for (size_t i = 0; i < queries.size(); ++i) {
+                if (!geom::IsFinite(queries[i])) continue;
+                local[s][i] =
+                    engines_[s]->SupportsWithin(queries[i], env[s][i].best);
+              }
             },
             fan.node());
       }
@@ -364,7 +373,7 @@ std::vector<Engine::QueryResult> ShardedEngine::QueryMany(
       std::vector<core::DeltaEnvelope> q_env(shards);
       for (size_t i = 0; i < queries.size(); ++i) {
         for (size_t s = 0; s < shards; ++s) {
-          q_local[s] = std::move(local[s][i].ids);
+          q_local[s] = std::move(local[s][i]);
           q_env[s] = env[s][i];
         }
         results[i].ids = MergeNonzero(views_, q_local, q_env, queries[i]);

@@ -61,7 +61,8 @@ class MinAugment {
 };
 
 /// Per-node minimum and maximum of a per-item scalar (e.g. the support
-/// radius of a disk tree: min bounds Delta from below, max bounds delta).
+/// radius of the quantification index: min bounds Delta from below, max
+/// bounds delta).
 class MinMaxAugment {
  public:
   MinMaxAugment() = default;

@@ -15,7 +15,7 @@
 ///     behind KdTree::KNearest/Enumerator and the quantification index's
 ///     two-smallest envelope search);
 ///   * PrunedVisit / PrunedVisitOrdered — pruned DFS (the engine behind
-///     RangeCircle, ReportMinDistLess, the L_inf index, the discrete
+///     RangeCircle, SupportsWithin, the L_inf index, the discrete
 ///     group tree, LogSurvival's ball-intersection walk, and the
 ///     nearest/min-max descents, which visit the nearer child first).
 ///

@@ -4,17 +4,20 @@
 // the linear scan — including argmin tie semantics — on adversarial
 // inputs: clustered sites, coincident anchors, duplicated points, equal
 // radii, duplicate coordinates, and queries snapped onto site coordinates
-// so distances tie exactly. The Monte-Carlo estimator is checked against
-// its definition instead: the instantiations redrawn and every one
-// scanned over all n points, and kAuto's exact discrete quantification
-// against Eq. (2) itself. At the Engine level, where QueryMany is the
-// only path, a query's answer must not depend on its pack. Batch sizes
-// sweep 1..2*kLaneWidth+1, covering every pack size 1..8 and ragged final
-// packs. CTest runs a fixed seeded corpus; the nightly CI job raises the
-// iteration count through UNN_FUZZ_ITERS.
+// so distances tie exactly. The quantification index's NN!=0 must equal
+// Lemma 2.1 on those sets, on mixed-model sets and far from the data.
+// The Monte-Carlo estimator is checked against its definition instead:
+// the instantiations redrawn and every one scanned over all n points,
+// and kAuto's exact discrete quantification against Eq. (2) itself. At
+// the Engine level, where QueryMany is the only path, a query's answer
+// must not depend on its pack. Batch sizes sweep 1..2*kLaneWidth+1,
+// covering every pack size 1..8 and ragged final packs. CTest runs a
+// fixed seeded corpus; the nightly CI job raises the iteration count
+// through UNN_FUZZ_ITERS.
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <iterator>
 #include <limits>
 #include <random>
@@ -28,6 +31,7 @@
 #include "core/expected_nn.h"
 #include "core/monte_carlo_pnn.h"
 #include "core/nn_nonzero_discrete_index.h"
+#include "core/quant_tree.h"
 #include "core/uncertain_point.h"
 #include "engine/engine.h"
 #include "fuzz_iters.h"
@@ -136,6 +140,33 @@ std::vector<UncertainPoint> AdversarialSet(int which, int n, uint64_t seed) {
   }
 }
 
+/// Disks and discrete points in one set, on overlapping grids so their
+/// supports tie: the model mix no homogeneous index covers.
+std::vector<UncertainPoint> MixedModels(int n, uint64_t seed) {
+  std::vector<UncertainPoint> pts = EqualRadiusDisks(n - n / 2, seed);
+  std::vector<UncertainPoint> discrete = ClusteredDiscrete(n / 2, seed + 1);
+  pts.insert(pts.end(), discrete.begin(), discrete.end());
+  return pts;
+}
+
+/// MixedModels moved by `offset`: at |offset| ~ 1e15 one ulp is 0.125,
+/// so the grid survives exactly while distances round coarsely.
+std::vector<UncertainPoint> Translated(const std::vector<UncertainPoint>& pts,
+                                       Vec2 offset) {
+  std::vector<UncertainPoint> out;
+  out.reserve(pts.size());
+  for (const UncertainPoint& p : pts) {
+    if (p.is_disk()) {
+      out.push_back(UncertainPoint::Disk(p.center() + offset, p.radius()));
+      continue;
+    }
+    std::vector<Vec2> sites = p.sites();
+    for (Vec2& s : sites) s = s + offset;
+    out.push_back(UncertainPoint::Discrete(std::move(sites), p.weights()));
+  }
+  return out;
+}
+
 // ---------------------------------------------------------------------------
 // Kernel-level differentials
 // ---------------------------------------------------------------------------
@@ -165,6 +196,52 @@ TEST(BatchFuzz, QuantTreeEnvelopeBatchBitIdentical) {
             << "it=" << it << " m=" << m << " i=" << i;
         EXPECT_EQ(got[i].argbest, want.argbest)
             << "it=" << it << " m=" << m << " i=" << i;
+      }
+    }
+  }
+}
+
+// NN!=0 from the quantification index (Lemma 2.1 over SupportsWithin of
+// the envelope's Delta) equals the definition on every model: disk,
+// discrete, mixed, coincident and huge-magnitude sets, queried in the
+// set's extent and far outside it, where an argmin's delta and Delta
+// round to one double and only the runner-up comparison keeps it.
+TEST(BatchFuzz, QuantTreeNonzeroMatchesOracle) {
+  const Vec2 kDirections[] = {{1, 0}, {-1, 0}, {0, 1}, {0.6, -0.8}};
+  const Vec2 kHuge{1e15, -1e15};
+  int iters = FuzzIters(8);
+  for (int it = 0; it < iters; ++it) {
+    uint64_t seed = 5500 + 23 * static_cast<uint64_t>(it);
+    int n = 30 + (it % 4) * 17;
+    std::vector<std::pair<std::vector<UncertainPoint>, Vec2>> sets = {
+        {AdversarialSet(it, n, seed), {0, 0}},
+        {MixedModels(n, seed), {0, 0}},
+        {Translated(MixedModels(n, seed), kHuge), kHuge},
+    };
+    for (const auto& [pts, origin] : sets) {
+      core::QuantTree tree(&pts);
+      std::vector<Vec2> qs = AdversarialQueries(24, seed + 7);
+      for (Vec2& q : qs) q = q + origin;
+      for (double scale : {1e15, 1e154, 1e300}) {
+        for (Vec2 d : kDirections) qs.push_back(d * scale);
+      }
+      for (Vec2 q : qs) {
+        // The envelope stays the scan's, argmin ties included, where the
+        // squared box distance overflows (|q| >= ~1e154).
+        core::DeltaEnvelope env = tree.MaxDistEnvelope(q);
+        core::DeltaEnvelope want_env = core::TwoSmallestMaxDist(pts, q);
+        EXPECT_EQ(env.best, want_env.best) << "it=" << it << " q.x=" << q.x;
+        EXPECT_EQ(env.second, want_env.second) << "it=" << it;
+        EXPECT_EQ(env.argbest, want_env.argbest)
+            << "it=" << it << " q=(" << q.x << "," << q.y << ")";
+        std::vector<int> got = tree.NonzeroNn(q);
+        EXPECT_EQ(got, baselines::NonzeroNn(pts, q))
+            << "it=" << it << " n=" << pts.size() << " q=(" << q.x << ","
+            << q.y << ")";
+        EXPECT_TRUE(std::adjacent_find(got.begin(), got.end(),
+                                       std::greater_equal<int>()) ==
+                    got.end());
+        for (int id : got) EXPECT_TRUE(id >= 0 && id < tree.size());
       }
     }
   }

@@ -132,7 +132,7 @@ INSTANTIATE_TEST_SUITE_P(
     AllExactBackends, EngineNonzeroAgreement,
     ::testing::Values(
         std::make_tuple("disk", Backend::kAuto),
-        std::make_tuple("disk", Backend::kMonteCarlo),  // indexed, as kAuto
+        std::make_tuple("disk", Backend::kMonteCarlo),  // QuantTree, as kAuto
         std::make_tuple("discrete", Backend::kAuto),
         std::make_tuple("discrete", Backend::kMonteCarlo)));
 
@@ -397,6 +397,23 @@ TEST(EngineWarmup, BuildsOnceAndServesWithoutBuilding) {
       engine.NonzeroNn(q);
     }
     EXPECT_EQ(engine.StructuresBuilt(), built);
+  }
+}
+
+// NN!=0 on disk and mixed sets comes from the quantification index the
+// envelope and the Monte-Carlo sweep share, so warming it builds exactly
+// that one structure.
+TEST(EngineWarmup, NonzeroOnDisksBuildsOneStructure) {
+  auto mixed = workload::RandomDisks(12, 69);
+  auto extra = workload::RandomDiscrete(6, 2, 70);
+  mixed.insert(mixed.end(), extra.begin(), extra.end());
+  for (const auto& pts : {workload::RandomDisks(30, 69), mixed}) {
+    Engine engine(pts, {});
+    engine.Warmup(Engine::QueryType::kNonzeroNn);
+    EXPECT_EQ(engine.StructuresBuilt(), 1);
+    engine.MaxDistEnvelope({0.5, 0.5});
+    engine.SupportsWithin({0.5, 0.5}, 1.0);
+    EXPECT_EQ(engine.StructuresBuilt(), 1);
   }
 }
 

@@ -1,4 +1,7 @@
-#include "core/nn_nonzero_index.h"
+// The Theorem 3.1 NN!=0 index on disks: core::QuantTree::NonzeroNn
+// (stage one the Delta envelope, stage two SupportsWithin(q, Delta(q)),
+// then Lemma 2.1's filter) against the definition and the Theorem 2.5
+// diagram.
 
 #include <random>
 
@@ -6,6 +9,7 @@
 
 #include "baselines/brute_force.h"
 #include "core/nonzero_voronoi.h"
+#include "core/quant_tree.h"
 
 namespace unn {
 namespace core {
@@ -26,38 +30,38 @@ std::vector<UncertainPoint> RandomDisks(int n, std::mt19937_64& rng,
   return pts;
 }
 
-TEST(NnNonzeroIndex, MatchesBruteForceRandom) {
+TEST(DiskNonzeroIndex, MatchesBruteForceRandom) {
   std::mt19937_64 rng(404);
   for (int n : {1, 2, 5, 17, 60, 150}) {
     auto pts = RandomDisks(n, rng);
-    NnNonzeroIndex ix(pts);
+    QuantTree ix(&pts);
     std::uniform_real_distribution<double> qu(-20, 20);
     for (int t = 0; t < 150; ++t) {
       Vec2 q{qu(rng), qu(rng)};
-      auto got = ix.Query(q);
+      auto got = ix.NonzeroNn(q);
       auto want = baselines::NonzeroNn(pts, q);
       ASSERT_EQ(got, want) << "n=" << n << " q=(" << q.x << "," << q.y << ")";
     }
   }
 }
 
-TEST(NnNonzeroIndex, DeltaMatchesDefinition) {
+TEST(DiskNonzeroIndex, DeltaMatchesDefinition) {
   std::mt19937_64 rng(405);
   auto pts = RandomDisks(80, rng);
-  NnNonzeroIndex ix(pts);
+  QuantTree ix(&pts);
   std::uniform_real_distribution<double> qu(-25, 25);
   for (int t = 0; t < 200; ++t) {
     Vec2 q{qu(rng), qu(rng)};
-    EXPECT_NEAR(ix.Delta(q), GlobalMaxDistLowerEnvelope(pts, q), 1e-9);
+    EXPECT_EQ(ix.MaxDistEnvelope(q).best, GlobalMaxDistLowerEnvelope(pts, q));
   }
 }
 
-TEST(NnNonzeroIndex, AgreesWithNonzeroVoronoiDiagram) {
+TEST(DiskNonzeroIndex, AgreesWithNonzeroVoronoiDiagram) {
   // Theorem 2.11 structure and Theorem 3.1 structure must agree everywhere
   // away from diagram boundaries.
   std::mt19937_64 rng(406);
   auto pts = RandomDisks(15, rng);
-  NnNonzeroIndex ix(pts);
+  QuantTree ix(&pts);
   NonzeroVoronoi vd(pts);
   double tol = 1e-7 * vd.window().Diagonal();
   std::uniform_real_distribution<double> qu(-14, 14);
@@ -70,7 +74,7 @@ TEST(NnNonzeroIndex, AgreesWithNonzeroVoronoiDiagram) {
       if (std::abs(p.MinDist(q) - delta) < tol) near_boundary = true;
     }
     if (near_boundary) continue;
-    ASSERT_EQ(ix.Query(q), vd.Query(q)) << "t=" << t;
+    ASSERT_EQ(ix.NonzeroNn(q), vd.Query(q)) << "t=" << t;
     ++checked;
   }
   EXPECT_GT(checked, 250);

@@ -1,4 +1,3 @@
-#include "range/disk_tree.h"
 #include "range/kdtree.h"
 
 #include <algorithm>
@@ -105,53 +104,6 @@ TEST(KdTree, EnumeratorYieldsNondecreasingDistances) {
     ++count;
   }
   EXPECT_EQ(count, 150);
-}
-
-TEST(DiskTree, MinMaxDistMatchesBruteForce) {
-  std::uniform_real_distribution<double> ru(0.05, 3);
-  for (int n : {1, 3, 20, 200}) {
-    auto centers = RandomPoints(n);
-    std::vector<double> radii(n);
-    for (auto& r : radii) r = ru(Rng());
-    DiskTree tree(centers, radii);
-    std::uniform_real_distribution<double> u(-15, 15);
-    for (int t = 0; t < 100; ++t) {
-      Vec2 q{u(Rng()), u(Rng())};
-      int arg = -1;
-      double got = tree.MinMaxDist(q, &arg);
-      double want = 1e18;
-      for (int i = 0; i < n; ++i) {
-        want = std::min(want, Dist(q, centers[i]) + radii[i]);
-      }
-      ASSERT_NEAR(got, want, 1e-12);
-      ASSERT_GE(arg, 0);
-      EXPECT_NEAR(Dist(q, centers[arg]) + radii[arg], want, 1e-12);
-    }
-  }
-}
-
-TEST(DiskTree, ReportMinDistLessMatchesBruteForce) {
-  std::uniform_real_distribution<double> ru(0.05, 3);
-  auto centers = RandomPoints(250);
-  std::vector<double> radii(250);
-  for (auto& r : radii) r = ru(Rng());
-  DiskTree tree(centers, radii);
-  std::uniform_real_distribution<double> u(-15, 15);
-  std::uniform_real_distribution<double> bu(0.1, 10);
-  for (int t = 0; t < 100; ++t) {
-    Vec2 q{u(Rng()), u(Rng())};
-    double bound = bu(Rng());
-    std::vector<int> got;
-    tree.ReportMinDistLess(q, bound, &got);
-    std::sort(got.begin(), got.end());
-    std::vector<int> want;
-    for (size_t i = 0; i < centers.size(); ++i) {
-      if (std::max(Dist(q, centers[i]) - radii[i], 0.0) < bound) {
-        want.push_back(static_cast<int>(i));
-      }
-    }
-    ASSERT_EQ(got, want) << "t=" << t;
-  }
 }
 
 }  // namespace

@@ -119,7 +119,7 @@ TEST(ShardedEngine, ExactNonzeroAndExpectedOnMixedModel) {
   auto pts = workload::RandomDisks(9, 305);
   auto extra = workload::RandomDiscrete(9, 2, 306);
   pts.insert(pts.end(), extra.begin(), extra.end());
-  Engine::Config cfg;  // kAuto -> the NN!=0 oracle on mixed sets.
+  Engine::Config cfg;  // kAuto -> QuantTree::NonzeroNn on mixed sets.
   Engine single(pts, cfg);
   auto qs = GridQueries(15);
   for (int k : {2, 4, 7}) {
@@ -132,10 +132,10 @@ TEST(ShardedEngine, ExactNonzeroAndExpectedOnMixedModel) {
 }
 
 TEST(ShardedEngine, IndexBackedShardsMatchOracleNonzero) {
-  // Shards answering NN!=0 from their own index structures still merge to
-  // the exact global answer.
+  // Shards answering NN!=0 candidates from their own quantification
+  // indexes still merge to the exact global answer.
   auto pts = workload::RandomDisks(20, 307);
-  Engine::Config cfg;  // kAuto -> the Theorem 3.1 NN!=0 index on disks.
+  Engine::Config cfg;  // kAuto -> QuantTree::NonzeroNn on disks.
   Engine single(pts, cfg);
   auto qs = GridQueries(20);
   for (int k : {2, 4}) {
@@ -143,6 +143,25 @@ TEST(ShardedEngine, IndexBackedShardsMatchOracleNonzero) {
                                  {k, serve::Partitioning::kRoundRobin});
     for (Vec2 q : qs) {
       EXPECT_EQ(sharded.NonzeroNn(q), single.NonzeroNn(q));
+    }
+  }
+  // Far from the data the nearest disk's delta and Delta round to one
+  // double (one ulp is 0.125 at 1e15, 16 at 1e17), so only Lemma 2.1's
+  // runner-up comparison keeps it (docs/QUERY_SEMANTICS.md "Far from the
+  // data"): the definition, one Engine and two shards all answer {1}.
+  const std::vector<UncertainPoint> far = {
+      UncertainPoint::Disk({0, 0}, 1e-3), UncertainPoint::Disk({100, 0}, 1e-3),
+      UncertainPoint::Disk({-100, 0}, 1e-3),
+      UncertainPoint::Disk({0, 100}, 1e-3)};
+  Engine far_single(far, cfg);
+  for (auto partitioning :
+       {serve::Partitioning::kSpatial, serve::Partitioning::kRoundRobin}) {
+    serve::ShardedEngine far_sharded(far, cfg, {2, partitioning});
+    for (Vec2 q : {Vec2{1e15, 0}, Vec2{1e17, 0}}) {
+      const std::vector<int> want = {1};
+      EXPECT_EQ(baselines::NonzeroNn(far, q), want) << "q.x=" << q.x;
+      EXPECT_EQ(far_single.NonzeroNn(q), want) << "q.x=" << q.x;
+      EXPECT_EQ(far_sharded.NonzeroNn(q), want) << "q.x=" << q.x;
     }
   }
 }

@@ -21,7 +21,6 @@
 #include "core/uncertain_point.h"
 #include "geom/box_metrics.h"
 #include "geom/lanes.h"
-#include "range/disk_tree.h"
 #include "range/kdtree.h"
 #include "spatial/augment.h"
 #include "spatial/batch.h"
@@ -377,39 +376,6 @@ TEST(MigratedKdTree, AllCoincidentPoints) {
   EXPECT_EQ(all.size(), 40u);
 }
 
-TEST(MigratedDiskTree, DuplicateRadiiAndCoincidentCenters) {
-  std::vector<Vec2> centers(16, Vec2{1, 1});
-  centers.push_back({4, 5});
-  std::vector<double> radii(16, 2.0);
-  radii.push_back(0.5);
-  range::DiskTree a(centers, radii);
-  range::DiskTree b(centers, radii);
-  int arg_a = -1, arg_b = -1;
-  double got = a.MinMaxDist({1, 1}, &arg_a);
-  EXPECT_EQ(got, 2.0);  // min (d + r) over 16 coincident disks.
-  b.MinMaxDist({1, 1}, &arg_b);
-  EXPECT_EQ(arg_a, arg_b);  // Tie argmin deterministic across rebuilds.
-  ASSERT_GE(arg_a, 0);
-  EXPECT_EQ(Dist(Vec2{1, 1}, centers[arg_a]) + radii[arg_a], 2.0);
-
-  std::vector<int> rep;
-  a.ReportMinDistLess({1, 1}, 0.1, &rep);
-  std::sort(rep.begin(), rep.end());
-  std::vector<int> want;
-  for (int i = 0; i < 16; ++i) want.push_back(i);  // delta = 0 < 0.1.
-  EXPECT_EQ(rep, want);
-}
-
-TEST(MigratedDiskTree, EmptyTree) {
-  range::DiskTree tree({}, {});
-  int arg = -1;
-  EXPECT_EQ(tree.MinMaxDist({0, 0}, &arg), kInf);
-  EXPECT_EQ(arg, -1);
-  std::vector<int> rep;
-  tree.ReportMinDistLess({0, 0}, 100.0, &rep);
-  EXPECT_TRUE(rep.empty());
-}
-
 TEST(MigratedExpectedNn, SingletonAndCoincidentMeans) {
   std::vector<core::UncertainPoint> one = {
       core::UncertainPoint::Disk({2, 1}, 0.5)};
@@ -489,6 +455,9 @@ TEST(MigratedQuantTree, CoincidentSupportsDuplicateRadiiPinSmallestId) {
     EXPECT_EQ(got.second, want.second);
     EXPECT_EQ(got.argbest, want.argbest);
     EXPECT_EQ(got.argbest, 0);
+    // Every coincident support meets the others' Delta: all seven are
+    // NN!=0 candidates wherever q is.
+    EXPECT_EQ(tree.NonzeroNn(q), (std::vector<int>{0, 1, 2, 3, 4, 5, 6}));
   }
 }
 

@@ -8,8 +8,8 @@
 #include "baselines/brute_force.h"
 #include "core/exact_pnn.h"
 #include "core/monte_carlo_pnn.h"
-#include "core/nn_nonzero_index.h"
 #include "core/nonzero_voronoi.h"
+#include "core/quant_tree.h"
 #include "core/spiral_search.h"
 #include "workload/generators.h"
 
@@ -30,7 +30,7 @@ TEST(StressDegenerate, GridCentersEqualRadii) {
     }
   }
   NonzeroVoronoi vd(pts);
-  NnNonzeroIndex ix(pts);
+  QuantTree ix(&pts);
   std::mt19937_64 rng(5);
   std::uniform_real_distribution<double> qu(-3, 15);
   int checked = 0;
@@ -38,7 +38,7 @@ TEST(StressDegenerate, GridCentersEqualRadii) {
     Vec2 q{qu(rng), qu(rng)};
     if (NonzeroNnMargin(pts, q) < 1e-6) continue;
     auto want = baselines::NonzeroNn(pts, q);
-    ASSERT_EQ(ix.Query(q), want) << "t=" << t;
+    ASSERT_EQ(ix.NonzeroNn(q), want) << "t=" << t;
     ASSERT_EQ(vd.Query(q), want) << "t=" << t;
     ++checked;
   }
