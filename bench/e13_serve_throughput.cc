@@ -332,11 +332,13 @@ int main(int argc, char** argv) {
   // debugging shape, reported but ungated). Each overhead is the median
   // of per-pair ratios over alternating (baseline, server) pairs, the
   // order flipped every pair, so a load swing on a shared host hits both
-  // sides of a pair alike; each sample repeats the batch until it takes
-  // at least 20 ms. An A/A control times a second obs-off server against
-  // the first in the same pairs (obs_aa_ratio): its distance from 1.0 is
-  // what the host's noise alone does to a ratio, the yardstick for
-  // reading obs_off_overhead against its gate.
+  // sides of a pair alike. Each sample is the median time of `repeat`
+  // back-to-back batches (repeat doubled until they take at least 20 ms),
+  // so a burst of host load that stalls a few batches barely moves it. An
+  // A/A control times a second obs-off server against the first in the
+  // same pairs (obs_aa_ratio): its distance from 1.0 is what the host's
+  // noise alone does to a ratio, the yardstick for reading
+  // obs_off_overhead against its gate.
   {
     auto engine_ptr = std::make_shared<const Engine>(pts, Engine::Config{});
     engine_ptr->Warmup(spec);
@@ -363,17 +365,26 @@ int main(int argc, char** argv) {
     off_twin();
     on();
 
+    auto median = [](std::vector<double> v) {
+      std::sort(v.begin(), v.end());
+      const size_t h = v.size() / 2;
+      return v.size() % 2 == 1 ? v[h] : 0.5 * (v[h - 1] + v[h]);
+    };
     int repeat = 1;
     auto sample_ms = [&](auto&& run) {
-      bench::Timer t;
-      for (int r = 0; r < repeat; ++r) run();
-      return t.Ms() / repeat;
+      std::vector<double> ms(repeat);
+      for (double& m : ms) {
+        bench::Timer t;
+        run();
+        m = t.Ms();
+      }
+      return median(ms);
     };
     while (repeat < (1 << 12) && sample_ms(baseline) * repeat < 20.0) {
       repeat *= 2;
     }
 
-    const int pairs = 15;
+    const int pairs = 31;
     std::vector<double> base_ms, off_ms, on_ms, off_ratio, on_ratio,
         aa_ratio;
     // One pair: `reference` and `subject` back to back, in the given
@@ -394,19 +405,14 @@ int main(int argc, char** argv) {
       measure_pair(baseline, on, &base_ms, &on_ms, &on_ratio, p % 2 == 0);
       measure_pair(off, off_twin, nullptr, nullptr, &aa_ratio, p % 2 == 1);
     }
-    auto median = [](std::vector<double> v) {
-      std::sort(v.begin(), v.end());
-      const size_t h = v.size() / 2;
-      return v.size() % 2 == 1 ? v[h] : 0.5 * (v[h - 1] + v[h]);
-    };
     const double baseline_med = median(base_ms);
     const double off_med = median(off_ms), on_med = median(on_ms);
     const double off_overhead = median(off_ratio);
     const double on_overhead = median(on_ratio);
     const double aa_ratio_med = median(aa_ratio);
     printf("\nObservability overhead (median of %d alternating pairs, "
-           "%d queries x %d per sample):\n",
-           pairs, num_queries, repeat);
+           "each sample the median of %d batches of %d queries):\n",
+           pairs, repeat, num_queries);
     printf("  baseline (no server) %.2f ms   obs off %.2f ms (%.3fx)   "
            "obs on %.2f ms (%.3fx)\n",
            baseline_med, off_med, off_overhead, on_med, on_overhead);

@@ -143,7 +143,7 @@ int main(int argc, char** argv) {
       switch (part.spec.type) {
         case Engine::QueryType::kExpectedDistanceNn: {
           bench::Timer tk;
-          for (Vec2 q : sorted) expected.QueryExpected(q, cfg.tol);
+          for (Vec2 q : sorted) expected.QueryExpected(q);
           scalar_sorted_us = tk.Ms() * 1000.0 / part.burst;
           break;
         }

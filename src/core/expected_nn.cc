@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "prob/distance_cdf.h"
-#include "prob/quadrature.h"
 #include "spatial/traverse.h"
 #include "util/check.h"
 
@@ -105,34 +104,22 @@ double ExpectedNn::ExpectedSquaredDistance(int i, Vec2 q) const {
   return DistSq(q, mean_[i]) + var_[i];
 }
 
-double ExpectedNn::ExpectedDistance(int i, Vec2 q, double tol) const {
-  const UncertainPoint& p = points_[i];
-  if (!p.is_disk()) {
-    double e = 0;
-    for (size_t s = 0; s < p.sites().size(); ++s) {
-      e += p.weights()[s] * Dist(q, p.sites()[s]);
-    }
-    return e;
-  }
-  double lo = p.MinDist(q);
-  double hi = p.MaxDist(q);
-  return prob::AdaptiveSimpson(
-      [&](double r) { return r * prob::DistancePdf(p, q, r); }, lo, hi, tol);
+double ExpectedNn::ExpectedDistance(int i, Vec2 q) const {
+  return prob::ExpectedDistance(points_[i], q);
 }
 
-std::vector<int> ExpectedNn::RankByExpectedDistance(Vec2 q, int k,
-                                                    double tol) const {
+std::vector<int> ExpectedNn::RankByExpectedDistance(Vec2 q, int k) const {
   int n = static_cast<int>(points_.size());
   k = std::min(k, n);
   std::vector<std::pair<double, int>> ranked(n);
-  for (int i = 0; i < n; ++i) ranked[i] = {ExpectedDistance(i, q, tol), i};
+  for (int i = 0; i < n; ++i) ranked[i] = {ExpectedDistance(i, q), i};
   std::partial_sort(ranked.begin(), ranked.begin() + k, ranked.end());
   std::vector<int> out(k);
   for (int i = 0; i < k; ++i) out[i] = ranked[i].second;
   return out;
 }
 
-int ExpectedNn::QueryExpected(Vec2 q, double tol) const {
+int ExpectedNn::QueryExpected(Vec2 q) const {
   // Evaluates in increasing E[d^2] order, skipping any point with
   // E[d] >= delta_i(q) above the incumbent. The skip keeps a relative
   // guard band (kSkipGuard): for discrete models the closed-form E[d] is
@@ -141,9 +128,11 @@ int ExpectedNn::QueryExpected(Vec2 q, double tol) const {
   // MinDist by ~1e-9 relative — the band guarantees a skipped item's
   // E[d] is strictly above the incumbent. With the band and the
   // smallest-id tie break, the discrete result is the lexicographic
-  // argmin of (E[d], id), independent of evaluation order.
-  // Disk models use the same loop; their quadrature values carry the
-  // documented tol-level near-tie caveat either way.
+  // argmin of (E[d], id), independent of evaluation order. Disk models
+  // use the same loop: their E[d] (prob::ExpectedDistance) is a
+  // deterministic function of (point, q) within 1e-9 relative of the true
+  // value, which is at least d(q, center) >= MinDist (Jensen), so the band
+  // covers them too and the disk result is the same lexicographic argmin.
   //
   // The order comes from a best-first enumeration of the kd-tree over
   // the means (subtree key: squared box distance plus the smallest
@@ -185,7 +174,7 @@ int ExpectedNn::QueryExpected(Vec2 q, double tol) const {
       break;
     }
     if (points_[id].MinDist(q) * kSkipGuard > best) continue;
-    double e = ExpectedDistance(id, q, tol);
+    double e = ExpectedDistance(id, q);
     if (e < best || (e == best && id < arg)) {
       best = e;
       arg = id;

@@ -18,10 +18,12 @@
 ///   * expected *squared* distance — exact and index-friendly, since
 ///     E[d(q,P)^2] = |q - mu|^2 + Var(P) (a "power-like" weighted NN,
 ///     answered by branch-and-bound in O(log n) expected time);
-///   * expected distance E[d(q,P)] — evaluated per point (closed form for
-///     discrete, adaptive quadrature for disks) and minimized by a
-///     scan in increasing E[d^2] order (a best-first kd-tree enumeration)
-///     that skips points whose E[d] >= delta exceeds the incumbent.
+///   * expected distance E[d(q,P)] — evaluated per point in O(1) by
+///     prob::ExpectedDistance (a weighted sum for discrete points, exact
+///     to rounding for uniform disks, within 1e-9 relative for truncated
+///     Gaussians) and minimized by a scan in increasing E[d^2] order (a
+///     best-first kd-tree enumeration) that skips points whose
+///     E[d] >= delta exceeds the incumbent.
 ///
 /// Experiment E12 measures how often the expected-NN disagrees with the
 /// most-probable NN — the [YTX+10] critique the paper cites for preferring
@@ -37,20 +39,20 @@ class ExpectedNn {
   /// argmin_i E[d(q, P_i)^2]; exact.
   int QuerySquared(geom::Vec2 q) const;
 
-  /// argmin_i E[d(q, P_i)]; quadrature tolerance `tol` for disk models.
-  int QueryExpected(geom::Vec2 q, double tol = 1e-9) const;
+  /// argmin_i E[d(q, P_i)]: the lexicographic argmin of the computed
+  /// (E[d], id) pairs.
+  int QueryExpected(geom::Vec2 q) const;
 
   /// E[d(q, P_i)^2] = |q - mu_i|^2 + Var_i (closed form, all models).
   double ExpectedSquaredDistance(int i, geom::Vec2 q) const;
 
-  /// E[d(q, P_i)].
-  double ExpectedDistance(int i, geom::Vec2 q, double tol = 1e-9) const;
+  /// E[d(q, P_i)] (prob::ExpectedDistance).
+  double ExpectedDistance(int i, geom::Vec2 q) const;
 
   /// The k-NN ranking by expected distance (Section 1.2: "rank them in a
   /// non-decreasing order of the expected distance"): the `k` ids with the
   /// smallest E[d(q, P_i)], in that order.
-  std::vector<int> RankByExpectedDistance(geom::Vec2 q, int k,
-                                          double tol = 1e-9) const;
+  std::vector<int> RankByExpectedDistance(geom::Vec2 q, int k) const;
 
   geom::Vec2 mean(int i) const { return mean_[i]; }
   double variance(int i) const { return var_[i]; }

@@ -178,7 +178,7 @@ std::vector<int> Engine::NonzeroNn(geom::Vec2 q) const {
 
 double Engine::ExpectedDistance(int i, geom::Vec2 q) const {
   UNN_CHECK(i >= 0 && i < size());
-  return GetExpectedNn().ExpectedDistance(i, q, config_.tol);
+  return GetExpectedNn().ExpectedDistance(i, q);
 }
 
 core::DeltaEnvelope Engine::MaxDistEnvelope(geom::Vec2 q) const {
@@ -270,7 +270,7 @@ std::vector<Engine::QueryResult> Engine::QueryInOrder(
       const core::ExpectedNn& index = GetExpectedNn();
       for (size_t i = 0; i < queries.size(); ++i) {
         if (geom::IsFinite(queries[i])) {
-          results[i].nn = index.QueryExpected(queries[i], config_.tol);
+          results[i].nn = index.QueryExpected(queries[i]);
         }
       }
       break;

@@ -94,8 +94,10 @@ class Engine {
     double eps = 0.05;
     /// Monte-Carlo failure probability (Theorem 4.3).
     double delta = 0.05;
-    /// Quadrature tolerance of the disk-model expected distance E[d]
-    /// (ExpectedDistanceNn and ExpectedDistance).
+    /// Absolute tolerance of the Eq. (1) integrator
+    /// (core::IntegrateAllQuantifications), which serve::MergeProbabilities
+    /// runs on a disk union; no Engine query reads it. E[d] needs no
+    /// tolerance: prob::ExpectedDistance is O(1) at every distance.
     double tol = 1e-8;
     /// Seed for every randomized structure.
     uint64_t seed = 0xC0FFEE;
@@ -275,10 +277,12 @@ class Engine {
       std::span<const geom::Vec2> queries, int samples,
       spatial::BatchStats* stats = nullptr) const;
 
-  /// E[d(q, P_i)] at Config::tol — the per-point quantity the sharded
-  /// layer min-merges: each shard reports its local argmin with this
-  /// value, and the global expected-distance NN is the min over shards.
-  /// Closed form for discrete points, adaptive quadrature for disks.
+  /// E[d(q, P_i)] — the per-point quantity the sharded layer
+  /// min-merges: each shard reports its local argmin with this value, and
+  /// the global expected-distance NN is the min over shards.
+  /// prob::ExpectedDistance: a weighted sum for discrete points, exact to
+  /// rounding for uniform disks, within 1e-9 relative for truncated
+  /// Gaussians; O(1) at every distance.
   /// Builds the ExpectedNn structure on first use (once, synchronized).
   double ExpectedDistance(int i, geom::Vec2 q) const;
 

@@ -12,6 +12,11 @@
 /// For the uniform disk both are closed-form (circle-circle lens area and
 /// its derivative); the truncated Gaussian uses adaptive radial quadrature;
 /// discrete models sum location weights.
+///
+/// The expected distance E[d(q, P)] (the per-point quantity of the
+/// expected-distance NN, Section 1.2) costs a fixed amount of work at
+/// every distance: closed forms in the complete elliptic integrals for the
+/// uniform disk, a fixed-node radial integral for the truncated Gaussian.
 
 namespace unn {
 namespace prob {
@@ -22,6 +27,14 @@ double CircleIntersectionArea(double d, double r1, double r2);
 
 /// G_{q,P}(r) for any supported model.
 double DistanceCdf(const core::UncertainPoint& p, geom::Vec2 q, double r);
+
+/// E[d(q, P)] for any supported model. Discrete: the weighted sum of site
+/// distances. Uniform disk: closed form, exact to rounding (within 1e-12
+/// relative at every rho = d(q, center) / radius). Truncated-Gaussian
+/// disk: 16-node Gauss-Legendre pieces over the radius, within 1e-9
+/// relative (3e-12 measured). No recursion and no iteration count that
+/// grows with the distance.
+double ExpectedDistance(const core::UncertainPoint& p, geom::Vec2 q);
 
 /// g_{q,P}(r); requires a continuous (disk) model.
 double DistancePdf(const core::UncertainPoint& p, geom::Vec2 q, double r);

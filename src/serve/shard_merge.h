@@ -95,8 +95,10 @@ struct ExpectedCandidate {
 
 /// Min-merge for the expected-distance NN: the global argmin is the shard
 /// winner with the smallest expected distance (ties toward the smaller
-/// global id). Exact up to the quadrature tolerance of the per-shard
-/// values. O(K); thread-safe.
+/// global id): the lexicographic argmin of the per-shard (E[d], id) pairs,
+/// which are the same deterministic values one Engine computes (exact to
+/// rounding for uniform disks, within 1e-9 relative for truncated
+/// Gaussians). O(K); thread-safe.
 int MergeExpected(std::span<const ExpectedCandidate> winners);
 
 /// Result of a cross-shard exact re-quantification.

@@ -124,8 +124,8 @@ class ShardedEngine {
   int MostProbableNn(geom::Vec2 q, ThreadPool* pool = nullptr,
                      obs::TraceNode trace = {}) const;
 
-  /// argmin_i E[d(q, P_i)] via min-merge of the per-shard winners; exact
-  /// up to quadrature tolerance.
+  /// argmin_i E[d(q, P_i)] via min-merge of the per-shard winners: the
+  /// same lexicographic argmin of (E[d], id) as one Engine.
   int ExpectedDistanceNn(geom::Vec2 q, ThreadPool* pool = nullptr,
                          obs::TraceNode trace = {}) const;
 

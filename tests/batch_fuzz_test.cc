@@ -619,8 +619,7 @@ TEST(BatchFuzz, EngineQueryManyPackIndependent) {
               << "it=" << it << " m=" << m << " i=" << i;
         }
         if (engine.all_discrete()) {
-          EXPECT_EQ(nearest[i].nn,
-                    expected.QueryExpected(qs[i], engine.config().tol))
+          EXPECT_EQ(nearest[i].nn, expected.QueryExpected(qs[i]))
               << "it=" << it << " m=" << m << " i=" << i;
         }
       }

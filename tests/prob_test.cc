@@ -2,10 +2,14 @@
 #include "prob/distributions.h"
 #include "prob/quadrature.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <random>
 
 #include <gtest/gtest.h>
+
+#include "expected_distance_reference.h"
 
 namespace unn {
 namespace prob {
@@ -118,6 +122,64 @@ TEST(DistanceCdf, DiscreteStepsAtSiteDistances) {
   EXPECT_DOUBLE_EQ(DistanceCdf(p, q, 2.9), 0.2);
   EXPECT_DOUBLE_EQ(DistanceCdf(p, q, 3.0), 0.5);
   EXPECT_DOUBLE_EQ(DistanceCdf(p, q, 4.0), 1.0);
+}
+
+/// prob::ExpectedDistance against the long-double reference at
+/// q = center + rho * radius * (cos a, sin a), within `tol` relative.
+void ExpectMatchesReference(DiskPdf pdf, Vec2 center, double radius, double a,
+                            const std::vector<double>& rhos, double tol) {
+  UncertainPoint p = UncertainPoint::Disk(center, radius, pdf);
+  for (double rho : rhos) {
+    Vec2 q = center + Vec2{std::cos(a), std::sin(a)} * (rho * radius);
+    long double want = testref::ExpectedDistance(p, q);
+    double got = ExpectedDistance(p, q);
+    EXPECT_LE(std::abs((got - want) / want), tol)
+        << "rho=" << rho << " radius=" << radius << " got=" << got;
+  }
+}
+
+TEST(ExpectedDistance, UniformDiskMatchesSeriesReference) {
+  // Both sides of rho = 1 (the closed form's branch point) and of rho = 16
+  // (the series cutover) to the ulp, and out to 1e12.
+  const std::vector<double> rhos = {
+      0.0, 1e-9, 1e-3, 0.1, 0.5, 0.9, 0.999, std::nextafter(1.0, 0.0), 1.0,
+      std::nextafter(1.0, 2.0), 1.001, 1.5, 2.0, 4.0, 8.0,
+      std::nextafter(16.0, 0.0), 16.0, std::nextafter(16.0, 32.0), 16.5,
+      32.0, 64.0, 1e3, 1e6, 1e9, 1e12};
+  ExpectMatchesReference(DiskPdf::kUniform, {0, 0}, 1.0, 0.0, rhos, 1e-12);
+  ExpectMatchesReference(DiskPdf::kUniform, {-3, 7}, 2.75, 0.7, rhos, 1e-12);
+}
+
+TEST(ExpectedDistance, TruncatedGaussianDiskMatchesPolarReference) {
+  // Sixteen fixed nodes per piece at every distance: each call finishes.
+  const std::vector<double> rhos = {0.0, 1e-3, 0.5, 0.99, 1.0, 1.01,
+                                    2.0, 16.0, 1e3, 1e6, 1e12};
+  ExpectMatchesReference(DiskPdf::kTruncatedGaussian, {0, 0}, 1.0, 0.0, rhos,
+                         1e-9);
+  ExpectMatchesReference(DiskPdf::kTruncatedGaussian, {-3, 7}, 2.75, 0.7, rhos,
+                         1e-9);
+}
+
+TEST(ExpectedDistance, BoundedByJensenAndMaxDist) {
+  // d(q, center) <= E[d] (Jensen, radially symmetric pdfs) <= MaxDist, and
+  // a discrete point's E[d] is its weighted site distance.
+  std::mt19937_64 rng(17);
+  std::uniform_real_distribution<double> coord(-20, 20);
+  for (DiskPdf pdf : {DiskPdf::kUniform, DiskPdf::kTruncatedGaussian}) {
+    UncertainPoint p = UncertainPoint::Disk({1, -2}, 3.0, pdf);
+    for (int i = 0; i < 200; ++i) {
+      Vec2 q{coord(rng), coord(rng)};
+      double e = ExpectedDistance(p, q);
+      EXPECT_GE(e, Dist(q, p.center()) * (1 - 1e-15));
+      EXPECT_LE(e, p.MaxDist(q));
+    }
+  }
+  UncertainPoint d = UncertainPoint::Discrete({{1, 0}, {3, 0}, {0, 4}},
+                                              {0.2, 0.3, 0.5});
+  EXPECT_DOUBLE_EQ(ExpectedDistance(d, {0, 0}), 0.2 * 1 + 0.3 * 3 + 0.5 * 4);
+  EXPECT_TRUE(std::isnan(ExpectedDistance(
+      UncertainPoint::Disk({0, 0}, 1.0),
+      {std::numeric_limits<double>::quiet_NaN(), 0})));
 }
 
 TEST(DiscreteSampler, FrequenciesMatchWeights) {

@@ -22,6 +22,7 @@
 #include "baselines/brute_force.h"
 #include "core/exact_pnn.h"
 #include "engine/engine.h"
+#include "expected_distance_reference.h"
 #include "fuzz_iters.h"
 #include "serve/parallel.h"
 #include "serve/query_server.h"
@@ -538,6 +539,64 @@ TEST(ShardedEngine, ExpectedDistanceNnOnNonFiniteQueryMatchesSingleEngine) {
         }
       }
     }
+  }
+}
+
+// Far from the data E[d] = d(q, center) (1 + O(rho^-2)), so the answer
+// turns on differences of a few units in values near |q|. Each disk E[d]
+// is O(1) work and exact to rounding there, so one Engine and a 2-shard
+// spatial ShardedEngine both answer the lexicographic argmin of the
+// long-double reference (E[d], id); where the reference's two smallest
+// values are within rounding (1e-13 relative, ~450 ulps) either is
+// accepted. The pair at x ~ 150 sits 0.3 apart for queries along +x.
+TEST(ShardedEngine, FarFieldExpectedDistanceNnMatchesReferenceArgmin) {
+  for (core::DiskPdf pdf :
+       {core::DiskPdf::kUniform, core::DiskPdf::kTruncatedGaussian}) {
+    std::mt19937_64 rng(2027);
+    std::uniform_real_distribution<double> coord(-100, 100);
+    std::uniform_real_distribution<double> radius(0.5, 20);
+    std::vector<UncertainPoint> pts;
+    for (int i = 0; i < 20; ++i) {
+      double x = coord(rng), y = coord(rng);
+      pts.push_back(UncertainPoint::Disk({x, y}, radius(rng), pdf));
+    }
+    pts.push_back(UncertainPoint::Disk({149.7, 5}, 3, pdf));
+    pts.push_back(UncertainPoint::Disk({150, 0}, 1, pdf));
+    const int n = static_cast<int>(pts.size());
+    Engine::Config cfg;
+    Engine single(pts, cfg);
+    serve::ShardedEngine sharded(pts, cfg, {2, serve::Partitioning::kSpatial});
+    int strict = 0, total = 0;
+    for (double scale : {1e6, 1e9, 1e12}) {
+      for (int k = 0; k < 8; ++k) {
+        Vec2 q{scale * std::cos(0.9 * k), scale * std::sin(0.9 * k)};
+        std::vector<long double> ref(n);
+        std::vector<std::pair<long double, int>> ranked;
+        for (int i = 0; i < n; ++i) {
+          ref[i] = testref::ExpectedDistance(pts[i], q);
+          ranked.push_back({ref[i], i});
+        }
+        std::sort(ranked.begin(), ranked.end());
+        const long double band = 1e-13L * ranked[0].first;
+        const bool near_tie = ranked[1].first - ranked[0].first <= band;
+        strict += near_tie ? 0 : 1;
+        ++total;
+        for (int got :
+             {single.ExpectedDistanceNn(q), sharded.ExpectedDistanceNn(q)}) {
+          ASSERT_GE(got, 0);
+          if (near_tie) {
+            EXPECT_LE(ref[got] - ranked[0].first, band)
+                << "pdf=" << static_cast<int>(pdf) << " q=(" << q.x << ","
+                << q.y << ")";
+          } else {
+            EXPECT_EQ(got, ranked[0].second)
+                << "pdf=" << static_cast<int>(pdf) << " q=(" << q.x << ","
+                << q.y << ")";
+          }
+        }
+      }
+    }
+    EXPECT_GE(strict, total - 2) << "the set no longer separates its answers";
   }
 }
 
