@@ -86,7 +86,7 @@ int ExpectedNn::QuerySquared(Vec2 q) const {
     return tree_.box(n).DistSqTo(q) + tree_.aug().min(n);
   };
   spatial::PrunedVisitOrdered(
-      tree_, lb, [&](int n) { return lb(n) >= best; },
+      tree_, lb, [&](int, double node_lb) { return node_lb >= best; },
       [&](int n) {
         for (int i = tree_.begin(n); i < tree_.end(n); ++i) {
           int id = tree_.item(i);

@@ -19,6 +19,22 @@ double NormInf(Vec2 v) { return std::max(std::abs(v.x), std::abs(v.y)); }
 
 }  // namespace
 
+double SupportScale(const std::vector<UncertainPoint>& points) {
+  double scale = 0.0;
+  for (const UncertainPoint& p : points) {
+    if (p.is_disk()) {
+      scale = std::max(scale, NormInf(p.center()) + p.radius());
+    } else {
+      for (Vec2 site : p.sites()) scale = std::max(scale, NormInf(site));
+    }
+  }
+  return scale;
+}
+
+double CandidateRadius(double best, Vec2 q, double scale) {
+  return best + 1e-9 * best + 16 * DBL_EPSILON * (NormInf(q) + scale);
+}
+
 int MonteCarloPnn::RequiredSamples(int n, int k, double eps, double delta) {
   UNN_CHECK(eps > 0 && eps < 1 && delta > 0 && delta < 1);
   // |Q| = O(N^4) distinct query classes (Lemma 4.1), N = nk.
@@ -48,13 +64,9 @@ MonteCarloPnn::MonteCarloPnn(std::vector<UncertainPoint> points,
   }
   int k = 1;
   for (const auto& p : points_) {
-    if (p.is_disk()) {
-      scale_ = std::max(scale_, NormInf(p.center()) + p.radius());
-    } else {
-      k = std::max(k, static_cast<int>(p.sites().size()));
-      for (Vec2 site : p.sites()) scale_ = std::max(scale_, NormInf(site));
-    }
+    if (!p.is_disk()) k = std::max(k, static_cast<int>(p.sites().size()));
   }
+  scale_ = SupportScale(points_);
   s_ = opts.s_override > 0 ? opts.s_override
                            : RequiredSamples(n, k, opts.eps, opts.delta);
   samples_.resize(static_cast<size_t>(n) * s_);
@@ -62,6 +74,28 @@ MonteCarloPnn::MonteCarloPnn(std::vector<UncertainPoint> points,
     for (int j = 0; j < s_; ++j) {
       samples_[static_cast<size_t>(i) * s_ + j] =
           prob::KeyedSample(points_[i], opts.seed, keys_[i], j);
+    }
+  }
+}
+
+void MonteCarloPnn::Scan(Vec2 q, int s, std::vector<int>* cand,
+                         std::vector<double>* best_d,
+                         std::vector<int>* winner) const {
+  // Keys are distinct, so equal keys are repeats of one id.
+  std::sort(cand->begin(), cand->end(),
+            [this](int a, int b) { return keys_[a] < keys_[b]; });
+  cand->erase(std::unique(cand->begin(), cand->end()), cand->end());
+  // Candidates in increasing key order with a strict `<`: an exact tie
+  // keeps the smaller key. The first candidate seeds every instantiation,
+  // so each has a winner even when distances are +inf.
+  for (size_t c = 0; c < cand->size(); ++c) {
+    const Vec2* x = &samples_[static_cast<size_t>((*cand)[c]) * s_];
+    for (int j = 0; j < s; ++j) {
+      double d = Dist(q, x[j]);
+      if (c == 0 || d < (*best_d)[j]) {
+        (*best_d)[j] = d;
+        (*winner)[j] = static_cast<int>(c);
+      }
     }
   }
 }
@@ -82,28 +116,9 @@ void MonteCarloPnn::Sweep(std::span<const Vec2> queries, int s,
     if (!geom::IsFinite(q)) continue;
     const DeltaEnvelope env =
         quant_.MaxDistEnvelope(q, stats != nullptr ? &walk : nullptr);
-    // The guard band of the header's soundness argument.
-    const double r = env.best + 1e-9 * env.best +
-                     16 * DBL_EPSILON * (NormInf(q) + scale_);
     cand.assign(1, env.argbest);
-    quant_.SupportsWithin(q, r, &cand);
-    // Keys are distinct, so equal keys are repeats of one id.
-    std::sort(cand.begin(), cand.end(),
-              [this](int a, int b) { return keys_[a] < keys_[b]; });
-    cand.erase(std::unique(cand.begin(), cand.end()), cand.end());
-    // Candidates in increasing key order with a strict `<`: an exact tie
-    // keeps the smaller key. The first candidate seeds every
-    // instantiation, so each has a winner even when distances are +inf.
-    for (size_t c = 0; c < cand.size(); ++c) {
-      const Vec2* x = &samples_[static_cast<size_t>(cand[c]) * s_];
-      for (int j = 0; j < s; ++j) {
-        double d = Dist(q, x[j]);
-        if (c == 0 || d < best_d[j]) {
-          best_d[j] = d;
-          winner[j] = static_cast<int>(c);
-        }
-      }
-    }
+    quant_.SupportsWithin(q, CandidateRadius(env.best, q, scale_), &cand);
+    Scan(q, s, &cand, &best_d, &winner);
     emit(static_cast<int>(i), cand, best_d, winner);
   }
   if (stats != nullptr) stats->AddWalk(walk);
@@ -144,6 +159,25 @@ std::vector<InstantiationWinner> MonteCarloPnn::WinnersBatch(
     for (int j = 0; j < s; ++j) dst[j] = {best_d[j], keys_[cand[winner[j]]]};
   };
   Sweep(queries, s, stats, copy);
+  return out;
+}
+
+std::vector<InstantiationWinner> MonteCarloPnn::WinnersAmong(
+    std::span<const Vec2> queries,
+    std::span<const std::vector<int>> candidates, int s) const {
+  UNN_CHECK(s > 0 && s <= s_);
+  UNN_CHECK(candidates.size() == queries.size());
+  std::vector<InstantiationWinner> out(queries.size() * s);
+  std::vector<int> cand;
+  std::vector<double> best_d(s);
+  std::vector<int> winner(s);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    if (!geom::IsFinite(queries[i]) || candidates[i].empty()) continue;
+    cand = candidates[i];
+    Scan(queries[i], s, &cand, &best_d, &winner);
+    InstantiationWinner* dst = &out[i * s];
+    for (int j = 0; j < s; ++j) dst[j] = {best_d[j], keys_[cand[winner[j]]]};
+  }
   return out;
 }
 

@@ -57,22 +57,40 @@
 ///     are each within a few ulps, relative to the value or to the
 ///     magnitude of the coordinates they subtract.
 /// guard = 1e-9 * best + 16 * DBL_EPSILON * (|q|_inf + scale), where scale
-/// bounds |x|_inf over every support (|center|_inf + radius for a disk),
-/// is orders of magnitude above that sum. C(q) holds a even if rounding
+/// bounds |x|_inf over every support (|center|_inf + radius for a disk;
+/// SupportScale), is orders of magnitude above that sum
+/// (CandidateRadius = best + guard). C(q) holds a even if rounding
 /// were to push it out, so a finite query has a winner in every
 /// instantiation: at |q| = 1e154 every point lands in C(q) and the scan
 /// still answers, where a squared-distance tree descent overflows.
 /// A query with a NaN or infinite coordinate gets empty estimates.
 ///
-/// Sharding. Over a union of disjoint subsets, the winner of instantiation
-/// j is the smallest (distance, key) pair among the subsets' winners, so
-/// per-subset WinnersBatch answers merge into the whole set's counts by
-/// an elementwise minimum. Each subset sweeps its own C_k(q): its envelope
-/// argmin a_k has Delta_{a_k}(q) >= Delta(q), and the argument above run
-/// with a_k in place of a puts every subset point that wins (or ties the
-/// winner of) an instantiation into C_k(q), guard included, since the
-/// rounding terms involve only q, the subset's own supports and values
-/// the sweep computes identically in both structures.
+/// Sharding. Over a union of disjoint subsets S_1..S_K, the winner of
+/// instantiation j is the smallest (distance, key) pair among the
+/// subsets' winners, so per-subset winners merge into the whole set's
+/// counts by an elementwise minimum. The candidates are split the same
+/// way: the caller (serve::ShardedEngine's plan) merges the subsets'
+/// envelopes into the whole set's Delta(q) = Delta_a(q), takes the guard
+/// with `scale` = the largest subset scale (= the whole set's, a max being
+/// exact), and hands subset k
+///   C_k(q) = {i in S_k : MinDist_i(q) <= best + guard}
+/// through WinnersAmong. C_k(q) need not contain a, which may sit in
+/// another subset. Soundness then needs nothing new: the soundness
+/// argument above used a only through the bound Dist(q, x_wj) <=
+/// Dist(q, x_aj) <= Delta_a(q) = best, which holds whichever subset a
+/// belongs to, so every winner w (and every id tied with it) has
+/// delta_w(q) <= best and lies in the C_k(q) of its own subset. Every
+/// rounding term of the guard involves only q, the supports' own
+/// coordinates (bounded by the whole set's scale) and best, which is the
+/// same double on every subset. More: the union of the C_k(q) is the
+/// unsharded C(q) itself. It is the unsharded SupportsWithin report at
+/// the same radius, and that report holds a already, since
+/// MinDist_a(q) <= MaxDist_a(q) = best holds in floating point too
+/// (d - r <= d + r; min over sites <= max over sites). So the subsets scan
+/// exactly the unsharded candidates and the merged counts are one
+/// structure's counts bit for bit. A subset with C_k(q) empty holds no
+/// winner of any instantiation and is skipped: it adds the identity of
+/// the merge.
 ///
 /// Thread safety: immutable after construction; queries are const and may
 /// run concurrently. Not copyable or movable: the owned QuantTree points
@@ -87,6 +105,16 @@ struct InstantiationWinner {
   double dist = 0.0;
   int key = -1;
 };
+
+/// Bound on |x|_inf over every support of `points`: |center|_inf + radius
+/// for a disk, the largest |site|_inf for a discrete point; 0 when empty.
+/// The scale of a union of sets is the max of their scales. O(N).
+double SupportScale(const std::vector<UncertainPoint>& points);
+
+/// The candidate sweep's radius: Delta(q) = `best` plus the guard band of
+/// the soundness argument above, 1e-9 * best + 16 * DBL_EPSILON *
+/// (|q|_inf + scale), with `scale` = SupportScale of the whole set. O(1).
+double CandidateRadius(double best, geom::Vec2 q, double scale);
 
 struct MonteCarloPnnOptions {
   double eps = 0.1;
@@ -137,7 +165,23 @@ class MonteCarloPnn {
       std::span<const geom::Vec2> queries, int s,
       spatial::BatchStats* stats = nullptr) const;
 
+  /// WinnersBatch over caller-supplied candidates, walking no tree:
+  /// out[i * s + j] is instantiation j's winner for queries[i] among
+  /// `candidates[i]` (point indices, any order, repeats allowed). A
+  /// non-finite query or an empty candidate list keeps key -1 in all s
+  /// entries. The sharded plan passes each shard's C_k(q) (see
+  /// "Sharding"). O(|C| log |C| + |C| s) per query.
+  std::vector<InstantiationWinner> WinnersAmong(
+      std::span<const geom::Vec2> queries,
+      std::span<const std::vector<int>> candidates, int s) const;
+
  private:
+  /// Instantiation j's winner over `cand` for j < s: sorts `cand` by key
+  /// and drops repeats, then sets `winner[j]` (an index into `cand`) and
+  /// `best_d[j]`. `cand` must be non-empty.
+  void Scan(geom::Vec2 q, int s, std::vector<int>* cand,
+            std::vector<double>* best_d, std::vector<int>* winner) const;
+
   /// The candidate sweep over the first `s` instantiations: for every
   /// finite queries[i], emit(i, cand, best_d, winner) with `cand` its
   /// candidate ids in increasing key order, `winner[j]` instantiation j's

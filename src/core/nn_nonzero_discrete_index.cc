@@ -65,7 +65,7 @@ DeltaEnvelope NnNonzeroDiscreteIndex::DeltaPair(Vec2 q) const {
       // |q| ~ 1e154 the squares overflow to +inf, which bounds nothing
       // (every true distance is finite), so an infinite bound never
       // prunes.
-      [&](int n) {
+      [&](int n, double) {
         double r_min = group_tree_.aug().min(n);
         return Prunes(std::sqrt(group_tree_.box(n).DistSqTo(q) +
                                 r_min * r_min),

@@ -20,8 +20,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// True when no point behind `lb` can still change the envelope. Strict
 /// comparison against `second` whenever `second == best`, so a pruned
 /// subtree can never hide a minimum-value tie with a smaller id (which
-/// would change `argbest`). Monotone in `lb`, so a best-first search can
-/// stop at the first prunable heap entry.
+/// would change `argbest`).
 bool EnvelopePrunable(double lb, const DeltaEnvelope& env) {
   if (lb > env.second) return true;
   return lb >= env.second && env.second > env.best;
@@ -92,25 +91,29 @@ double QuantTree::MinDistLowerBound(int node, geom::Vec2 q) const {
                   0.0);
 }
 
-DeltaEnvelope QuantTree::MaxDistEnvelope(geom::Vec2 q,
-                                         QueryStats* stats) const {
+DeltaEnvelope QuantTree::MaxDistEnvelope(geom::Vec2 q, QueryStats* stats,
+                                         const DeltaEnvelope* bound) const {
   DeltaEnvelope env;
   env.best = kInf;
   env.second = kInf;
-  spatial::BestFirstScan(
+  // Ordered DFS, nearer bound first: each child's bound is computed once
+  // and serves as both its order key and its prune test. The envelope's
+  // inserts are order-independent (DeltaEnvelope::Insert), and a pruned
+  // subtree can change none of best, second or argbest, so the visit
+  // order changes only how soon `second` tightens. A subtree prunable
+  // against `bound` cannot change the union's envelope either.
+  spatial::PrunedVisitOrdered(
       tree_, [&](int n) { return MaxDistLowerBound(n, q); },
-      // Entries pop in increasing lb order and prunability is monotone in
-      // lb, so the first prunable entry ends the whole search.
-      [&](double lb) { return EnvelopePrunable(lb, env); },
+      [&](int, double lb) {
+        return EnvelopePrunable(lb, env) ||
+               (bound != nullptr && EnvelopePrunable(lb, *bound));
+      },
       [&](int n) {
-        if (tree_.is_leaf(n)) {
-          for (int j = tree_.begin(n); j < tree_.end(n); ++j) {
-            int id = tree_.item(j);
-            env.Insert((*points_)[id].MaxDist(q), id);
-            if (stats != nullptr) ++stats->points_evaluated;
-          }
+        for (int j = tree_.begin(n); j < tree_.end(n); ++j) {
+          int id = tree_.item(j);
+          env.Insert((*points_)[id].MaxDist(q), id);
+          if (stats != nullptr) ++stats->points_evaluated;
         }
-        return true;
       },
       stats);
   return env;

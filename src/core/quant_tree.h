@@ -17,12 +17,13 @@
 ///
 ///   * MaxDistEnvelope(q)    — the two smallest Delta_i(q) = max-distance
 ///                             values plus the argmin (Lemma 2.1's pruning
-///                             envelope), best-first search that prunes a
-///                             subtree once its MaxDist lower bound cannot
-///                             beat the running runner-up. The one envelope
-///                             kernel: batched callers (the Monte-Carlo
-///                             sweep, Engine::MaxDistEnvelopeMany) loop it
-///                             per query;
+///                             envelope), an ordered DFS (nearer bound
+///                             first) that prunes a subtree once its
+///                             MaxDist lower bound cannot beat the running
+///                             runner-up. The one envelope kernel: batched
+///                             callers (the Monte-Carlo sweep,
+///                             Engine::MaxDistEnvelopeMany, the sharded
+///                             plan's stage one) loop it per query;
 ///   * LogSurvival(q, r)     — sum_i log(1 - G_{q,i}(r)), the log of the
 ///                             probability that every point is farther
 ///                             than r, visiting only points whose support
@@ -93,11 +94,10 @@ class AllDiskAugment {
 class QuantTree {
  public:
   /// Per-query search-effort counters (caller-owned, so queries stay
-  /// const and thread-safe). A sublinear query visits o(n) of each. Now
-  /// the shared spatial::TraversalStats, so the traversal engines fill
-  /// nodes_visited / leaves_scanned / prunes / heap_pushes;
-  /// points_evaluated is still counted here, at actual per-point
-  /// evaluations.
+  /// const and thread-safe). A sublinear query visits o(n) of each. The
+  /// shared spatial::TraversalStats: the DFS engines fill nodes_visited /
+  /// leaves_scanned / prunes; points_evaluated is counted here, at actual
+  /// per-point evaluations.
   using QueryStats = spatial::TraversalStats;
 
   /// Builds the hierarchy in O(n log n). `points` must outlive the tree.
@@ -108,9 +108,13 @@ class QuantTree {
   /// The two smallest Delta_i(q) and the argmin — identical (bitwise,
   /// including ties toward the smaller id) to
   /// core::TwoSmallestMaxDist(*points, q). O(log n) on bounded-density
-  /// inputs, O(n) worst case.
-  DeltaEnvelope MaxDistEnvelope(geom::Vec2 q,
-                                QueryStats* stats = nullptr) const;
+  /// inputs, O(n) worst case. With `bound`, an envelope over other points
+  /// (another shard's), the walk also prunes every subtree that cannot
+  /// change the envelope of the union with them: the result is then
+  /// exact only as far as it matters to that union (what a cross-shard
+  /// merge needs), and a far tree stops at its root.
+  DeltaEnvelope MaxDistEnvelope(geom::Vec2 q, QueryStats* stats = nullptr,
+                                const DeltaEnvelope* bound = nullptr) const;
 
   /// log prod_i (1 - G_{q,i}(r)) = sum_i log1p(-G_{q,i}(r)), accumulated
   /// in log space so products over 10^5+ points do not underflow;

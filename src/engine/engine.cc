@@ -142,9 +142,9 @@ int Engine::MonteCarloSamples(const Config& config, int n, int max_sites,
 }
 
 std::vector<core::InstantiationWinner> Engine::MonteCarloWinnersMany(
-    std::span<const geom::Vec2> queries, int samples,
-    spatial::BatchStats* stats) const {
-  return GetMonteCarlo(samples)->WinnersBatch(queries, samples, stats);
+    std::span<const geom::Vec2> queries,
+    std::span<const std::vector<int>> candidates, int samples) const {
+  return GetMonteCarlo(samples)->WinnersAmong(queries, candidates, samples);
 }
 
 // ---------------------------------------------------------------------------
@@ -181,8 +181,9 @@ double Engine::ExpectedDistance(int i, geom::Vec2 q) const {
   return GetExpectedNn().ExpectedDistance(i, q);
 }
 
-core::DeltaEnvelope Engine::MaxDistEnvelope(geom::Vec2 q) const {
-  return GetQuantTree().MaxDistEnvelope(q);
+core::DeltaEnvelope Engine::MaxDistEnvelope(
+    geom::Vec2 q, const core::DeltaEnvelope* bound) const {
+  return GetQuantTree().MaxDistEnvelope(q, nullptr, bound);
 }
 
 void Engine::MaxDistEnvelopeMany(std::span<const geom::Vec2> queries,

@@ -267,15 +267,17 @@ class Engine {
   // All are thread-safe const queries.
 
   /// The Monte-Carlo estimator's per-instantiation winners over the first
-  /// `samples` instantiations: out[i * samples + j] is (distance, global
-  /// id) of instantiation j's winner for queries[i] among this Engine's
-  /// points (core::MonteCarloPnn::WinnersBatch; key -1 for a non-finite
-  /// query). The winner over a union of shards is the smallest pair, so
-  /// the sharded layer min-merges these. Builds (or reuses a larger) the
-  /// estimator, whatever the backend.
+  /// `samples` instantiations, among caller-supplied candidates:
+  /// out[i * samples + j] is (distance, global id) of instantiation j's
+  /// winner for queries[i] among `candidates[i]` (local ids;
+  /// core::MonteCarloPnn::WinnersAmong; key -1 for a non-finite query or
+  /// an empty list). The sharded plan passes each shard's slice of the
+  /// whole set's candidate set and min-merges the winners over shards.
+  /// Walks no tree. Builds (or reuses a larger) the estimator, whatever
+  /// the backend.
   std::vector<core::InstantiationWinner> MonteCarloWinnersMany(
-      std::span<const geom::Vec2> queries, int samples,
-      spatial::BatchStats* stats = nullptr) const;
+      std::span<const geom::Vec2> queries,
+      std::span<const std::vector<int>> candidates, int samples) const;
 
   /// E[d(q, P_i)] — the per-point quantity the sharded layer
   /// min-merges: each shard reports its local argmin with this value, and
@@ -289,20 +291,22 @@ class Engine {
   /// The two smallest Delta_j(q) = max-distance values over this engine's
   /// points, plus the argmin (Lemma 2.1's pruning envelope). Per-shard
   /// envelopes merge into the global envelope by taking the two smallest
-  /// values overall, which is what lets a merger filter the union of
-  /// per-shard NN!=0 answers down to the exact global NN!=0 set.
+  /// values overall: the sharded plan's stage one, whose merged Delta(q)
+  /// decides which shards can contribute to any answer.
   /// Answered by the quantification index (core::QuantTree, built once on
   /// first use, synchronized, StructuresBuilt-visible) in O(log n) on
   /// bounded-density inputs, bit-identical to the linear
-  /// core::TwoSmallestMaxDist scan including tie-breaking.
-  core::DeltaEnvelope MaxDistEnvelope(geom::Vec2 q) const;
+  /// core::TwoSmallestMaxDist scan including tie-breaking. `bound` (an
+  /// envelope over other shards' points) lets the walk prune what cannot
+  /// change the union's envelope; the result is then exact only as far as
+  /// MergeEnvelopes with `bound`'s points needs (core::QuantTree).
+  core::DeltaEnvelope MaxDistEnvelope(
+      geom::Vec2 q, const core::DeltaEnvelope* bound = nullptr) const;
 
   /// MaxDistEnvelope for every query: `out[i]` is
-  /// `MaxDistEnvelope(queries[i])`, one scalar best-first walk per query
+  /// `MaxDistEnvelope(queries[i])`, one scalar ordered-DFS walk per query
   /// (the walks' node, leaf and prune counts land in `stats`; its lane
-  /// counters stay 0). `out` must hold one slot per query. The sharded
-  /// layer calls this once per shard per pack when recombining batched
-  /// answers. Thread-safe.
+  /// counters stay 0). `out` must hold one slot per query. Thread-safe.
   void MaxDistEnvelopeMany(std::span<const geom::Vec2> queries,
                            std::span<core::DeltaEnvelope> out,
                            spatial::BatchStats* stats = nullptr) const;
@@ -326,9 +330,9 @@ class Engine {
   double LogSurvivalProbability(geom::Vec2 q, double r) const;
 
   /// The ids whose support meets the closed ball(q, r), MinDist <= r, in
-  /// no particular order. The discrete shard merge asks every shard for
-  /// the points within the merged Delta(q): exactly the points whose
-  /// sites the single-Engine quantifier sweeps. Answered by the
+  /// no particular order. The sharded plan asks every shard for its
+  /// points within the merged Delta(q) plus the guard band: its
+  /// candidates C_k(q) for every query type. Answered by the
   /// quantification index (core::QuantTree::SupportsWithin, built once on
   /// first use), O(log n + k) for k reported supports. Thread-safe.
   std::vector<int> SupportsWithin(geom::Vec2 q, double r) const;

@@ -21,7 +21,7 @@ int KdTree::Nearest(Vec2 q, double* dist) const {
   double best_d = std::numeric_limits<double>::infinity();
   spatial::PrunedVisitOrdered(
       tree_, [&](int n) { return tree_.box(n).DistSqTo(q); },
-      [&](int n) { return tree_.box(n).DistSqTo(q) >= best_d * best_d; },
+      [&](int, double d2) { return d2 >= best_d * best_d; },
       [&](int n) {
         for (int i = tree_.begin(n); i < tree_.end(n); ++i) {
           double d = Dist(q, pts_[tree_.item(i)]);

@@ -556,6 +556,24 @@ std::string QueryServer::DumpMetrics(obs::MetricsFormat format) {
   registry_
       .GetGauge("unn_server_generation", "Current snapshot generation")
       ->Set(static_cast<double>(generation()));
+  // The sharded plan counts on the serving snapshot itself (a
+  // ReplaceDataset starts them over), so they are read here.
+  const ShardedEngine::PlanStats plan = sharded_snapshot()->plan_stats();
+  registry_
+      .GetGauge("unn_shard_plan_shards_run",
+                "Shards the sharded plan ran (held a candidate), summed over "
+                "queries, current snapshot")
+      ->Set(static_cast<double>(plan.shards_run));
+  registry_
+      .GetGauge("unn_shard_plan_shards_skipped",
+                "Shards the sharded plan skipped (no candidate), summed over "
+                "queries, current snapshot")
+      ->Set(static_cast<double>(plan.shards_skipped));
+  registry_
+      .GetGauge("unn_shard_plan_inline_queries",
+                "Sharded queries answered without a pool task, current "
+                "snapshot")
+      ->Set(static_cast<double>(plan.inline_queries));
   const CacheStats c = cache_.stats();
   const uint64_t lookups = c.hits + c.misses;
   registry_

@@ -21,13 +21,19 @@ core::DeltaEnvelope MergeEnvelopes(std::span<const core::DeltaEnvelope> local,
   out.best = std::numeric_limits<double>::infinity();
   out.second = std::numeric_limits<double>::infinity();
   for (size_t s = 0; s < local.size(); ++s) {
-    if (local[s].argbest < 0) continue;  // Shard with no envelope sample.
-    out.Insert(local[s].best, (*shards[s].global_ids)[local[s].argbest]);
-    // The local runner-up has no id (anonymous): it can only tighten
-    // `second`, never take the argmin.
-    if (std::isfinite(local[s].second)) out.Insert(local[s].second, -1);
+    MergeEnvelopeInto(&out, local[s], shards[s]);
   }
   return out;
+}
+
+void MergeEnvelopeInto(core::DeltaEnvelope* merged,
+                       const core::DeltaEnvelope& local,
+                       const ShardView& shard) {
+  if (local.argbest < 0) return;  // Shard with no envelope sample.
+  merged->Insert(local.best, (*shard.global_ids)[local.argbest]);
+  // The local runner-up has no id (anonymous): it can only tighten
+  // `second`, never take the argmin.
+  if (std::isfinite(local.second)) merged->Insert(local.second, -1);
 }
 
 std::vector<int> MergeNonzero(std::span<const ShardView> shards,
@@ -67,15 +73,20 @@ int MergeExpected(std::span<const ExpectedCandidate> winners) {
 
 std::vector<std::pair<int, double>> MergeInstantiationWinners(
     std::span<const std::span<const core::InstantiationWinner>> local) {
-  // A finite query has a winner in every instantiation of every shard, a
-  // non-finite one in none.
-  if (local.empty() || local[0].empty() || local[0][0].key < 0) return {};
-  const size_t s = local[0].size();
+  // A shard with no winners (an empty span, or key -1: no candidates or a
+  // non-finite query) is the identity of the minimum; every other shard
+  // has a winner in every instantiation.
+  std::vector<std::span<const core::InstantiationWinner>> live;
+  for (const auto& w : local) {
+    if (!w.empty() && w[0].key >= 0) live.push_back(w);
+  }
+  if (live.empty()) return {};
+  const size_t s = live[0].size();
   std::vector<int> winners(s);
   for (size_t j = 0; j < s; ++j) {
-    core::InstantiationWinner best = local[0][j];
-    for (size_t k = 1; k < local.size(); ++k) {
-      const core::InstantiationWinner& w = local[k][j];
+    core::InstantiationWinner best = live[0][j];
+    for (size_t k = 1; k < live.size(); ++k) {
+      const core::InstantiationWinner& w = live[k][j];
       if (w.dist < best.dist || (w.dist == best.dist && w.key < best.key)) {
         best = w;
       }
@@ -134,21 +145,23 @@ std::vector<std::pair<int, double>> ToGlobal(
 
 MergedProbabilities MergeDiscreteProbabilities(
     std::span<const ShardView> shards,
-    std::span<const core::DeltaEnvelope> local_env, geom::Vec2 q) {
-  UNN_CHECK(local_env.size() == shards.size());
+    std::span<const std::vector<int>> local_candidates, double delta,
+    geom::Vec2 q) {
+  UNN_CHECK(local_candidates.size() == shards.size());
   if (!geom::IsFinite(q)) return {};
   // Every point with a site in the closed disk of radius Delta(q), the
   // merged envelope: exactly the sites the single-Engine quantifier
   // sweeps, whatever the shard backends. A point whose nearest site lies
   // exactly at Delta(q) is outside NN!=0 yet lowers the argmin's survival
   // factor at r = Delta(q), so positive-probability lists would not do.
-  const double radius =
-      MergeEnvelopes(local_env, shards).best * core::kClosedDiskSlack;
+  const double radius = delta * core::kClosedDiskSlack;
   std::vector<Cand> cands;
-  for (const ShardView& view : shards) {
-    const auto& pts = view.engine->points();
-    for (int lid : view.engine->SupportsWithin(q, radius)) {
-      cands.push_back({(*view.global_ids)[lid], &pts[lid]});
+  for (size_t s = 0; s < shards.size(); ++s) {
+    const auto& pts = shards[s].engine->points();
+    for (int lid : local_candidates[s]) {
+      if (pts[lid].MinDist(q) <= radius) {
+        cands.push_back({(*shards[s].global_ids)[lid], &pts[lid]});
+      }
     }
   }
   SortUnique(&cands);

@@ -13,13 +13,16 @@
 /// Pure answer-recombination primitives for sharded serving: given
 /// per-shard answers from K independent Engines that together own one
 /// logical point set, produce the global answer with per-query-type
-/// semantics (docs/QUERY_SEMANTICS.md has the full contract):
+/// semantics (docs/QUERY_SEMANTICS.md has the full contract). The
+/// shard-local inputs come from ShardedEngine's envelope-first plan: the
+/// shard envelopes merge into Delta(q) first (MergeEnvelopes), and shard
+/// k's candidates C_k(q) are its supports within Delta(q) plus the
+/// Monte-Carlo guard band. A shard with C_k(q) empty is not run; it adds
+/// the identity of every merge below.
 ///
 ///   * expected-distance NN    — min-merge of per-shard (argmin, value);
-///   * NN!=0                   — union of per-shard candidate sets
-///                               (each shard's supports within its own
-///                               Delta(q)), filtered by the merged Delta
-///                               envelope (exact);
+///   * NN!=0                   — union of the C_k(q), filtered by the
+///                               merged Delta envelope (exact);
 ///   * Monte-Carlo probability — per-instantiation min-merge
 ///     queries                   (MergeInstantiationWinners): draws are
 ///                               keyed by global id, so the winner of
@@ -33,15 +36,15 @@
 ///                               survival function of the whole set
 ///                               factors into per-shard survival
 ///                               products. The union is every point
-///                               within the merged Delta(q)
-///                               (MergeDiscreteProbabilities, the merge of
-///                               a kAuto discrete set, bit-identical to
-///                               one Engine).
+///                               within the merged Delta(q), taken from
+///                               the C_k(q) (MergeDiscreteProbabilities,
+///                               the merge of a kAuto discrete set,
+///                               bit-identical to one Engine).
 ///
 /// MergeProbabilities, the Eq. (1) re-integration over per-shard
 /// candidates, has no library caller: no backend quantifies disks
 /// exactly. It stays while perfbench times it, and goes with the
-/// benchmark change that retargets that probe (ROADMAP item 3).
+/// benchmark change that retargets that probe (ROADMAP item 5).
 ///
 /// Every function here is stateless and reads only const Engine state, so
 /// all of them are thread-safe and may run concurrently with each other
@@ -71,23 +74,32 @@ struct ShardView {
 core::DeltaEnvelope MergeEnvelopes(std::span<const core::DeltaEnvelope> local,
                                    std::span<const ShardView> shards);
 
+/// The step MergeEnvelopes repeats per shard: folds shard `shard`'s
+/// envelope `local` into `merged` (best/second start at +infinity). The
+/// result after every shard does not depend on the order. O(1).
+void MergeEnvelopeInto(core::DeltaEnvelope* merged,
+                       const core::DeltaEnvelope& local,
+                       const ShardView& shard);
+
 /// Exact NN!=0 merge, Lemma 2.1 over the union. `local_nonzero[s]` holds
 /// shard-local ids, in any order, and must contain shard s's slice of the
-/// global answer. ShardedEngine passes Engine::SupportsWithin(q,
-/// local_env[s].best): a global answer id i has delta_i(q) below every
-/// other Delta_j(q), so below the local Delta(q) unless it is the local
-/// argmin, whose delta_i <= Delta_i is the local Delta(q) itself. A
-/// shard's local NN!=0 answer qualifies too. Filtering the union by the
-/// merged envelope's per-id threshold (the runner-up for the global
-/// argmin) recovers exactly the single-Engine answer. Returns sorted
-/// global ids. O(sum of candidate sizes + K); thread-safe.
+/// global answer. ShardedEngine passes its plan's C_k(q), the supports
+/// within the merged Delta(q) plus a guard band: a global answer id i has
+/// delta_i(q) below Delta(q), or is the global argmin, whose delta_i <=
+/// Delta_i is Delta(q) itself. A shard's local NN!=0 answer qualifies
+/// too. Filtering the union by the merged envelope's per-id threshold (the
+/// runner-up for the global argmin) recovers exactly the single-Engine
+/// answer. Returns sorted global ids. O(sum of candidate sizes + K);
+/// thread-safe.
 std::vector<int> MergeNonzero(std::span<const ShardView> shards,
                               std::span<const std::vector<int>> local_nonzero,
                               std::span<const core::DeltaEnvelope> local_env,
                               geom::Vec2 q);
 
 /// One shard's expected-distance winner: its local argmin as a global id
-/// plus E[d(q, P_i)] for that point (Engine::ExpectedDistance).
+/// plus E[d(q, P_i)] for that point (Engine::ExpectedDistance). The plan
+/// merges only when two or more shards hold a candidate; with one, its
+/// local argmin is the answer.
 struct ExpectedCandidate {
   int global_id = -1;
   double expected_dist = 0.0;
@@ -113,22 +125,28 @@ struct MergedProbabilities {
 /// winner over the union is the smallest (distance, global id) pair over
 /// the shards; the result is (global id, wins / s) for every id that wins
 /// at least once, sorted by id, exactly as one Engine over the whole set
-/// counts. A non-finite query (key -1 everywhere) merges to no estimates.
-/// O(K s + s log s); thread-safe.
+/// counts. A shard with no winners — an empty span, or key -1 (no
+/// candidates, or a non-finite query) — is skipped wherever it sits, as
+/// the identity of the minimum; when no shard has a winner the merge has
+/// no estimates. O(K s + s log s); thread-safe.
 std::vector<std::pair<int, double>> MergeInstantiationWinners(
     std::span<const std::span<const core::InstantiationWinner>> local);
 
-/// Re-quantification for a set whose shards are all discrete.
-/// `local_env[s]` is shard s's Delta envelope. The union is each shard's
-/// Engine::SupportsWithin over the closed disk of the merged Delta(q), so
-/// the accumulation sweeps exactly the sites the single-Engine quantifier
-/// sweeps, in the same order: the answer is bit-identical to one Engine's
-/// exact probabilities. Cost: O(U log U) for a union of total site count
-/// U. A query with a NaN or infinite coordinate merges to no estimates.
+/// Re-quantification for a set whose shards are all discrete. `delta` is
+/// the merged Delta(q) (MergeEnvelopes(...).best) and
+/// `local_candidates[s]` holds shard-local ids, a superset of shard s's
+/// points whose support meets the closed disk of radius Delta(q) (the
+/// plan passes its C_k(q), whose guard band exceeds the closed-disk
+/// slack). The merge keeps exactly those points, so the accumulation
+/// sweeps exactly the sites the single-Engine quantifier sweeps, in the
+/// same order: the answer is bit-identical to one Engine's exact
+/// probabilities. Cost: O(U log U) for a union of total site count U. A
+/// query with a NaN or infinite coordinate merges to no estimates.
 /// Thread-safe.
 MergedProbabilities MergeDiscreteProbabilities(
     std::span<const ShardView> shards,
-    std::span<const core::DeltaEnvelope> local_env, geom::Vec2 q);
+    std::span<const std::vector<int>> local_candidates, double delta,
+    geom::Vec2 q);
 
 /// Candidate-union re-quantification by the definitions (no library
 /// caller; see the file comment): `local_probs[s]` are shard s's

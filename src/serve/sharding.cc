@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
+#include "core/monte_carlo_pnn.h"
 #include "engine/query_contract.h"
 #include "util/check.h"
 
@@ -84,7 +86,9 @@ ShardedEngine::ShardedEngine(std::vector<core::UncertainPoint> points,
   }
   std::vector<std::vector<int>> parts = PartitionPoints(points, options);
   engines_.resize(parts.size());
-  ForEachShard(build_pool, [&](int s) {
+  std::vector<int> all(parts.size());
+  std::iota(all.begin(), all.end(), 0);
+  ForEachShard(all, build_pool, [&](int s) {
     std::vector<core::UncertainPoint> subset;
     subset.reserve(parts[s].size());
     for (int gid : parts[s]) subset.push_back(points[gid]);
@@ -123,32 +127,152 @@ void ShardedEngine::IndexShards() {
     }
     all_discrete = all_discrete && e->all_discrete();
     max_sites_ = std::max(max_sites_, e->max_sites());
+    scale_ = std::max(scale_, core::SupportScale(e->points()));
+    geom::Box box;
+    for (const core::UncertainPoint& p : e->points()) box.Expand(p.Bounds());
+    bounds_.push_back(box);
     views_.push_back({e.get(), &e->global_ids()});
   }
   exact_ = ExactQuantification(config_.backend, all_discrete);
 }
 
 // ---------------------------------------------------------------------------
-// Fan-out plumbing
+// The envelope-first plan
 // ---------------------------------------------------------------------------
 
-void ShardedEngine::ForEachShard(ThreadPool* pool,
+/// Stage one for a pack of m queries. Shard s's part of the plan is the
+/// sub-pack of queries it holds candidates for; a shard with an empty
+/// sub-pack is skipped by every arm.
+struct ShardedEngine::Plan {
+  struct Shard {
+    /// Pack positions i with C_k(queries[i]) non-empty, ascending.
+    std::vector<int> at;
+    /// queries[at[a]]: the shard's stage-two sub-pack.
+    std::vector<geom::Vec2> queries;
+    /// C_k(queries[at[a]]), shard-local ids; empty on the argmin's own
+    /// shard when the plan was made without candidate lists.
+    std::vector<std::vector<int>> cand;
+  };
+  size_t m = 0;
+  /// env[s * m + i]: shard s's envelope of query i (local argbest), exact
+  /// as far as the merge needs (Engine::MaxDistEnvelope's `bound`).
+  std::vector<core::DeltaEnvelope> env;
+  /// merged[i]: the whole set's envelope of query i (global argbest).
+  std::vector<core::DeltaEnvelope> merged;
+  /// slot[s * m + i]: a with shards[s].at[a] == i, or -1.
+  std::vector<int> slot;
+  std::vector<Shard> shards;
+  /// The shards with a non-empty sub-pack, ascending.
+  std::vector<int> active;
+
+  int Slot(int s, size_t i) const { return slot[s * m + i]; }
+};
+
+void ShardedEngine::ForEachShard(std::span<const int> shards,
+                                 ThreadPool* pool,
                                  const std::function<void(int)>& fn,
                                  obs::TraceNode trace) const {
-  size_t shards = engines_.size();
   auto run = [&](int s) {
     // One span per shard visit; a null trace context makes this a
     // pointer test (the disabled-tracing contract of obs/trace.h).
     obs::ScopedSpan span(trace, "shard_query", s);
     fn(s);
   };
-  if (pool == nullptr || shards <= 1) {
-    for (size_t s = 0; s < shards; ++s) run(static_cast<int>(s));
+  if (pool == nullptr || shards.size() <= 1) {
+    for (int s : shards) run(s);
     return;
   }
-  pool->ParallelFor(shards, [&](size_t begin, size_t end) {
-    for (size_t s = begin; s < end; ++s) run(static_cast<int>(s));
+  pool->ParallelFor(shards.size(), [&](size_t begin, size_t end) {
+    for (size_t x = begin; x < end; ++x) run(shards[x]);
   });
+}
+
+ShardedEngine::Plan ShardedEngine::PlanPack(std::span<const geom::Vec2> queries,
+                                            bool candidates,
+                                            obs::TraceNode trace) const {
+  obs::ScopedSpan span(trace, "shard_plan");
+  const size_t k = engines_.size();
+  const size_t m = queries.size();
+  Plan plan;
+  plan.m = m;
+  plan.env.resize(k * m);
+  plan.merged.resize(m);
+  plan.slot.assign(k * m, -1);
+  plan.shards.resize(k);
+  std::vector<int> order(k);
+  std::vector<double> near(k);
+  std::uint64_t run = 0;
+  for (size_t i = 0; i < m; ++i) {
+    const geom::Vec2 q = queries[i];
+    // A non-finite query has no distances to rank: no shard holds a
+    // candidate, and every merge answers it with its identity.
+    if (!geom::IsFinite(q)) continue;
+    // Nearest shard first, each walk bounded by the envelope merged so
+    // far: a shard that cannot change it stops at its root. Inserts are
+    // order-independent, so the merged envelope is MergeEnvelopes' own.
+    for (size_t s = 0; s < k; ++s) near[s] = bounds_[s].DistSqTo(q);
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(), [&](int a, int b) {
+      return near[a] != near[b] ? near[a] < near[b] : a < b;
+    });
+    core::DeltaEnvelope& merged = plan.merged[i];
+    merged.best = std::numeric_limits<double>::infinity();
+    merged.second = std::numeric_limits<double>::infinity();
+    int owner = -1;  // The shard holding the argmin a.
+    for (int s : order) {
+      const core::DeltaEnvelope env = engines_[s]->MaxDistEnvelope(q, &merged);
+      plan.env[s * m + i] = env;
+      MergeEnvelopeInto(&merged, env, views_[s]);
+      if (env.argbest >= 0 &&
+          engines_[s]->global_ids()[env.argbest] == merged.argbest) {
+        owner = s;
+      }
+    }
+    // Lemma 2.1 with the Monte-Carlo guard band: every point that can
+    // matter to any query type has MinDist <= Delta(q) (+ rounding).
+    const double r = core::CandidateRadius(merged.best, q, scale_);
+    for (size_t s = 0; s < k; ++s) {
+      // a is in its own shard's C_k (MinDist_a <= MaxDist_a = Delta(q)),
+      // so that shard is active without a report when none is asked for.
+      std::vector<int> cand;
+      if (candidates || static_cast<int>(s) != owner) {
+        cand = engines_[s]->SupportsWithin(q, r);
+        if (cand.empty()) continue;
+      }
+      Plan::Shard& shard = plan.shards[s];
+      plan.slot[s * m + i] = static_cast<int>(shard.at.size());
+      shard.at.push_back(static_cast<int>(i));
+      shard.queries.push_back(q);
+      shard.cand.push_back(std::move(cand));
+      ++run;
+    }
+  }
+  for (size_t s = 0; s < k; ++s) {
+    if (!plan.shards[s].at.empty()) plan.active.push_back(static_cast<int>(s));
+  }
+  shards_run_.Inc(run);
+  shards_skipped_.Inc(k * m - run);
+  return plan;
+}
+
+void ShardedEngine::RunActive(const Plan& plan, ThreadPool* pool,
+                              const std::function<void(int)>& fn,
+                              obs::TraceNode trace) const {
+  if (pool == nullptr || plan.active.size() <= 1) {
+    // One active shard (on disk-sharded-submit nearly every query) needs
+    // no pool task and no wake-up.
+    inline_queries_.Inc(plan.m);
+    ForEachShard(plan.active, nullptr, fn, trace);
+    return;
+  }
+  obs::ScopedSpan fan(trace, "shard_fanout",
+                      static_cast<std::int64_t>(plan.active.size()));
+  ForEachShard(plan.active, pool, fn, fan.node());
+}
+
+ShardedEngine::PlanStats ShardedEngine::plan_stats() const {
+  return {shards_run_.Value(), shards_skipped_.Value(),
+          inline_queries_.Value()};
 }
 
 int ShardedEngine::StructuresBuilt() const {
@@ -197,57 +321,55 @@ std::vector<int> ShardedEngine::NonzeroNn(geom::Vec2 q, ThreadPool* pool,
 
 std::vector<std::vector<std::pair<int, double>>>
 ShardedEngine::ProbabilitiesMany(std::span<const geom::Vec2> queries,
-                                 double eps_needed, ThreadPool* pool,
+                                 Plan plan, double eps_needed,
+                                 ThreadPool* pool,
                                  obs::TraceNode trace) const {
-  size_t shards = engines_.size();
+  const size_t shards = engines_.size();
   std::vector<std::vector<std::pair<int, double>>> merged(queries.size());
   if (!exact_) {
-    // Monte Carlo: every shard sweeps its own candidates at the whole
-    // set's sample count; the winners then min-merge per instantiation.
+    // Monte Carlo: every active shard sweeps exactly its C_k(q) at the
+    // whole set's sample count; the winners then min-merge per
+    // instantiation over the shards that ran.
     const int samples =
         Engine::MonteCarloSamples(config_, size_, max_sites_, eps_needed);
     std::vector<std::vector<core::InstantiationWinner>> winners(shards);
-    {
-      obs::ScopedSpan fan(trace, "shard_fanout",
-                          static_cast<std::int64_t>(shards));
-      ForEachShard(
-          pool,
-          [&](int s) {
-            winners[s] = engines_[s]->MonteCarloWinnersMany(queries, samples);
-          },
-          fan.node());
-    }
+    RunActive(
+        plan, pool,
+        [&](int s) {
+          winners[s] = engines_[s]->MonteCarloWinnersMany(
+              plan.shards[s].queries, plan.shards[s].cand, samples);
+        },
+        trace);
     obs::ScopedSpan merge(trace, "merge");
-    std::vector<std::span<const core::InstantiationWinner>> q_winners(shards);
+    std::vector<std::span<const core::InstantiationWinner>> q_winners;
     for (size_t i = 0; i < queries.size(); ++i) {
-      for (size_t s = 0; s < shards; ++s) {
-        q_winners[s] = std::span<const core::InstantiationWinner>(
-            winners[s].data() + i * samples, samples);
+      q_winners.clear();
+      for (int s : plan.active) {
+        const int a = plan.Slot(s, i);
+        if (a < 0) continue;
+        q_winners.emplace_back(
+            winners[s].data() + static_cast<size_t>(a) * samples, samples);
       }
       merged[i] = MergeInstantiationWinners(q_winners);
     }
     return merged;
   }
-  // Exact (an all-discrete set): per-shard batched envelopes, then each
-  // query's merge takes the points within the merged Delta(q) from the
-  // shards and re-quantifies them.
-  std::vector<std::vector<core::DeltaEnvelope>> env(shards);
-  {
-    obs::ScopedSpan fan(trace, "shard_fanout",
-                        static_cast<std::int64_t>(shards));
-    ForEachShard(
-        pool,
-        [&](int s) {
-          env[s].resize(queries.size());
-          engines_[s]->MaxDistEnvelopeMany(queries, env[s]);
-        },
-        fan.node());
-  }
+  // Exact (an all-discrete set): no stage two. Each query's merge keeps
+  // the C_k(q) points within the closed disk of the merged Delta(q) and
+  // re-quantifies them on the calling thread.
+  inline_queries_.Inc(queries.size());
   obs::ScopedSpan merge(trace, "merge");
-  std::vector<core::DeltaEnvelope> q_env(shards);
+  std::vector<std::vector<int>> q_cand(shards);
   for (size_t i = 0; i < queries.size(); ++i) {
-    for (size_t s = 0; s < shards; ++s) q_env[s] = env[s][i];
-    merged[i] = MergeDiscreteProbabilities(views_, q_env, queries[i]).probs;
+    if (!geom::IsFinite(queries[i])) continue;
+    for (size_t s = 0; s < shards; ++s) {
+      const int a = plan.Slot(static_cast<int>(s), i);
+      q_cand[s].clear();
+      if (a >= 0) q_cand[s] = std::move(plan.shards[s].cand[a]);
+    }
+    merged[i] = MergeDiscreteProbabilities(views_, q_cand,
+                                           plan.merged[i].best, queries[i])
+                    .probs;
   }
   return merged;
 }
@@ -281,41 +403,48 @@ std::vector<Engine::QueryResult> ShardedEngine::QueryMany(
   if (query_contract::AnswerDegenerate(
           queries, spec, size_,
           [&](std::span<const geom::Vec2> qs) {
-            return ProbabilitiesMany(qs, 0.0, pool, trace);
+            return ProbabilitiesMany(qs, PlanPack(qs, true, trace), 0.0,
+                                     pool, trace);
           },
           &results)) {
     return results;
   }
-  // Fan the whole pack to each shard once — one shard visit per shard
-  // per batch instead of per query — and merge per query. Each shard
-  // answers through its Engine's pack entry points, whose per-query answers
-  // do not depend on the pack, so neither do the merged ones.
-  size_t shards = engines_.size();
+  // EDNN runs each active shard's own search and needs no candidate list.
+  Plan plan = PlanPack(
+      queries, spec.type != Engine::QueryType::kExpectedDistanceNn, trace);
+  const size_t shards = engines_.size();
   switch (spec.type) {
     case Engine::QueryType::kExpectedDistanceNn: {
-      std::vector<std::vector<ExpectedCandidate>> cand(
-          queries.size(), std::vector<ExpectedCandidate>(shards));
-      {
-        obs::ScopedSpan fan(trace, "shard_fanout",
-                            static_cast<std::int64_t>(shards));
-        ForEachShard(
-            pool,
-            [&](int s) {
-              auto local = engines_[s]->QueryMany(queries, spec);
-              for (size_t i = 0; i < queries.size(); ++i) {
-                // No local winner (a non-finite query): the default
-                // candidate (id -1) stays, and MergeExpected skips it.
-                int lid = local[i].nn;
-                if (lid < 0) continue;
-                cand[i][s] = {engines_[s]->global_ids()[lid],
-                              engines_[s]->ExpectedDistance(lid, queries[i])};
-              }
-            },
-            fan.node());
-      }
+      // Every active shard answers its sub-pack through its own
+      // expected-distance search. A query held by one shard takes that
+      // shard's argmin; only a query held by two or more re-evaluates
+      // their winners' E[d] for the min-merge.
+      std::vector<std::vector<Engine::QueryResult>> local(shards);
+      RunActive(
+          plan, pool,
+          [&](int s) {
+            local[s] = engines_[s]->QueryMany(plan.shards[s].queries, spec);
+          },
+          trace);
       obs::ScopedSpan merge(trace, "merge");
+      std::vector<std::pair<int, int>> held;  // (shard, local winner)
+      std::vector<ExpectedCandidate> cand;
       for (size_t i = 0; i < queries.size(); ++i) {
-        results[i].nn = MergeExpected(cand[i]);
+        held.clear();
+        for (int s : plan.active) {
+          const int a = plan.Slot(s, i);
+          if (a >= 0 && local[s][a].nn >= 0) held.push_back({s, local[s][a].nn});
+        }
+        if (held.size() == 1) {
+          results[i].nn = engines_[held[0].first]->global_ids()[held[0].second];
+          continue;
+        }
+        cand.clear();
+        for (auto [s, lid] : held) {
+          cand.push_back({engines_[s]->global_ids()[lid],
+                          engines_[s]->ExpectedDistance(lid, queries[i])});
+        }
+        results[i].nn = MergeExpected(cand);
       }
       break;
     }
@@ -325,7 +454,7 @@ std::vector<Engine::QueryResult> ShardedEngine::QueryMany(
       double eps_needed =
           spec.type == Engine::QueryType::kThreshold ? spec.tau / 2 : 0.0;
       std::vector<std::vector<std::pair<int, double>>> merged =
-          ProbabilitiesMany(queries, eps_needed, pool, trace);
+          ProbabilitiesMany(queries, std::move(plan), eps_needed, pool, trace);
       // Exact quantification reports the exact set {pi >= tau}; the
       // Monte-Carlo estimator keeps the no-false-negative slack, like
       // Engine.
@@ -345,36 +474,19 @@ std::vector<Engine::QueryResult> ShardedEngine::QueryMany(
       break;
     }
     case Engine::QueryType::kNonzeroNn: {
-      // Each shard's candidates are its supports within its own Delta(q),
-      // read off the envelope the merge needs anyway: a superset of the
-      // shard's slice of the global answer, which MergeNonzero filters.
-      // A non-finite query has no candidates.
-      std::vector<std::vector<std::vector<int>>> local(
-          shards, std::vector<std::vector<int>>(queries.size()));
-      std::vector<std::vector<core::DeltaEnvelope>> env(shards);
-      {
-        obs::ScopedSpan fan(trace, "shard_fanout",
-                            static_cast<std::int64_t>(shards));
-        ForEachShard(
-            pool,
-            [&](int s) {
-              env[s].resize(queries.size());
-              engines_[s]->MaxDistEnvelopeMany(queries, env[s]);
-              for (size_t i = 0; i < queries.size(); ++i) {
-                if (!geom::IsFinite(queries[i])) continue;
-                local[s][i] =
-                    engines_[s]->SupportsWithin(queries[i], env[s][i].best);
-              }
-            },
-            fan.node());
-      }
+      // No stage two: the C_k(q) hold every shard's slice of NN!=0(q),
+      // and MergeNonzero filters their union by the merged envelope.
+      inline_queries_.Inc(queries.size());
       obs::ScopedSpan merge(trace, "merge");
       std::vector<std::vector<int>> q_local(shards);
       std::vector<core::DeltaEnvelope> q_env(shards);
       for (size_t i = 0; i < queries.size(); ++i) {
+        if (!geom::IsFinite(queries[i])) continue;
         for (size_t s = 0; s < shards; ++s) {
-          q_local[s] = std::move(local[s][i]);
-          q_env[s] = env[s][i];
+          const int a = plan.Slot(static_cast<int>(s), i);
+          q_local[s].clear();
+          if (a >= 0) q_local[s] = std::move(plan.shards[s].cand[a]);
+          q_env[s] = plan.env[s * plan.m + i];
         }
         results[i].ids = MergeNonzero(views_, q_local, q_env, queries[i]);
       }
@@ -390,14 +502,40 @@ void ShardedEngine::Warmup(Engine::QueryType type, ThreadPool* pool) const {
 
 void ShardedEngine::Warmup(const Engine::QuerySpec& spec,
                            ThreadPool* pool) const {
-  // Warming is answering one representative query, as in Engine::Warmup:
-  // which structures the fan-out and the merge build depends on the spec
-  // and config but never on the query point (a finite one), so the probe
-  // builds exactly what later queries of this spec need — each shard's
-  // estimator at the whole set's sample count included — and the
-  // degenerate specs stay build-free.
-  geom::Vec2 probe{0, 0};
-  QueryMany(std::span<const geom::Vec2>(&probe, 1), spec, pool);
+  if (num_shards() == 1) {
+    engines_[0]->Warmup(spec);
+    return;
+  }
+  // A probe through the plan would warm only the shards its Delta(q)
+  // reaches, so each shard runs the plan's per-shard calls for `spec`
+  // itself. Which structures they build depends on the spec and config,
+  // never on the (finite) query point. Degenerate specs stay build-free;
+  // tau <= 0 takes the probabilities pass at the config accuracy, as
+  // QueryMany answers it.
+  const query_contract::SpecClass cls = query_contract::Classify(spec);
+  if (cls == query_contract::SpecClass::kTrivialEmpty) return;
+  const bool regular = cls == query_contract::SpecClass::kRegular;
+  const bool ednn =
+      regular && spec.type == Engine::QueryType::kExpectedDistanceNn;
+  const bool monte_carlo =
+      !exact_ && (!regular || spec.type == Engine::QueryType::kMostProbableNn ||
+                  spec.type == Engine::QueryType::kThreshold ||
+                  spec.type == Engine::QueryType::kTopK);
+  const double eps_needed =
+      regular && spec.type == Engine::QueryType::kThreshold ? spec.tau / 2
+                                                            : 0.0;
+  const int samples =
+      Engine::MonteCarloSamples(config_, size_, max_sites_, eps_needed);
+  const geom::Vec2 probe{0, 0};
+  const std::vector<int> first{0};
+  std::vector<int> all(engines_.size());
+  std::iota(all.begin(), all.end(), 0);
+  ForEachShard(all, pool, [&](int s) {
+    const Engine& e = *engines_[s];
+    e.MaxDistEnvelope(probe);  // Stage one: the envelope index.
+    if (ednn) e.QueryMany({&probe, 1}, spec);
+    if (monte_carlo) e.MonteCarloWinnersMany({&probe, 1}, {&first, 1}, samples);
+  });
 }
 
 }  // namespace serve

@@ -1,6 +1,7 @@
 #ifndef UNN_SERVE_SHARDING_H_
 #define UNN_SERVE_SHARDING_H_
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <span>
@@ -9,18 +10,35 @@
 
 #include "core/uncertain_point.h"
 #include "engine/engine.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/shard_merge.h"
 #include "serve/thread_pool.h"
 
 /// \file sharding.h
 /// Data partitioning for the serving layer: a ShardedEngine splits one
-/// uncertain point set across K independent Engines (shards), answers
-/// every Engine query type by fanning the query out to all shards (in
-/// parallel when given a pool) and recombining the per-shard answers with
-/// the merge semantics of shard_merge.h. This is the first cross-structure
-/// answer-recombination seam — the same decomposition a multi-node
-/// deployment would use, exercised here inside one process.
+/// uncertain point set across K independent Engines (shards) and answers
+/// every Engine query type with an envelope-first plan (K >= 2):
+///
+///   * stage one, on the calling thread: every shard's Delta envelope
+///     (Engine::MaxDistEnvelope; nearest shard first, each walk bounded
+///     by the envelope merged so far), merged into the whole set's
+///     Delta(q) (MergeEnvelopeInto), then each shard's candidates
+///     C_k(q) = its supports within Delta(q) plus the Monte-Carlo guard
+///     band (core::CandidateRadius, scale = the largest shard's);
+///   * stage two, only on the shards with C_k(q) non-empty, each against
+///     the global Delta(q): the Monte-Carlo sweep over exactly C_k(q), or
+///     the shard's expected-distance search. NonzeroNn and exact
+///     quantification have no stage two: their merges filter the C_k(q).
+///
+/// By Lemma 2.1 no point outside the C_k(q) can be in NN!=0, win an
+/// instantiation, or be the expected-distance NN (E[d_i] >= delta_i >
+/// Delta(q) >= E[d_a]), so a shard without candidates is skipped: it adds
+/// the identity of every merge (shard_merge.h). When one shard is active
+/// it runs inline on the caller, with no pool task; with two or more the
+/// active shards run in parallel when given a pool. The plan keeps no
+/// shared incumbent, so no answer depends on the schedule. One shard
+/// (K = 1) delegates to its Engine.
 ///
 /// Ids are GLOBAL throughout the public API: a ShardedEngine over
 /// `points` answers with the same ids as an Engine over `points`.
@@ -31,17 +49,19 @@
 /// ExactQuantification (engine.h) on the whole set's flag: where one
 /// Engine is exact (kAuto on a discrete set), the discrete merge
 /// re-quantifies the points within the merged Delta(q), bit-identical to
-/// one Engine; everywhere else every shard reports its per-instantiation
-/// Monte-Carlo winners at the whole set's sample count, and their
-/// elementwise minimum reproduces one Engine's estimates bit for bit
-/// (every shard Engine keys its draws by global id).
+/// one Engine; everywhere else every active shard reports its
+/// per-instantiation Monte-Carlo winners over C_k(q) at the whole set's
+/// sample count, and their elementwise minimum reproduces one Engine's
+/// estimates bit for bit (every shard Engine keys its draws by global id,
+/// and the C_k(q) partition one Engine's candidate set; see
+/// monte_carlo_pnn.h, "Sharding").
 ///
-/// Thread safety: a ShardedEngine is immutable after construction and
-/// every const query method may be called from any number of threads
-/// concurrently (the shards are thread-safe Engines and the merge layer
-/// is stateless). Passing the same ThreadPool to concurrent calls is
-/// also safe. Warmup warms every shard so serving traffic builds
-/// nothing.
+/// Thread safety: a ShardedEngine is immutable after construction (apart
+/// from its relaxed plan counters) and every const query method may be
+/// called from any number of threads concurrently (the shards are
+/// thread-safe Engines and the merge layer is stateless). Passing the
+/// same ThreadPool to concurrent calls is also safe. Warmup warms every
+/// shard so serving traffic builds nothing.
 
 namespace unn {
 namespace serve {
@@ -108,15 +128,18 @@ class ShardedEngine {
   ShardedEngine& operator=(const ShardedEngine&) = delete;
 
   // --- Query surface (mirrors Engine, global ids) ----------------------
-  // Every method fans out to all shards — in parallel across the given
-  // pool's workers plus the calling thread when `pool` is non-null,
-  // serially otherwise — then merges. All are const and thread-safe. The
-  // five single-query methods are one-element QueryMany calls, so they
-  // accept every parameter QueryMany does and never abort on one.
+  // Every method runs the envelope-first plan (file comment): stage two
+  // runs the active shards in parallel across the given pool's workers
+  // plus the calling thread when `pool` is non-null and two or more
+  // shards are active, on the calling thread otherwise; then merges. All
+  // are const and thread-safe. The five single-query methods are
+  // one-element QueryMany calls, so they accept every parameter QueryMany
+  // does and never abort on one.
   //
   // The trailing `trace` node opts one call into request tracing: when
-  // its context is non-null the fan-out records "shard_fanout" /
-  // "shard_query" (tagged with the shard index) / "merge" spans under it.
+  // its context is non-null the plan records "shard_plan" (stage one),
+  // "shard_query" (tagged with the shard index; under a "shard_fanout"
+  // span when two or more shards are active) and "merge" spans under it.
   // The default (null) node costs one pointer test per span site.
 
   /// argmax_i pi_i(q) over the whole dataset from the merged
@@ -145,31 +168,46 @@ class ShardedEngine {
                                            ThreadPool* pool = nullptr,
                                            obs::TraceNode trace = {}) const;
 
-  /// NN!=0(q), sorted global ids; exact for every shard backend (union
-  /// filtered by the merged Delta envelope).
+  /// NN!=0(q), sorted global ids; exact for every shard backend (the
+  /// shards' candidates filtered by the merged Delta envelope).
   std::vector<int> NonzeroNn(geom::Vec2 q, ThreadPool* pool = nullptr,
                              obs::TraceNode trace = {}) const;
 
   /// Batched entry point and the one execution path of every query type,
   /// with Engine::QueryMany's degenerate-parameter contract (empty span /
   /// k <= 0 / tau outside (0, 1] answered definition-level; only
-  /// tau <= 0 touches the shards). Every query type fans the whole pack to
-  /// each shard once — one shard visit per shard per batch, each running
-  /// the shard Engine's pack entry points — and merges per query; a query's
-  /// answer does not depend on the rest of the pack. `serve::QueryMany`
-  /// additionally spreads the pack itself across a pool, which is the
-  /// better fit for large batches.
+  /// tau <= 0 touches the shards). Stage one plans the whole pack; stage
+  /// two visits each active shard once with the sub-pack of queries it
+  /// holds candidates for, through the shard Engine's pack entry points;
+  /// the merge then runs per query. A query's answer does not depend on
+  /// the rest of the pack. `serve::QueryMany` additionally spreads a
+  /// larger pack itself across a pool.
   std::vector<Engine::QueryResult> QueryMany(
       std::span<const geom::Vec2> queries, const Engine::QuerySpec& spec,
       ThreadPool* pool = nullptr, obs::TraceNode trace = {}) const;
 
   /// Warms every shard for the given query type / spec (in parallel on
-  /// `pool` when given) so no serving query pays a structure build: the
-  /// per-shard structures and merge hooks the sharded path for `spec`
-  /// consults, each Monte-Carlo estimator at the whole set's sample count.
-  /// Idempotent and thread-safe, like Engine::Warmup.
+  /// `pool` when given) so no serving query pays a structure build: each
+  /// shard's structures for the plan's per-shard calls — the envelope
+  /// index of stage one, and for stage two the expected-distance index or
+  /// the Monte-Carlo estimator at the whole set's sample count — on every
+  /// shard, including those a given query's plan would skip. Degenerate
+  /// specs build nothing. Idempotent and thread-safe, like Engine::Warmup.
   void Warmup(Engine::QueryType type, ThreadPool* pool = nullptr) const;
   void Warmup(const Engine::QuerySpec& spec, ThreadPool* pool = nullptr) const;
+
+  /// Work counts of the envelope-first plan since construction (K >= 2
+  /// only; the single-shard delegate counts nothing). Per planned query,
+  /// each shard is either run (it holds a candidate, so it takes part in
+  /// the merge and in stage two) or skipped; a query is answered inline
+  /// when no pool task served it (one active shard, no pool, or a type
+  /// without stage two). Relaxed counters: exact once callers quiesce.
+  struct PlanStats {
+    std::uint64_t shards_run = 0;
+    std::uint64_t shards_skipped = 0;
+    std::uint64_t inline_queries = 0;
+  };
+  PlanStats plan_stats() const;
 
   // --- Introspection (all O(1) unless noted, immutable, thread-safe) ---
 
@@ -195,23 +233,39 @@ class ShardedEngine {
   int StructuresBuilt() const;
 
  private:
-  /// Runs fn(s) for every shard index s, on `pool` (plus the calling
-  /// thread) when given, serially otherwise. When `trace` is live each
-  /// call is wrapped in a "shard_query" span tagged with s.
-  void ForEachShard(ThreadPool* pool, const std::function<void(int)>& fn,
+  /// One pack's stage one (defined in sharding.cc).
+  struct Plan;
+
+  /// Runs fn(s) for every shard index s in `shards`, on `pool` (plus the
+  /// calling thread) when given and there are two or more, serially
+  /// otherwise. When `trace` is live each call is wrapped in a
+  /// "shard_query" span tagged with s.
+  void ForEachShard(std::span<const int> shards, ThreadPool* pool,
+                    const std::function<void(int)>& fn,
                     obs::TraceNode trace = {}) const;
   /// Checks the shard id lists and fills the views and whole-set facts
   /// from engines_. Both constructors end here.
   void IndexShards();
-  /// Merged (global id, pi) lists at `eps_needed` for a whole pack: under
-  /// Monte Carlo one MonteCarloWinnersMany visit per shard at the whole
-  /// set's sample count, then MergeInstantiationWinners per query; where
-  /// quantification is exact one MaxDistEnvelopeMany visit per shard, then
-  /// MergeDiscreteProbabilities per query. The only merge call site:
-  /// MostProbableNn / Threshold / TopK and the tau <= 0 degenerate answer
-  /// all go through it.
+  /// Stage one for a pack, on the calling thread: envelopes, merged
+  /// Delta(q), and every shard's candidates. Without `candidates` the
+  /// shard holding the argmin is marked active without its report.
+  Plan PlanPack(std::span<const geom::Vec2> queries, bool candidates,
+                obs::TraceNode trace) const;
+  /// Stage two: fn(s) for every active shard of `plan`, inline when one
+  /// is active or `pool` is null, across the pool under a "shard_fanout"
+  /// span otherwise.
+  void RunActive(const Plan& plan, ThreadPool* pool,
+                 const std::function<void(int)>& fn,
+                 obs::TraceNode trace) const;
+  /// Merged (global id, pi) lists at `eps_needed` for a planned pack:
+  /// under Monte Carlo one MonteCarloWinnersMany visit per active shard
+  /// over its C_k(q) at the whole set's sample count, then
+  /// MergeInstantiationWinners per query; where quantification is exact,
+  /// MergeDiscreteProbabilities over the C_k(q) per query, with no stage
+  /// two. The only merge call site: MostProbableNn / Threshold / TopK and
+  /// the tau <= 0 degenerate answer all go through it.
   std::vector<std::vector<std::pair<int, double>>> ProbabilitiesMany(
-      std::span<const geom::Vec2> queries, double eps_needed,
+      std::span<const geom::Vec2> queries, Plan plan, double eps_needed,
       ThreadPool* pool, obs::TraceNode trace) const;
 
   std::vector<std::shared_ptr<const Engine>> engines_;
@@ -224,6 +278,15 @@ class ShardedEngine {
   // the sample count.
   bool exact_ = false;
   int max_sites_ = 1;
+  // The whole set's core::SupportScale: the guard band's coordinate scale.
+  double scale_ = 0.0;
+  // Per shard, the box around its supports: stage one walks the nearest
+  // shard's envelope first.
+  std::vector<geom::Box> bounds_;
+  // The plan counters behind plan_stats().
+  mutable obs::Counter shards_run_;
+  mutable obs::Counter shards_skipped_;
+  mutable obs::Counter inline_queries_;
 };
 
 }  // namespace serve

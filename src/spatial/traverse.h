@@ -10,13 +10,12 @@
 /// spatial::FlatKdTree, replacing the per-structure copies of the same
 /// best-first heap and pruned recursion:
 ///
-///   * BestFirstScan / BestFirstEnumerator — priority-queue
-///     branch-and-bound in increasing lower-bound order (the engine
-///     behind KdTree::KNearest/Enumerator and the quantification index's
-///     two-smallest envelope search);
+///   * BestFirstEnumerator — priority-queue enumeration in increasing
+///     lower-bound order (the engine behind KdTree::KNearest/Enumerator);
 ///   * PrunedVisit / PrunedVisitOrdered — pruned DFS (the engine behind
 ///     RangeCircle, SupportsWithin, the L_inf index, the discrete
-///     group tree, LogSurvival's ball-intersection walk, and the
+///     group tree, LogSurvival's ball-intersection walk, the
+///     quantification index's two-smallest envelope search, and the
 ///     nearest/min-max descents, which visit the nearer child first).
 ///
 /// Visit order is part of each consumer's contract: argmin ties resolve
@@ -29,8 +28,7 @@
 ///
 /// The one batched counterpart, BatchPrunedVisit (up to geom::kLaneWidth
 /// queries through one shared DFS with SIMD bound evaluation), lives in
-/// spatial/batch.h with the pack-order helpers. Best-first search has no
-/// batched twin: the envelope callers loop BestFirstScan per query.
+/// spatial/batch.h with the pack-order helpers.
 
 namespace unn {
 namespace spatial {
@@ -65,10 +63,8 @@ struct TraversalStats {
   }
 };
 
-/// Min-heap entry for the best-first engines: a frontier node with a
-/// lower bound, or (in the enumerator) a resolved item with its exact
-/// key. The single definition of the heap ordering every consumer
-/// previously duplicated.
+/// Min-heap entry for the best-first enumerator: a frontier node with a
+/// lower bound, or a resolved item with its exact key.
 struct HeapEntry {
   double key = 0.0;
   int node = -1;  ///< Node id, or -1 when `item` is a resolved item.
@@ -76,45 +72,6 @@ struct HeapEntry {
   /// Inverted: std::priority_queue is a max-heap, we pop smallest keys.
   bool operator<(const HeapEntry& o) const { return key > o.key; }
 };
-
-/// Best-first branch-and-bound over nodes. Pops frontier nodes in
-/// increasing `key_lb` order; `prunable(key)` must be monotone in key so
-/// the first prunable entry ends the search. `visit(node)` runs for
-/// every surviving node (internal and leaf — leaf item evaluation
-/// happens inside it) and returns false to abort. Children of surviving
-/// internal nodes re-enter the frontier unless already prunable.
-template <typename Tree, typename KeyLb, typename Prunable, typename Visit>
-void BestFirstScan(const Tree& tree, KeyLb&& key_lb, Prunable&& prunable,
-                   Visit&& visit, TraversalStats* stats = nullptr) {
-  if (tree.root() < 0) return;
-  std::priority_queue<HeapEntry> heap;
-  heap.push({key_lb(tree.root()), tree.root(), -1});
-  if (stats != nullptr) ++stats->heap_pushes;
-  while (!heap.empty()) {
-    HeapEntry e = heap.top();
-    heap.pop();
-    if (prunable(e.key)) {
-      if (stats != nullptr) ++stats->prunes;
-      break;
-    }
-    if (stats != nullptr) {
-      ++stats->nodes_visited;
-      if (tree.is_leaf(e.node)) ++stats->leaves_scanned;
-    }
-    if (!visit(e.node)) return;
-    if (!tree.is_leaf(e.node)) {
-      for (int child : {tree.left(e.node), tree.right(e.node)}) {
-        double k = key_lb(child);
-        if (!prunable(k)) {
-          heap.push({k, child, -1});
-          if (stats != nullptr) ++stats->heap_pushes;
-        } else if (stats != nullptr) {
-          ++stats->prunes;
-        }
-      }
-    }
-  }
-}
 
 /// Incremental best-first enumeration: Next() yields item ids in
 /// nondecreasing key order, -1 once exhausted (and forever after,
@@ -199,15 +156,18 @@ bool PrunedVisit(const Tree& tree, Prune&& prune, Leaf&& leaf,
   return PrunedVisit(tree, tree.root(), prune, leaf, stats);
 }
 
-/// Pruned DFS that descends the child with the smaller `order_key`
-/// first — the classic nearest-neighbor descent, where following the
-/// more promising subtree first tightens the bound before the sibling is
-/// re-tested by its own entry prune.
-template <typename Tree, typename OrderKey, typename Prune, typename Leaf>
-void PrunedVisitOrdered(const Tree& tree, int node, OrderKey&& order_key,
+/// Pruned DFS that descends the child with the smaller `key` first — the
+/// classic nearest-neighbor descent, where following the more promising
+/// subtree first tightens the bound before the sibling is re-tested by its
+/// own entry prune. `key(node)` runs once per node; `prune(node, k)`
+/// receives that value k on entry (it may also consult mutable caller
+/// state, e.g. a tightening envelope), so a caller whose prune tests the
+/// order key itself computes each bound once. `node_key` is key(node).
+template <typename Tree, typename Key, typename Prune, typename Leaf>
+void PrunedVisitOrdered(const Tree& tree, int node, double node_key, Key&& key,
                         Prune&& prune, Leaf&& leaf,
                         TraversalStats* stats = nullptr) {
-  if (prune(node)) {
+  if (prune(node, node_key)) {
     if (stats != nullptr) ++stats->prunes;
     return;
   }
@@ -219,17 +179,23 @@ void PrunedVisitOrdered(const Tree& tree, int node, OrderKey&& order_key,
   }
   int l = tree.left(node);
   int r = tree.right(node);
-  if (order_key(l) > order_key(r)) std::swap(l, r);
-  PrunedVisitOrdered(tree, l, order_key, prune, leaf, stats);
-  PrunedVisitOrdered(tree, r, order_key, prune, leaf, stats);
+  double kl = key(l);
+  double kr = key(r);
+  if (kl > kr) {
+    std::swap(l, r);
+    std::swap(kl, kr);
+  }
+  PrunedVisitOrdered(tree, l, kl, key, prune, leaf, stats);
+  PrunedVisitOrdered(tree, r, kr, key, prune, leaf, stats);
 }
 
 /// PrunedVisitOrdered from the root; no-op on an empty tree.
-template <typename Tree, typename OrderKey, typename Prune, typename Leaf>
-void PrunedVisitOrdered(const Tree& tree, OrderKey&& order_key, Prune&& prune,
+template <typename Tree, typename Key, typename Prune, typename Leaf>
+void PrunedVisitOrdered(const Tree& tree, Key&& key, Prune&& prune,
                         Leaf&& leaf, TraversalStats* stats = nullptr) {
   if (tree.root() < 0) return;
-  PrunedVisitOrdered(tree, tree.root(), order_key, prune, leaf, stats);
+  PrunedVisitOrdered(tree, tree.root(), key(tree.root()), key, prune, leaf,
+                     stats);
 }
 
 }  // namespace spatial

@@ -885,6 +885,52 @@ TEST(QueryServer, DumpMetricsEmitsPrometheusCatalog) {
             std::string::npos);
 }
 
+// Two spatial shards far apart: a Submit deep inside one of them has
+// candidates on that shard only, so the plan skips the other shard and
+// answers inline, with no pool task, for every query type.
+TEST(QueryServer, PlanCountersSeeSubmitsDeepInOneShardAnsweredInline) {
+  std::vector<UncertainPoint> pts;
+  for (int side : {-1, 1}) {
+    for (const UncertainPoint& p : workload::RandomDisks(20, 94 + side)) {
+      pts.push_back(UncertainPoint::Disk(p.center() + Vec2{side * 500.0, 0},
+                                         p.radius()));
+    }
+  }
+  Engine::Config cfg;
+  cfg.mc_samples_override = 32;
+  serve::QueryServer::Options options;
+  options.num_threads = 2;
+  options.sharding = {2, serve::Partitioning::kSpatial};
+  serve::QueryServer server(pts, cfg, options);
+  ASSERT_EQ(server.sharded_snapshot()->num_shards(), 2);
+
+  const Engine::QuerySpec specs[] = {
+      {Engine::QueryType::kMostProbableNn},
+      {Engine::QueryType::kExpectedDistanceNn},
+      {Engine::QueryType::kThreshold, 0.2},
+      {Engine::QueryType::kTopK, 0.5, 3},
+      {Engine::QueryType::kNonzeroNn}};
+  std::uint64_t requests = 0;
+  for (int i = 0; i < 10; ++i) {
+    for (const Engine::QuerySpec& spec : specs) {
+      server.Submit({pts[i].center(), spec}).get();
+      ++requests;
+    }
+  }
+  const serve::ShardedEngine::PlanStats plan =
+      server.sharded_snapshot()->plan_stats();
+  EXPECT_EQ(plan.inline_queries, requests);
+  EXPECT_EQ(plan.shards_run, requests);
+  EXPECT_EQ(plan.shards_skipped, requests);
+  const std::string text = server.DumpMetrics();
+  EXPECT_NE(text.find("unn_shard_plan_inline_queries " +
+                      std::to_string(requests)),
+            std::string::npos);
+  EXPECT_NE(text.find("unn_shard_plan_shards_skipped " +
+                      std::to_string(requests)),
+            std::string::npos);
+}
+
 TEST(QueryServer, ExternalTraceContextRecordsSpanTree) {
   auto pts = workload::RandomDiscrete(20, 3, 98);
   serve::QueryServer::Options options;

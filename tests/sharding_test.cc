@@ -24,6 +24,7 @@
 #include "engine/engine.h"
 #include "expected_distance_reference.h"
 #include "fuzz_iters.h"
+#include "prob/distributions.h"
 #include "serve/parallel.h"
 #include "serve/query_server.h"
 #include "serve/shard_merge.h"
@@ -323,6 +324,222 @@ TEST(ShardedEngine, MatchesSingleEngineBitForBit) {
     }
   }
   EXPECT_GT(checked, 0);
+}
+
+// ---------------------------------------------------------------------------
+// The envelope-first plan: stage one merges Delta(q), stage two runs only
+// the shards holding a candidate within Delta(q) + guard.
+// ---------------------------------------------------------------------------
+
+/// Queries that stress the plan on `sharded`: random points over the
+/// data, the midpoint of the closest pair of supports in every two shards
+/// (a seam, where two or more shards hold candidates), a point on the
+/// first support (on the duplicated corpus its argbest ties across
+/// shards), far-field points at |q| = 1e6, 1e15 and 1e154, and non-finite
+/// points.
+std::vector<Vec2> PlanQueries(const serve::ShardedEngine& sharded,
+                              const std::vector<UncertainPoint>& pts,
+                              double extent, std::mt19937_64& rng) {
+  auto anchor = [](const UncertainPoint& p) {
+    return p.is_disk() ? p.center() : p.sites().front();
+  };
+  std::uniform_real_distribution<double> u(-extent, extent);
+  std::vector<Vec2> qs;
+  for (int i = 0; i < 4; ++i) qs.push_back({u(rng), u(rng)});
+  for (int s = 0; s < sharded.num_shards(); ++s) {
+    for (int t = s + 1; t < sharded.num_shards(); ++t) {
+      double best = std::numeric_limits<double>::infinity();
+      Vec2 mid{0, 0};
+      for (const UncertainPoint& a : sharded.shard(s).points()) {
+        for (const UncertainPoint& b : sharded.shard(t).points()) {
+          double d = Dist(anchor(a), anchor(b));
+          if (d < best) {
+            best = d;
+            mid = (anchor(a) + anchor(b)) / 2.0;
+          }
+        }
+      }
+      qs.push_back(mid);
+    }
+  }
+  qs.push_back(anchor(pts[0]));
+  for (double mag : {1e6, 1e15, 1e154}) {
+    qs.push_back({mag, 0.0});
+    qs.push_back({-0.6 * mag, 0.8 * mag});
+  }
+  const double inf = std::numeric_limits<double>::infinity();
+  qs.push_back({std::nan(""), 1.0});
+  qs.push_back({0.0, -inf});
+  return qs;
+}
+
+TEST(ShardedEngine, EnvelopeFirstPlanMatchesSingleEngine) {
+  const Engine::QuerySpec specs[] = {
+      {Engine::QueryType::kMostProbableNn, 0.5, 1},
+      {Engine::QueryType::kExpectedDistanceNn, 0.5, 1},
+      {Engine::QueryType::kThreshold, 0.15, 1},
+      {Engine::QueryType::kTopK, 0.5, 4},
+      {Engine::QueryType::kNonzeroNn, 0.5, 1},
+  };
+  serve::ThreadPool pool(2);
+  const int iters = FuzzIters(1);
+  int checked = 0;
+  int seams = 0;
+  for (int it = 0; it < iters; ++it) {
+    const uint64_t seed = 910 + 31 * static_cast<uint64_t>(it);
+    const int n = 28;
+    auto mixed = workload::RandomDisks(n / 2, seed + 3);
+    for (const auto& p : workload::RandomDiscrete(n / 2, 2, seed + 4)) {
+      mixed.push_back(p);
+    }
+    // Every point twice in a row: round-robin shards split each pair, so
+    // the argbest of a query on a pair ties across shards.
+    std::vector<UncertainPoint> duplicated;
+    for (const auto& p : workload::RandomDisks(n / 2, seed + 5)) {
+      duplicated.push_back(p);
+      duplicated.push_back(p);
+    }
+    const std::pair<const char*, std::vector<UncertainPoint>> corpora[] = {
+        {"uniform_disks", workload::RandomDisks(n, seed)},
+        {"gaussian_disks", GaussianDisks(n, seed + 1)},
+        {"discrete", workload::RandomDiscrete(n, 3, seed + 2)},
+        {"mixed", std::move(mixed)},
+        {"duplicated", std::move(duplicated)},
+    };
+    for (const auto& [name, pts] : corpora) {
+      const double extent = 2.5 * std::sqrt(static_cast<double>(n)) + 1;
+      for (Backend backend : {Backend::kAuto, Backend::kMonteCarlo}) {
+        Engine::Config cfg;
+        cfg.backend = backend;
+        cfg.mc_samples_override = 48;
+        cfg.seed = seed;
+        Engine single(pts, cfg);
+        for (int k : {2, 4, 7}) {
+          for (auto part : kPartitioners) {
+            serve::ShardedEngine sharded(pts, cfg, {k, part});
+            std::mt19937_64 rng(seed + k);
+            const std::vector<Vec2> qs = PlanQueries(sharded, pts, extent, rng);
+            for (const Engine::QuerySpec& spec : specs) {
+              const auto want = single.QueryMany(qs, spec);
+              const auto serial = sharded.QueryMany(qs, spec);
+              const auto fanned = sharded.QueryMany(qs, spec, &pool);
+              for (size_t i = 0; i < qs.size(); ++i) {
+                // Packs of one, on the pool: the Submit path.
+                const auto one = sharded.QueryMany({&qs[i], 1}, spec, &pool);
+                std::ostringstream where;
+                where << name << " backend=" << static_cast<int>(backend)
+                      << " k=" << k << " part=" << static_cast<int>(part)
+                      << " type=" << static_cast<int>(spec.type)
+                      << " q=(" << qs[i].x << ", " << qs[i].y << ")"
+                      << " it=" << it;
+                for (const auto* got : {&serial[i], &fanned[i], &one[0]}) {
+                  EXPECT_EQ(got->nn, want[i].nn) << where.str();
+                  EXPECT_EQ(got->ranked, want[i].ranked) << where.str();
+                  EXPECT_EQ(got->ids, want[i].ids) << where.str();
+                }
+                ++checked;
+              }
+            }
+            // The seam queries do reach two or more shards.
+            const auto before = sharded.plan_stats();
+            sharded.QueryMany(qs, specs[4]);
+            const auto after = sharded.plan_stats();
+            EXPECT_EQ(after.shards_run + after.shards_skipped -
+                          before.shards_run - before.shards_skipped,
+                      static_cast<std::uint64_t>(k) * qs.size());
+            if (after.shards_run - before.shards_run > qs.size()) ++seams;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 0);
+  EXPECT_GT(seams, 0);
+}
+
+/// hat-pi by definition over the whole set (instantiation j's winner is
+/// the first strict minimum of Dist over every point in id order), in
+/// TopK's presentation order.
+std::vector<std::pair<int, double>> MonteCarloByDefinition(
+    const std::vector<UncertainPoint>& pts, Vec2 q, uint64_t seed, int s) {
+  std::vector<int> wins(pts.size(), 0);
+  for (int j = 0; j < s; ++j) {
+    int best = -1;
+    double best_d = std::numeric_limits<double>::infinity();
+    for (size_t i = 0; i < pts.size(); ++i) {
+      double d = Dist(q, prob::KeyedSample(pts[i], seed, i, j));
+      if (best < 0 || d < best_d) {
+        best_d = d;
+        best = static_cast<int>(i);
+      }
+    }
+    ++wins[best];
+  }
+  std::vector<std::pair<int, double>> out;
+  for (size_t i = 0; i < pts.size(); ++i) {
+    if (wins[i] > 0) out.push_back({static_cast<int>(i), wins[i] / double(s)});
+  }
+  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+    return a.second != b.second ? a.second > b.second : a.first < b.first;
+  });
+  return out;
+}
+
+// The envelope argmin a (id 1) sits in shard 0, while b (id 0), a shard-1
+// point with delta_b < Delta_a, wins some instantiations: shard 1 must run
+// although a is not among its candidates, and the min-merge must count
+// b's wins exactly as one Engine and the definition do. In the far case
+// (q at 1.5 * 2^50, where doubles are 0.25 apart) rounding puts b's
+// computed delta_b one step above the computed Delta_a = Delta(q); about
+// half of b's samples still round to a's distance, and b wins those ties
+// by its smaller id. Only the guard band keeps b a candidate there.
+TEST(ShardedEngine, CrossShardGuardKeepsWinnersOfAnotherShard) {
+  struct Case {
+    const char* name;
+    Vec2 q;
+    UncertainPoint a, b;
+    bool rounded_out;  // Computed delta_b above the computed Delta_a.
+  };
+  const double far = 1.5 * std::ldexp(1.0, 50);
+  const Case cases[] = {
+      {"near", {0, 0}, UncertainPoint::Disk({1, 0}, 0.1),
+       UncertainPoint::Disk({-1.5, 0}, 0.5), false},
+      {"far", {far, 0}, UncertainPoint::Disk({0, 0}, 0.1),
+       UncertainPoint::Disk({-0.126, 0}, 0.12), true},
+  };
+  Engine::Config cfg;
+  cfg.mc_samples_override = 512;
+  cfg.seed = 77;
+  for (const Case& c : cases) {
+    // Ids: b = 0 and a = 1, then two fillers per shard, farther from q in
+    // both cases.
+    const std::vector<UncertainPoint> pts = {
+        c.b,
+        c.a,
+        UncertainPoint::Disk({-8, 8}, 0.3),
+        UncertainPoint::Disk({-9, 7}, 0.2),
+        UncertainPoint::Disk({-6, -7}, 0.4),
+        UncertainPoint::Disk({-8, -8}, 0.5)};
+    EXPECT_EQ(c.b.MinDist(c.q) > c.a.MaxDist(c.q), c.rounded_out) << c.name;
+    auto shard0 = std::make_shared<const Engine>(
+        std::vector<UncertainPoint>{pts[1], pts[2], pts[3]}, cfg,
+        std::vector<int>{1, 2, 3});
+    auto shard1 = std::make_shared<const Engine>(
+        std::vector<UncertainPoint>{pts[0], pts[4], pts[5]}, cfg,
+        std::vector<int>{0, 4, 5});
+    serve::ShardedEngine sharded({shard0, shard1});
+    Engine single(pts, cfg);
+    ASSERT_EQ(single.MaxDistEnvelope(c.q).argbest, 1) << c.name;
+
+    const auto want = MonteCarloByDefinition(pts, c.q, cfg.seed, 512);
+    ASSERT_FALSE(want.empty());
+    bool b_wins = false;
+    for (auto [id, pi] : want) b_wins = b_wins || (id == 0 && pi > 0);
+    EXPECT_TRUE(b_wins) << c.name;
+    EXPECT_EQ(single.TopK(c.q, 6), want) << c.name;
+    EXPECT_EQ(sharded.TopK(c.q, 6), want) << c.name;
+    ExpectParity(single, sharded, {c.q});
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -750,6 +967,30 @@ TEST(ShardMerge, MergeProbabilitiesMatchesWholeSetIntegration) {
       }
     }
   }
+}
+
+// A shard with no winners (an empty span, or key -1) adds the identity of
+// the min-merge wherever it sits, first included.
+TEST(ShardMerge, SkippedShardIsTheIdentityOfTheWinnersMerge) {
+  using core::InstantiationWinner;
+  const std::vector<InstantiationWinner> s1 = {
+      {1.0, 4}, {2.0, 7}, {0.5, 4}, {3.0, 9}};
+  const std::vector<InstantiationWinner> s2 = {
+      {1.5, 2}, {1.0, 3}, {0.5, 1}, {3.0, 8}};
+  const std::vector<InstantiationWinner> none(4);  // key -1 throughout.
+  using Span = std::span<const InstantiationWinner>;
+  const std::vector<Span> plain = {s1, s2};
+  const auto want = serve::MergeInstantiationWinners(plain);
+  EXPECT_EQ(want, (std::vector<std::pair<int, double>>{
+                      {1, 0.25}, {3, 0.25}, {4, 0.25}, {8, 0.25}}));
+  for (const std::vector<Span>& local :
+       {std::vector<Span>{Span{}, s1, s2}, std::vector<Span>{none, s1, s2},
+        std::vector<Span>{s1, none, s2}, std::vector<Span>{s1, s2, Span{}}}) {
+    EXPECT_EQ(serve::MergeInstantiationWinners(local), want);
+  }
+  EXPECT_TRUE(serve::MergeInstantiationWinners(std::vector<Span>{none, Span{}})
+                  .empty());
+  EXPECT_TRUE(serve::MergeInstantiationWinners({}).empty());
 }
 
 TEST(ShardMerge, EnvelopeTieSemanticsAcrossShards) {

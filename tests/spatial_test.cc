@@ -157,31 +157,6 @@ TEST(Traverse, PrunedVisitLeafAbortStopsTheWalk) {
   EXPECT_EQ(visited, 3);
 }
 
-TEST(Traverse, BestFirstScanFindsNearestLikeBruteForce) {
-  auto pts = RandomPoints(250, 11);
-  FlatKdTree<> tree(pts, BuildOptions{});
-  std::mt19937_64 rng(12);
-  std::uniform_real_distribution<double> u(-12, 12);
-  for (int t = 0; t < 50; ++t) {
-    Vec2 q{u(rng), u(rng)};
-    double best = kInf;
-    BestFirstScan(
-        tree, [&](int n) { return tree.box(n).DistSqTo(q); },
-        [&](double lb) { return lb >= best; },
-        [&](int n) {
-          if (tree.is_leaf(n)) {
-            for (int i = tree.begin(n); i < tree.end(n); ++i) {
-              best = std::min(best, DistSq(q, pts[tree.item(i)]));
-            }
-          }
-          return true;
-        });
-    double want = kInf;
-    for (Vec2 p : pts) want = std::min(want, DistSq(q, p));
-    EXPECT_EQ(best, want);
-  }
-}
-
 TEST(Traverse, PrunedVisitOrderedAlwaysPruneVisitsNothing) {
   auto pts = RandomPoints(120, 14);
   FlatKdTree<> tree(pts, BuildOptions{});
@@ -190,7 +165,7 @@ TEST(Traverse, PrunedVisitOrderedAlwaysPruneVisitsNothing) {
   // An always-true prune must reject the root before any descent: no
   // node visited, no leaf scanned, exactly one prune recorded.
   PrunedVisitOrdered(
-      tree, [](int) { return 0.0; }, [](int) { return true; },
+      tree, [](int) { return 0.0; }, [](int, double) { return true; },
       [&](int) { ++leaves; }, &stats);
   EXPECT_EQ(leaves, 0);
   EXPECT_EQ(stats.nodes_visited, 0);
