@@ -29,7 +29,8 @@ int main(int argc, char** argv) {
     core::MonteCarloPnnOptions opts;
     opts.eps = eps;
     opts.delta = 0.05;
-    core::MonteCarloPnn mc(pts, opts);
+    core::QuantTree tree(&pts);
+    core::MonteCarloPnn mc(&tree, opts);
     double max_err = 0;
     bench::Timer tq;
     for (auto q : queries) {
@@ -63,7 +64,8 @@ int main(int argc, char** argv) {
   core::MonteCarloPnnOptions opts;
   opts.eps = args.tiny ? 0.1 : 0.05;
   opts.delta = 0.05;
-  core::MonteCarloPnn mc(disks, opts);
+  core::QuantTree tree(&disks);
+  core::MonteCarloPnn mc(&tree, opts);
   auto qs = bench::RandomQueries(args.tiny ? 4 : 10, 5, 23);
   bench::Timer tmc;
   for (auto q : qs) mc.Query(q);

@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
     double extent = std::sqrt(static_cast<double>(n)) * 2.5;
     auto queries = bench::RandomQueries(args.tiny ? 100 : 1000, extent, 41);
     bench::Timer tb;
-    core::NnNonzeroDiscreteIndex ix(pts);
+    core::NnNonzeroDiscreteIndex ix(&pts);
     double build = tb.Ms();
     size_t sink = 0;
     bench::Timer ti;

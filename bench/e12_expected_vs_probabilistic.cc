@@ -23,10 +23,11 @@ int main(int argc, char** argv) {
   for (double scale : scales) {
     auto pts = workload::RandomDisks(20, /*seed=*/31, 10.0, 0.05 * scale,
                                      2.0 * scale);
-    core::ExpectedNn enn(pts);
+    core::ExpectedNn enn(&pts);
     core::MonteCarloPnnOptions opts;
     opts.s_override = args.tiny ? 400 : 2000;
-    core::MonteCarloPnn mc(pts, opts);
+    core::QuantTree tree(&pts);
+    core::MonteCarloPnn mc(&tree, opts);
     int disagree = 0;
     auto queries = bench::RandomQueries(args.tiny ? 60 : 300, 12, 43);
     for (auto q : queries) {

@@ -69,8 +69,8 @@ int main(int argc, char** argv) {
     cfg.mc_samples_override = 96;
     Engine disk(disk_pts, cfg);
     Engine disc(disc_pts, cfg);
-    core::ExpectedNn expected(disc_pts);
-    core::NnNonzeroDiscreteIndex nonzero(disc_pts);
+    core::ExpectedNn expected(&disc_pts);
+    core::NnNonzeroDiscreteIndex nonzero(&disc_pts);
 
     struct Part {
       const char* structure;

@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   Vec2 venue{0.0, 0.0};
 
   // Candidate set: who has any chance at all (Theorem 3.2 index).
-  core::NnNonzeroDiscreteIndex index(users);
+  core::NnNonzeroDiscreteIndex index(&users);
   auto candidates = index.Query(venue);
   printf("venue at (0,0): %zu of %d users have nonzero probability of being "
          "nearest\n",
@@ -39,7 +39,8 @@ int main(int argc, char** argv) {
   for (auto [id, p] : spiral.Query(venue, 0.01)) sp[id] = p;
   core::MonteCarloPnnOptions opts;
   opts.s_override = 20000;
-  core::MonteCarloPnn mc(users, opts);
+  core::QuantTree tree(&users);
+  core::MonteCarloPnn mc(&tree, opts);
   std::vector<double> mcp(users.size(), 0.0);
   for (auto [id, p] : mc.Query(venue)) mcp[id] = p;
 

@@ -43,14 +43,14 @@ int main() {
   // Monte-Carlo quantification probabilities (Theorem 4.5).
   core::MonteCarloPnnOptions mc_opts;
   mc_opts.eps = 0.02;
-  core::MonteCarloPnn mc(sensors, mc_opts);
+  core::MonteCarloPnn mc(&index, mc_opts);
   printf("pi_i(q) by Monte Carlo (eps=0.02, s=%d):", mc.num_instantiations());
   for (auto [id, p] : mc.Query(q)) printf("  P%d: %.3f", id, p);
   printf("\n");
 
   // Expected-distance NN (the paper-I variant) can disagree with the
   // most-probable NN.
-  core::ExpectedNn enn(sensors);
+  core::ExpectedNn enn(&sensors);
   printf("argmin E[d^2] = P%d, argmin E[d] = P%d\n", enn.QuerySquared(q),
          enn.QueryExpected(q));
 

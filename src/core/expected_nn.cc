@@ -50,10 +50,10 @@ double BoxMagnitude(const geom::Box& b) {
 
 }  // namespace
 
-ExpectedNn::ExpectedNn(std::vector<UncertainPoint> points)
-    : points_(std::move(points)) {
-  UNN_CHECK(!points_.empty());
-  for (const auto& p : points_) {
+ExpectedNn::ExpectedNn(const std::vector<UncertainPoint>* points)
+    : points_(points) {
+  UNN_CHECK(points_ != nullptr && !points_->empty());
+  for (const auto& p : *points_) {
     if (p.is_disk()) {
       mean_.push_back(p.center());  // Radially symmetric pdfs.
       var_.push_back(DiskRadialVariance(p));
@@ -105,11 +105,11 @@ double ExpectedNn::ExpectedSquaredDistance(int i, Vec2 q) const {
 }
 
 double ExpectedNn::ExpectedDistance(int i, Vec2 q) const {
-  return prob::ExpectedDistance(points_[i], q);
+  return prob::ExpectedDistance((*points_)[i], q);
 }
 
 std::vector<int> ExpectedNn::RankByExpectedDistance(Vec2 q, int k) const {
-  int n = static_cast<int>(points_.size());
+  int n = static_cast<int>(points_->size());
   k = std::min(k, n);
   std::vector<std::pair<double, int>> ranked(n);
   for (int i = 0; i < n; ++i) ranked[i] = {ExpectedDistance(i, q), i};
@@ -173,7 +173,7 @@ int ExpectedNn::QueryExpected(Vec2 q) const {
         delta_lb * kSkipGuard - slack > best) {
       break;
     }
-    if (points_[id].MinDist(q) * kSkipGuard > best) continue;
+    if ((*points_)[id].MinDist(q) * kSkipGuard > best) continue;
     double e = ExpectedDistance(id, q);
     if (e < best || (e == best && id < arg)) {
       best = e;

@@ -34,7 +34,9 @@ namespace core {
 
 class ExpectedNn {
  public:
-  explicit ExpectedNn(std::vector<UncertainPoint> points);
+  /// Borrows `points` (non-empty), which must outlive the structure
+  /// unchanged.
+  explicit ExpectedNn(const std::vector<UncertainPoint>* points);
 
   /// argmin_i E[d(q, P_i)^2]; exact.
   int QuerySquared(geom::Vec2 q) const;
@@ -58,7 +60,7 @@ class ExpectedNn {
   double variance(int i) const { return var_[i]; }
 
  private:
-  std::vector<UncertainPoint> points_;
+  const std::vector<UncertainPoint>* points_;
   std::vector<geom::Vec2> mean_;
   std::vector<double> var_;
   /// Largest variance and largest disk radius (0 without disks): they

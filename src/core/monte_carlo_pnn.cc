@@ -44,12 +44,14 @@ int MonteCarloPnn::RequiredSamples(int n, int k, double eps, double delta) {
   return static_cast<int>(std::ceil(s));
 }
 
-MonteCarloPnn::MonteCarloPnn(std::vector<UncertainPoint> points,
+MonteCarloPnn::MonteCarloPnn(const QuantTree* tree,
                              const MonteCarloPnnOptions& opts,
                              std::vector<int> keys)
-    : points_(std::move(points)), keys_(std::move(keys)), quant_(&points_) {
-  UNN_CHECK(!points_.empty());
-  int n = static_cast<int>(points_.size());
+    : tree_(tree), keys_(std::move(keys)) {
+  UNN_CHECK(tree_ != nullptr);
+  const std::vector<UncertainPoint>& points = tree_->points();
+  UNN_CHECK(!points.empty());
+  int n = static_cast<int>(points.size());
   if (keys_.empty()) {
     keys_.resize(n);
     std::iota(keys_.begin(), keys_.end(), 0);
@@ -63,17 +65,17 @@ MonteCarloPnn::MonteCarloPnn(std::vector<UncertainPoint> points,
                   "Monte-Carlo keys must be distinct and non-negative");
   }
   int k = 1;
-  for (const auto& p : points_) {
+  for (const auto& p : points) {
     if (!p.is_disk()) k = std::max(k, static_cast<int>(p.sites().size()));
   }
-  scale_ = SupportScale(points_);
+  scale_ = SupportScale(points);
   s_ = opts.s_override > 0 ? opts.s_override
                            : RequiredSamples(n, k, opts.eps, opts.delta);
   samples_.resize(static_cast<size_t>(n) * s_);
   for (int i = 0; i < n; ++i) {
     for (int j = 0; j < s_; ++j) {
       samples_[static_cast<size_t>(i) * s_ + j] =
-          prob::KeyedSample(points_[i], opts.seed, keys_[i], j);
+          prob::KeyedSample(points[i], opts.seed, keys_[i], j);
     }
   }
 }
@@ -100,30 +102,6 @@ void MonteCarloPnn::Scan(Vec2 q, int s, std::vector<int>* cand,
   }
 }
 
-template <class Emit>
-void MonteCarloPnn::Sweep(std::span<const Vec2> queries, int s,
-                          spatial::BatchStats* stats, Emit emit) const {
-  UNN_CHECK(s > 0 && s <= s_);
-  // Scratch reused across the batch: the envelope walks' counters, the
-  // candidate ids, and each instantiation's best distance and winner (an
-  // index into `cand`).
-  spatial::TraversalStats walk;
-  std::vector<int> cand;
-  std::vector<double> best_d(s);
-  std::vector<int> winner(s);
-  for (size_t i = 0; i < queries.size(); ++i) {
-    const Vec2 q = queries[i];
-    if (!geom::IsFinite(q)) continue;
-    const DeltaEnvelope env =
-        quant_.MaxDistEnvelope(q, stats != nullptr ? &walk : nullptr);
-    cand.assign(1, env.argbest);
-    quant_.SupportsWithin(q, CandidateRadius(env.best, q, scale_), &cand);
-    Scan(q, s, &cand, &best_d, &winner);
-    emit(static_cast<int>(i), cand, best_d, winner);
-  }
-  if (stats != nullptr) stats->AddWalk(walk);
-}
-
 std::vector<std::pair<int, double>> MonteCarloPnn::Query(Vec2 q) const {
   return std::move(QueryBatch({&q, 1})[0]);
 }
@@ -131,34 +109,34 @@ std::vector<std::pair<int, double>> MonteCarloPnn::Query(Vec2 q) const {
 std::vector<std::vector<std::pair<int, double>>> MonteCarloPnn::QueryBatch(
     std::span<const Vec2> queries, spatial::BatchStats* stats, int s) const {
   if (s == 0) s = s_;
+  UNN_CHECK(s > 0 && s <= s_);
   std::vector<std::vector<std::pair<int, double>>> out(queries.size());
+  // Scratch reused across the batch: the envelope walks' counters, the
+  // candidate ids, each instantiation's best distance and winner (an
+  // index into `cand`), and the win count per candidate.
+  spatial::TraversalStats walk;
+  std::vector<int> cand;
+  std::vector<double> best_d(s);
+  std::vector<int> winner(s);
   std::vector<int> wins;
   const double count = static_cast<double>(s);
-  auto tally = [&](int qi, const std::vector<int>& cand,
-                   const std::vector<double>& /*best_d*/,
-                   const std::vector<int>& winner) {
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const Vec2 q = queries[i];
+    if (!geom::IsFinite(q)) continue;
+    const DeltaEnvelope env =
+        tree_->MaxDistEnvelope(q, stats != nullptr ? &walk : nullptr);
+    cand.assign(1, env.argbest);
+    tree_->SupportsWithin(q, CandidateRadius(env.best, q, scale_), &cand);
+    Scan(q, s, &cand, &best_d, &winner);
     wins.assign(cand.size(), 0);
     for (int w : winner) ++wins[w];
-    std::vector<std::pair<int, double>>& dst = out[qi];
+    std::vector<std::pair<int, double>>& dst = out[i];
     for (size_t c = 0; c < cand.size(); ++c) {
       if (wins[c] > 0) dst.push_back({cand[c], wins[c] / count});
     }
     std::sort(dst.begin(), dst.end());
-  };
-  Sweep(queries, s, stats, tally);
-  return out;
-}
-
-std::vector<InstantiationWinner> MonteCarloPnn::WinnersBatch(
-    std::span<const Vec2> queries, int s, spatial::BatchStats* stats) const {
-  std::vector<InstantiationWinner> out(queries.size() * s);
-  auto copy = [&](int qi, const std::vector<int>& cand,
-                  const std::vector<double>& best_d,
-                  const std::vector<int>& winner) {
-    InstantiationWinner* dst = &out[static_cast<size_t>(qi) * s];
-    for (int j = 0; j < s; ++j) dst[j] = {best_d[j], keys_[cand[winner[j]]]};
-  };
-  Sweep(queries, s, stats, copy);
+  }
+  if (stats != nullptr) stats->AddWalk(walk);
   return out;
 }
 

@@ -35,7 +35,7 @@
 ///
 /// Candidate sweep. By Lemma 2.1 only points with delta_i(q) <= Delta(q)
 /// can win any instantiation: that is NN!=0(q), a handful of points on
-/// bounded-density inputs. A query takes the envelope from a QuantTree
+/// bounded-density inputs. A query takes the envelope from the QuantTree
 /// (best = Delta_a(q) for a = argbest), collects
 ///   C(q) = {a} u {i : MinDist_i(q) <= best + guard}
 /// with QuantTree::SupportsWithin, and scans only C(q) in every
@@ -93,8 +93,10 @@
 /// the merge.
 ///
 /// Thread safety: immutable after construction; queries are const and may
-/// run concurrently. Not copyable or movable: the owned QuantTree points
-/// at the owned point vector.
+/// run concurrently. The structure holds only its keys, samples and scale.
+/// It borrows the QuantTree, and the points through QuantTree::points();
+/// both must outlive it unchanged. unn::Engine lends its own tree, so an
+/// estimator rebuild for more instantiations builds no tree.
 
 namespace unn {
 namespace core {
@@ -126,13 +128,13 @@ struct MonteCarloPnnOptions {
 
 class MonteCarloPnn {
  public:
-  /// `keys[i]` keys point i's draws and its winning ties; keys must be
-  /// distinct and non-negative. Empty means 0..n-1.
-  MonteCarloPnn(std::vector<UncertainPoint> points,
-                const MonteCarloPnnOptions& opts = {},
-                std::vector<int> keys = {});
-  MonteCarloPnn(const MonteCarloPnn&) = delete;
-  MonteCarloPnn& operator=(const MonteCarloPnn&) = delete;
+  /// Draws the instantiations of `tree->points()` (non-empty); queries
+  /// take their envelopes and candidates from `tree`. `keys[i]` keys point
+  /// i's draws and its winning ties; keys must be distinct and
+  /// non-negative. Empty means 0..n-1.
+  explicit MonteCarloPnn(const QuantTree* tree,
+                         const MonteCarloPnnOptions& opts = {},
+                         std::vector<int> keys = {});
 
   /// Theorem 4.3 sample count for the given parameters and input size.
   static int RequiredSamples(int n, int k, double eps, double delta);
@@ -158,15 +160,9 @@ class MonteCarloPnn {
       std::span<const geom::Vec2> queries, spatial::BatchStats* stats = nullptr,
       int s = 0) const;
 
-  /// The winners behind QueryBatch: out[i * s + j] is the winner of
-  /// instantiation j < s for queries[i] (0 < s <= num_instantiations()).
-  /// A non-finite query's s entries keep key -1.
-  std::vector<InstantiationWinner> WinnersBatch(
-      std::span<const geom::Vec2> queries, int s,
-      spatial::BatchStats* stats = nullptr) const;
-
-  /// WinnersBatch over caller-supplied candidates, walking no tree:
-  /// out[i * s + j] is instantiation j's winner for queries[i] among
+  /// The per-instantiation winners over caller-supplied candidates,
+  /// walking no tree: out[i * s + j] is instantiation j's winner for
+  /// queries[i] (0 < s <= num_instantiations()) among
   /// `candidates[i]` (point indices, any order, repeats allowed). A
   /// non-finite query or an empty candidate list keeps key -1 in all s
   /// entries. The sharded plan passes each shard's C_k(q) (see
@@ -182,15 +178,8 @@ class MonteCarloPnn {
   void Scan(geom::Vec2 q, int s, std::vector<int>* cand,
             std::vector<double>* best_d, std::vector<int>* winner) const;
 
-  /// The candidate sweep over the first `s` instantiations: for every
-  /// finite queries[i], emit(i, cand, best_d, winner) with `cand` its
-  /// candidate ids in increasing key order, `winner[j]` instantiation j's
-  /// winner as an index into `cand` and `best_d[j]` its distance.
-  template <class Emit>
-  void Sweep(std::span<const geom::Vec2> queries, int s,
-             spatial::BatchStats* stats, Emit emit) const;
-
-  std::vector<UncertainPoint> points_;
+  /// Borrowed: the envelope and candidate enumeration, and the points.
+  const QuantTree* tree_;
   std::vector<int> keys_;
   int s_ = 0;
   /// x_ij at samples_[i * s_ + j].
@@ -198,8 +187,6 @@ class MonteCarloPnn {
   /// Bound on |x|_inf over every support: the coordinate magnitude the
   /// guard band's absolute term scales with.
   double scale_ = 0.0;
-  /// Envelope and candidate enumeration over points_.
-  QuantTree quant_;
 };
 
 }  // namespace core

@@ -25,16 +25,16 @@ bool Prunes(double lower_bound, double second) {
 }  // namespace
 
 NnNonzeroDiscreteIndex::NnNonzeroDiscreteIndex(
-    std::vector<UncertainPoint> points)
-    : points_(std::move(points)) {
-  UNN_CHECK(!points_.empty());
+    const std::vector<UncertainPoint>* points)
+    : points_(points) {
+  UNN_CHECK(points_ != nullptr && !points_->empty());
   std::vector<Vec2> sites;
   // Build-only SoA views of the group SEBs; the augment seals (drops its
   // pointer) when the build finishes, so locals suffice.
   std::vector<Vec2> seb_centers;
   std::vector<double> seb_radii;
-  for (size_t i = 0; i < points_.size(); ++i) {
-    const auto& p = points_[i];
+  for (size_t i = 0; i < points_->size(); ++i) {
+    const auto& p = (*points_)[i];
     UNN_CHECK_MSG(!p.is_disk(), "NnNonzeroDiscreteIndex is for discrete models");
     group_seb_.push_back(geom::SmallestEnclosingCircle(p.sites()));
     seb_centers.push_back(group_seb_.back().center);
@@ -78,7 +78,7 @@ DeltaEnvelope NnNonzeroDiscreteIndex::DeltaPair(Vec2 q) const {
           double group_lb =
               std::sqrt(DistSq(q, seb.center) + seb.radius * seb.radius);
           if (Prunes(group_lb, env.second)) continue;
-          double v = points_[g].MaxDist(q);
+          double v = (*points_)[g].MaxDist(q);
           if (v < env.best) {
             env.second = env.best;
             env.best = v;
@@ -95,7 +95,7 @@ double NnNonzeroDiscreteIndex::Delta(Vec2 q) const { return DeltaPair(q).best; }
 
 std::vector<int> NnNonzeroDiscreteIndex::AssembleFromEnvelope(
     Vec2 q, const DeltaEnvelope& env) const {
-  if (points_.size() == 1) return {0};
+  if (points_->size() == 1) return {0};
   // Owners other than the argmin qualify iff delta_i < best (their
   // j != i threshold); the argmin's threshold is `second`.
   std::vector<int> hits;
@@ -114,7 +114,7 @@ std::vector<int> NnNonzeroDiscreteIndex::AssembleFromHits(
   // comparison, so the envelope has no argmin to adjust.
   if (env.argbest < 0) return out;
   bool arg_in = std::binary_search(out.begin(), out.end(), env.argbest);
-  bool arg_should = points_[env.argbest].MinDist(q) < env.second;
+  bool arg_should = (*points_)[env.argbest].MinDist(q) < env.second;
   if (arg_in && !arg_should) {
     out.erase(std::find(out.begin(), out.end(), env.argbest));
   } else if (!arg_in && arg_should) {
@@ -154,7 +154,7 @@ NnNonzeroDiscreteIndex::BatchHits NnNonzeroDiscreteIndex::SitesWithinDelta(
 std::vector<std::vector<int>> NnNonzeroDiscreteIndex::QueryBatch(
     std::span<const Vec2> queries, spatial::BatchStats* stats) const {
   std::vector<std::vector<int>> out(queries.size());
-  if (points_.size() == 1) {
+  if (points_->size() == 1) {
     for (auto& o : out) o = {0};
     return out;
   }

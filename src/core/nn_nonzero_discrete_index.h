@@ -38,7 +38,9 @@ namespace core {
 
 class NnNonzeroDiscreteIndex {
  public:
-  explicit NnNonzeroDiscreteIndex(std::vector<UncertainPoint> points);
+  /// Borrows `points` (non-empty, all discrete), which must outlive the
+  /// index unchanged.
+  explicit NnNonzeroDiscreteIndex(const std::vector<UncertainPoint>* points);
 
   /// NN!=0(q), sorted ids. Exact.
   std::vector<int> Query(geom::Vec2 q) const;
@@ -104,7 +106,7 @@ class NnNonzeroDiscreteIndex {
   /// every site with d(q, p) <= delta (extra ones are dropped here).
   std::vector<std::pair<int, double>> QuantifyHits(
       geom::Vec2 q, double delta, std::vector<int>* hits) const;
-  std::vector<UncertainPoint> points_;
+  const std::vector<UncertainPoint>* points_;
   std::vector<geom::Circle> group_seb_;
   /// Kd-tree over group SEB centers (shared spatial core) with the
   /// minimum SEB radius per subtree: with SEB (c, R), the group bound is

@@ -60,7 +60,10 @@
 /// const, allocates only local state, and may be called concurrently.
 /// The tree does NOT own the points — the vector passed at construction
 /// must outlive it unchanged (unn::Engine guarantees this for its own
-/// point set).
+/// point set). core::MonteCarloPnn borrows the tree in turn and reads the
+/// points through points(), so an Engine builds one tree for its envelope,
+/// NN!=0, sharded-plan hooks and Monte-Carlo estimator, and
+/// Engine::StructuresBuilt counts it once.
 
 namespace unn {
 namespace core {
@@ -104,6 +107,8 @@ class QuantTree {
   explicit QuantTree(const std::vector<UncertainPoint>* points);
 
   int size() const { return static_cast<int>(points_->size()); }
+  /// The borrowed point set the tree indexes, in id order. O(1).
+  const std::vector<UncertainPoint>& points() const { return *points_; }
 
   /// The two smallest Delta_i(q) and the argmin — identical (bitwise,
   /// including ties toward the smaller id) to

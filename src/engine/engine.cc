@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "engine/query_contract.h"
+#include "prob/distance_cdf.h"
 #include "util/check.h"
 
 namespace unn {
@@ -66,20 +67,23 @@ Engine::Engine(std::vector<core::UncertainPoint> points, const Config& config,
 
 const core::ExpectedNn& Engine::GetExpectedNn() const {
   return BuildOnce(expected_nn_once_, expected_nn_, builds_, [this] {
-    return std::make_unique<core::ExpectedNn>(points_);
+    return std::make_unique<core::ExpectedNn>(&points_);
   });
 }
 
 const core::NnNonzeroDiscreteIndex& Engine::GetNonzeroDiscrete() const {
   return BuildOnce(nonzero_discrete_once_, nonzero_discrete_, builds_, [this] {
-    return std::make_unique<core::NnNonzeroDiscreteIndex>(points_);
+    return std::make_unique<core::NnNonzeroDiscreteIndex>(&points_);
   });
 }
 
 std::shared_ptr<const core::MonteCarloPnn> Engine::GetMonteCarlo(
     int samples) const {
-  // The cached structure is fixed by its sample count (the seed and keys
-  // are the Engine's); a request that needs more samples rebuilds it.
+  // The cached structure is fixed by its sample count (the seed, keys and
+  // tree are the Engine's); a request that needs more samples rebuilds it
+  // and reuses the tree. The tree is taken before estimator_mu_, so its
+  // one-time build never runs under the estimator lock.
+  const core::QuantTree& tree = GetQuantTree();
   {
     ReaderMutexLock lock(&estimator_mu_);
     if (monte_carlo_ && monte_carlo_->num_instantiations() >= samples) {
@@ -92,7 +96,7 @@ std::shared_ptr<const core::MonteCarloPnn> Engine::GetMonteCarlo(
     opts.seed = config_.seed;
     opts.s_override = samples;
     monte_carlo_ =
-        std::make_shared<const core::MonteCarloPnn>(points_, opts, global_ids_);
+        std::make_shared<const core::MonteCarloPnn>(&tree, opts, global_ids_);
     // relaxed: observability counter (see BuildOnce).
     builds_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -178,7 +182,7 @@ std::vector<int> Engine::NonzeroNn(geom::Vec2 q) const {
 
 double Engine::ExpectedDistance(int i, geom::Vec2 q) const {
   UNN_CHECK(i >= 0 && i < size());
-  return GetExpectedNn().ExpectedDistance(i, q);
+  return prob::ExpectedDistance(points_[i], q);
 }
 
 core::DeltaEnvelope Engine::MaxDistEnvelope(

@@ -43,6 +43,9 @@
 /// directly.
 /// Structures are built lazily on first use and cached, so an Engine that
 /// only ever answers NonzeroNn never pays for Monte-Carlo preprocessing.
+/// The Engine holds the one copy of its points and the one core::QuantTree
+/// over them: ExpectedNn, NnNonzeroDiscreteIndex and the QuantTree borrow
+/// the points, and the Monte-Carlo estimator borrows the QuantTree.
 ///
 /// Thread safety: every `const` query method may be called from any number
 /// of threads concurrently. The lazy structure cache is synchronized
@@ -221,7 +224,8 @@ class Engine {
 
   /// Number of heavy structures built so far — observability for tests
   /// and serving metrics (a warmed engine must not build under query
-  /// traffic).
+  /// traffic). Every tree counts once: the QuantTree the estimator
+  /// borrows is one structure, and every estimator (re)build one more.
   int StructuresBuilt() const {
     // relaxed: observability counter; build publication itself happens
     // through call_once / estimator_mu_, never through builds_.
@@ -273,8 +277,8 @@ class Engine {
   /// core::MonteCarloPnn::WinnersAmong; key -1 for a non-finite query or
   /// an empty list). The sharded plan passes each shard's slice of the
   /// whole set's candidate set and min-merges the winners over shards.
-  /// Walks no tree. Builds (or reuses a larger) the estimator, whatever
-  /// the backend.
+  /// Walks no tree. Builds (or reuses a larger) the estimator, and the
+  /// QuantTree it borrows, whatever the backend.
   std::vector<core::InstantiationWinner> MonteCarloWinnersMany(
       std::span<const geom::Vec2> queries,
       std::span<const std::vector<int>> candidates, int samples) const;
@@ -284,8 +288,7 @@ class Engine {
   /// the global expected-distance NN is the min over shards.
   /// prob::ExpectedDistance: a weighted sum for discrete points, exact to
   /// rounding for uniform disks, within 1e-9 relative for truncated
-  /// Gaussians; O(1) at every distance.
-  /// Builds the ExpectedNn structure on first use (once, synchronized).
+  /// Gaussians; O(1) at every distance. Builds nothing.
   double ExpectedDistance(int i, geom::Vec2 q) const;
 
   /// The two smallest Delta_j(q) = max-distance values over this engine's
@@ -364,12 +367,14 @@ class Engine {
   const core::NnNonzeroDiscreteIndex& GetNonzeroDiscrete() const;
   const core::QuantTree& GetQuantTree() const;
   /// An estimator with at least `samples` instantiations, as an owning
-  /// snapshot: a request that needs more samples replaces the cached
-  /// structure, and the returned shared_ptr keeps the one a concurrent
-  /// query is using alive until that query finishes. Keyed draws are
-  /// prefix-consistent, so callers answer from its first `samples`.
+  /// snapshot over the Engine's QuantTree: a request that needs more
+  /// samples replaces the cached structure (not the tree), and the
+  /// returned shared_ptr keeps the one a concurrent query is using alive
+  /// until that query finishes. Keyed draws are prefix-consistent, so
+  /// callers answer from its first `samples`.
   std::shared_ptr<const core::MonteCarloPnn> GetMonteCarlo(int samples) const;
 
+  /// The one copy of the points; every structure below borrows it.
   std::vector<core::UncertainPoint> points_;
   std::vector<int> global_ids_;
   Config config_;
@@ -392,6 +397,7 @@ class Engine {
   mutable std::once_flag quant_tree_once_;
   mutable std::unique_ptr<core::QuantTree> quant_tree_;
 
+  // The estimator borrows quant_tree_: declared after it, destroyed first.
   mutable SharedMutex estimator_mu_;
   mutable std::shared_ptr<const core::MonteCarloPnn> monte_carlo_
       UNN_GUARDED_BY(estimator_mu_);

@@ -1,7 +1,9 @@
 #include "geom/seb.h"
 
+#include <algorithm>
 #include <cmath>
-#include <random>
+
+#include "util/splitmix64.h"
 
 namespace unn {
 namespace geom {
@@ -41,7 +43,9 @@ bool InCircle(const Circle& c, Vec2 p) {
 
 Circle SmallestEnclosingCircle(std::vector<Vec2> pts, uint64_t seed) {
   if (pts.empty()) return {Vec2{0, 0}, 0.0};
-  std::mt19937_64 rng(seed);
+  // SplitMix64 seeds in O(1): seeding an mt19937_64 fills 312 words,
+  // more work than Welzl's pass over a few sites.
+  util::SplitMix64 rng(seed);
   std::shuffle(pts.begin(), pts.end(), rng);
 
   // Welzl's move-to-front scheme, iterative formulation.

@@ -256,7 +256,7 @@ TEST(BatchFuzz, NonzeroDiscreteBatchBitIdentical) {
     auto pts = which == 0   ? ClusteredDiscrete(32 + it * 7, seed)
                : which == 1 ? CoincidentAnchors(32 + it * 7, seed)
                             : workload::RandomDiscrete(32 + it * 7, 3, seed);
-    core::NnNonzeroDiscreteIndex index(pts);
+    core::NnNonzeroDiscreteIndex index(&pts);
     for (int m = 1; m <= 2 * geom::kLaneWidth + 1; ++m) {
       auto qs = AdversarialQueries(m, seed + m);
       spatial::BatchStats stats;
@@ -521,7 +521,8 @@ TEST(BatchFuzz, MonteCarloMatchesDefinitionOracle) {
       core::MonteCarloPnnOptions opts;
       opts.s_override = 24;
       opts.seed = seed;
-      core::MonteCarloPnn mc(c.pts, opts);
+      core::QuantTree tree(&c.pts);
+      core::MonteCarloPnn mc(&tree, opts);
       auto inst = DrawInstantiations(c.pts, seed, opts.s_override);
       std::vector<std::vector<std::pair<int, double>>> want;
       for (Vec2 q : c.queries) want.push_back(MonteCarloOracle(inst, q));
@@ -577,7 +578,7 @@ TEST(BatchFuzz, EngineQueryManyPackIndependent) {
     uint64_t seed = 4000 + 7 * static_cast<uint64_t>(it);
     auto pts = AdversarialSet(it, 24 + it * 9, seed);
     Engine engine(pts);
-    core::ExpectedNn expected(pts);
+    core::ExpectedNn expected(&pts);
     for (int m = 1; m <= 2 * geom::kLaneWidth + 1; ++m) {
       auto qs = AdversarialQueries(m, seed + 99 + m);
       for (int i = 2; i < m; i += 5) {

@@ -13,6 +13,7 @@
 
 #include "baselines/brute_force.h"
 #include "core/exact_pnn.h"
+#include "prob/distance_cdf.h"
 #include "workload/generators.h"
 
 namespace unn {
@@ -434,18 +435,79 @@ TEST(EngineWarmup, SpecOverloadWarmsTighterThresholdEstimator) {
 // A sample-count override fixes the Monte-Carlo estimator whatever the
 // accuracy a query asks for, so a Threshold with tau < 2 * eps is answered
 // by the estimator the default warmup built, not a rebuilt copy of it.
+// The warmup builds two structures: the QuantTree and the estimator over it.
 TEST(EngineWarmup, SampleOverrideKeepsOneMonteCarloEstimator) {
   auto pts = workload::RandomDisks(500, 7);  // Continuous => Monte Carlo.
   Engine::Config cfg;
   cfg.mc_samples_override = 96;
   Engine engine(pts, cfg);
   engine.Warmup(Engine::QueryType::kThreshold);
-  ASSERT_EQ(engine.StructuresBuilt(), 1);
+  ASSERT_EQ(engine.StructuresBuilt(), 2);
   Engine cold(pts, cfg);
   for (Vec2 q : TestQueries()) {
     EXPECT_EQ(engine.Threshold(q, 0.02), cold.Threshold(q, 0.02));
   }
-  EXPECT_EQ(engine.StructuresBuilt(), 1);
+  EXPECT_EQ(engine.StructuresBuilt(), 2);
+}
+
+// The Monte-Carlo estimator borrows the Engine's QuantTree: once the tree
+// exists, warming the estimator builds one structure, and rebuilding it for
+// more samples (tau < 2 * eps) builds one more, never a second tree; an
+// estimator built first builds the tree the envelope hook then reuses. On a
+// discrete set NN!=0 comes from the Theorem 3.2 index instead, so there the
+// envelope hook builds the tree.
+TEST(EngineWarmup, MonteCarloSharesTheQuantTree) {
+  auto mixed = workload::RandomDisks(12, 72);
+  auto extra = workload::RandomDiscrete(6, 2, 73);
+  mixed.insert(mixed.end(), extra.begin(), extra.end());
+  struct Case {
+    std::vector<UncertainPoint> pts;
+    Backend backend;
+  };
+  const Case cases[] = {{workload::RandomDisks(20, 72), Backend::kAuto},
+                        {mixed, Backend::kAuto},
+                        {workload::RandomDiscrete(15, 3, 74),
+                         Backend::kMonteCarlo}};
+  const double tau = 0.05;  // < 2 * eps: needs more samples.
+  for (const Case& c : cases) {
+    Engine::Config cfg;
+    cfg.backend = c.backend;
+    Engine engine(c.pts, cfg);
+    engine.Warmup(Engine::QueryType::kNonzeroNn);
+    EXPECT_EQ(engine.StructuresBuilt(), 1);
+    if (engine.all_discrete()) {
+      engine.MaxDistEnvelope({0.5, 0.5});
+      EXPECT_EQ(engine.StructuresBuilt(), 2);
+    }
+    const int tree_built = engine.StructuresBuilt();
+    engine.Warmup(Engine::QueryType::kMostProbableNn);
+    EXPECT_EQ(engine.StructuresBuilt(), tree_built + 1);
+    Engine cold(c.pts, cfg);
+    for (Vec2 q : TestQueries()) {
+      EXPECT_EQ(engine.Threshold(q, tau), cold.Threshold(q, tau));
+    }
+    EXPECT_EQ(engine.StructuresBuilt(), tree_built + 2);
+    // Estimator first: it builds the tree, which the envelope hook reuses.
+    EXPECT_EQ(cold.StructuresBuilt(), 2);
+    cold.MaxDistEnvelope({0.5, 0.5});
+    EXPECT_EQ(cold.StructuresBuilt(), 2);
+  }
+}
+
+// E[d] is a per-point closed form: the hook reads the point and builds
+// nothing.
+TEST(EngineWarmup, ExpectedDistanceBuildsNothing) {
+  auto pts = workload::RandomDisks(10, 75);
+  auto extra = workload::RandomDiscrete(5, 3, 76);
+  pts.insert(pts.end(), extra.begin(), extra.end());
+  Engine engine(pts);
+  for (int i = 0; i < engine.size(); ++i) {
+    for (Vec2 q : TestQueries()) {
+      EXPECT_EQ(engine.ExpectedDistance(i, q),
+                prob::ExpectedDistance(pts[i], q));
+    }
+  }
+  EXPECT_EQ(engine.StructuresBuilt(), 0);
 }
 
 // Every request is answered from the first instantiations it needs, so a

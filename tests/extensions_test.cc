@@ -22,7 +22,7 @@ TEST(ExpectedNn, SquaredDistanceClosedFormMatchesSampling) {
       UncertainPoint::Disk({2, 1}, 3.0),
       UncertainPoint::Disk({-4, 0}, 1.0, DiskPdf::kTruncatedGaussian),
       UncertainPoint::Discrete({{0, 0}, {2, 2}, {4, 0}}, {0.5, 0.25, 0.25})};
-  ExpectedNn enn(pts);
+  ExpectedNn enn(&pts);
   std::mt19937_64 rng(5);
   for (int i = 0; i < 3; ++i) {
     Vec2 q{1.5, -2.0};
@@ -40,7 +40,7 @@ TEST(ExpectedNn, SquaredDistanceClosedFormMatchesSampling) {
 
 TEST(ExpectedNn, QuerySquaredMatchesLinearScan) {
   auto pts = workload::RandomDisks(80, /*seed=*/7);
-  ExpectedNn enn(pts);
+  ExpectedNn enn(&pts);
   std::mt19937_64 rng(9);
   std::uniform_real_distribution<double> qu(-25, 25);
   for (int t = 0; t < 300; ++t) {
@@ -60,7 +60,8 @@ TEST(ExpectedNn, QuerySquaredMatchesLinearScan) {
 
 TEST(ExpectedNn, ExpectedDistanceMatchesSampling) {
   UncertainPoint p = UncertainPoint::Disk({0, 0}, 2.0);
-  ExpectedNn enn({p});
+  std::vector<UncertainPoint> one = {p};
+  ExpectedNn enn(&one);
   std::mt19937_64 rng(11);
   Vec2 q{3, 1};
   double mc = 0;
@@ -95,7 +96,7 @@ TEST(ExpectedNn, QueryExpectedMatchesLinearScan) {
       {mixed, 23, 30.0, 30},
       {discrete, 31, 25.0, 60}};
   for (const Case& c : cases) {
-    ExpectedNn enn(c.pts);
+    ExpectedNn enn(&c.pts);
     std::mt19937_64 rng(c.seed);
     std::uniform_real_distribution<double> qu(-c.extent, c.extent);
     for (int t = 0; t < c.queries; ++t) {

@@ -112,7 +112,7 @@ TEST(LinfNonzeroIndex, LinfBallGeometryDiffersFromL2) {
 
 TEST(ExpectedNnRanking, TopKOrderMatchesFullSort) {
   auto pts = workload::RandomDisks(30, /*seed=*/17, 8.0, 0.2, 2.0);
-  ExpectedNn enn(pts);
+  ExpectedNn enn(&pts);
   std::mt19937_64 rng(19);
   std::uniform_real_distribution<double> qu(-10, 10);
   for (int t = 0; t < 20; ++t) {

@@ -140,7 +140,7 @@ TEST(NnNonzeroDiscreteIndex, MatchesBruteForceRandom) {
   for (int n : {1, 3, 10, 40, 120}) {
     int k = 1 + static_cast<int>(rng() % 5);
     auto pts = RandomDiscrete(n, k, rng);
-    NnNonzeroDiscreteIndex ix(pts);
+    NnNonzeroDiscreteIndex ix(&pts);
     std::uniform_real_distribution<double> qu(-15, 15);
     for (int t = 0; t < 150; ++t) {
       Vec2 q{qu(rng), qu(rng)};
@@ -154,7 +154,7 @@ TEST(NnNonzeroDiscreteIndex, MatchesBruteForceRandom) {
 TEST(NnNonzeroDiscreteIndex, DeltaMatchesDefinition) {
   std::mt19937_64 rng(503);
   auto pts = RandomDiscrete(60, 4, rng);
-  NnNonzeroDiscreteIndex ix(pts);
+  NnNonzeroDiscreteIndex ix(&pts);
   std::uniform_real_distribution<double> qu(-15, 15);
   for (int t = 0; t < 300; ++t) {
     Vec2 q{qu(rng), qu(rng)};
@@ -183,7 +183,7 @@ TEST(NnNonzeroDiscreteIndex, DeltaPairMatchesTwoSmallestMaxDist) {
       }
       pts.push_back(pts[0]);  // An exact duplicate group.
     }
-    NnNonzeroDiscreteIndex ix(pts);
+    NnNonzeroDiscreteIndex ix(&pts);
     for (int t = 0; t < 200; ++t) {
       Vec2 q = t % 2 == 0 ? Vec2{qu(rng), qu(rng)}
                           : Vec2{grid(rng) * 0.5, grid(rng) * 0.5};
@@ -204,7 +204,7 @@ TEST(NnNonzeroDiscreteIndex, DeltaPairMatchesTwoSmallestMaxDist) {
 TEST(NnNonzeroDiscreteIndex, AgreesWithDiscreteDiagram) {
   std::mt19937_64 rng(504);
   auto pts = RandomDiscrete(6, 3, rng);
-  NnNonzeroDiscreteIndex ix(pts);
+  NnNonzeroDiscreteIndex ix(&pts);
   NonzeroVoronoiDiscrete vd(pts);
   double tol = 1e-7 * vd.window().Diagonal();
   std::uniform_real_distribution<double> qu(-13, 13);

@@ -1,5 +1,7 @@
 #include <cmath>
 #include <limits>
+#include <map>
+#include <numeric>
 #include <random>
 #include <utility>
 #include <vector>
@@ -10,6 +12,7 @@
 #include "core/exact_pnn.h"
 #include "core/monte_carlo_pnn.h"
 #include "core/pnn_common.h"
+#include "core/quant_tree.h"
 #include "core/spiral_search.h"
 #include "engine/engine.h"
 #include "prob/distributions.h"
@@ -170,7 +173,8 @@ TEST(ExactPnn, IntegrationMatchesMonteCarloOnDisks) {
   MonteCarloPnnOptions opts;
   opts.s_override = 200000;
   opts.seed = 99;
-  MonteCarloPnn mc(pts, opts);
+  QuantTree tree(&pts);
+  MonteCarloPnn mc(&tree, opts);
   for (Vec2 q : {Vec2{1.2, 0.7}, Vec2{0, 0}, Vec2{2, 2}}) {
     auto integrated = IntegrateAllQuantifications(pts, q, 1e-9);
     double sum = 0;
@@ -189,7 +193,8 @@ TEST(MonteCarloPnn, DiscreteErrorWithinEps) {
   auto pts = RandomDiscrete(8, 3, rng, 6.0, 3.0);
   MonteCarloPnnOptions opts;
   opts.s_override = 40000;
-  MonteCarloPnn mc(pts, opts);
+  QuantTree tree(&pts);
+  MonteCarloPnn mc(&tree, opts);
   std::uniform_real_distribution<double> qu(-8, 8);
   // With s = 40000 the Chernoff bound gives eps ~ sqrt(ln(2/d)/2s) ~ 0.01.
   for (int t = 0; t < 20; ++t) {
@@ -216,7 +221,8 @@ TEST(MonteCarloPnn, EstimatesSumToAtMostOne) {
   auto pts = RandomDiscrete(10, 2, rng);
   MonteCarloPnnOptions opts;
   opts.s_override = 5000;
-  MonteCarloPnn mc(pts, opts);
+  QuantTree tree(&pts);
+  MonteCarloPnn mc(&tree, opts);
   auto est = mc.Query({0.3, -0.2});
   double sum = 0;
   for (auto [id, p] : est) sum += p;
@@ -229,7 +235,8 @@ TEST(MonteCarloPnn, CoincidentPointsSmallestIdWinsEveryInstantiation) {
   std::vector<UncertainPoint> pts(5, UncertainPoint::Discrete({{1, 1}}, {1.0}));
   MonteCarloPnnOptions opts;
   opts.s_override = 64;
-  MonteCarloPnn mc(pts, opts);
+  QuantTree tree(&pts);
+  MonteCarloPnn mc(&tree, opts);
   for (Vec2 q : {Vec2{0, 0}, Vec2{1, 1}, Vec2{-3, 8}}) {
     auto est = mc.Query(q);
     ASSERT_EQ(est.size(), 1u);
@@ -245,8 +252,9 @@ TEST(MonteCarloPnn, SameSeedSameEstimates) {
   MonteCarloPnnOptions opts;
   opts.s_override = 300;
   opts.seed = 1234;
-  MonteCarloPnn a(pts, opts);
-  MonteCarloPnn b(pts, opts);
+  QuantTree tree(&pts);
+  MonteCarloPnn a(&tree, opts);
+  MonteCarloPnn b(&tree, opts);
   std::uniform_real_distribution<double> qu(-6, 6);
   for (int t = 0; t < 20; ++t) {
     Vec2 q{qu(rng), qu(rng)};
@@ -260,7 +268,8 @@ TEST(MonteCarloPnn, NonFiniteQueryHasNoEstimates) {
   pts.push_back(UncertainPoint::Disk({0, 0}, 1.0));
   MonteCarloPnnOptions opts;
   opts.s_override = 32;
-  MonteCarloPnn mc(pts, opts);
+  QuantTree tree(&pts);
+  MonteCarloPnn mc(&tree, opts);
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
   EXPECT_TRUE(mc.Query({nan, 0}).empty());
@@ -296,6 +305,14 @@ std::vector<Vec2> KeyedDrawQueries(uint64_t seed) {
   return qs;
 }
 
+/// Every local id 0..n-1 as the candidates of each of `queries` queries:
+/// WinnersAmong then takes the definition's argmin over the whole set.
+std::vector<std::vector<int>> EveryId(size_t queries, size_t n) {
+  std::vector<int> ids(n);
+  std::iota(ids.begin(), ids.end(), 0);
+  return std::vector<std::vector<int>>(queries, ids);
+}
+
 // A sample depends on its point, the seed, its key and j alone: a
 // structure over a subset keyed by the subset's ids holds exactly the
 // whole set's samples at those ids, and the per-instantiation winners of
@@ -305,7 +322,8 @@ TEST(MonteCarloPnn, SubsetKeyedByIdsHoldsTheWholeSetsSamples) {
   MonteCarloPnnOptions opts;
   opts.s_override = 40;
   opts.seed = 99;
-  MonteCarloPnn whole(pts, opts);
+  QuantTree whole_tree(&pts);
+  MonteCarloPnn whole(&whole_tree, opts);
   for (int i = 0; i < static_cast<int>(pts.size()); ++i) {
     for (int j = 0; j < 40; ++j) {
       ASSERT_EQ(whole.sample(i, j), prob::KeyedSample(pts[i], 99, i, j));
@@ -320,16 +338,18 @@ TEST(MonteCarloPnn, SubsetKeyedByIdsHoldsTheWholeSetsSamples) {
   for (const std::vector<int>& ids : parts) {
     std::vector<UncertainPoint> subset;
     for (int id : ids) subset.push_back(pts[id]);
-    MonteCarloPnn part(subset, opts, ids);
+    QuantTree part_tree(&subset);
+    MonteCarloPnn part(&part_tree, opts, ids);
     for (size_t k = 0; k < ids.size(); ++k) {
       for (int j = 0; j < 40; ++j) {
         EXPECT_EQ(part.sample(static_cast<int>(k), j), whole.sample(ids[k], j))
             << "id=" << ids[k] << " j=" << j;
       }
     }
-    winners.push_back(part.WinnersBatch(qs, 40));
+    winners.push_back(
+        part.WinnersAmong(qs, EveryId(qs.size(), ids.size()), 40));
   }
-  auto want = whole.WinnersBatch(qs, 40);
+  auto want = whole.WinnersAmong(qs, EveryId(qs.size(), pts.size()), 40);
   ASSERT_EQ(want.size(), qs.size() * 40);
   for (size_t x = 0; x < want.size(); ++x) {
     const InstantiationWinner& a = winners[0][x];
@@ -339,6 +359,15 @@ TEST(MonteCarloPnn, SubsetKeyedByIdsHoldsTheWholeSetsSamples) {
     EXPECT_EQ(got.key, want[x].key) << x;
     EXPECT_EQ(got.dist, want[x].dist) << x;
   }
+  // The tree-candidate sweep counts the winners a scan of every id finds.
+  auto batch = whole.QueryBatch(qs);
+  for (size_t i = 0; i < qs.size(); ++i) {
+    std::map<int, int> wins;
+    for (int j = 0; j < 40; ++j) ++wins[want[i * 40 + j].key];
+    std::vector<std::pair<int, double>> tally;
+    for (auto [id, count] : wins) tally.push_back({id, count / 40.0});
+    EXPECT_EQ(batch[i], tally) << i;
+  }
 }
 
 // A structure with s' > s instantiations holds the s-instantiation one as
@@ -347,9 +376,10 @@ TEST(MonteCarloPnn, LargerEstimatorHoldsTheSmallerAsPrefix) {
   auto pts = KeyedDrawPoints(83);
   MonteCarloPnnOptions opts;
   opts.s_override = 50;
-  MonteCarloPnn small(pts, opts);
+  QuantTree tree(&pts);
+  MonteCarloPnn small(&tree, opts);
   opts.s_override = 130;
-  MonteCarloPnn big(pts, opts);
+  MonteCarloPnn big(&tree, opts);
   for (int i = 0; i < static_cast<int>(pts.size()); ++i) {
     for (int j = 0; j < 50; ++j) {
       ASSERT_EQ(big.sample(i, j), small.sample(i, j));
@@ -357,8 +387,9 @@ TEST(MonteCarloPnn, LargerEstimatorHoldsTheSmallerAsPrefix) {
   }
   auto qs = KeyedDrawQueries(84);
   EXPECT_EQ(big.QueryBatch(qs, nullptr, 50), small.QueryBatch(qs));
-  auto got = big.WinnersBatch(qs, 50);
-  auto want = small.WinnersBatch(qs, 50);
+  auto all = EveryId(qs.size(), pts.size());
+  auto got = big.WinnersAmong(qs, all, 50);
+  auto want = small.WinnersAmong(qs, all, 50);
   ASSERT_EQ(got.size(), want.size());
   for (size_t x = 0; x < got.size(); ++x) {
     EXPECT_EQ(got[x].key, want[x].key) << x;

@@ -290,9 +290,6 @@ TEST(ShardedEngine, MatchesSingleEngineBitForBit) {
           cfg.backend = backend;
           cfg.mc_samples_override = override_samples;
           cfg.seed = seed;
-          // Loose because truncated-Gaussian expected distances are slow;
-          // both sides use the same tolerance.
-          cfg.tol = 1e-3;
           Engine single(pts, cfg);
           std::vector<std::vector<Engine::QueryResult>> want;
           for (const Engine::QuerySpec& spec : specs) {

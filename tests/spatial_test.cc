@@ -354,7 +354,7 @@ TEST(MigratedKdTree, AllCoincidentPoints) {
 TEST(MigratedExpectedNn, SingletonAndCoincidentMeans) {
   std::vector<core::UncertainPoint> one = {
       core::UncertainPoint::Disk({2, 1}, 0.5)};
-  core::ExpectedNn nn_one(one);
+  core::ExpectedNn nn_one(&one);
   EXPECT_EQ(nn_one.QuerySquared({0, 0}), 0);
 
   // Coincident means with different variances: the smallest variance
@@ -363,12 +363,12 @@ TEST(MigratedExpectedNn, SingletonAndCoincidentMeans) {
   for (int i = 0; i < 12; ++i) {
     pts.push_back(core::UncertainPoint::Disk({3, 3}, i == 7 ? 0.1 : 1.0));
   }
-  core::ExpectedNn nn(pts);
+  core::ExpectedNn nn(&pts);
   EXPECT_EQ(nn.QuerySquared({-2, 6}), 7);
   std::vector<core::UncertainPoint> ties(
       9, core::UncertainPoint::Disk({3, 3}, 1.0));
-  core::ExpectedNn tie_a(ties);
-  core::ExpectedNn tie_b(ties);
+  core::ExpectedNn tie_a(&ties);
+  core::ExpectedNn tie_b(&ties);
   int got = tie_a.QuerySquared({1, 1});
   EXPECT_EQ(got, tie_b.QuerySquared({1, 1}));
   EXPECT_EQ(tie_a.ExpectedSquaredDistance(got, {1, 1}),

@@ -107,7 +107,8 @@ TEST(StressDegenerate, GuaranteedVoronoiSemantics) {
   EXPECT_GT(vd.NumGuaranteedFaces(), 0);  // Sparse input: many guaranteed.
   MonteCarloPnnOptions opts;
   opts.s_override = 400;
-  MonteCarloPnn mc(pts, opts);
+  QuantTree tree(&pts);
+  MonteCarloPnn mc(&tree, opts);
   std::mt19937_64 rng(43);
   std::uniform_real_distribution<double> qu(-16, 16);
   int verified = 0;
@@ -133,7 +134,8 @@ TEST(StressDegenerate, MixedModelsMonteCarlo) {
       UncertainPoint::Discrete({{-4, 2}}, {1.0})};
   MonteCarloPnnOptions opts;
   opts.s_override = 20000;
-  MonteCarloPnn mc(pts, opts);
+  QuantTree tree(&pts);
+  MonteCarloPnn mc(&tree, opts);
   std::mt19937_64 rng(47);
   std::uniform_real_distribution<double> qu(-6, 8);
   for (int t = 0; t < 25; ++t) {
