@@ -6,7 +6,7 @@
 // Both sides are pruned; neither is an unpruned scan.
 //
 // Rows, one Engine per input model:
-//   batched_qm         ExpectedDistanceNn on discrete points (ExpectedNn);
+//   batched_qm         ExpectedDistanceNn on discrete points (QuantTree);
 //   batched_mpnn       MostProbableNn on disks (Monte-Carlo backend:
 //   batched_threshold  Threshold        the scalar envelope walk, then
 //   batched_topk       TopK             the candidate sweep, per query);
@@ -30,8 +30,8 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "core/expected_nn.h"
 #include "core/nn_nonzero_discrete_index.h"
+#include "core/quant_tree.h"
 #include "core/uncertain_point.h"
 #include "engine/engine.h"
 #include "geom/lanes.h"
@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
     cfg.mc_samples_override = 96;
     Engine disk(disk_pts, cfg);
     Engine disc(disc_pts, cfg);
-    core::ExpectedNn expected(&disc_pts);
+    core::QuantTree tree(&disc_pts);
     core::NnNonzeroDiscreteIndex nonzero(&disc_pts);
 
     struct Part {
@@ -143,7 +143,7 @@ int main(int argc, char** argv) {
       switch (part.spec.type) {
         case Engine::QueryType::kExpectedDistanceNn: {
           bench::Timer tk;
-          for (Vec2 q : sorted) expected.QueryExpected(q);
+          for (Vec2 q : sorted) tree.ExpectedDistanceNn(q);
           scalar_sorted_us = tk.Ms() * 1000.0 / part.burst;
           break;
         }

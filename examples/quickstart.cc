@@ -52,7 +52,7 @@ int main() {
   // most-probable NN.
   core::ExpectedNn enn(&sensors);
   printf("argmin E[d^2] = P%d, argmin E[d] = P%d\n", enn.QuerySquared(q),
-         enn.QueryExpected(q));
+         index.ExpectedDistanceNn(q));
 
   // --- Discrete model: check-in locations with probabilities. ---
   std::vector<UncertainPoint> users = {

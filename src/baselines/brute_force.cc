@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "core/pnn_common.h"
+#include "prob/distance_cdf.h"
 
 namespace unn {
 namespace baselines {
@@ -24,6 +25,20 @@ std::vector<int> NonzeroNn(const std::vector<UncertainPoint>& pts, Vec2 q) {
     }
   }
   return out;
+}
+
+int ExpectedDistanceNn(const std::vector<UncertainPoint>& pts, Vec2 q) {
+  if (!geom::IsFinite(q)) return -1;
+  double best = std::numeric_limits<double>::infinity();
+  int arg = -1;
+  for (size_t i = 0; i < pts.size(); ++i) {
+    double e = prob::ExpectedDistance(pts[i], q);
+    if (e < best) {  // Id order: a tie keeps the smaller id.
+      best = e;
+      arg = static_cast<int>(i);
+    }
+  }
+  return arg;
 }
 
 std::vector<double> QuantificationProbabilities(

@@ -19,6 +19,12 @@ namespace baselines {
 std::vector<int> NonzeroNn(const std::vector<core::UncertainPoint>& pts,
                            geom::Vec2 q);
 
+/// argmin_i E[d(q, P_i)] straight from the definition: the lexicographic
+/// argmin of (prob::ExpectedDistance, id) over every point; -1 for a
+/// non-finite q. O(n) per query.
+int ExpectedDistanceNn(const std::vector<core::UncertainPoint>& pts,
+                       geom::Vec2 q);
+
 /// Exact quantification probabilities pi_i(q) for discrete uncertain points
 /// via Eq. (2): sort all N sites by (distance, site id), single
 /// accumulating pass (core::AccumulateQuantification, whose tie rule gives

@@ -14,16 +14,14 @@
 /// per-point quantity, so the minimizer needs no interaction between
 /// points.
 ///
-/// Two semantics are provided:
+/// A paper-side structure (the unn_paper library; the serving path answers
+/// argmin_i E[d(q, P_i)] with core::QuantTree::ExpectedDistanceNn). It
+/// holds the other two semantics of Section 1.2:
 ///   * expected *squared* distance — exact and index-friendly, since
 ///     E[d(q,P)^2] = |q - mu|^2 + Var(P) (a "power-like" weighted NN,
 ///     answered by branch-and-bound in O(log n) expected time);
-///   * expected distance E[d(q,P)] — evaluated per point in O(1) by
-///     prob::ExpectedDistance (a weighted sum for discrete points, exact
-///     to rounding for uniform disks, within 1e-9 relative for truncated
-///     Gaussians) and minimized by a scan in increasing E[d^2] order (a
-///     best-first kd-tree enumeration) that skips points whose
-///     E[d] >= delta exceeds the incumbent.
+///   * the k-NN ranking by expected distance E[d(q,P)]
+///     (prob::ExpectedDistance per point, then a partial sort).
 ///
 /// Experiment E12 measures how often the expected-NN disagrees with the
 /// most-probable NN — the [YTX+10] critique the paper cites for preferring
@@ -41,19 +39,12 @@ class ExpectedNn {
   /// argmin_i E[d(q, P_i)^2]; exact.
   int QuerySquared(geom::Vec2 q) const;
 
-  /// argmin_i E[d(q, P_i)]: the lexicographic argmin of the computed
-  /// (E[d], id) pairs.
-  int QueryExpected(geom::Vec2 q) const;
-
   /// E[d(q, P_i)^2] = |q - mu_i|^2 + Var_i (closed form, all models).
   double ExpectedSquaredDistance(int i, geom::Vec2 q) const;
 
-  /// E[d(q, P_i)] (prob::ExpectedDistance).
-  double ExpectedDistance(int i, geom::Vec2 q) const;
-
   /// The k-NN ranking by expected distance (Section 1.2: "rank them in a
   /// non-decreasing order of the expected distance"): the `k` ids with the
-  /// smallest E[d(q, P_i)], in that order.
+  /// smallest E[d(q, P_i)] (prob::ExpectedDistance), in that order. O(n).
   std::vector<int> RankByExpectedDistance(geom::Vec2 q, int k) const;
 
   geom::Vec2 mean(int i) const { return mean_[i]; }
@@ -63,12 +54,6 @@ class ExpectedNn {
   const std::vector<UncertainPoint>* points_;
   std::vector<geom::Vec2> mean_;
   std::vector<double> var_;
-  /// Largest variance and largest disk radius (0 without disks): they
-  /// turn QueryExpected's E[d^2] order into a lower bound on E[d] of
-  /// every discrete point and on delta_i(q) of every disk not yet
-  /// visited.
-  double max_var_ = 0.0;
-  double max_reach_ = 0.0;
   /// Kd-tree over the means, augmented with the subtree minimum variance:
   /// E[d(q,P)^2] = d(q, mu)^2 + Var is a power-like weighted distance, so
   /// box-distance-plus-min-variance is a valid subtree lower bound.

@@ -17,6 +17,13 @@ namespace {
 constexpr int kLeafSize = 8;
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Relative guard band of the expected-distance skips: a lower bound only
+/// skips a point or subtree when the bound times this factor still
+/// exceeds the incumbent E[d], absorbing the rounding of the computed
+/// E[d] (prob::ExpectedDistance is within 1e-9 relative of the true value
+/// on every model).
+constexpr double kSkipGuard = 1.0 - 1e-8;
+
 /// True when no point behind `lb` can still change the envelope. Strict
 /// comparison against `second` whenever `second == best`, so a pruned
 /// subtree can never hide a minimum-value tie with a smaller id (which
@@ -55,14 +62,16 @@ QuantTree::QuantTree(const std::vector<UncertainPoint>* points)
       anchors_.push_back(p.center());
       radii_.push_back(p.radius());
     } else {
-      // Site centroid: a convex-hull point, so d(q, anchor) <= Delta_i(q)
-      // stays a valid lower bound (d(q, .) is convex).
-      geom::Vec2 c{0, 0};
-      for (geom::Vec2 s : p.sites()) c = c + s;
-      c = c / static_cast<double>(p.sites().size());
+      // The weighted site mean: a convex-hull point, so d(q, anchor) <=
+      // Delta_i(q) stays a valid lower bound (d(q, .) is convex), and by
+      // Jensen d(q, anchor) <= E[d(q, P_i)].
+      geom::Vec2 mu{0, 0};
+      for (size_t s = 0; s < p.sites().size(); ++s) {
+        mu = mu + p.sites()[s] * p.weights()[s];
+      }
       double r = 0.0;
-      for (geom::Vec2 s : p.sites()) r = std::max(r, Dist(c, s));
-      anchors_.push_back(c);
+      for (geom::Vec2 s : p.sites()) r = std::max(r, Dist(mu, s));
+      anchors_.push_back(mu);
       radii_.push_back(r);
     }
   }
@@ -117,6 +126,41 @@ DeltaEnvelope QuantTree::MaxDistEnvelope(geom::Vec2 q, QueryStats* stats,
       },
       stats);
   return env;
+}
+
+int QuantTree::ExpectedDistanceNn(geom::Vec2 q, QueryStats* stats) const {
+  if (!geom::IsFinite(q) || tree_.root() < 0) return -1;
+  // Every anchor is its model's mean, so by Jensen E[d(q, P_i)] >=
+  // d(q, anchor_i) >= dist(q, box) for every point under a node: the box
+  // distance keys the ordered DFS, and a subtree or point whose bound
+  // clears the incumbent is skipped. The skips keep the relative guard
+  // (kSkipGuard) and an absolute slack for the rounding of a computed
+  // discrete mean, a few ulps of sum_s w_s |s| <= |q| + E[d]; so a skipped
+  // point's computed E[d] is strictly above the incumbent, and with the
+  // smaller-id tie break the result is the lexicographic argmin of the
+  // computed (E[d], id), independent of the visit order (what a sharded
+  // min-merge also computes).
+  const double slack = 1e-12 * (std::abs(q.x) + std::abs(q.y));
+  double best = kInf;
+  int arg = -1;
+  auto beaten = [&](double lb) { return lb * kSkipGuard - slack > best; };
+  spatial::PrunedVisitOrdered(
+      tree_, [&](int n) { return BoxDist(tree_.box(n), q); },
+      [&](int, double lb) { return beaten(lb); },
+      [&](int n) {
+        for (int j = tree_.begin(n); j < tree_.end(n); ++j) {
+          int id = tree_.item(j);
+          if (beaten(Dist(q, anchors_[id]))) continue;
+          if (stats != nullptr) ++stats->points_evaluated;
+          double e = prob::ExpectedDistance((*points_)[id], q);
+          if (e < best || (e == best && id < arg)) {
+            best = e;
+            arg = id;
+          }
+        }
+      },
+      stats);
+  return arg;
 }
 
 double QuantTree::LogSurvival(geom::Vec2 q, double r,

@@ -36,12 +36,19 @@
 ///                             gives Delta(q), SupportsWithin(q, Delta(q))
 ///                             the candidates, and each keeps its place
 ///                             iff delta_i(q) < min_{j != i} Delta_j(q).
+///   * ExpectedDistanceNn(q) — argmin_i E[d(q, P_i)] ([AESZ12], paper II
+///                             Section 1.2), an ordered DFS keyed by the
+///                             box distance over the anchors: every anchor
+///                             is its model's mean, so by Jensen
+///                             E[d(q, P_i)] >= d(q, mean_i) bounds a
+///                             subtree.
 ///
 /// This is the practical stand-in for the Delta-based NN!=0 machinery of
 /// Section 3 (the [KMR+16] dynamic lower envelope of Theorem 3.1 included)
 /// and the BBD/quadtree hierarchies reused by the follow-up
 /// paper (*Nearest-Neighbor Searching Under Uncertainty II*): per-node
-/// bounds come from a box over per-point anchors plus the min/max support
+/// bounds come from a box over per-point anchors (each model's mean: a disk's
+/// center, a discrete point's weighted site mean) plus the min/max support
 /// radius, so queries run in O(log n + output) on bounded-density inputs
 /// while leaf evaluation stays exact (experiment E14 measures the
 /// scaling against the scans side by side).
@@ -51,7 +58,9 @@
 /// scans, so MaxDistEnvelope reproduces core::TwoSmallestMaxDist
 /// bit-identically (including argmin tie-breaking toward the smaller id)
 /// and SupportsWithin reports exactly the scan's ids, so NonzeroNn equals
-/// baselines::NonzeroNn bit for bit, far from the data included. LogSurvival
+/// baselines::NonzeroNn bit for bit, far from the data included.
+/// ExpectedDistanceNn skips only behind guard-banded bounds, so it returns
+/// the lexicographic argmin of the computed (E[d], id). LogSurvival
 /// accumulates the same per-point terms in leaf visit order, so it
 /// matches a linear log-space scan up to floating-point associativity
 /// (~1e-15 relative).
@@ -62,7 +71,8 @@
 /// must outlive it unchanged (unn::Engine guarantees this for its own
 /// point set). core::MonteCarloPnn borrows the tree in turn and reads the
 /// points through points(), so an Engine builds one tree for its envelope,
-/// NN!=0, sharded-plan hooks and Monte-Carlo estimator, and
+/// NN!=0, expected-distance NN, sharded-plan hooks and Monte-Carlo
+/// estimator, and
 /// Engine::StructuresBuilt counts it once.
 
 namespace unn {
@@ -145,6 +155,12 @@ class QuantTree {
   /// O(log n + k) for k candidates on bounded-density inputs.
   std::vector<int> NonzeroNn(geom::Vec2 q) const;
 
+  /// argmin_i E[d(q, P_i)] (prob::ExpectedDistance): the lexicographic
+  /// argmin of the computed (E[d], id) pairs, so ties go to the smaller id;
+  /// -1 for a non-finite q. `stats` counts nodes and E[d] evaluations.
+  /// O(log n) on bounded-density inputs, O(n) worst case.
+  int ExpectedDistanceNn(geom::Vec2 q, QueryStats* stats = nullptr) const;
+
   /// The O(n) linear-scan oracle for LogSurvival: the same per-point
   /// terms accumulated in id order. The one definition tests and
   /// benchmarks verify the index against, kept here so the oracle and
@@ -165,8 +181,9 @@ class QuantTree {
   double MinDistLowerBound(int node, geom::Vec2 q) const;
 
   const std::vector<UncertainPoint>* points_;
-  /// Per-point anchor: a point of the support's convex hull (disk center
-  /// / site centroid), so d(q, anchor) <= Delta_i(q) for every q.
+  /// Per-point anchor: the model's mean (disk center / weighted site
+  /// mean), a point of the support's convex hull, so d(q, anchor) <=
+  /// Delta_i(q) and (Jensen) d(q, anchor) <= E[d(q, P_i)] for every q.
   std::vector<geom::Vec2> anchors_;
   /// Per-point support radius: max distance from the anchor to the
   /// support, so Delta_i(q) <= d(q, anchor) + radius and

@@ -65,12 +65,6 @@ Engine::Engine(std::vector<core::UncertainPoint> points, const Config& config,
 // never pulls a structure out from under a running query.
 // ---------------------------------------------------------------------------
 
-const core::ExpectedNn& Engine::GetExpectedNn() const {
-  return BuildOnce(expected_nn_once_, expected_nn_, builds_, [this] {
-    return std::make_unique<core::ExpectedNn>(&points_);
-  });
-}
-
 const core::NnNonzeroDiscreteIndex& Engine::GetNonzeroDiscrete() const {
   return BuildOnce(nonzero_discrete_once_, nonzero_discrete_, builds_, [this] {
     return std::make_unique<core::NnNonzeroDiscreteIndex>(&points_);
@@ -272,11 +266,9 @@ std::vector<Engine::QueryResult> Engine::QueryInOrder(
       break;
     }
     case QueryType::kExpectedDistanceNn: {
-      const core::ExpectedNn& index = GetExpectedNn();
+      const core::QuantTree& tree = GetQuantTree();
       for (size_t i = 0; i < queries.size(); ++i) {
-        if (geom::IsFinite(queries[i])) {
-          results[i].nn = index.QueryExpected(queries[i]);
-        }
+        results[i].nn = tree.ExpectedDistanceNn(queries[i]);
       }
       break;
     }
@@ -303,11 +295,11 @@ std::vector<Engine::QueryResult> Engine::QueryInOrder(
       break;
     }
     case QueryType::kNonzeroNn: {
-      // NN!=0 is exact on every backend, so the data model alone picks
-      // the structure: a discrete set uses the Theorem 3.2 index (whose
-      // batch the exact probabilities share), every other set the
-      // quantification index's Lemma 2.1 walk.
-      if (all_discrete_) {
+      // NN!=0 is exact on every backend: where the probabilities are
+      // exact, the Theorem 3.2 index they already batch through answers
+      // it; every other Engine takes the quantification index's Lemma 2.1
+      // walk on the tree it already holds.
+      if (ExactQuantification()) {
         auto ids = GetNonzeroDiscrete().QueryBatch(queries);
         for (size_t i = 0; i < queries.size(); ++i) {
           if (geom::IsFinite(queries[i])) results[i].ids = std::move(ids[i]);

@@ -9,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/expected_nn.h"
 #include "core/monte_carlo_pnn.h"
 #include "core/nn_nonzero_discrete_index.h"
 #include "core/quant_tree.h"
@@ -44,8 +43,8 @@
 /// Structures are built lazily on first use and cached, so an Engine that
 /// only ever answers NonzeroNn never pays for Monte-Carlo preprocessing.
 /// The Engine holds the one copy of its points and the one core::QuantTree
-/// over them: ExpectedNn, NnNonzeroDiscreteIndex and the QuantTree borrow
-/// the points, and the Monte-Carlo estimator borrows the QuantTree.
+/// over them: NnNonzeroDiscreteIndex and the QuantTree borrow the points,
+/// and the Monte-Carlo estimator borrows the QuantTree.
 ///
 /// Thread safety: every `const` query method may be called from any number
 /// of threads concurrently. The lazy structure cache is synchronized
@@ -70,11 +69,11 @@ enum class Backend {
   /// Disk and mixed inputs: Monte-Carlo probabilities, and NN!=0 from
   /// the quantification index (core::QuantTree::NonzeroNn, the two
   /// stages of Theorem 3.1 on any model).
-  /// ExpectedDistanceNn always uses core::ExpectedNn.
+  /// ExpectedDistanceNn always uses core::QuantTree::ExpectedDistanceNn.
   kAuto,
   /// Theorem 4.3/4.5 instantiation sampling for the probabilities on
-  /// every input. NN!=0 and ExpectedDistanceNn are exact, so they use
-  /// kAuto's structures.
+  /// every input. NN!=0 and ExpectedDistanceNn are exact, and both come
+  /// from the QuantTree the estimator borrows.
   kMonteCarlo,
 };
 
@@ -163,8 +162,9 @@ class Engine {
   /// is one quantification query (near-linear worst case).
   int MostProbableNn(geom::Vec2 q) const;
 
-  /// argmin_i E[d(q, P_i)], served by core::ExpectedNn on every backend.
-  /// Thread-safe; O(log n) expected via branch-and-bound.
+  /// argmin_i E[d(q, P_i)], ties toward the smaller id; served by
+  /// core::QuantTree::ExpectedDistanceNn on every backend. Thread-safe;
+  /// O(log n) on bounded-density inputs via branch-and-bound.
   int ExpectedDistanceNn(geom::Vec2 q) const;
 
   /// All i whose true pi_i(q) may reach tau, (id, estimate) sorted by
@@ -187,9 +187,9 @@ class Engine {
 
   /// NN!=0(q), sorted ids; exact, equal to baselines::NonzeroNn far from
   /// the data too. Thread-safe; polylogarithmic + output-sensitive on
-  /// every backend: the Theorem 3.2 index on discrete sets, the
-  /// quantification index (core::QuantTree::NonzeroNn) on disk and mixed
-  /// sets, one structure each.
+  /// every backend: the Theorem 3.2 index where the probabilities are
+  /// exact (kAuto on discrete sets), the quantification index
+  /// (core::QuantTree::NonzeroNn) everywhere else, one structure each.
   std::vector<int> NonzeroNn(geom::Vec2 q) const;
 
   /// Batched entry point and the one execution path of every query type:
@@ -363,7 +363,6 @@ class Engine {
   std::vector<QueryResult> QueryInOrder(std::span<const geom::Vec2> queries,
                                         const QuerySpec& spec) const;
 
-  const core::ExpectedNn& GetExpectedNn() const;
   const core::NnNonzeroDiscreteIndex& GetNonzeroDiscrete() const;
   const core::QuantTree& GetQuantTree() const;
   /// An estimator with at least `samples` instantiations, as an owning
@@ -390,8 +389,6 @@ class Engine {
   // build-exactly-once publication guarantee is what synchronizes them
   // (each slot is written once inside the call_once callback and only
   // read after the corresponding call_once returns).
-  mutable std::once_flag expected_nn_once_;
-  mutable std::unique_ptr<core::ExpectedNn> expected_nn_;
   mutable std::once_flag nonzero_discrete_once_;
   mutable std::unique_ptr<core::NnNonzeroDiscreteIndex> nonzero_discrete_;
   mutable std::once_flag quant_tree_once_;

@@ -515,8 +515,6 @@ void ShardedEngine::Warmup(const Engine::QuerySpec& spec,
   const query_contract::SpecClass cls = query_contract::Classify(spec);
   if (cls == query_contract::SpecClass::kTrivialEmpty) return;
   const bool regular = cls == query_contract::SpecClass::kRegular;
-  const bool ednn =
-      regular && spec.type == Engine::QueryType::kExpectedDistanceNn;
   const bool monte_carlo =
       !exact_ && (!regular || spec.type == Engine::QueryType::kMostProbableNn ||
                   spec.type == Engine::QueryType::kThreshold ||
@@ -532,8 +530,8 @@ void ShardedEngine::Warmup(const Engine::QuerySpec& spec,
   std::iota(all.begin(), all.end(), 0);
   ForEachShard(all, pool, [&](int s) {
     const Engine& e = *engines_[s];
-    e.MaxDistEnvelope(probe);  // Stage one: the envelope index.
-    if (ednn) e.QueryMany({&probe, 1}, spec);
+    // Stage one: the envelope index, which also answers EDNN.
+    e.MaxDistEnvelope(probe);
     if (monte_carlo) e.MonteCarloWinnersMany({&probe, 1}, {&first, 1}, samples);
   });
 }

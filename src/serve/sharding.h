@@ -189,10 +189,11 @@ class ShardedEngine {
   /// Warms every shard for the given query type / spec (in parallel on
   /// `pool` when given) so no serving query pays a structure build: each
   /// shard's structures for the plan's per-shard calls — the envelope
-  /// index of stage one, and for stage two the expected-distance index or
-  /// the Monte-Carlo estimator at the whole set's sample count — on every
-  /// shard, including those a given query's plan would skip. Degenerate
-  /// specs build nothing. Idempotent and thread-safe, like Engine::Warmup.
+  /// index of stage one (which also answers stage two's expected-distance
+  /// NN), and the Monte-Carlo estimator at the whole set's sample count —
+  /// on every shard, including those a given query's plan would skip.
+  /// Degenerate specs build nothing. Idempotent and thread-safe, like
+  /// Engine::Warmup.
   void Warmup(Engine::QueryType type, ThreadPool* pool = nullptr) const;
   void Warmup(const Engine::QuerySpec& spec, ThreadPool* pool = nullptr) const;
 

@@ -28,7 +28,6 @@
 
 #include "baselines/brute_force.h"
 #include "core/exact_pnn.h"
-#include "core/expected_nn.h"
 #include "core/monte_carlo_pnn.h"
 #include "core/nn_nonzero_discrete_index.h"
 #include "core/quant_tree.h"
@@ -242,6 +241,11 @@ TEST(BatchFuzz, QuantTreeNonzeroMatchesOracle) {
                                        std::greater_equal<int>()) ==
                     got.end());
         for (int id : got) EXPECT_TRUE(id >= 0 && id < tree.size());
+        // The expected-distance search on the same tree: the definition's
+        // lexicographic argmin, far from the data too.
+        EXPECT_EQ(tree.ExpectedDistanceNn(q),
+                  baselines::ExpectedDistanceNn(pts, q))
+            << "it=" << it << " q=(" << q.x << "," << q.y << ")";
       }
     }
   }
@@ -578,7 +582,6 @@ TEST(BatchFuzz, EngineQueryManyPackIndependent) {
     uint64_t seed = 4000 + 7 * static_cast<uint64_t>(it);
     auto pts = AdversarialSet(it, 24 + it * 9, seed);
     Engine engine(pts);
-    core::ExpectedNn expected(&pts);
     for (int m = 1; m <= 2 * geom::kLaneWidth + 1; ++m) {
       auto qs = AdversarialQueries(m, seed + 99 + m);
       for (int i = 2; i < m; i += 5) {
@@ -599,8 +602,8 @@ TEST(BatchFuzz, EngineQueryManyPackIndependent) {
         }
       }
       // Definition-level oracles. NN!=0 is undefined exactly on diagram
-      // edges (zero margin), so those queries are skipped; the discrete
-      // expected-distance argmin is ExpectedNn's scalar query.
+      // edges (zero margin), so those queries are skipped; the
+      // expected-distance argmin is the definition's on every model.
       auto nonzero = engine.QueryMany(qs, specs[4]);
       auto nearest = engine.QueryMany(qs, specs[1]);
       auto most_probable = engine.QueryMany(qs, specs[0]);
@@ -619,10 +622,8 @@ TEST(BatchFuzz, EngineQueryManyPackIndependent) {
           EXPECT_EQ(nonzero[i].ids, baselines::NonzeroNn(pts, qs[i]))
               << "it=" << it << " m=" << m << " i=" << i;
         }
-        if (engine.all_discrete()) {
-          EXPECT_EQ(nearest[i].nn, expected.QueryExpected(qs[i]))
-              << "it=" << it << " m=" << m << " i=" << i;
-        }
+        EXPECT_EQ(nearest[i].nn, baselines::ExpectedDistanceNn(pts, qs[i]))
+            << "it=" << it << " m=" << m << " i=" << i;
       }
     }
   }

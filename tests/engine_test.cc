@@ -382,8 +382,10 @@ TEST(EngineWarmup, BuildsOnceAndServesWithoutBuilding) {
         Engine::QueryType::kNonzeroNn,
     };
     for (auto type : kAllTypes) engine.Warmup(type);
+    // Disks: the QuantTree (EDNN, NN!=0) and the estimator. Discrete: the
+    // QuantTree (EDNN) and the Theorem 3.2 index (NN!=0, probabilities).
     int built = engine.StructuresBuilt();
-    EXPECT_GE(built, 2);
+    EXPECT_EQ(built, 2);
 
     // Idempotent: warming again builds nothing (no structure twice).
     for (auto type : kAllTypes) engine.Warmup(type);
@@ -453,9 +455,9 @@ TEST(EngineWarmup, SampleOverrideKeepsOneMonteCarloEstimator) {
 // The Monte-Carlo estimator borrows the Engine's QuantTree: once the tree
 // exists, warming the estimator builds one structure, and rebuilding it for
 // more samples (tau < 2 * eps) builds one more, never a second tree; an
-// estimator built first builds the tree the envelope hook then reuses. On a
-// discrete set NN!=0 comes from the Theorem 3.2 index instead, so there the
-// envelope hook builds the tree.
+// estimator built first builds the tree the envelope hook then reuses. A
+// discrete kMonteCarlo Engine takes NN!=0 from the tree too (the Theorem 3.2
+// index serves only exact probabilities), so it counts the same.
 TEST(EngineWarmup, MonteCarloSharesTheQuantTree) {
   auto mixed = workload::RandomDisks(12, 72);
   auto extra = workload::RandomDiscrete(6, 2, 73);
@@ -475,18 +477,15 @@ TEST(EngineWarmup, MonteCarloSharesTheQuantTree) {
     Engine engine(c.pts, cfg);
     engine.Warmup(Engine::QueryType::kNonzeroNn);
     EXPECT_EQ(engine.StructuresBuilt(), 1);
-    if (engine.all_discrete()) {
-      engine.MaxDistEnvelope({0.5, 0.5});
-      EXPECT_EQ(engine.StructuresBuilt(), 2);
-    }
-    const int tree_built = engine.StructuresBuilt();
+    engine.MaxDistEnvelope({0.5, 0.5});
+    EXPECT_EQ(engine.StructuresBuilt(), 1);
     engine.Warmup(Engine::QueryType::kMostProbableNn);
-    EXPECT_EQ(engine.StructuresBuilt(), tree_built + 1);
+    EXPECT_EQ(engine.StructuresBuilt(), 2);
     Engine cold(c.pts, cfg);
     for (Vec2 q : TestQueries()) {
       EXPECT_EQ(engine.Threshold(q, tau), cold.Threshold(q, tau));
     }
-    EXPECT_EQ(engine.StructuresBuilt(), tree_built + 2);
+    EXPECT_EQ(engine.StructuresBuilt(), 3);
     // Estimator first: it builds the tree, which the envelope hook reuses.
     EXPECT_EQ(cold.StructuresBuilt(), 2);
     cold.MaxDistEnvelope({0.5, 0.5});

@@ -1,5 +1,4 @@
 #include <cstdint>
-#include <limits>
 #include <random>
 #include <vector>
 
@@ -7,7 +6,9 @@
 
 #include "baselines/brute_force.h"
 #include "core/expected_nn.h"
+#include "core/quant_tree.h"
 #include "engine/engine.h"
+#include "prob/distance_cdf.h"
 #include "prob/distributions.h"
 #include "workload/generators.h"
 
@@ -68,21 +69,21 @@ TEST(ExpectedNn, ExpectedDistanceMatchesSampling) {
   const int kSamples = 400000;
   for (int s = 0; s < kSamples; ++s) mc += Dist(q, prob::SamplePoint(p, rng));
   mc /= kSamples;
-  EXPECT_NEAR(enn.ExpectedDistance(0, q), mc, 0.01);
+  EXPECT_NEAR(prob::ExpectedDistance(p, q), mc, 0.01);
   // Jensen: E[d] <= sqrt(E[d^2]).
-  EXPECT_LE(enn.ExpectedDistance(0, q),
+  EXPECT_LE(prob::ExpectedDistance(p, q),
             std::sqrt(enn.ExpectedSquaredDistance(0, q)) + 1e-9);
 }
 
-TEST(ExpectedNn, QueryExpectedMatchesLinearScan) {
-  // A small disk set, and one deep enough for the E[d^2]-ordered walk's
-  // stop rule to cut it short, with discrete points among the disks.
+TEST(QuantTreeExpected, ExpectedDistanceNnMatchesLinearScan) {
+  // A small disk set, and one deep enough for the box-distance walk's
+  // Jensen skips to cut it short, with discrete points among the disks.
   auto mixed = workload::RandomDisks(100, /*seed=*/17, 20.0, 0.2, 2.0);
   for (const UncertainPoint& p : workload::RandomDiscrete(100, 3, 19, 20.0)) {
     mixed.push_back(p);
   }
-  // All discrete, where the stop rule is Jensen's bound alone, with exact
-  // duplicates: their E[d] tie, and the smaller id must win.
+  // All discrete, with exact duplicates: their E[d] tie, and the smaller
+  // id must win.
   auto discrete = workload::RandomDiscrete(300, 4, /*seed=*/29, 20.0);
   for (int i = 0; i < 60; ++i) discrete.push_back(discrete[5 * i]);
   struct Case {
@@ -96,24 +97,35 @@ TEST(ExpectedNn, QueryExpectedMatchesLinearScan) {
       {mixed, 23, 30.0, 30},
       {discrete, 31, 25.0, 60}};
   for (const Case& c : cases) {
-    ExpectedNn enn(&c.pts);
+    QuantTree tree(&c.pts);
     std::mt19937_64 rng(c.seed);
     std::uniform_real_distribution<double> qu(-c.extent, c.extent);
     for (int t = 0; t < c.queries; ++t) {
       Vec2 q{qu(rng), qu(rng)};
-      int got = enn.QueryExpected(q);
-      double best = std::numeric_limits<double>::infinity();
-      int want = -1;
-      for (int i = 0; i < static_cast<int>(c.pts.size()); ++i) {
-        double e = enn.ExpectedDistance(i, q);
-        if (e < best) {
-          best = e;
-          want = i;
-        }
-      }
-      ASSERT_EQ(got, want) << "n=" << c.pts.size() << " t=" << t;
+      ASSERT_EQ(tree.ExpectedDistanceNn(q),
+                baselines::ExpectedDistanceNn(c.pts, q))
+          << "n=" << c.pts.size() << " t=" << t;
     }
   }
+}
+
+TEST(QuantTreeExpected, SkewedWeightsKeepTheWinner) {
+  // Point 1's weighted mean (0.2, 0) is 100.2 from q, as is its E[d]; its
+  // site centroid (5, 0) is 105 away. Point 0, one site 100.3 from q,
+  // sits with seven far fillers in the other half of the tree, so a search
+  // that met it first would skip point 1 by any bound above 100.3: only a
+  // mean anchor keeps the winner.
+  const Vec2 q{-100, 0};
+  std::vector<UncertainPoint> pts = {
+      UncertainPoint::Discrete({{-100, 100.3}}, {1.0}),
+      UncertainPoint::Discrete({{0, 0}, {10, 0}}, {0.98, 0.02})};
+  for (int i = 0; i < 7; ++i) {
+    pts.push_back(UncertainPoint::Discrete({{-100, 110.0 + 3 * i}}, {1.0}));
+    pts.push_back(UncertainPoint::Discrete({{20.0 + i, -3.0 + i}}, {1.0}));
+  }
+  QuantTree tree(&pts);
+  EXPECT_EQ(baselines::ExpectedDistanceNn(pts, q), 1);
+  EXPECT_EQ(tree.ExpectedDistanceNn(q), 1);
 }
 
 TEST(EngineThreshold, HasNoFalseNegatives) {

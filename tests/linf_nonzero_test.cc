@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/expected_nn.h"
+#include "prob/distance_cdf.h"
 #include "workload/generators.h"
 
 namespace unn {
@@ -120,16 +121,18 @@ TEST(ExpectedNnRanking, TopKOrderMatchesFullSort) {
     auto top5 = enn.RankByExpectedDistance(q, 5);
     ASSERT_EQ(top5.size(), 5u);
     std::vector<std::pair<double, int>> all;
-    for (int i = 0; i < 30; ++i) all.push_back({enn.ExpectedDistance(i, q), i});
+    for (int i = 0; i < 30; ++i) {
+      all.push_back({prob::ExpectedDistance(pts[i], q), i});
+    }
     std::sort(all.begin(), all.end());
     for (int i = 0; i < 5; ++i) {
-      EXPECT_NEAR(enn.ExpectedDistance(top5[i], q), all[i].first, 1e-9)
+      EXPECT_NEAR(prob::ExpectedDistance(pts[top5[i]], q), all[i].first, 1e-9)
           << "t=" << t << " rank " << i;
     }
     // Non-decreasing order.
     for (int i = 1; i < 5; ++i) {
-      EXPECT_LE(enn.ExpectedDistance(top5[i - 1], q),
-                enn.ExpectedDistance(top5[i], q) + 1e-12);
+      EXPECT_LE(prob::ExpectedDistance(pts[top5[i - 1]], q),
+                prob::ExpectedDistance(pts[top5[i]], q) + 1e-12);
     }
   }
 }
