@@ -1,5 +1,5 @@
 // Experiment E10 — Theorem 3.2: the near-linear discrete NN!=0 index
-// (group SEB branch-and-bound + lifted circular reporting) vs the O(N)
+// (the QuantTree's Delta envelope + lifted circular reporting) vs the O(N)
 // scan. Query time grows sublinearly in N = nk, matching the sqrt(N)-type
 // bound's shape.
 
@@ -8,6 +8,7 @@
 #include "baselines/brute_force.h"
 #include "bench_util.h"
 #include "core/nn_nonzero_discrete_index.h"
+#include "core/quant_tree.h"
 #include "workload/generators.h"
 
 using namespace unn;
@@ -26,7 +27,8 @@ int main(int argc, char** argv) {
     double extent = std::sqrt(static_cast<double>(n)) * 2.5;
     auto queries = bench::RandomQueries(args.tiny ? 100 : 1000, extent, 41);
     bench::Timer tb;
-    core::NnNonzeroDiscreteIndex ix(&pts);
+    core::QuantTree tree(&pts);
+    core::NnNonzeroDiscreteIndex ix(&tree);
     double build = tb.Ms();
     size_t sink = 0;
     bench::Timer ti;

@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
     Engine disk(disk_pts, cfg);
     Engine disc(disc_pts, cfg);
     core::QuantTree tree(&disc_pts);
-    core::NnNonzeroDiscreteIndex nonzero(&disc_pts);
+    core::NnNonzeroDiscreteIndex nonzero(&tree);
 
     struct Part {
       const char* structure;

@@ -11,6 +11,7 @@
 #include "baselines/brute_force.h"
 #include "core/monte_carlo_pnn.h"
 #include "core/nn_nonzero_discrete_index.h"
+#include "core/quant_tree.h"
 #include "core/spiral_search.h"
 #include "engine/engine.h"
 #include "workload/generators.h"
@@ -25,8 +26,10 @@ int main(int argc, char** argv) {
                                         /*uniform_weights=*/false);
   Vec2 venue{0.0, 0.0};
 
-  // Candidate set: who has any chance at all (Theorem 3.2 index).
-  core::NnNonzeroDiscreteIndex index(&users);
+  // Candidate set: who has any chance at all (Theorem 3.2 index, on the
+  // quantification tree the Monte-Carlo estimator below borrows too).
+  core::QuantTree tree(&users);
+  core::NnNonzeroDiscreteIndex index(&tree);
   auto candidates = index.Query(venue);
   printf("venue at (0,0): %zu of %d users have nonzero probability of being "
          "nearest\n",
@@ -39,7 +42,6 @@ int main(int argc, char** argv) {
   for (auto [id, p] : spiral.Query(venue, 0.01)) sp[id] = p;
   core::MonteCarloPnnOptions opts;
   opts.s_override = 20000;
-  core::QuantTree tree(&users);
   core::MonteCarloPnn mc(&tree, opts);
   std::vector<double> mcp(users.size(), 0.0);
   for (auto [id, p] : mc.Query(venue)) mcp[id] = p;

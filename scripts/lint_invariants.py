@@ -24,6 +24,11 @@ offending line or the line directly above; a justification is required):
                      outside src/util/thread_annotations.h — use the
                      annotated unn::Mutex family so -Wthread-safety sees
                      every lock.
+  quant-tree-owner   constructing a core::QuantTree is forbidden in src/
+                     outside src/engine/engine.cc — an Engine builds the one
+                     tree over its points (Engine::GetQuantTree) and every
+                     structure that needs one borrows it, so none can grow a
+                     private copy that StructuresBuilt does not see.
 
 Exit status: 0 when clean, 1 with one `file:line: [rule] message` per
 violation otherwise. Run over the default src/ tree or over explicit file
@@ -41,6 +46,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC_ROOT = REPO_ROOT / "src"
 
 WRAPPER_HEADER = "src/util/thread_annotations.h"
+QUANT_TREE_OWNER = "src/engine/engine.cc"
 
 ALLOW_RE = re.compile(r"//\s*lint:allow\((?P<rules>[a-z0-9_,\- ]+)\)\s*(?P<why>.*)")
 COMMENT_ONLY_RE = re.compile(r"^\s*(//|///|/\*|\*)")
@@ -57,6 +63,16 @@ RNG_RE = re.compile(
     r"|(?<![\w:])time\s*\(\s*(NULL|nullptr|0|&|\))"  # time(NULL) seeding
     r"|std::random_device\b"
     r"|std::(mt19937(_64)?|minstd_rand0?|default_random_engine)\s+\w+\s*;"
+)
+# A QuantTree made by make_unique/make_shared, by new, as a named object
+# (`QuantTree tree(&pts);`, a by-value member), or as a temporary; not a
+# reference, pointer, the class head or its own constructor declarations.
+_QT = r"(?:(?:unn::)?core::)?QuantTree"
+QUANT_TREE_RE = re.compile(
+    r"\bmake_(?:unique|shared)\s*<\s*" + _QT + r"\s*>"
+    r"|\bnew\s+" + _QT + r"\b"
+    r"|(?<![\w:~])" + _QT + r"\s+\w+\s*[({;=]"
+    r"|(?<![\w:~])(?<!class )" + _QT + r"\s*[({](?!\s*(?:const\b|\)))"
 )
 RELAXED_RE = re.compile(r"\bmemory_order_relaxed\b")
 RELAXED_COMMENT_RE = re.compile(r"//\s*relaxed:")
@@ -150,6 +166,7 @@ def lint_file(path: pathlib.Path, repo_rel: str) -> list[str]:
 
     in_spatial = repo_rel.startswith("src/spatial/")
     is_wrapper = repo_rel == WRAPPER_HEADER
+    is_tree_owner = repo_rel == QUANT_TREE_OWNER
 
     for i, line in enumerate(lines):
         if is_comment_only(line):
@@ -170,6 +187,11 @@ def lint_file(path: pathlib.Path, repo_rel: str) -> list[str]:
             report(i, "naked-mutex",
                    "naked std synchronization type — use the annotated "
                    "unn::Mutex family (src/util/thread_annotations.h)")
+        if QUANT_TREE_RE.search(line) and not is_tree_owner:
+            report(i, "quant-tree-owner",
+                   "core::QuantTree constructed outside "
+                   "src/engine/engine.cc — borrow the Engine's tree "
+                   "(Engine::GetQuantTree) instead of building another")
 
     for lineno, msg in check_relaxed_contract(lines):
         idx0 = lineno - 1

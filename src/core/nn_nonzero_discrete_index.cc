@@ -1,11 +1,8 @@
 #include "core/nn_nonzero_discrete_index.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 
 #include "core/pnn_common.h"
-#include "spatial/traverse.h"
 #include "util/check.h"
 
 namespace unn {
@@ -13,32 +10,13 @@ namespace core {
 
 using geom::Vec2;
 
-namespace {
-constexpr int kLeafGroups = 4;
-
-/// The skip test of DeltaPair: a lower bound at or above the second
-/// smallest Delta_i so far, unless the bound overflowed to +inf.
-bool Prunes(double lower_bound, double second) {
-  return lower_bound >= second &&
-         lower_bound < std::numeric_limits<double>::infinity();
-}
-}  // namespace
-
-NnNonzeroDiscreteIndex::NnNonzeroDiscreteIndex(
-    const std::vector<UncertainPoint>* points)
-    : points_(points) {
-  UNN_CHECK(points_ != nullptr && !points_->empty());
+NnNonzeroDiscreteIndex::NnNonzeroDiscreteIndex(const QuantTree* tree)
+    : tree_(tree) {
+  UNN_CHECK(tree_ != nullptr && tree_->size() > 0);
   std::vector<Vec2> sites;
-  // Build-only SoA views of the group SEBs; the augment seals (drops its
-  // pointer) when the build finishes, so locals suffice.
-  std::vector<Vec2> seb_centers;
-  std::vector<double> seb_radii;
-  for (size_t i = 0; i < points_->size(); ++i) {
-    const auto& p = (*points_)[i];
+  for (size_t i = 0; i < points().size(); ++i) {
+    const auto& p = points()[i];
     UNN_CHECK_MSG(!p.is_disk(), "NnNonzeroDiscreteIndex is for discrete models");
-    group_seb_.push_back(geom::SmallestEnclosingCircle(p.sites()));
-    seb_centers.push_back(group_seb_.back().center);
-    seb_radii.push_back(group_seb_.back().radius);
     for (size_t s = 0; s < p.sites().size(); ++s) {
       sites.push_back(p.sites()[s]);
       site_owner_.push_back(static_cast<int>(i));
@@ -46,56 +24,11 @@ NnNonzeroDiscreteIndex::NnNonzeroDiscreteIndex(
     }
   }
   site_tree_ = std::make_unique<range::KdTree>(std::move(sites));
-  group_tree_ = spatial::FlatKdTree<spatial::MinAugment>(
-      seb_centers,
-      {.leaf_size = kLeafGroups, .split = spatial::SplitRule::kAlternate},
-      spatial::MinAugment(&seb_radii));
 }
-
-DeltaEnvelope NnNonzeroDiscreteIndex::DeltaPair(Vec2 q) const {
-  DeltaEnvelope env;
-  env.best = std::numeric_limits<double>::infinity();
-  env.second = std::numeric_limits<double>::infinity();
-  spatial::PrunedVisitOrdered(
-      group_tree_,
-      [&](int n) { return std::sqrt(group_tree_.box(n).DistSqTo(q)); },
-      // Lower bound on Delta_i(q) over the subtree: with SEB (c, R),
-      // Delta_i(q) >= sqrt(d(q,c)^2 + R^2) >= sqrt(d(q,box)^2 + r_min^2).
-      // Prune against `second` so both smallest values survive. Beyond
-      // |q| ~ 1e154 the squares overflow to +inf, which bounds nothing
-      // (every true distance is finite), so an infinite bound never
-      // prunes.
-      [&](int n, double) {
-        double r_min = group_tree_.aug().min(n);
-        return Prunes(std::sqrt(group_tree_.box(n).DistSqTo(q) +
-                                r_min * r_min),
-                      env.second);
-      },
-      [&](int n) {
-        for (int i = group_tree_.begin(n); i < group_tree_.end(n); ++i) {
-          int g = group_tree_.item(i);
-          const geom::Circle& seb = group_seb_[g];
-          double group_lb =
-              std::sqrt(DistSq(q, seb.center) + seb.radius * seb.radius);
-          if (Prunes(group_lb, env.second)) continue;
-          double v = (*points_)[g].MaxDist(q);
-          if (v < env.best) {
-            env.second = env.best;
-            env.best = v;
-            env.argbest = g;
-          } else {
-            env.second = std::min(env.second, v);
-          }
-        }
-      });
-  return env;
-}
-
-double NnNonzeroDiscreteIndex::Delta(Vec2 q) const { return DeltaPair(q).best; }
 
 std::vector<int> NnNonzeroDiscreteIndex::AssembleFromEnvelope(
     Vec2 q, const DeltaEnvelope& env) const {
-  if (points_->size() == 1) return {0};
+  if (points().size() == 1) return {0};
   // Owners other than the argmin qualify iff delta_i < best (their
   // j != i threshold); the argmin's threshold is `second`.
   std::vector<int> hits;
@@ -114,7 +47,7 @@ std::vector<int> NnNonzeroDiscreteIndex::AssembleFromHits(
   // comparison, so the envelope has no argmin to adjust.
   if (env.argbest < 0) return out;
   bool arg_in = std::binary_search(out.begin(), out.end(), env.argbest);
-  bool arg_should = (*points_)[env.argbest].MinDist(q) < env.second;
+  bool arg_should = points()[env.argbest].MinDist(q) < env.second;
   if (arg_in && !arg_should) {
     out.erase(std::find(out.begin(), out.end(), env.argbest));
   } else if (!arg_in && arg_should) {
@@ -125,7 +58,7 @@ std::vector<int> NnNonzeroDiscreteIndex::AssembleFromHits(
 }
 
 std::vector<int> NnNonzeroDiscreteIndex::Query(Vec2 q) const {
-  return AssembleFromEnvelope(q, DeltaPair(q));
+  return AssembleFromEnvelope(q, tree_->MaxDistEnvelope(q));
 }
 
 NnNonzeroDiscreteIndex::BatchHits NnNonzeroDiscreteIndex::SitesWithinDelta(
@@ -138,7 +71,7 @@ NnNonzeroDiscreteIndex::BatchHits NnNonzeroDiscreteIndex::SitesWithinDelta(
     if (!geom::IsFinite(queries[i])) continue;
     b.index.push_back(static_cast<int>(i));
     b.queries.push_back(queries[i]);
-    b.envs.push_back(DeltaPair(queries[i]));
+    b.envs.push_back(tree_->MaxDistEnvelope(queries[i]));
   }
   // Stage two batched: one shared range walk per pack with per-query
   // radius Delta(q); the hit list per lane is RangeCircle's verbatim.
@@ -154,7 +87,7 @@ NnNonzeroDiscreteIndex::BatchHits NnNonzeroDiscreteIndex::SitesWithinDelta(
 std::vector<std::vector<int>> NnNonzeroDiscreteIndex::QueryBatch(
     std::span<const Vec2> queries, spatial::BatchStats* stats) const {
   std::vector<std::vector<int>> out(queries.size());
-  if (points_->size() == 1) {
+  if (points().size() == 1) {
     for (auto& o : out) o = {0};
     return out;
   }

@@ -6,20 +6,19 @@
 #include <utility>
 #include <vector>
 
+#include "core/quant_tree.h"
 #include "core/uncertain_point.h"
-#include "geom/seb.h"
 #include "range/kdtree.h"
 #include "spatial/batch.h"
-#include "spatial/flat_tree.h"
 
 /// \file nn_nonzero_discrete_index.h
 /// The near-linear NN!=0 structure for discrete distributions (Theorem 3.2).
-/// Stage one computes Delta(q) = min_i max_s d(q, p_is) by branch-and-bound
-/// over groups: a group's smallest enclosing circle (center c, radius R)
-/// yields the lower bound max_s d(q, p_is) >= sqrt(d(q,c)^2 + R^2) (some
-/// defining point lies on the far side of c). Stage two uses the lifting
-/// observation: delta_i(q) < Delta(q) iff some site of P_i lies in the open
-/// disk D(q, Delta(q)) — the paper's lifted halfspace query is exactly a
+/// Stage one computes Delta(q) = min_i max_s d(q, p_is) on the borrowed
+/// core::QuantTree (MaxDistEnvelope: the two smallest Delta_i and the
+/// argmin, bounded by Delta_i(q)^2 >= d(q, mu_i)^2 + V_i about each
+/// point's weighted mean). Stage two uses the lifting observation:
+/// delta_i(q) < Delta(q) iff some site of P_i lies in the open disk
+/// D(q, Delta(q)) — the paper's lifted halfspace query is exactly a
 /// circular range query — served by a kd-tree over all N sites with owner
 /// dedup. Space O(N); see DESIGN.md section 3 for the substitution notes.
 ///
@@ -28,25 +27,25 @@
 /// farther than Delta(q) scores, so Eq. (2) needs only the sites in the
 /// closed disk of radius Delta(q).
 ///
-/// Stage one is a scalar descent per query; stage two shares one range
-/// walk among geom::kLaneWidth queries. An 8-lane stage one was slower
-/// than the scalar one on a Morton-sorted pack and was removed; the lane
-/// range walk was faster than its scalar loop and stays.
+/// Stage one is the scalar envelope walk per query; stage two shares one
+/// range walk among geom::kLaneWidth queries. An 8-lane stage one was
+/// slower than the scalar one on a Morton-sorted pack and was removed; the
+/// lane range walk was faster than its scalar loop and stays.
 
 namespace unn {
 namespace core {
 
 class NnNonzeroDiscreteIndex {
  public:
-  /// Borrows `points` (non-empty, all discrete), which must outlive the
-  /// index unchanged.
-  explicit NnNonzeroDiscreteIndex(const std::vector<UncertainPoint>* points);
+  /// Borrows `tree` (over a non-empty, all-discrete point set) and the
+  /// points through tree->points(); both must outlive the index unchanged.
+  explicit NnNonzeroDiscreteIndex(const QuantTree* tree);
 
   /// NN!=0(q), sorted ids. Exact.
   std::vector<int> Query(geom::Vec2 q) const;
 
   /// Batched Query: `out[i]` is bit-identical to `Query(queries[i])`.
-  /// Stage one (the Delta envelope) is the scalar DeltaPair per query;
+  /// Stage one (the Delta envelope) is the scalar MaxDistEnvelope per query;
   /// stage two batches the lifted range queries through
   /// range::KdTree::RangeCircleBatch (per-lane hit lists are the scalar
   /// RangeCircle's verbatim) before the scalar owner dedup and argbest
@@ -63,7 +62,7 @@ class NnNonzeroDiscreteIndex {
   /// Exact quantification probabilities: `out[i]` holds (id, pi) for
   /// every pi_i(queries[i]) > 0, sorted by id, bit-identical to
   /// core::DiscreteQuantification over the whole set. Stage one is
-  /// DeltaPair; stage two collects the sites with d(q, p) <= Delta(q)
+  /// MaxDistEnvelope; stage two collects the sites with d(q, p) <= Delta(q)
   /// through RangeCircleBatch; a sweep sorts those sites by (distance,
   /// site id) and runs core::AccumulateQuantification over their owners
   /// only, the same accumulation over the same prefix in the same order
@@ -72,13 +71,6 @@ class NnNonzeroDiscreteIndex {
   std::vector<std::vector<std::pair<int, double>>> ProbabilitiesBatch(
       std::span<const geom::Vec2> queries,
       spatial::BatchStats* stats = nullptr) const;
-
-  /// Delta(q) = min_i Delta_i(q).
-  double Delta(geom::Vec2 q) const;
-
-  /// Two smallest Delta_i(q) plus argmin (needed for the exact j != i
-  /// semantics of Lemma 2.1 on degenerate inputs).
-  DeltaEnvelope DeltaPair(geom::Vec2 q) const;
 
  private:
   /// Stage two for one query: range query then owner assembly.
@@ -106,13 +98,9 @@ class NnNonzeroDiscreteIndex {
   /// every site with d(q, p) <= delta (extra ones are dropped here).
   std::vector<std::pair<int, double>> QuantifyHits(
       geom::Vec2 q, double delta, std::vector<int>* hits) const;
-  const std::vector<UncertainPoint>* points_;
-  std::vector<geom::Circle> group_seb_;
-  /// Kd-tree over group SEB centers (shared spatial core) with the
-  /// minimum SEB radius per subtree: with SEB (c, R), the group bound is
-  /// Delta_i(q) >= sqrt(d(q,c)^2 + R^2) >= sqrt(d(q,box)^2 + r_min^2).
-  spatial::FlatKdTree<spatial::MinAugment> group_tree_;
+  const std::vector<UncertainPoint>& points() const { return tree_->points(); }
 
+  const QuantTree* tree_;
   std::unique_ptr<range::KdTree> site_tree_;
   /// Per site, in site-id order (owner by owner, then site by site).
   std::vector<int> site_owner_;

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "geom/box_metrics.h"
 #include "prob/distance_cdf.h"
 #include "spatial/traverse.h"
 #include "util/check.h"
@@ -17,12 +16,25 @@ namespace {
 constexpr int kLeafSize = 8;
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Relative guard band of the expected-distance skips: a lower bound only
-/// skips a point or subtree when the bound times this factor still
-/// exceeds the incumbent E[d], absorbing the rounding of the computed
-/// E[d] (prob::ExpectedDistance is within 1e-9 relative of the true value
-/// on every model).
+/// Relative guard band of the bounds built on a computed anchor (the
+/// expected-distance skips, and the envelope's bounds outside all-disk
+/// subtrees): a bound is shrunk by this factor before it is compared,
+/// absorbing the rounding of the computed E[d] (prob::ExpectedDistance is
+/// within 1e-9 relative of the true value on every model), of a weighted
+/// variance, and of weights that sum to 1 only up to rounding.
 constexpr double kSkipGuard = 1.0 - 1e-8;
+
+/// The absolute half of the guard band: a computed weighted mean may sit
+/// a few ulps of sum_s w_s |s| <= |q| + d(q, anchor) off the true one
+/// (off the coincident sites of a point, say), which the relative band
+/// covers in its d(q, anchor) part and this slack in its |q| part.
+double AbsoluteSlack(geom::Vec2 q) {
+  return 1e-12 * (std::abs(q.x) + std::abs(q.y));
+}
+
+/// `lb` less both guard bands, a lower bound on the computed value it
+/// bounds. A non-finite q makes it NaN or -infinity, which prunes nothing.
+double Guarded(double lb, double slack) { return lb * kSkipGuard - slack; }
 
 /// True when no point behind `lb` can still change the envelope. Strict
 /// comparison against `second` whenever `second == best`, so a pruned
@@ -40,13 +52,22 @@ double HypotBoxDist(const geom::Box& b, geom::Vec2 q) {
   return std::hypot(dx, dy);
 }
 
+/// True when the square root of a computed sum of squares is within a few
+/// ulps of the true distance. Not where the sum overflowed to +infinity
+/// (|q| near 1e154 and beyond: a bound of +infinity would prune every
+/// subtree after the first leaf), nor where it fell below 2^-968, among
+/// denormal squares that may have rounded up by far more than an ulp
+/// (sqrt(4e-324) is 2.2e-162, above a distance of 2e-162). Zero stays:
+/// it bounds every distance.
+bool SqrtIsAccurate(double sum_sq) {
+  return sum_sq == 0 || (sum_sq >= 0x1p-968 && sum_sq < kInf);
+}
+
 /// geom::MinDistToBox, the squared form the other trees prune with,
-/// except where its squares overflow to +infinity (|q| near 1e154 and
-/// beyond): a bound of +infinity would prune every subtree after the
-/// first leaf, so there it falls back to hypot.
+/// falling back to hypot where the square is not accurate.
 double BoxDist(const geom::Box& b, geom::Vec2 q) {
-  double d = geom::MinDistToBox(q, b);
-  return d < kInf ? d : HypotBoxDist(b, q);
+  double d_sq = b.DistSqTo(q);
+  return SqrtIsAccurate(d_sq) ? std::sqrt(d_sq) : HypotBoxDist(b, q);
 }
 
 }  // namespace
@@ -57,10 +78,14 @@ QuantTree::QuantTree(const std::vector<UncertainPoint>* points)
   int n = size();
   anchors_.reserve(n);
   radii_.reserve(n);
+  vars_.reserve(n);
   for (const UncertainPoint& p : *points_) {
+    double var;
     if (p.is_disk()) {
       anchors_.push_back(p.center());
       radii_.push_back(p.radius());
+      // Delta_i(q) = d + r >= sqrt(d^2 + r^2).
+      var = p.radius() * p.radius();
     } else {
       // The weighted site mean: a convex-hull point, so d(q, anchor) <=
       // Delta_i(q) stays a valid lower bound (d(q, .) is convex), and by
@@ -70,33 +95,53 @@ QuantTree::QuantTree(const std::vector<UncertainPoint>* points)
         mu = mu + p.sites()[s] * p.weights()[s];
       }
       double r = 0.0;
-      for (geom::Vec2 s : p.sites()) r = std::max(r, Dist(mu, s));
+      var = 0.0;
+      for (size_t s = 0; s < p.sites().size(); ++s) {
+        r = std::max(r, Dist(mu, p.sites()[s]));
+        var += p.weights()[s] * DistSq(p.sites()[s], mu);
+      }
       anchors_.push_back(mu);
       radii_.push_back(r);
     }
+    // An overflowed square bounds nothing (every Delta_i is finite).
+    vars_.push_back(var < kInf ? var : 0.0);
   }
   tree_ = spatial::FlatKdTree<Augment>(
       anchors_, {.leaf_size = kLeafSize, .split = spatial::SplitRule::kWidest},
-      Augment{spatial::MinMaxAugment(&radii_), AllDiskAugment(points_)});
+      Augment{spatial::MinMaxAugment(&radii_),
+              {spatial::MinAugment(&vars_), AllDiskAugment(points_)}});
 }
 
-double QuantTree::MaxDistLowerBound(int node, geom::Vec2 q) const {
-  // Every anchor lies in the convex hull of its support, so
-  // Delta_i(q) >= d(q, anchor_i) >= dist(q, box); for an all-disk subtree
-  // Delta_i(q) = d(q, center_i) + radius_i additionally clears r_min.
-  double lb = BoxDist(tree_.box(node), q);
-  if (tree_.aug().second.all_disk(node)) lb += tree_.aug().first.min(node);
-  // The support's farthest point sits radius_i away from the anchor, so
-  // Delta_i(q) >= radius_i - d(q, anchor_i): bites when q is inside a
-  // cluster of large supports.
-  return std::max(lb,
-                  tree_.aug().first.min(node) - tree_.box(node).MaxDistTo(q));
+double QuantTree::MaxDistLowerBound(int node, geom::Vec2 q,
+                                    double slack) const {
+  const geom::Box& box = tree_.box(node);
+  if (!all_disk(node)) {
+    // Delta_i(q)^2 >= sum_s w_s d(q, s)^2 = d(q, anchor_i)^2 + V_i, and
+    // the anchor lies in the box; guard-banded (Guarded).
+    double sum_sq = box.DistSqTo(q) + min_var(node);
+    return Guarded(SqrtIsAccurate(sum_sq) ? std::sqrt(sum_sq)
+                                          : HypotBoxDist(box, q),
+                   slack);
+  }
+  // Delta_i(q) = d(q, center_i) + radius_i >= dist(q, box) + r_min, and
+  // the support's farthest point sits radius_i away from the center, so
+  // Delta_i(q) >= radius_i - d(q, center_i): bites when q is inside a
+  // cluster of large disks.
+  const double r_min = radius_aug().min(node);
+  return std::max(BoxDist(box, q) + r_min, r_min - box.MaxDistTo(q));
+}
+
+double QuantTree::PointLowerBound(int id, geom::Vec2 q, double slack) const {
+  double sum_sq = DistSq(q, anchors_[id]) + vars_[id];
+  return Guarded(SqrtIsAccurate(sum_sq) ? std::sqrt(sum_sq)
+                                        : Dist(q, anchors_[id]),
+                 slack);
 }
 
 double QuantTree::MinDistLowerBound(int node, geom::Vec2 q) const {
   // The support lies within radius_i of its anchor, so
   // delta_i(q) >= d(q, anchor_i) - radius_i.
-  return std::max(BoxDist(tree_.box(node), q) - tree_.aug().first.max(node),
+  return std::max(BoxDist(tree_.box(node), q) - radius_aug().max(node),
                   0.0);
 }
 
@@ -105,21 +150,27 @@ DeltaEnvelope QuantTree::MaxDistEnvelope(geom::Vec2 q, QueryStats* stats,
   DeltaEnvelope env;
   env.best = kInf;
   env.second = kInf;
+  const double slack = AbsoluteSlack(q);
+  // A subtree or point prunable against `bound` cannot change the union's
+  // envelope either.
+  auto prunable = [&](double lb) {
+    return EnvelopePrunable(lb, env) ||
+           (bound != nullptr && EnvelopePrunable(lb, *bound));
+  };
   // Ordered DFS, nearer bound first: each child's bound is computed once
   // and serves as both its order key and its prune test. The envelope's
   // inserts are order-independent (DeltaEnvelope::Insert), and a pruned
-  // subtree can change none of best, second or argbest, so the visit
-  // order changes only how soon `second` tightens. A subtree prunable
-  // against `bound` cannot change the union's envelope either.
+  // subtree or skipped point can change none of best, second or argbest,
+  // so the visit order changes only how soon `second` tightens. Outside
+  // all-disk leaves a point's own bound skips its MaxDist.
   spatial::PrunedVisitOrdered(
-      tree_, [&](int n) { return MaxDistLowerBound(n, q); },
-      [&](int, double lb) {
-        return EnvelopePrunable(lb, env) ||
-               (bound != nullptr && EnvelopePrunable(lb, *bound));
-      },
+      tree_, [&](int n) { return MaxDistLowerBound(n, q, slack); },
+      [&](int, double lb) { return prunable(lb); },
       [&](int n) {
+        const bool skips = !all_disk(n);
         for (int j = tree_.begin(n); j < tree_.end(n); ++j) {
           int id = tree_.item(j);
+          if (skips && prunable(PointLowerBound(id, q, slack))) continue;
           env.Insert((*points_)[id].MaxDist(q), id);
           if (stats != nullptr) ++stats->points_evaluated;
         }
@@ -133,17 +184,15 @@ int QuantTree::ExpectedDistanceNn(geom::Vec2 q, QueryStats* stats) const {
   // Every anchor is its model's mean, so by Jensen E[d(q, P_i)] >=
   // d(q, anchor_i) >= dist(q, box) for every point under a node: the box
   // distance keys the ordered DFS, and a subtree or point whose bound
-  // clears the incumbent is skipped. The skips keep the relative guard
-  // (kSkipGuard) and an absolute slack for the rounding of a computed
-  // discrete mean, a few ulps of sum_s w_s |s| <= |q| + E[d]; so a skipped
-  // point's computed E[d] is strictly above the incumbent, and with the
-  // smaller-id tie break the result is the lexicographic argmin of the
-  // computed (E[d], id), independent of the visit order (what a sharded
-  // min-merge also computes).
-  const double slack = 1e-12 * (std::abs(q.x) + std::abs(q.y));
+  // clears the incumbent is skipped. The skips are guard-banded
+  // (Guarded), so a skipped point's computed E[d] is strictly above the
+  // incumbent, and with the smaller-id tie break the result is the
+  // lexicographic argmin of the computed (E[d], id), independent of the
+  // visit order (what a sharded min-merge also computes).
+  const double slack = AbsoluteSlack(q);
   double best = kInf;
   int arg = -1;
-  auto beaten = [&](double lb) { return lb * kSkipGuard - slack > best; };
+  auto beaten = [&](double lb) { return Guarded(lb, slack) > best; };
   spatial::PrunedVisitOrdered(
       tree_, [&](int n) { return BoxDist(tree_.box(n), q); },
       [&](int, double lb) { return beaten(lb); },
@@ -198,7 +247,7 @@ void QuantTree::SupportsWithin(geom::Vec2 q, double r,
       // lose a support at distance exactly r to the squared form's
       // rounding.
       [&](int n) {
-        return HypotBoxDist(tree_.box(n), q) - tree_.aug().first.max(n) > r;
+        return HypotBoxDist(tree_.box(n), q) - radius_aug().max(n) > r;
       },
       [&](int n) {
         for (int j = tree_.begin(n); j < tree_.end(n); ++j) {

@@ -20,10 +20,17 @@
 ///                             envelope), an ordered DFS (nearer bound
 ///                             first) that prunes a subtree once its
 ///                             MaxDist lower bound cannot beat the running
-///                             runner-up. The one envelope kernel: batched
-///                             callers (the Monte-Carlo sweep,
+///                             runner-up: d(q, box) + r_min under an
+///                             all-disk node, sqrt(d(q, box)^2 + V_min)
+///                             over the per-point spread V_i (weighted
+///                             site variance, or r_i^2) under any other,
+///                             where a point's own sqrt(d(q, anchor)^2 +
+///                             V_i) also skips its MaxDist in the leaf.
+///                             The one envelope kernel on every model:
+///                             batched callers (the Monte-Carlo sweep,
 ///                             Engine::MaxDistEnvelopeMany, the sharded
-///                             plan's stage one) loop it per query;
+///                             plan's stage one, the discrete NN!=0
+///                             index's stage one) loop it per query;
 ///   * LogSurvival(q, r)     — sum_i log(1 - G_{q,i}(r)), the log of the
 ///                             probability that every point is farther
 ///                             than r, visiting only points whose support
@@ -49,18 +56,22 @@
 /// paper (*Nearest-Neighbor Searching Under Uncertainty II*): per-node
 /// bounds come from a box over per-point anchors (each model's mean: a disk's
 /// center, a discrete point's weighted site mean) plus the min/max support
-/// radius, so queries run in O(log n + output) on bounded-density inputs
-/// while leaf evaluation stays exact (experiment E14 measures the
-/// scaling against the scans side by side).
+/// radius and the minimum spread about the anchor, so queries run in
+/// O(log n + output) on bounded-density inputs while leaf evaluation stays
+/// exact (experiment E14 measures the scaling against the scans side by
+/// side).
 ///
 /// Exactness: the search only ever prunes with *valid lower bounds* and
 /// evaluates surviving points with the same arithmetic as the linear
 /// scans, so MaxDistEnvelope reproduces core::TwoSmallestMaxDist
 /// bit-identically (including argmin tie-breaking toward the smaller id)
 /// and SupportsWithin reports exactly the scan's ids, so NonzeroNn equals
-/// baselines::NonzeroNn bit for bit, far from the data included.
-/// ExpectedDistanceNn skips only behind guard-banded bounds, so it returns
-/// the lexicographic argmin of the computed (E[d], id). LogSurvival
+/// baselines::NonzeroNn bit for bit, far from the data included. Every
+/// bound built on a computed discrete mean (the envelope's outside
+/// all-disk nodes, and every expected-distance bound) is guard-banded by a
+/// relative and a |q|-scaled absolute term, since the computed mean of
+/// coincident sites may sit an ulp off them; ExpectedDistanceNn thus
+/// returns the lexicographic argmin of the computed (E[d], id). LogSurvival
 /// accumulates the same per-point terms in leaf visit order, so it
 /// matches a linear log-space scan up to floating-point associativity
 /// (~1e-15 relative).
@@ -69,10 +80,11 @@
 /// const, allocates only local state, and may be called concurrently.
 /// The tree does NOT own the points — the vector passed at construction
 /// must outlive it unchanged (unn::Engine guarantees this for its own
-/// point set). core::MonteCarloPnn borrows the tree in turn and reads the
-/// points through points(), so an Engine builds one tree for its envelope,
-/// NN!=0, expected-distance NN, sharded-plan hooks and Monte-Carlo
-/// estimator, and
+/// point set). core::MonteCarloPnn and core::NnNonzeroDiscreteIndex
+/// borrow the tree in turn and read the points through points(), so an
+/// Engine builds one tree for its envelope, NN!=0 (both stages on disk
+/// and mixed sets, stage one on discrete ones), expected-distance NN,
+/// sharded-plan hooks and Monte-Carlo estimator, and
 /// Engine::StructuresBuilt counts it once.
 
 namespace unn {
@@ -169,14 +181,30 @@ class QuantTree {
                                 geom::Vec2 q, double r);
 
  private:
-  using Augment = spatial::PairAugment<spatial::MinMaxAugment, AllDiskAugment>;
+  /// Per node: min/max support radius, then the minimum weighted variance
+  /// and the all-disk flag.
+  using Augment = spatial::PairAugment<
+      spatial::MinMaxAugment,
+      spatial::PairAugment<spatial::MinAugment, AllDiskAugment>>;
+  const spatial::MinMaxAugment& radius_aug() const { return tree_.aug().first; }
+  double min_var(int node) const { return tree_.aug().second.first.min(node); }
+  bool all_disk(int node) const {
+    return tree_.aug().second.second.all_disk(node);
+  }
 
-  /// Both bounds take the box distance from its square, falling back to
-  /// hypot where the squares overflow (|q| near 1e154 and beyond), so the
-  /// envelope stays bit-identical to the scan far from the data too.
+  /// The bounds take the box distance from its square, falling back to
+  /// hypot where the squares overflow (|q| near 1e154 and beyond) or turn
+  /// denormal (distances near 1e-146 and below), so the envelope stays
+  /// bit-identical to the scan far from the data and at tiny scales too.
   ///
   /// Lower bound on min_{i in node} Delta_i(q); valid for mixed models.
-  double MaxDistLowerBound(int node, geom::Vec2 q) const;
+  /// An all-disk node clears the box distance by r_min; any other node is
+  /// bounded by sqrt(d(q, box)^2 + V_min), less the guard band for
+  /// computed anchors (`slack` is the query's absolute part).
+  double MaxDistLowerBound(int node, geom::Vec2 q, double slack) const;
+  /// Guard-banded sqrt(d(q, anchor_i)^2 + V_i) <= Delta_i(q), the leaf
+  /// skip of MaxDistEnvelope outside all-disk leaves.
+  double PointLowerBound(int id, geom::Vec2 q, double slack) const;
   /// Lower bound on min_{i in node} delta_i(q).
   double MinDistLowerBound(int node, geom::Vec2 q) const;
 
@@ -189,8 +217,15 @@ class QuantTree {
   /// support, so Delta_i(q) <= d(q, anchor) + radius and
   /// delta_i(q) >= d(q, anchor) - radius.
   std::vector<double> radii_;
+  /// Per-point spread about the anchor: a discrete point's weighted
+  /// variance V_i = sum_s w_s |s - anchor|^2, a disk's radius^2 (0 where
+  /// the square overflows). Either way Delta_i(q)^2 >= d(q, anchor)^2 +
+  /// V_i, for a discrete point because the largest squared site distance
+  /// is at least the weighted mean one, sum_s w_s |q - s|^2.
+  std::vector<double> vars_;
   /// Widest-axis kd-tree over the anchors (shared spatial core),
-  /// augmented with min/max support radius and the all-disk flag.
+  /// augmented with min/max support radius, minimum spread and the
+  /// all-disk flag.
   spatial::FlatKdTree<Augment> tree_;
 };
 

@@ -66,8 +66,11 @@ Engine::Engine(std::vector<core::UncertainPoint> points, const Config& config,
 // ---------------------------------------------------------------------------
 
 const core::NnNonzeroDiscreteIndex& Engine::GetNonzeroDiscrete() const {
-  return BuildOnce(nonzero_discrete_once_, nonzero_discrete_, builds_, [this] {
-    return std::make_unique<core::NnNonzeroDiscreteIndex>(&points_);
+  // The index borrows the tree for its stage one; the tree is taken
+  // first, so its one-time build never runs inside the index's call_once.
+  const core::QuantTree& tree = GetQuantTree();
+  return BuildOnce(nonzero_discrete_once_, nonzero_discrete_, builds_, [&] {
+    return std::make_unique<core::NnNonzeroDiscreteIndex>(&tree);
   });
 }
 

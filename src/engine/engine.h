@@ -43,8 +43,8 @@
 /// Structures are built lazily on first use and cached, so an Engine that
 /// only ever answers NonzeroNn never pays for Monte-Carlo preprocessing.
 /// The Engine holds the one copy of its points and the one core::QuantTree
-/// over them: NnNonzeroDiscreteIndex and the QuantTree borrow the points,
-/// and the Monte-Carlo estimator borrows the QuantTree.
+/// over them: the QuantTree borrows the points, and the discrete NN!=0
+/// index and the Monte-Carlo estimator borrow the QuantTree.
 ///
 /// Thread safety: every `const` query method may be called from any number
 /// of threads concurrently. The lazy structure cache is synchronized
@@ -63,9 +63,11 @@ namespace unn {
 /// store the backend as an int.
 enum class Backend {
   /// Default. Discrete inputs: the two-stage discrete NN!=0 index
-  /// (Theorem 3.2) for NN!=0, and exact probabilities from Eq. (2) over
-  /// each query's NN!=0 candidates (Lemma 2.1: every other point has
-  /// pi = 0), so MostProbableNn, Threshold and TopK are exact.
+  /// (Theorem 3.2: Delta(q) from the QuantTree's envelope, then a site
+  /// kd-tree) for NN!=0, and exact probabilities from Eq. (2) over each
+  /// query's NN!=0 candidates (Lemma 2.1: every other point has pi = 0),
+  /// so MostProbableNn, Threshold and TopK are exact. The index builds
+  /// on the QuantTree, so any of these queries builds both.
   /// Disk and mixed inputs: Monte-Carlo probabilities, and NN!=0 from
   /// the quantification index (core::QuantTree::NonzeroNn, the two
   /// stages of Theorem 3.1 on any model).
@@ -224,8 +226,11 @@ class Engine {
 
   /// Number of heavy structures built so far — observability for tests
   /// and serving metrics (a warmed engine must not build under query
-  /// traffic). Every tree counts once: the QuantTree the estimator
-  /// borrows is one structure, and every estimator (re)build one more.
+  /// traffic). Every tree counts once: the QuantTree the discrete index
+  /// and the estimator borrow is one structure, the index one more, and
+  /// every estimator (re)build one more. A discrete kAuto Engine builds 2
+  /// (tree + index) for any probability query or NonzeroNn, and no more
+  /// for every type; a disk one 2 (tree + estimator) for every type.
   int StructuresBuilt() const {
     // relaxed: observability counter; build publication itself happens
     // through call_once / estimator_mu_, never through builds_.
@@ -389,12 +394,13 @@ class Engine {
   // build-exactly-once publication guarantee is what synchronizes them
   // (each slot is written once inside the call_once callback and only
   // read after the corresponding call_once returns).
-  mutable std::once_flag nonzero_discrete_once_;
-  mutable std::unique_ptr<core::NnNonzeroDiscreteIndex> nonzero_discrete_;
   mutable std::once_flag quant_tree_once_;
   mutable std::unique_ptr<core::QuantTree> quant_tree_;
+  // The discrete index and the estimator borrow quant_tree_: declared
+  // after it, destroyed first.
+  mutable std::once_flag nonzero_discrete_once_;
+  mutable std::unique_ptr<core::NnNonzeroDiscreteIndex> nonzero_discrete_;
 
-  // The estimator borrows quant_tree_: declared after it, destroyed first.
   mutable SharedMutex estimator_mu_;
   mutable std::shared_ptr<const core::MonteCarloPnn> monte_carlo_
       UNN_GUARDED_BY(estimator_mu_);

@@ -82,7 +82,11 @@ std::vector<std::pair<int, double>> MergeInstantiationWinners(
   }
   if (live.empty()) return {};
   const size_t s = live[0].size();
-  std::vector<int> winners(s);
+  // Tally the winners into the list of distinct keys, then sort only that
+  // list. The list holds at most the candidates the shards swept, and each
+  // sweep already costs O(s) per candidate, so the linear lookup never
+  // dominates; a query usually has a handful.
+  std::vector<std::pair<int, int>> tally;  // (key, wins)
   for (size_t j = 0; j < s; ++j) {
     core::InstantiationWinner best = live[0][j];
     for (size_t k = 1; k < live.size(); ++k) {
@@ -91,17 +95,19 @@ std::vector<std::pair<int, double>> MergeInstantiationWinners(
         best = w;
       }
     }
-    winners[j] = best.key;
+    auto it = std::find_if(tally.begin(), tally.end(),
+                           [&](const auto& t) { return t.first == best.key; });
+    if (it == tally.end()) {
+      tally.push_back({best.key, 1});
+    } else {
+      ++it->second;
+    }
   }
-  std::sort(winners.begin(), winners.end());
+  std::sort(tally.begin(), tally.end());
   std::vector<std::pair<int, double>> out;
+  out.reserve(tally.size());
   const double count = static_cast<double>(s);
-  for (size_t j = 0; j < s;) {
-    size_t end = j;
-    while (end < s && winners[end] == winners[j]) ++end;
-    out.push_back({winners[j], static_cast<int>(end - j) / count});
-    j = end;
-  }
+  for (auto [key, wins] : tally) out.push_back({key, wins / count});
   return out;
 }
 

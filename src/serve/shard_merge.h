@@ -128,7 +128,8 @@ struct MergedProbabilities {
 /// counts. A shard with no winners — an empty span, or key -1 (no
 /// candidates, or a non-finite query) — is skipped wherever it sits, as
 /// the identity of the minimum; when no shard has a winner the merge has
-/// no estimates. O(K s + s log s); thread-safe.
+/// no estimates. O(K s + s w + w log w) for w distinct winners;
+/// thread-safe.
 std::vector<std::pair<int, double>> MergeInstantiationWinners(
     std::span<const std::span<const core::InstantiationWinner>> local);
 

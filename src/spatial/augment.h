@@ -37,8 +37,8 @@ struct NullAugment {
 };
 
 /// Per-node minimum of a per-item scalar (e.g. minimum variance for the
-/// power-weighted expected-distance tree, minimum enclosing-circle radius
-/// for the discrete NN!=0 group tree).
+/// power-weighted expected-distance tree and for the quantification
+/// index's sqrt(d(q, box)^2 + V_min) envelope bound).
 class MinAugment {
  public:
   MinAugment() = default;

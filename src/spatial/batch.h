@@ -34,10 +34,12 @@
 ///
 /// A lane kernel stays only where it beats the scalar loop on a pack
 /// shape some benchmark workload serves. RangeCircleBatch does, on the
-/// sorted 4096-query packs of discrete-batch. The discrete E[d] argmin,
-/// the discrete Delta(q) pair and the QuantTree Delta(q) envelope did
-/// not (the served envelope calls are packs of one, where the scalar
-/// best-first walk is faster), and are served by their scalar queries.
+/// sorted 4096-query packs of discrete-batch. The discrete E[d] argmin
+/// and the Delta(q) envelope did not (the sharded plan's envelope calls
+/// are packs of one, where the scalar ordered DFS is faster), and are
+/// served by their scalar queries: QuantTree::ExpectedDistanceNn and
+/// QuantTree::MaxDistEnvelope, which also gives the discrete NN!=0 index
+/// its stage one.
 
 namespace unn {
 namespace spatial {

@@ -15,11 +15,11 @@
 /// node layout, parameterized by a split rule and a node-augmentation
 /// policy (augment.h). Every sublinear structure in the repo — the
 /// Section 4.3 Remark (ii) point kd-tree, the [AESZ12] power-weighted
-/// expected-distance tree, the L_inf square index, the discrete NN!=0
-/// group tree, and the quantification index (which also answers NN!=0
-/// on disk and mixed sets, Theorem 3.1's two stages) — is this build
-/// plus a thin augmentation and domain-specific bound functions fed to
-/// the traversal engines in traverse.h.
+/// expected-distance tree, the L_inf square index, and the quantification
+/// index (which also answers NN!=0 on disk and mixed sets, Theorem 3.1's
+/// two stages, and gives the discrete NN!=0 index its Delta(q)) — is this
+/// build plus a thin augmentation and domain-specific bound functions fed
+/// to the traversal engines in traverse.h.
 ///
 /// The build is deterministic: the same anchors and options always
 /// produce the same node layout and the same `order` permutation

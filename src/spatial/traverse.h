@@ -13,10 +13,11 @@
 ///   * BestFirstEnumerator — priority-queue enumeration in increasing
 ///     lower-bound order (the engine behind KdTree::KNearest/Enumerator);
 ///   * PrunedVisit / PrunedVisitOrdered — pruned DFS (the engine behind
-///     RangeCircle, SupportsWithin, the L_inf index, the discrete
-///     group tree, LogSurvival's ball-intersection walk, the
-///     quantification index's two-smallest envelope search, and the
-///     nearest/min-max descents, which visit the nearer child first).
+///     RangeCircle, SupportsWithin, the L_inf index, LogSurvival's
+///     ball-intersection walk, the quantification index's two-smallest
+///     envelope search — stage one of NN!=0 on every model — and
+///     expected-distance search, and the nearest/min-max descents, which
+///     visit the nearer child first).
 ///
 /// Visit order is part of each consumer's contract: argmin ties resolve
 /// to the first strict minimum encountered, so the engines guarantee

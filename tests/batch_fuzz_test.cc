@@ -260,7 +260,8 @@ TEST(BatchFuzz, NonzeroDiscreteBatchBitIdentical) {
     auto pts = which == 0   ? ClusteredDiscrete(32 + it * 7, seed)
                : which == 1 ? CoincidentAnchors(32 + it * 7, seed)
                             : workload::RandomDiscrete(32 + it * 7, 3, seed);
-    core::NnNonzeroDiscreteIndex index(&pts);
+    core::QuantTree tree(&pts);
+    core::NnNonzeroDiscreteIndex index(&tree);
     for (int m = 1; m <= 2 * geom::kLaneWidth + 1; ++m) {
       auto qs = AdversarialQueries(m, seed + m);
       spatial::BatchStats stats;

@@ -381,9 +381,15 @@ TEST(EngineWarmup, BuildsOnceAndServesWithoutBuilding) {
         Engine::QueryType::kTopK,
         Engine::QueryType::kNonzeroNn,
     };
+    // MostProbableNn alone already builds both structures: on disks the
+    // estimator and the QuantTree it borrows; on discrete sets the
+    // Theorem 3.2 index and the QuantTree its envelope walks.
+    engine.Warmup(Engine::QueryType::kMostProbableNn);
+    EXPECT_EQ(engine.StructuresBuilt(), 2);
     for (auto type : kAllTypes) engine.Warmup(type);
     // Disks: the QuantTree (EDNN, NN!=0) and the estimator. Discrete: the
-    // QuantTree (EDNN) and the Theorem 3.2 index (NN!=0, probabilities).
+    // QuantTree (EDNN, the index's envelope) and the Theorem 3.2 index
+    // (NN!=0, probabilities).
     int built = engine.StructuresBuilt();
     EXPECT_EQ(built, 2);
 

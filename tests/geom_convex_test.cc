@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "geom/predicates.h"
-#include "geom/seb.h"
 
 namespace unn {
 namespace geom {
@@ -100,54 +99,6 @@ TEST(PolygonArea, SignConvention) {
   std::vector<Vec2> cw = {{0, 0}, {0, 2}, {2, 2}, {2, 0}};
   EXPECT_NEAR(PolygonArea(ccw), 4.0, 1e-12);
   EXPECT_NEAR(PolygonArea(cw), -4.0, 1e-12);
-}
-
-TEST(SmallestEnclosingCircle, ContainsAllAndIsMinimal) {
-  std::uniform_real_distribution<double> u(-10, 10);
-  for (int iter = 0; iter < 60; ++iter) {
-    std::vector<Vec2> pts;
-    int n = 3 + static_cast<int>(Rng()() % 20);
-    for (int i = 0; i < n; ++i) pts.push_back({u(Rng()), u(Rng())});
-    Circle c = SmallestEnclosingCircle(pts, iter);
-    for (Vec2 p : pts) {
-      EXPECT_LE(Dist(c.center, p), c.radius + 1e-7);
-    }
-    // Minimality oracle: brute force over all pairs and triples.
-    double best = 1e18;
-    auto try_circle = [&](Circle cand) {
-      for (Vec2 p : pts) {
-        if (Dist(cand.center, p) > cand.radius + 1e-9) return;
-      }
-      best = std::min(best, cand.radius);
-    };
-    for (size_t i = 0; i < pts.size(); ++i) {
-      for (size_t j = i + 1; j < pts.size(); ++j) {
-        try_circle({(pts[i] + pts[j]) * 0.5, Dist(pts[i], pts[j]) * 0.5});
-        for (size_t k = j + 1; k < pts.size(); ++k) {
-          // Circumcircle.
-          Vec2 a = pts[i], b = pts[j], cc = pts[k];
-          double d = 2.0 * Cross(b - a, cc - a);
-          if (std::abs(d) < 1e-12) continue;
-          double b2 = NormSq(b - a), c2 = NormSq(cc - a);
-          Vec2 rel{((cc.y - a.y) * b2 - (b.y - a.y) * c2) / d,
-                   ((b.x - a.x) * c2 - (cc.x - a.x) * b2) / d};
-          Vec2 center = a + rel;
-          try_circle({center, Dist(center, a)});
-        }
-      }
-    }
-    EXPECT_NEAR(c.radius, best, 1e-6 * (1 + best));
-  }
-}
-
-TEST(SmallestEnclosingCircle, DegenerateInputs) {
-  EXPECT_EQ(SmallestEnclosingCircle({}).radius, 0.0);
-  Circle one = SmallestEnclosingCircle({{3, 4}});
-  EXPECT_EQ(one.radius, 0.0);
-  EXPECT_EQ(one.center.x, 3.0);
-  Circle two = SmallestEnclosingCircle({{0, 0}, {2, 0}});
-  EXPECT_NEAR(two.radius, 1.0, 1e-12);
-  EXPECT_NEAR(two.center.x, 1.0, 1e-12);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include "core/nn_nonzero_discrete_index.h"
 #include "core/nonzero_voronoi_discrete.h"
+#include "core/quant_tree.h"
 
 #include <random>
 
@@ -140,7 +141,8 @@ TEST(NnNonzeroDiscreteIndex, MatchesBruteForceRandom) {
   for (int n : {1, 3, 10, 40, 120}) {
     int k = 1 + static_cast<int>(rng() % 5);
     auto pts = RandomDiscrete(n, k, rng);
-    NnNonzeroDiscreteIndex ix(&pts);
+    QuantTree tree(&pts);
+    NnNonzeroDiscreteIndex ix(&tree);
     std::uniform_real_distribution<double> qu(-15, 15);
     for (int t = 0; t < 150; ++t) {
       Vec2 q{qu(rng), qu(rng)};
@@ -151,60 +153,11 @@ TEST(NnNonzeroDiscreteIndex, MatchesBruteForceRandom) {
   }
 }
 
-TEST(NnNonzeroDiscreteIndex, DeltaMatchesDefinition) {
-  std::mt19937_64 rng(503);
-  auto pts = RandomDiscrete(60, 4, rng);
-  NnNonzeroDiscreteIndex ix(&pts);
-  std::uniform_real_distribution<double> qu(-15, 15);
-  for (int t = 0; t < 300; ++t) {
-    Vec2 q{qu(rng), qu(rng)};
-    EXPECT_NEAR(ix.Delta(q), GlobalMaxDistLowerEnvelope(pts, q), 1e-9);
-  }
-}
-
-// DeltaPair against the linear two-smallest scan, on random sets and on
-// grid-snapped ones where groups repeat exactly: the values are equal on
-// every query, and the argmin too whenever the minimum is unique (on a
-// tie the index keeps the first minimizer its walk reaches, which must
-// still attain the minimum).
-TEST(NnNonzeroDiscreteIndex, DeltaPairMatchesTwoSmallestMaxDist) {
-  std::mt19937_64 rng(505);
-  std::uniform_int_distribution<int> grid(-8, 8);
-  std::uniform_real_distribution<double> qu(-15, 15);
-  for (int set = 0; set < 6; ++set) {
-    std::vector<UncertainPoint> pts = RandomDiscrete(20 + 15 * set, 3, rng);
-    if (set % 2 == 1) {
-      for (auto& p : pts) {
-        std::vector<Vec2> sites;
-        for (int s = 0; s < 3; ++s) {
-          sites.push_back({grid(rng) * 0.5, grid(rng) * 0.5});
-        }
-        p = UncertainPoint::DiscreteUniform(sites);
-      }
-      pts.push_back(pts[0]);  // An exact duplicate group.
-    }
-    NnNonzeroDiscreteIndex ix(&pts);
-    for (int t = 0; t < 200; ++t) {
-      Vec2 q = t % 2 == 0 ? Vec2{qu(rng), qu(rng)}
-                          : Vec2{grid(rng) * 0.5, grid(rng) * 0.5};
-      DeltaEnvelope got = ix.DeltaPair(q);
-      DeltaEnvelope want = TwoSmallestMaxDist(pts, q);
-      ASSERT_EQ(got.best, want.best) << "set=" << set << " t=" << t;
-      ASSERT_EQ(got.second, want.second) << "set=" << set << " t=" << t;
-      if (want.best < want.second) {
-        EXPECT_EQ(got.argbest, want.argbest) << "set=" << set << " t=" << t;
-      } else {
-        ASSERT_GE(got.argbest, 0);
-        EXPECT_EQ(pts[got.argbest].MaxDist(q), want.best);
-      }
-    }
-  }
-}
-
 TEST(NnNonzeroDiscreteIndex, AgreesWithDiscreteDiagram) {
   std::mt19937_64 rng(504);
   auto pts = RandomDiscrete(6, 3, rng);
-  NnNonzeroDiscreteIndex ix(&pts);
+  QuantTree tree(&pts);
+  NnNonzeroDiscreteIndex ix(&tree);
   NonzeroVoronoiDiscrete vd(pts);
   double tol = 1e-7 * vd.window().Diagonal();
   std::uniform_real_distribution<double> qu(-13, 13);

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "baselines/brute_force.h"
 #include "core/quant_tree.h"
 #include "core/uncertain_point.h"
 #include "engine/engine.h"
@@ -127,6 +128,153 @@ TEST(QuantTreeEnvelope, SingleAndDegeneratePoints) {
   QuantTree empty(&none);
   EXPECT_EQ(empty.MaxDistEnvelope({0, 0}).argbest, -1);
   EXPECT_EQ(empty.LogSurvival({0, 0}, 5.0), 0.0);
+}
+
+/// Discrete groups of k equally likely sites, spread up to 1.5 around
+/// centres uniform in [-10, 10]^2, drawn from the caller's stream.
+std::vector<UncertainPoint> SpreadDiscrete(int n, int k, std::mt19937_64& rng) {
+  std::uniform_real_distribution<double> pos(-10, 10);
+  std::uniform_real_distribution<double> off(-1.5, 1.5);
+  std::vector<UncertainPoint> pts;
+  for (int i = 0; i < n; ++i) {
+    double cx = pos(rng), cy = pos(rng);
+    std::vector<Vec2> sites;
+    for (int s = 0; s < k; ++s) {
+      double ox = off(rng), oy = off(rng);
+      sites.push_back({cx + ox, cy + oy});
+    }
+    pts.push_back(UncertainPoint::DiscreteUniform(sites));
+  }
+  return pts;
+}
+
+// Discrete sets, where the envelope walk bounds a node by
+// sqrt(d(q, box)^2 + V_min) and skips a point by its own variance bound:
+// random 4-site and 3-site groups, and 3-site groups snapped to a
+// half-unit grid with an exact duplicate group, where Delta ties are
+// common. The envelope equals the scan's bit for bit, the argmin on ties
+// included (the smallest minimizing id).
+TEST(QuantTreeEnvelope, DiscreteSetsAndGridTies) {
+  std::mt19937_64 rng4(503);
+  auto four = SpreadDiscrete(60, 4, rng4);
+  QuantTree four_tree(&four);
+  std::uniform_real_distribution<double> qu(-15, 15);
+  for (int t = 0; t < 300; ++t) {
+    ExpectEnvelopeParity(four, four_tree, {qu(rng4), qu(rng4)});
+  }
+
+  std::mt19937_64 rng(505);
+  std::uniform_int_distribution<int> grid(-8, 8);
+  int ties = 0;
+  for (int set = 0; set < 6; ++set) {
+    std::vector<UncertainPoint> pts = SpreadDiscrete(20 + 15 * set, 3, rng);
+    if (set % 2 == 1) {
+      for (auto& p : pts) {
+        std::vector<Vec2> sites;
+        for (int s = 0; s < 3; ++s) {
+          sites.push_back({grid(rng) * 0.5, grid(rng) * 0.5});
+        }
+        p = UncertainPoint::DiscreteUniform(sites);
+      }
+      pts.push_back(pts[0]);  // An exact duplicate group.
+    }
+    QuantTree tree(&pts);
+    for (int t = 0; t < 200; ++t) {
+      Vec2 q = t % 2 == 0 ? Vec2{qu(rng), qu(rng)}
+                          : Vec2{grid(rng) * 0.5, grid(rng) * 0.5};
+      SCOPED_TRACE(testing::Message() << "set=" << set << " t=" << t);
+      ExpectEnvelopeParity(pts, tree, q);
+      DeltaEnvelope want = TwoSmallestMaxDist(pts, q);
+      if (want.best == want.second) ++ties;
+    }
+  }
+  EXPECT_GT(ties, 0);
+}
+
+// Sites that coincide but carry uneven weights: the computed weighted mean
+// lands an ulp or more off the site, so for a query on the site the
+// unguarded bound sqrt(d(q, mean)^2 + V) would exceed Delta(q) = 0 and
+// prune the true minimizers. Each point is repeated 20 times (ties across
+// leaves of 8), at coordinates 1, 1e8 and 1e15; queries sit on the site,
+// one ulp beside it, a little farther off, and at |q| = 1e160, where
+// d(q, box)^2 overflows and the bounds fall back to hypot.
+TEST(QuantTreeEnvelope, CoincidentSitesOffTheirComputedMean) {
+  const std::vector<double> w = {1.0 / 6, 4.0 / 6, 1.0 / 6};
+  for (double c : {1.0, 1e8, 1e15}) {
+    SCOPED_TRACE(testing::Message() << "c=" << c);
+    const Vec2 site{c, c};
+    const Vec2 beside{std::nextafter(c, kInf), c};
+    const Vec2 off{c, c * (1 + 1e-9)};
+    std::vector<UncertainPoint> pts;
+    for (int i = 0; i < 20; ++i) {
+      pts.push_back(UncertainPoint::Discrete({site, site, site}, w));
+      pts.push_back(UncertainPoint::Discrete({beside, beside, beside}, w));
+      pts.push_back(UncertainPoint::Discrete({site, off, site}, w));
+    }
+    // The premise: the mean, summed as the tree sums it, is off the site.
+    Vec2 mu{0, 0};
+    for (double wi : pts[0].weights()) mu = mu + site * wi;
+    ASSERT_TRUE(mu.x != c || mu.y != c);
+
+    QuantTree tree(&pts);
+    for (Vec2 q : {site, beside, Vec2{std::nextafter(c, 0.0), c}, off,
+                   Vec2{c * (1 - 1e-9), c * (1 + 1e-9)}, Vec2{1e160, 1e160},
+                   Vec2{-1e160, c}}) {
+      SCOPED_TRACE(testing::Message() << "q=(" << q.x << "," << q.y << ")");
+      ExpectEnvelopeParity(pts, tree, q);
+      EXPECT_EQ(tree.NonzeroNn(q), baselines::NonzeroNn(pts, q));
+    }
+  }
+}
+
+// Coordinates near 1e-162, where squared distances turn denormal and may
+// round up past the distance itself (sqrt(4e-324) = 2.2e-162 > 2e-162),
+// so every bound falls back to hypot there. Two leaves of eight points,
+// on either side of the query: both leaf bounds would round to 2.2e-162,
+// the left leaf is walked first and tightens the runner-up to 2.15e-162,
+// and the right leaf holds the nearest point (2e-162), last in id order.
+TEST(QuantTreeEnvelope, DenormalSquaresFallBackToHypot) {
+  for (bool disks : {false, true}) {
+    SCOPED_TRACE(disks ? "disks" : "discrete");
+    auto point = [&](double x) {
+      return disks ? UncertainPoint::Disk({x, 0}, 1e-170)
+                   : UncertainPoint::Discrete({{x, 0}}, {1.0});
+    };
+    std::vector<UncertainPoint> pts;
+    for (int i = 0; i < 8; ++i) pts.push_back(point(-2.1e-162 - i * 5e-164));
+    for (int i = 0; i < 7; ++i) pts.push_back(point(2.5e-162 + i * 5e-164));
+    pts.push_back(point(2e-162));
+    QuantTree tree(&pts);
+    for (Vec2 q : {Vec2{0, 0}, Vec2{0, 1e-170}}) {
+      SCOPED_TRACE(testing::Message() << "q=(" << q.x << "," << q.y << ")");
+      ExpectEnvelopeParity(pts, tree, q);
+      EXPECT_EQ(tree.NonzeroNn(q), baselines::NonzeroNn(pts, q));
+      EXPECT_EQ(tree.ExpectedDistanceNn(q),
+                baselines::ExpectedDistanceNn(pts, q));
+    }
+  }
+}
+
+// The effort pin of the discrete envelope, on the point set of the
+// discrete-batch benchmark: with the variance bounds the walk evaluates
+// MaxDist for about five points per query; with the box distance alone
+// it evaluates 11.4, so the pin fails if the variance bounds stop
+// pruning.
+TEST(QuantTreeEnvelope, DiscreteEffortPin) {
+  constexpr int kN = 20000;
+  auto pts = workload::RandomDiscrete(kN, 4, 20120521);
+  QuantTree tree(&pts);
+  const double spread = std::sqrt(static_cast<double>(kN)) * 2.5;
+  std::mt19937_64 rng(30);
+  std::uniform_real_distribution<double> pos(-spread, spread);
+  constexpr int kQueries = 1000;
+  QuantTree::QueryStats stats;
+  for (int i = 0; i < kQueries; ++i) {
+    Vec2 q{pos(rng), pos(rng)};
+    if (i % 100 == 0) ExpectEnvelopeParity(pts, tree, q);
+    tree.MaxDistEnvelope(q, &stats);
+  }
+  EXPECT_LE(stats.points_evaluated, 6 * kQueries);
 }
 
 TEST(QuantTreeSurvival, MatchesLogScanOnRandomizedModels) {
