@@ -29,6 +29,9 @@ offending line or the line directly above; a justification is required):
                      tree over its points (Engine::GetQuantTree) and every
                      structure that needs one borrows it, so none can grow a
                      private copy that StructuresBuilt does not see.
+  doc-ref            a `*.md` path named in a comment must exist, read
+                     relative to the repo root — a header that cites a
+                     missing document sends its reader nowhere.
 
 Exit status: 0 when clean, 1 with one `file:line: [rule] message` per
 violation otherwise. Run over the default src/ tree or over explicit file
@@ -74,6 +77,8 @@ QUANT_TREE_RE = re.compile(
     r"|(?<![\w:~])" + _QT + r"\s+\w+\s*[({;=]"
     r"|(?<![\w:~])(?<!class )" + _QT + r"\s*[({](?!\s*(?:const\b|\)))"
 )
+# A markdown path inside a comment: `docs/ARCHITECTURE.md`, `README.md`.
+DOC_REF_RE = re.compile(r"(?<![\w./-])([\w./-]+\.md)\b")
 RELAXED_RE = re.compile(r"\bmemory_order_relaxed\b")
 RELAXED_COMMENT_RE = re.compile(r"//\s*relaxed:")
 
@@ -145,6 +150,16 @@ def check_relaxed_contract(lines: list[str]) -> list[tuple[int, str]]:
     return violations
 
 
+def comment_text(line: str) -> str:
+    """The comment part of a line: all of a comment-only line, else what
+    follows a `//` (string literals are not parsed; none in src/ holds
+    `//` before a `.md` path)."""
+    if COMMENT_ONLY_RE.match(line):
+        return line
+    cut = line.find("//")
+    return line[cut:] if cut >= 0 else ""
+
+
 def lint_file(path: pathlib.Path, repo_rel: str) -> list[str]:
     try:
         text = path.read_text(encoding="utf-8", errors="replace")
@@ -169,6 +184,12 @@ def lint_file(path: pathlib.Path, repo_rel: str) -> list[str]:
     is_tree_owner = repo_rel == QUANT_TREE_OWNER
 
     for i, line in enumerate(lines):
+        for ref in DOC_REF_RE.findall(comment_text(line)):
+            if not (REPO_ROOT / ref).is_file():
+                report(i, "doc-ref",
+                       f"{ref} does not exist — cite a document in the "
+                       "repo by its path from the repo root, or state the "
+                       "note inline")
         if is_comment_only(line):
             continue  # Prose mentions of forbidden constructs are fine.
         if KD_BUILDER_RE.search(line) and not in_spatial:

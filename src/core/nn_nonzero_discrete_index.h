@@ -20,7 +20,9 @@
 /// delta_i(q) < Delta(q) iff some site of P_i lies in the open disk
 /// D(q, Delta(q)) — the paper's lifted halfspace query is exactly a
 /// circular range query — served by a kd-tree over all N sites with owner
-/// dedup. Space O(N); see DESIGN.md section 3 for the substitution notes.
+/// dedup. Space O(N). The kd-tree stands in for the paper's halfspace
+/// range-reporting structure: same answers, no worst-case polylog bound
+/// (docs/ARCHITECTURE.md, "Where each paper structure lives").
 ///
 /// The same two stages answer exact quantification (ProbabilitiesBatch):
 /// by Lemma 2.1 every point outside NN!=0(q) has pi_i(q) = 0, and no site

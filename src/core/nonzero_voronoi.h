@@ -17,7 +17,8 @@
 /// The nonzero Voronoi diagram V!=0(P) for uncertain points with disk
 /// uncertainty regions (Section 2.1 and Theorems 2.5/2.11 of the paper).
 ///
-/// Construction pipeline (DESIGN.md section 2):
+/// Construction pipeline (Section 2 of the paper; docs/ARCHITECTURE.md,
+/// "Where each paper structure lives"):
 ///   1. gamma_i = lower envelope, polar about c_i, of the hyperbola
 ///      branches gamma_ij = {delta_i = Delta_j} (Lemma 2.2);
 ///   2. vertices of A(Gamma) = breakpoints of each gamma_i plus pairwise

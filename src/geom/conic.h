@@ -8,7 +8,7 @@
 /// \file conic.h
 /// Focal conics: single hyperbola branches expressed in polar form about one
 /// focus. Every curve appearing in the nonzero Voronoi machinery of the
-/// paper is such a branch (DESIGN.md section 2):
+/// paper (its Section 2) is such a branch:
 ///
 ///   gamma_ij = { x : delta_i(x) = Delta_j(x) }   (distance difference r_i+r_j)
 ///   bisector { delta_i = delta_j }               (distance difference r_i-r_j)

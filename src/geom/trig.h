@@ -4,9 +4,11 @@
 /// \file trig.h
 /// Closed-form trigonometric solvers. Every vertex computation in the
 /// nonzero Voronoi machinery reduces to the linear trigonometric equation
-///   A cos(t) + B sin(t) = C
-/// (see DESIGN.md section 2, observation 3), solved here exactly up to
-/// floating-point rounding.
+///   A cos(t) + B sin(t) = C:
+/// two focal conics about a common focus (conic.h) cross where their
+/// polar radii (D^2 - s^2) / (2 (D cos(t - phi) - s)) agree, and clearing
+/// the denominators leaves an equation linear in cos(t) and sin(t). It is
+/// solved here exactly up to floating-point rounding.
 
 namespace unn {
 namespace geom {

@@ -147,6 +147,10 @@ void QueryServer::InitMetrics() {
   deadline_exceeded_ = registry_.GetCounter(
       "unn_server_deadline_exceeded_total",
       "Requests dropped because their deadline passed");
+  submit_inline_ = registry_.GetCounter(
+      "unn_server_submit_inline_total",
+      "Submits computed on the submitting thread (a worker was idle with "
+      "nothing queued, or the pool was stopping)");
   for (int t = 0; t < kNumQueryTypes; ++t) {
     obs::Labels labels{{"type", kQueryTypeNames[t]}};
     queries_by_type_[t] =
@@ -260,13 +264,16 @@ std::future<Response> QueryServer::Submit(const Request& request) {
                           root_node, "engine_query");
         finish(std::move(resp));
       };
-  if (!pool_.TryPost(std::move(task), ToTaskPriority(request.priority))) {
-    // A submit racing server shutdown: once the pool's destructor has
-    // begun no task can be enqueued, so answer inline on the submitting
-    // thread against the snapshot pinned above (the shard fan-out
-    // degrades the same way inside ParallelFor). TryPost leaves the task
-    // intact on failure, so running it here is safe; the future is
-    // always satisfied and nothing aborts.
+  if (!pool_.PostIfBusy(std::move(task), ToTaskPriority(request.priority))) {
+    // Answer on the submitting thread. Either a worker is parked and
+    // nothing is queued, so a post would only wake that worker (and the
+    // worker would then wake this caller): running here saves both
+    // handoffs, and the queue span above closes at once. Or the submit
+    // races server shutdown, when no task can be enqueued; it is answered
+    // against the snapshot pinned above (the shard fan-out degrades the
+    // same way inside ParallelFor). PostIfBusy leaves the task intact
+    // when it declines, so the future is always satisfied.
+    submit_inline_->Inc();
     task();
   }
   return result;

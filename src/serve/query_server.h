@@ -147,13 +147,25 @@ class QueryServer {
   /// Async single query under the full QoS contract: a pack of one
   /// through QueryBatch's admission (deadline check, result-cache probe,
   /// admission control) on the submitting thread, then its compute and
-  /// respond stages (deadline check two, the query, cache insert) in a
-  /// pool task at `Request::priority`, against the snapshot current at
-  /// submission time (a sharded snapshot fans the query out to all
-  /// shards across the pool). The future is always satisfied — refusals
-  /// are Responses (`kShed` / `kDeadlineExceeded`), never exceptions.
-  /// Degenerate spec parameters follow Engine::QueryMany's definitions
-  /// and are never cached or shed. Thread-safe. Shutdown note:
+  /// respond stages (deadline check two, the query, cache insert),
+  /// against the snapshot current at submission time (a sharded snapshot
+  /// runs the shards that hold candidates, two or more across the pool).
+  /// Where the compute stage runs (ThreadPool::PostIfBusy):
+  ///   * when a worker is idle and no task is queued, on the submitting
+  ///     thread — a pool task would only wake that worker, and the worker
+  ///     would then wake the caller. The future is then ready when Submit
+  ///     returns, and the request's `queue` span reads ~0;
+  ///   * otherwise in a pool task at `Request::priority`, queued behind
+  ///     higher classes. Priorities order only queued requests: one
+  ///     answered on its caller never waits, whatever its class.
+  /// Either way a miss counts in `max_inflight`'s in-flight total from
+  /// admission to completion. A caller that pipelines many Submits from
+  /// one thread on an idle server computes them one after another on
+  /// that thread; QueryBatch is the API for packs.
+  /// The future is always satisfied — refusals are Responses (`kShed` /
+  /// `kDeadlineExceeded`), never exceptions. Degenerate spec parameters
+  /// follow Engine::QueryMany's definitions and are never cached or
+  /// shed. Thread-safe. Shutdown note:
   /// a Submit that races server destruction no longer aborts — once the
   /// pool refuses new tasks the query runs inline on the submitting
   /// thread against the pinned snapshot (the same degradation
@@ -369,6 +381,8 @@ class QueryServer {
   std::array<obs::Counter*, kNumQueryTypes> queries_by_type_{};
   obs::Counter* shed_ = nullptr;
   obs::Counter* deadline_exceeded_ = nullptr;
+  /// Submits whose compute stage ran on the submitting thread.
+  obs::Counter* submit_inline_ = nullptr;
   std::array<obs::Histogram*, kNumQueryTypes> latency_{};
   /// Backend queries in flight (admission control's load signal): every
   /// miss from admission to completion (a Submit's time in the queue

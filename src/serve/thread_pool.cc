@@ -38,9 +38,20 @@ void ThreadPool::Post(std::function<void()> fn, TaskPriority priority) {
 }
 
 bool ThreadPool::TryPost(std::function<void()>&& fn, TaskPriority priority) {
+  return Enqueue(std::move(fn), priority, /*decline_when_idle=*/false);
+}
+
+bool ThreadPool::PostIfBusy(std::function<void()>&& fn,
+                            TaskPriority priority) {
+  return Enqueue(std::move(fn), priority, /*decline_when_idle=*/true);
+}
+
+bool ThreadPool::Enqueue(std::function<void()>&& fn, TaskPriority priority,
+                         bool decline_when_idle) {
   {
     MutexLock lock(&mu_);
     if (stopping_) return false;
+    if (decline_when_idle && idle_ > 0 && QueuesEmptyLocked()) return false;
     queues_[static_cast<int>(priority)].push_back(std::move(fn));
   }
   cv_.NotifyOne();
@@ -69,7 +80,9 @@ void ThreadPool::WorkerLoop() {
       // Spelled as an explicit loop (not a predicate wait): a predicate
       // lambda is analyzed as a separate function, which would hide the
       // guarded reads from -Wthread-safety.
+      ++idle_;
       while (!stopping_ && QueuesEmptyLocked()) cv_.Wait(mu_);
+      --idle_;
       if (QueuesEmptyLocked()) return;  // stopping_ and drained.
       for (auto& q : queues_) {         // Highest class first.
         if (!q.empty()) {

@@ -13,11 +13,15 @@
 
 /// \file thread_pool.h
 /// The fixed-size worker pool underneath the serving layer: a mutex +
-/// condition-variable task queue feeding N `std::thread` workers. Two entry
-/// points cover the serving layer's needs:
+/// condition-variable task queue feeding N `std::thread` workers. Three
+/// entry points cover the serving layer's needs:
 ///
-///   * Post(fn)            — fire-and-forget task (QueryServer::Submit
-///                           wraps it with a promise);
+///   * Post(fn)            — fire-and-forget task;
+///   * PostIfBusy(fn)      — enqueues only when posting would not merely
+///                           wake a parked worker; otherwise hands `fn`
+///                           back to run on the caller (QueryServer::Submit
+///                           wraps it with a promise and answers on the
+///                           submitting thread when the pool is idle);
 ///   * ParallelFor(n, fn)  — run fn(begin, end) over a blocked partition
 ///                           of [0, n) and wait; the caller thread works
 ///                           too, so a pool of T threads applies T + 1
@@ -84,6 +88,18 @@ class ThreadPool {
   bool TryPost(std::function<void()>&& fn,
                TaskPriority priority = TaskPriority::kNormal) UNN_EXCLUDES(mu_);
 
+  /// TryPost that also declines when a worker is parked and no task is
+  /// queued: posting would then only wake that worker while the caller
+  /// waits for it, so the caller runs `fn` itself and saves the handoff.
+  /// Returns true when `fn` was enqueued (every worker busy, or tasks
+  /// already queued, so it waits its turn by `priority`); false, with
+  /// `fn` left intact, when a worker is idle and the queue is empty or
+  /// when the pool is stopping. The idle test is taken under the queue
+  /// lock, so it is exact at that instant. O(1).
+  bool PostIfBusy(std::function<void()>&& fn,
+                  TaskPriority priority = TaskPriority::kNormal)
+      UNN_EXCLUDES(mu_);
+
   /// Splits [0, n) into contiguous blocks (about 2 per participant, so a
   /// straggler block cannot dominate the makespan), runs `fn(begin, end)`
   /// on the workers plus the calling thread, and returns when every block
@@ -95,6 +111,10 @@ class ThreadPool {
 
  private:
   void WorkerLoop();
+  /// TryPost and PostIfBusy: enqueues `fn` unless the pool is stopping or
+  /// (`decline_when_idle`) a worker is parked with nothing queued.
+  bool Enqueue(std::function<void()>&& fn, TaskPriority priority,
+               bool decline_when_idle) UNN_EXCLUDES(mu_);
   /// True when every priority class is empty; the UNN_REQUIRES makes the
   /// old "mu_ must be held" comment a compile-time contract.
   bool QueuesEmptyLocked() const UNN_REQUIRES(mu_);
@@ -104,6 +124,8 @@ class ThreadPool {
   /// One FIFO per TaskPriority, drained in class order.
   std::array<std::deque<std::function<void()>>, 3> queues_ UNN_GUARDED_BY(mu_);
   bool stopping_ UNN_GUARDED_BY(mu_) = false;
+  /// Workers parked in WorkerLoop's wait (PostIfBusy's idle test).
+  int idle_ UNN_GUARDED_BY(mu_) = 0;
   std::vector<std::thread> workers_;
 };
 

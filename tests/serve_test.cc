@@ -2,11 +2,13 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <future>
 #include <limits>
 #include <mutex>
 #include <numeric>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -318,6 +320,71 @@ TEST(ThreadPool, StrictPriorityOrdersDispatch) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 10, 11, 20, 21}));
 }
 
+// PostIfBusy declines (and hands the task back intact) while a worker is
+// parked with nothing queued, enqueues once every worker is busy, with
+// strict priority order for what it queued, and declines on a stopping
+// pool even when every worker is busy.
+TEST(ThreadPool, PostIfBusyDeclinesOnlyOnAnIdleOrStoppingPool) {
+  serve::ThreadPool pool(1);
+  std::atomic<int> ran{0};
+  // Until the worker has parked (just after construction, or while it
+  // finishes a task) the pool counts as busy and the task is queued; it
+  // runs, the worker parks, and a later try declines.
+  bool declined = false;
+  for (int queued = 0; !declined && queued < 1000;) {
+    std::function<void()> fn = [&ran] { ran.fetch_add(1); };
+    declined = !pool.PostIfBusy(std::move(fn));
+    if (declined) {
+      ASSERT_TRUE(fn);  // Left intact: the caller runs it.
+      fn();
+    } else {
+      ++queued;
+      while (ran.load() < queued) std::this_thread::yield();
+    }
+  }
+  EXPECT_TRUE(declined);
+
+  auto park = [&pool](std::atomic<bool>& release) {
+    std::promise<void> parked;
+    pool.Post([&] {
+      parked.set_value();
+      while (!release.load()) std::this_thread::yield();
+    });
+    parked.get_future().get();
+  };
+  std::atomic<bool> release{false};
+  park(release);
+  std::mutex mu;
+  std::vector<int> order;
+  std::promise<void> done;
+  auto record = [&](int tag) {
+    std::lock_guard<std::mutex> lock(mu);
+    order.push_back(tag);
+    if (order.size() == 6) done.set_value();
+  };
+  const std::pair<int, serve::TaskPriority> tasks[] = {
+      {20, serve::TaskPriority::kLow},   {10, serve::TaskPriority::kNormal},
+      {0, serve::TaskPriority::kHigh},   {21, serve::TaskPriority::kLow},
+      {1, serve::TaskPriority::kHigh},   {11, serve::TaskPriority::kNormal}};
+  for (const auto& [tag, priority] : tasks) {
+    std::function<void()> fn = [&record, tag = tag] { record(tag); };
+    const bool queued = pool.PostIfBusy(std::move(fn), priority);
+    EXPECT_TRUE(queued);
+    if (!queued) fn();  // Keeps the count going; the order check fails.
+  }
+  release.store(true);
+  done.get_future().get();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 10, 11, 20, 21}));
+
+  std::atomic<bool> release_again{false};
+  park(release_again);
+  pool.BeginShutdown();
+  std::function<void()> late = [&ran] { ran.fetch_add(1); };
+  EXPECT_FALSE(pool.PostIfBusy(std::move(late)));
+  EXPECT_TRUE(late);
+  release_again.store(true);
+}
+
 TEST(QueryServer, RequestSubmitReportsComputedSource) {
   auto pts = workload::RandomDiscrete(15, 3, 93);
   serve::QueryServer server(pts, {}, {.num_threads = 2, .warm = {}});
@@ -501,6 +568,18 @@ class PoolGate {
   std::atomic<bool> release_{false};
 };
 
+// Waits until a worker of `pool` is parked with nothing queued, the state
+// in which QueryServer::Submit answers on the submitting thread: until
+// then PostIfBusy queues the no-op, which a worker runs. False if the
+// pool never got there.
+bool WaitForIdleWorker(serve::ThreadPool& pool) {
+  for (int tries = 0; tries < 100000; ++tries) {
+    if (!pool.PostIfBusy([] {})) return true;
+    std::this_thread::yield();
+  }
+  return false;
+}
+
 TEST(QueryServer, ExpiredDeadlineIsRefusedWithoutComputing) {
   auto pts = workload::RandomDiscrete(12, 2, 95);
   serve::QueryServer server(pts, {}, {.num_threads = 2, .warm = {}});
@@ -564,6 +643,60 @@ TEST(QueryServer, AdmissionControlShedsPastInflightLimit) {
   auto s = server.stats();
   EXPECT_EQ(s.shed, 3u);
   EXPECT_EQ(s.queries, 4u);
+}
+
+// A Submit that finds a worker idle and nothing queued is computed on the
+// submitting thread: its future is ready when Submit returns, the answer
+// is the Engine's, the span tree keeps its (~0) queue span, and
+// unn_server_submit_inline_total counts it. A Submit queued behind busy
+// workers runs on a worker and is not counted.
+TEST(QueryServer, SubmitOnIdlePoolIsAnsweredOnTheCaller) {
+  auto pts = workload::RandomDiscrete(40, 3, 101);
+  serve::QueryServer server(pts, {}, {.num_threads = 2, .warm = {}});
+  Engine oracle(pts, {});
+  ASSERT_TRUE(WaitForIdleWorker(server.pool()));
+
+  const auto qs = GridQueries(6);
+  const Engine::QuerySpec specs[] = {{Engine::QueryType::kMostProbableNn},
+                                     {Engine::QueryType::kTopK, 0.5, 3}};
+  int submitted = 0;
+  for (Vec2 q : qs) {
+    for (const Engine::QuerySpec& spec : specs) {
+      obs::TraceContext ctx;
+      serve::Request req{q, spec};
+      req.trace = &ctx;
+      std::future<serve::Response> fut = server.Submit(req);
+      ++submitted;
+      ASSERT_EQ(fut.wait_for(std::chrono::seconds(0)),
+                std::future_status::ready);
+      serve::Response resp = fut.get();
+      EXPECT_EQ(resp.source, serve::ResultSource::kComputed);
+      const std::vector<Engine::QueryResult> want =
+          oracle.QueryMany(std::span<const Vec2>(&q, 1), spec);
+      EXPECT_EQ(resp.result.nn, want[0].nn);
+      EXPECT_EQ(resp.result.ranked, want[0].ranked);
+      std::vector<std::string> names;
+      for (const obs::Span& span : ctx.spans()) names.push_back(span.name);
+      for (const char* name : {"request", "admission", "queue",
+                               "engine_query"}) {
+        EXPECT_NE(std::find(names.begin(), names.end(), name), names.end())
+            << name;
+      }
+    }
+  }
+  EXPECT_NE(server.DumpMetrics().find("unn_server_submit_inline_total " +
+                                      std::to_string(submitted)),
+            std::string::npos);
+
+  serve::QueryServer gated(pts, {}, {.num_threads = 2, .warm = {}});
+  PoolGate gate(gated.pool(), 2);
+  std::future<serve::Response> queued = gated.Submit({qs[0], specs[0]});
+  EXPECT_EQ(queued.wait_for(std::chrono::milliseconds(20)),
+            std::future_status::timeout);
+  gate.Release();
+  EXPECT_EQ(queued.get().result.nn, oracle.MostProbableNn(qs[0]));
+  EXPECT_NE(gated.DumpMetrics().find("unn_server_submit_inline_total 0"),
+            std::string::npos);
 }
 
 // Batch-level admission: at the in-flight limit a batch sheds every
