@@ -11,6 +11,10 @@
 
 #include "geom/vec2.h"
 
+#if !defined(UNN_GIT_SHA) && __has_include("unn_git_sha.h")
+#include "unn_git_sha.h"
+#endif
+
 /// \file bench_util.h
 /// Shared helpers for the experiment drivers (E1..E15). Each driver prints
 /// a self-contained table; its file comment names the theorem or claim it
@@ -60,8 +64,10 @@ inline Args ParseArgs(int argc, char** argv) {
   return a;
 }
 
-/// Build provenance baked in by CMake (bench targets only); "unknown"
-/// when built outside the repo's own build (e.g. a tarball checkout).
+/// Build provenance: the commit the bench targets were built from
+/// (unn_git_sha.h, written at build time by cmake/git_sha.cmake), or a
+/// UNN_GIT_SHA the including build defines itself; "unknown" when built
+/// outside a git checkout (e.g. a tarball).
 inline const char* GitSha() {
 #ifdef UNN_GIT_SHA
   return UNN_GIT_SHA;

@@ -38,8 +38,9 @@ int main() {
   printf("\n");
 
   // Async API: Submit returns a future. The query runs on a worker when
-  // every worker is busy, and on this thread (the future is then ready
-  // on return) when one is idle and nothing is queued.
+  // no worker is free, and on this thread (the future is then ready on
+  // return) when one is parked and nothing is queued; the caller then
+  // borrows that worker until the query is answered.
   auto fut = server.Submit({{0.5, 0.5}, {Engine::QueryType::kTopK, 0.5, 3}});
   printf("top-3 at (0.5, 0.5):");
   for (auto [id, pi] : fut.get().result.ranked) printf("  P%d (%.3f)", id, pi);

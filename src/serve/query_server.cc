@@ -123,8 +123,8 @@ std::shared_ptr<const QueryServer::Snapshot> QueryServer::MakeSnapshot(
 QueryServer::~QueryServer() {
   // Stop accepting pool work first, so a Submit that entered before (or
   // during) this line either queued its task already — drained when the
-  // pool joins its workers below — or sees TryPost fail and answers
-  // inline. Then block (atomic wait, no spinning) until every such call
+  // pool joins its workers below — or sees RunOrPost run it on the caller.
+  // Then block (atomic wait, no spinning) until every such call
   // has left the building before member destructors run. Calls entering
   // later are still caught by the pool join — see the shutdown note on
   // Submit.
@@ -149,8 +149,8 @@ void QueryServer::InitMetrics() {
       "Requests dropped because their deadline passed");
   submit_inline_ = registry_.GetCounter(
       "unn_server_submit_inline_total",
-      "Submits computed on the submitting thread (a worker was idle with "
-      "nothing queued, or the pool was stopping)");
+      "Submits computed on the submitting thread (in place of a parked "
+      "worker with nothing queued, or on a stopping pool)");
   for (int t = 0; t < kNumQueryTypes; ++t) {
     obs::Labels labels{{"type", kQueryTypeNames[t]}};
     queries_by_type_[t] =
@@ -264,17 +264,17 @@ std::future<Response> QueryServer::Submit(const Request& request) {
                           root_node, "engine_query");
         finish(std::move(resp));
       };
-  if (!pool_.PostIfBusy(std::move(task), ToTaskPriority(request.priority))) {
-    // Answer on the submitting thread. Either a worker is parked and
-    // nothing is queued, so a post would only wake that worker (and the
-    // worker would then wake this caller): running here saves both
-    // handoffs, and the queue span above closes at once. Or the submit
-    // races server shutdown, when no task can be enqueued; it is answered
-    // against the snapshot pinned above (the shard fan-out degrades the
-    // same way inside ParallelFor). PostIfBusy leaves the task intact
-    // when it declines, so the future is always satisfied.
+  // RunOrPost answers on the submitting thread in place of a free worker
+  // (parked, not lent to another caller, nothing queued), which it
+  // borrows until the task returns: a post would only wake that worker, and the worker would
+  // then wake this caller, so running here saves both handoffs and the
+  // queue span above closes at once. With no worker free the task queues
+  // at the request's priority. A submit racing server shutdown, when no
+  // task can be enqueued, is answered here too, against the snapshot
+  // pinned above (the shard fan-out degrades the same way inside
+  // ParallelFor), so the future is always satisfied.
+  if (pool_.RunOrPost(std::move(task), ToTaskPriority(request.priority))) {
     submit_inline_->Inc();
-    task();
   }
   return result;
 }

@@ -150,14 +150,19 @@ class QueryServer {
   /// respond stages (deadline check two, the query, cache insert),
   /// against the snapshot current at submission time (a sharded snapshot
   /// runs the shards that hold candidates, two or more across the pool).
-  /// Where the compute stage runs (ThreadPool::PostIfBusy):
-  ///   * when a worker is idle and no task is queued, on the submitting
-  ///     thread — a pool task would only wake that worker, and the worker
-  ///     would then wake the caller. The future is then ready when Submit
-  ///     returns, and the request's `queue` span reads ~0;
+  /// Where the compute stage runs (ThreadPool::RunOrPost):
+  ///   * when a worker is free (parked, not lent to another Submit, and
+  ///     no task queued), on the submitting thread, which borrows that
+  ///     worker until the query is answered — a pool task would only
+  ///     wake the worker, and the worker would then wake the caller. The
+  ///     future is then ready when Submit returns, and the request's
+  ///     `queue` span reads ~0;
   ///   * otherwise in a pool task at `Request::priority`, queued behind
   ///     higher classes. Priorities order only queued requests: one
   ///     answered on its caller never waits, whatever its class.
+  /// A borrowed worker takes no task, so `Options::num_threads` still
+  /// bounds how many requests compute at once; with more concurrent
+  /// Submits than free workers the rest queue by priority as before.
   /// Either way a miss counts in `max_inflight`'s in-flight total from
   /// admission to completion. A caller that pipelines many Submits from
   /// one thread on an idle server computes them one after another on

@@ -22,8 +22,8 @@ namespace serve {
 /// Scheduling class of a request. The worker pool drains strictly by
 /// priority (all queued kHigh tasks before any kNormal before any kLow);
 /// within a class, FIFO. Priorities order the queue, they do not preempt
-/// a running query; a Submit that finds a worker idle and nothing queued
-/// never enters the queue (QueryServer::Submit).
+/// a running query; a Submit that finds a worker free (parked, not lent,
+/// nothing queued) never enters the queue (QueryServer::Submit).
 enum class Priority {
   kHigh = 0,
   kNormal = 1,

@@ -38,23 +38,45 @@ void ThreadPool::Post(std::function<void()> fn, TaskPriority priority) {
 }
 
 bool ThreadPool::TryPost(std::function<void()>&& fn, TaskPriority priority) {
-  return Enqueue(std::move(fn), priority, /*decline_when_idle=*/false);
-}
-
-bool ThreadPool::PostIfBusy(std::function<void()>&& fn,
-                            TaskPriority priority) {
-  return Enqueue(std::move(fn), priority, /*decline_when_idle=*/true);
-}
-
-bool ThreadPool::Enqueue(std::function<void()>&& fn, TaskPriority priority,
-                         bool decline_when_idle) {
   {
     MutexLock lock(&mu_);
     if (stopping_) return false;
-    if (decline_when_idle && idle_ > 0 && QueuesEmptyLocked()) return false;
     queues_[static_cast<int>(priority)].push_back(std::move(fn));
   }
   cv_.NotifyOne();
+  return true;
+}
+
+bool ThreadPool::RunOrPost(std::function<void()>&& fn, TaskPriority priority) {
+  bool borrowed = false;
+  bool queued = false;
+  {
+    MutexLock lock(&mu_);
+    if (!stopping_) {
+      borrowed = idle_ > lent_ && QueuesEmptyLocked();
+      queued = !borrowed;
+      if (borrowed) {
+        ++lent_;
+      } else {
+        queues_[static_cast<int>(priority)].push_back(std::move(fn));
+      }
+    }
+  }
+  if (queued) {
+    cv_.NotifyOne();
+    return false;
+  }
+  fn();  // On a borrowed worker, or on a stopping pool.
+  if (borrowed) {
+    bool backlog;
+    {
+      MutexLock lock(&mu_);
+      --lent_;
+      backlog = !QueuesEmptyLocked();
+    }
+    // The returned worker may take what was queued meanwhile.
+    if (backlog) cv_.NotifyOne();
+  }
   return true;
 }
 
@@ -80,8 +102,12 @@ void ThreadPool::WorkerLoop() {
       // Spelled as an explicit loop (not a predicate wait): a predicate
       // lambda is analyzed as a separate function, which would hide the
       // guarded reads from -Wthread-safety.
+      // A parked worker lent to a RunOrPost caller takes no task until
+      // that run returns; a stopping pool drains regardless.
       ++idle_;
-      while (!stopping_ && QueuesEmptyLocked()) cv_.Wait(mu_);
+      while (!stopping_ && (QueuesEmptyLocked() || idle_ <= lent_)) {
+        cv_.Wait(mu_);
+      }
       --idle_;
       if (QueuesEmptyLocked()) return;  // stopping_ and drained.
       for (auto& q : queues_) {         // Highest class first.

@@ -17,11 +17,12 @@
 /// entry points cover the serving layer's needs:
 ///
 ///   * Post(fn)            — fire-and-forget task;
-///   * PostIfBusy(fn)      — enqueues only when posting would not merely
-///                           wake a parked worker; otherwise hands `fn`
-///                           back to run on the caller (QueryServer::Submit
-///                           wraps it with a promise and answers on the
-///                           submitting thread when the pool is idle);
+///   * RunOrPost(fn)       — runs fn on the caller in place of a parked
+///                           worker, which it borrows until fn returns,
+///                           or enqueues fn when no worker is free
+///                           (QueryServer::Submit wraps it with a promise
+///                           and answers on the submitting thread when a
+///                           worker is free);
 ///   * ParallelFor(n, fn)  — run fn(begin, end) over a blocked partition
 ///                           of [0, n) and wait; the caller thread works
 ///                           too, so a pool of T threads applies T + 1
@@ -88,16 +89,19 @@ class ThreadPool {
   bool TryPost(std::function<void()>&& fn,
                TaskPriority priority = TaskPriority::kNormal) UNN_EXCLUDES(mu_);
 
-  /// TryPost that also declines when a worker is parked and no task is
-  /// queued: posting would then only wake that worker while the caller
-  /// waits for it, so the caller runs `fn` itself and saves the handoff.
-  /// Returns true when `fn` was enqueued (every worker busy, or tasks
-  /// already queued, so it waits its turn by `priority`); false, with
-  /// `fn` left intact, when a worker is idle and the queue is empty or
-  /// when the pool is stopping. The idle test is taken under the queue
-  /// lock, so it is exact at that instant. O(1).
-  bool PostIfBusy(std::function<void()>&& fn,
-                  TaskPriority priority = TaskPriority::kNormal)
+  /// Runs `fn` on the calling thread in place of a free worker, or
+  /// enqueues it. A worker is free when it is parked, no task is queued,
+  /// and no other caller has borrowed it: posting would then only wake
+  /// it while the caller waits, so the caller runs `fn` itself and
+  /// borrows the worker until `fn` returns. A borrowed worker takes no
+  /// task, so callers' runs and workers' tasks together never exceed
+  /// num_threads(), and a task posted meanwhile queues by its priority.
+  /// When no worker is free, `fn` is enqueued at `priority` like TryPost.
+  /// On a stopping pool `fn` runs on the caller (nothing can be queued).
+  /// Returns true when `fn` has run on the calling thread, false when it
+  /// was queued. The test is taken under the queue lock. O(1) plus `fn`.
+  bool RunOrPost(std::function<void()>&& fn,
+                 TaskPriority priority = TaskPriority::kNormal)
       UNN_EXCLUDES(mu_);
 
   /// Splits [0, n) into contiguous blocks (about 2 per participant, so a
@@ -111,10 +115,6 @@ class ThreadPool {
 
  private:
   void WorkerLoop();
-  /// TryPost and PostIfBusy: enqueues `fn` unless the pool is stopping or
-  /// (`decline_when_idle`) a worker is parked with nothing queued.
-  bool Enqueue(std::function<void()>&& fn, TaskPriority priority,
-               bool decline_when_idle) UNN_EXCLUDES(mu_);
   /// True when every priority class is empty; the UNN_REQUIRES makes the
   /// old "mu_ must be held" comment a compile-time contract.
   bool QueuesEmptyLocked() const UNN_REQUIRES(mu_);
@@ -124,8 +124,12 @@ class ThreadPool {
   /// One FIFO per TaskPriority, drained in class order.
   std::array<std::deque<std::function<void()>>, 3> queues_ UNN_GUARDED_BY(mu_);
   bool stopping_ UNN_GUARDED_BY(mu_) = false;
-  /// Workers parked in WorkerLoop's wait (PostIfBusy's idle test).
+  /// Workers parked in WorkerLoop's wait, and how many of them are lent
+  /// to callers' RunOrPost runs (a lent worker takes no task until the
+  /// run returns, unless the pool is stopping). lent_ <= idle_ while the
+  /// pool runs.
   int idle_ UNN_GUARDED_BY(mu_) = 0;
+  int lent_ UNN_GUARDED_BY(mu_) = 0;
   std::vector<std::thread> workers_;
 };
 

@@ -2,6 +2,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <future>
 #include <limits>
@@ -10,6 +11,7 @@
 #include <random>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -320,40 +322,45 @@ TEST(ThreadPool, StrictPriorityOrdersDispatch) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 10, 11, 20, 21}));
 }
 
-// PostIfBusy declines (and hands the task back intact) while a worker is
-// parked with nothing queued, enqueues once every worker is busy, with
-// strict priority order for what it queued, and declines on a stopping
-// pool even when every worker is busy.
-TEST(ThreadPool, PostIfBusyDeclinesOnlyOnAnIdleOrStoppingPool) {
+// RunOrPost runs its task on the caller in place of a free worker
+// (parked, nothing queued, not lent to another caller) and lends that
+// worker to the run: tasks posted meanwhile queue, the lent worker takes
+// none of them until the run returns, and then they drain in strict
+// priority order. On a stopping pool the task runs on the caller.
+TEST(ThreadPool, RunOrPostBorrowsAFreeWorkerUntilItsRunReturns) {
   serve::ThreadPool pool(1);
-  std::atomic<int> ran{0};
+  const std::thread::id caller = std::this_thread::get_id();
   // Until the worker has parked (just after construction, or while it
-  // finishes a task) the pool counts as busy and the task is queued; it
-  // runs, the worker parks, and a later try declines.
-  bool declined = false;
-  for (int queued = 0; !declined && queued < 1000;) {
-    std::function<void()> fn = [&ran] { ran.fetch_add(1); };
-    declined = !pool.PostIfBusy(std::move(fn));
-    if (declined) {
-      ASSERT_TRUE(fn);  // Left intact: the caller runs it.
-      fn();
+  // finishes a task) it is not free and the task is queued; it runs, the
+  // worker parks, and a later call runs on the caller.
+  std::atomic<int> ran{0};
+  bool here = false;
+  for (int queued = 0; !here && queued < 1000;) {
+    std::thread::id ran_on;
+    here = pool.RunOrPost([&] {
+      ran_on = std::this_thread::get_id();
+      ran.fetch_add(1);
+    });
+    if (here) {
+      EXPECT_EQ(ran_on, caller);
     } else {
       ++queued;
       while (ran.load() < queued) std::this_thread::yield();
     }
   }
-  EXPECT_TRUE(declined);
+  ASSERT_TRUE(here);
 
-  auto park = [&pool](std::atomic<bool>& release) {
-    std::promise<void> parked;
-    pool.Post([&] {
-      parked.set_value();
+  // The worker is parked again; another thread borrows it and holds it.
+  std::atomic<bool> inside{false};
+  std::atomic<bool> release{false};
+  bool borrowed = false;
+  std::thread borrower([&] {
+    borrowed = pool.RunOrPost([&] {
+      inside.store(true);
       while (!release.load()) std::this_thread::yield();
     });
-    parked.get_future().get();
-  };
-  std::atomic<bool> release{false};
-  park(release);
+  });
+  while (!inside.load()) std::this_thread::yield();
   std::mutex mu;
   std::vector<int> order;
   std::promise<void> done;
@@ -367,22 +374,72 @@ TEST(ThreadPool, PostIfBusyDeclinesOnlyOnAnIdleOrStoppingPool) {
       {0, serve::TaskPriority::kHigh},   {21, serve::TaskPriority::kLow},
       {1, serve::TaskPriority::kHigh},   {11, serve::TaskPriority::kNormal}};
   for (const auto& [tag, priority] : tasks) {
-    std::function<void()> fn = [&record, tag = tag] { record(tag); };
-    const bool queued = pool.PostIfBusy(std::move(fn), priority);
-    EXPECT_TRUE(queued);
-    if (!queued) fn();  // Keeps the count going; the order check fails.
+    EXPECT_FALSE(pool.RunOrPost([&record, tag = tag] { record(tag); },
+                                priority));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    EXPECT_TRUE(order.empty());  // The parked worker is lent.
   }
   release.store(true);
+  borrower.join();
+  EXPECT_TRUE(borrowed);
   done.get_future().get();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 10, 11, 20, 21}));
 
   std::atomic<bool> release_again{false};
-  park(release_again);
+  std::promise<void> parked;
+  pool.Post([&] {
+    parked.set_value();
+    while (!release_again.load()) std::this_thread::yield();
+  });
+  parked.get_future().get();
   pool.BeginShutdown();
-  std::function<void()> late = [&ran] { ran.fetch_add(1); };
-  EXPECT_FALSE(pool.PostIfBusy(std::move(late)));
-  EXPECT_TRUE(late);
+  std::thread::id late_on;
+  EXPECT_TRUE(pool.RunOrPost([&] { late_on = std::this_thread::get_id(); }));
+  EXPECT_EQ(late_on, caller);
   release_again.store(true);
+}
+
+// Many callers at once on a 1-worker pool: callers' runs and the
+// worker's tasks never overlap, because a caller runs only in place of
+// the one worker and the worker takes no task while it is lent.
+TEST(ThreadPool, RunOrPostKeepsConcurrencyWithinTheWorkerCount) {
+  serve::ThreadPool pool(1);
+  constexpr int kCallers = 4;
+  constexpr int kCalls = 100;
+  std::atomic<int> running{0};
+  std::atomic<int> peak{0};
+  std::atomic<int> finished{0};
+  std::atomic<int> here{0};
+  std::atomic<bool> go{false};
+  auto body = [&] {
+    const int now = running.fetch_add(1) + 1;
+    int seen = peak.load();
+    while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+    }
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::microseconds(50);
+    while (std::chrono::steady_clock::now() < until) {
+    }
+    running.fetch_sub(1);
+    finished.fetch_add(1);
+  };
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&] {
+      while (!go.load()) std::this_thread::yield();
+      for (int i = 0; i < kCalls; ++i) {
+        if (pool.RunOrPost(body)) here.fetch_add(1);
+      }
+    });
+  }
+  go.store(true);
+  for (auto& t : callers) t.join();
+  while (finished.load() < kCallers * kCalls) std::this_thread::yield();
+  EXPECT_EQ(peak.load(), 1);
+  EXPECT_GT(here.load(), 0);
 }
 
 TEST(QueryServer, RequestSubmitReportsComputedSource) {
@@ -568,13 +625,13 @@ class PoolGate {
   std::atomic<bool> release_{false};
 };
 
-// Waits until a worker of `pool` is parked with nothing queued, the state
-// in which QueryServer::Submit answers on the submitting thread: until
-// then PostIfBusy queues the no-op, which a worker runs. False if the
-// pool never got there.
+// Waits until a worker of `pool` is free (parked with nothing queued),
+// the state in which QueryServer::Submit answers on the submitting
+// thread: until then RunOrPost queues the no-op, which a worker runs.
+// False if the pool never got there.
 bool WaitForIdleWorker(serve::ThreadPool& pool) {
   for (int tries = 0; tries < 100000; ++tries) {
-    if (!pool.PostIfBusy([] {})) return true;
+    if (pool.RunOrPost([] {})) return true;
     std::this_thread::yield();
   }
   return false;
@@ -697,6 +754,87 @@ TEST(QueryServer, SubmitOnIdlePoolIsAnsweredOnTheCaller) {
   EXPECT_EQ(queued.get().result.nn, oracle.MostProbableNn(qs[0]));
   EXPECT_NE(gated.DumpMetrics().find("unn_server_submit_inline_total 0"),
             std::string::npos);
+}
+
+// Concurrent Submit clients on a 1-worker server: whether a request is
+// answered on its caller (borrowing the worker) or queued, at most one
+// computes at any time, every answer is the Engine's, and the inline
+// counter counts only the caller-side ones. Each request's engine_query
+// span is mapped to steady_clock time conservatively (the context's
+// epoch lies between the two clock reads around its construction), so
+// the mapped intervals of compute stages that ran one after another
+// never overlap.
+TEST(QueryServer, ConcurrentSubmitsComputeOneAtATimeOnOneWorker) {
+  auto pts = workload::RandomDiscrete(60, 3, 103);
+  serve::QueryServer server(pts, {}, {.num_threads = 1, .warm = {}});
+  Engine oracle(pts, {});
+  const auto qs = GridQueries(40);
+  const Engine::QuerySpec spec{Engine::QueryType::kTopK, 0.3, 4};
+  constexpr int kClients = 4;
+  struct Interval {
+    std::int64_t begin_ns;
+    std::int64_t end_ns;
+  };
+  std::vector<std::vector<Interval>> computed(kClients);
+  std::atomic<int> wrong{0};
+  std::atomic<bool> go{false};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      while (!go.load()) std::this_thread::yield();
+      for (size_t i = 0; i < qs.size(); ++i) {
+        const Vec2 q = qs[(i + 7 * c) % qs.size()];
+        const auto before = std::chrono::steady_clock::now();
+        obs::TraceContext ctx;
+        const auto after = std::chrono::steady_clock::now();
+        serve::Request req{q, spec};
+        req.trace = &ctx;
+        const serve::Response resp = server.Submit(req).get();
+        const std::vector<Engine::QueryResult> want =
+            oracle.QueryMany(std::span<const Vec2>(&q, 1), spec);
+        if (resp.source != serve::ResultSource::kComputed ||
+            resp.result.ranked != want[0].ranked) {
+          wrong.fetch_add(1);
+        }
+        for (const obs::Span& span : ctx.spans()) {
+          if (std::string(span.name) != "engine_query") continue;
+          auto ns = [](std::chrono::steady_clock::time_point t) {
+            return std::chrono::duration_cast<std::chrono::nanoseconds>(
+                       t.time_since_epoch())
+                .count();
+          };
+          computed[c].push_back(
+              {ns(after) + span.start_ns, ns(before) + span.end_ns});
+        }
+      }
+    });
+  }
+  go.store(true);
+  for (auto& t : clients) t.join();
+  EXPECT_EQ(wrong.load(), 0);
+
+  std::vector<Interval> all;
+  for (const auto& v : computed) all.insert(all.end(), v.begin(), v.end());
+  ASSERT_EQ(all.size(), kClients * qs.size());
+  std::sort(all.begin(), all.end(), [](const Interval& a, const Interval& b) {
+    return a.begin_ns < b.begin_ns;
+  });
+  int overlaps = 0;
+  std::int64_t last_end = std::numeric_limits<std::int64_t>::min();
+  for (const Interval& iv : all) {
+    if (iv.begin_ns >= iv.end_ns) continue;  // Shorter than the bracket.
+    if (iv.begin_ns < last_end) ++overlaps;
+    last_end = std::max(last_end, iv.end_ns);
+  }
+  EXPECT_EQ(overlaps, 0);
+
+  const std::string dump = server.DumpMetrics();
+  const std::string key = "\nunn_server_submit_inline_total ";
+  const size_t at = dump.find(key);
+  ASSERT_NE(at, std::string::npos);
+  const long long inline_count = std::stoll(dump.substr(at + key.size()));
+  EXPECT_GT(inline_count, 0);
+  EXPECT_LE(inline_count, static_cast<long long>(all.size()));
 }
 
 // Batch-level admission: at the in-flight limit a batch sheds every
