@@ -266,9 +266,9 @@ std::future<Response> QueryServer::Submit(const Request& request) {
       };
   // RunOrPost answers on the submitting thread in place of a free worker
   // (parked, not lent to another caller, nothing queued), which it
-  // borrows until the task returns: a post would only wake that worker, and the worker would
-  // then wake this caller, so running here saves both handoffs and the
-  // queue span above closes at once. With no worker free the task queues
+  // borrows until the task returns: a post would only wake that worker,
+  // and the worker would then wake this caller, so running here saves
+  // both handoffs and the queue span above closes at once. With no worker free the task queues
   // at the request's priority. A submit racing server shutdown, when no
   // task can be enqueued, is answered here too, against the snapshot
   // pinned above (the shard fan-out degrades the same way inside

@@ -56,10 +56,11 @@ class ThreadPool {
   ~ThreadPool();
 
   /// Flips the pool to stopping without joining: subsequent Post
-  /// CHECK-fails and TryPost returns false, while already-queued tasks
-  /// still drain and the workers keep running until the destructor joins
-  /// them. Idempotent and thread-safe. Lets an owner refuse new work
-  /// before its own teardown begins (QueryServer's shutdown drain).
+  /// CHECK-fails, TryPost returns false and RunOrPost runs its task on
+  /// the caller, while already-queued tasks still drain and the workers
+  /// keep running until the destructor joins them. Idempotent and
+  /// thread-safe. Lets an owner refuse new work before its own teardown
+  /// begins (QueryServer's shutdown drain).
   void BeginShutdown() UNN_EXCLUDES(mu_);
 
   ThreadPool(const ThreadPool&) = delete;

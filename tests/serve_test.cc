@@ -322,6 +322,18 @@ TEST(ThreadPool, StrictPriorityOrdersDispatch) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 10, 11, 20, 21}));
 }
 
+// Waits until a worker of `pool` is free (parked with nothing queued),
+// the state in which QueryServer::Submit answers on the submitting
+// thread: until then RunOrPost queues the no-op, which a worker runs.
+// False if the pool never got there.
+bool WaitForIdleWorker(serve::ThreadPool& pool) {
+  for (int tries = 0; tries < 100000; ++tries) {
+    if (pool.RunOrPost([] {})) return true;
+    std::this_thread::yield();
+  }
+  return false;
+}
+
 // RunOrPost runs its task on the caller in place of a free worker
 // (parked, nothing queued, not lent to another caller) and lends that
 // worker to the run: tasks posted meanwhile queue, the lent worker takes
@@ -330,27 +342,14 @@ TEST(ThreadPool, StrictPriorityOrdersDispatch) {
 TEST(ThreadPool, RunOrPostBorrowsAFreeWorkerUntilItsRunReturns) {
   serve::ThreadPool pool(1);
   const std::thread::id caller = std::this_thread::get_id();
-  // Until the worker has parked (just after construction, or while it
-  // finishes a task) it is not free and the task is queued; it runs, the
-  // worker parks, and a later call runs on the caller.
-  std::atomic<int> ran{0};
-  bool here = false;
-  for (int queued = 0; !here && queued < 1000;) {
-    std::thread::id ran_on;
-    here = pool.RunOrPost([&] {
-      ran_on = std::this_thread::get_id();
-      ran.fetch_add(1);
-    });
-    if (here) {
-      EXPECT_EQ(ran_on, caller);
-    } else {
-      ++queued;
-      while (ran.load() < queued) std::this_thread::yield();
-    }
-  }
-  ASSERT_TRUE(here);
+  ASSERT_TRUE(WaitForIdleWorker(pool));
+  // The worker stays parked with nothing queued, so the next call runs
+  // on the caller too.
+  std::thread::id ran_on;
+  EXPECT_TRUE(pool.RunOrPost([&] { ran_on = std::this_thread::get_id(); }));
+  EXPECT_EQ(ran_on, caller);
 
-  // The worker is parked again; another thread borrows it and holds it.
+  // Another thread borrows the parked worker and holds it.
   std::atomic<bool> inside{false};
   std::atomic<bool> release{false};
   bool borrowed = false;
@@ -426,6 +425,9 @@ TEST(ThreadPool, RunOrPostKeepsConcurrencyWithinTheWorkerCount) {
     running.fetch_sub(1);
     finished.fetch_add(1);
   };
+  // With the worker parked before the callers start, the first call
+  // runs on its caller.
+  ASSERT_TRUE(WaitForIdleWorker(pool));
   std::vector<std::thread> callers;
   for (int c = 0; c < kCallers; ++c) {
     callers.emplace_back([&] {
@@ -625,18 +627,6 @@ class PoolGate {
   std::atomic<bool> release_{false};
 };
 
-// Waits until a worker of `pool` is free (parked with nothing queued),
-// the state in which QueryServer::Submit answers on the submitting
-// thread: until then RunOrPost queues the no-op, which a worker runs.
-// False if the pool never got there.
-bool WaitForIdleWorker(serve::ThreadPool& pool) {
-  for (int tries = 0; tries < 100000; ++tries) {
-    if (pool.RunOrPost([] {})) return true;
-    std::this_thread::yield();
-  }
-  return false;
-}
-
 TEST(QueryServer, ExpiredDeadlineIsRefusedWithoutComputing) {
   auto pts = workload::RandomDiscrete(12, 2, 95);
   serve::QueryServer server(pts, {}, {.num_threads = 2, .warm = {}});
@@ -778,6 +768,7 @@ TEST(QueryServer, ConcurrentSubmitsComputeOneAtATimeOnOneWorker) {
   std::vector<std::vector<Interval>> computed(kClients);
   std::atomic<int> wrong{0};
   std::atomic<bool> go{false};
+  ASSERT_TRUE(WaitForIdleWorker(server.pool()));
   std::vector<std::thread> clients;
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
