@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
   bench::Timer tw;
   engine.Warmup(spec);
   double warmup_ms = tw.Ms();
-  printf("warmup (NN!=0 index build): %.1f ms\n\n", warmup_ms);
+  printf("warmup (exact quantifier build): %.1f ms\n\n", warmup_ms);
 
   // Serial baseline: the Engine's own loop, no pool involved.
   bench::Timer ts;

@@ -10,17 +10,16 @@
 //   batched_mpnn       MostProbableNn on disks (Monte-Carlo backend:
 //   batched_threshold  Threshold        the scalar envelope walk, then
 //   batched_topk       TopK             the candidate sweep, per query);
-//   batched_nonzero    NonzeroNn on discrete points (Theorem 3.2 index).
+//   batched_nonzero    NonzeroNn on discrete points (QuantTree).
 //
 // Each row reports µs per query for both sides, their ratio as
 // batched_speedup, and the lane utilization and scalar replays of the
-// row's lane kernel, with the lane ISA as provenance; the disk rows have
-// no lane kernel, so their lane counters read 0. The discrete rows
-// also report scalar_sorted_us: their scalar query alone, looped over
-// the Morton-sorted pack (ExpectedDistanceNn has no lane kernel left;
-// for NonzeroNn it is the scalar twin of the lane range walk). Exactness
-// is the gate: a query must get the same answer in a full pack as alone,
-// and any mismatch fails the run. The ratio is reported without a floor.
+// row's lane kernel, with the lane ISA as provenance; no row's query
+// type runs a lane kernel, so their lane counters read 0. The discrete
+// rows also report scalar_sorted_us: their QuantTree query alone, looped
+// over the Morton-sorted pack. Exactness is the gate: a query must get
+// the same answer in a full pack as alone, and any mismatch fails the
+// run. The ratio is reported without a floor.
 
 #include <algorithm>
 #include <cmath>
@@ -30,7 +29,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "core/nn_nonzero_discrete_index.h"
 #include "core/quant_tree.h"
 #include "core/uncertain_point.h"
 #include "engine/engine.h"
@@ -70,7 +68,6 @@ int main(int argc, char** argv) {
     Engine disk(disk_pts, cfg);
     Engine disc(disc_pts, cfg);
     core::QuantTree tree(&disc_pts);
-    core::NnNonzeroDiscreteIndex nonzero(&tree);
 
     struct Part {
       const char* structure;
@@ -131,11 +128,9 @@ int main(int argc, char** argv) {
       double ratio = pack1_us / std::max(pack_us, 1e-9);
 
       // The dominant kernel on the same queries, Morton-sorted as
-      // QueryMany sorts them: the lane counters of the row's lane kernel
-      // (0 on the disk rows, whose envelope is a scalar walk), and for the
-      // discrete rows the scalar query looped over the sorted pack (E[d]
-      // has no lane kernel left; for NN!=0 it is the scalar twin of
-      // QueryBatch's lane range walk).
+      // QueryMany sorts them: the disk rows' probability pass (its
+      // envelope is a scalar walk, so the lane counters read 0), and for
+      // the discrete rows the QuantTree query looped over the sorted pack.
       std::vector<Vec2> sorted;
       for (int i : spatial::PackCoherentOrder(qs)) sorted.push_back(qs[i]);
       spatial::BatchStats stats;
@@ -148,9 +143,8 @@ int main(int argc, char** argv) {
           break;
         }
         case Engine::QueryType::kNonzeroNn: {
-          nonzero.QueryBatch(sorted, &stats);
           bench::Timer tk;
-          for (Vec2 q : sorted) nonzero.Query(q);
+          for (Vec2 q : sorted) tree.NonzeroNn(q);
           scalar_sorted_us = tk.Ms() * 1000.0 / part.burst;
           break;
         }

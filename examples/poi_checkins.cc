@@ -10,7 +10,6 @@
 
 #include "baselines/brute_force.h"
 #include "core/monte_carlo_pnn.h"
-#include "core/nn_nonzero_discrete_index.h"
 #include "core/quant_tree.h"
 #include "core/spiral_search.h"
 #include "engine/engine.h"
@@ -26,11 +25,10 @@ int main(int argc, char** argv) {
                                         /*uniform_weights=*/false);
   Vec2 venue{0.0, 0.0};
 
-  // Candidate set: who has any chance at all (Theorem 3.2 index, on the
+  // Candidate set: who has any chance at all (Lemma 2.1 on the
   // quantification tree the Monte-Carlo estimator below borrows too).
   core::QuantTree tree(&users);
-  core::NnNonzeroDiscreteIndex index(&tree);
-  auto candidates = index.Query(venue);
+  auto candidates = tree.NonzeroNn(venue);
   printf("venue at (0,0): %zu of %d users have nonzero probability of being "
          "nearest\n",
          candidates.size(), n);

@@ -17,7 +17,7 @@ using geom::Vec2;
 
 int main() {
   // A server over 2000 uncertain points, warmed for most-probable-NN
-  // traffic so no query pays the NN!=0 index build.
+  // traffic so no query pays the exact quantifier build.
   auto day_one = workload::RandomDiscrete(2000, 3, /*seed=*/1, /*spread=*/3.0);
   serve::QueryServer server(
       day_one, Engine::Config{},

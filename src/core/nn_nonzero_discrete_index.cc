@@ -26,80 +26,6 @@ NnNonzeroDiscreteIndex::NnNonzeroDiscreteIndex(const QuantTree* tree)
   site_tree_ = std::make_unique<range::KdTree>(std::move(sites));
 }
 
-std::vector<int> NnNonzeroDiscreteIndex::AssembleFromEnvelope(
-    Vec2 q, const DeltaEnvelope& env) const {
-  if (points().size() == 1) return {0};
-  // Owners other than the argmin qualify iff delta_i < best (their
-  // j != i threshold); the argmin's threshold is `second`.
-  std::vector<int> hits;
-  site_tree_->RangeCircle(q, env.best, &hits, /*inclusive=*/false);
-  return AssembleFromHits(q, env, hits);
-}
-
-std::vector<int> NnNonzeroDiscreteIndex::AssembleFromHits(
-    Vec2 q, const DeltaEnvelope& env, const std::vector<int>& hits) const {
-  std::vector<int> out;
-  out.reserve(hits.size());
-  for (int h : hits) out.push_back(site_owner_[h]);
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  // A query with a NaN or infinite coordinate fails every envelope
-  // comparison, so the envelope has no argmin to adjust.
-  if (env.argbest < 0) return out;
-  bool arg_in = std::binary_search(out.begin(), out.end(), env.argbest);
-  bool arg_should = points()[env.argbest].MinDist(q) < env.second;
-  if (arg_in && !arg_should) {
-    out.erase(std::find(out.begin(), out.end(), env.argbest));
-  } else if (!arg_in && arg_should) {
-    out.insert(std::upper_bound(out.begin(), out.end(), env.argbest),
-               env.argbest);
-  }
-  return out;
-}
-
-std::vector<int> NnNonzeroDiscreteIndex::Query(Vec2 q) const {
-  return AssembleFromEnvelope(q, tree_->MaxDistEnvelope(q));
-}
-
-NnNonzeroDiscreteIndex::BatchHits NnNonzeroDiscreteIndex::SitesWithinDelta(
-    std::span<const Vec2> queries, bool closed,
-    spatial::BatchStats* stats) const {
-  // Non-finite queries skip both walks. The rest keep the caller's order:
-  // Engine::QueryMany and serve::QueryMany hand over Morton-sorted packs.
-  BatchHits b;
-  for (size_t i = 0; i < queries.size(); ++i) {
-    if (!geom::IsFinite(queries[i])) continue;
-    b.index.push_back(static_cast<int>(i));
-    b.queries.push_back(queries[i]);
-    b.envs.push_back(tree_->MaxDistEnvelope(queries[i]));
-  }
-  // Stage two batched: one shared range walk per pack with per-query
-  // radius Delta(q); the hit list per lane is RangeCircle's verbatim.
-  std::vector<double> radii(b.queries.size());
-  for (size_t i = 0; i < radii.size(); ++i) {
-    radii[i] = closed ? b.envs[i].best * kClosedDiskSlack : b.envs[i].best;
-  }
-  site_tree_->RangeCircleBatch(b.queries, radii, &b.hits, /*inclusive=*/closed,
-                               stats);
-  return b;
-}
-
-std::vector<std::vector<int>> NnNonzeroDiscreteIndex::QueryBatch(
-    std::span<const Vec2> queries, spatial::BatchStats* stats) const {
-  std::vector<std::vector<int>> out(queries.size());
-  if (points().size() == 1) {
-    for (auto& o : out) o = {0};
-    return out;
-  }
-  // A non-finite query's scalar answer is empty (its envelope is infinite
-  // with no argmin and the open disk holds no site), as `out` already is.
-  BatchHits b = SitesWithinDelta(queries, /*closed=*/false, stats);
-  for (size_t i = 0; i < b.index.size(); ++i) {
-    out[b.index[i]] = AssembleFromHits(b.queries[i], b.envs[i], b.hits[i]);
-  }
-  return out;
-}
-
 std::vector<std::pair<int, double>> NnNonzeroDiscreteIndex::QuantifyHits(
     Vec2 q, double delta, std::vector<int>* hits) const {
   // Site ids ascend owner by owner, so sorting them numbers the owners
@@ -134,10 +60,30 @@ std::vector<std::pair<int, double>> NnNonzeroDiscreteIndex::QuantifyHits(
 std::vector<std::vector<std::pair<int, double>>>
 NnNonzeroDiscreteIndex::ProbabilitiesBatch(std::span<const Vec2> queries,
                                            spatial::BatchStats* stats) const {
+  // Stage one per finite query, in the caller's order: Engine::QueryMany
+  // and serve::QueryMany hand over Morton-sorted packs. A non-finite
+  // query skips both walks and gets no estimates.
+  std::vector<int> index;
+  std::vector<Vec2> finite;
+  std::vector<double> delta;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    if (!geom::IsFinite(queries[i])) continue;
+    index.push_back(static_cast<int>(i));
+    finite.push_back(queries[i]);
+    delta.push_back(tree_->MaxDistEnvelope(queries[i]).best);
+  }
+  // Stage two batched: one shared range walk per pack over the closed disk
+  // of radius Delta(q), widened so index rounding loses no site at exactly
+  // Delta(q); the hit list per lane is RangeCircle's verbatim.
+  std::vector<double> radii(delta.size());
+  for (size_t i = 0; i < radii.size(); ++i) {
+    radii[i] = delta[i] * kClosedDiskSlack;
+  }
+  std::vector<std::vector<int>> hits;
+  site_tree_->RangeCircleBatch(finite, radii, &hits, stats);
   std::vector<std::vector<std::pair<int, double>>> out(queries.size());
-  BatchHits b = SitesWithinDelta(queries, /*closed=*/true, stats);
-  for (size_t i = 0; i < b.index.size(); ++i) {
-    out[b.index[i]] = QuantifyHits(b.queries[i], b.envs[i].best, &b.hits[i]);
+  for (size_t i = 0; i < index.size(); ++i) {
+    out[index[i]] = QuantifyHits(finite[i], delta[i], &hits[i]);
   }
   return out;
 }

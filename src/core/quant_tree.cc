@@ -63,6 +63,16 @@ bool SqrtIsAccurate(double sum_sq) {
   return sum_sq == 0 || (sum_sq >= 0x1p-968 && sum_sq < kInf);
 }
 
+/// True when every support within `radius` of an anchor `dist` from q
+/// (both by hypot, as geom::Dist takes them) is farther than r: dist -
+/// radius > r, widened by a relative 1e-12, far more than the few ulps the
+/// rounded distances can lose to the triangle inequality, so no support
+/// whose computed MinDist is <= r is ever skipped. A non-finite input
+/// skips nothing.
+bool SupportsBeyond(double dist, double radius, double r) {
+  return dist - radius > r + 1e-12 * (dist + radius + r);
+}
+
 /// geom::MinDistToBox, the squared form the other trees prune with,
 /// falling back to hypot where the square is not accurate.
 double BoxDist(const geom::Box& b, geom::Vec2 q) {
@@ -239,34 +249,47 @@ double QuantTree::LogSurvival(geom::Vec2 q, double r,
   return acc;
 }
 
-void QuantTree::SupportsWithin(geom::Vec2 q, double r,
-                               std::vector<int>* out) const {
+template <class Visit>
+void QuantTree::ForEachSupportWithin(geom::Vec2 q, double r,
+                                     Visit visit) const {
   spatial::PrunedVisit(
       tree_,
       // Hypot throughout, not BoxDist: the closed-ball report must not
       // lose a support at distance exactly r to the squared form's
       // rounding.
       [&](int n) {
-        return HypotBoxDist(tree_.box(n), q) - radius_aug().max(n) > r;
+        return SupportsBeyond(HypotBoxDist(tree_.box(n), q),
+                              radius_aug().max(n), r);
       },
       [&](int n) {
+        // Outside all-disk leaves a point's own bound skips its MinDist
+        // (one distance per site); a disk's MinDist is that bound.
+        const bool skips = !all_disk(n);
         for (int j = tree_.begin(n); j < tree_.end(n); ++j) {
           int id = tree_.item(j);
-          if ((*points_)[id].MinDist(q) <= r) out->push_back(id);
+          if (skips && SupportsBeyond(Dist(q, anchors_[id]), radii_[id], r)) {
+            continue;
+          }
+          double d = (*points_)[id].MinDist(q);
+          if (d <= r) visit(id, d);
         }
         return true;
       });
 }
 
+void QuantTree::SupportsWithin(geom::Vec2 q, double r,
+                               std::vector<int>* out) const {
+  ForEachSupportWithin(q, r, [&](int id, double) { out->push_back(id); });
+}
+
 std::vector<int> QuantTree::NonzeroNn(geom::Vec2 q) const {
   const DeltaEnvelope env = MaxDistEnvelope(q);
   std::vector<int> out;
-  SupportsWithin(q, env.best, &out);
-  // Lemma 2.1 with the oracle's own test (baselines::NonzeroNn).
-  std::erase_if(out, [&](int id) {
+  // Lemma 2.1 with the oracle's own test (baselines::NonzeroNn), on the
+  // MinDist the walk has just computed.
+  ForEachSupportWithin(q, env.best, [&](int id, double d) {
     double threshold = env.ThresholdFor(id);
-    return std::isfinite(threshold) &&
-           !((*points_)[id].MinDist(q) < threshold);
+    if (!std::isfinite(threshold) || d < threshold) out.push_back(id);
   });
   std::sort(out.begin(), out.end());
   return out;

@@ -29,8 +29,8 @@
 ///                             The one envelope kernel on every model:
 ///                             batched callers (the Monte-Carlo sweep,
 ///                             Engine::MaxDistEnvelopeMany, the sharded
-///                             plan's stage one, the discrete NN!=0
-///                             index's stage one) loop it per query;
+///                             plan's stage one, the exact discrete
+///                             quantifier's stage one) loop it per query;
 ///   * LogSurvival(q, r)     — sum_i log(1 - G_{q,i}(r)), the log of the
 ///                             probability that every point is farther
 ///                             than r, visiting only points whose support
@@ -39,10 +39,12 @@
 ///   * SupportsWithin(q, r)  — the ids whose support meets ball(q, r),
 ///                             the candidate set of core::MonteCarloPnn;
 ///   * NonzeroNn(q)          — NN!=0(q) by Lemma 2.1, the two stages of
-///                             Theorem 3.1 on any model: the envelope
-///                             gives Delta(q), SupportsWithin(q, Delta(q))
-///                             the candidates, and each keeps its place
-///                             iff delta_i(q) < min_{j != i} Delta_j(q).
+///                             Theorems 3.1 and 3.2 on any model: the
+///                             envelope gives Delta(q), SupportsWithin's
+///                             walk the candidates within Delta(q), and
+///                             each keeps its place iff delta_i(q) <
+///                             min_{j != i} Delta_j(q). Every Engine's
+///                             NN!=0 path.
 ///   * ExpectedDistanceNn(q) — argmin_i E[d(q, P_i)] ([AESZ12], paper II
 ///                             Section 1.2), an ordered DFS keyed by the
 ///                             box distance over the anchors: every anchor
@@ -51,12 +53,13 @@
 ///                             subtree.
 ///
 /// This is the practical stand-in for the Delta-based NN!=0 machinery of
-/// Section 3 (the [KMR+16] dynamic lower envelope of Theorem 3.1 included)
-/// and the BBD/quadtree hierarchies reused by the follow-up
-/// paper (*Nearest-Neighbor Searching Under Uncertainty II*): per-node
-/// bounds come from a box over per-point anchors (each model's mean: a disk's
-/// center, a discrete point's weighted site mean) plus the min/max support
-/// radius and the minimum spread about the anchor, so queries run in
+/// Section 3 (the [KMR+16] dynamic lower envelope of Theorem 3.1 and the
+/// lifted halfspace reporting of Theorem 3.2 included) and the BBD/quadtree
+/// hierarchies reused by the follow-up paper (*Nearest-Neighbor Searching
+/// Under Uncertainty II*): per-node bounds come from a box over per-point
+/// anchors (each model's mean: a disk's center, a discrete point's
+/// weighted site mean) plus the min/max support radius and the minimum
+/// spread about the anchor, so queries run in
 /// O(log n + output) on bounded-density inputs while leaf evaluation stays
 /// exact (experiment E14 measures the scaling against the scans side by
 /// side).
@@ -82,9 +85,9 @@
 /// must outlive it unchanged (unn::Engine guarantees this for its own
 /// point set). core::MonteCarloPnn and core::NnNonzeroDiscreteIndex
 /// borrow the tree in turn and read the points through points(), so an
-/// Engine builds one tree for its envelope, NN!=0 (both stages on disk
-/// and mixed sets, stage one on discrete ones), expected-distance NN,
-/// sharded-plan hooks and Monte-Carlo estimator, and
+/// Engine builds one tree for its envelope, NN!=0 (both stages, on every
+/// model), expected-distance NN, sharded-plan hooks, Monte-Carlo
+/// estimator and the exact discrete quantifier's stage one, and
 /// Engine::StructuresBuilt counts it once.
 
 namespace unn {
@@ -153,13 +156,15 @@ class QuantTree {
   /// Appends every id whose support reaches within `r` of q,
   /// MinDist(q) <= r, in left-first leaf order (not sorted). Prunes with
   /// the MinDistLowerBound bound, but takes the box distance by hypot
-  /// throughout, as geom::Dist does, so a support at distance exactly r
-  /// is never pruned by the squared form's rounding. O(log n + k) for k
-  /// reported supports.
+  /// throughout, as geom::Dist does, and widens the test past the
+  /// rounding of d(q, anchor) - radius, so a support at distance exactly
+  /// r is never pruned; the same bound on a point alone skips a discrete
+  /// point's site distances. O(log n + k) for k reported supports.
   void SupportsWithin(geom::Vec2 q, double r, std::vector<int>* out) const;
 
-  /// NN!=0(q), sorted ids: SupportsWithin(q, Delta(q)) filtered by the
-  /// oracle's own test MinDist_i(q) < env.ThresholdFor(i), where the
+  /// NN!=0(q), sorted ids: SupportsWithin's walk over radius Delta(q),
+  /// each candidate's MinDist computed once and kept by the oracle's
+  /// own test MinDist_i(q) < env.ThresholdFor(i), where the
   /// argmin is compared against the runner-up Delta — the distinction
   /// that keeps it when its delta and Delta round to one double, far from
   /// the data. Every answer id has MinDist_i <= Delta(q), so the
@@ -207,6 +212,11 @@ class QuantTree {
   double PointLowerBound(int id, geom::Vec2 q, double slack) const;
   /// Lower bound on min_{i in node} delta_i(q).
   double MinDistLowerBound(int node, geom::Vec2 q) const;
+  /// The one walk of SupportsWithin and NonzeroNn: calls visit(id,
+  /// MinDist_i(q)) for every id with MinDist_i(q) <= r, in left-first
+  /// leaf order, so each candidate's MinDist is computed once.
+  template <class Visit>
+  void ForEachSupportWithin(geom::Vec2 q, double r, Visit visit) const;
 
   const std::vector<UncertainPoint>* points_;
   /// Per-point anchor: the model's mean (disk center / weighted site

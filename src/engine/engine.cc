@@ -298,17 +298,8 @@ std::vector<Engine::QueryResult> Engine::QueryInOrder(
       break;
     }
     case QueryType::kNonzeroNn: {
-      // NN!=0 is exact on every backend: where the probabilities are
-      // exact, the Theorem 3.2 index they already batch through answers
-      // it; every other Engine takes the quantification index's Lemma 2.1
-      // walk on the tree it already holds.
-      if (ExactQuantification()) {
-        auto ids = GetNonzeroDiscrete().QueryBatch(queries);
-        for (size_t i = 0; i < queries.size(); ++i) {
-          if (geom::IsFinite(queries[i])) results[i].ids = std::move(ids[i]);
-        }
-        break;
-      }
+      // NN!=0 is exact on every backend and model: the quantification
+      // index's Lemma 2.1 walk on the tree every Engine holds.
       const core::QuantTree& tree = GetQuantTree();
       for (size_t i = 0; i < queries.size(); ++i) {
         if (geom::IsFinite(queries[i])) {

@@ -43,8 +43,8 @@
 /// Structures are built lazily on first use and cached, so an Engine that
 /// only ever answers NonzeroNn never pays for Monte-Carlo preprocessing.
 /// The Engine holds the one copy of its points and the one core::QuantTree
-/// over them: the QuantTree borrows the points, and the discrete NN!=0
-/// index and the Monte-Carlo estimator borrow the QuantTree.
+/// over them: the QuantTree borrows the points, and the exact discrete
+/// quantifier and the Monte-Carlo estimator borrow the QuantTree.
 ///
 /// Thread safety: every `const` query method may be called from any number
 /// of threads concurrently. The lazy structure cache is synchronized
@@ -62,16 +62,15 @@ namespace unn {
 /// Which structures serve the queries. kAuto must stay 0: run records
 /// store the backend as an int.
 enum class Backend {
-  /// Default. Discrete inputs: the two-stage discrete NN!=0 index
-  /// (Theorem 3.2: Delta(q) from the QuantTree's envelope, then a site
-  /// kd-tree) for NN!=0, and exact probabilities from Eq. (2) over each
+  /// Default. Discrete inputs: exact probabilities from Eq. (2) over each
   /// query's NN!=0 candidates (Lemma 2.1: every other point has pi = 0),
-  /// so MostProbableNn, Threshold and TopK are exact. The index builds
-  /// on the QuantTree, so any of these queries builds both.
-  /// Disk and mixed inputs: Monte-Carlo probabilities, and NN!=0 from
-  /// the quantification index (core::QuantTree::NonzeroNn, the two
-  /// stages of Theorem 3.1 on any model).
-  /// ExpectedDistanceNn always uses core::QuantTree::ExpectedDistanceNn.
+  /// so MostProbableNn, Threshold and TopK are exact; the quantifier
+  /// (core::NnNonzeroDiscreteIndex, Theorem 3.2's two stages: Delta(q)
+  /// from the QuantTree's envelope, then a site kd-tree) builds on the
+  /// QuantTree, so any of these queries builds both.
+  /// Disk and mixed inputs: Monte-Carlo probabilities.
+  /// On every input, NN!=0 is core::QuantTree::NonzeroNn and
+  /// ExpectedDistanceNn core::QuantTree::ExpectedDistanceNn.
   kAuto,
   /// Theorem 4.3/4.5 instantiation sampling for the probabilities on
   /// every input. NN!=0 and ExpectedDistanceNn are exact, and both come
@@ -189,9 +188,8 @@ class Engine {
 
   /// NN!=0(q), sorted ids; exact, equal to baselines::NonzeroNn far from
   /// the data too. Thread-safe; polylogarithmic + output-sensitive on
-  /// every backend: the Theorem 3.2 index where the probabilities are
-  /// exact (kAuto on discrete sets), the quantification index
-  /// (core::QuantTree::NonzeroNn) everywhere else, one structure each.
+  /// every backend and model: the quantification index
+  /// (core::QuantTree::NonzeroNn), one structure.
   std::vector<int> NonzeroNn(geom::Vec2 q) const;
 
   /// Batched entry point and the one execution path of every query type:
@@ -226,11 +224,12 @@ class Engine {
 
   /// Number of heavy structures built so far — observability for tests
   /// and serving metrics (a warmed engine must not build under query
-  /// traffic). Every tree counts once: the QuantTree the discrete index
-  /// and the estimator borrow is one structure, the index one more, and
-  /// every estimator (re)build one more. A discrete kAuto Engine builds 2
-  /// (tree + index) for any probability query or NonzeroNn, and no more
-  /// for every type; a disk one 2 (tree + estimator) for every type.
+  /// traffic). Every tree counts once: the QuantTree the exact discrete
+  /// quantifier and the estimator borrow is one structure, the quantifier
+  /// one more, and every estimator (re)build one more. Any Engine builds 1
+  /// (the tree) for NonzeroNn or ExpectedDistanceNn; a discrete kAuto one
+  /// 2 (tree + quantifier) for any probability query, and no more for
+  /// every type; a disk one 2 (tree + estimator) for every type.
   int StructuresBuilt() const {
     // relaxed: observability counter; build publication itself happens
     // through call_once / estimator_mu_, never through builds_.
@@ -396,8 +395,8 @@ class Engine {
   // read after the corresponding call_once returns).
   mutable std::once_flag quant_tree_once_;
   mutable std::unique_ptr<core::QuantTree> quant_tree_;
-  // The discrete index and the estimator borrow quant_tree_: declared
-  // after it, destroyed first.
+  // The exact discrete quantifier and the estimator borrow quant_tree_:
+  // declared after it, destroyed first.
   mutable std::once_flag nonzero_discrete_once_;
   mutable std::unique_ptr<core::NnNonzeroDiscreteIndex> nonzero_discrete_;
 

@@ -10,6 +10,16 @@ namespace range {
 
 using geom::Vec2;
 
+namespace {
+
+/// Widening of the squared-distance prunes of the range queries: dsq >
+/// r^2 * kPruneHi implies d > r by more than the gap between a rounded sum
+/// of squares and the hypot distance the accept test takes, so no point
+/// with d <= r is pruned, one exactly at distance r included.
+constexpr double kPruneHi = 1.0 + 4e-9;
+
+}  // namespace
+
 KdTree::KdTree(std::vector<Vec2> pts)
     : pts_(std::move(pts)),
       tree_(pts_, {.leaf_size = 8,
@@ -46,15 +56,15 @@ std::vector<int> KdTree::KNearest(Vec2 q, int k) const {
   return out;
 }
 
-void KdTree::RangeCircle(Vec2 q, double r, std::vector<int>* out,
-                         bool inclusive) const {
+void KdTree::RangeCircle(Vec2 q, double r, std::vector<int>* out) const {
   spatial::PrunedVisit(
-      tree_, [&](int n) { return tree_.box(n).DistSqTo(q) > r * r; },
+      tree_,
+      [&](int n) { return tree_.box(n).DistSqTo(q) > r * r * kPruneHi; },
       [&](int n) {
         for (int i = tree_.begin(n); i < tree_.end(n); ++i) {
           int id = tree_.item(i);
           double d = Dist(q, pts_[id]);
-          if (d < r || (inclusive && d == r)) out->push_back(id);
+          if (d <= r) out->push_back(id);
         }
         return true;
       });
@@ -63,17 +73,14 @@ void KdTree::RangeCircle(Vec2 q, double r, std::vector<int>* out,
 void KdTree::RangeCircleBatch(std::span<const Vec2> queries,
                               std::span<const double> radii,
                               std::vector<std::vector<int>>* out,
-                              bool inclusive,
                               spatial::BatchStats* stats) const {
   constexpr int kW = geom::kLaneWidth;
   // The node prune is the scalar test verbatim per lane (BoxDistSqLanes
   // computes box.DistSqTo's arithmetic), so each lane's visit set and
-  // left-first report order match RangeCircle exactly. The leaf uses a
-  // widened squared-distance prefilter: dsq > r^2 * kPruneHi implies
-  // d > r by more than the hypot-vs-square rounding gap, so no accepted
-  // point (d < r, or d == r when inclusive) is ever skipped; survivors
-  // run the scalar distance and accept test unchanged.
-  constexpr double kPruneHi = 1.0 + 4e-9;
+  // left-first report order match RangeCircle exactly. The leaf uses the
+  // same widened test as a prefilter, so no accepted point (d <= r) is
+  // ever skipped; survivors run the scalar distance and accept test
+  // unchanged.
   out->assign(queries.size(), {});
   // Per-lane scratch reused across packs: hit lists grow into retained
   // capacity, and each query's result gets one exact-size allocation.
@@ -96,7 +103,7 @@ void KdTree::RangeCircleBatch(std::span<const Vec2> queries,
           geom::BoxDistSqLanes(qx, qy, tree_.box(n), bsq);
           spatial::LaneMask keep = 0;
           for (int l = 0; l < kW; ++l) {
-            if ((m >> l & 1u) != 0 && !(bsq[l] > r[l] * r[l])) {
+            if ((m >> l & 1u) != 0 && !(bsq[l] > r[l] * r[l] * kPruneHi)) {
               keep |= static_cast<spatial::LaneMask>(1u << l);
             }
           }
@@ -112,9 +119,7 @@ void KdTree::RangeCircleBatch(std::span<const Vec2> queries,
               if (dsq[l] > r[l] * r[l] * kPruneHi) continue;
               if (stats != nullptr) ++stats->lane_points_evaluated;
               double d = Dist(qv[l], pts_[id]);
-              if (d < r[l] || (inclusive && d == r[l])) {
-                scratch[l].push_back(id);
-              }
+              if (d <= r[l]) scratch[l].push_back(id);
             }
           }
         },

@@ -37,9 +37,10 @@ class KdTree {
   /// Ids of the k nearest points, ordered by increasing distance.
   std::vector<int> KNearest(geom::Vec2 q, int k) const;
 
-  /// Appends all ids with d(q, p) <= r (or < r when `inclusive` is false).
-  void RangeCircle(geom::Vec2 q, double r, std::vector<int>* out,
-                   bool inclusive = true) const;
+  /// Appends all ids with d(q, p) <= r, in left-first leaf order; a point
+  /// exactly at distance r too, since the squared-distance node prune is
+  /// widened past its rounding.
+  void RangeCircle(geom::Vec2 q, double r, std::vector<int>* out) const;
 
   /// RangeCircle for a batch with a per-query radius: `(*out)[i]` is
   /// bit-identical to `RangeCircle(queries[i], radii[i], ...)` — same
@@ -50,7 +51,6 @@ class KdTree {
   void RangeCircleBatch(std::span<const geom::Vec2> queries,
                         std::span<const double> radii,
                         std::vector<std::vector<int>>* out,
-                        bool inclusive = true,
                         spatial::BatchStats* stats = nullptr) const;
 
   /// Streams points by increasing distance from a fixed query.

@@ -38,10 +38,15 @@ void ThreadPool::Post(std::function<void()> fn, TaskPriority priority) {
 }
 
 bool ThreadPool::TryPost(std::function<void()>&& fn, TaskPriority priority) {
+  return TryPostOwned(std::move(fn), priority, nullptr);
+}
+
+bool ThreadPool::TryPostOwned(std::function<void()>&& fn,
+                              TaskPriority priority, const void* owner) {
   {
     MutexLock lock(&mu_);
     if (stopping_) return false;
-    queues_[static_cast<int>(priority)].push_back(std::move(fn));
+    queues_[static_cast<int>(priority)].push_back({std::move(fn), owner});
   }
   cv_.NotifyOne();
   return true;
@@ -58,7 +63,7 @@ bool ThreadPool::RunOrPost(std::function<void()>&& fn, TaskPriority priority) {
       if (borrowed) {
         ++lent_;
       } else {
-        queues_[static_cast<int>(priority)].push_back(std::move(fn));
+        queues_[static_cast<int>(priority)].push_back({std::move(fn)});
       }
     }
   }
@@ -112,7 +117,7 @@ void ThreadPool::WorkerLoop() {
       if (QueuesEmptyLocked()) return;  // stopping_ and drained.
       for (auto& q : queues_) {         // Highest class first.
         if (!q.empty()) {
-          task = std::move(q.front());
+          task = std::move(q.front().fn);
           q.pop_front();
           break;
         }
@@ -180,11 +185,21 @@ void ThreadPool::ParallelFor(size_t n,
 
   // On a stopping pool (destructor racing a draining task that fans out)
   // no helper can be posted; the calling thread then claims every block.
+  // Each helper is tagged with the latch, unique to this call.
   size_t helpers = std::min(blocks - 1, static_cast<size_t>(num_threads()));
   for (size_t i = 0; i < helpers; ++i) {
-    if (!TryPost(run_blocks)) break;
+    if (!TryPostOwned(run_blocks, TaskPriority::kNormal, latch.get())) break;
   }
   run_blocks();
+  // Every block is claimed, so a helper no worker has started would find
+  // nothing to do: take it back, or the next poster would find it queued
+  // (and RunOrPost no worker free).
+  {
+    MutexLock lock(&mu_);
+    for (auto& q : queues_) {
+      std::erase_if(q, [&](const Task& t) { return t.owner == latch.get(); });
+    }
+  }
   MutexLock lock(&latch->mu);
   while (latch->blocks_done < blocks) latch->cv.Wait(latch->mu);
 }

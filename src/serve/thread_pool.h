@@ -111,11 +111,23 @@ class ThreadPool {
   /// is done. `fn` must be safe to call concurrently with itself. Safe on
   /// a stopping pool (a draining task may still fan out, e.g. a sharded
   /// query): no helpers are posted and the calling thread runs every
-  /// block itself.
+  /// block itself. Helper tasks no worker has started by the time every
+  /// block is claimed are taken back off the queue, so none is left
+  /// queued when it returns.
   void ParallelFor(size_t n, const std::function<void(size_t, size_t)>& fn);
 
  private:
+  /// A queued task and the ParallelFor call that posted it (nullptr for
+  /// every other poster), the tag its owner erases it by.
+  struct Task {
+    std::function<void()> fn;
+    const void* owner = nullptr;
+  };
+
   void WorkerLoop();
+  /// TryPost with an owner tag.
+  bool TryPostOwned(std::function<void()>&& fn, TaskPriority priority,
+                    const void* owner) UNN_EXCLUDES(mu_);
   /// True when every priority class is empty; the UNN_REQUIRES makes the
   /// old "mu_ must be held" comment a compile-time contract.
   bool QueuesEmptyLocked() const UNN_REQUIRES(mu_);
@@ -123,7 +135,7 @@ class ThreadPool {
   mutable Mutex mu_;
   CondVar cv_;
   /// One FIFO per TaskPriority, drained in class order.
-  std::array<std::deque<std::function<void()>>, 3> queues_ UNN_GUARDED_BY(mu_);
+  std::array<std::deque<Task>, 3> queues_ UNN_GUARDED_BY(mu_);
   bool stopping_ UNN_GUARDED_BY(mu_) = false;
   /// Workers parked in WorkerLoop's wait, and how many of them are lent
   /// to callers' RunOrPost runs (a lent worker takes no task until the

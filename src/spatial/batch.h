@@ -38,8 +38,8 @@
 /// and the Delta(q) envelope did not (the sharded plan's envelope calls
 /// are packs of one, where the scalar ordered DFS is faster), and are
 /// served by their scalar queries: QuantTree::ExpectedDistanceNn and
-/// QuantTree::MaxDistEnvelope, which also gives the discrete NN!=0 index
-/// its stage one.
+/// QuantTree::MaxDistEnvelope, which also gives the exact discrete
+/// quantifier its stage one.
 
 namespace unn {
 namespace spatial {

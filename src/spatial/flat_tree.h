@@ -16,8 +16,9 @@
 /// policy (augment.h). Every sublinear structure in the repo — the
 /// Section 4.3 Remark (ii) point kd-tree, the [AESZ12] power-weighted
 /// expected-distance tree, the L_inf square index, and the quantification
-/// index (which also answers NN!=0 on disk and mixed sets, Theorem 3.1's
-/// two stages, and gives the discrete NN!=0 index its Delta(q)) — is this
+/// index (which also answers NN!=0 on every model, the two stages of
+/// Theorems 3.1 and 3.2, and gives the exact discrete quantifier its
+/// Delta(q)) — is this
 /// build plus a thin augmentation and domain-specific bound functions fed
 /// to the traversal engines in traverse.h.
 ///

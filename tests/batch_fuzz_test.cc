@@ -29,7 +29,6 @@
 #include "baselines/brute_force.h"
 #include "core/exact_pnn.h"
 #include "core/monte_carlo_pnn.h"
-#include "core/nn_nonzero_discrete_index.h"
 #include "core/quant_tree.h"
 #include "core/uncertain_point.h"
 #include "engine/engine.h"
@@ -251,25 +250,27 @@ TEST(BatchFuzz, QuantTreeNonzeroMatchesOracle) {
   }
 }
 
-TEST(BatchFuzz, NonzeroDiscreteBatchBitIdentical) {
+// A discrete kAuto Engine takes NN!=0 from the quantification index, like
+// every other Engine: a full pack and a pack of one both equal Lemma 2.1.
+TEST(BatchFuzz, NonzeroDiscreteEngineMatchesLemma21) {
   int iters = FuzzIters(6);
+  const Engine::QuerySpec nonzero{Engine::QueryType::kNonzeroNn, 0.5, 1};
   for (int it = 0; it < iters; ++it) {
     uint64_t seed = 8000 + 37 * static_cast<uint64_t>(it);
-    // Discrete-only corpora: the index CHECKs against disk models.
     int which = it % 3;
     auto pts = which == 0   ? ClusteredDiscrete(32 + it * 7, seed)
                : which == 1 ? CoincidentAnchors(32 + it * 7, seed)
                             : workload::RandomDiscrete(32 + it * 7, 3, seed);
-    core::QuantTree tree(&pts);
-    core::NnNonzeroDiscreteIndex index(&tree);
+    Engine engine(pts);
     for (int m = 1; m <= 2 * geom::kLaneWidth + 1; ++m) {
       auto qs = AdversarialQueries(m, seed + m);
-      spatial::BatchStats stats;
-      auto sets = index.QueryBatch(qs, &stats);
-      EXPECT_GT(stats.packs, 0);
-      ASSERT_EQ(sets.size(), qs.size());
+      auto packed = engine.QueryMany(qs, nonzero);
+      ASSERT_EQ(packed.size(), qs.size());
       for (size_t i = 0; i < qs.size(); ++i) {
-        EXPECT_EQ(sets[i], index.Query(qs[i]))
+        std::vector<int> want = baselines::NonzeroNn(pts, qs[i]);
+        EXPECT_EQ(packed[i].ids, want)
+            << "it=" << it << " m=" << m << " i=" << i;
+        EXPECT_EQ(engine.NonzeroNn(qs[i]), want)
             << "it=" << it << " m=" << m << " i=" << i;
       }
     }

@@ -382,14 +382,14 @@ TEST(EngineWarmup, BuildsOnceAndServesWithoutBuilding) {
         Engine::QueryType::kNonzeroNn,
     };
     // MostProbableNn alone already builds both structures: on disks the
-    // estimator and the QuantTree it borrows; on discrete sets the
-    // Theorem 3.2 index and the QuantTree its envelope walks.
+    // estimator and the QuantTree it borrows; on discrete sets the exact
+    // quantifier and the QuantTree its envelope walks.
     engine.Warmup(Engine::QueryType::kMostProbableNn);
     EXPECT_EQ(engine.StructuresBuilt(), 2);
     for (auto type : kAllTypes) engine.Warmup(type);
     // Disks: the QuantTree (EDNN, NN!=0) and the estimator. Discrete: the
-    // QuantTree (EDNN, the index's envelope) and the Theorem 3.2 index
-    // (NN!=0, probabilities).
+    // QuantTree (EDNN, NN!=0, the quantifier's envelope) and the exact
+    // quantifier (probabilities).
     int built = engine.StructuresBuilt();
     EXPECT_EQ(built, 2);
 
@@ -409,14 +409,16 @@ TEST(EngineWarmup, BuildsOnceAndServesWithoutBuilding) {
   }
 }
 
-// NN!=0 on disk and mixed sets comes from the quantification index the
-// envelope and the Monte-Carlo sweep share, so warming it builds exactly
-// that one structure.
+// NN!=0 on every model comes from the quantification index the envelope
+// and the Monte-Carlo sweep share, so warming it builds exactly that one
+// structure: on a discrete kAuto set too, whose exact quantifier only the
+// probability queries build.
 TEST(EngineWarmup, NonzeroOnDisksBuildsOneStructure) {
   auto mixed = workload::RandomDisks(12, 69);
   auto extra = workload::RandomDiscrete(6, 2, 70);
   mixed.insert(mixed.end(), extra.begin(), extra.end());
-  for (const auto& pts : {workload::RandomDisks(30, 69), mixed}) {
+  for (const auto& pts : {workload::RandomDisks(30, 69), mixed,
+                          workload::RandomDiscrete(30, 3, 71)}) {
     Engine engine(pts, {});
     engine.Warmup(Engine::QueryType::kNonzeroNn);
     EXPECT_EQ(engine.StructuresBuilt(), 1);
@@ -462,8 +464,9 @@ TEST(EngineWarmup, SampleOverrideKeepsOneMonteCarloEstimator) {
 // exists, warming the estimator builds one structure, and rebuilding it for
 // more samples (tau < 2 * eps) builds one more, never a second tree; an
 // estimator built first builds the tree the envelope hook then reuses. A
-// discrete kMonteCarlo Engine takes NN!=0 from the tree too (the Theorem 3.2
-// index serves only exact probabilities), so it counts the same.
+// discrete kMonteCarlo Engine takes NN!=0 from the tree too (the exact
+// discrete quantifier serves only kAuto's probabilities), so it counts the
+// same.
 TEST(EngineWarmup, MonteCarloSharesTheQuantTree) {
   auto mixed = workload::RandomDisks(12, 72);
   auto extra = workload::RandomDiscrete(6, 2, 73);

@@ -1,4 +1,3 @@
-#include "core/nn_nonzero_discrete_index.h"
 #include "core/nonzero_voronoi_discrete.h"
 #include "core/quant_tree.h"
 
@@ -136,28 +135,28 @@ TEST(NonzeroVoronoiDiscrete, SharedSitesAndDuplicatesMatchBruteForce) {
   }
 }
 
-TEST(NnNonzeroDiscreteIndex, MatchesBruteForceRandom) {
+// Theorem 3.2 on the quantification index: QuantTree::NonzeroNn over
+// discrete sets.
+TEST(DiscreteNonzeroNn, MatchesBruteForceRandom) {
   std::mt19937_64 rng(502);
   for (int n : {1, 3, 10, 40, 120}) {
     int k = 1 + static_cast<int>(rng() % 5);
     auto pts = RandomDiscrete(n, k, rng);
     QuantTree tree(&pts);
-    NnNonzeroDiscreteIndex ix(&tree);
     std::uniform_real_distribution<double> qu(-15, 15);
     for (int t = 0; t < 150; ++t) {
       Vec2 q{qu(rng), qu(rng)};
-      auto got = ix.Query(q);
+      auto got = tree.NonzeroNn(q);
       auto want = baselines::NonzeroNn(pts, q);
       ASSERT_EQ(got, want) << "n=" << n << " k=" << k;
     }
   }
 }
 
-TEST(NnNonzeroDiscreteIndex, AgreesWithDiscreteDiagram) {
+TEST(DiscreteNonzeroNn, AgreesWithDiscreteDiagram) {
   std::mt19937_64 rng(504);
   auto pts = RandomDiscrete(6, 3, rng);
   QuantTree tree(&pts);
-  NnNonzeroDiscreteIndex ix(&tree);
   NonzeroVoronoiDiscrete vd(pts);
   double tol = 1e-7 * vd.window().Diagonal();
   std::uniform_real_distribution<double> qu(-13, 13);
@@ -165,7 +164,7 @@ TEST(NnNonzeroDiscreteIndex, AgreesWithDiscreteDiagram) {
   for (int t = 0; t < 250; ++t) {
     Vec2 q{qu(rng), qu(rng)};
     if (NearBoundary(pts, q, tol)) continue;
-    ASSERT_EQ(ix.Query(q), vd.Query(q)) << "t=" << t;
+    ASSERT_EQ(tree.NonzeroNn(q), vd.Query(q)) << "t=" << t;
     ++checked;
   }
   EXPECT_GT(checked, 200);

@@ -255,6 +255,35 @@ TEST(QuantTreeEnvelope, DenormalSquaresFallBackToHypot) {
   }
 }
 
+// A point whose three sites coincide, off their computed mean, and a query
+// from which d(q, mean) - radius rounds one ulp above the sites' distance
+// (two cases found by a random search). With a second point half as far
+// again behind the sites, point 0 is the argmin with MinDist = Delta(q),
+// and the support walk's prune, at the node and at the point, must not
+// lose it: unwidened, both cases answered {} instead of {0}.
+TEST(QuantTreeEnvelope, SupportBoundRoundingKeepsTheArgmin) {
+  const std::vector<double> w(3, 1.0 / 3);
+  const std::pair<Vec2, Vec2> cases[] = {
+      {{0x1.fb6531ec9bd77p-11, -0x1.7684e890ce742p-11},
+       {0x1.850f3ffb6272bp-9, 0x1.75f36527655bcp-8}},
+      {{0x1.b8e6c74d54212p+29, -0x1.4f2abf9bea053p+32},
+       {0x1.82224a8391c27p+32, -0x1.92cb58cd73e1ap+33}},
+  };
+  for (auto [site, q] : cases) {
+    SCOPED_TRACE(testing::Message() << "q=(" << q.x << "," << q.y << ")");
+    std::vector<UncertainPoint> pts = {
+        UncertainPoint::Discrete({site, site, site}, w),
+        UncertainPoint::Discrete({site + (site - q) * 0.5}, {1.0})};
+    QuantTree tree(&pts);
+    ASSERT_EQ(baselines::NonzeroNn(pts, q), std::vector<int>{0});
+    EXPECT_EQ(tree.NonzeroNn(q), std::vector<int>{0});
+    std::vector<int> within;
+    tree.SupportsWithin(q, pts[0].MinDist(q), &within);
+    EXPECT_EQ(within, std::vector<int>{0});
+    EXPECT_EQ(Engine(pts).NonzeroNn(q), std::vector<int>{0});
+  }
+}
+
 // The effort pin of the discrete envelope, on the point set of the
 // discrete-batch benchmark: with the variance bounds the walk evaluates
 // MaxDist for about five points per query; with the box distance alone

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <random>
+#include <span>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -69,22 +71,40 @@ TEST(KdTree, KNearestExhaustsAtN) {
   EXPECT_EQ(got.size(), 5u);
 }
 
+// RangeCircleBatch is checked against the scalar query it batches: the same
+// ids in the same report order, on every pack size and ragged final pack,
+// with every fifth radius exactly on a point's distance (the closed
+// boundary).
 TEST(KdTree, RangeCircleMatchesBruteForce) {
   auto pts = RandomPoints(300);
   KdTree tree(pts);
   std::uniform_real_distribution<double> u(-12, 12);
   std::uniform_real_distribution<double> ru(0.1, 8);
+  std::vector<Vec2> qs;
+  std::vector<double> rs;
+  std::vector<std::vector<int>> scalar;
   for (int t = 0; t < 50; ++t) {
     Vec2 q{u(Rng()), u(Rng())};
     double r = ru(Rng());
+    if (t % 5 == 0) r = Dist(q, pts[t]);
     std::vector<int> got;
     tree.RangeCircle(q, r, &got);
+    qs.push_back(q);
+    rs.push_back(r);
+    scalar.push_back(got);
     std::sort(got.begin(), got.end());
     std::vector<int> want;
     for (size_t i = 0; i < pts.size(); ++i) {
       if (Dist(q, pts[i]) <= r) want.push_back(static_cast<int>(i));
     }
     ASSERT_EQ(got, want);
+  }
+  for (size_t m = 1; m <= 2 * geom::kLaneWidth + 1; ++m) {
+    std::vector<std::vector<int>> batch;
+    tree.RangeCircleBatch(std::span(qs).first(m), std::span(rs).first(m),
+                          &batch);
+    ASSERT_EQ(batch.size(), m);
+    for (size_t i = 0; i < m; ++i) EXPECT_EQ(batch[i], scalar[i]) << m;
   }
 }
 

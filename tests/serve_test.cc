@@ -97,6 +97,20 @@ TEST(ThreadPool, ParallelForNestedInsideTaskCompletes) {
   EXPECT_EQ(sum.load(), 64 * 63 / 2);
 }
 
+// The caller often claims both blocks before the one helper it posts is
+// started; that helper must not stay queued, or the next RunOrPost finds
+// no free worker.
+TEST(ThreadPool, ParallelForLeavesNothingQueued) {
+  serve::ThreadPool pool(2);
+  for (int it = 0; it < 1000; ++it) {
+    std::atomic<int> blocks{0};
+    // 16 indices round to two blocks of 8 (one helper posted).
+    pool.ParallelFor(16, [&](size_t, size_t) { blocks.fetch_add(1); });
+    ASSERT_EQ(blocks.load(), 2);
+    ASSERT_EQ(pool.queue_depth(), 0) << "it=" << it;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // serve::QueryMany — parallel answers identical to the serial seam, in
 // order, for every query type.
